@@ -61,9 +61,15 @@ def _require(doc, attr, target):
 
 
 def _opt(params, doc, key, default):
+    """A degree bound from its flag, else the document's options."""
     if params.get(key) is not None:
-        return params[key]
-    return doc.options.get(key, default)
+        value = params[key]
+    else:
+        value = doc.options.get(key, default)
+    if not isinstance(value, int) or value < 0:
+        raise ParseError("degree bound --%s must be an integer >= 0, got %r"
+                         % (key, value))
+    return value
 
 
 def cmd_verify(doc, target, params):

@@ -1,9 +1,11 @@
 """Exact scalar arithmetic over the rationals and prime fields.
 
-Rational scalars are `fractions.Fraction` (arbitrary precision); prime-field
-scalars are plain ints kept reduced in [0, p).  Every arithmetic operation in
-the package goes through a Field object, so no floating point and no tolerance
-ever appears.
+A rational scalar is a plain int when it is integral and a
+`fractions.Fraction` otherwise, so the integer structure constants of the
+corpus run on native ints; an int and a Fraction of equal value compare and
+hash alike, and mixing them stays exact.  Prime-field scalars are plain ints
+kept reduced in [0, p).  Every arithmetic operation in the package goes
+through a Field object, so no floating point and no tolerance ever appears.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _demote(x):
+    """An integral rational as an int; a true fraction unchanged."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class Field:
@@ -56,17 +63,17 @@ class Field:
     # -- scalar construction -------------------------------------------------
 
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return 1
 
     def of(self, x):
         """Coerce an int / Fraction / scalar string into this field."""
         if isinstance(x, str):
             return self.parse(x)
         if self.p is None:
-            return Fraction(x)
+            return _demote(Fraction(x))
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError("denominator divisible by %d" % self.p)
@@ -80,7 +87,7 @@ class Field:
             num, den = s.split("/", 1)
             num, den = int(num), int(den)
             if self.p is None:
-                return Fraction(num, den)
+                return _demote(Fraction(num, den))
             if den % self.p == 0:
                 raise ZeroDivisionError("denominator divisible by %d" % self.p)
             return (num * pow(den, -1, self.p)) % self.p
@@ -113,7 +120,7 @@ class Field:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         if self.p is None:
-            return 1 / Fraction(a)
+            return _demote(1 / Fraction(a))
         return pow(a, -1, self.p)
 
     def div(self, a, b):
@@ -123,4 +130,4 @@ class Field:
         return a == 0
 
     def is_one(self, a) -> bool:
-        return a == (1 if self.p is not None else Fraction(1))
+        return a == 1

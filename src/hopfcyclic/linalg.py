@@ -201,9 +201,6 @@ class SparseMatrix:
                     out[i] = w
         return out
 
-    def stack_blocks(self, blocks_fn, row_dims, col_dims):
-        raise NotImplementedError  # block assembly lives in homology.py
-
 
 def kron_all(field, mats):
     """Kronecker product of a list (empty list gives the 1x1 identity)."""

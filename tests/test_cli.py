@@ -170,3 +170,28 @@ def test_timings_go_to_stderr_only():
     _, out2, _ = run_cli("verify", "hopf", "-i", data_file("c2_Q"))
     assert out1 == out2
     assert "elapsed" in err1
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["verify", "cylindrical", "-i", data_file("sweedler_Q"), "--pmax", "-2"],
+     "--pmax"),
+    (["compute", "hc", "-i", data_file("c2_Q"), "--nmax", "-1"], "--nmax"),
+    (["compute", "hopf-homology", "-i", data_file("c2_F2"), "--qmax", "-3"],
+     "--qmax"),
+])
+def test_negative_degree_bound_exits_two(args, flag):
+    code, out, _ = run_cli(*args)
+    assert code == 2
+    err = json.loads(out)
+    assert set(err) == {"error"} and flag in err["error"]
+
+
+def test_non_integer_bound_in_options_exits_two(tmp_path):
+    with open(data_file("c2_Q")) as fh:
+        data = json.load(fh)
+    data["options"] = {"N": "2"}
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(data))
+    code, out, _ = run_cli("verify", "iso", "-i", str(doc))
+    assert code == 2
+    assert "--nmax" in json.loads(out)["error"]

@@ -1,13 +1,16 @@
 """Exact linear algebra: rank / kernel / image / homology bookkeeping."""
 
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcyclic.errors import CompositionNotZero
 from hopfcyclic.fields import Field
+from hopfcyclic.io import _map_matrix, _map_pairs
 from hopfcyclic.linalg import (
     SparseMatrix, Subspace, homology_dim, image, invert, kernel, rank, solve,
 )
@@ -23,6 +26,20 @@ def test_field_parse_roundtrip():
     assert F2.parse("1/1") == 1
     with pytest.raises(ValueError):
         Field.prime(6)
+    # Q: integral scalars are native ints, true fractions stay Fraction
+    for x in (QQ.zero(), QQ.one(), QQ.of(3), QQ.parse("4/2"), QQ.inv(-1),
+              QQ.of(Fraction(6, 3))):
+        assert type(x) is int
+    assert QQ.parse("4/2") == 2 and QQ.inv(-1) == -1
+    for x in (QQ.parse("1/2"), QQ.inv(2)):
+        assert type(x) is Fraction and x == Fraction(1, 2)
+    assert QQ.is_one(QQ.of(Fraction(2, 2)))
+    assert QQ.is_one(QQ.mul(QQ.inv(2), 2))
+    # F_2: every result stays reduced in [0, 2)
+    for x in (F2.zero(), F2.one(), F2.of(-3), F2.of(Fraction(1, 3)),
+              F2.parse("5"), F2.parse("-1/3"), F2.inv(1), F2.add(1, 1),
+              F2.sub(0, 1), F2.neg(1), F2.mul(1, 1)):
+        assert type(x) is int and 0 <= x < 2
 
 
 def test_rank_empty_matrix():
@@ -141,6 +158,60 @@ def test_solve_and_invert():
     assert inv @ m == SparseMatrix.identity(QQ, 2)
     sing = SparseMatrix.from_rows(QQ, [[1, 1], [1, 1]])
     assert invert(sing) is None
+
+
+def test_invert_true_fractions_round_trip_through_io():
+    m = SparseMatrix.from_rows(QQ, [[1, 2], [3, 4]])
+    inv = invert(m)
+    assert inv == SparseMatrix.from_rows(
+        QQ, [[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]])
+    assert inv @ m == SparseMatrix.identity(QQ, 2)
+    assert [[QQ.to_str(v) for v in r] for r in inv.to_rows()] == [
+        ["-2", "1"], ["3/2", "-1/2"]]
+    assert _map_matrix(QQ, _map_pairs(QQ, inv), 2) == inv
+
+
+_ORACLE_ENTRIES = (0, 0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2),
+                   Fraction(3, 2), Fraction(-3, 2))
+
+
+@st.composite
+def _small_q_matrices(draw):
+    rows = draw(st.integers(min_value=0, max_value=6))
+    cols = rows if draw(st.booleans()) else draw(
+        st.integers(min_value=0, max_value=6))
+    dense = [[draw(st.sampled_from(_ORACLE_ENTRIES)) for _ in range(cols)]
+             for _ in range(rows)]
+    return rows, cols, dense
+
+
+@given(_small_q_matrices())
+@settings(max_examples=80, deadline=None)
+def test_q_elimination_agrees_with_sympy(drawn):
+    """rank / kernel / invert over mixed int and Fraction entries vs sympy."""
+    rows, cols, dense = drawn
+    ent = {(i, j): QQ.of(v) for i, r in enumerate(dense)
+           for j, v in enumerate(r) if v != 0}
+    m = SparseMatrix(QQ, rows, cols, ent)
+    ref = sympy.zeros(rows, cols)
+    for (i, j), v in ent.items():
+        ref[i, j] = sympy.Rational(v.numerator, v.denominator)
+    ref_rank = ref.rank()
+    assert rank(m) == ref_rank
+    k = kernel(m)
+    assert k.dim == cols - ref_rank
+    for b in k.basis:
+        assert m.apply(b) == {}
+    inv = invert(m)
+    if rows != cols or ref.det() == 0:
+        assert inv is None
+    else:
+        ref_inv = ref.inv()
+        assert inv is not None
+        for i in range(rows):
+            for j in range(cols):
+                r = ref_inv[i, j]
+                assert inv[(i, j)] == Fraction(int(r.p), int(r.q))
 
 
 def test_matmul_and_kron_shapes():
