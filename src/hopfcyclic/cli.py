@@ -60,12 +60,16 @@ def _require(doc, attr, target):
         raise MissingBlock("target %s needs the %s block" % (target, attr))
 
 
+# The document `options` key of each degree-bound flag (see io.py).
+_OPTION_KEYS = {"nmax": "N", "pmax": "P", "qmax": "Q", "rmax": "rmax"}
+
+
 def _opt(params, doc, key, default):
     """A degree bound from its flag, else the document's options."""
     if params.get(key) is not None:
         value = params[key]
     else:
-        value = doc.options.get(key, default)
+        value = doc.options.get(_OPTION_KEYS[key], default)
     if not isinstance(value, int) or value < 0:
         raise ParseError("degree bound --%s must be an integer >= 0, got %r"
                          % (key, value))
@@ -84,19 +88,19 @@ def cmd_verify(doc, target, params):
         checks += _report_entries(check_module_coalgebra(doc.coalgebra))
     elif target == "cylindrical":
         _require(doc, "algebra", target)
-        pmax = _opt(params, doc, "pmax", doc.options.get("P", 2))
-        qmax = _opt(params, doc, "qmax", doc.options.get("Q", 2))
+        pmax = _opt(params, doc, "pmax", 2)
+        qmax = _opt(params, doc, "qmax", 2)
         rep = check_algebra_cylinder(AlgebraCylinder(doc.algebra), pmax, qmax)
         checks += _report_entries(rep)
     elif target == "cocylindrical":
         _require(doc, "coalgebra", target)
-        pmax = _opt(params, doc, "pmax", doc.options.get("P", 1))
-        qmax = _opt(params, doc, "qmax", doc.options.get("Q", 1))
+        pmax = _opt(params, doc, "pmax", 1)
+        qmax = _opt(params, doc, "qmax", 1)
         rep = check_coalgebra_cocylinder(CoalgebraCocylinder(doc.coalgebra),
                                          pmax, qmax)
         checks += _report_entries(rep)
     elif target == "iso":
-        nmax = _opt(params, doc, "nmax", doc.options.get("N", 2))
+        nmax = _opt(params, doc, "nmax", 2)
         did = False
         if doc.algebra is not None:
             did = True
@@ -121,8 +125,8 @@ def cmd_verify(doc, target, params):
         if not did:
             raise MissingBlock("target iso needs an algebra or coalgebra block")
     elif target == "transforms":
-        pmax = _opt(params, doc, "pmax", doc.options.get("P", 1))
-        qmax = _opt(params, doc, "qmax", doc.options.get("Q", 1))
+        pmax = _opt(params, doc, "pmax", 1)
+        qmax = _opt(params, doc, "qmax", 1)
         did = False
         if doc.algebra is not None:
             did = True

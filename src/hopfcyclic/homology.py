@@ -20,8 +20,10 @@ from .errors import (
     HomotopyFailure, MixedIdentityFailure, NotCosemisimple, NotSemisimple,
     TotalNotSquareZero, TruncationTooShallow,
 )
-from .linalg import (
-    SparseMatrix, Subspace, block_matrix, homology_dim, kernel, rank,
+# `rank` is not called here but stays bound on purpose: perfbench's self-test
+# checks that the tracer rebinds a function imported by name elsewhere.
+from .linalg import (  # noqa: F401
+    SparseMatrix, Subspace, _homology_dims, block_matrix, kernel, rank,
 )
 
 
@@ -147,21 +149,28 @@ def _zero_out(field, dim):
     return SparseMatrix.zeros(field, 0, dim)
 
 
+def _degree_pairs(field, dim0, diff, nmax, cochain):
+    """(d_out, d_in) at degrees 0..nmax, calling diff(n) once per degree.
+
+    Chain side: d_out = diff(n) (zero at n = 0), d_in = diff(n + 1).
+    Cochain side: d_out = diff(n), d_in = diff(n - 1) (zero at n = 0).
+    dim0 is the dimension in degree 0.  Pairs are built as they are
+    consumed, so an error surfaces at the first degree that has it.
+    """
+    prev = _zero_in(field, dim0) if cochain else _zero_out(field, dim0)
+    for n in range(nmax + 1):
+        nxt = diff(n) if cochain else diff(n + 1)
+        yield (nxt, prev) if cochain else (prev, nxt)
+        prev = nxt
+
+
 def hochschild_dims(mc: MixedComplex, nmax):
     """Homology of the b-column through degree nmax (nmax <= N-1)."""
     if nmax > mc.N - 1:
         raise TruncationTooShallow("need degree %d, truncated at %d"
                                    % (nmax + 1, mc.N))
-    out = []
-    for n in range(nmax + 1):
-        if not mc.cochain:
-            d_out = mc.b[n] if n >= 1 else _zero_out(mc.field, mc.dim(0))
-            d_in = mc.b[n + 1]
-        else:
-            d_out = mc.b[n]
-            d_in = mc.b[n - 1] if n >= 1 else _zero_in(mc.field, mc.dim(0))
-        out.append(homology_dim(d_out, d_in))
-    return out
+    return _homology_dims(_degree_pairs(mc.field, mc.dim(0), mc.b.__getitem__,
+                                        nmax, mc.cochain))
 
 
 def _total_spaces(mc, n):
@@ -195,18 +204,9 @@ def cyclic_dims(mc: MixedComplex, nmax):
     if nmax > mc.N - 1:
         raise TruncationTooShallow("need degree %d, truncated at %d"
                                    % (nmax + 1, mc.N))
-    out = []
-    for n in range(nmax + 1):
-        if not mc.cochain:
-            d_out = _total_differential(mc, n) if n >= 1 else \
-                _zero_out(mc.field, sum(mc.dim(m) for m in _total_spaces(mc, 0)))
-            d_in = _total_differential(mc, n + 1)
-        else:
-            d_out = _total_differential(mc, n)
-            d_in = _total_differential(mc, n - 1) if n >= 1 else \
-                _zero_in(mc.field, mc.dim(0))
-        out.append(homology_dim(d_out, d_in))
-    return out
+    return _homology_dims(_degree_pairs(
+        mc.field, mc.dim(0), lambda n: _total_differential(mc, n), nmax,
+        mc.cochain))
 
 
 # -- Hopf-module homology and Hopf-comodule cohomology -------------------------------
@@ -261,12 +261,8 @@ def hopf_module_homology(h, action, qmax):
     for p in range(2, qmax + 2):
         if not (deltas[p - 1] @ deltas[p]).is_zero():
             raise BoundaryNotSquareZero("delta delta != 0 at degree %d" % p)
-    m = action.rows
-    out = []
-    for q in range(qmax + 1):
-        d_out = deltas[q] if q >= 1 else _zero_out(h.field, m)
-        out.append(homology_dim(d_out, deltas[q + 1]))
-    return out
+    return _homology_dims(_degree_pairs(h.field, action.rows,
+                                        deltas.__getitem__, qmax, False))
 
 
 def hopf_comodule_cohomology(h, coaction, pmax):
@@ -276,12 +272,8 @@ def hopf_comodule_cohomology(h, coaction, pmax):
     for p in range(1, pmax + 1):
         if not (deltas[p] @ deltas[p - 1]).is_zero():
             raise CoboundaryNotSquareZero("delta delta != 0 at degree %d" % p)
-    m = coaction.cols
-    out = []
-    for p in range(pmax + 1):
-        d_in = deltas[p - 1] if p >= 1 else _zero_in(h.field, m)
-        out.append(homology_dim(deltas[p], d_in))
-    return out
+    return _homology_dims(_degree_pairs(h.field, coaction.cols,
+                                        deltas.__getitem__, pmax, True))
 
 
 # -- integrals and (co)semisimplicity homotopies --------------------------------------
@@ -565,16 +557,8 @@ def total_homology_dims(fc: FilteredComplex, nmax):
     if nmax > fc.N - 1:
         raise TruncationTooShallow("need degree %d, truncated at %d"
                                    % (nmax + 1, fc.N))
-    out = []
-    for n in range(nmax + 1):
-        if not fc.cochain:
-            d_out = fc.d[n] if n >= 1 else _zero_out(fc.field, fc.dim(0))
-            d_in = fc.d[n + 1]
-        else:
-            d_out = fc.d[n]
-            d_in = fc.d[n - 1] if n >= 1 else _zero_in(fc.field, fc.dim(0))
-        out.append(homology_dim(d_out, d_in))
-    return out
+    return _homology_dims(_degree_pairs(fc.field, fc.dim(0), fc.d.__getitem__,
+                                        nmax, fc.cochain))
 
 
 # -- spectral sequence of a filtered complex ------------------------------------------
@@ -594,44 +578,60 @@ class SSPage:
         return "SSPage(r=%d, %d positions)" % (self.r, len(self.table))
 
 
-def _z_subspace(fc, r, i, n):
+def _cached(memo, key, build):
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = build()
+    return got
+
+
+def _z_subspace(fc, r, i, n, memo):
     """Z^r at filtration index i, total degree n: x in F_i with dx r steps
     deeper in the filtration.  Out-of-range filtration indices resolve to the
-    zero subspace / the whole space through filtration_coords."""
-    f = fc.field
-    if n < 0 or n > fc.N:
-        return Subspace(f, 0)
-    basis = fc.filtration(i, n)
-    s = 1 if not fc.cochain else -1
-    tgt = n - s
-    j = i - s * r
-    if tgt < 0 or tgt > fc.N:
-        return basis
-    dmat = fc.d[n]
-    bm = basis.basis_matrix()
-    img = dmat @ bm
-    inside = set(fc.filtration_coords(j, tgt))
-    comp = [c for c in range(fc.dim(tgt)) if c not in inside]
-    pos = {c: k for k, c in enumerate(comp)}
-    ent = {}
-    for (rr, cc), v in img.entries.items():
-        if rr in pos:
-            ent[(pos[rr], cc)] = v
-    proj = SparseMatrix(f, len(comp), basis.dim, ent)
-    ker = kernel(proj)
-    lifted = bm @ ker.basis_matrix()
-    return Subspace(f, fc.dim(n), [lifted.column(k) for k in range(ker.dim)])
+    zero subspace / the whole space through filtration_coords.  memo is the
+    calling spectral_pages' dict of subspaces."""
+
+    def build():
+        f = fc.field
+        if n < 0 or n > fc.N:
+            return Subspace(f, 0)
+        basis = fc.filtration(i, n)
+        s = 1 if not fc.cochain else -1
+        tgt = n - s
+        j = i - s * r
+        if tgt < 0 or tgt > fc.N:
+            return basis
+        dmat = fc.d[n]
+        bm = basis.basis_matrix()
+        img = dmat @ bm
+        inside = set(fc.filtration_coords(j, tgt))
+        comp = [c for c in range(fc.dim(tgt)) if c not in inside]
+        pos = {c: k for k, c in enumerate(comp)}
+        ent = {}
+        for (rr, cc), v in img.entries.items():
+            if rr in pos:
+                ent[(pos[rr], cc)] = v
+        proj = SparseMatrix(f, len(comp), basis.dim, ent)
+        ker = kernel(proj)
+        lifted = bm @ ker.basis_matrix()
+        return Subspace(f, fc.dim(n),
+                        [lifted.column(k) for k in range(ker.dim)])
+    return _cached(memo, ("z", r, i, n), build)
 
 
-def _boundary_part(fc, r, i, n):
+def _boundary_part(fc, r, i, n, memo):
     """d(Z^{r-1} at filtration i +/- (r-1), degree next to n), as a Subspace."""
-    s = 1 if not fc.cochain else -1
-    prev_n = n + s
-    if prev_n < 0 or prev_n > fc.N:
-        return Subspace(fc.field, fc.dim(n))
-    src = _z_subspace(fc, r - 1, i + s * (r - 1), prev_n)
-    img = fc.d[prev_n] @ src.basis_matrix()
-    return Subspace(fc.field, fc.dim(n), [img.column(k) for k in range(src.dim)])
+
+    def build():
+        s = 1 if not fc.cochain else -1
+        prev_n = n + s
+        if prev_n < 0 or prev_n > fc.N:
+            return Subspace(fc.field, fc.dim(n))
+        src = _z_subspace(fc, r - 1, i + s * (r - 1), prev_n, memo)
+        img = fc.d[prev_n] @ src.basis_matrix()
+        return Subspace(fc.field, fc.dim(n),
+                        [img.column(k) for k in range(src.dim)])
+    return _cached(memo, ("b", r, i, n), build)
 
 
 def spectral_pages(fc: FilteredComplex, rmax, window):
@@ -645,6 +645,7 @@ def spectral_pages(fc: FilteredComplex, rmax, window):
     """
     imax, jmax = window
     s = 1 if not fc.cochain else -1
+    memo = {}
     pages = []
     for r in range(rmax + 1):
         table = {}
@@ -654,16 +655,16 @@ def spectral_pages(fc: FilteredComplex, rmax, window):
                 n = i + j
                 if n > fc.N - 1:
                     continue
-                z = _z_subspace(fc, r, i, n)
-                den = _z_subspace(fc, r - 1, i - s, n).sum(
-                    _boundary_part(fc, r, i, n))
+                z = _z_subspace(fc, r, i, n, memo)
+                den = _z_subspace(fc, r - 1, i - s, n, memo).sum(
+                    _boundary_part(fc, r, i, n, memo))
                 table[(i, j)] = z.dim - den.dim
                 # rank of d_r: (i, j) -> (i - s*r, j + s*r - 1) at degree n - s
                 out_n = n - s
                 if 0 <= out_n <= fc.N:
                     ti = i - s * r
-                    t_den = _z_subspace(fc, r - 1, ti - s, out_n).sum(
-                        _boundary_part(fc, r, ti, out_n))
+                    t_den = _z_subspace(fc, r - 1, ti - s, out_n, memo).sum(
+                        _boundary_part(fc, r, ti, out_n, memo))
                     dz = fc.d[n] @ z.basis_matrix()
                     total = t_den.sum(Subspace(
                         fc.field, fc.dim(out_n),

@@ -3,9 +3,19 @@
 Matrices are immutable dict-of-entries sparse maps over a Field.  Vectors are
 dicts {index: scalar} with no stored zeros.  Everything is exact; there is no
 tolerance anywhere.
+
+All elimination goes through one kernel.  `_echelonize` is the forward pass:
+rows are bucketed by leading column and only the bucket of the current pivot
+column is reduced.  The pivot is the leftmost column, then the sparsest row
+holding it, then the first such row in input order.  `rank` needs only this
+pass.  `_rref` adds one bottom-up back-substitution through a {pivot column:
+row} index; `Subspace`, `kernel`, `solve` and `invert` use it, and
+`Subspace.reduce` clears a vector through the same index.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .errors import CompositionNotZero
 from .fields import Field
@@ -232,39 +242,73 @@ def block_matrix(field, blocks, row_dims, col_dims):
 # -- echelon machinery ---------------------------------------------------------
 
 def _echelonize(field, rows):
-    """Reduced row echelon form of a list of dict-vectors, in place-ish.
+    """Forward elimination of a list of dict-vectors to row echelon form.
 
-    Returns (pivots, reduced_rows): pivot columns strictly increasing, each
-    pivot entry 1 and alone in its column.  Deterministic: leftmost pivot
-    column first; among candidate rows the sparsest (first on ties) is chosen.
+    Returns (pivots, rows): pivot columns strictly increasing, row k with
+    entry 1 at pivots[k] and nothing to its left.  Entries above a pivot are
+    left in place; `_rref` clears them.  Zero rows drop out, so the rank is
+    len(pivots).
+
+    Rows are bucketed by leading column.  Each step pops the smallest
+    column that has a bucket: only the rows in that bucket hold the column,
+    so only they are reduced, and each is re-bucketed by its new leading
+    column.  Pivot rule: leftmost column, then the sparsest candidate row,
+    then the first in input order.
     """
-    work = [dict(r) for r in rows if r]
+    buckets = {}
+    for k, r in enumerate(rows):
+        if r:
+            buckets.setdefault(min(r), []).append((len(r), k, r))
+    heap = list(buckets)
+    heapq.heapify(heap)
     pivots = []
     out = []
-    while work:
-        piv_col = min(min(r) for r in work)
-        cand = [r for r in work if piv_col in r]
-        cand_best = min(cand, key=lambda r: (len(r), work.index(r)))
-        work.remove(cand_best)
-        inv = field.inv(cand_best[piv_col])
-        prow = {j: field.mul(inv, v) for j, v in cand_best.items()}
-        nxt = []
-        for r in work:
-            c = r.get(piv_col)
-            if c is not None:
-                r = _row_axpy(field, r, field.neg(c), prow)
+    while heap:
+        col = heapq.heappop(heap)
+        bucket = buckets.pop(col)
+        best = min(bucket)
+        bucket.remove(best)
+        prow = best[2]
+        inv = field.inv(prow[col])
+        prow = {j: field.mul(inv, v) for j, v in prow.items()}
+        for _, k, r in bucket:
+            r = _row_axpy(field, r, field.neg(r[col]), prow)
             if r:
-                nxt.append(r)
-        work = nxt
-        # back-substitute into already-found rows for full reduction
-        for k, (pc, pr) in enumerate(zip(pivots, out)):
-            c = pr.get(piv_col)
-            if c is not None:
-                out[k] = _row_axpy(field, pr, field.neg(c), prow)
-        pivots.append(piv_col)
+                lead = min(r)
+                if lead not in buckets:
+                    buckets[lead] = []
+                    heapq.heappush(heap, lead)
+                buckets[lead].append((len(r), k, r))
+        pivots.append(col)
         out.append(prow)
-    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
-    return [pivots[k] for k in order], [out[k] for k in order]
+    return pivots, out
+
+
+def _rref(field, rows):
+    """Reduced row echelon form: `_echelonize`, then one back-substitution.
+
+    The back-substitution runs bottom-up through a {pivot column: row} index
+    of the rows already reduced; each row is cleared only at the pivot
+    columns it holds.  Every pivot entry is 1 and alone in its column, so the
+    result is the canonical RREF of the row space.
+    """
+    pivots, rows = _echelonize(field, rows)
+    below = {}
+    for k in range(len(rows) - 1, -1, -1):
+        rows[k] = below[pivots[k]] = _clear(field, rows[k], below)
+    return pivots, rows
+
+
+def _clear(field, r, index):
+    """r with each pivot column j it holds cleared: r - r[j] * index[j].
+
+    index maps pivot columns to reduced rows (entry 1 at their own pivot, 0
+    at every other pivot in index), so clearing one pivot column never
+    refills another.
+    """
+    for j in [j for j in r if j in index]:
+        r = _row_axpy(field, r, field.neg(r[j]), index[j])
+    return r
 
 
 def _row_axpy(field, r, c, p):
@@ -282,14 +326,15 @@ def _row_axpy(field, r, c, p):
 class Subspace:
     """A subspace of k^n presented by a reduced-echelon basis."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_index")
 
     def __init__(self, field, ambient_dim, vectors=()):
         self.field = field
         self.ambient_dim = ambient_dim
-        pivots, basis = _echelonize(field, list(vectors))
+        pivots, basis = _rref(field, list(vectors))
         self.basis = basis
         self.pivots = pivots
+        self._index = dict(zip(pivots, basis))
 
     @classmethod
     def full(cls, field, n):
@@ -302,13 +347,7 @@ class Subspace:
 
     def reduce(self, vec):
         """Residual of a dict-vector modulo this subspace."""
-        f = self.field
-        r = dict(vec)
-        for pc, b in zip(self.pivots, self.basis):
-            c = r.get(pc)
-            if c is not None:
-                r = _row_axpy(f, r, f.neg(c), b)
-        return r
+        return _clear(self.field, dict(vec), self._index)
 
     def contains(self, vec):
         return not self.reduce(vec)
@@ -355,7 +394,7 @@ def rank(m: SparseMatrix) -> int:
 def kernel(m: SparseMatrix) -> Subspace:
     """Basis of {v : Mv = 0}."""
     f = m.field
-    pivots, rred = _echelonize(f, m.row_dicts())
+    pivots, rred = _rref(f, m.row_dicts())
     pivset = set(pivots)
     free = [j for j in range(m.cols) if j not in pivset]
     vecs = []
@@ -379,13 +418,34 @@ def homology_dim(d_out: SparseMatrix, d_in: SparseMatrix) -> int:
 
     Raises CompositionNotZero unless d_out . d_in = 0 (exactly).
     """
-    if d_out.cols != d_in.rows:
-        raise ValueError("complex shape mismatch")
-    comp = d_out @ d_in
-    if not comp.is_zero():
-        ij = sorted(comp.entries)[0]
-        raise CompositionNotZero("d.d != 0 first at %s" % (ij,))
-    return (d_in.rows - rank(d_out)) - rank(d_in)
+    return _homology_dims([(d_out, d_in)])[0]
+
+
+def _homology_dims(pairs):
+    """homology_dim of each (d_out, d_in) pair of an iterable, in order.
+
+    A differential is d_in at one degree and d_out at the next: each matrix
+    object is ranked once, and each composite d_out . d_in is multiplied
+    once.  A shape mismatch or a nonzero composite raises at the first pair
+    that has it.
+    """
+    ranks = {}  # id(m) -> (m, rank); holding m keeps its id from being reused
+
+    def rank_of(m):
+        if id(m) not in ranks:
+            ranks[id(m)] = (m, rank(m))
+        return ranks[id(m)][1]
+
+    out = []
+    for d_out, d_in in pairs:
+        if d_out.cols != d_in.rows:
+            raise ValueError("complex shape mismatch")
+        comp = d_out @ d_in
+        if not comp.is_zero():
+            ij = sorted(comp.entries)[0]
+            raise CompositionNotZero("d.d != 0 first at %s" % (ij,))
+        out.append(d_in.rows - rank_of(d_out) - rank_of(d_in))
+    return out
 
 
 def solve(m: SparseMatrix, vec):
@@ -396,7 +456,7 @@ def solve(m: SparseMatrix, vec):
     for i, c in vec.items():
         aug[i] = dict(aug[i])
         aug[i][cols] = c
-    pivots, rred = _echelonize(f, aug)
+    pivots, rred = _rref(f, aug)
     x = {}
     for pc, r in zip(pivots, rred):
         if pc == cols:
@@ -418,7 +478,7 @@ def invert(m: SparseMatrix):
         r = dict(r)
         r[n + i] = f.one()
         aug.append(r)
-    pivots, rred = _echelonize(f, aug)
+    pivots, rred = _rref(f, aug)
     if len(pivots) < n or pivots[:n] != list(range(n)):
         return None
     ent = {}

@@ -195,3 +195,25 @@ def test_non_integer_bound_in_options_exits_two(tmp_path):
     code, out, _ = run_cli("verify", "iso", "-i", str(doc))
     assert code == 2
     assert "--nmax" in json.loads(out)["error"]
+
+
+def _with_options(tmp_path, options):
+    with open(data_file("c2_Q")) as fh:
+        data = json.load(fh)
+    data["options"] = options
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(data))
+    return str(doc)
+
+
+def test_compute_reads_degree_bound_from_document_options(tmp_path):
+    """`compute` takes N from the document's options, as `verify` does."""
+    code, out, _ = run_cli("compute", "hh", "-i",
+                           _with_options(tmp_path, {"N": -1}))
+    assert code == 2
+    assert "--nmax" in json.loads(out)["error"]
+    code, out, _ = run_cli("compute", "hh", "-i",
+                           _with_options(tmp_path, {"N": 1}))
+    assert code == 0
+    tables = json.loads(out)["tables"]
+    assert tables and all(len(t) == 2 for t in tables.values())

@@ -2,9 +2,10 @@
 
 import pytest
 
+from hopfcyclic.cylinder import AlgebraCylinder
 from hopfcyclic.errors import (
-    HomotopyFailure, MixedIdentityFailure, NotCosemisimple, NotSemisimple,
-    TruncationTooShallow,
+    BoundaryNotSquareZero, CompositionNotZero, HomotopyFailure,
+    MixedIdentityFailure, NotCosemisimple, NotSemisimple, TruncationTooShallow,
 )
 from hopfcyclic.fields import Field
 from hopfcyclic.hopf import (
@@ -20,9 +21,10 @@ from hopfcyclic.homology import (
     cochain_mixed_complex, cosemisimple_homotopy_check, cyclic_dims,
     find_dual_left_integral, find_right_integral, hochschild_dims,
     hopf_comodule_cohomology, hopf_module_homology, mixed_complex,
-    semisimple_homotopy_check, trivial_comodule_coaction,
-    trivial_module_action,
+    semisimple_homotopy_check, total_complex_algebra, total_homology_dims,
+    trivial_comodule_coaction, trivial_module_action,
 )
+from hopfcyclic.linalg import SparseMatrix
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -171,3 +173,33 @@ def test_homotopy_matches_vanishing():
 def test_s3_group_homology_rational():
     s3 = group_algebra(symmetric_group_table(3), QQ)
     assert hopf_module_homology(s3, trivial_module_action(s3), 2) == [1, 0, 0]
+
+
+def _spoil(d_out, d_in):
+    """d_in with one entry changed so that d_out . d_in != 0."""
+    f = d_in.field
+    i = min(k for (_, k) in d_out.entries)  # a nonzero column of d_out
+    ent = dict(d_in.entries)
+    ent[(i, 0)] = f.add(d_in[(i, 0)], f.one())
+    spoiled = SparseMatrix(f, d_in.rows, d_in.cols, ent)
+    assert not (d_out @ spoiled).is_zero()
+    return spoiled
+
+
+def test_dims_still_check_composites_when_construction_did_not():
+    """Ranking each differential once must not drop the d.d = 0 check."""
+    mc = mixed_complex(cyclic_module_of_algebra(kc2().as_algebra(), N=4),
+                       check=False)
+    mc.b[3] = _spoil(mc.b[2], mc.b[3])  # b[1] = 0: the algebra commutes
+    with pytest.raises(CompositionNotZero):
+        hochschild_dims(mc, 2)
+    with pytest.raises(CompositionNotZero):
+        cyclic_dims(mc, 2)
+    fc = total_complex_algebra(
+        AlgebraCylinder(regular_comodule_algebra(kc2())), N=4, check=False)
+    fc.d[3] = _spoil(fc.d[2], fc.d[3])
+    with pytest.raises(CompositionNotZero):
+        total_homology_dims(fc, 2)
+    not_an_action = SparseMatrix.from_rows(QQ, [[1, 2]])
+    with pytest.raises(BoundaryNotSquareZero):
+        hopf_module_homology(kc2(), not_an_action, 2)

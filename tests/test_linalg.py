@@ -7,12 +7,14 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from hopfcyclic.errors import CompositionNotZero
 from hopfcyclic.fields import Field
 from hopfcyclic.io import _map_matrix, _map_pairs
 from hopfcyclic.linalg import (
-    SparseMatrix, Subspace, homology_dim, image, invert, kernel, rank, solve,
+    SparseMatrix, Subspace, _echelonize, homology_dim, image, invert, kernel,
+    rank, solve,
 )
 
 QQ = Field.rationals()
@@ -212,6 +214,103 @@ def test_q_elimination_agrees_with_sympy(drawn):
             for j in range(cols):
                 r = ref_inv[i, j]
                 assert inv[(i, j)] == Fraction(int(r.p), int(r.q))
+
+
+_ORACLE_FIELDS = (QQ, F2, Field.prime(3), Field.prime(5))
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """A field and a sparse matrix over it, with zero and duplicate rows."""
+    field = draw(st.sampled_from(_ORACLE_FIELDS))
+    values = _ORACLE_ENTRIES if field.p is None else (0, 0, 0, 1, -1, 2, 3, 4)
+    rows = draw(st.integers(min_value=0, max_value=8))
+    cols = draw(st.integers(min_value=0, max_value=8))
+    dense = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(("zero", "duplicate", "sparse", "sparse")))
+        if kind == "zero":
+            dense.append([0] * cols)
+        elif kind == "duplicate" and dense:
+            dense.append(list(draw(st.sampled_from(dense))))
+        else:
+            dense.append([draw(st.sampled_from(values)) for _ in range(cols)])
+    ent = {(i, j): field.of(v) for i, r in enumerate(dense)
+           for j, v in enumerate(r) if not field.is_zero(field.of(v))}
+    return field, SparseMatrix(field, rows, cols, ent)
+
+
+def _domain(field):
+    return sympy.QQ if field.p is None else sympy.GF(field.p, symmetric=False)
+
+
+def _to_domain(m):
+    dom = _domain(m.field)
+    rows = [[dom(0)] * m.cols for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        rows[i][j] = dom(v.numerator, v.denominator) \
+            if m.field.p is None else dom(v)
+    return DomainMatrix(rows, (m.rows, m.cols), dom)
+
+
+def _from_domain_rows(field, dm):
+    """The nonzero rows of a DomainMatrix as dict-vectors over field."""
+    out = []
+    for row in dm.to_list():
+        vec = {}
+        for j, x in enumerate(row):
+            v = (Fraction(int(x.numerator), int(x.denominator))
+                 if field.p is None else int(x))
+            v = field.of(v)
+            if not field.is_zero(v):
+                vec[j] = v
+        if vec:
+            out.append(vec)
+    return out
+
+
+@given(_sparse_matrices())
+@settings(max_examples=120, deadline=None)
+def test_kernel_agrees_with_sympy_domain_matrix(drawn):
+    """rank, kernel and the reduced echelon basis against sympy over Q and
+    GF(2), GF(3), GF(5)."""
+    field, m = drawn
+    ref = _to_domain(m)
+    assert rank(m) == ref.rank() == len(_echelonize(field, m.row_dicts())[0])
+    rref, pivots = ref.rref()
+    sub = Subspace(field, m.cols, m.row_dicts())
+    assert sub.pivots == list(pivots)
+    assert sub.basis == _from_domain_rows(field, rref)
+    ker = kernel(m)
+    null = ref.nullspace()
+    if null.shape[0]:
+        assert ker.basis == _from_domain_rows(field, null.rref()[0])
+    else:
+        assert ker.dim == 0
+    assert ker.dim == m.cols - ref.rank()
+
+
+def test_echelonize_pivot_rule():
+    """Leftmost column, then the sparsest candidate, then input order; the
+    forward pass leaves entries above the pivots in place."""
+    m = SparseMatrix.from_rows(QQ, [[2, 2, 2, 0],
+                                    [1, 0, 1, 0],
+                                    [0, 3, 0, 1]])
+    pivots, rows = _echelonize(QQ, m.row_dicts())
+    # row 1 is the sparsest holder of column 0; row 0 reduces to (0, 2, 0, 0)
+    assert pivots == [0, 1, 3]
+    assert rows == [{0: 1, 2: 1}, {1: 1}, {3: 1}]
+    assert rank(m) == len(pivots) == 3
+    tie = SparseMatrix.from_rows(QQ, [[0, 2, 0, 3],
+                                      [1, 1, 0, 0],
+                                      [1, 0, 2, 0]])
+    pivots, rows = _echelonize(QQ, tie.row_dicts())
+    assert pivots == [0, 1, 2]
+    assert rows[0] == {0: 1, 1: 1}
+    assert rank(tie) == len(pivots) == 3
+    assert Subspace(QQ, 4, tie.row_dicts()).basis == [
+        {0: 1, 3: Fraction(-3, 2)}, {1: 1, 3: Fraction(3, 2)},
+        {2: 1, 3: Fraction(3, 4)}]
 
 
 def test_matmul_and_kron_shapes():
