@@ -5,9 +5,10 @@
     hopfcyclic compare <target> -i file.json [--nmax N]
 
 plus `-o report.json` and `--csv dir/` on every command.  Exit codes:
-0 all checks pass, 1 a check failed, 2 input error.  Reports are normalized
-JSON and byte-identical across runs; wall-clock timings go to stderr only
-when --timings is given.  No environment variables are read.
+0 all checks pass, 1 a check failed or a verify / compare checked nothing,
+2 input error.  Reports are normalized JSON and byte-identical across runs;
+wall-clock timings go to stderr only when --timings is given.  No
+environment variables are read.
 """
 
 from __future__ import annotations
@@ -147,7 +148,8 @@ def cmd_verify(doc, target, params):
         if not did:
             raise MissingBlock("target transforms needs an algebra or "
                                "coalgebra block")
-    return {"checks": checks}, all(c["ok"] for c in checks)
+    # a run that checked nothing has shown nothing
+    return {"checks": checks}, bool(checks) and all(c["ok"] for c in checks)
 
 
 def cmd_compute(doc, target, params):
@@ -299,7 +301,9 @@ def cmd_compare(doc, target, params):
         ops, _ = coinvariant_cocyclic_module(doc.coalgebra, N=nmax + 1)
         rhs = cyclic_dims(cochain_mixed_complex(ops), nmax)
         verdicts["hc_crossed_vs_coinvariants"] = _verdicts(lhs, rhs)
-    ok = all(v["equal"] for rows in verdicts.values() for v in rows)
+    rows = [v for table in verdicts.values() for v in table]
+    # a comparison that produced no verdict has shown nothing
+    ok = bool(rows) and all(v["equal"] for v in rows)
     return {"checks": [], "verdicts": verdicts}, ok
 
 

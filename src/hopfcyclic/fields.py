@@ -4,8 +4,10 @@ A rational scalar is a plain int when it is integral and a
 `fractions.Fraction` otherwise, so the integer structure constants of the
 corpus run on native ints; an int and a Fraction of equal value compare and
 hash alike, and mixing them stays exact.  Prime-field scalars are plain ints
-kept reduced in [0, p).  Every arithmetic operation in the package goes
-through a Field object, so no floating point and no tolerance ever appears.
+kept reduced in [0, p).  Elimination and the other scalar code go through a
+Field object; the sparse products and the operator compiler sum with native
++ and * and hand the sums to `settle`, which restores the same
+representation.  No floating point and no tolerance ever appears.
 """
 
 from __future__ import annotations
@@ -27,6 +29,33 @@ def is_prime(n: int) -> bool:
 def _demote(x):
     """An integral rational as an int; a true fraction unchanged."""
     return x.numerator if x.denominator == 1 else x
+
+
+def settle(field, sums):
+    """Settle entries summed with native + and * into field scalars.
+
+    In place: over F_p each sum is reduced mod p, over Q an integral
+    Fraction becomes an int, and entries that cancelled to zero are dropped.
+    Returns `sums`.
+    """
+    p = field.p
+    zeros = []
+    if p is None:
+        for k, v in sums.items():
+            if not v:
+                zeros.append(k)
+            elif v.__class__ is Fraction and v.denominator == 1:
+                sums[k] = v.numerator
+    else:
+        for k, v in sums.items():
+            v %= p
+            if v:
+                sums[k] = v
+            else:
+                zeros.append(k)
+    for k in zeros:
+        del sums[k]
+    return sums
 
 
 class Field:
@@ -104,17 +133,32 @@ class Field:
 
     # -- arithmetic -----------------------------------------------------------
 
+    # Over Q an integral Fraction result is demoted to int, so computed
+    # scalars keep the one representation that parsed scalars have.
+
     def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
+        if self.p is not None:
+            return (a + b) % self.p
+        c = a + b
+        return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
 
     def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
+        if self.p is not None:
+            return (a - b) % self.p
+        c = a - b
+        return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
 
     def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
+        if self.p is not None:
+            return (-a) % self.p
+        c = -a
+        return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
 
     def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
+        if self.p is not None:
+            return (a * b) % self.p
+        c = a * b
+        return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
 
     def inv(self, a):
         if self.is_zero(a):

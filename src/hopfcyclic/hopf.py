@@ -20,7 +20,7 @@ from .errors import CharTwo, NotAGroup, Singular
 from .fields import Field
 from .linalg import SparseMatrix, invert
 from .tensor import (
-    SpaceOps, iterate_coaction_matrix, iterate_comult_matrix, perm_matrix,
+    SpaceOps, Spaces, iterate_coaction_matrix, iterate_comult_matrix, perm_matrix,
     tensor_unindex,
 )
 
@@ -423,9 +423,9 @@ def module_space_ops(c: ModuleCoalgebra) -> SpaceOps:
     return SpaceOps(c.dim, comult=c.comult, counit=c.counit, action=c.action)
 
 
-def algebra_spaces(a: ComoduleAlgebra):
-    return {"H": space_ops(a.hopf), "A": comodule_space_ops(a)}
+def algebra_spaces(a: ComoduleAlgebra) -> Spaces:
+    return Spaces({"H": space_ops(a.hopf), "A": comodule_space_ops(a)})
 
 
-def coalgebra_spaces(c: ModuleCoalgebra):
-    return {"H": space_ops(c.hopf), "C": module_space_ops(c)}
+def coalgebra_spaces(c: ModuleCoalgebra) -> Spaces:
+    return Spaces({"H": space_ops(c.hopf), "C": module_space_ops(c)})

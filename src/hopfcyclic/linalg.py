@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 
 from .errors import CompositionNotZero
-from .fields import Field
+from .fields import Field, settle
 
 
 class SparseMatrix:
@@ -85,14 +85,18 @@ class SparseMatrix:
     def __getitem__(self, ij):
         return self.entries.get(ij, self.field.zero())
 
-    def column(self, j):
-        """Column j as a dict {row: scalar}."""
+    def column_index(self):
+        """{col: {row: scalar}} over the nonzero columns, built once."""
         if self._cols_index is None:
             idx = {}
             for (i, k), v in self.entries.items():
                 idx.setdefault(k, {})[i] = v
             self._cols_index = idx
-        return self._cols_index.get(j, {})
+        return self._cols_index
+
+    def column(self, j):
+        """Column j as a dict {row: scalar}."""
+        return self.column_index().get(j, {})
 
     def nnz(self):
         return len(self.entries)
@@ -172,18 +176,24 @@ class SparseMatrix:
         if self.cols != other.rows:
             raise ValueError("composition mismatch: %dx%d @ %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        f = self.field
-        ent = {}
+        # Native sums; an exact cancellation over Q is dropped at once.  F_p
+        # representatives are positive, so their sums never hit 0 before
+        # `settle` reduces them.
+        cols = self.column_index()
+        sums = {}
+        get = sums.get
         for (k, j), bv in other.entries.items():
-            col = self.column(k)
-            for i, av in col.items():
-                ij = (i, j)
-                w = f.add(ent.get(ij, f.zero()), f.mul(av, bv))
-                if f.is_zero(w):
-                    ent.pop(ij, None)
-                else:
-                    ent[ij] = w
-        return SparseMatrix(f, self.rows, other.cols, ent)
+            col = cols.get(k)
+            if col:
+                for i, av in col.items():
+                    ij = (i, j)
+                    w = get(ij, 0) + av * bv
+                    if w:
+                        sums[ij] = w
+                    else:
+                        del sums[ij]
+        return SparseMatrix(self.field, self.rows, other.cols,
+                            settle(self.field, sums))
 
     def transpose(self):
         return SparseMatrix(self.field, self.cols, self.rows,
@@ -192,11 +202,15 @@ class SparseMatrix:
     def kron(self, other):
         """Kronecker product; row-major, leftmost factor varying slowest."""
         f = self.field
+        rows, cols = other.rows, other.cols
+        right = list(other.entries.items())
         ent = {}
         for (i1, j1), v1 in self.entries.items():
-            for (i2, j2), v2 in other.entries.items():
-                ent[(i1 * other.rows + i2, j1 * other.cols + j2)] = f.mul(v1, v2)
-        return SparseMatrix(f, self.rows * other.rows, self.cols * other.cols, ent)
+            i0, j0 = i1 * rows, j1 * cols
+            for (i2, j2), v2 in right:
+                ent[(i0 + i2, j0 + j2)] = v1 * v2
+        return SparseMatrix(f, self.rows * rows, self.cols * cols,
+                            settle(f, ent))
 
     def apply(self, vec):
         """Apply to a dict-vector; returns a dict-vector."""

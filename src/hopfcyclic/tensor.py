@@ -10,12 +10,23 @@ and one expression per output factor referencing each produced leg exactly
 once.  `compile_operator` turns such a description into an exact sparse
 matrix, evaluating column by column so the (potentially huge) intermediate
 leg space is never materialized.
+
+The compiler reads every leg assignment as one integer offset: each leg adds
+a fixed weight times its value, so an input column is a fold of its factors'
+(offset, coeff) lists, and each offset expands into the Kronecker product of
+the output expressions' columns.  Scalars are summed with native + and *
+and settled into the field once per entry.  The expansion and expression
+matrices are memoized on the `Spaces` passed in, under (label, expansion)
+and under the expression's shape (the tree with each leg replaced by its
+space label).  `hopf.algebra_spaces` and `hopf.coalgebra_spaces` build a
+fresh `Spaces` for each structure, so the memo lives as long as the
+cylinder, module form or crossed product that owns it, and never across
+structures.
 """
 
 from __future__ import annotations
 
-from itertools import product as iproduct
-
+from .fields import settle
 from .linalg import SparseMatrix, kron_all
 
 
@@ -48,6 +59,21 @@ def perm_matrix(field, dims, out_to_in):
         multi = tensor_unindex(dims, j)
         ent[(tensor_index(out_dims, [multi[s] for s in out_to_in]), j)] = one
     return SparseMatrix(field, total, total, ent)
+
+
+class Spaces(dict):
+    """Label -> SpaceOps of one structure, with the compiler's memo.
+
+    `memo` holds the expansion and expression matrices `compile_operator`
+    builds on these spaces, so it lives exactly as long as the object that
+    owns the spaces (a cylinder, a module form, one crossed product).
+    """
+
+    __slots__ = ("memo",)
+
+    def __init__(self, ops):
+        super().__init__(ops)
+        self.memo = {}
 
 
 class SpaceOps:
@@ -186,44 +212,129 @@ def _expansion_matrix(field, spaces, label, exp):
     raise ValueError("unknown expansion %r" % (exp,))
 
 
-def _compile_expr(field, spaces, leg_spaces, e):
-    """Compile an expression to (matrix, slot list, space label).
+def _expansion(field, spaces, label, exp):
+    """Memoized expansion of one factor: (leg dims, decoded columns).
 
-    The matrix maps the tensor product of the expression's legs (in slot-list
-    order) to the expression's output space ("1" for counit-consumed scalars).
+    columns[i] lists (leg values, coeff) for the expansion of basis vector i.
     """
+    key = ("expansion", label, exp)
+    got = spaces.memo.get(key)
+    if got is None:
+        mat, ldims = _expansion_matrix(field, spaces, label, exp)
+        got = ldims, [[(tensor_unindex(ldims, r), v)
+                       for r, v in mat.column(i).items()]
+                      for i in range(mat.cols)]
+        spaces.memo[key] = got
+    return got
+
+
+def _shape(e, leg_spaces):
+    """The expression with each leg replaced by its space label."""
     tag = e[0]
     if tag == "leg":
-        sp = leg_spaces[e[1]]
-        return SparseMatrix.identity(field, spaces[sp].dim), [e[1]], sp
+        return ("leg", leg_spaces[e[1]])
+    if tag in ("S", "Sinv", "eps"):
+        return (tag, _shape(e[1], leg_spaces))
+    if tag == "prod":
+        return ("prod", tuple(_shape(x, leg_spaces) for x in e[1]))
+    if tag == "act":
+        return ("act", _shape(e[1], leg_spaces), _shape(e[2], leg_spaces))
+    if tag == "unit":
+        return e
+    raise ValueError("unknown expression %r" % (e,))
+
+
+def _slots(e, out):
+    """Append the expression's leg slots, in the order its matrix reads them."""
+    tag = e[0]
+    if tag == "leg":
+        out.append(e[1])
+    elif tag in ("S", "Sinv", "eps"):
+        _slots(e[1], out)
+    elif tag == "prod":
+        for x in e[1]:
+            _slots(x, out)
+    elif tag == "act":
+        _slots(e[1], out)
+        _slots(e[2], out)
+    return out
+
+
+def _compile_expr(field, spaces, shape):
+    """Memoized (matrix, space label) of an expression shape.
+
+    The matrix maps the tensor product of the expression's legs (in `_slots`
+    order) to the expression's output space ("1" for counit-consumed scalars).
+    """
+    got = spaces.memo.get(shape)
+    if got is None:
+        got = _build_expr(field, spaces, shape)
+        spaces.memo[shape] = got
+    return got
+
+
+def _build_expr(field, spaces, shape):
+    tag = shape[0]
+    if tag == "leg":
+        sp = shape[1]
+        return SparseMatrix.identity(field, spaces[sp].dim), sp
     if tag in ("S", "Sinv"):
-        m, sl, sp = _compile_expr(field, spaces, leg_spaces, e[1])
+        m, sp = _compile_expr(field, spaces, shape[1])
         if sp != "H":
             raise ValueError("antipode applied to non-Hopf leg")
         a = spaces["H"].antipode if tag == "S" else spaces["H"].antipode_inv
-        return a @ m, sl, "H"
+        return a @ m, "H"
     if tag == "prod":
-        parts = [_compile_expr(field, spaces, leg_spaces, x) for x in e[1]]
-        sp = parts[0][2]
-        if any(p[2] != sp for p in parts):
+        parts = [_compile_expr(field, spaces, x) for x in shape[1]]
+        sp = parts[0][1]
+        if any(p[1] != sp for p in parts):
             raise ValueError("product of legs from different spaces")
         mat = _mult_chain(field, spaces[sp], len(parts)) @ kron_all(
             field, [p[0] for p in parts])
-        slots = [s for p in parts for s in p[1]]
-        return mat, slots, sp
+        return mat, sp
     if tag == "act":
-        hm, hs, hsp = _compile_expr(field, spaces, leg_spaces, e[1])
-        cm, cs, csp = _compile_expr(field, spaces, leg_spaces, e[2])
+        hm, hsp = _compile_expr(field, spaces, shape[1])
+        cm, csp = _compile_expr(field, spaces, shape[2])
         if hsp != "H":
             raise ValueError("action by a non-Hopf expression")
-        return spaces[csp].action @ hm.kron(cm), hs + cs, csp
+        return spaces[csp].action @ hm.kron(cm), csp
     if tag == "eps":
-        m, sl, sp = _compile_expr(field, spaces, leg_spaces, e[1])
-        return spaces[sp].counit @ m, sl, "1"
-    if tag == "unit":
-        sp = e[1]
-        return spaces[sp].unit, [], sp
-    raise ValueError("unknown expression %r" % (e,))
+        m, sp = _compile_expr(field, spaces, shape[1])
+        return spaces[sp].counit @ m, "1"
+    sp = shape[1]
+    return spaces[sp].unit, sp
+
+
+def _fold(factor_terms, blocks, f, terms, prefix, sums):
+    """Fold factors f.. into `terms` and add each input column to `sums`.
+
+    terms: (offset, coeff) of factors 0..f-1 for the input columns whose
+    leading indices give `prefix`.  At the last factor each offset expands
+    into the Kronecker product of its output columns.
+    """
+    if f < len(factor_terms):
+        base = prefix * len(factor_terms[f])
+        for i, col in enumerate(factor_terms[f]):
+            _fold(factor_terms, blocks, f + 1,
+                  [(o + o2, c * c2) for o, c in terms for o2, c2 in col],
+                  base + i, sums)
+        return
+    get = sums.get
+    for o, c in terms:
+        rows = [(0, c)]
+        for radix, cols, w in blocks:
+            o, k = divmod(o, radix)
+            if cols is None:
+                rows = [(r + k * w, x) for r, x in rows]
+                continue
+            col = cols.get(k)
+            if col is None:
+                break
+            rows = [(r + r2, x * y) for r, x in rows for r2, y in col]
+        else:
+            for r, x in rows:
+                key = (r, prefix)
+                sums[key] = get(key, 0) + x
 
 
 def compile_operator(field, spaces, specs, outputs):
@@ -231,77 +342,64 @@ def compile_operator(field, spaces, specs, outputs):
 
     specs: list of (space_label, expansion) for the input factors.
     outputs: expressions, one per output factor, using every leg exactly once.
+    spaces: the `Spaces` of one structure; its memo keeps the expansion and
+    expression matrices built here for every later compile on it.
+
+    Output k reads its legs as one column index c_k, and (c_0, c_1, ...) is
+    one mixed-radix offset, linear in the leg values: each leg adds a fixed
+    weight times its value.  So each expansion column becomes a list of
+    (offset, coeff), and an input column folds the lists of its factors one
+    at a time; distinct leg assignments land on distinct offsets, so no two
+    terms of the fold merge.  Each offset expands into the Kronecker product
+    of the output columns it names, and the sum in each output entry is
+    settled into the field at the end.
     """
     legmap = Legs(specs)
-    expansions = []
-    leg_dims_per_factor = []
+    leg_dims = []
+    factor_cols = []
     for label, exp in specs:
-        m, ldims = _expansion_matrix(field, spaces, label, exp)
-        expansions.append(m)
-        leg_dims_per_factor.append(ldims)
-    leg_dims = [d for ld in leg_dims_per_factor for d in ld]
+        ldims, cols = _expansion(field, spaces, label, exp)
+        factor_cols.append((len(leg_dims), cols))
+        leg_dims.extend(ldims)
 
-    compiled = []
+    # Output blocks, rightmost first: (radix, columns, row weight).  A run of
+    # plain legs is one identity block (columns None); any other output has
+    # its columns as {col: [(weighted row, coeff)]}.
+    blocks = []
+    weight = [0] * len(leg_dims)
     used = []
-    out_dims = []
-    for e in outputs:
-        mat, slots, sp = _compile_expr(field, spaces, legmap.leg_spaces, e)
-        compiled.append((mat, slots, [leg_dims[s] for s in slots]))
+    n_out = 1
+    n_off = 1
+    for e in reversed(outputs):
+        mat, _ = _compile_expr(field, spaces, _shape(e, legmap.leg_spaces))
+        slots = _slots(e, [])
+        for s in reversed(slots):
+            weight[s] = n_off
+            n_off *= leg_dims[s]
         used.extend(slots)
-        out_dims.append(1 if sp == "1" else spaces[sp].dim)
+        if e[0] != "leg":
+            cols = {}
+            for (r, c), v in mat.entries.items():
+                cols.setdefault(c, []).append((r * n_out, v))
+            blocks.append((mat.cols, cols, n_out))
+        elif blocks and blocks[-1][1] is None:
+            radix, _, w = blocks[-1]
+            blocks[-1] = (radix * mat.cols, None, w)
+        else:
+            blocks.append((mat.cols, None, n_out))
+        n_out *= mat.rows
     if sorted(used) != list(range(len(leg_dims))):
         raise ValueError("legs not used exactly once: %s of %d"
                          % (sorted(used), len(leg_dims)))
 
-    in_dims = [spaces[label].dim for label, _ in specs]
+    factor_terms = [
+        [[(sum(weight[first + t] * x for t, x in enumerate(legs)), v)
+          for legs, v in col] for col in cols]
+        for first, cols in factor_cols]
     n_in = 1
-    for d in in_dims:
-        n_in *= d
-    n_out = 1
-    for d in out_dims:
-        n_out *= d
+    for terms in factor_terms:
+        n_in *= len(terms)
 
-    # decoded expansion columns, cached per (factor, basis index)
-    _cache = {}
-
-    def factor_terms(f, idx):
-        got = _cache.get((f, idx))
-        if got is None:
-            ldims = leg_dims_per_factor[f]
-            got = [(tensor_unindex(ldims, r), v)
-                   for r, v in expansions[f].column(idx).items()]
-            _cache[(f, idx)] = got
-        return got
-
-    ent = {}
-    zero = field.zero()
-    for cin in range(n_in):
-        multi = tensor_unindex(in_dims, cin)
-        per_factor = [factor_terms(f, i) for f, i in enumerate(multi)]
-        for combo in iproduct(*per_factor):
-            coeff = field.one()
-            assign = []
-            for legs_idx, v in combo:
-                coeff = field.mul(coeff, v)
-                assign.extend(legs_idx)
-            # kron of the output expression columns
-            acc = {0: coeff}
-            for (mat, slots, sdims), odim in zip(compiled, out_dims):
-                col = mat.column(tensor_index(sdims, [assign[s] for s in slots]))
-                if not col:
-                    acc = None
-                    break
-                nxt = {}
-                for r0, c0 in acc.items():
-                    for r, c in col.items():
-                        nxt[r0 * odim + r] = field.mul(c0, c)
-                acc = nxt
-            if not acc:
-                continue
-            for r, c in acc.items():
-                w = field.add(ent.get((r, cin), zero), c)
-                if field.is_zero(w):
-                    ent.pop((r, cin), None)
-                else:
-                    ent[(r, cin)] = w
-    return SparseMatrix(field, n_out, n_in, ent)
+    sums = {}
+    _fold(factor_terms, blocks, 0, [(0, 1)], 0, sums)
+    return SparseMatrix(field, n_out, n_in, settle(field, sums))

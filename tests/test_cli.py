@@ -217,3 +217,25 @@ def test_compute_reads_degree_bound_from_document_options(tmp_path):
     assert code == 0
     tables = json.loads(out)["tables"]
     assert tables and all(len(t) == 2 for t in tables.values())
+
+
+def test_verify_that_checked_nothing_is_not_ok(monkeypatch, capsys):
+    """A suite that runs no check cannot report `"ok": true`."""
+    from hopfcyclic import cli
+    from hopfcyclic.hopf import CheckReport
+    monkeypatch.setattr(cli, "check_hopf", lambda h: CheckReport("hopf"))
+    code = cli.main(["verify", "hopf", "-i", data_file("c2_Q")])
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"] == [] and report["ok"] is False
+    assert code == 1
+
+
+def test_compare_without_verdicts_is_not_ok(monkeypatch, capsys):
+    """A comparison that produces no verdict cannot report `"ok": true`."""
+    from hopfcyclic import cli
+    monkeypatch.setattr(cli, "ez_compare_hochschild", lambda *a, **k: [])
+    code = cli.main(["compare", "ez-hochschild", "-i", data_file("c2_Q"),
+                     "--nmax", "1"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"] == {"ez_algebra": [], "ez_coalgebra": []}
+    assert report["ok"] is False and code == 1

@@ -322,3 +322,104 @@ def test_matmul_and_kron_shapes():
     # leftmost factor varies slowest: k[i1*2+i2, j1*2+j2] = a[i1,j1] b[i2,j2]
     assert k[(0, 0)] == QQ.one() and k[(1, 0)] == QQ.one()
     assert k[(2, 2)] == QQ.one() and k[(0, 1)] == 0 and k[(0, 2)] == QQ.of(2)
+
+
+def test_field_arithmetic_demotes_integral_fractions():
+    half = Fraction(1, 2)
+    assert type(QQ.add(half, half)) is int and QQ.add(half, half) == 1
+    assert type(QQ.sub(Fraction(3, 2), half)) is int
+    assert type(QQ.mul(Fraction(2, 3), Fraction(3, 2))) is int
+    assert type(QQ.neg(Fraction(4, 2))) is int and QQ.neg(Fraction(4, 2)) == -2
+    assert type(QQ.add(half, 1)) is Fraction
+    # the reduced echelon bases of `test_echelonize_pivot_rule` once held
+    # Fraction(1, 1) entries
+    for dense in ([[2, 2, 2, 0], [1, 0, 1, 0], [0, 3, 0, 1]],
+                  [[0, 2, 0, 3], [1, 1, 0, 0], [1, 0, 2, 0]]):
+        m = SparseMatrix.from_rows(QQ, dense)
+        for row in Subspace(QQ, 4, m.row_dicts()).basis:
+            for v in row.values():
+                assert type(v) is int or v.denominator > 1
+
+
+def test_products_of_half_integer_matrices_store_ints():
+    a = SparseMatrix.from_rows(QQ, [["1/2", "1/2"], ["1/2", "-1/2"]])
+    b = SparseMatrix.from_rows(QQ, [["1/2", "3/2"], ["1/2", "3/2"]])
+    prod_ab = a @ b
+    assert prod_ab.entries == {(0, 0): Fraction(1, 2), (0, 1): Fraction(3, 2)}
+    twice = SparseMatrix.from_rows(QQ, [[2, 0], [0, 2]])
+    for m in (twice @ a, a @ twice, a.kron(twice), twice.kron(a)):
+        assert m.entries and all(type(v) is int for v in m.entries.values())
+
+
+def _dense(m):
+    return [[m[(i, j)] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def _ref_matmul(field, a, b, rows, inner, cols):
+    out = [[field.zero()] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            for t in range(inner):
+                out[i][j] = field.add(out[i][j], field.mul(a[i][t], b[t][j]))
+    return out
+
+
+def _ref_kron(field, a, b):
+    return [[field.mul(x, y) for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _assert_settled(m):
+    for v in m.entries.values():
+        assert v != 0
+        if m.field.p is None:
+            assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
+        else:
+            assert type(v) is int and 0 < v < m.field.p
+
+
+@st.composite
+def _product_operands(draw):
+    """Two multipliable matrices, and whether their product must vanish:
+    half of the time the pair is [A | A], [B; -B], which cancels entry by
+    entry."""
+    field = draw(st.sampled_from(_ORACLE_FIELDS))
+    values = _ORACLE_ENTRIES if field.p is None else (0, 0, 1, 2, 3, 4)
+    rows, inner, cols = (draw(st.integers(min_value=0, max_value=5))
+                         for _ in range(3))
+
+    def matrix(r, c):
+        dense = [[field.of(draw(st.sampled_from(values))) for _ in range(c)]
+                 for _ in range(r)]
+        return SparseMatrix(field, r, c, {
+            (i, j): v for i, row in enumerate(dense)
+            for j, v in enumerate(row) if not field.is_zero(v)})
+
+    a, b = matrix(rows, inner), matrix(inner, cols)
+    cancels = draw(st.booleans())
+    if cancels:
+        a = SparseMatrix(field, rows, 2 * inner, {
+            **a.entries,
+            **{(i, j + inner): v for (i, j), v in a.entries.items()}})
+        b = SparseMatrix(field, 2 * inner, cols, {
+            **b.entries,
+            **{(i + inner, j): field.neg(v) for (i, j), v in b.entries.items()}})
+    return field, a, b, cancels
+
+
+@given(_product_operands())
+@settings(max_examples=150, deadline=None)
+def test_native_products_agree_with_field_reference(drawn):
+    """`@` and `kron` against dense loops through Field methods over Q
+    (mixed int / Fraction), GF(2), GF(3) and GF(5); nothing stored is zero."""
+    field, a, b, cancels = drawn
+    ab = a @ b
+    assert _dense(ab) == _ref_matmul(field, _dense(a), _dense(b),
+                                     a.rows, a.cols, b.cols)
+    _assert_settled(ab)
+    if cancels:
+        assert ab.is_zero()
+    for x, y in ((a, b), (b, a)):
+        k = x.kron(y)
+        assert (k.rows, k.cols) == (x.rows * y.rows, x.cols * y.cols)
+        assert _dense(k) == _ref_kron(field, _dense(x), _dense(y))
+        _assert_settled(k)

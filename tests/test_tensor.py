@@ -1,0 +1,204 @@
+"""The operator compiler against a materialized reference, and its memo."""
+
+import os
+from fractions import Fraction
+
+import pytest
+
+from hopfcyclic.hopf import algebra_spaces, coalgebra_spaces
+from hopfcyclic.io import load_document
+from hopfcyclic.linalg import SparseMatrix, kron_all
+from hopfcyclic.tensor import (
+    Legs, S, Sinv, act, compile_operator, eps, perm_matrix, prod, unit,
+)
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+CORPUS = ("c2_Q", "c3_Q", "sweedler_Q", "c2_F2")
+
+
+def load(name):
+    return load_document(os.path.join(DATA, name + ".json"))
+
+
+# -- reference: kron of output matrices . leg gather . kron of expansions ------
+
+def _identity(field, n):
+    return SparseMatrix.identity(field, n)
+
+
+def _comult_power(field, ops, k):
+    """X -> X^(k+1), comultiplying the leftmost factor each time."""
+    m = _identity(field, ops.dim)
+    for j in range(k):
+        m = ops.comult.kron(_identity(field, ops.dim ** j)) @ m
+    return m
+
+
+def _ref_expansion(field, spaces, label, exp):
+    ops = spaces[label]
+    if exp[0] == "id":
+        return _identity(field, ops.dim), [ops.dim]
+    if exp[0] == "comult":
+        return _comult_power(field, ops, exp[1]), [ops.dim] * (exp[1] + 1)
+    k = exp[1]
+    hops = spaces["H"]
+    if k == 0:
+        return _identity(field, ops.dim), [ops.dim]
+    # (Delta^(k-1) (x) id) . coaction, equal to the iterated coaction
+    m = _comult_power(field, hops, k - 1).kron(_identity(field, ops.dim))
+    return m @ ops.coaction, [hops.dim] * k + [ops.dim]
+
+
+def _ref_product(field, ops, n):
+    """X^(n) -> X, bracketed to the right."""
+    if n == 0:
+        return ops.unit
+    if n == 1:
+        return _identity(field, ops.dim)
+    return ops.mult @ _identity(field, ops.dim).kron(
+        _ref_product(field, ops, n - 1))
+
+
+def _ref_expr(field, spaces, leg_spaces, e):
+    """(matrix, slots in reading order, space label) of an expression."""
+    tag = e[0]
+    if tag == "leg":
+        sp = leg_spaces[e[1]]
+        return _identity(field, spaces[sp].dim), [e[1]], sp
+    if tag in ("S", "Sinv"):
+        m, sl, _ = _ref_expr(field, spaces, leg_spaces, e[1])
+        h = spaces["H"]
+        return (h.antipode if tag == "S" else h.antipode_inv) @ m, sl, "H"
+    if tag == "prod":
+        parts = [_ref_expr(field, spaces, leg_spaces, x) for x in e[1]]
+        sp = parts[0][2]
+        mat = _ref_product(field, spaces[sp], len(parts)) @ kron_all(
+            field, [p[0] for p in parts])
+        return mat, [s for p in parts for s in p[1]], sp
+    if tag == "act":
+        hm, hs, _ = _ref_expr(field, spaces, leg_spaces, e[1])
+        cm, cs, sp = _ref_expr(field, spaces, leg_spaces, e[2])
+        return spaces[sp].action @ hm.kron(cm), hs + cs, sp
+    if tag == "eps":
+        m, sl, sp = _ref_expr(field, spaces, leg_spaces, e[1])
+        return spaces[sp].counit @ m, sl, "1"
+    return spaces[e[1]].unit, [], e[1]
+
+
+def reference(field, spaces, specs, outputs):
+    leg_spaces = Legs(specs).leg_spaces
+    expansions, leg_dims = [], []
+    for label, exp in specs:
+        m, ldims = _ref_expansion(field, spaces, label, exp)
+        expansions.append(m)
+        leg_dims.extend(ldims)
+    outs = [_ref_expr(field, spaces, leg_spaces, e) for e in outputs]
+    gather = perm_matrix(field, leg_dims, [s for _, sl, _ in outs for s in sl])
+    return (kron_all(field, [m for m, _, _ in outs]) @ gather
+            @ kron_all(field, expansions))
+
+
+def assert_settled(m):
+    """Every stored entry is a nonzero field scalar in its one form."""
+    for v in m.entries.values():
+        assert v != 0
+        if m.field.p is None:
+            assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
+        else:
+            assert type(v) is int and 0 < v < m.field.p
+
+
+# -- descriptions -----------------------------------------------------------------
+
+def algebra_description():
+    """Coaction, comult and id expansions; prod, S, Sinv, unit and eps."""
+    specs = [("A", ("coaction", 2)), ("H", ("comult", 1)), ("A", ("id",))]
+    L = Legs(specs)
+    outs = [prod(L.coact(0, 0), L.plain(2)),
+            prod(Sinv(L.coact(0, 2)), L.com(1, 1)),
+            unit("A"),
+            eps(S(L.coact(0, 1))),
+            L.com(1, 0)]
+    return specs, outs
+
+
+def coalgebra_description():
+    """The action through a product under both antipodes, two adjacent
+    bare legs of different spaces, and a counit."""
+    specs = [("H", ("comult", 2)), ("C", ("comult", 1)), ("C", ("id",))]
+    L = Legs(specs)
+    outs = [act(Sinv(prod(L.com(0, 0), S(L.com(0, 2)))), L.com(1, 1)),
+            L.plain(2),
+            L.com(0, 1),
+            eps(L.com(1, 0))]
+    return specs, outs
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_compile_matches_reference_on_algebra_side(name):
+    a = load(name).algebra
+    spaces = algebra_spaces(a)
+    specs, outs = algebra_description()
+    got = compile_operator(a.field, spaces, specs, outs)
+    assert got == reference(a.field, spaces, specs, outs)
+    assert_settled(got)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_compile_matches_reference_on_coalgebra_side(name):
+    c = load(name).coalgebra
+    spaces = coalgebra_spaces(c)
+    specs, outs = coalgebra_description()
+    got = compile_operator(c.field, spaces, specs, outs)
+    assert got == reference(c.field, spaces, specs, outs)
+    assert_settled(got)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_shared_shape_with_other_slots_compiles_its_own_matrix(name):
+    """Two descriptions with the same expression shapes but other slots:
+    the second reuses the memoized expressions and still gets its own
+    matrix."""
+    a = load(name).algebra
+    spaces = algebra_spaces(a)
+    specs = [("A", ("id",)), ("A", ("id",)),
+             ("H", ("comult", 1)), ("H", ("id",))]
+    L = Legs(specs)
+    first = [prod(L.plain(0), L.plain(1)),
+             prod(L.com(2, 0), S(L.plain(3)), L.com(2, 1))]
+    second = [prod(L.plain(1), L.plain(0)),
+              prod(L.plain(3), S(L.com(2, 1)), L.com(2, 0))]
+    m1 = compile_operator(a.field, spaces, specs, first)
+    memo_size = len(spaces.memo)
+    m2 = compile_operator(a.field, spaces, specs, second)
+    assert len(spaces.memo) == memo_size
+    assert m1 == reference(a.field, spaces, specs, first)
+    assert m2 == reference(a.field, spaces, specs, second)
+    if name == "sweedler_Q":
+        assert m1 != m2
+
+
+def test_memo_belongs_to_one_structure():
+    """Equal dimensions and labels, different coactions: each structure's
+    spaces compile their own matrix."""
+    regular = load("c2_Q").algebra
+    trivial = load("c2_Q_trivial").algebra
+    assert (regular.dim, regular.hopf.dim) == (trivial.dim, trivial.hopf.dim)
+    specs, outs = algebra_description()
+    got = {}
+    for key, a in (("regular", regular), ("trivial", trivial)):
+        spaces = algebra_spaces(a)
+        got[key] = compile_operator(a.field, spaces, specs, outs)
+        assert got[key] == reference(a.field, spaces, specs, outs)
+    assert got["regular"] != got["trivial"]
+
+
+def test_fresh_spaces_start_with_an_empty_memo():
+    a = load("sweedler_Q").algebra
+    used = algebra_spaces(a)
+    specs, outs = algebra_description()
+    compile_operator(a.field, used, specs, outs)
+    assert used.memo
+    fresh = algebra_spaces(a)
+    assert fresh.memo == {} and fresh.memo is not used.memo
+    assert coalgebra_spaces(load("sweedler_Q").coalgebra).memo == {}
