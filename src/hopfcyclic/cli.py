@@ -6,8 +6,9 @@
 
 plus `-o report.json` and `--csv dir/` on every command.  Exit codes:
 0 all checks pass, 1 a check failed or a verify / compare checked nothing,
-2 input error.  Reports are normalized JSON and byte-identical across runs;
-wall-clock timings go to stderr only when --timings is given.  No
+2 input error or a crossed-product job above the size limit
+(`MAX_CHAIN_DIM`).  Reports are normalized JSON and byte-identical across
+runs; wall-clock timings go to stderr only when --timings is given.  No
 environment variables are read.
 """
 
@@ -19,7 +20,7 @@ import os
 import sys
 import time
 
-from .errors import HopfCyclicError, MissingBlock, ParseError
+from .errors import HopfCyclicError, MissingBlock, ParseError, TooLarge
 from .hopf import check_comodule_algebra, check_hopf, check_module_coalgebra
 from .crossed import (
     cocyclic_module_of_coalgebra, crossed_product_algebra,
@@ -75,6 +76,30 @@ def _opt(params, doc, key, default):
         raise ParseError("degree bound --%s must be an integer >= 0, got %r"
                          % (key, value))
     return value
+
+
+# Largest top chain space dim(R)^(nmax+2), R = A # H or C # H, that a
+# crossed-product job may build.  The largest jobs known to finish at desk
+# scale need 16^4 = 65536 (Sweedler, --nmax 2) and 36^3 = 46656 (S3,
+# --nmax 1), each in about 5 s and under 200 MB; the next sizes up (Sweedler
+# --nmax 3, S3 --nmax 2) need more than a million.
+MAX_CHAIN_DIM = 2 ** 17
+
+
+def _check_size(doc, nmax, blocks):
+    """Refuse a crossed-product job whose top chain space exceeds
+    MAX_CHAIN_DIM, before anything is built."""
+    for block in blocks:
+        s = getattr(doc, block)
+        if s is None:
+            continue
+        d = s.dim * s.hopf.dim
+        need = d ** (nmax + 2)
+        if need > MAX_CHAIN_DIM:
+            raise TooLarge(
+                "--nmax %d on the %s block needs a chain space of dimension "
+                "%d^%d = %d, above the limit %d"
+                % (nmax, block, d, nmax + 2, need, MAX_CHAIN_DIM))
 
 
 def cmd_verify(doc, target, params):
@@ -157,6 +182,7 @@ def cmd_compute(doc, target, params):
     checks = []
     if target in ("hh", "hc"):
         nmax = _opt(params, doc, "nmax", 2)
+        _check_size(doc, nmax, ("algebra", "coalgebra"))
         did = False
         if doc.algebra is not None:
             did = True
@@ -239,6 +265,7 @@ def cmd_compare(doc, target, params):
     nmax = _opt(params, doc, "nmax", 2)
     verdicts = {}
     if target == "diagonal-vs-direct":
+        _check_size(doc, nmax, ("algebra", "coalgebra"))
         did = False
         if doc.algebra is not None:
             did = True
@@ -287,6 +314,7 @@ def cmd_compare(doc, target, params):
                                "coalgebra block")
     elif target == "collapse-algebra":
         _require(doc, "algebra", target)
+        _check_size(doc, nmax, ("algebra",))
         r = crossed_product_algebra(doc.algebra)
         lhs = cyclic_dims(mixed_complex(
             cyclic_module_of_algebra(r, N=nmax + 1)), nmax)
@@ -295,6 +323,7 @@ def cmd_compare(doc, target, params):
         verdicts["hc_crossed_vs_coinvariants"] = _verdicts(lhs, rhs)
     elif target == "collapse-coalgebra":
         _require(doc, "coalgebra", target)
+        _check_size(doc, nmax, ("coalgebra",))
         cc = crossed_product_coalgebra(doc.coalgebra)
         lhs = cyclic_dims(cochain_mixed_complex(
             cocyclic_module_of_coalgebra(cc, N=nmax + 1)), nmax)
@@ -376,7 +405,7 @@ def main(argv=None):
             body, ok = cmd_compute(doc, args.target, params)
         else:
             body, ok = cmd_compare(doc, args.target, params)
-    except (ParseError, MissingBlock) as e:
+    except (ParseError, MissingBlock, TooLarge) as e:
         print(json.dumps({"error": str(e)}, sort_keys=True))
         return EXIT_INPUT_ERROR
     except HopfCyclicError as e:

@@ -28,7 +28,7 @@ from .errors import (
     NotIntertwining, NotRestricting, NotWellDefined,
 )
 from .hopf import CheckReport, algebra_spaces, coalgebra_spaces
-from .linalg import SparseMatrix, Subspace, image, invert, kernel
+from .linalg import SparseMatrix, Subspace, combine, image, invert, kernel
 from .tensor import Legs, S, Sinv, act, compile_operator, eps, prod, unit
 
 
@@ -181,23 +181,13 @@ class AlgebraCylinder:
 
     def b_v(self, p, q):
         """Vertical Hochschild boundary X_{p,q} -> X_{p,q-1} (q >= 1)."""
-        f = self.field
-        out = SparseMatrix.zeros(f, self.space_dim(p, q - 1), self.space_dim(p, q))
-        sign = f.one()
-        for i in range(q + 1):
-            out = out + self.face_v(p, q, i).scale(sign)
-            sign = f.neg(sign)
-        return out
+        return combine(self.field, self.space_dim(p, q - 1), self.space_dim(p, q),
+                       (((-1) ** i, self.face_v(p, q, i)) for i in range(q + 1)))
 
     def b_h(self, p, q):
         """Horizontal Hochschild boundary X_{p,q} -> X_{p-1,q} (p >= 1)."""
-        f = self.field
-        out = SparseMatrix.zeros(f, self.space_dim(p - 1, q), self.space_dim(p, q))
-        sign = f.one()
-        for i in range(p + 1):
-            out = out + self.face_h(p, q, i).scale(sign)
-            sign = f.neg(sign)
-        return out
+        return combine(self.field, self.space_dim(p - 1, q), self.space_dim(p, q),
+                       (((-1) ** i, self.face_h(p, q, i)) for i in range(p + 1)))
 
 
 class CoalgebraCocylinder:
@@ -346,23 +336,13 @@ class CoalgebraCocylinder:
 
     def b_v(self, p, q):
         """Vertical Hochschild coboundary X_{p,q} -> X_{p,q+1}."""
-        f = self.field
-        out = SparseMatrix.zeros(f, self.space_dim(p, q + 1), self.space_dim(p, q))
-        sign = f.one()
-        for i in range(q + 2):
-            out = out + self.coface_v(p, q, i).scale(sign)
-            sign = f.neg(sign)
-        return out
+        return combine(self.field, self.space_dim(p, q + 1), self.space_dim(p, q),
+                       (((-1) ** i, self.coface_v(p, q, i)) for i in range(q + 2)))
 
     def b_h(self, p, q):
         """Horizontal Hochschild coboundary X_{p,q} -> X_{p+1,q}."""
-        f = self.field
-        out = SparseMatrix.zeros(f, self.space_dim(p + 1, q), self.space_dim(p, q))
-        sign = f.one()
-        for i in range(p + 2):
-            out = out + self.coface_h(p, q, i).scale(sign)
-            sign = f.neg(sign)
-        return out
+        return combine(self.field, self.space_dim(p + 1, q), self.space_dim(p, q),
+                       (((-1) ** i, self.coface_h(p, q, i)) for i in range(p + 2)))
 
 
 # -- identity suites ------------------------------------------------------------
@@ -956,14 +936,9 @@ class AlgebraModuleForm:
 
     def boundary_h(self, p, q):
         """Conjugated horizontal boundary (the Hopf-module boundary)."""
-        f = self.field
-        out = None
-        sign = f.one()
-        for i in range(p + 1):
-            term = self.face_h(p, q, i).scale(sign)
-            out = term if out is None else out + term
-            sign = f.neg(sign)
-        return out
+        cyl = self.cyl
+        return combine(self.field, cyl.space_dim(p - 1, q), cyl.space_dim(p, q),
+                       (((-1) ** i, self.face_h(p, q, i)) for i in range(p + 1)))
 
     # -- closed forms ------------------------------------------------------------
 
@@ -1224,14 +1199,9 @@ class CoalgebraModuleForm:
             @ self.from_module(p, q)
 
     def coboundary_h(self, p, q):
-        f = self.field
-        out = None
-        sign = f.one()
-        for i in range(p + 2):
-            term = self.coface_h(p, q, i).scale(sign)
-            out = term if out is None else out + term
-            sign = f.neg(sign)
-        return out
+        cocyl = self.cocyl
+        return combine(self.field, cocyl.space_dim(p + 1, q), cocyl.space_dim(p, q),
+                       (((-1) ** i, self.coface_h(p, q, i)) for i in range(p + 2)))
 
     # -- closed forms --------------------------------------------------------------
 

@@ -102,3 +102,7 @@ class ParseError(HopfCyclicError):
 
 class MissingBlock(HopfCyclicError):
     pass
+
+
+class TooLarge(HopfCyclicError):
+    """A job would build spaces beyond desk scale; refused before building."""

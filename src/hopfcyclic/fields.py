@@ -5,9 +5,10 @@ A rational scalar is a plain int when it is integral and a
 corpus run on native ints; an int and a Fraction of equal value compare and
 hash alike, and mixing them stays exact.  Prime-field scalars are plain ints
 kept reduced in [0, p).  Elimination and the other scalar code go through a
-Field object; the sparse products and the operator compiler sum with native
-+ and * and hand the sums to `settle`, which restores the same
-representation.  No floating point and no tolerance ever appears.
+Field object; the sparse products, the matrix sums of `linalg.combine` and
+the operator compiler sum with native + and * and hand the sums to
+`settle`, which restores the same representation.  No floating point and no
+tolerance ever appears.
 """
 
 from __future__ import annotations

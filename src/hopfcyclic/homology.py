@@ -23,7 +23,8 @@ from .errors import (
 # `rank` is not called here but stays bound on purpose: perfbench's self-test
 # checks that the tracer rebinds a function imported by name elsewhere.
 from .linalg import (  # noqa: F401
-    SparseMatrix, Subspace, _homology_dims, block_matrix, kernel, rank,
+    SparseMatrix, Subspace, _homology_dims, block_matrix, combine, kernel,
+    rank,
 )
 
 
@@ -54,14 +55,12 @@ def _signed_cyclic(ops, n):
 
 
 def _norm(ops, n):
-    f = ops.field
+    """1 + lambda + ... + lambda^n."""
     lam = _signed_cyclic(ops, n)
-    out = SparseMatrix.identity(f, ops.dim(n))
-    acc = SparseMatrix.identity(f, ops.dim(n))
+    powers = [SparseMatrix.identity(ops.field, ops.dim(n))]
     for _ in range(n):
-        acc = lam @ acc
-        out = out + acc
-    return out
+        powers.append(lam @ powers[-1])
+    return combine(ops.field, ops.dim(n), ops.dim(n), ((1, m) for m in powers))
 
 
 def mixed_complex(ops: CyclicOps, check=True) -> MixedComplex:
@@ -69,14 +68,9 @@ def mixed_complex(ops: CyclicOps, check=True) -> MixedComplex:
     B = (1 - lambda) (t s_n) N."""
     f = ops.field
     N = ops.N
-    b = {}
-    for n in range(1, N + 1):
-        acc = SparseMatrix.zeros(f, ops.dim(n - 1), ops.dim(n))
-        sign = f.one()
-        for i in range(n + 1):
-            acc = acc + ops.face(n, i).scale(sign)
-            sign = f.neg(sign)
-        b[n] = acc
+    b = {n: combine(f, ops.dim(n - 1), ops.dim(n),
+                    (((-1) ** i, ops.face(n, i)) for i in range(n + 1)))
+         for n in range(1, N + 1)}
     B = {}
     for n in range(N):
         s_extra = ops.t(n + 1) @ ops.degen(n, n)
@@ -94,14 +88,9 @@ def cochain_mixed_complex(ops: CocyclicOps, check=True) -> MixedComplex:
     B = N (sig^n t) (1 - lambda)."""
     f = ops.field
     N = ops.N
-    b = {}
-    for n in range(N):
-        acc = SparseMatrix.zeros(f, ops.dim(n + 1), ops.dim(n))
-        sign = f.one()
-        for i in range(n + 2):
-            acc = acc + ops.coface(n, i).scale(sign)
-            sign = f.neg(sign)
-        b[n] = acc
+    b = {n: combine(f, ops.dim(n + 1), ops.dim(n),
+                    (((-1) ** i, ops.coface(n, i)) for i in range(n + 2)))
+         for n in range(N)}
     B = {}
     for n in range(1, N + 1):
         s_extra = ops.codegen(n, n - 1) @ ops.t(n)
@@ -227,15 +216,12 @@ def hopf_module_boundary(h, action, p):
     d = h.dim
     m = action.rows
     ident = SparseMatrix.identity
-    acc = h.counit.kron(ident(f, d ** (p - 1) * m))
-    sign = f.one()
-    for i in range(1, p):
-        sign = f.neg(sign)
-        acc = acc + ident(f, d ** (i - 1)).kron(h.mult) \
-            .kron(ident(f, d ** (p - 1 - i) * m)).scale(sign)
-    sign = f.neg(sign)
-    acc = acc + ident(f, d ** (p - 1)).kron(action).scale(sign)
-    return acc
+    faces = [h.counit.kron(ident(f, d ** (p - 1) * m))]
+    faces += [ident(f, d ** (i - 1)).kron(h.mult).kron(ident(f, d ** (p - 1 - i) * m))
+              for i in range(1, p)]
+    faces.append(ident(f, d ** (p - 1)).kron(action))
+    return combine(f, d ** (p - 1) * m, d ** p * m,
+                   (((-1) ** i, face) for i, face in enumerate(faces)))
 
 
 def hopf_comodule_coboundary(h, coaction, p):
@@ -244,15 +230,12 @@ def hopf_comodule_coboundary(h, coaction, p):
     d = h.dim
     m = coaction.cols
     ident = SparseMatrix.identity
-    acc = h.unit.kron(ident(f, d ** p * m))
-    sign = f.one()
-    for i in range(1, p + 1):
-        sign = f.neg(sign)
-        acc = acc + ident(f, d ** (i - 1)).kron(h.comult) \
-            .kron(ident(f, d ** (p - i) * m)).scale(sign)
-    sign = f.neg(sign)
-    acc = acc + ident(f, d ** p).kron(coaction).scale(sign)
-    return acc
+    faces = [h.unit.kron(ident(f, d ** p * m))]
+    faces += [ident(f, d ** (i - 1)).kron(h.comult).kron(ident(f, d ** (p - i) * m))
+              for i in range(1, p + 1)]
+    faces.append(ident(f, d ** p).kron(coaction))
+    return combine(f, d ** (p + 1) * m, d ** p * m,
+                   (((-1) ** i, face) for i, face in enumerate(faces)))
 
 
 def hopf_module_homology(h, action, qmax):

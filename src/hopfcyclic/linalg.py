@@ -4,6 +4,16 @@ Matrices are immutable dict-of-entries sparse maps over a Field.  Vectors are
 dicts {index: scalar} with no stored zeros.  Everything is exact; there is no
 tolerance anywhere.
 
+There are two doors into a matrix.  The public constructor is for input from
+outside the computation (parsed files, the Hopf builders, `from_rows`,
+tests): it checks every key against the shape and drops zero values.  Every
+computed result (`@`, `kron`, `transpose`, `identity`, `block_matrix`,
+`combine`, a basis matrix, an inverse, the compiled operators of `tensor`)
+is settled exactly once by `fields.settle` or built from settled scalars,
+and is adopted as is by `SparseMatrix._settled`.  Every sum of matrices,
+`+`, `-`, negation, `scale` and the alternating face sums of the cylinders
+and mixed complexes, goes through `combine`.
+
 All elimination goes through one kernel.  `_echelonize` is the forward pass:
 rows are bucketed by leading column and only the bucket of the current pivot
 column is reduced.  The pivot is the leftmost column, then the sparsest row
@@ -40,6 +50,21 @@ class SparseMatrix:
         self.entries = ent
         self._cols_index = None
 
+    @classmethod
+    def _settled(cls, field, rows, cols, entries):
+        """Adopt `entries` unchecked and uncopied.
+
+        Every key must lie in bounds and every value must be settled: no
+        zeros, an integral Q value an int, an F_p value in [0, p).
+        """
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        m._cols_index = None
+        return m
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod
@@ -48,8 +73,7 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, field, n):
-        one = field.one()
-        return cls(field, n, n, {(i, i): one for i in range(n)})
+        return cls._settled(field, n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def from_rows(cls, field, dense):
@@ -141,35 +165,17 @@ class SparseMatrix:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch %sx%s vs %sx%s"
-                             % (self.rows, self.cols, other.rows, other.cols))
-
     def __add__(self, other):
-        self._same_shape(other)
-        f = self.field
-        ent = dict(self.entries)
-        for ij, v in other.entries.items():
-            w = f.add(ent.get(ij, f.zero()), v)
-            if f.is_zero(w):
-                ent.pop(ij, None)
-            else:
-                ent[ij] = w
-        return SparseMatrix(f, self.rows, self.cols, ent)
+        return combine(self.field, self.rows, self.cols, ((1, self), (1, other)))
 
     def __sub__(self, other):
-        return self + other.scale(self.field.neg(self.field.one()))
+        return combine(self.field, self.rows, self.cols, ((1, self), (-1, other)))
 
     def __neg__(self):
-        return self.scale(self.field.neg(self.field.one()))
+        return combine(self.field, self.rows, self.cols, ((-1, self),))
 
     def scale(self, c):
-        f = self.field
-        if f.is_zero(c):
-            return SparseMatrix.zeros(f, self.rows, self.cols)
-        return SparseMatrix(f, self.rows, self.cols,
-                            {ij: f.mul(c, v) for ij, v in self.entries.items()})
+        return combine(self.field, self.rows, self.cols, ((c, self),))
 
     def __matmul__(self, other):
         """Composition self . other (apply other first)."""
@@ -192,12 +198,13 @@ class SparseMatrix:
                         sums[ij] = w
                     else:
                         del sums[ij]
-        return SparseMatrix(self.field, self.rows, other.cols,
-                            settle(self.field, sums))
+        return SparseMatrix._settled(self.field, self.rows, other.cols,
+                                     settle(self.field, sums))
 
     def transpose(self):
-        return SparseMatrix(self.field, self.cols, self.rows,
-                            {(j, i): v for (i, j), v in self.entries.items()})
+        return SparseMatrix._settled(
+            self.field, self.cols, self.rows,
+            {(j, i): v for (i, j), v in self.entries.items()})
 
     def kron(self, other):
         """Kronecker product; row-major, leftmost factor varying slowest."""
@@ -209,21 +216,42 @@ class SparseMatrix:
             i0, j0 = i1 * rows, j1 * cols
             for (i2, j2), v2 in right:
                 ent[(i0 + i2, j0 + j2)] = v1 * v2
-        return SparseMatrix(f, self.rows * rows, self.cols * cols,
-                            settle(f, ent))
+        return SparseMatrix._settled(f, self.rows * rows, self.cols * cols,
+                                     settle(f, ent))
 
     def apply(self, vec):
         """Apply to a dict-vector; returns a dict-vector."""
-        f = self.field
+        cols = self.column_index()
         out = {}
+        get = out.get
         for j, c in vec.items():
-            for i, a in self.column(j).items():
-                w = f.add(out.get(i, f.zero()), f.mul(a, c))
-                if f.is_zero(w):
-                    out.pop(i, None)
-                else:
-                    out[i] = w
-        return out
+            col = cols.get(j)
+            if col:
+                for i, a in col.items():
+                    out[i] = get(i, 0) + a * c
+        return settle(self.field, out)
+
+
+def combine(field, rows, cols, terms):
+    """The rows x cols matrix sum of c * m over the (c, m) pairs of terms.
+
+    Every m must be rows x cols.  The sum is taken with native + and * in one
+    dict and settled once, so c may be any int or field scalar (a sign -1
+    over F_p included).
+    """
+    sums = {}
+    get = sums.get
+    for c, m in terms:
+        if m.rows != rows or m.cols != cols:
+            raise ValueError("shape mismatch %sx%s vs %sx%s"
+                             % (rows, cols, m.rows, m.cols))
+        if c == 1:  # the usual coefficient; 1 * Fraction builds a new one
+            for ij, v in m.entries.items():
+                sums[ij] = get(ij, 0) + v
+        else:
+            for ij, v in m.entries.items():
+                sums[ij] = get(ij, 0) + c * v
+    return SparseMatrix._settled(field, rows, cols, settle(field, sums))
 
 
 def kron_all(field, mats):
@@ -250,7 +278,7 @@ def block_matrix(field, blocks, row_dims, col_dims):
             raise ValueError("block (%d,%d) shape mismatch" % (bi, bj))
         for (i, j), v in m.entries.items():
             ent[(roff[bi] + i, coff[bj] + j)] = v
-    return SparseMatrix(field, roff[-1], coff[-1], ent)
+    return SparseMatrix._settled(field, roff[-1], coff[-1], ent)
 
 
 # -- echelon machinery ---------------------------------------------------------
@@ -389,7 +417,8 @@ class Subspace:
         for k, b in enumerate(self.basis):
             for i, v in b.items():
                 ent[(i, k)] = v
-        return SparseMatrix(self.field, self.ambient_dim, self.dim, ent)
+        return SparseMatrix._settled(self.field, self.ambient_dim, self.dim,
+                                     ent)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -500,4 +529,4 @@ def invert(m: SparseMatrix):
         for j, v in r.items():
             if j >= n:
                 ent[(i, j - n)] = v
-    return SparseMatrix(f, n, n, ent)
+    return SparseMatrix._settled(f, n, n, ent)

@@ -58,7 +58,7 @@ def perm_matrix(field, dims, out_to_in):
     for j in range(total):
         multi = tensor_unindex(dims, j)
         ent[(tensor_index(out_dims, [multi[s] for s in out_to_in]), j)] = one
-    return SparseMatrix(field, total, total, ent)
+    return SparseMatrix._settled(field, total, total, ent)
 
 
 class Spaces(dict):
@@ -402,4 +402,4 @@ def compile_operator(field, spaces, specs, outputs):
 
     sums = {}
     _fold(factor_terms, blocks, 0, [(0, 1)], 0, sums)
-    return SparseMatrix(field, n_out, n_in, settle(field, sums))
+    return SparseMatrix._settled(field, n_out, n_in, settle(field, sums))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -239,3 +240,34 @@ def test_compare_without_verdicts_is_not_ok(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verdicts"] == {"ez_algebra": [], "ez_coalgebra": []}
     assert report["ok"] is False and code == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["compute", "hc"], ["compute", "hh"], ["compare", "diagonal-vs-direct"],
+    ["compare", "collapse-algebra"], ["compare", "collapse-coalgebra"],
+])
+def test_crossed_product_job_above_size_limit_is_refused_at_once(
+        args, monkeypatch, capsys):
+    """S3 at --nmax 3 needs a chain space of dimension 36^5: the job exits 2
+    before any crossed product is built."""
+    from hopfcyclic import cli
+
+    def unreachable(*a, **k):
+        raise AssertionError("a refused job built a crossed product")
+
+    monkeypatch.setattr(cli, "crossed_product_algebra", unreachable)
+    monkeypatch.setattr(cli, "crossed_product_coalgebra", unreachable)
+    start = time.perf_counter()
+    code = cli.main(args + ["-i", data_file("s3_Q"), "--nmax", "3"])
+    assert time.perf_counter() - start < 5
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2 and set(err) == {"error"}
+    assert "36^5 = 60466176" in err["error"]
+
+
+@pytest.mark.parametrize("name, nmax", [("sweedler_Q", 2), ("s3_Q", 1)])
+def test_size_limit_admits_the_scale_points(name, nmax):
+    """The two largest jobs known to finish (CI runs both) stay below it."""
+    from hopfcyclic import cli
+    cli._check_size(load_document(data_file(name)), nmax,
+                    ("algebra", "coalgebra"))

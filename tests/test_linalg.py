@@ -13,8 +13,8 @@ from hopfcyclic.errors import CompositionNotZero
 from hopfcyclic.fields import Field
 from hopfcyclic.io import _map_matrix, _map_pairs
 from hopfcyclic.linalg import (
-    SparseMatrix, Subspace, _echelonize, homology_dim, image, invert, kernel,
-    rank, solve,
+    SparseMatrix, Subspace, _echelonize, block_matrix, combine, homology_dim,
+    image, invert, kernel, rank, solve,
 )
 
 QQ = Field.rationals()
@@ -210,6 +210,7 @@ def test_q_elimination_agrees_with_sympy(drawn):
     else:
         ref_inv = ref.inv()
         assert inv is not None
+        _assert_settled(inv)
         for i in range(rows):
             for j in range(cols):
                 r = ref_inv[i, j]
@@ -288,6 +289,8 @@ def test_kernel_agrees_with_sympy_domain_matrix(drawn):
     else:
         assert ker.dim == 0
     assert ker.dim == m.cols - ref.rank()
+    for space in (sub, ker):
+        _assert_settled(space.basis_matrix())
 
 
 def test_echelonize_pivot_rule():
@@ -368,13 +371,20 @@ def _ref_kron(field, a, b):
     return [[field.mul(x, y) for x in ra for y in rb] for ra in a for rb in b]
 
 
-def _assert_settled(m):
-    for v in m.entries.values():
+def _assert_settled_scalars(field, values):
+    for v in values:
         assert v != 0
-        if m.field.p is None:
+        if field.p is None:
             assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
         else:
-            assert type(v) is int and 0 < v < m.field.p
+            assert type(v) is int and 0 < v < field.p
+
+
+def _assert_settled(m):
+    """The stored-entry invariant: keys in bounds, values settled."""
+    for i, j in m.entries:
+        assert 0 <= i < m.rows and 0 <= j < m.cols
+    _assert_settled_scalars(m.field, m.entries.values())
 
 
 @st.composite
@@ -423,3 +433,125 @@ def test_native_products_agree_with_field_reference(drawn):
         assert (k.rows, k.cols) == (x.rows * y.rows, x.cols * y.cols)
         assert _dense(k) == _ref_kron(field, _dense(x), _dense(y))
         _assert_settled(k)
+    for m in (a, b, ab):
+        t = m.transpose()
+        assert (t.rows, t.cols) == (m.cols, m.rows)
+        assert _dense(t) == [[m[(i, j)] for i in range(m.rows)]
+                             for j in range(m.cols)]
+        _assert_settled(t)
+
+
+def test_public_constructor_checks_outside_input():
+    with pytest.raises(IndexError):
+        SparseMatrix(QQ, 2, 2, {(2, 0): 1})
+    with pytest.raises(IndexError):
+        SparseMatrix(QQ, 2, 2, {(0, -1): 1})
+    m = SparseMatrix(QQ, 2, 2, {(0, 0): 0, (1, 1): Fraction(0), (0, 1): 3})
+    assert m.entries == {(0, 1): 3}
+    assert SparseMatrix(F2, 1, 1, {(0, 0): 0}).is_zero()
+    a, b = SparseMatrix.identity(QQ, 2), SparseMatrix.identity(QQ, 3)
+    for bad in (lambda: a + b, lambda: a - b,
+                lambda: combine(QQ, 2, 2, [(1, a), (1, b)]),
+                lambda: combine(QQ, 3, 3, [(1, a)])):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            bad()
+
+
+def test_block_matrix_checks_block_shapes():
+    one = SparseMatrix.identity(QQ, 1)
+    assert block_matrix(QQ, {(0, 0): one, (1, 1): -one}, [1, 1], [1, 1]) \
+        == SparseMatrix.from_rows(QQ, [[1, 0], [0, -1]])
+    with pytest.raises(ValueError, match="block"):
+        block_matrix(QQ, {(0, 0): SparseMatrix.identity(QQ, 2)}, [1], [2])
+
+
+def _ref_combine(field, rows, cols, terms):
+    out = [[field.zero()] * cols for _ in range(rows)]
+    for c, m in terms:
+        c = field.of(c)
+        for i in range(rows):
+            for j in range(cols):
+                out[i][j] = field.add(out[i][j], field.mul(c, m[(i, j)]))
+    return out
+
+
+def _ref_apply(field, m, vec):
+    out = {}
+    for i in range(m.rows):
+        w = field.zero()
+        for j, c in vec.items():
+            w = field.add(w, field.mul(m[(i, j)], c))
+        if not field.is_zero(w):
+            out[i] = w
+    return out
+
+
+@st.composite
+def _sum_terms(draw):
+    """A field, a shape and (coefficient, matrix) terms; half of the time
+    every term is followed by its negative, so the sum cancels to zero."""
+    field = draw(st.sampled_from(_ORACLE_FIELDS))
+    values = _ORACLE_ENTRIES if field.p is None else (0, 0, 1, -1, 2, 3, 4)
+    coeffs = _ORACLE_ENTRIES if field.p is None else (0, 1, -1, 2, -2, 3, 7)
+    rows, cols = (draw(st.integers(min_value=0, max_value=5))
+                  for _ in range(2))
+
+    def matrix():
+        return SparseMatrix(field, rows, cols, {
+            (i, j): field.of(v) for i in range(rows) for j in range(cols)
+            for v in [draw(st.sampled_from(values))] if v != 0})
+
+    terms = [(draw(st.sampled_from(coeffs)), matrix())
+             for _ in range(draw(st.integers(min_value=0, max_value=4)))]
+    cancels = draw(st.booleans())
+    if cancels:
+        terms = [t for c, m in terms for t in ((c, m), (-c, m))]
+    vec = {j: field.of(v) for j in range(cols)
+           for v in [draw(st.sampled_from(values))] if v != 0}
+    return field, rows, cols, terms, cancels, vec
+
+
+@given(_sum_terms())
+@settings(max_examples=150, deadline=None)
+def test_sums_agree_with_field_reference(drawn):
+    """`combine`, `+`, `-`, unary `-`, `scale` and `apply` against dense
+    loops through Field methods over Q (mixed int / Fraction), GF(2), GF(3)
+    and GF(5), with negative coefficients and cancelling sums; every result
+    keeps the stored-entry invariant."""
+    field, rows, cols, terms, cancels, vec = drawn
+    total = combine(field, rows, cols, terms)
+    assert (total.rows, total.cols) == (rows, cols)
+    assert _dense(total) == _ref_combine(field, rows, cols, terms)
+    _assert_settled(total)
+    if cancels:
+        assert total.is_zero()
+    mats = [m for _, m in terms] or [SparseMatrix.zeros(field, rows, cols)]
+    for a in mats:
+        for c in {c for c, _ in terms} | {1, -1}:
+            sc = a.scale(field.of(c))
+            assert _dense(sc) == _ref_combine(field, rows, cols, [(c, a)])
+            _assert_settled(sc)
+        neg = -a
+        assert _dense(neg) == _ref_combine(field, rows, cols, [(-1, a)])
+        _assert_settled(neg)
+        out = a.apply(vec)
+        assert out == _ref_apply(field, a, vec)
+        assert all(0 <= i < rows for i in out)
+        _assert_settled_scalars(field, out.values())
+        for b in mats:
+            for got, sign in ((a + b, 1), (a - b, -1)):
+                assert _dense(got) == _ref_combine(field, rows, cols,
+                                                   [(1, a), (sign, b)])
+                _assert_settled(got)
+        assert (a - a).is_zero()
+    ident = SparseMatrix.identity(field, rows)
+    assert _dense(ident) == [[int(i == j) for j in range(rows)]
+                             for i in range(rows)]
+    _assert_settled(ident)
+    bm = block_matrix(field, {(0, 0): mats[0], (0, 1): None,
+                              (1, 0): mats[-1], (1, 1): ident},
+                      [rows, rows], [cols, rows])
+    z = [field.zero()] * rows
+    assert _dense(bm) == [r + z for r in _dense(mats[0])] \
+        + [r + s for r, s in zip(_dense(mats[-1]), _dense(ident))]
+    _assert_settled(bm)

@@ -94,12 +94,16 @@ def reference(field, spaces, specs, outputs):
         leg_dims.extend(ldims)
     outs = [_ref_expr(field, spaces, leg_spaces, e) for e in outputs]
     gather = perm_matrix(field, leg_dims, [s for _, sl, _ in outs for s in sl])
+    assert_settled(gather)
     return (kron_all(field, [m for m, _, _ in outs]) @ gather
             @ kron_all(field, expansions))
 
 
 def assert_settled(m):
-    """Every stored entry is a nonzero field scalar in its one form."""
+    """Every stored key is in bounds and every stored entry is a nonzero
+    field scalar in its one form."""
+    for i, j in m.entries:
+        assert 0 <= i < m.rows and 0 <= j < m.cols
     for v in m.entries.values():
         assert v != 0
         if m.field.p is None:
