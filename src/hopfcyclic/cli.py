@@ -79,10 +79,11 @@ def _opt(params, doc, key, default):
 
 
 # Largest top chain space dim(R)^(nmax+2), R = A # H or C # H, that a
-# crossed-product job may build.  The largest jobs known to finish at desk
-# scale need 16^4 = 65536 (Sweedler, --nmax 2) and 36^3 = 46656 (S3,
-# --nmax 1), each in about 5 s and under 200 MB; the next sizes up (Sweedler
-# --nmax 3, S3 --nmax 2) need more than a million.
+# crossed-product job may build.  Measured with `compute hc` on a 2-core VM:
+# the admitted corpus jobs at the edge finish, the slowest being C2
+# --nmax 6 (4^8 = 65536) in about 60 s and 780 MB; the first refused ones,
+# C2 --nmax 7 (4^9) and C3 --nmax 4 (9^6), had not finished after 400 s, at
+# 1.8 and 2.2 GB resident.  The README lists every corpus bound.
 MAX_CHAIN_DIM = 2 ** 17
 
 
@@ -94,12 +95,19 @@ def _check_size(doc, nmax, blocks):
         if s is None:
             continue
         d = s.dim * s.hopf.dim
-        need = d ** (nmax + 2)
-        if need > MAX_CHAIN_DIM:
-            raise TooLarge(
-                "--nmax %d on the %s block needs a chain space of dimension "
-                "%d^%d = %d, above the limit %d"
-                % (nmax, block, d, nmax + 2, need, MAX_CHAIN_DIM))
+        if d <= 1:
+            continue
+        # one factor at a time: a huge --nmax must not build d^(nmax+2)
+        need = 1
+        for _ in range(nmax + 2):
+            need *= d
+            if need > MAX_CHAIN_DIM:
+                k = nmax + 2
+                value = " = %d" % d ** k if k <= 64 else ""
+                raise TooLarge(
+                    "--nmax %d on the %s block needs a chain space of "
+                    "dimension %d^%d%s, above the limit %d"
+                    % (nmax, block, d, k, value, MAX_CHAIN_DIM))
 
 
 def cmd_verify(doc, target, params):

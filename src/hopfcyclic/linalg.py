@@ -245,12 +245,8 @@ def combine(field, rows, cols, terms):
         if m.rows != rows or m.cols != cols:
             raise ValueError("shape mismatch %sx%s vs %sx%s"
                              % (rows, cols, m.rows, m.cols))
-        if c == 1:  # the usual coefficient; 1 * Fraction builds a new one
-            for ij, v in m.entries.items():
-                sums[ij] = get(ij, 0) + v
-        else:
-            for ij, v in m.entries.items():
-                sums[ij] = get(ij, 0) + c * v
+        for ij, v in m.entries.items():
+            sums[ij] = get(ij, 0) + c * v
     return SparseMatrix._settled(field, rows, cols, settle(field, sums))
 
 

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -257,17 +256,33 @@ def test_crossed_product_job_above_size_limit_is_refused_at_once(
 
     monkeypatch.setattr(cli, "crossed_product_algebra", unreachable)
     monkeypatch.setattr(cli, "crossed_product_coalgebra", unreachable)
-    start = time.perf_counter()
     code = cli.main(args + ["-i", data_file("s3_Q"), "--nmax", "3"])
-    assert time.perf_counter() - start < 5
     err = json.loads(capsys.readouterr().out)
     assert code == 2 and set(err) == {"error"}
     assert "36^5 = 60466176" in err["error"]
 
 
-@pytest.mark.parametrize("name, nmax", [("sweedler_Q", 2), ("s3_Q", 1)])
-def test_size_limit_admits_the_scale_points(name, nmax):
-    """The two largest jobs known to finish (CI runs both) stay below it."""
+def test_huge_nmax_is_refused_without_building_the_power(capsys):
+    """The estimate stops at the first factor past the limit: d^(nmax+2) is
+    never built nor printed in full for an absurd --nmax."""
     from hopfcyclic import cli
-    cli._check_size(load_document(data_file(name)), nmax,
-                    ("algebra", "coalgebra"))
+    code = cli.main(["compute", "hc", "-i", data_file("c2_Q"),
+                     "--nmax", str(10 ** 6)])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2 and set(err) == {"error"}
+    assert "4^1000002, above the limit" in err["error"]
+
+
+# The first --nmax each corpus structure is refused at: dim(R)^(nmax+2)
+# first passes 2^17 there.  Every smaller --nmax is admitted, the Sweedler
+# --nmax 2 and S3 --nmax 1 scale points (CI runs both) included.
+@pytest.mark.parametrize("name, first_refused", [
+    ("c2_Q", 7), ("c2_F2", 7), ("c3_Q", 4), ("sweedler_Q", 3), ("s3_Q", 2),
+])
+def test_size_limit_on_the_corpus(name, first_refused):
+    from hopfcyclic import cli
+    from hopfcyclic.errors import TooLarge
+    doc = load_document(data_file(name))
+    cli._check_size(doc, first_refused - 1, ("algebra", "coalgebra"))
+    with pytest.raises(TooLarge):
+        cli._check_size(doc, first_refused, ("algebra", "coalgebra"))
