@@ -6,8 +6,9 @@
 
 plus `-o report.json` and `--csv dir/` on every command.  Exit codes:
 0 all checks pass, 1 a check failed or a verify / compare checked nothing,
-2 input error or a crossed-product job above the size limit
-(`MAX_CHAIN_DIM`).  Reports are normalized JSON and byte-identical across
+2 input error or a job above a size limit (`MAX_CHAIN_DIM` on crossed
+products, `MAX_EXPR_DIM` on coinvariants, `MAX_TOTAL_DIM` on spectral
+pages).  Reports are normalized JSON and byte-identical across
 runs; wall-clock timings go to stderr only when --timings is given.  No
 environment variables are read.
 """
@@ -86,6 +87,40 @@ def _opt(params, doc, key, default):
 # 1.8 and 2.2 GB resident.  The README lists every corpus bound.
 MAX_CHAIN_DIM = 2 ** 17
 
+# Largest expression width dim(H)^(2N+5) that the first-column (co)action of
+# a coinvariant job at top degree N may compile: its output splits H into
+# 2N+5 legs.  Measured with `compute coinvariants` on a 2-core VM: the
+# admitted jobs at the edge finish, C2 --nmax 8 (2^21) in 38 s and 770 MB,
+# Sweedler --nmax 3 (4^11 = 2^22) in 5 s and 600 MB; the first refused
+# ones take C2 --nmax 9 (2^23) 161 s and 2.9 GB, S3 --nmax 2 (6^9) 54 s and
+# 3.4 GB, and C3 --nmax 5 (3^15) runs out of a 3.5 GB address space.
+MAX_EXPR_DIM = 2 ** 22
+
+# Largest top total space, the sum of dim(H)^(p+1) dim(A)^(q+1) over
+# p + q = pmax + qmax + 1, that `compute ss-pages` may build.  Measured on a
+# 2-core VM, building dominates: the admitted jobs at the edge take C2
+# (pmax, qmax) = (5, 4) (45056) 75 s and 1.8 GB and C3 (3, 2) (45927) 43 s
+# and 1.8 GB; at 98304, Sweedler (2, 2) finishes in 43 s at 2.4 GB but C2
+# (5, 5) runs out of a 3.5 GB address space, as do C3 (3, 3) and S3 (2, 1).
+MAX_TOTAL_DIM = 2 ** 16
+
+
+def _capped_power(d, k, limit):
+    """d^k, or limit + 1 once the product passes limit: one factor at a
+    time, so that a huge k never builds the power."""
+    if d <= 1:
+        return d if k else 1
+    out = 1
+    for _ in range(k):
+        out *= d
+        if out > limit:
+            return limit + 1
+    return out
+
+
+def _power_text(d, k):
+    return "%d^%d = %d" % (d, k, d ** k) if k <= 64 else "%d^%d" % (d, k)
+
 
 def _check_size(doc, nmax, blocks):
     """Refuse a crossed-product job whose top chain space exceeds
@@ -95,19 +130,52 @@ def _check_size(doc, nmax, blocks):
         if s is None:
             continue
         d = s.dim * s.hopf.dim
-        if d <= 1:
+        k = nmax + 2
+        if _capped_power(d, k, MAX_CHAIN_DIM) > MAX_CHAIN_DIM:
+            raise TooLarge(
+                "--nmax %d on the %s block needs a chain space of "
+                "dimension %s, above the limit %d"
+                % (nmax, block, _power_text(d, k), MAX_CHAIN_DIM))
+
+
+def _check_coinvariant_size(doc, nmax, top, blocks):
+    """Refuse a coinvariant job whose first-column (co)action at the top
+    degree `top` needs an expression wider than MAX_EXPR_DIM."""
+    for block in blocks:
+        s = getattr(doc, block)
+        if s is None:
             continue
-        # one factor at a time: a huge --nmax must not build d^(nmax+2)
-        need = 1
-        for _ in range(nmax + 2):
-            need *= d
-            if need > MAX_CHAIN_DIM:
-                k = nmax + 2
-                value = " = %d" % d ** k if k <= 64 else ""
+        d = s.hopf.dim
+        k = 2 * top + 5
+        if _capped_power(d, k, MAX_EXPR_DIM) > MAX_EXPR_DIM:
+            raise TooLarge(
+                "--nmax %d on the %s block needs a first-column expression "
+                "of width %s, above the limit %d"
+                % (nmax, block, _power_text(d, k), MAX_EXPR_DIM))
+
+
+def _check_pages_size(doc, pmax, qmax, blocks):
+    """Refuse a spectral-pages job whose top total space exceeds
+    MAX_TOTAL_DIM, before anything is built."""
+    n = pmax + qmax + 1
+    for block in blocks:
+        s = getattr(doc, block)
+        if s is None:
+            continue
+        dh, da = s.hopf.dim, s.dim
+        total = 0
+        for p in range(n + 1):
+            total += _capped_power(dh, p + 1, MAX_TOTAL_DIM) \
+                * _capped_power(da, n - p + 1, MAX_TOTAL_DIM)
+            if total > MAX_TOTAL_DIM:
+                value = " = %d" % sum(dh ** (p + 1) * da ** (n - p + 1)
+                                      for p in range(n + 1)) \
+                    if n <= 64 else ""
                 raise TooLarge(
-                    "--nmax %d on the %s block needs a chain space of "
-                    "dimension %d^%d%s, above the limit %d"
-                    % (nmax, block, d, k, value, MAX_CHAIN_DIM))
+                    "--pmax %d --qmax %d on the %s block needs a total space "
+                    "of dimension sum of %d^(p+1) %d^(q+1) over p+q = %d%s, "
+                    "above the limit %d"
+                    % (pmax, qmax, block, dh, da, n, value, MAX_TOTAL_DIM))
 
 
 def cmd_verify(doc, target, params):
@@ -221,6 +289,7 @@ def cmd_compute(doc, target, params):
         rmax = _opt(params, doc, "rmax", 2)
         pmax = _opt(params, doc, "pmax", 2)
         qmax = _opt(params, doc, "qmax", 2)
+        _check_pages_size(doc, pmax, qmax, ("algebra", "coalgebra"))
         did = False
         if doc.algebra is not None:
             did = True
@@ -249,6 +318,7 @@ def cmd_compute(doc, target, params):
                                "coalgebra block")
     elif target == "coinvariants":
         nmax = _opt(params, doc, "nmax", 2)
+        _check_coinvariant_size(doc, nmax, nmax, ("algebra", "coalgebra"))
         did = False
         if doc.algebra is not None:
             did = True
@@ -323,6 +393,7 @@ def cmd_compare(doc, target, params):
     elif target == "collapse-algebra":
         _require(doc, "algebra", target)
         _check_size(doc, nmax, ("algebra",))
+        _check_coinvariant_size(doc, nmax, nmax + 1, ("algebra",))
         r = crossed_product_algebra(doc.algebra)
         lhs = cyclic_dims(mixed_complex(
             cyclic_module_of_algebra(r, N=nmax + 1)), nmax)
@@ -332,6 +403,7 @@ def cmd_compare(doc, target, params):
     elif target == "collapse-coalgebra":
         _require(doc, "coalgebra", target)
         _check_size(doc, nmax, ("coalgebra",))
+        _check_coinvariant_size(doc, nmax, nmax + 1, ("coalgebra",))
         cc = crossed_product_coalgebra(doc.coalgebra)
         lhs = cyclic_dims(cochain_mixed_complex(
             cocyclic_module_of_coalgebra(cc, N=nmax + 1)), nmax)

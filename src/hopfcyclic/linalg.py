@@ -14,18 +14,24 @@ and is adopted as is by `SparseMatrix._settled`.  Every sum of matrices,
 `+`, `-`, negation, `scale` and the alternating face sums of the cylinders
 and mixed complexes, goes through `combine`.
 
-All elimination goes through one kernel.  `_echelonize` is the forward pass:
-rows are bucketed by leading column and only the bucket of the current pivot
-column is reduced.  The pivot is the leftmost column, then the sparsest row
-holding it, then the first such row in input order.  `rank` needs only this
-pass.  `_rref` adds one bottom-up back-substitution through a {pivot column:
-row} index; `Subspace`, `kernel`, `solve` and `invert` use it, and
-`Subspace.reduce` clears a vector through the same index.
+Elimination has two entries, each with a fixed pivot rule.  `_echelonize` is
+the forward pass on rows: rows are bucketed by leading column and only the
+bucket of the current pivot column is reduced.  The pivot is the leftmost
+column, then the sparsest row holding it, then the first such row in input
+order.  `rank` needs only this pass.  `_rref` adds one bottom-up
+back-substitution through a {pivot column: row} index; `Subspace`, `kernel`
+and `invert` use it, and `Subspace.reduce` clears a vector through the same
+index.  `column_pairs` is the persistence reduction on columns: each column
+is reduced only by earlier ones and its pivot is its last nonzero row, so
+the pairs it returns respect any filtration that the coordinate order
+refines.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from fractions import Fraction
 
 from .errors import CompositionNotZero
 from .fields import Field, settle
@@ -361,6 +367,93 @@ def _row_axpy(field, r, c, p):
     return out
 
 
+def column_pairs(m: SparseMatrix, skip=()):
+    """{column: pivot row} of the persistence reduction of m's columns.
+
+    Columns are taken left to right, each reduced only by earlier reduced
+    columns: while its last nonzero row is the pivot of an earlier column,
+    a multiple of that column is subtracted to clear it.  A column that
+    reduces to zero has no pair; rank(m) is the number of pairs.  Columns in
+    skip are not reduced at all (clearing: a column known to reduce to zero).
+
+    The pivot rule, last nonzero row, is fixed: when the coordinate orders
+    of rows and columns refine a filtration, the pairs are those of the
+    filtered complex (Edelsbrunner, Letscher & Zomorodian 2002).  Sums are
+    native and the rows of the column being reduced wait in a max-heap, so
+    the next pivot candidate is found without a rescan; over F_p an entry is
+    settled only when it reaches the top of the heap.  Over Q the reduction
+    is fraction-free: the column is scaled by the pivot entry of the column
+    it subtracts, which `_kept_column` keeps a positive int.
+    """
+    field = m.field
+    p = field.p
+    kept = {}  # pivot row -> its column, normalized by _kept_column
+    pairs = {}
+    cols = m.column_index()
+    for j in sorted(cols):
+        if j in skip:
+            continue
+        col = cols[j]
+        low = max(col)
+        if low in kept:
+            col = dict(col) if p is not None else _integral(col)
+            heap = [-k for k in col]
+            heapq.heapify(heap)
+            while low is not None and low in kept:
+                pcol = kept[low]
+                v = col[low]
+                pv = pcol[low]  # 1 over F_p
+                if pv != 1:
+                    for k in col:
+                        col[k] *= pv
+                for k, w in pcol.items():
+                    if k in col:
+                        col[k] -= v * w
+                    else:
+                        col[k] = -v * w
+                        heapq.heappush(heap, -k)
+                del col[low]  # cancelled exactly
+                heapq.heappop(heap)
+                low = None
+                while heap:
+                    k = -heap[0]
+                    w = col[k] if p is None else col[k] % p
+                    if w:
+                        col[k] = w
+                        low = k
+                        break
+                    del col[k]
+                    heapq.heappop(heap)
+            if low is None:
+                continue
+        pairs[j] = low
+        kept[low] = _kept_column(field, col, low)
+    return pairs
+
+
+def _integral(col):
+    """A Q column times the lcm of its denominators: an int vector."""
+    den = 1
+    for v in col.values():
+        if v.__class__ is Fraction:
+            den = math.lcm(den, v.denominator)
+    return {k: int(v * den) for k, v in col.items()}
+
+
+def _kept_column(field, col, low):
+    """A reduced column, settled once: over F_p scaled to pivot entry 1,
+    over Q an int vector with coprime entries and a positive pivot entry."""
+    p = field.p
+    if p is not None:
+        inv = field.inv(col[low] % p)
+        return settle(field, {k: v * inv for k, v in col.items()})
+    col = _integral(col)
+    g = math.gcd(*col.values())
+    if col[low] < 0:
+        g = -g
+    return {k: v // g for k, v in col.items() if v}
+
+
 class Subspace:
     """A subspace of k^n presented by a reduced-echelon basis."""
 
@@ -373,11 +466,6 @@ class Subspace:
         self.basis = basis
         self.pivots = pivots
         self._index = dict(zip(pivots, basis))
-
-    @classmethod
-    def full(cls, field, n):
-        one = field.one()
-        return cls(field, n, [{i: one} for i in range(n)])
 
     @property
     def dim(self):
@@ -485,25 +573,6 @@ def _homology_dims(pairs):
             raise CompositionNotZero("d.d != 0 first at %s" % (ij,))
         out.append(d_in.rows - rank_of(d_out) - rank_of(d_in))
     return out
-
-
-def solve(m: SparseMatrix, vec):
-    """One solution x of Mx = v (dict-vectors), or None."""
-    f = m.field
-    cols = m.cols
-    aug = m.row_dicts()
-    for i, c in vec.items():
-        aug[i] = dict(aug[i])
-        aug[i][cols] = c
-    pivots, rred = _rref(f, aug)
-    x = {}
-    for pc, r in zip(pivots, rred):
-        if pc == cols:
-            return None  # inconsistent
-        c = r.get(cols)
-        if c is not None:
-            x[pc] = c
-    return x
 
 
 def invert(m: SparseMatrix):

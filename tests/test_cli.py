@@ -286,3 +286,89 @@ def test_size_limit_on_the_corpus(name, first_refused):
     cli._check_size(doc, first_refused - 1, ("algebra", "coalgebra"))
     with pytest.raises(TooLarge):
         cli._check_size(doc, first_refused, ("algebra", "coalgebra"))
+
+
+@pytest.mark.parametrize("args", [
+    ["compute", "coinvariants", "--nmax", "2"],
+    ["compare", "collapse-algebra", "--nmax", "1"],
+    ["compare", "collapse-coalgebra", "--nmax", "1"],
+])
+def test_coinvariant_job_above_expression_limit_is_refused_at_once(
+        args, monkeypatch, capsys):
+    """S3 at top degree 2 needs a first-column expression of width 6^9: the
+    job exits 2 before any coinvariant module or crossed product is built."""
+    from hopfcyclic import cli
+
+    def unreachable(*a, **k):
+        raise AssertionError("a refused job built a module")
+
+    for name in ("coinvariant_cyclic_module", "coinvariant_cocyclic_module",
+                 "crossed_product_algebra", "crossed_product_coalgebra"):
+        monkeypatch.setattr(cli, name, unreachable)
+    code = cli.main(args[:2] + ["-i", data_file("s3_Q")] + args[2:])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2 and set(err) == {"error"}
+    assert "width 6^9 = 10077696, above the limit" in err["error"]
+
+
+def test_ss_pages_job_above_total_limit_is_refused_at_once(
+        monkeypatch, capsys):
+    """Sweedler at pmax = qmax = 2 needs a top total space of 6 * 4^7: the
+    job exits 2 before any total complex is built."""
+    from hopfcyclic import cli
+
+    def unreachable(*a, **k):
+        raise AssertionError("a refused job built a total complex")
+
+    for name in ("total_complex_algebra", "total_complex_coalgebra",
+                 "AlgebraCylinder", "CoalgebraCocylinder"):
+        monkeypatch.setattr(cli, name, unreachable)
+    code = cli.main(["compute", "ss-pages", "-i", data_file("sweedler_Q"),
+                     "--pmax", "2", "--qmax", "2"])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2 and set(err) == {"error"}
+    assert "over p+q = 5 = 98304, above the limit" in err["error"]
+
+
+@pytest.mark.parametrize("args, text", [
+    (["compute", "coinvariants", "-i", "c2_Q", "--nmax", str(10 ** 6)],
+     "width 2^2000005, above the limit"),
+    (["compute", "ss-pages", "-i", "c2_Q", "--pmax", str(10 ** 6)],
+     "over p+q = 1000003, above the limit"),
+    (["compute", "ss-pages", "-i", "ground_field_Q", "--pmax", str(10 ** 9)],
+     "sum of 1^(p+1) 1^(q+1) over p+q = 1000000003, above the limit"),
+])
+def test_huge_bounds_are_refused_without_building_the_estimate(args, text,
+                                                               capsys):
+    from hopfcyclic import cli
+    args = args[:3] + [data_file(args[3])] + args[4:]
+    code = cli.main(args)
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2 and text in err["error"]
+
+
+# The first --nmax of `compute coinvariants` each corpus structure is
+# refused at (collapse-* builds one degree more, so its bound is one lower),
+# and the first pmax + qmax of `compute ss-pages`.  Every benchmarked job is
+# admitted: coinvariants on C2 at --nmax 3, collapse on C2 at --nmax 2 and
+# pages on C2 at (2, 2).
+@pytest.mark.parametrize("name, coinvariants, pages", [
+    ("c2_Q", 9, 10), ("c2_F2", 9, 10), ("c3_Q", 5, 6), ("sweedler_Q", 4, 4),
+    ("s3_Q", 2, 3),
+])
+def test_coinvariant_and_pages_limits_on_the_corpus(name, coinvariants, pages):
+    from hopfcyclic import cli
+    from hopfcyclic.errors import TooLarge
+    doc = load_document(data_file(name))
+    blocks = ("algebra", "coalgebra")
+    n = coinvariants - 1
+    cli._check_coinvariant_size(doc, n, n, blocks)
+    cli._check_coinvariant_size(doc, n - 1, n, blocks)
+    with pytest.raises(TooLarge):
+        cli._check_coinvariant_size(doc, n + 1, n + 1, blocks)
+    with pytest.raises(TooLarge):
+        cli._check_coinvariant_size(doc, n, n + 1, blocks)
+    for pmax in range(pages):
+        cli._check_pages_size(doc, pmax, pages - 1 - pmax, blocks)
+        with pytest.raises(TooLarge):
+            cli._check_pages_size(doc, pmax, pages - pmax, blocks)

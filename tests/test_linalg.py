@@ -13,8 +13,8 @@ from hopfcyclic.errors import CompositionNotZero
 from hopfcyclic.fields import Field
 from hopfcyclic.io import _map_matrix, _map_pairs
 from hopfcyclic.linalg import (
-    SparseMatrix, Subspace, _echelonize, block_matrix, combine, homology_dim,
-    image, invert, kernel, rank, solve,
+    SparseMatrix, Subspace, _echelonize, block_matrix, column_pairs, combine,
+    homology_dim, image, invert, kernel, rank,
 )
 
 QQ = Field.rationals()
@@ -152,10 +152,8 @@ def test_subspace_sum_and_coefficients():
     assert s.coefficients({2: QQ.one()}) is None
 
 
-def test_solve_and_invert():
+def test_invert():
     m = SparseMatrix.from_rows(QQ, [[2, 1], [1, 1]])
-    x = solve(m, {0: QQ.of(3), 1: QQ.of(2)})
-    assert m.apply(x) == {0: QQ.of(3), 1: QQ.of(2)}
     inv = invert(m)
     assert inv @ m == SparseMatrix.identity(QQ, 2)
     sing = SparseMatrix.from_rows(QQ, [[1, 1], [1, 1]])
@@ -291,6 +289,38 @@ def test_kernel_agrees_with_sympy_domain_matrix(drawn):
     assert ker.dim == m.cols - ref.rank()
     for space in (sub, ker):
         _assert_settled(space.basis_matrix())
+
+
+@given(_sparse_matrices())
+@settings(max_examples=120, deadline=None)
+def test_column_pairs_match_the_lower_left_rank_function(drawn):
+    """(column j, row i) is a pair exactly when the rank of the block of rows
+    >= i and columns <= j jumps there, ranked by sympy (the persistence
+    pairing, which no reduction order changes); skipping columns that have
+    no pair leaves the pairs as they are."""
+    field, m = drawn
+    ref = _to_domain(m)
+
+    def r(i, j):
+        return ref[i:, :j + 1].rank() if i < m.rows and j >= 0 else 0
+
+    want = {j: i for i in range(m.rows) for j in range(m.cols)
+            if r(i, j) - r(i + 1, j) - r(i, j - 1) + r(i + 1, j - 1) == 1}
+    got = column_pairs(m)
+    assert got == want and len(got) == rank(m)
+    unpaired = set(range(m.cols)) - set(got)
+    assert column_pairs(m, unpaired) == want
+
+
+def test_column_pairs_pivot_rule():
+    """The pivot is the last nonzero row; a column is reduced only by
+    earlier columns, fraction-free over Q."""
+    m = SparseMatrix.from_rows(QQ, [[1, 0, 1],
+                                    [Fraction(1, 2), 2, 0],
+                                    [3, 2, 0]])
+    # column 1 clears row 2 against column 0 and stops at row 1
+    assert column_pairs(m) == {0: 2, 1: 1, 2: 0}
+    assert column_pairs(m, skip={0}) == {1: 2, 2: 0}
 
 
 def test_echelonize_pivot_rule():

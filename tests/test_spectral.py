@@ -1,9 +1,17 @@
 """Total complexes, filtrations, spectral pages, EZ comparison, collapse."""
 
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spectral_oracle import oracle_pages
 
 from hopfcyclic.errors import FiltrationViolation
 from hopfcyclic.fields import Field
+from hopfcyclic.io import load_document
+from hopfcyclic.linalg import SparseMatrix, invert
 from hopfcyclic.hopf import (
     cyclic_group_table, group_algebra, regular_comodule_algebra,
     regular_module_coalgebra, sweedler_hopf, trivial_comodule_algebra,
@@ -18,13 +26,16 @@ from hopfcyclic.cylinder import (
     coinvariant_cyclic_module,
 )
 from hopfcyclic.homology import (
-    cochain_mixed_complex, cyclic_dims, ez_compare_hochschild, mixed_complex,
+    FilteredComplex, check_filtration, cochain_mixed_complex, cyclic_dims,
+    ez_compare_hochschild, mixed_complex,
     page_zero_matches_horizontal_boundary, spectral_pages,
     total_complex_algebra, total_complex_coalgebra, total_homology_dims,
 )
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
+F3 = Field.prime(3)
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def kc2(field=QQ):
@@ -156,3 +167,170 @@ def test_collapse_coalgebra_side():
     cops, _ = coinvariant_cocyclic_module(c, N=3)
     rhs = cyclic_dims(cochain_mixed_complex(cops), 2)
     assert lhs == rhs == [4, 0, 4]
+
+
+# -- spectral_pages against the subquotient oracle ----------------------------------
+
+def _same_pages(got, want):
+    return [(p.r, p.table, p.diff_ranks) for p in got] == \
+        [(p.r, p.table, p.diff_ranks) for p in want]
+
+
+# (rmax, pmax, qmax) per corpus file: the largest window whose oracle run
+# stays within a few seconds.
+@pytest.mark.parametrize("name, rmax, pmax, qmax", [
+    ("c2_F2", 3, 2, 2), ("c2_F2_trivial", 3, 2, 2), ("c2_Q", 3, 2, 2),
+    ("c2_Q_trivial", 3, 2, 2), ("c3_Q", 2, 1, 1), ("c3_Q_trivial", 2, 1, 1),
+    ("ground_field_Q", 3, 3, 3), ("s3_Q", 1, 1, 0), ("sweedler_Q", 2, 1, 1),
+    ("sweedler_Q_trivial", 2, 1, 1),
+])
+def test_pages_match_subquotient_oracle_on_corpus(name, rmax, pmax, qmax):
+    doc = load_document(os.path.join(ROOT, "data", name + ".json"))
+    fcs = [total_complex_algebra(AlgebraCylinder(doc.algebra),
+                                 N=pmax + qmax + 1),
+           total_complex_coalgebra(CoalgebraCocylinder(doc.coalgebra),
+                                   N=pmax + qmax + 1)]
+    for fc in fcs:
+        assert _same_pages(spectral_pages(fc, rmax, (pmax, qmax)),
+                           oracle_pages(fc, rmax, (pmax, qmax)))
+
+
+def test_pages_report_matches_recorded_subquotient_report(monkeypatch, capsys):
+    """c2_Q at rmax 4, pmax 3, qmax 3, byte for byte against the report of
+    the subquotient code (tests/goldens, recorded from that code)."""
+    from hopfcyclic import cli
+    monkeypatch.chdir(ROOT)
+    code = cli.main(["compute", "ss-pages", "-i", "data/c2_Q.json",
+                     "--rmax", "4", "--pmax", "3", "--qmax", "3"])
+    with open(os.path.join("tests", "goldens",
+                           "ss_pages_c2_Q_r4_p3_q3.json")) as fh:
+        assert code == 0 and capsys.readouterr().out == fh.read()
+
+
+@st.composite
+def _elementary_complexes(draw):
+    """(filtered complex, expected pages, rmax, window): a random complex
+    given by elementary pieces (d y = x on each pair, unpaired generators
+    closed), then hidden by a random filtered change of basis per degree."""
+    field = draw(st.sampled_from([QQ, F2, F3]))
+    cochain = draw(st.booleans())
+    N = draw(st.integers(min_value=1, max_value=4))
+    top = draw(st.integers(min_value=0, max_value=3))
+    rnd = draw(st.randoms(use_true_random=False))
+    s = 1 if not cochain else -1
+    order = range(top + 1) if not cochain else range(top, -1, -1)
+    cells, levels = [], []
+    for n in range(N + 1):
+        row, lev = [], []
+        for q in order:
+            k = rnd.randint(0, 2)
+            row.append((n - q, q, len(lev), k))
+            lev += [q] * k
+        cells.append(row)
+        levels.append(lev)
+    degrees = range(1, N + 1) if not cochain else range(N)
+    used = [set() for _ in range(N + 1)]
+    pairs = {n: [] for n in degrees}
+    for n in degrees:
+        t = n - s
+        for y, ly in enumerate(levels[n]):
+            free = [x for x, lx in enumerate(levels[t])
+                    if x not in used[t] and s * (ly - lx) >= 0]
+            if y not in used[n] and free and rnd.random() < 0.7:
+                x = rnd.choice(free)
+                used[n].add(y)
+                used[t].add(x)
+                pairs[n].append((y, x))
+
+    def scalar(nonzero=False):
+        while True:
+            v = field.of(rnd.randint(-2, 2))
+            if v or not nonzero:
+                return v
+
+    def filtered_basis_change(lev):
+        # unitriangular in coordinate order (earlier coordinates are no later
+        # in the filtration) with a nonzero diagonal, times a lower
+        # unitriangular mix inside each level
+        m = len(lev)
+        upper = {(a, b): scalar(a == b) for b in range(m) for a in range(b + 1)}
+        mix = {(a, b): scalar() if a > b and lev[a] == lev[b] else int(a == b)
+               for a in range(m) for b in range(m)}
+        return SparseMatrix(field, m, m, upper) @ SparseMatrix(field, m, m, mix)
+
+    g = [filtered_basis_change(lev) for lev in levels]
+    dims = [len(lev) for lev in levels]
+    d = {}
+    for n in degrees:
+        t = n - s
+        normal = SparseMatrix(field, dims[t], dims[n],
+                              {(x, y): 1 for y, x in pairs[n]})
+        d[n] = g[t] @ normal @ invert(g[n])
+    fc = FilteredComplex(field, dims, d, cells, top, N, cochain=cochain)
+
+    rmax = rnd.randint(0, top + 1)
+    gap = [{} for _ in range(N + 1)]
+    for n in degrees:
+        for y, x in pairs[n]:
+            gap[n][y] = gap[n - s][x] = s * (levels[n][y] - levels[n - s][x])
+    want = []
+    for r in range(rmax + 1):
+        table, ranks = {}, {}
+        for i in range(top + 1):
+            for j in range(N):
+                n = i + j
+                if n > N - 1:
+                    continue
+                table[(i, j)] = sum(
+                    1 for c, lc in enumerate(levels[n])
+                    if lc == i and gap[n].get(c, r) >= r)
+                ranks[(i, j)] = sum(
+                    1 for y, x in pairs.get(n, ())
+                    if levels[n][y] == i and gap[n][y] == r)
+        want.append((r, table, ranks))
+    return fc, want, rmax, (top, N - 1)
+
+
+@given(_elementary_complexes())
+@settings(max_examples=80, deadline=None)
+def test_pages_of_random_filtered_complexes(case):
+    fc, want, rmax, window = case
+    assert check_filtration(fc)
+    got = spectral_pages(fc, rmax, window)
+    assert [(p.r, p.table, p.diff_ranks) for p in got] == want
+    assert _same_pages(oracle_pages(fc, rmax, window), got)
+
+
+# -- negative controls: filtrations that are not filtrations ------------------------
+
+def _two_level_complex(d_entries, cells0=((0, 0, 0, 1), (-1, 1, 1, 1))):
+    """T_1 = one generator at level 0, T_0 = the given cells; d_1 as given."""
+    cells = [list(cells0), [(1, 0, 0, 1)]]
+    d = {1: SparseMatrix(QQ, 2, 1, d_entries)}
+    return FilteredComplex(QQ, [2, 1], d, cells, 1, 1)
+
+
+def test_d_leaving_the_filtration_is_refused():
+    fc = _two_level_complex({(1, 0): 1})  # level 0 -> level 1
+    with pytest.raises(FiltrationViolation, match="d leaves F_0"):
+        check_filtration(fc)
+    with pytest.raises(FiltrationViolation, match="d leaves F_0"):
+        spectral_pages(fc, 1, (1, 0))
+    assert check_filtration(_two_level_complex({(0, 0): 1}))
+
+
+def test_filtration_that_is_not_nested_is_refused():
+    fc = _two_level_complex({(0, 0): 1})
+    # F_1 drops the level-0 generator that F_0 holds
+    fc.filtration_coords = lambda i, n: [
+        off + k for (_, q, off, dim) in fc.cells[n] if q == i
+        for k in range(dim)]
+    with pytest.raises(FiltrationViolation, match="not nested"):
+        check_filtration(fc)
+
+
+def test_coordinate_order_that_does_not_refine_the_filtration_is_refused():
+    fc = _two_level_complex({(1, 0): 1},
+                            cells0=((-1, 1, 0, 1), (0, 0, 1, 1)))
+    with pytest.raises(FiltrationViolation, match="does not refine"):
+        spectral_pages(fc, 1, (1, 0))
