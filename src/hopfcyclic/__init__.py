@@ -33,8 +33,9 @@ from .cylinder import (
     phi_psi_algebra, phi_psi_coalgebra,
 )
 from .homology import (
-    FilteredComplex, MixedComplex, SSPage, cochain_mixed_complex,
-    cosemisimple_homotopy_check, cyclic_dims, ez_compare_hochschild,
+    FilteredComplex, MixedComplex, SSPage, b_column_dims,
+    cochain_mixed_complex, connes_dims, cosemisimple_homotopy_check,
+    cyclic_dims, ez_compare_hochschild,
     find_dual_left_integral, find_right_integral, hochschild_dims,
     hopf_comodule_cohomology, hopf_module_boundary, hopf_module_homology,
     mixed_complex, semisimple_homotopy_check, spectral_pages,

@@ -8,15 +8,24 @@ plus `-o report.json` and `--csv dir/` on every command.  Exit codes:
 0 all checks pass, 1 a check failed or a verify / compare checked nothing,
 2 input error or a job above a size limit (`MAX_CHAIN_DIM` on crossed
 products, `MAX_EXPR_DIM` on coinvariants, `MAX_TOTAL_DIM` on spectral
-pages).  Reports are normalized JSON and byte-identical across
-runs; wall-clock timings go to stderr only when --timings is given.  No
-environment variables are read.
+pages, `MAX_CYLINDER_DIM` on `verify cylindrical|cocylindrical|transforms|
+iso` and `compare ez-hochschild`).  Reports are normalized JSON and
+byte-identical across runs; wall-clock timings go to stderr only when
+--timings is given.  No environment variables are read.
+
+`compute hh` ranks the Hochschild boundary b of the crossed product's
+(co)cyclic module alone.  `compute hc` over Q ranks Connes' cyclic complex
+(the quotient by 1 - lambda on the algebra side, the lambda-invariant
+cochains on the coalgebra side); over F_p, where that complex can give other
+dimensions, it ranks the (b, B) total complex.  `compare` always builds
+(b, B).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -24,7 +33,7 @@ import time
 from .errors import HopfCyclicError, MissingBlock, ParseError, TooLarge
 from .hopf import check_comodule_algebra, check_hopf, check_module_coalgebra
 from .crossed import (
-    cocyclic_module_of_coalgebra, crossed_product_algebra,
+    CocyclicOps, cocyclic_module_of_coalgebra, crossed_product_algebra,
     crossed_product_coalgebra, cyclic_module_of_algebra,
 )
 from .cylinder import (
@@ -34,10 +43,11 @@ from .cylinder import (
     phi_psi_coalgebra,
 )
 from .homology import (
-    cochain_mixed_complex, cyclic_dims, ez_compare_hochschild,
-    hochschild_dims, hopf_comodule_cohomology, hopf_module_homology,
-    mixed_complex, spectral_pages, total_complex_algebra,
-    total_complex_coalgebra, trivial_comodule_coaction, trivial_module_action,
+    b_column_dims, cochain_mixed_complex, connes_dims, cyclic_dims,
+    ez_compare_hochschild, hochschild_dims, hopf_comodule_cohomology,
+    hopf_module_homology, mixed_complex, spectral_pages,
+    total_complex_algebra, total_complex_coalgebra,
+    trivial_comodule_coaction, trivial_module_action,
 )
 from .io import load_document
 
@@ -80,11 +90,15 @@ def _opt(params, doc, key, default):
 
 
 # Largest top chain space dim(R)^(nmax+2), R = A # H or C # H, that a
-# crossed-product job may build.  Measured with `compute hc` on a 2-core VM:
-# the admitted corpus jobs at the edge finish, the slowest being C2
-# --nmax 6 (4^8 = 65536) in about 60 s and 780 MB; the first refused ones,
-# C2 --nmax 7 (4^9) and C3 --nmax 4 (9^6), had not finished after 400 s, at
-# 1.8 and 2.2 GB resident.  The README lists every corpus bound.
+# crossed-product job may build: every path still builds the top b in full.
+# Measured on a 2-core VM, the admitted corpus jobs at the edge take, for C2
+# --nmax 6 (4^8 = 65536), 5.5 s and 295 MB with `compute hc` over Q
+# (Connes' complex), 37 s and 325 MB with `compute hh`, and 44 s and 660 MB
+# with `compute hc` over F_2 ((b, B)); for C3 --nmax 3 (9^5), 3.4 s and
+# 186 MB with `hc`, 20 s and 195 MB with `hh`.  Through (b, B), the first
+# refused ones, C2 --nmax 7 (4^9) and C3 --nmax 4 (9^6), had not finished
+# after 400 s, at 1.8 and 2.2 GB resident.  The README lists every corpus
+# bound.
 MAX_CHAIN_DIM = 2 ** 17
 
 # Largest expression width dim(H)^(2N+5) that the first-column (co)action of
@@ -104,6 +118,17 @@ MAX_EXPR_DIM = 2 ** 22
 # (5, 5) runs out of a 3.5 GB address space, as do C3 (3, 3) and S3 (2, 1).
 MAX_TOTAL_DIM = 2 ** 16
 
+# Bound on what `verify cylindrical|cocylindrical|transforms|iso` and
+# `compare ez-hochschild` build: the number of cells a job reaches times the
+# largest of them (the diagonal cells on iso and ez-hochschild, whose total
+# complex is smaller), and, apart, its widest compiled expression, counted
+# as dim(H)^legs (times dim(A) with a body leg).  Measured on a 2-core VM,
+# the admitted corpus jobs at the edge take up to 92 s (C2 `cylindrical`
+# (5, 8), 1.4 GB) and 1.5 GB (C2 `transforms` (1, 8), 54 s); the refused C2
+# `cylindrical` (7, 7) and (4, 9) take 167 s and 2.5 GB and 144 s and
+# 2.7 GB.  The README lists the runs and the bounds.
+MAX_CYLINDER_DIM = 2 ** 21
+
 
 def _capped_power(d, k, limit):
     """d^k, or limit + 1 once the product passes limit: one factor at a
@@ -118,8 +143,23 @@ def _capped_power(d, k, limit):
     return out
 
 
-def _power_text(d, k):
-    return "%d^%d = %d" % (d, k, d ** k) if k <= 64 else "%d^%d" % (d, k)
+def _capped_product(factors, limit):
+    """The product of (base, exponent) factors, or limit + 1 once it passes
+    limit, with no power built past limit."""
+    out = 1
+    for base, k in factors:
+        out *= _capped_power(base, k, limit)
+        if out > limit:
+            return limit + 1
+    return out
+
+
+def _product_text(factors):
+    text = " ".join("%d" % b if k == 1 else "%d^%d" % (b, k)
+                    for b, k in factors)
+    if all(k <= 64 for _, k in factors):
+        text += " = %d" % math.prod(b ** k for b, k in factors)
+    return text
 
 
 def _check_size(doc, nmax, blocks):
@@ -135,7 +175,7 @@ def _check_size(doc, nmax, blocks):
             raise TooLarge(
                 "--nmax %d on the %s block needs a chain space of "
                 "dimension %s, above the limit %d"
-                % (nmax, block, _power_text(d, k), MAX_CHAIN_DIM))
+                % (nmax, block, _product_text([(d, k)]), MAX_CHAIN_DIM))
 
 
 def _check_coinvariant_size(doc, nmax, top, blocks):
@@ -151,7 +191,7 @@ def _check_coinvariant_size(doc, nmax, top, blocks):
             raise TooLarge(
                 "--nmax %d on the %s block needs a first-column expression "
                 "of width %s, above the limit %d"
-                % (nmax, block, _power_text(d, k), MAX_EXPR_DIM))
+                % (nmax, block, _product_text([(d, k)]), MAX_EXPR_DIM))
 
 
 def _check_pages_size(doc, pmax, qmax, blocks):
@@ -178,6 +218,48 @@ def _check_pages_size(doc, pmax, qmax, blocks):
                     % (pmax, qmax, block, dh, da, n, value, MAX_TOTAL_DIM))
 
 
+def _build_sizes(target, dh, d, bounds):
+    """(what, (base, exponent) factors) for the cells and the widest
+    compiled expressions of a verify or ez-hochschild job, with dh = dim(H)
+    and d = dim(A) or dim(C): both sides share the shapes."""
+    if target == "transforms":
+        # the checks reach the cells (pmax+1, qmax) and (pmax, qmax+1)
+        P, Q = bounds["pmax"], bounds["qmax"]
+        cells = [((P + 2) * (Q + 2), 1), (max(dh, d), 1), (dh, P + 1),
+                 (d, Q + 1)]
+        widths = [("first-column (co)action", [(dh, 2 * Q + 5)]),
+                  ("closed vertical rotation", [(dh, 4 * P + 2), (d, 1)]),
+                  ("closed horizontal rotation", [(dh, 2 * P + 2 * Q + 3)])]
+    elif target in ("cylindrical", "cocylindrical"):
+        P, Q = bounds["pmax"], bounds["qmax"]
+        cells = [((P + 1) * (Q + 1), 1), (dh, P + 1), (d, Q + 1)]
+        widths = [("last horizontal (co)face", [(dh, 2 * Q + 4)]),
+                  ("vertical (co)action", [(dh, 2 * P + 2), (d, 1)])]
+    else:  # the diagonal cells up to N = nmax (iso) or nmax + 1 (ez)
+        N = bounds["nmax"] + (target == "ez-hochschild")
+        cells = [(N + 1, 1), (dh * d, N + 1)]
+        widths = [("last horizontal (co)face", [(dh, 2 * N + 4)])]
+    return [("cells of total dimension", cells)] \
+        + [("a %s expression of width" % what, factors)
+           for what, factors in widths]
+
+
+def _check_build_size(doc, target, bounds, blocks):
+    """Refuse a verify or ez-hochschild job whose cells or widest expression
+    pass MAX_CYLINDER_DIM, before anything is built."""
+    flags = " ".join("--%s %d" % kv for kv in sorted(bounds.items()))
+    for block in blocks:
+        s = getattr(doc, block)
+        if s is None:
+            continue
+        for what, factors in _build_sizes(target, s.hopf.dim, s.dim, bounds):
+            if _capped_product(factors, MAX_CYLINDER_DIM) > MAX_CYLINDER_DIM:
+                raise TooLarge("%s on the %s block needs %s %s, above the "
+                               "limit %d" % (flags, block, what,
+                                             _product_text(factors),
+                                             MAX_CYLINDER_DIM))
+
+
 def cmd_verify(doc, target, params):
     checks = []
     if target == "hopf":
@@ -192,17 +274,23 @@ def cmd_verify(doc, target, params):
         _require(doc, "algebra", target)
         pmax = _opt(params, doc, "pmax", 2)
         qmax = _opt(params, doc, "qmax", 2)
+        _check_build_size(doc, target, {"pmax": pmax, "qmax": qmax},
+                          ("algebra",))
         rep = check_algebra_cylinder(AlgebraCylinder(doc.algebra), pmax, qmax)
         checks += _report_entries(rep)
     elif target == "cocylindrical":
         _require(doc, "coalgebra", target)
         pmax = _opt(params, doc, "pmax", 1)
         qmax = _opt(params, doc, "qmax", 1)
+        _check_build_size(doc, target, {"pmax": pmax, "qmax": qmax},
+                          ("coalgebra",))
         rep = check_coalgebra_cocylinder(CoalgebraCocylinder(doc.coalgebra),
                                          pmax, qmax)
         checks += _report_entries(rep)
     elif target == "iso":
         nmax = _opt(params, doc, "nmax", 2)
+        _check_build_size(doc, target, {"nmax": nmax},
+                          ("algebra", "coalgebra"))
         did = False
         if doc.algebra is not None:
             did = True
@@ -229,6 +317,8 @@ def cmd_verify(doc, target, params):
     elif target == "transforms":
         pmax = _opt(params, doc, "pmax", 1)
         qmax = _opt(params, doc, "qmax", 1)
+        _check_build_size(doc, target, {"pmax": pmax, "qmax": qmax},
+                          ("algebra", "coalgebra"))
         did = False
         if doc.algebra is not None:
             did = True
@@ -253,6 +343,18 @@ def cmd_verify(doc, target, params):
     return {"checks": checks}, bool(checks) and all(c["ok"] for c in checks)
 
 
+def _crossed_dims(target, ops, nmax):
+    """hh from b alone on every field; hc from Connes' complex over Q and
+    from the (b, B) total complex over F_p, where the two differ."""
+    if target == "hh":
+        return b_column_dims(ops, nmax)
+    if ops.field.p is None:
+        return connes_dims(ops, nmax)
+    if isinstance(ops, CocyclicOps):
+        return cyclic_dims(cochain_mixed_complex(ops), nmax)
+    return cyclic_dims(mixed_complex(ops), nmax)
+
+
 def cmd_compute(doc, target, params):
     tables = {}
     checks = []
@@ -263,16 +365,13 @@ def cmd_compute(doc, target, params):
         if doc.algebra is not None:
             did = True
             r = crossed_product_algebra(doc.algebra)
-            mc = mixed_complex(cyclic_module_of_algebra(r, N=nmax + 1))
-            fn = hochschild_dims if target == "hh" else cyclic_dims
-            tables["%s_crossed_product_algebra" % target] = fn(mc, nmax)
+            tables["%s_crossed_product_algebra" % target] = _crossed_dims(
+                target, cyclic_module_of_algebra(r, N=nmax + 1), nmax)
         if doc.coalgebra is not None:
             did = True
             cc = crossed_product_coalgebra(doc.coalgebra)
-            mc = cochain_mixed_complex(
-                cocyclic_module_of_coalgebra(cc, N=nmax + 1))
-            fn = hochschild_dims if target == "hh" else cyclic_dims
-            tables["%s_crossed_product_coalgebra" % target] = fn(mc, nmax)
+            tables["%s_crossed_product_coalgebra" % target] = _crossed_dims(
+                target, cocyclic_module_of_coalgebra(cc, N=nmax + 1), nmax)
         if not did:
             raise MissingBlock("target %s needs an algebra or coalgebra block"
                                % target)
@@ -373,6 +472,8 @@ def cmd_compare(doc, target, params):
             raise MissingBlock("target diagonal-vs-direct needs an algebra "
                                "or coalgebra block")
     elif target == "ez-hochschild":
+        _check_build_size(doc, target, {"nmax": nmax},
+                          ("algebra", "coalgebra"))
         did = False
         if doc.algebra is not None:
             did = True

@@ -1,9 +1,21 @@
-"""Mixed complexes, Hopf-(co)module (co)homology, total complexes, pages.
+"""Mixed complexes, Connes' complex, Hopf-(co)module (co)homology, total
+complexes, pages.
 
-Everything here reduces to exact rank computations.  The degree-raising
-operator of a mixed complex is built as (1 - signed_cyclic) . extra_degeneracy
-. norm, with the extra degeneracy t s_n (chain side) and its mirror on the
-cochain side; the three mixed-complex identities are asserted, never assumed.
+Everything here reduces to exact rank computations.  The Hochschild
+boundary b of a (co)cyclic module is the alternating sum of its (co)faces,
+built in one place (`hochschild_boundary`).  The degree-raising operator of
+a mixed complex is built as (1 - signed_cyclic) . extra_degeneracy . norm,
+with the extra degeneracy t s_n (chain side) and its mirror on the cochain
+side; the three mixed-complex identities are asserted, never assumed.
+
+When Q is inside the field, cyclic (co)homology is also the homology of
+Connes' complex (Connes 1985; Loday, Cyclic Homology, 2.1.5):
+HC_n = H_n(C_n / (1 - lambda), b) on the chain side and HC^n = H^n of the
+lambda-invariant cochains on the cochain side, lambda = (-1)^n t.  On a
+tensor-power module t rotates the factors, so both have a basis of signed
+orbits of basis tensors and need no elimination (`connes_dims`).  Over F_p
+the two differ (C2 over F_2 is the example), so there the (b, B) total
+complex is the only route.
 
 The total complex of a cylinder carries d = (-1)^p b_vertical + b_horizontal
 (the sign lives on the vertical part and depends on the horizontal degree, as
@@ -58,6 +70,11 @@ def _signed_cyclic(ops, n):
     return t if n % 2 == 0 else t.scale(f.neg(f.one()))
 
 
+def _one_minus_lambda(ops, n):
+    one = SparseMatrix.identity(ops.field, ops.dim(n))
+    return one - _signed_cyclic(ops, n)
+
+
 def _norm(ops, n):
     """1 + lambda + ... + lambda^n."""
     lam = _signed_cyclic(ops, n)
@@ -67,21 +84,24 @@ def _norm(ops, n):
     return combine(ops.field, ops.dim(n), ops.dim(n), ((1, m) for m in powers))
 
 
+def hochschild_boundary(ops, n):
+    """b out of degree n: sum of (-1)^i d_i, C_n -> C_{n-1}, on a cyclic
+    module; sum of (-1)^i delta^i, C^n -> C^{n+1}, on a cocyclic one."""
+    if isinstance(ops, CocyclicOps):
+        return combine(ops.field, ops.dim(n + 1), ops.dim(n),
+                       (((-1) ** i, ops.coface(n, i)) for i in range(n + 2)))
+    return combine(ops.field, ops.dim(n - 1), ops.dim(n),
+                   (((-1) ** i, ops.face(n, i)) for i in range(n + 1)))
+
+
 def mixed_complex(ops: CyclicOps, check=True) -> MixedComplex:
     """Chain mixed complex of a cyclic module: b alternating faces,
     B = (1 - lambda) (t s_n) N."""
-    f = ops.field
     N = ops.N
-    b = {n: combine(f, ops.dim(n - 1), ops.dim(n),
-                    (((-1) ** i, ops.face(n, i)) for i in range(n + 1)))
-         for n in range(1, N + 1)}
-    B = {}
-    for n in range(N):
-        s_extra = ops.t(n + 1) @ ops.degen(n, n)
-        one_minus = SparseMatrix.identity(f, ops.dim(n + 1)) \
-            - _signed_cyclic(ops, n + 1)
-        B[n] = one_minus @ s_extra @ _norm(ops, n)
-    mc = MixedComplex(f, [ops.dim(n) for n in range(N + 1)], b, B, N)
+    b = {n: hochschild_boundary(ops, n) for n in range(1, N + 1)}
+    B = {n: _one_minus_lambda(ops, n + 1) @ (ops.t(n + 1) @ ops.degen(n, n))
+         @ _norm(ops, n) for n in range(N)}
+    mc = MixedComplex(ops.field, [ops.dim(n) for n in range(N + 1)], b, B, N)
     if check:
         check_mixed_complex(mc)
     return mc
@@ -90,17 +110,11 @@ def mixed_complex(ops: CyclicOps, check=True) -> MixedComplex:
 def cochain_mixed_complex(ops: CocyclicOps, check=True) -> MixedComplex:
     """Cochain mixed complex of a cocyclic module: b alternating cofaces,
     B = N (sig^n t) (1 - lambda)."""
-    f = ops.field
     N = ops.N
-    b = {n: combine(f, ops.dim(n + 1), ops.dim(n),
-                    (((-1) ** i, ops.coface(n, i)) for i in range(n + 2)))
-         for n in range(N)}
-    B = {}
-    for n in range(1, N + 1):
-        s_extra = ops.codegen(n, n - 1) @ ops.t(n)
-        one_minus = SparseMatrix.identity(f, ops.dim(n)) - _signed_cyclic(ops, n)
-        B[n] = _norm(ops, n - 1) @ s_extra @ one_minus
-    mc = MixedComplex(f, [ops.dim(n) for n in range(N + 1)], b, B, N,
+    b = {n: hochschild_boundary(ops, n) for n in range(N)}
+    B = {n: _norm(ops, n - 1) @ (ops.codegen(n, n - 1) @ ops.t(n))
+         @ _one_minus_lambda(ops, n) for n in range(1, N + 1)}
+    mc = MixedComplex(ops.field, [ops.dim(n) for n in range(N + 1)], b, B, N,
                       cochain=True)
     if check:
         check_mixed_complex(mc)
@@ -157,11 +171,16 @@ def _degree_pairs(field, dim0, diff, nmax, cochain):
         prev = nxt
 
 
+def _check_truncation(nmax, N):
+    """Degrees through nmax need the differential out of degree nmax + 1."""
+    if nmax > N - 1:
+        raise TruncationTooShallow("need degree %d, truncated at %d"
+                                   % (nmax + 1, N))
+
+
 def hochschild_dims(mc: MixedComplex, nmax):
     """Homology of the b-column through degree nmax (nmax <= N-1)."""
-    if nmax > mc.N - 1:
-        raise TruncationTooShallow("need degree %d, truncated at %d"
-                                   % (nmax + 1, mc.N))
+    _check_truncation(nmax, mc.N)
     return _homology_dims(_degree_pairs(mc.field, mc.dim(0), mc.b.__getitem__,
                                         nmax, mc.cochain))
 
@@ -194,12 +213,110 @@ def _total_differential(mc, n):
 
 def cyclic_dims(mc: MixedComplex, nmax):
     """Cyclic (co)homology dims from the (b, B) total complex, n <= nmax <= N-1."""
-    if nmax > mc.N - 1:
-        raise TruncationTooShallow("need degree %d, truncated at %d"
-                                   % (nmax + 1, mc.N))
+    _check_truncation(nmax, mc.N)
     return _homology_dims(_degree_pairs(
         mc.field, mc.dim(0), lambda n: _total_differential(mc, n), nmax,
         mc.cochain))
+
+
+# -- straight from a (co)cyclic module: b alone, Connes' complex --------------
+
+def b_column_dims(ops, nmax):
+    """Hochschild (co)homology of a (co)cyclic module through degree nmax
+    (nmax <= N-1), from b alone: no B, no mixed complex."""
+    _check_truncation(nmax, ops.N)
+    return _homology_dims(_degree_pairs(
+        ops.field, ops.dim(0), lambda n: hochschild_boundary(ops, n), nmax,
+        isinstance(ops, CocyclicOps)))
+
+
+def _signed_orbits(field, d, n):
+    """(P, S) for the orbits of the basis tensors of (k^d)^(x)(n+1) under
+    lambda = (-1)^n t, t a rotation of the factors.
+
+    An orbit {x, t x, ..., t^(s-1) x} has lambda^s x = (-1)^(ns) x, so when
+    n s is odd, 1 - lambda kills it and it carries no invariant.  Every other
+    orbit is one basis vector [x] of C_n/(1 - lambda), x its least index.
+    P: C_n -> C_n/(1 - lambda) sends t^k x to (-1)^(nk) [x] and S sends [x]
+    to x, so P S = 1.  Transposed, P holds the signed orbit sums that span
+    the lambda-invariants and S reads their representative coordinates.  A
+    rotation either way gives the same orbits, signs, quotient and
+    invariants.
+    """
+    size = d ** (n + 1)
+    top = d ** n
+    neg = field.neg(field.one())
+    seen = bytearray(size)
+    proj, pick = {}, {}
+    for x in range(size):
+        if seen[x]:
+            continue
+        orbit = [x]
+        y = (x % d) * top + x // d
+        while y != x:
+            orbit.append(y)
+            y = (y % d) * top + y // d
+        for y in orbit:
+            seen[y] = 1
+        if n * len(orbit) % 2:
+            continue
+        k = len(pick)
+        for step, y in enumerate(orbit):
+            proj[(k, y)] = neg if n * step % 2 else 1
+        pick[(x, k)] = 1
+    return (SparseMatrix._settled(field, len(pick), size, proj),
+            SparseMatrix._settled(field, size, len(pick), pick))
+
+
+def connes_dims(ops, nmax):
+    """Cyclic (co)homology dims through degree nmax (nmax <= N-1) from
+    Connes' complex, with no B and no total complex.
+
+    Needs Q inside the field and a tensor-power module, C_n = C_0^(x)(n+1)
+    with t rotating the factors, as built by `cyclic_module_of_algebra` and
+    `cocyclic_module_of_coalgebra`.  With (P, S) of `_signed_orbits`:
+
+    - chain side, b_n descends to P_{n-1} b_n S_n on C/(1 - lambda), checked
+      as P_{n-1} b_n (1 - lambda_n) = 0;
+    - cochain side, b^n restricts to S_{n+1}^T b^n P_n^T on the invariants,
+      checked as (1 - lambda_{n+1}) b^n P_n^T = 0.
+
+    Either check raises MixedIdentityFailure, and `_homology_dims` checks
+    that the induced differential squares to zero.
+    """
+    f = ops.field
+    if f.p is not None:
+        raise ValueError("Connes' complex computes HC only when Q is inside "
+                         "the field")
+    _check_truncation(nmax, ops.N)
+    d = ops.dim(0)
+    if any(ops.dim(n) != d ** (n + 1) for n in range(ops.N + 1)):
+        raise ValueError("Connes' complex needs C_n = C_0^(x)(n+1)")
+    cochain = isinstance(ops, CocyclicOps)
+    orbits = {}
+
+    def maps(n):
+        if n not in orbits:
+            P, S = _signed_orbits(f, d, n)
+            orbits[n] = (P.transpose(), S.transpose()) if cochain else (P, S)
+        return orbits[n]
+
+    def chain_diff(n):
+        pb = maps(n - 1)[0] @ hochschild_boundary(ops, n)
+        if not (pb @ _one_minus_lambda(ops, n)).is_zero():
+            raise MixedIdentityFailure(
+                "b does not descend to C/(1 - lambda) at degree %d" % n)
+        return pb @ maps(n)[1]
+
+    def cochain_diff(n):
+        bv = hochschild_boundary(ops, n) @ maps(n)[0]
+        if not (_one_minus_lambda(ops, n + 1) @ bv).is_zero():
+            raise MixedIdentityFailure(
+                "b leaves the lambda-invariant cochains at degree %d" % n)
+        return maps(n + 1)[1] @ bv
+
+    return _homology_dims(_degree_pairs(
+        f, d, cochain_diff if cochain else chain_diff, nmax, cochain))
 
 
 # -- Hopf-module homology and Hopf-comodule cohomology -------------------------------
@@ -412,10 +529,8 @@ class FilteredComplex:
         return out
 
     def filtration(self, i, n) -> Subspace:
-        f = self.field
-        one = f.one()
-        return Subspace(f, self.dim(n),
-                        [{j: one} for j in self.filtration_coords(i, n)])
+        return Subspace.coordinate(self.field, self.dim(n),
+                                   self.filtration_coords(i, n))
 
     def cell_block(self, n, src_cell, dst_cell):
         """The block of d between two cells, as a matrix."""
@@ -550,9 +665,7 @@ def check_filtration(fc: FilteredComplex):
 
 def total_homology_dims(fc: FilteredComplex, nmax):
     """Homology of the total complex through degree nmax (needs nmax <= N-1)."""
-    if nmax > fc.N - 1:
-        raise TruncationTooShallow("need degree %d, truncated at %d"
-                                   % (nmax + 1, fc.N))
+    _check_truncation(nmax, fc.N)
     return _homology_dims(_degree_pairs(fc.field, fc.dim(0), fc.d.__getitem__,
                                         nmax, fc.cochain))
 

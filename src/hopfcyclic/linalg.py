@@ -20,8 +20,9 @@ bucket of the current pivot column is reduced.  The pivot is the leftmost
 column, then the sparsest row holding it, then the first such row in input
 order.  `rank` needs only this pass.  `_rref` adds one bottom-up
 back-substitution through a {pivot column: row} index; `Subspace`, `kernel`
-and `invert` use it, and `Subspace.reduce` clears a vector through the same
-index.  `column_pairs` is the persistence reduction on columns: each column
+and `invert` use it (a span of unit vectors, `Subspace.coordinate`, is
+already reduced and skips it), and `Subspace.reduce` clears a vector through
+the same index.  `column_pairs` is the persistence reduction on columns: each column
 is reduced only by earlier ones and its pivot is its last nonzero row, so
 the pairs it returns respect any filtration that the coordinate order
 refines.
@@ -466,6 +467,19 @@ class Subspace:
         self.basis = basis
         self.pivots = pivots
         self._index = dict(zip(pivots, basis))
+
+    @classmethod
+    def coordinate(cls, field, ambient_dim, coords):
+        """The span of the unit vectors at coords, built with no elimination:
+        sorted unit vectors are already the canonical reduced echelon basis."""
+        sub = cls.__new__(cls)
+        sub.field = field
+        sub.ambient_dim = ambient_dim
+        sub.pivots = sorted(coords)
+        one = field.one()
+        sub.basis = [{j: one} for j in sub.pivots]
+        sub._index = dict(zip(sub.pivots, sub.basis))
+        return sub
 
     @property
     def dim(self):

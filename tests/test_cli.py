@@ -372,3 +372,66 @@ def test_coinvariant_and_pages_limits_on_the_corpus(name, coinvariants, pages):
         cli._check_pages_size(doc, pmax, pages - 1 - pmax, blocks)
         with pytest.raises(TooLarge):
             cli._check_pages_size(doc, pmax, pages - pmax, blocks)
+
+
+@pytest.mark.parametrize("args, text", [
+    (["verify", "cylindrical", "-i", "s3_Q", "--pmax", "3", "--qmax", "2"],
+     "cells of total dimension 12 6^4 6^3 = 3359232"),
+    (["verify", "cocylindrical", "-i", "sweedler_Q", "--pmax", "4",
+      "--qmax", "3"], "cells of total dimension 20 4^5 4^4 = 5242880"),
+    (["verify", "transforms", "-i", "s3_Q", "--pmax", "2", "--qmax", "1"],
+     "closed vertical rotation expression of width 6^10 6 = 362797056"),
+    (["verify", "iso", "-i", "s3_Q", "--nmax", "3"],
+     "cells of total dimension 4 36^4 = 6718464"),
+    (["compare", "ez-hochschild", "-i", "s3_Q", "--nmax", "2"],
+     "cells of total dimension 4 36^4 = 6718464"),
+    (["verify", "cylindrical", "-i", "c2_Q", "--pmax", str(10 ** 6)],
+     "cells of total dimension 3000003 2^1000001 2^3, above the limit"),
+])
+def test_verify_and_ez_jobs_above_size_limits_are_refused_at_once(
+        args, text, monkeypatch, capsys):
+    """The job exits 2 before any cylinder, module form, isomorphism or
+    total complex is built."""
+    from hopfcyclic import cli
+
+    def unreachable(*a, **k):
+        raise AssertionError("a refused job built a structure")
+
+    for name in ("AlgebraCylinder", "CoalgebraCocylinder",
+                 "AlgebraModuleForm", "CoalgebraModuleForm",
+                 "check_algebra_cylinder", "check_coalgebra_cocylinder",
+                 "phi_psi_algebra", "phi_psi_coalgebra",
+                 "ez_compare_hochschild"):
+        monkeypatch.setattr(cli, name, unreachable)
+    code = cli.main(args[:3] + [data_file(args[3])] + args[4:])
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2 and set(err) == {"error"}
+    assert text in err["error"]
+
+
+# The first pmax = qmax window of `verify cylindrical|cocylindrical` and of
+# `verify transforms`, and the first --nmax of `verify iso` and of `compare
+# ez-hochschild`, that each corpus structure is refused at.  Every
+# benchmarked and acceptance-tested job lies below these bounds.
+@pytest.mark.parametrize("name, cylinder, transforms, iso, ez", [
+    ("c2_Q", 7, 5, 8, 7), ("c3_Q", 5, 3, 5, 4), ("sweedler_Q", 4, 2, 4, 3),
+    ("s3_Q", 3, 2, 3, 2),
+])
+def test_verify_and_ez_limits_on_the_corpus(name, cylinder, transforms, iso,
+                                            ez):
+    from hopfcyclic import cli
+    from hopfcyclic.errors import TooLarge
+    doc = load_document(data_file(name))
+    blocks = ("algebra", "coalgebra")
+    for target, first in (("cylindrical", cylinder),
+                          ("cocylindrical", cylinder),
+                          ("transforms", transforms)):
+        cli._check_build_size(doc, target,
+                              {"pmax": first - 1, "qmax": first - 1}, blocks)
+        with pytest.raises(TooLarge):
+            cli._check_build_size(doc, target,
+                                  {"pmax": first, "qmax": first}, blocks)
+    for target, first in (("iso", iso), ("ez-hochschild", ez)):
+        cli._check_build_size(doc, target, {"nmax": first - 1}, blocks)
+        with pytest.raises(TooLarge):
+            cli._check_build_size(doc, target, {"nmax": first}, blocks)

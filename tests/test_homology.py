@@ -1,4 +1,7 @@
-"""Mixed complexes, Hopf-(co)module (co)homology, integrals, homotopies."""
+"""Mixed complexes, Connes' complex, Hopf-(co)module (co)homology,
+integrals, homotopies."""
+
+import os
 
 import pytest
 
@@ -9,22 +12,25 @@ from hopfcyclic.errors import (
 )
 from hopfcyclic.fields import Field
 from hopfcyclic.hopf import (
-    cyclic_group_table, group_algebra, regular_comodule_algebra,
+    Algebra, cyclic_group_table, group_algebra, regular_comodule_algebra,
     regular_module_coalgebra, sweedler_hopf, symmetric_group_table,
     trivial_hopf,
 )
 from hopfcyclic.crossed import (
-    cocyclic_module_of_coalgebra, crossed_product_algebra,
+    CocyclicOps, cocyclic_module_of_coalgebra, crossed_product_algebra,
     crossed_product_coalgebra, cyclic_module_of_algebra,
 )
 from hopfcyclic.homology import (
-    cochain_mixed_complex, cosemisimple_homotopy_check, cyclic_dims,
+    _signed_orbits, b_column_dims, cochain_mixed_complex, connes_dims,
+    cosemisimple_homotopy_check, cyclic_dims,
     find_dual_left_integral, find_right_integral, hochschild_dims,
     hopf_comodule_cohomology, hopf_module_homology, mixed_complex,
     semisimple_homotopy_check, total_complex_algebra, total_homology_dims,
     trivial_comodule_coaction, trivial_module_action,
 )
+from hopfcyclic.io import load_document
 from hopfcyclic.linalg import SparseMatrix
+from hopfcyclic.tensor import perm_matrix
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -203,3 +209,111 @@ def test_dims_still_check_composites_when_construction_did_not():
     not_an_action = SparseMatrix.from_rows(QQ, [[1, 2]])
     with pytest.raises(BoundaryNotSquareZero):
         hopf_module_homology(kc2(), not_an_action, 2)
+
+
+# -- hh from b alone, hc from Connes' complex ----------------------------------
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+
+
+def _corpus_modules(name, nmax):
+    """The crossed-product (co)cyclic modules of a corpus file at N = nmax+1."""
+    doc = load_document(os.path.join(DATA, name + ".json"))
+    return [cyclic_module_of_algebra(crossed_product_algebra(doc.algebra),
+                                     N=nmax + 1),
+            cocyclic_module_of_coalgebra(
+                crossed_product_coalgebra(doc.coalgebra), N=nmax + 1)]
+
+
+def _mixed(ops):
+    if isinstance(ops, CocyclicOps):
+        return cochain_mixed_complex(ops)
+    return mixed_complex(ops)
+
+
+# Every Q corpus file, both blocks, at windows that run in seconds.
+@pytest.mark.parametrize("name, nmax", [
+    ("ground_field_Q", 4), ("c2_Q", 5), ("c2_Q_trivial", 3), ("c3_Q", 2),
+    ("c3_Q_trivial", 2), ("sweedler_Q", 1), ("sweedler_Q_trivial", 1),
+    ("s3_Q", 1),
+])
+def test_b_column_and_connes_complex_match_the_mixed_complex(name, nmax):
+    for ops in _corpus_modules(name, nmax):
+        mc = _mixed(ops)
+        assert b_column_dims(ops, nmax) == hochschild_dims(mc, nmax)
+        assert connes_dims(ops, nmax) == cyclic_dims(mc, nmax)
+
+
+def test_connes_complex_of_small_algebras():
+    ops = cyclic_module_of_algebra(trivial_hopf(QQ).as_algebra(), N=5)
+    assert connes_dims(ops, 4) == [1, 0, 1, 0, 1]
+    ops = cocyclic_module_of_coalgebra(kc2().as_coalgebra(), N=4)
+    assert connes_dims(ops, 3) == [2, 0, 2, 0]
+    with pytest.raises(TruncationTooShallow):
+        connes_dims(ops, 4)
+    with pytest.raises(ValueError):  # HC is not H(C/(1 - lambda)) over F_2
+        connes_dims(cyclic_module_of_algebra(kc2(F2).as_algebra(), N=3), 2)
+
+
+def test_signed_orbits_drop_the_orbits_lambda_kills():
+    """On (k^2)^(x)2, lambda = -t kills e0 e0 and e1 e1 and identifies
+    e0 e1 with -e1 e0; in even degree every orbit survives."""
+    P, S = _signed_orbits(QQ, 2, 1)
+    assert P.to_rows() == [[0, 1, -1, 0]]
+    assert (P @ S).to_rows() == [[1]]
+    P, S = _signed_orbits(QQ, 2, 2)
+    assert P.rows == 4 and (P @ S) == SparseMatrix.identity(QQ, 4)
+
+
+def _rotation_replaced(ops):
+    """ops with t swapping the first two factors instead of rotating."""
+    d = ops.dim(0)
+    cyc = ops.cocyclic if isinstance(ops, CocyclicOps) else ops.cyclic
+    for n in range(2, ops.N + 1):
+        cyc[n] = perm_matrix(QQ, [d] * (n + 1),
+                             (1, 0) + tuple(range(2, n + 1)))
+    return ops
+
+
+@pytest.mark.parametrize("cochain", [False, True])
+def test_connes_complex_refuses_a_t_that_is_not_the_rotation(cochain):
+    ops = _corpus_modules("c3_Q", 2)[cochain]
+    with pytest.raises(MixedIdentityFailure):
+        connes_dims(_rotation_replaced(ops), 2)
+
+
+def _face_flipped(ops, n):
+    """ops with the sign of one (co)face out of degree n flipped."""
+    if isinstance(ops, CocyclicOps):
+        ops.cofaces[(n, 1)] = -ops.cofaces[(n, 1)]
+    else:
+        ops.faces[(n, 1)] = -ops.faces[(n, 1)]
+    return ops
+
+
+@pytest.mark.parametrize("cochain", [False, True])
+def test_a_flipped_face_is_caught(cochain):
+    """b alone fails b b = 0; on Connes' complex the flipped face no longer
+    commutes with the rotation, so the descent (invariance) check fires
+    before b b is formed."""
+    with pytest.raises(CompositionNotZero):
+        b_column_dims(_face_flipped(_corpus_modules("c3_Q", 2)[cochain], 2),
+                      2)
+    with pytest.raises(MixedIdentityFailure):
+        connes_dims(_face_flipped(_corpus_modules("c3_Q", 2)[cochain], 2), 2)
+
+
+def test_connes_complex_checks_that_b_squares_to_zero():
+    """A non-associative product still commutes with the rotation, so b
+    descends; the induced b must still fail b b = 0."""
+    mult = SparseMatrix.from_rows(QQ, [
+        # e0 is the unit; e1 e1 = e2, e1 e2 = e1, e2 e1 = e2 e2 = 0
+        [1, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 1, 0, 1, 0, 1, 0, 0, 0],
+        [0, 0, 1, 0, 1, 0, 1, 0, 0],
+    ])
+    unit = SparseMatrix.from_rows(QQ, [[1], [0], [0]])
+    ops = cyclic_module_of_algebra(Algebra(QQ, 3, mult, unit, ["1", "x", "y"]),
+                                   N=3)
+    with pytest.raises(CompositionNotZero):
+        connes_dims(ops, 2)

@@ -152,6 +152,17 @@ def test_subspace_sum_and_coefficients():
     assert s.coefficients({2: QQ.one()}) is None
 
 
+@pytest.mark.parametrize("field", [QQ, F2])
+def test_coordinate_subspace_is_the_rref_of_its_unit_vectors(field):
+    coords = [5, 0, 3]
+    fast = Subspace.coordinate(field, 7, coords)
+    slow = Subspace(field, 7, [{j: field.one()} for j in coords])
+    assert fast == slow and fast.pivots == slow.pivots == [0, 3, 5]
+    assert fast.contains({0: field.one(), 5: field.one()})
+    assert not fast.contains({1: field.one()})
+    assert Subspace.coordinate(field, 4, []) == Subspace(field, 4)
+
+
 def test_invert():
     m = SparseMatrix.from_rows(QQ, [[2, 1], [1, 1]])
     inv = invert(m)
