@@ -6,10 +6,11 @@
 
 plus `-o report.json` and `--csv dir/` on every command.  Exit codes:
 0 all checks pass, 1 a check failed or a verify / compare checked nothing,
-2 input error or a job above a size limit (`MAX_CHAIN_DIM` on crossed
-products, `MAX_EXPR_DIM` on coinvariants, `MAX_TOTAL_DIM` on spectral
-pages, `MAX_CYLINDER_DIM` on `verify cylindrical|cocylindrical|transforms|
-iso` and `compare ez-hochschild`).  Reports are normalized JSON and
+2 input error or a job above a size limit (`MAX_CHAIN_DIM` and
+`MAX_FACE_WORK` on crossed products, `MAX_EXPR_DIM` on coinvariants,
+`MAX_TOTAL_DIM` on spectral pages, `MAX_CYLINDER_DIM` and `MAX_CHECK_WORK`
+on `verify cylindrical|cocylindrical|transforms|iso` and `compare
+ez-hochschild`).  Reports are normalized JSON and
 byte-identical across runs; wall-clock timings go to stderr only when
 --timings is given.  No environment variables are read.
 
@@ -33,7 +34,7 @@ import time
 from .errors import HopfCyclicError, MissingBlock, ParseError, TooLarge
 from .hopf import check_comodule_algebra, check_hopf, check_module_coalgebra
 from .crossed import (
-    CocyclicOps, cocyclic_module_of_coalgebra, crossed_product_algebra,
+    cocyclic_module_of_coalgebra, crossed_product_algebra,
     crossed_product_coalgebra, cyclic_module_of_algebra,
 )
 from .cylinder import (
@@ -129,6 +130,20 @@ MAX_TOTAL_DIM = 2 ** 16
 # 2.7 GB.  The README lists the runs and the bounds.
 MAX_CYLINDER_DIM = 2 ** 21
 
+# The caps above never grow on a structure of dimension 1 (ground_field_Q),
+# where the work still grows with the degrees, so it is counted apart:
+# MAX_FACE_WORK bounds a crossed-product job's (nmax + 2)^3 (nmax + 2
+# degrees of up to nmax + 2 (co)faces over as many factors), MAX_CHECK_WORK
+# the operator pairs of a verify or ez-hochschild job: ((pmax+2)(qmax+2))^2
+# for the (co)cylinder suites and transforms, (N+2)^3 for the diagonal of
+# iso and ez-hochschild.  Set from runs on ground_field_Q on both sides of
+# each bound (2-core VM): the slowest targets at the admitted edges take
+# 44 s (`diagonal-vs-direct --nmax 99`) and 67 s (`ez-hochschild --nmax
+# 61`); the README lists the runs.  They admit every job on a structure of
+# dimension >= 2 that the caps above admit.
+MAX_FACE_WORK = 2 ** 20
+MAX_CHECK_WORK = 2 ** 18
+
 
 def _capped_power(d, k, limit):
     """d^k, or limit + 1 once the product passes limit: one factor at a
@@ -164,7 +179,8 @@ def _product_text(factors):
 
 def _check_size(doc, nmax, blocks):
     """Refuse a crossed-product job whose top chain space exceeds
-    MAX_CHAIN_DIM, before anything is built."""
+    MAX_CHAIN_DIM, or whose (co)face work exceeds MAX_FACE_WORK, before
+    anything is built."""
     for block in blocks:
         s = getattr(doc, block)
         if s is None:
@@ -176,6 +192,11 @@ def _check_size(doc, nmax, blocks):
                 "--nmax %d on the %s block needs a chain space of "
                 "dimension %s, above the limit %d"
                 % (nmax, block, _product_text([(d, k)]), MAX_CHAIN_DIM))
+        if k ** 3 > MAX_FACE_WORK:
+            raise TooLarge(
+                "--nmax %d on the %s block needs (co)face work %s, above "
+                "the limit %d" % (nmax, block, _product_text([(k, 3)]),
+                                  MAX_FACE_WORK))
 
 
 def _check_coinvariant_size(doc, nmax, top, blocks):
@@ -219,9 +240,10 @@ def _check_pages_size(doc, pmax, qmax, blocks):
 
 
 def _build_sizes(target, dh, d, bounds):
-    """(what, (base, exponent) factors) for the cells and the widest
-    compiled expressions of a verify or ez-hochschild job, with dh = dim(H)
-    and d = dim(A) or dim(C): both sides share the shapes."""
+    """(what, (base, exponent) factors, limit) for the cells, the widest
+    compiled expressions and the operator pairs of a verify or ez-hochschild
+    job, with dh = dim(H) and d = dim(A) or dim(C): both sides share the
+    shapes."""
     if target == "transforms":
         # the checks reach the cells (pmax+1, qmax) and (pmax, qmax+1)
         P, Q = bounds["pmax"], bounds["qmax"]
@@ -230,34 +252,39 @@ def _build_sizes(target, dh, d, bounds):
         widths = [("first-column (co)action", [(dh, 2 * Q + 5)]),
                   ("closed vertical rotation", [(dh, 4 * P + 2), (d, 1)]),
                   ("closed horizontal rotation", [(dh, 2 * P + 2 * Q + 3)])]
+        pairs = [((P + 2) * (Q + 2), 2)]
     elif target in ("cylindrical", "cocylindrical"):
         P, Q = bounds["pmax"], bounds["qmax"]
         cells = [((P + 1) * (Q + 1), 1), (dh, P + 1), (d, Q + 1)]
         widths = [("last horizontal (co)face", [(dh, 2 * Q + 4)]),
                   ("vertical (co)action", [(dh, 2 * P + 2), (d, 1)])]
+        pairs = [((P + 2) * (Q + 2), 2)]
     else:  # the diagonal cells up to N = nmax (iso) or nmax + 1 (ez)
         N = bounds["nmax"] + (target == "ez-hochschild")
         cells = [(N + 1, 1), (dh * d, N + 1)]
         widths = [("last horizontal (co)face", [(dh, 2 * N + 4)])]
-    return [("cells of total dimension", cells)] \
-        + [("a %s expression of width" % what, factors)
-           for what, factors in widths]
+        pairs = [(N + 2, 3)]
+    return [("cells of total dimension", cells, MAX_CYLINDER_DIM)] \
+        + [("a %s expression of width" % what, factors, MAX_CYLINDER_DIM)
+           for what, factors in widths] \
+        + [("operator pairs", pairs, MAX_CHECK_WORK)]
 
 
 def _check_build_size(doc, target, bounds, blocks):
     """Refuse a verify or ez-hochschild job whose cells or widest expression
-    pass MAX_CYLINDER_DIM, before anything is built."""
+    pass MAX_CYLINDER_DIM, or whose operator pairs pass MAX_CHECK_WORK,
+    before anything is built."""
     flags = " ".join("--%s %d" % kv for kv in sorted(bounds.items()))
     for block in blocks:
         s = getattr(doc, block)
         if s is None:
             continue
-        for what, factors in _build_sizes(target, s.hopf.dim, s.dim, bounds):
-            if _capped_product(factors, MAX_CYLINDER_DIM) > MAX_CYLINDER_DIM:
+        for what, factors, limit in _build_sizes(target, s.hopf.dim, s.dim,
+                                                 bounds):
+            if _capped_product(factors, limit) > limit:
                 raise TooLarge("%s on the %s block needs %s %s, above the "
                                "limit %d" % (flags, block, what,
-                                             _product_text(factors),
-                                             MAX_CYLINDER_DIM))
+                                             _product_text(factors), limit))
 
 
 def cmd_verify(doc, target, params):
@@ -350,9 +377,16 @@ def _crossed_dims(target, ops, nmax):
         return b_column_dims(ops, nmax)
     if ops.field.p is None:
         return connes_dims(ops, nmax)
-    if isinstance(ops, CocyclicOps):
-        return cyclic_dims(cochain_mixed_complex(ops), nmax)
     return cyclic_dims(mixed_complex(ops), nmax)
+
+
+def _pages_table(pages, ranks):
+    """Report rows [i, j, dim, rank] per page, the rank read from the
+    SSPage attribute named by ranks."""
+    return [{"r": pg.r,
+             "entries": [[i, j, pg.table[(i, j)], getattr(pg, ranks)[(i, j)]]
+                         for (i, j) in sorted(pg.table)]}
+            for pg in pages]
 
 
 def cmd_compute(doc, target, params):
@@ -394,24 +428,16 @@ def cmd_compute(doc, target, params):
             did = True
             fc = total_complex_algebra(AlgebraCylinder(doc.algebra),
                                        N=pmax + qmax + 1)
-            pages = spectral_pages(fc, rmax, (pmax, qmax))
-            tables["pages_algebra"] = [
-                {"r": pg.r,
-                 "entries": [[i, j, pg.table[(i, j)],
-                              pg.diff_ranks.get((i, j), 0)]
-                             for (i, j) in sorted(pg.table)]}
-                for pg in pages]
+            tables["pages_algebra"] = _pages_table(
+                spectral_pages(fc, rmax, (pmax, qmax)), "diff_ranks")
         if doc.coalgebra is not None:
             did = True
             fc = total_complex_coalgebra(CoalgebraCocylinder(doc.coalgebra),
                                          N=pmax + qmax + 1)
-            pages = spectral_pages(fc, rmax, (pmax, qmax))
-            tables["pages_coalgebra"] = [
-                {"r": pg.r,
-                 "entries": [[i, j, pg.table[(i, j)],
-                              pg.diff_ranks.get((i, j), 0)]
-                             for (i, j) in sorted(pg.table)]}
-                for pg in pages]
+            # fc is the transposed cochain complex: the cochain d^r out of
+            # a position is its d^r into that position
+            tables["pages_coalgebra"] = _pages_table(
+                spectral_pages(fc, rmax, (pmax, qmax)), "diff_ranks_in")
         if not did:
             raise MissingBlock("target ss-pages needs an algebra or "
                                "coalgebra block")
@@ -484,7 +510,7 @@ def cmd_compare(doc, target, params):
         if doc.coalgebra is not None:
             did = True
             rep = ez_compare_hochschild(CoalgebraCocylinder(doc.coalgebra),
-                                        nmax, cochain=True)
+                                        nmax)
             verdicts["ez_coalgebra"] = [
                 {"n": n, "lhs": a, "rhs": b, "equal": eq}
                 for n, a, b, eq in rep]

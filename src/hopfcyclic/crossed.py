@@ -13,7 +13,9 @@ Cyclic module of an algebra R: C_n = R^(x)(n+1), faces multiply adjacent
 factors with the last face wrapping (r_n r_0, r_1, ..., r_{n-1}),
 degeneracies insert 1, and t pulls the last factor to the front.  Cocyclic
 module of a coalgebra: cofaces comultiply slot i (the last one wraps),
-codegeneracies hit slot i+1 with the counit, tau rotates left.
+codegeneracies hit slot i+1 with the counit, tau rotates left.  Its
+cohomology is computed as the homology of its transpose, a cyclic module
+(`CocyclicOps.transpose`).
 """
 
 from __future__ import annotations
@@ -116,6 +118,31 @@ class CocyclicOps:
 
     def t(self, n):
         return self.cocyclic[n]
+
+    def transpose(self) -> CyclicOps:
+        """The dual cyclic module, d_i = (delta^i)^T, s_i = (sigma^i)^T,
+        t = tau^T: transposing reverses composition, so each cocyclic
+        relation becomes the matching cyclic one (Connes 1983), and b, B and
+        Connes' complex become the transposes of the cochain ones."""
+        return _DualCyclicOps(self)
+
+
+class _DualCyclicOps(CyclicOps):
+    """A cocyclic module's transpose, each matrix transposed as it is read,
+    so the cocyclic module's matrices are never held twice."""
+
+    def __init__(self, co):
+        super().__init__(co.field, co.dims, None, None, None, co.N)
+        self.co = co
+
+    def face(self, n, i):
+        return self.co.coface(n - 1, i).transpose()
+
+    def degen(self, n, i):
+        return self.co.codegen(n + 1, i).transpose()
+
+    def t(self, n):
+        return self.co.t(n).transpose()
 
 
 def cyclic_module_of_algebra(r: Algebra, N: int = 3) -> CyclicOps:

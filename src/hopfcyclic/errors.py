@@ -67,11 +67,19 @@ class TruncationTooShallow(HopfCyclicError):
     pass
 
 
-class BoundaryNotSquareZero(HopfCyclicError):
+class _NotSquareZero(HopfCyclicError):
+    """delta delta != 0 on the (co)bar complex; carries the degree."""
+
+    def __init__(self, degree):
+        self.degree = degree
+        super().__init__("delta delta != 0 at degree %d" % degree)
+
+
+class BoundaryNotSquareZero(_NotSquareZero):
     pass
 
 
-class CoboundaryNotSquareZero(HopfCyclicError):
+class CoboundaryNotSquareZero(_NotSquareZero):
     pass
 
 

@@ -1,29 +1,34 @@
-"""Mixed complexes, Connes' complex, Hopf-(co)module (co)homology, total
-complexes, pages.
+"""Mixed complexes, Connes' complex, Hopf-module homology, total complexes,
+pages: chain complexes only.
 
-Everything here reduces to exact rank computations.  The Hochschild
-boundary b of a (co)cyclic module is the alternating sum of its (co)faces,
-built in one place (`hochschild_boundary`).  The degree-raising operator of
-a mixed complex is built as (1 - signed_cyclic) . extra_degeneracy . norm,
-with the extra degeneracy t s_n (chain side) and its mirror on the cochain
-side; the three mixed-complex identities are asserted, never assumed.
+Every cochain invariant is the chain invariant of the transpose, which has
+the same ranks: a cocyclic module enters as its dual cyclic module
+(`CocyclicOps.transpose`), a comodule over H as the dual module over H*
+(`hopf.dual_hopf`), and a cocylinder's total complex as its transpose,
+filtered by q <= i (a filtered complex and its dual have the same
+persistence pairs: de Silva, Morozov & Vejdemo-Johansson 2011).
 
-When Q is inside the field, cyclic (co)homology is also the homology of
-Connes' complex (Connes 1985; Loday, Cyclic Homology, 2.1.5):
-HC_n = H_n(C_n / (1 - lambda), b) on the chain side and HC^n = H^n of the
-lambda-invariant cochains on the cochain side, lambda = (-1)^n t.  On a
-tensor-power module t rotates the factors, so both have a basis of signed
-orbits of basis tensors and need no elimination (`connes_dims`).  Over F_p
-the two differ (C2 over F_2 is the example), so there the (b, B) total
-complex is the only route.
+Everything reduces to exact rank computations.  The Hochschild boundary b
+is the alternating sum of the faces, built in one place
+(`hochschild_boundary`).  The degree-raising operator of a mixed complex is
+built as (1 - signed_cyclic) . extra_degeneracy . norm, with the extra
+degeneracy t s_n; the three mixed-complex identities are asserted, never
+assumed.
+
+When Q is inside the field, cyclic homology is also the homology of Connes'
+complex (Connes 1985; Loday, Cyclic Homology, 2.1.5): HC_n = H_n(C_n /
+(1 - lambda), b), lambda = (-1)^n t.  On a tensor-power module t rotates the
+factors, so the quotient has a basis of signed orbits of basis tensors and
+needs no elimination (`connes_dims`).  Over F_p the two differ (C2 over F_2
+is the example), so there the (b, B) total complex is the only route.
 
 The total complex of a cylinder carries d = (-1)^p b_vertical + b_horizontal
 (the sign lives on the vertical part and depends on the horizontal degree, as
 required by d^2 = 0 for commuting boundaries) and is filtered by the vertical
 degree.  Its coordinates are ordered so that the order refines the
-filtration, so one persistence reduction of d per degree (`column_pairs`,
-with clearing) pairs the generators, and every spectral-sequence page and
-page differential rank is a count of those pairs by filtration gap.
+filtration, so one persistence reduction per degree (`column_pairs`, with
+clearing) pairs the generators, and every spectral-sequence page and page
+differential rank is a count of those pairs by filtration gap.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .errors import (
     HomotopyFailure, MixedIdentityFailure, NotCosemisimple, NotSemisimple,
     TotalNotSquareZero, TruncationTooShallow,
 )
+from .hopf import dual_hopf
 # `rank` is not called here but stays bound on purpose: perfbench's self-test
 # checks that the tracer rebinds a function imported by name elsewhere.
 from .linalg import (  # noqa: F401
@@ -45,23 +51,25 @@ from .linalg import (  # noqa: F401
 
 
 class MixedComplex:
-    """Spaces with b (degree -1) and B (degree +1); cochain swaps directions.
+    """Spaces with b (degree -1) and B (degree +1).
 
-    Chain side: b[n]: M_n -> M_{n-1} (1 <= n <= N), B[n]: M_n -> M_{n+1}
-    (0 <= n <= N-1).  Cochain side: b[n]: M^n -> M^{n+1} (0 <= n <= N-1),
-    B[n]: M^n -> M^{n-1} (1 <= n <= N).
+    b[n]: M_n -> M_{n-1} (1 <= n <= N), B[n]: M_n -> M_{n+1} (0 <= n <= N-1).
     """
 
-    def __init__(self, field, dims, b, B, N, cochain=False):
+    def __init__(self, field, dims, b, B, N):
         self.field = field
         self.dims = dims
         self.b = b
         self.B = B
         self.N = N
-        self.cochain = cochain
 
     def dim(self, n):
         return self.dims[n]
+
+
+def _as_cyclic(ops):
+    """A cyclic module as is; a cocyclic one as its transpose."""
+    return ops.transpose() if isinstance(ops, CocyclicOps) else ops
 
 
 def _signed_cyclic(ops, n):
@@ -84,19 +92,16 @@ def _norm(ops, n):
     return combine(ops.field, ops.dim(n), ops.dim(n), ((1, m) for m in powers))
 
 
-def hochschild_boundary(ops, n):
-    """b out of degree n: sum of (-1)^i d_i, C_n -> C_{n-1}, on a cyclic
-    module; sum of (-1)^i delta^i, C^n -> C^{n+1}, on a cocyclic one."""
-    if isinstance(ops, CocyclicOps):
-        return combine(ops.field, ops.dim(n + 1), ops.dim(n),
-                       (((-1) ** i, ops.coface(n, i)) for i in range(n + 2)))
+def hochschild_boundary(ops: CyclicOps, n):
+    """b out of degree n: sum of (-1)^i d_i, C_n -> C_{n-1}."""
     return combine(ops.field, ops.dim(n - 1), ops.dim(n),
                    (((-1) ** i, ops.face(n, i)) for i in range(n + 1)))
 
 
-def mixed_complex(ops: CyclicOps, check=True) -> MixedComplex:
-    """Chain mixed complex of a cyclic module: b alternating faces,
-    B = (1 - lambda) (t s_n) N."""
+def mixed_complex(ops, check=True) -> MixedComplex:
+    """Mixed complex of a cyclic module: b alternating faces,
+    B = (1 - lambda) (t s_n) N.  A cocyclic module is transposed first."""
+    ops = _as_cyclic(ops)
     N = ops.N
     b = {n: hochschild_boundary(ops, n) for n in range(1, N + 1)}
     B = {n: _one_minus_lambda(ops, n + 1) @ (ops.t(n + 1) @ ops.degen(n, n))
@@ -108,66 +113,37 @@ def mixed_complex(ops: CyclicOps, check=True) -> MixedComplex:
 
 
 def cochain_mixed_complex(ops: CocyclicOps, check=True) -> MixedComplex:
-    """Cochain mixed complex of a cocyclic module: b alternating cofaces,
-    B = N (sig^n t) (1 - lambda)."""
-    N = ops.N
-    b = {n: hochschild_boundary(ops, n) for n in range(N)}
-    B = {n: _norm(ops, n - 1) @ (ops.codegen(n, n - 1) @ ops.t(n))
-         @ _one_minus_lambda(ops, n) for n in range(1, N + 1)}
-    mc = MixedComplex(ops.field, [ops.dim(n) for n in range(N + 1)], b, B, N,
-                      cochain=True)
-    if check:
-        check_mixed_complex(mc)
-    return mc
+    """The mixed complex of the transpose: b and B are the transposes of
+    the cochain b and B = N (sig^(n-1) t) (1 - lambda)."""
+    return mixed_complex(ops, check)
 
 
 def check_mixed_complex(mc: MixedComplex):
     """b^2 = 0, B^2 = 0, bB + Bb = 0, exactly; raises MixedIdentityFailure."""
     N = mc.N
-    if not mc.cochain:
-        for n in range(2, N + 1):
-            if not (mc.b[n - 1] @ mc.b[n]).is_zero():
-                raise MixedIdentityFailure("b b != 0 at degree %d" % n)
-        for n in range(N - 1):
-            if not (mc.B[n + 1] @ mc.B[n]).is_zero():
-                raise MixedIdentityFailure("B B != 0 at degree %d" % n)
-        for n in range(1, N):
-            anti = mc.b[n + 1] @ mc.B[n] + mc.B[n - 1] @ mc.b[n]
-            if not anti.is_zero():
-                raise MixedIdentityFailure("bB + Bb != 0 at degree %d" % n)
-    else:
-        for n in range(N - 1):
-            if not (mc.b[n + 1] @ mc.b[n]).is_zero():
-                raise MixedIdentityFailure("b b != 0 at degree %d" % n)
-        for n in range(2, N + 1):
-            if not (mc.B[n - 1] @ mc.B[n]).is_zero():
-                raise MixedIdentityFailure("B B != 0 at degree %d" % n)
-        for n in range(1, N):
-            anti = mc.B[n + 1] @ mc.b[n] + mc.b[n - 1] @ mc.B[n]
-            if not anti.is_zero():
-                raise MixedIdentityFailure("bB + Bb != 0 at degree %d" % n)
+    for n in range(2, N + 1):
+        if not (mc.b[n - 1] @ mc.b[n]).is_zero():
+            raise MixedIdentityFailure("b b != 0 at degree %d" % n)
+    for n in range(N - 1):
+        if not (mc.B[n + 1] @ mc.B[n]).is_zero():
+            raise MixedIdentityFailure("B B != 0 at degree %d" % n)
+    for n in range(1, N):
+        anti = mc.b[n + 1] @ mc.B[n] + mc.B[n - 1] @ mc.b[n]
+        if not anti.is_zero():
+            raise MixedIdentityFailure("bB + Bb != 0 at degree %d" % n)
 
 
-def _zero_in(field, dim):
-    return SparseMatrix.zeros(field, dim, 0)
+def _degree_pairs(field, dim0, diff, nmax):
+    """(d_out, d_in) = (diff(n), diff(n + 1)) at degrees 0..nmax, with
+    d_out zero at n = 0, calling diff once per degree.
 
-
-def _zero_out(field, dim):
-    return SparseMatrix.zeros(field, 0, dim)
-
-
-def _degree_pairs(field, dim0, diff, nmax, cochain):
-    """(d_out, d_in) at degrees 0..nmax, calling diff(n) once per degree.
-
-    Chain side: d_out = diff(n) (zero at n = 0), d_in = diff(n + 1).
-    Cochain side: d_out = diff(n), d_in = diff(n - 1) (zero at n = 0).
     dim0 is the dimension in degree 0.  Pairs are built as they are
     consumed, so an error surfaces at the first degree that has it.
     """
-    prev = _zero_in(field, dim0) if cochain else _zero_out(field, dim0)
+    prev = SparseMatrix.zeros(field, 0, dim0)
     for n in range(nmax + 1):
-        nxt = diff(n) if cochain else diff(n + 1)
-        yield (nxt, prev) if cochain else (prev, nxt)
+        nxt = diff(n + 1)
+        yield prev, nxt
         prev = nxt
 
 
@@ -182,52 +158,44 @@ def hochschild_dims(mc: MixedComplex, nmax):
     """Homology of the b-column through degree nmax (nmax <= N-1)."""
     _check_truncation(nmax, mc.N)
     return _homology_dims(_degree_pairs(mc.field, mc.dim(0), mc.b.__getitem__,
-                                        nmax, mc.cochain))
+                                        nmax))
 
 
-def _total_spaces(mc, n):
+def _total_spaces(n):
     """Block degrees [n, n-2, ...] of the cyclic total complex."""
     return [n - 2 * i for i in range((n // 2) + 1)]
 
 
 def _total_differential(mc, n):
-    """Tot_n -> Tot_{n-1} (chain) or Tot^n -> Tot^{n+1} (cochain)."""
-    f = mc.field
-    src = _total_spaces(mc, n)
-    dst = _total_spaces(mc, n - 1 if not mc.cochain else n + 1)
+    """Tot_n -> Tot_{n-1}."""
+    src = _total_spaces(n)
     blocks = {}
     for i, m in enumerate(src):
-        if not mc.cochain:
-            if m >= 1:
-                blocks[(i, i)] = mc.b[m]
-            if i >= 1:
-                blocks[(i - 1, i)] = mc.B[m]
-        else:
-            if m <= mc.N - 1:
-                blocks[(i, i)] = mc.b[m]
-            if m >= 1:
-                blocks[(i + 1, i)] = mc.B[m]
-    return block_matrix(f, blocks, [mc.dim(m) for m in dst],
+        if m >= 1:
+            blocks[(i, i)] = mc.b[m]
+        if i >= 1:
+            blocks[(i - 1, i)] = mc.B[m]
+    return block_matrix(mc.field, blocks,
+                        [mc.dim(m) for m in _total_spaces(n - 1)],
                         [mc.dim(m) for m in src])
 
 
 def cyclic_dims(mc: MixedComplex, nmax):
-    """Cyclic (co)homology dims from the (b, B) total complex, n <= nmax <= N-1."""
+    """Cyclic homology dims from the (b, B) total complex, n <= nmax <= N-1."""
     _check_truncation(nmax, mc.N)
     return _homology_dims(_degree_pairs(
-        mc.field, mc.dim(0), lambda n: _total_differential(mc, n), nmax,
-        mc.cochain))
+        mc.field, mc.dim(0), lambda n: _total_differential(mc, n), nmax))
 
 
 # -- straight from a (co)cyclic module: b alone, Connes' complex --------------
 
 def b_column_dims(ops, nmax):
-    """Hochschild (co)homology of a (co)cyclic module through degree nmax
-    (nmax <= N-1), from b alone: no B, no mixed complex."""
+    """Hochschild homology of a (transposed co)cyclic module through degree
+    nmax (nmax <= N-1), from b alone: no B, no mixed complex."""
+    ops = _as_cyclic(ops)
     _check_truncation(nmax, ops.N)
     return _homology_dims(_degree_pairs(
-        ops.field, ops.dim(0), lambda n: hochschild_boundary(ops, n), nmax,
-        isinstance(ops, CocyclicOps)))
+        ops.field, ops.dim(0), lambda n: hochschild_boundary(ops, n), nmax))
 
 
 def _signed_orbits(field, d, n):
@@ -238,10 +206,8 @@ def _signed_orbits(field, d, n):
     n s is odd, 1 - lambda kills it and it carries no invariant.  Every other
     orbit is one basis vector [x] of C_n/(1 - lambda), x its least index.
     P: C_n -> C_n/(1 - lambda) sends t^k x to (-1)^(nk) [x] and S sends [x]
-    to x, so P S = 1.  Transposed, P holds the signed orbit sums that span
-    the lambda-invariants and S reads their representative coordinates.  A
-    rotation either way gives the same orbits, signs, quotient and
-    invariants.
+    to x, so P S = 1.  A rotation either way gives the same orbits, signs
+    and quotient.
     """
     size = d ** (n + 1)
     top = d ** n
@@ -269,54 +235,42 @@ def _signed_orbits(field, d, n):
 
 
 def connes_dims(ops, nmax):
-    """Cyclic (co)homology dims through degree nmax (nmax <= N-1) from
-    Connes' complex, with no B and no total complex.
+    """Cyclic homology dims through degree nmax (nmax <= N-1) from Connes'
+    complex, with no B and no total complex; a cocyclic module is
+    transposed first (its lambda-invariant cochains are spanned by the
+    transposed P).
 
     Needs Q inside the field and a tensor-power module, C_n = C_0^(x)(n+1)
     with t rotating the factors, as built by `cyclic_module_of_algebra` and
-    `cocyclic_module_of_coalgebra`.  With (P, S) of `_signed_orbits`:
-
-    - chain side, b_n descends to P_{n-1} b_n S_n on C/(1 - lambda), checked
-      as P_{n-1} b_n (1 - lambda_n) = 0;
-    - cochain side, b^n restricts to S_{n+1}^T b^n P_n^T on the invariants,
-      checked as (1 - lambda_{n+1}) b^n P_n^T = 0.
-
-    Either check raises MixedIdentityFailure, and `_homology_dims` checks
-    that the induced differential squares to zero.
+    `cocyclic_module_of_coalgebra`.  With (P, S) of `_signed_orbits`, b_n
+    descends to P_{n-1} b_n S_n on C/(1 - lambda), checked as
+    P_{n-1} b_n (1 - lambda_n) = 0 (MixedIdentityFailure otherwise), and
+    `_homology_dims` checks that the induced differential squares to zero.
     """
     f = ops.field
     if f.p is not None:
         raise ValueError("Connes' complex computes HC only when Q is inside "
                          "the field")
+    ops = _as_cyclic(ops)
     _check_truncation(nmax, ops.N)
     d = ops.dim(0)
     if any(ops.dim(n) != d ** (n + 1) for n in range(ops.N + 1)):
         raise ValueError("Connes' complex needs C_n = C_0^(x)(n+1)")
-    cochain = isinstance(ops, CocyclicOps)
     orbits = {}
 
     def maps(n):
         if n not in orbits:
-            P, S = _signed_orbits(f, d, n)
-            orbits[n] = (P.transpose(), S.transpose()) if cochain else (P, S)
+            orbits[n] = _signed_orbits(f, d, n)
         return orbits[n]
 
-    def chain_diff(n):
+    def diff(n):
         pb = maps(n - 1)[0] @ hochschild_boundary(ops, n)
         if not (pb @ _one_minus_lambda(ops, n)).is_zero():
             raise MixedIdentityFailure(
                 "b does not descend to C/(1 - lambda) at degree %d" % n)
         return pb @ maps(n)[1]
 
-    def cochain_diff(n):
-        bv = hochschild_boundary(ops, n) @ maps(n)[0]
-        if not (_one_minus_lambda(ops, n + 1) @ bv).is_zero():
-            raise MixedIdentityFailure(
-                "b leaves the lambda-invariant cochains at degree %d" % n)
-        return maps(n + 1)[1] @ bv
-
-    return _homology_dims(_degree_pairs(
-        f, d, cochain_diff if cochain else chain_diff, nmax, cochain))
+    return _homology_dims(_degree_pairs(f, d, diff, nmax))
 
 
 # -- Hopf-module homology and Hopf-comodule cohomology -------------------------------
@@ -346,17 +300,11 @@ def hopf_module_boundary(h, action, p):
 
 
 def hopf_comodule_coboundary(h, coaction, p):
-    """The cobar coboundary H^(x)p (x) M -> H^(x)(p+1) (x) M."""
-    f = h.field
-    d = h.dim
-    m = coaction.cols
-    ident = SparseMatrix.identity
-    faces = [h.unit.kron(ident(f, d ** p * m))]
-    faces += [ident(f, d ** (i - 1)).kron(h.comult).kron(ident(f, d ** (p - i) * m))
-              for i in range(1, p + 1)]
-    faces.append(ident(f, d ** p).kron(coaction))
-    return combine(f, d ** (p + 1) * m, d ** p * m,
-                   (((-1) ** i, face) for i, face in enumerate(faces)))
+    """The cobar coboundary H^(x)p (x) M -> H^(x)(p+1) (x) M: the transpose
+    of the bar boundary of M* (action: the transposed coaction) over the dual
+    Hopf algebra H*."""
+    return hopf_module_boundary(dual_hopf(h), coaction.transpose(),
+                                p + 1).transpose()
 
 
 def hopf_module_homology(h, action, qmax):
@@ -364,20 +312,18 @@ def hopf_module_homology(h, action, qmax):
     deltas = {p: hopf_module_boundary(h, action, p) for p in range(1, qmax + 2)}
     for p in range(2, qmax + 2):
         if not (deltas[p - 1] @ deltas[p]).is_zero():
-            raise BoundaryNotSquareZero("delta delta != 0 at degree %d" % p)
+            raise BoundaryNotSquareZero(p)
     return _homology_dims(_degree_pairs(h.field, action.rows,
-                                        deltas.__getitem__, qmax, False))
+                                        deltas.__getitem__, qmax))
 
 
 def hopf_comodule_cohomology(h, coaction, pmax):
-    """dims of H^p of the cobar complex of the comodule."""
-    deltas = {p: hopf_comodule_coboundary(h, coaction, p)
-              for p in range(pmax + 1)}
-    for p in range(1, pmax + 1):
-        if not (deltas[p] @ deltas[p - 1]).is_zero():
-            raise CoboundaryNotSquareZero("delta delta != 0 at degree %d" % p)
-    return _homology_dims(_degree_pairs(h.field, coaction.cols,
-                                        deltas.__getitem__, pmax, True))
+    """dims of H^p of the cobar complex of the comodule, as the bar homology
+    of M* over H* (bar degree p + 1 is cobar degree p)."""
+    try:
+        return hopf_module_homology(dual_hopf(h), coaction.transpose(), pmax)
+    except BoundaryNotSquareZero as e:
+        raise CoboundaryNotSquareZero(e.degree - 1) from None
 
 
 # -- integrals and (co)semisimplicity homotopies --------------------------------------
@@ -419,34 +365,14 @@ def find_right_integral(h):
 def find_dual_left_integral(h):
     """Functional x with (id (x) x) comult = x(.) 1 and x(1) = 1, as a dict.
 
-    Raises NotCosemisimple when normalization is impossible."""
-    f = h.field
-    d = h.dim
-    ent = {}
-    for j in range(d):
-        col = h.comult.column(j)
-        for rs, v in col.items():
-            r, s = divmod(rs, d)
-            key = (j * d + r, s)
-            ent[key] = f.add(ent.get(key, f.zero()), v)
-        for r, uv in h.unit.column(0).items():
-            key = (j * d + r, j)
-            w = f.sub(ent.get(key, f.zero()), uv)
-            if f.is_zero(w):
-                ent.pop(key, None)
-            else:
-                ent[key] = w
-    eq = SparseMatrix(f, d * d, d, ent)
-    sol = kernel(eq)
-    for b in sol.basis:
-        val = f.zero()
-        for s, v in b.items():
-            val = f.add(val, f.mul(h.unit[(s, 0)], v))
-        if not f.is_zero(val):
-            inv = f.inv(val)
-            return {s: f.mul(inv, v) for s, v in b.items()}
-    raise NotCosemisimple("no left integral in the dual with value 1 at 1 "
-                          "(solution space dim %d)" % sol.dim)
+    This is the normalized integral of the dual Hopf algebra H*, found as
+    its right integral: one with counit 1 exists exactly when H* is
+    semisimple, and then it is two-sided (a semisimple Hopf algebra is
+    unimodular).  Raises NotCosemisimple when normalization is impossible."""
+    try:
+        return find_right_integral(dual_hopf(h))
+    except NotSemisimple as e:
+        raise NotCosemisimple("the dual Hopf algebra has %s" % e) from None
 
 
 def semisimple_homotopy_check(h, t, action, qmax):
@@ -474,45 +400,30 @@ def semisimple_homotopy_check(h, t, action, qmax):
 
 
 def cosemisimple_homotopy_check(h, x, coaction, pmax):
-    """delta h + h delta = id in degrees 1..pmax, with h = evaluate x on g_1."""
-    f = h.field
-    d = h.dim
-    m = coaction.cols
-    xrow = SparseMatrix.row_vector(f, x, d)
-
-    def hmap(n):
-        return xrow.kron(SparseMatrix.identity(f, d ** (n - 1) * m))
-
-    report = []
-    for n in range(1, pmax + 1):
-        lhs = hopf_comodule_coboundary(h, coaction, n - 1) @ hmap(n) \
-            + hmap(n + 1) @ hopf_comodule_coboundary(h, coaction, n)
-        ok = lhs == SparseMatrix.identity(f, d ** n * m)
-        report.append((n, ok))
-        if not ok:
-            raise HomotopyFailure("delta h + h delta != id at degree %d" % n)
-    return report
+    """delta h + h delta = id in degrees 1..pmax, with h = evaluate x on g_1:
+    the transpose of the semisimple check over H*, x prepended."""
+    return semisimple_homotopy_check(dual_hopf(h), x, coaction.transpose(),
+                                     pmax)
 
 
 # -- total complex of a cylinder and its filtration -----------------------------------
 
 class FilteredComplex:
-    """A truncated (co)chain complex with a filtration by coordinate blocks.
+    """A truncated chain complex with an increasing filtration by coordinate
+    blocks.
 
     cells[n] lists (p, q, offset, dim) summands of T_n; the filtration index
-    is the vertical degree q: increasing (q <= i) on the chain side,
-    decreasing (q >= i) on the cochain side.  d maps T_n -> T_{n-1} (chain)
-    or T_n -> T_{n+1} (cochain).
+    is the vertical degree q (F_i T_n = sum over q <= i), and d[n] maps
+    T_n -> T_{n-1}.
     """
 
-    def __init__(self, field, dims, d, cells, levels, N, cochain=False):
+    def __init__(self, field, dims, d, cells, levels, N):
         self.field = field
         self.dims = dims
         self.d = d
         self.cells = cells
         self.levels = levels
         self.N = N
-        self.cochain = cochain
 
     def dim(self, n):
         return 0 if n < 0 or n > self.N else self.dims[n]
@@ -523,8 +434,7 @@ class FilteredComplex:
             return []
         out = []
         for (p, q, off, dim) in self.cells[n]:
-            inside = (q <= i) if not self.cochain else (q >= i)
-            if inside:
+            if q <= i:
                 out.extend(range(off, off + dim))
         return out
 
@@ -550,37 +460,24 @@ class FilteredComplex:
         raise KeyError("no cell (p=%d, q=%d) in degree %d" % (p, q, n))
 
 
-def total_complex_algebra(cyl, N=3, check=True) -> FilteredComplex:
-    """Tot_n = sum of X_{p,q} (p+q = n, ordered by q), d = (-1)^p b_v + b_h,
-    filtered by F_i = sum over q <= i."""
-    f = cyl.field
+def _total_cells(cyl, N):
+    """cells[n] = [(n - q, q, offset, dim) for q = 0..n], and dims[n]."""
     cells = []
     dims = []
     for n in range(N + 1):
         row = []
         off = 0
         for q in range(n + 1):
-            p = n - q
-            dim = cyl.space_dim(p, q)
-            row.append((p, q, off, dim))
+            dim = cyl.space_dim(n - q, q)
+            row.append((n - q, q, off, dim))
             off += dim
         cells.append(row)
         dims.append(off)
-    d = {}
-    for n in range(1, N + 1):
-        blocks = {}
-        src_dims = [c[3] for c in cells[n]]
-        dst_dims = [c[3] for c in cells[n - 1]]
-        for si, (p, q, _, _) in enumerate(cells[n]):
-            if q >= 1:
-                bv = cyl.b_v(p, q)
-                if p % 2 == 1:
-                    bv = bv.scale(f.neg(f.one()))
-                blocks[(q - 1, si)] = bv
-            if p >= 1:
-                blocks[(q, si)] = cyl.b_h(p, q)
-        d[n] = block_matrix(f, blocks, dst_dims, src_dims)
-    fc = FilteredComplex(f, dims, d, cells, N, N)
+    return cells, dims
+
+
+def _filtered_complex(field, cells, dims, d, N, check):
+    fc = FilteredComplex(field, dims, d, cells, N, N)
     if check:
         for n in range(2, N + 1):
             if not (d[n - 1] @ d[n]).is_zero():
@@ -589,42 +486,50 @@ def total_complex_algebra(cyl, N=3, check=True) -> FilteredComplex:
     return fc
 
 
-def total_complex_coalgebra(cocyl, N=3, check=True) -> FilteredComplex:
-    """Tot^n = sum of X_{p,q} (p+q = n, ordered by q descending),
-    d = (-1)^p b_v + b_h, filtered by F^i = sum over q >= i."""
-    f = cocyl.field
-    cells = []
-    dims = []
-    for n in range(N + 1):
-        row = []
-        off = 0
-        for q in range(n, -1, -1):
-            p = n - q
-            dim = cocyl.space_dim(p, q)
-            row.append((p, q, off, dim))
-            off += dim
-        cells.append(row)
-        dims.append(off)
+def total_complex_algebra(cyl, N=3, check=True) -> FilteredComplex:
+    """Tot_n = sum of X_{p,q} (p+q = n, ordered by q), d = (-1)^p b_v + b_h,
+    filtered by F_i = sum over q <= i."""
+    f = cyl.field
+    cells, dims = _total_cells(cyl, N)
     d = {}
-    for n in range(N):
+    for n in range(1, N + 1):
         blocks = {}
-        src_dims = [c[3] for c in cells[n]]
-        dst_dims = [c[3] for c in cells[n + 1]]
-        dst_pos = {(c[0], c[1]): k for k, c in enumerate(cells[n + 1])}
-        for si, (p, q, _, _) in enumerate(cells[n]):
+        for p, q, _, _ in cells[n]:
+            if q >= 1:
+                bv = cyl.b_v(p, q)
+                if p % 2 == 1:
+                    bv = bv.scale(f.neg(f.one()))
+                blocks[(q - 1, q)] = bv
+            if p >= 1:
+                blocks[(q, q)] = cyl.b_h(p, q)
+        d[n] = block_matrix(f, blocks, [c[3] for c in cells[n - 1]],
+                            [c[3] for c in cells[n]])
+    return _filtered_complex(f, cells, dims, d, N, check)
+
+
+def total_complex_coalgebra(cocyl, N=3, check=True) -> FilteredComplex:
+    """The transpose of the cochain total complex Tot^n = sum of X_{p,q}
+    (p+q = n), d^n = (-1)^p b_v + b_h, filtered by q >= i: T_n = Tot^n
+    ordered by q, d_n = (d^(n-1))^T with blocks (-1)^p b_v(p, q-1)^T and
+    b_h(p-1, q)^T, filtered by q <= i.  It has the cochain complex's
+    (co)homology and pages; a cochain d^r out of a position is d^r into it.
+    """
+    f = cocyl.field
+    cells, dims = _total_cells(cocyl, N)
+    d = {}
+    for n in range(1, N + 1):
+        blocks = {}
+        # the cochain blocks out of degree n - 1, q descending
+        for q in range(n - 1, -1, -1):
+            p = n - 1 - q
             bv = cocyl.b_v(p, q)
             if p % 2 == 1:
                 bv = bv.scale(f.neg(f.one()))
-            blocks[(dst_pos[(p, q + 1)], si)] = bv
-            blocks[(dst_pos[(p + 1, q)], si)] = cocyl.b_h(p, q)
-        d[n] = block_matrix(f, blocks, dst_dims, src_dims)
-    fc = FilteredComplex(f, dims, d, cells, N, N, cochain=True)
-    if check:
-        for n in range(N - 1):
-            if not (d[n + 1] @ d[n]).is_zero():
-                raise TotalNotSquareZero("d d != 0 at degree %d" % n)
-        check_filtration(fc)
-    return fc
+            blocks[(q, q + 1)] = bv.transpose()
+            blocks[(q, q)] = cocyl.b_h(p, q).transpose()
+        d[n] = block_matrix(f, blocks, [c[3] for c in cells[n - 1]],
+                            [c[3] for c in cells[n]])
+    return _filtered_complex(f, cells, dims, d, N, check)
 
 
 def check_filtration(fc: FilteredComplex):
@@ -633,13 +538,11 @@ def check_filtration(fc: FilteredComplex):
     Once nesting holds, a column whose boundary lies in the filtration
     piece of the level where the column enters lies in every larger piece
     too, so d-stability is tested once per column, at that level."""
-    order = range(fc.levels + 1) if not fc.cochain else \
-        range(fc.levels, -1, -1)
     entering = {}  # n -> [(i, coordinates entering the filtration at i)]
     for n in range(fc.N + 1):
         prev = set()
         entering[n] = []
-        for i in order:
+        for i in range(fc.levels + 1):
             cur = set(fc.filtration_coords(i, n))
             if not prev <= cur:
                 raise FiltrationViolation("filtration not nested at (%d, %d)"
@@ -649,13 +552,12 @@ def check_filtration(fc: FilteredComplex):
         if len(prev) != fc.dim(n):
             raise FiltrationViolation("filtration not exhaustive at degree %d"
                                       % n)
-    for n in (range(1, fc.N + 1) if not fc.cochain else range(fc.N)):
+    for n in range(1, fc.N + 1):
         dn = fc.d[n]
-        tgt = n - 1 if not fc.cochain else n + 1
         for i, cols in entering[n]:
             if not cols:
                 continue
-            sub = fc.filtration(i, tgt)
+            sub = fc.filtration(i, n - 1)
             for j in cols:
                 if not sub.contains(dn.column(j)):
                     raise FiltrationViolation(
@@ -667,18 +569,23 @@ def total_homology_dims(fc: FilteredComplex, nmax):
     """Homology of the total complex through degree nmax (needs nmax <= N-1)."""
     _check_truncation(nmax, fc.N)
     return _homology_dims(_degree_pairs(fc.field, fc.dim(0), fc.d.__getitem__,
-                                        nmax, fc.cochain))
+                                        nmax))
 
 
 # -- spectral sequence of a filtered complex ------------------------------------------
 
 class SSPage:
-    """One page: dims and differential ranks over a (filtration, comp) window."""
+    """One page: dims and differential ranks over a (filtration, comp) window.
 
-    def __init__(self, r, table, diff_ranks):
+    diff_ranks[(i, j)] is the rank of d^r out of (i, j), diff_ranks_in[(i, j)]
+    the rank of d^r into it, from (i + r, j - r + 1).
+    """
+
+    def __init__(self, r, table, diff_ranks, diff_ranks_in):
         self.r = r
         self.table = table
         self.diff_ranks = diff_ranks
+        self.diff_ranks_in = diff_ranks_in
 
     def dim(self, i, j):
         return self.table.get((i, j), 0)
@@ -689,75 +596,96 @@ class SSPage:
 
 def _coordinate_levels(fc, n):
     """The filtration level q of each coordinate of T_n, checking that the
-    coordinate order refines the filtration (q ascending on the chain side,
-    descending on the cochain side)."""
+    coordinate order refines the filtration (q ascending)."""
     levels = [None] * fc.dim(n)
     for (_, q, off, dim) in fc.cells[n]:
         levels[off:off + dim] = [q] * dim
-    step = levels if not fc.cochain else levels[::-1]
-    if any(a > b for a, b in zip(step, step[1:])):
+    if any(a > b for a, b in zip(levels, levels[1:])):
         raise FiltrationViolation("coordinate order does not refine the "
                                   "filtration at degree %d" % n)
     return levels
 
 
-def _filtered_pairs(fc, nmax):
-    """{n: {column: pivot row}} of d out of each degree a page at total
-    degree <= nmax reads, by `column_pairs` with clearing.
+def _reversed_blocks(fc, n):
+    """The position of each coordinate of T_n once its cell blocks are
+    taken in reverse order (q descending), each block kept in its order."""
+    pos = [0] * fc.dim(n)
+    new = 0
+    for (_, _, off, dim) in reversed(fc.cells[n]):
+        pos[off:off + dim] = range(new, new + dim)
+        new += dim
+    return pos
 
-    The differential into a degree is reduced before the one out of it
-    (d_(nmax+1), ..., d_1 on the chain side, d^0, ..., d^nmax on the cochain
-    side), and a column that is already a pivot row is skipped: it is the
-    last row of a boundary, so it reduces to zero.
+
+def _filtered_pairs(fc, nmax):
+    """{n: {column: pivot row}} of d_1, ..., d_(nmax+1), every differential
+    a page at total degree <= nmax reads, by `column_pairs` with clearing
+    in the cohomology direction.
+
+    d_n transposed with the cell blocks in reverse order is the coboundary
+    d^(n-1) of the dual complex, its coordinates ordered to refine the
+    filtration q >= i; a pair (column c, row r) of it is the pair (column r,
+    row c) of d_n.  The coboundaries are reduced from d^0 up, and a column
+    that is already a pivot row one degree down is skipped: it is the last
+    row of a coboundary, so it reduces to zero.
     """
-    degrees = range(nmax + 1, 0, -1) if not fc.cochain else range(nmax + 1)
+    pos = [_reversed_blocks(fc, n) for n in range(nmax + 2)]
+    back = [sorted(range(len(ps)), key=ps.__getitem__) for ps in pos]
     pairs = {}
     cleared = ()
-    for n in degrees:
-        pairs[n] = column_pairs(fc.d[n], cleared)
-        cleared = set(pairs[n].values())
+    for n in range(1, nmax + 2):
+        src, tgt = pos[n], pos[n - 1]
+        dual = SparseMatrix._settled(
+            fc.field, fc.dim(n), fc.dim(n - 1),
+            {(src[j], tgt[i]): v for (i, j), v in fc.d[n].entries.items()})
+        found = column_pairs(dual, cleared)
+        cleared = set(found.values())
+        pairs[n] = {back[n][r]: back[n - 1][c] for c, r in found.items()}
     return pairs
 
 
 def spectral_pages(fc: FilteredComplex, rmax, window):
     """Pages E^0..E^rmax of the filtered complex, from one filtered column
-    reduction of d per degree.
+    reduction per degree.
 
     The coordinate order refines the filtration, so the pairs of
-    `column_pairs` split the complex into elementary pieces: a pair (column
-    in degree n, pivot row) of filtration gap g = |level(column) -
-    level(row)| lives on pages E^0..E^g and is killed by d^g.  Hence dim E^r
+    `_filtered_pairs` split the complex into elementary pieces: a pair
+    (column in degree n, pivot row) of filtration gap g = level(column) -
+    level(row) lives on pages E^0..E^g and is killed by d^g.  Hence dim E^r
     at (i, j) (filtration degree, complementary degree; total n = i + j)
     counts the degree-n generators at level i that are unpaired or have gap
-    >= r, and the rank of d^r at (i, j) counts the pairs whose column sits
-    there with gap exactly r.  Entries need total degree <= N-1 so that both
-    incoming and outgoing boundaries stay inside the truncation; a rank whose
-    target degree falls outside 0..N is 0, as no pair reaches it.
+    >= r; the rank of d^r out of (i, j) counts the pairs whose column sits
+    there with gap exactly r, and the rank into (i, j) the pairs whose row
+    sits there.  Entries need total degree <= N-1 so that both incoming and
+    outgoing boundaries stay inside the truncation; a rank whose target
+    degree falls outside 0..N is 0, as no pair reaches it.
     """
     imax, jmax = window
-    s = 1 if not fc.cochain else -1
     nmax = min(fc.N - 1, imax + jmax)
     level = {n: _coordinate_levels(fc, n) for n in range(nmax + 2)}
     gens = Counter()     # (n, level) -> generators
     paired = Counter()   # (n, level, gap) -> generators paired with that gap
     sources = Counter()  # (n, level, gap) -> pairs with their column there
+    targets = Counter()  # (n, level, gap) -> pairs with their row there
     for n in range(nmax + 1):
         for (_, q, _, dim) in fc.cells[n]:
             gens[(n, q)] += dim
     for n, prs in _filtered_pairs(fc, nmax).items():
-        src, tgt = level[n], level[n - s]
+        src, tgt = level[n], level[n - 1]
         for col, row in prs.items():
-            g = s * (src[col] - tgt[row])
+            g = src[col] - tgt[row]
             if g < 0:
                 raise FiltrationViolation("d leaves F_%d at degree %d"
                                           % (src[col], n))
             paired[(n, src[col], g)] += 1
-            paired[(n - s, tgt[row], g)] += 1
+            paired[(n - 1, tgt[row], g)] += 1
             sources[(n, src[col], g)] += 1
+            targets[(n - 1, tgt[row], g)] += 1
     pages = []
     for r in range(rmax + 1):
         table = {}
         ranks = {}
+        ranks_in = {}
         for i in range(imax + 1):
             for j in range(jmax + 1):
                 n = i + j
@@ -766,40 +694,35 @@ def spectral_pages(fc: FilteredComplex, rmax, window):
                 table[(i, j)] = gens[(n, i)] - sum(paired[(n, i, g)]
                                                    for g in range(r))
                 ranks[(i, j)] = sources[(n, i, r)]
-        pages.append(SSPage(r, table, ranks))
+                ranks_in[(i, j)] = targets[(n, i, r)]
+        pages.append(SSPage(r, table, ranks, ranks_in))
     return pages
 
 
 def page_zero_matches_horizontal_boundary(fc: FilteredComplex, cyl, n, p, q):
     """The induced page-0 differential on the graded cell equals the
     (untwisted) horizontal boundary, entrywise."""
-    if not fc.cochain:
-        src = fc.find_cell(n, p, q)
-        dst = fc.find_cell(n - 1, p - 1, q)
-        return fc.cell_block(n, src, dst) == cyl.b_h(p, q)
     src = fc.find_cell(n, p, q)
-    dst = fc.find_cell(n + 1, p + 1, q)
+    dst = fc.find_cell(n - 1, p - 1, q)
     return fc.cell_block(n, src, dst) == cyl.b_h(p, q)
 
 
 # -- Eilenberg-Zilber comparison at the Hochschild level -------------------------------
 
-def ez_compare_hochschild(cyl, nmax, cochain=False):
-    """dim H_n(Tot) vs dim H_n(diagonal b) per degree n <= nmax.
+def ez_compare_hochschild(cyl, nmax):
+    """dim H_n(Tot) vs dim H_n(diagonal b) per degree n <= nmax, for a
+    cylinder (homology) or a cocylinder (cohomology, through transposes).
 
     Returns a list of (n, total_dim, diagonal_dim, equal); mismatches are
     reported, not raised.
     """
-    from .cylinder import diagonal_cocyclic, diagonal_cyclic
-    f = cyl.field
-    if not cochain:
-        fc = total_complex_algebra(cyl, N=nmax + 1, check=False)
-        diag = diagonal_cyclic(cyl, N=nmax + 1)
-        mc = mixed_complex(diag, check=False)
-    else:
+    from .cylinder import CoalgebraCocylinder, diagonal_cocyclic, diagonal_cyclic
+    if isinstance(cyl, CoalgebraCocylinder):
         fc = total_complex_coalgebra(cyl, N=nmax + 1, check=False)
         diag = diagonal_cocyclic(cyl, N=nmax + 1)
-        mc = cochain_mixed_complex(diag, check=False)
+    else:
+        fc = total_complex_algebra(cyl, N=nmax + 1, check=False)
+        diag = diagonal_cyclic(cyl, N=nmax + 1)
     tot = total_homology_dims(fc, nmax)
-    dia = hochschild_dims(mc, nmax)
+    dia = b_column_dims(diag, nmax)
     return [(n, tot[n], dia[n], tot[n] == dia[n]) for n in range(nmax + 1)]

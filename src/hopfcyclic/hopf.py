@@ -9,7 +9,9 @@ All structure maps are sparse matrices over an exact field:
 plus comodule algebras (coaction A -> H (x) A, an algebra map) and module
 coalgebras (action H (x) C -> C, a coalgebra map).  Axiom checkers evaluate
 the defining identities exhaustively as exact matrix equalities and report
-pass/fail per axiom with the first failing basis tuple.
+pass/fail per axiom with the first failing basis tuple.  `dual_hopf`
+transposes every structure map; the cobar complex of an H-comodule is
+computed as the transposed bar complex of the dual module over H*.
 """
 
 from __future__ import annotations
@@ -363,6 +365,16 @@ def sweedler_hopf(field: Field) -> HopfAlgebra:
                             {(I, I): one, (G, G): one, (GX, X): neg, (X, GX): one})
     return HopfAlgebra(field, 4, mult, unit, comult, counit, antipode,
                        basis_names=["1", "g", "x", "gx"])
+
+
+def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
+    """The dual Hopf algebra H* on the dual basis: every structure map
+    transposed, so product and coproduct, unit and counit trade places."""
+    return HopfAlgebra(h.field, h.dim, h.comult.transpose(),
+                       h.counit.transpose(), h.mult.transpose(),
+                       h.unit.transpose(), h.antipode.transpose(),
+                       h.antipode_inv.transpose(),
+                       ["%s*" % name for name in h.basis_names])
 
 
 def iterate_comult(h: HopfAlgebra, k: int) -> SparseMatrix:

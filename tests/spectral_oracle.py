@@ -1,9 +1,10 @@
 """Spectral pages by exact subquotients: the test oracle for spectral_pages.
 
 This is the page computation the package used before its filtered column
-reduction, kept verbatim in method: every page and differential rank is a
-dimension of sums of `Subspace`s.  It is slow, and independent of
-`linalg.column_pairs`.
+reduction, kept in method: every page and differential rank is a dimension
+of sums of `Subspace`s.  It is slow, and independent of
+`linalg.column_pairs`.  Filtered complexes are chain complexes with an
+increasing filtration; a cochain complex enters as its transpose.
 """
 
 from hopfcyclic.homology import SSPage
@@ -28,9 +29,8 @@ def _z_subspace(fc, r, i, n, memo):
         if n < 0 or n > fc.N:
             return Subspace(f, 0)
         basis = fc.filtration(i, n)
-        s = 1 if not fc.cochain else -1
-        tgt = n - s
-        j = i - s * r
+        tgt = n - 1
+        j = i - r
         if tgt < 0 or tgt > fc.N:
             return basis
         dmat = fc.d[n]
@@ -52,57 +52,65 @@ def _z_subspace(fc, r, i, n, memo):
 
 
 def _boundary_part(fc, r, i, n, memo):
-    """d(Z^{r-1} at filtration i +/- (r-1), degree next to n), as a Subspace."""
+    """d(Z^{r-1} at filtration i + r - 1, degree n + 1), as a Subspace."""
 
     def build():
-        s = 1 if not fc.cochain else -1
-        prev_n = n + s
-        if prev_n < 0 or prev_n > fc.N:
+        prev_n = n + 1
+        if prev_n > fc.N:
             return Subspace(fc.field, fc.dim(n))
-        src = _z_subspace(fc, r - 1, i + s * (r - 1), prev_n, memo)
+        src = _z_subspace(fc, r - 1, i + r - 1, prev_n, memo)
         img = fc.d[prev_n] @ src.basis_matrix()
         return Subspace(fc.field, fc.dim(n),
                         [img.column(k) for k in range(src.dim)])
     return _cached(memo, ("b", r, i, n), build)
 
 
+def _denominator(fc, r, i, n, memo):
+    """Z^{r-1} one step shallower plus the incoming boundaries: E^r at
+    filtration i, degree n, is Z^r modulo this."""
+    return _z_subspace(fc, r - 1, i - 1, n, memo).sum(
+        _boundary_part(fc, r, i, n, memo))
+
+
+def _rank_out(fc, r, i, n, memo):
+    """Rank of d^r out of filtration i, total degree n, into
+    (i - r, degree n - 1): the dimension its image adds to the target's
+    denominator."""
+    if not 1 <= n <= fc.N:
+        return 0
+    z = _z_subspace(fc, r, i, n, memo)
+    t_den = _denominator(fc, r, i - r, n - 1, memo)
+    dz = fc.d[n] @ z.basis_matrix()
+    total = t_den.sum(Subspace(fc.field, fc.dim(n - 1),
+                               [dz.column(k) for k in range(z.dim)]))
+    return total.dim - t_den.dim
+
+
 def oracle_pages(fc, rmax, window):
     """Pages E^0..E^rmax of the filtered complex, by exact subquotient counts.
 
     E^r at (i, j) (filtration degree, complementary degree; total n = i + j)
-    is Z^r_{i,n} / (Z^{r-1}_{one step shallower} + d Z^{r-1}_{r-1 steps on the
-    incoming side}); the differential rank at (i, j) is computed the same way
-    on the target position.  Entries need total degree <= N-1 so that both
-    incoming and outgoing boundaries stay inside the truncation.
+    is Z^r_{i,n} / (Z^{r-1}_{i-1,n} + d Z^{r-1}_{i+r-1,n+1}); the rank of d^r
+    out of (i, j) is computed the same way on the target position, and the
+    rank into (i, j) is the rank out of (i + r, j - r + 1).  Entries need
+    total degree <= N-1 so that both incoming and outgoing boundaries stay
+    inside the truncation.
     """
     imax, jmax = window
-    s = 1 if not fc.cochain else -1
     memo = {}
     pages = []
     for r in range(rmax + 1):
         table = {}
         ranks = {}
+        ranks_in = {}
         for i in range(imax + 1):
             for j in range(jmax + 1):
                 n = i + j
                 if n > fc.N - 1:
                     continue
-                z = _z_subspace(fc, r, i, n, memo)
-                den = _z_subspace(fc, r - 1, i - s, n, memo).sum(
-                    _boundary_part(fc, r, i, n, memo))
-                table[(i, j)] = z.dim - den.dim
-                # rank of d_r: (i, j) -> (i - s*r, j + s*r - 1) at degree n - s
-                out_n = n - s
-                if 0 <= out_n <= fc.N:
-                    ti = i - s * r
-                    t_den = _z_subspace(fc, r - 1, ti - s, out_n, memo).sum(
-                        _boundary_part(fc, r, ti, out_n, memo))
-                    dz = fc.d[n] @ z.basis_matrix()
-                    total = t_den.sum(Subspace(
-                        fc.field, fc.dim(out_n),
-                        [dz.column(k) for k in range(z.dim)]))
-                    ranks[(i, j)] = total.dim - t_den.dim
-                else:
-                    ranks[(i, j)] = 0
-        pages.append(SSPage(r, table, ranks))
+                table[(i, j)] = _z_subspace(fc, r, i, n, memo).dim \
+                    - _denominator(fc, r, i, n, memo).dim
+                ranks[(i, j)] = _rank_out(fc, r, i, n, memo)
+                ranks_in[(i, j)] = _rank_out(fc, r, i + r, n + 1, memo)
+        pages.append(SSPage(r, table, ranks, ranks_in))
     return pages

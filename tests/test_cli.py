@@ -435,3 +435,51 @@ def test_verify_and_ez_limits_on_the_corpus(name, cylinder, transforms, iso,
         cli._check_build_size(doc, target, {"nmax": first - 1}, blocks)
         with pytest.raises(TooLarge):
             cli._check_build_size(doc, target, {"nmax": first}, blocks)
+
+
+class _Reached(Exception):
+    """Raised by a monkeypatched builder: the job was admitted."""
+
+
+# On a structure of dimension 1 the dimension caps never grow, so the work
+# that grows with the degrees alone is capped on its own: each job at the
+# admitted edge reaches its first builder, the next one is refused before it.
+@pytest.mark.parametrize("args, edge, refused, text", [
+    ("compute hh", "--nmax 99", "--nmax 100",
+     "(co)face work 102^3 = 1061208, above the limit 1048576"),
+    ("compute hc", "--nmax 99", "--nmax 100", "(co)face work 102^3"),
+    ("compare diagonal-vs-direct", "--nmax 99", "--nmax 100",
+     "(co)face work"),
+    ("compare collapse-coalgebra", "--nmax 99", "--nmax 100",
+     "(co)face work"),
+    ("verify cylindrical", "--pmax 20 --qmax 20", "--pmax 21 --qmax 21",
+     "operator pairs 529^2 = 279841, above the limit 262144"),
+    ("verify cocylindrical", "--pmax 20 --qmax 20", "--pmax 21 --qmax 21",
+     "operator pairs 529^2"),
+    ("verify transforms", "--pmax 20 --qmax 20", "--pmax 21 --qmax 21",
+     "operator pairs 529^2"),
+    ("verify cylindrical", "--pmax 14 --qmax 30", "--pmax 15 --qmax 30",
+     "operator pairs 544^2"),  # 512^2 is the limit itself
+    ("verify iso", "--nmax 62", "--nmax 63",
+     "operator pairs 65^3 = 274625, above the limit 262144"),
+    ("compare ez-hochschild", "--nmax 61", "--nmax 62",
+     "operator pairs 65^3"),
+])
+def test_degree_work_limits_on_a_structure_of_dimension_one(
+        args, edge, refused, text, monkeypatch, capsys):
+    from hopfcyclic import cli
+
+    def reached(*a, **k):
+        raise _Reached
+
+    for name in ("crossed_product_algebra", "crossed_product_coalgebra",
+                 "AlgebraCylinder", "CoalgebraCocylinder",
+                 "phi_psi_algebra", "phi_psi_coalgebra"):
+        monkeypatch.setattr(cli, name, reached)
+    argv = args.split() + ["-i", data_file("ground_field_Q")]
+    with pytest.raises(_Reached):
+        cli.main(argv + edge.split())
+    code = cli.main(argv + refused.split())
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2 and set(err) == {"error"}
+    assert text in err["error"]

@@ -7,14 +7,15 @@ import pytest
 
 from hopfcyclic.cylinder import AlgebraCylinder
 from hopfcyclic.errors import (
-    BoundaryNotSquareZero, CompositionNotZero, HomotopyFailure,
-    MixedIdentityFailure, NotCosemisimple, NotSemisimple, TruncationTooShallow,
+    BoundaryNotSquareZero, CoboundaryNotSquareZero, CompositionNotZero,
+    HomotopyFailure, MixedIdentityFailure, NotCosemisimple, NotSemisimple,
+    TruncationTooShallow,
 )
 from hopfcyclic.fields import Field
 from hopfcyclic.hopf import (
-    Algebra, cyclic_group_table, group_algebra, regular_comodule_algebra,
-    regular_module_coalgebra, sweedler_hopf, symmetric_group_table,
-    trivial_hopf,
+    Algebra, HopfAlgebra, cyclic_group_table, group_algebra,
+    regular_comodule_algebra, regular_module_coalgebra, sweedler_hopf,
+    symmetric_group_table, trivial_hopf,
 )
 from hopfcyclic.crossed import (
     CocyclicOps, cocyclic_module_of_coalgebra, crossed_product_algebra,
@@ -120,6 +121,18 @@ def test_comodule_cohomology():
     h4 = sweedler_hopf(QQ)
     dims = hopf_comodule_cohomology(h4, trivial_comodule_coaction(h4), 2)
     assert dims[0] == 1 and any(d != 0 for d in dims[1:])
+
+
+def test_cobar_of_a_non_coassociative_comult_is_not_square_zero():
+    """The cobar complex is computed as the transposed bar complex over the
+    dual; its error still names the cobar degree."""
+    h = kc2()
+    comult = SparseMatrix(QQ, 4, 2, {(0, 0): 1, (3, 1): 1, (1, 1): 1})
+    bad = HopfAlgebra(QQ, 2, h.mult, h.unit, comult, h.counit, h.antipode,
+                      h.antipode_inv)
+    with pytest.raises(CoboundaryNotSquareZero,
+                       match="delta delta != 0 at degree 2$"):
+        hopf_comodule_cohomology(bad, trivial_comodule_coaction(bad), 3)
 
 
 def test_right_integral():

@@ -136,7 +136,7 @@ def test_ez_hochschild_sweedler_degree_one():
 
 def test_ez_cochain_side_kc2():
     cocyl = CoalgebraCocylinder(regular_module_coalgebra(kc2()))
-    rep = ez_compare_hochschild(cocyl, 2, cochain=True)
+    rep = ez_compare_hochschild(cocyl, 2)
     assert all(eq for _, _, _, eq in rep)
 
 
@@ -172,8 +172,8 @@ def test_collapse_coalgebra_side():
 # -- spectral_pages against the subquotient oracle ----------------------------------
 
 def _same_pages(got, want):
-    return [(p.r, p.table, p.diff_ranks) for p in got] == \
-        [(p.r, p.table, p.diff_ranks) for p in want]
+    return [(p.r, p.table, p.diff_ranks, p.diff_ranks_in) for p in got] == \
+        [(p.r, p.table, p.diff_ranks, p.diff_ranks_in) for p in want]
 
 
 # (rmax, pmax, qmax) per corpus file: the largest window whose oracle run
@@ -207,11 +207,33 @@ def test_pages_report_matches_recorded_subquotient_report(monkeypatch, capsys):
         assert code == 0 and capsys.readouterr().out == fh.read()
 
 
+def _transposed(field, cells, dims, d, top, N):
+    """The chain complex dual to a cochain one (cells by q descending,
+    d[n]: T^n -> T^(n+1)): cells reversed to q ascending, d_(n+1) = (d^n)^T."""
+    chain_cells, pos = [], []
+    for row in cells:
+        out, where, off = [], {}, 0
+        for (p, q, old, k) in reversed(row):
+            out.append((p, q, off, k))
+            where.update((old + x, off + x) for x in range(k))
+            off += k
+        chain_cells.append(out)
+        pos.append(where)
+    dd = {n + 1: SparseMatrix(field, dims[n], dims[n + 1],
+                              {(pos[n][j], pos[n + 1][i]): v
+                               for (i, j), v in m.entries.items()})
+          for n, m in d.items()}
+    return FilteredComplex(field, dims, dd, chain_cells, top, N)
+
+
 @st.composite
 def _elementary_complexes(draw):
-    """(filtered complex, expected pages, rmax, window): a random complex
-    given by elementary pieces (d y = x on each pair, unpaired generators
-    closed), then hidden by a random filtered change of basis per degree."""
+    """(filtered complex, expected pages, rmax, window): a random chain or
+    cochain complex given by elementary pieces (d y = x on each pair,
+    unpaired generators closed), then hidden by a random filtered change of
+    basis per degree.  A cochain complex (filtered by q >= i) is handed over
+    as its transpose, so a cochain d^r out of a position is the rank of d^r
+    into it."""
     field = draw(st.sampled_from([QQ, F2, F3]))
     cochain = draw(st.booleans())
     N = draw(st.integers(min_value=1, max_value=4))
@@ -266,16 +288,25 @@ def _elementary_complexes(draw):
         normal = SparseMatrix(field, dims[t], dims[n],
                               {(x, y): 1 for y, x in pairs[n]})
         d[n] = g[t] @ normal @ invert(g[n])
-    fc = FilteredComplex(field, dims, d, cells, top, N, cochain=cochain)
+    if cochain:
+        fc = _transposed(field, cells, dims, d, top, N)
+    else:
+        fc = FilteredComplex(field, dims, d, cells, top, N)
 
     rmax = rnd.randint(0, top + 1)
     gap = [{} for _ in range(N + 1)]
+    chain_pairs = []  # (column degree, column level, row level, gap)
     for n in degrees:
         for y, x in pairs[n]:
-            gap[n][y] = gap[n - s][x] = s * (levels[n][y] - levels[n - s][x])
+            g = s * (levels[n][y] - levels[n - s][x])
+            gap[n][y] = gap[n - s][x] = g
+            if cochain:
+                chain_pairs.append((n + 1, levels[n + 1][x], levels[n][y], g))
+            else:
+                chain_pairs.append((n, levels[n][y], levels[n - 1][x], g))
     want = []
     for r in range(rmax + 1):
-        table, ranks = {}, {}
+        table, ranks, ranks_in = {}, {}, {}
         for i in range(top + 1):
             for j in range(N):
                 n = i + j
@@ -284,10 +315,11 @@ def _elementary_complexes(draw):
                 table[(i, j)] = sum(
                     1 for c, lc in enumerate(levels[n])
                     if lc == i and gap[n].get(c, r) >= r)
-                ranks[(i, j)] = sum(
-                    1 for y, x in pairs.get(n, ())
-                    if levels[n][y] == i and gap[n][y] == r)
-        want.append((r, table, ranks))
+                ranks[(i, j)] = sum(1 for m, lc, _, g in chain_pairs
+                                    if (m, lc, g) == (n, i, r))
+                ranks_in[(i, j)] = sum(1 for m, _, lr, g in chain_pairs
+                                       if (m, lr, g) == (n + 1, i, r))
+        want.append((r, table, ranks, ranks_in))
     return fc, want, rmax, (top, N - 1)
 
 
@@ -297,7 +329,7 @@ def test_pages_of_random_filtered_complexes(case):
     fc, want, rmax, window = case
     assert check_filtration(fc)
     got = spectral_pages(fc, rmax, window)
-    assert [(p.r, p.table, p.diff_ranks) for p in got] == want
+    assert [(p.r, p.table, p.diff_ranks, p.diff_ranks_in) for p in got] == want
     assert _same_pages(oracle_pages(fc, rmax, window), got)
 
 
