@@ -6,9 +6,9 @@
 
 plus `-o report.json` and `--csv dir/` on every command.  Exit codes:
 0 all checks pass, 1 a check failed or a verify / compare checked nothing,
-2 input error or a job above a size limit (`MAX_CHAIN_DIM` and
-`MAX_FACE_WORK` on crossed products, `MAX_EXPR_DIM` on coinvariants,
-`MAX_TOTAL_DIM` on spectral pages, `MAX_CYLINDER_DIM` and `MAX_CHECK_WORK`
+2 input error or a job above a size limit (`MAX_CHAIN_DIM` on crossed
+products, `MAX_EXPR_DIM` on coinvariants, `MAX_TOTAL_DIM` on spectral pages,
+`MAX_FACE_WORK` on all three, `MAX_CYLINDER_DIM` and `MAX_CHECK_WORK`
 on `verify cylindrical|cocylindrical|transforms|iso` and `compare
 ez-hochschild`).  Reports are normalized JSON and
 byte-identical across runs; wall-clock timings go to stderr only when
@@ -74,6 +74,12 @@ def _require(doc, attr, target):
         raise MissingBlock("target %s needs the %s block" % (target, attr))
 
 
+def _require_either(doc, target):
+    if doc.algebra is None and doc.coalgebra is None:
+        raise MissingBlock("target %s needs an algebra or coalgebra block"
+                           % target)
+
+
 # The document `options` key of each degree-bound flag (see io.py).
 _OPTION_KEYS = {"nmax": "N", "pmax": "P", "qmax": "Q", "rmax": "rmax"}
 
@@ -132,15 +138,20 @@ MAX_CYLINDER_DIM = 2 ** 21
 
 # The caps above never grow on a structure of dimension 1 (ground_field_Q),
 # where the work still grows with the degrees, so it is counted apart:
-# MAX_FACE_WORK bounds a crossed-product job's (nmax + 2)^3 (nmax + 2
-# degrees of up to nmax + 2 (co)faces over as many factors), MAX_CHECK_WORK
-# the operator pairs of a verify or ez-hochschild job: ((pmax+2)(qmax+2))^2
-# for the (co)cylinder suites and transforms, (N+2)^3 for the diagonal of
-# iso and ez-hochschild.  Set from runs on ground_field_Q on both sides of
-# each bound (2-core VM): the slowest targets at the admitted edges take
-# 44 s (`diagonal-vs-direct --nmax 99`) and 67 s (`ez-hochschild --nmax
-# 61`); the README lists the runs.  They admit every job on a structure of
-# dimension >= 2 that the caps above admit.
+# MAX_FACE_WORK bounds the (co)face work of a job that builds a (co)cyclic
+# module up to degree N, (N + 1)^3 (N + 1 degrees of up to N + 1 (co)faces
+# over as many factors; N = nmax + 1 for the crossed products and collapse,
+# nmax for coinvariants), and that of the total complex of ss-pages up to
+# N = pmax + qmax + 1, (N + 1)^2 (N + 2)^2 (N + 1 degrees of up to N + 1
+# cells with up to N + 2 (co)faces over as many factors); MAX_CHECK_WORK
+# bounds the operator pairs of a verify or ez-hochschild job:
+# ((pmax+2)(qmax+2))^2 for the (co)cylinder suites and transforms, (N+2)^3
+# for the diagonal of iso and ez-hochschild.  Set from runs on
+# ground_field_Q on both sides of each bound (2-core VM): the slowest
+# targets at the admitted edges take 44 s (`diagonal-vs-direct --nmax 99`)
+# and 67 s (`ez-hochschild --nmax 61`); the README lists the runs.  They
+# admit every job on a structure of dimension >= 2 that the caps above
+# admit.
 MAX_FACE_WORK = 2 ** 20
 MAX_CHECK_WORK = 2 ** 18
 
@@ -201,7 +212,8 @@ def _check_size(doc, nmax, blocks):
 
 def _check_coinvariant_size(doc, nmax, top, blocks):
     """Refuse a coinvariant job whose first-column (co)action at the top
-    degree `top` needs an expression wider than MAX_EXPR_DIM."""
+    degree `top` needs an expression wider than MAX_EXPR_DIM, or whose
+    (co)face work up to `top` exceeds MAX_FACE_WORK."""
     for block in blocks:
         s = getattr(doc, block)
         if s is None:
@@ -213,12 +225,19 @@ def _check_coinvariant_size(doc, nmax, top, blocks):
                 "--nmax %d on the %s block needs a first-column expression "
                 "of width %s, above the limit %d"
                 % (nmax, block, _product_text([(d, k)]), MAX_EXPR_DIM))
+        if (top + 1) ** 3 > MAX_FACE_WORK:
+            raise TooLarge(
+                "--nmax %d on the %s block needs (co)face work %s, above "
+                "the limit %d" % (nmax, block, _product_text([(top + 1, 3)]),
+                                  MAX_FACE_WORK))
 
 
 def _check_pages_size(doc, pmax, qmax, blocks):
     """Refuse a spectral-pages job whose top total space exceeds
-    MAX_TOTAL_DIM, before anything is built."""
+    MAX_TOTAL_DIM, or whose (co)face work exceeds MAX_FACE_WORK, before
+    anything is built."""
     n = pmax + qmax + 1
+    work = [(n + 1, 2), (n + 2, 2)]
     for block in blocks:
         s = getattr(doc, block)
         if s is None:
@@ -237,6 +256,11 @@ def _check_pages_size(doc, pmax, qmax, blocks):
                     "of dimension sum of %d^(p+1) %d^(q+1) over p+q = %d%s, "
                     "above the limit %d"
                     % (pmax, qmax, block, dh, da, n, value, MAX_TOTAL_DIM))
+        if _capped_product(work, MAX_FACE_WORK) > MAX_FACE_WORK:
+            raise TooLarge(
+                "--pmax %d --qmax %d on the %s block needs (co)face work %s, "
+                "above the limit %d" % (pmax, qmax, block,
+                                        _product_text(work), MAX_FACE_WORK))
 
 
 def _build_sizes(target, dh, d, bounds):
@@ -316,11 +340,10 @@ def cmd_verify(doc, target, params):
         checks += _report_entries(rep)
     elif target == "iso":
         nmax = _opt(params, doc, "nmax", 2)
+        _require_either(doc, target)
         _check_build_size(doc, target, {"nmax": nmax},
                           ("algebra", "coalgebra"))
-        did = False
         if doc.algebra is not None:
-            did = True
             try:
                 phi_psi_algebra(doc.algebra, N=nmax)
                 checks.append({"name": "algebra-side iso (inverse and "
@@ -330,7 +353,6 @@ def cmd_verify(doc, target, params):
                 checks.append({"name": "algebra-side iso", "ok": False,
                                "detail": str(e)})
         if doc.coalgebra is not None:
-            did = True
             try:
                 phi_psi_coalgebra(doc.coalgebra, N=nmax)
                 checks.append({"name": "coalgebra-side iso (inverse and "
@@ -339,16 +361,13 @@ def cmd_verify(doc, target, params):
             except HopfCyclicError as e:
                 checks.append({"name": "coalgebra-side iso", "ok": False,
                                "detail": str(e)})
-        if not did:
-            raise MissingBlock("target iso needs an algebra or coalgebra block")
     elif target == "transforms":
         pmax = _opt(params, doc, "pmax", 1)
         qmax = _opt(params, doc, "qmax", 1)
+        _require_either(doc, target)
         _check_build_size(doc, target, {"pmax": pmax, "qmax": qmax},
                           ("algebra", "coalgebra"))
-        did = False
         if doc.algebra is not None:
-            did = True
             mf = AlgebraModuleForm(AlgebraCylinder(doc.algebra))
             try:
                 checks += _report_entries(mf.check(pmax, qmax))
@@ -356,16 +375,12 @@ def cmd_verify(doc, target, params):
                 checks.append({"name": "algebra-side transforms", "ok": False,
                                "detail": str(e)})
         if doc.coalgebra is not None:
-            did = True
             cmf = CoalgebraModuleForm(CoalgebraCocylinder(doc.coalgebra))
             try:
                 checks += _report_entries(cmf.check(pmax, qmax))
             except HopfCyclicError as e:
                 checks.append({"name": "coalgebra-side transforms", "ok": False,
                                "detail": str(e)})
-        if not did:
-            raise MissingBlock("target transforms needs an algebra or "
-                               "coalgebra block")
     # a run that checked nothing has shown nothing
     return {"checks": checks}, bool(checks) and all(c["ok"] for c in checks)
 
@@ -394,21 +409,16 @@ def cmd_compute(doc, target, params):
     checks = []
     if target in ("hh", "hc"):
         nmax = _opt(params, doc, "nmax", 2)
+        _require_either(doc, target)
         _check_size(doc, nmax, ("algebra", "coalgebra"))
-        did = False
         if doc.algebra is not None:
-            did = True
             r = crossed_product_algebra(doc.algebra)
             tables["%s_crossed_product_algebra" % target] = _crossed_dims(
                 target, cyclic_module_of_algebra(r, N=nmax + 1), nmax)
         if doc.coalgebra is not None:
-            did = True
             cc = crossed_product_coalgebra(doc.coalgebra)
             tables["%s_crossed_product_coalgebra" % target] = _crossed_dims(
                 target, cocyclic_module_of_coalgebra(cc, N=nmax + 1), nmax)
-        if not did:
-            raise MissingBlock("target %s needs an algebra or coalgebra block"
-                               % target)
     elif target == "hopf-homology":
         qmax = _opt(params, doc, "qmax", 3)
         tables["hopf_module_homology_trivial_coefficients"] = \
@@ -422,40 +432,30 @@ def cmd_compute(doc, target, params):
         rmax = _opt(params, doc, "rmax", 2)
         pmax = _opt(params, doc, "pmax", 2)
         qmax = _opt(params, doc, "qmax", 2)
+        _require_either(doc, target)
         _check_pages_size(doc, pmax, qmax, ("algebra", "coalgebra"))
-        did = False
         if doc.algebra is not None:
-            did = True
             fc = total_complex_algebra(AlgebraCylinder(doc.algebra),
                                        N=pmax + qmax + 1)
             tables["pages_algebra"] = _pages_table(
                 spectral_pages(fc, rmax, (pmax, qmax)), "diff_ranks")
         if doc.coalgebra is not None:
-            did = True
             fc = total_complex_coalgebra(CoalgebraCocylinder(doc.coalgebra),
                                          N=pmax + qmax + 1)
             # fc is the transposed cochain complex: the cochain d^r out of
             # a position is its d^r into that position
             tables["pages_coalgebra"] = _pages_table(
                 spectral_pages(fc, rmax, (pmax, qmax)), "diff_ranks_in")
-        if not did:
-            raise MissingBlock("target ss-pages needs an algebra or "
-                               "coalgebra block")
     elif target == "coinvariants":
         nmax = _opt(params, doc, "nmax", 2)
+        _require_either(doc, target)
         _check_coinvariant_size(doc, nmax, nmax, ("algebra", "coalgebra"))
-        did = False
         if doc.algebra is not None:
-            did = True
             _, pres = coinvariant_cyclic_module(doc.algebra, N=nmax)
             tables["coinvariant_quotient_dims"] = [p.dim for p in pres]
         if doc.coalgebra is not None:
-            did = True
             _, pres = coinvariant_cocyclic_module(doc.coalgebra, N=nmax)
             tables["coinvariant_subspace_dims"] = [p.dim for p in pres]
-        if not did:
-            raise MissingBlock("target coinvariants needs an algebra or "
-                               "coalgebra block")
     return {"checks": checks, "tables": tables}, True
 
 
@@ -468,10 +468,9 @@ def cmd_compare(doc, target, params):
     nmax = _opt(params, doc, "nmax", 2)
     verdicts = {}
     if target == "diagonal-vs-direct":
+        _require_either(doc, target)
         _check_size(doc, nmax, ("algebra", "coalgebra"))
-        did = False
         if doc.algebra is not None:
-            did = True
             from .cylinder import diagonal_cyclic
             r = crossed_product_algebra(doc.algebra)
             mc_direct = mixed_complex(cyclic_module_of_algebra(r, N=nmax + 1))
@@ -482,7 +481,6 @@ def cmd_compare(doc, target, params):
             verdicts["hc_algebra"] = _verdicts(
                 cyclic_dims(mc_direct, nmax), cyclic_dims(mc_diag, nmax))
         if doc.coalgebra is not None:
-            did = True
             from .cylinder import diagonal_cocyclic
             cc = crossed_product_coalgebra(doc.coalgebra)
             mc_direct = cochain_mixed_complex(
@@ -494,29 +492,21 @@ def cmd_compare(doc, target, params):
                 hochschild_dims(mc_direct, nmax), hochschild_dims(mc_diag, nmax))
             verdicts["hc_coalgebra"] = _verdicts(
                 cyclic_dims(mc_direct, nmax), cyclic_dims(mc_diag, nmax))
-        if not did:
-            raise MissingBlock("target diagonal-vs-direct needs an algebra "
-                               "or coalgebra block")
     elif target == "ez-hochschild":
+        _require_either(doc, target)
         _check_build_size(doc, target, {"nmax": nmax},
                           ("algebra", "coalgebra"))
-        did = False
         if doc.algebra is not None:
-            did = True
             rep = ez_compare_hochschild(AlgebraCylinder(doc.algebra), nmax)
             verdicts["ez_algebra"] = [
                 {"n": n, "lhs": a, "rhs": b, "equal": eq}
                 for n, a, b, eq in rep]
         if doc.coalgebra is not None:
-            did = True
             rep = ez_compare_hochschild(CoalgebraCocylinder(doc.coalgebra),
                                         nmax)
             verdicts["ez_coalgebra"] = [
                 {"n": n, "lhs": a, "rhs": b, "equal": eq}
                 for n, a, b, eq in rep]
-        if not did:
-            raise MissingBlock("target ez-hochschild needs an algebra or "
-                               "coalgebra block")
     elif target == "collapse-algebra":
         _require(doc, "algebra", target)
         _check_size(doc, nmax, ("algebra",))

@@ -4,13 +4,16 @@ The cylinder of a comodule algebra A lives on X_{p,q} = H^(x)(p+1) (x)
 A^(x)(q+1): the vertical (A-direction) operators rotate/multiply the A-block
 and conjugate the H-block through coaction legs; the horizontal (H-direction)
 operators act on the H-block with an overall S-inverse-twisted conjugation.
-Dually for a module coalgebra C with cofaces/codegeneracies.
+Dually for a module coalgebra C with cofaces/codegeneracies.  The first
+column H (x) A^(x)(n+1) (H (x) C^(x)(n+1)) is the p = 0 column of the
+(co)cylinder with its vertical operators.
 
 Also here: the diagonal (co)cyclic modules, the degreewise isomorphisms with
 the (co)cyclic module of the crossed product, the regrouping transform onto
-Hopf-(co)module form together with the closed forms of every transformed
-operator, the action/coaction on the first column, and the coinvariant
-quotient/subspace with induced (co)cyclic operators.
+Hopf-(co)module form together with the closed forms of the transformed
+operators that move legs between the blocks, the action/coaction on the
+first column, and the coinvariant quotient/subspace with induced
+(co)cyclic operators.
 
 Every operator below is compiled from a leg-by-leg description; conjugation
 by an element u expands as u0 . g . S(u1) over a comultiplication split of u,
@@ -28,7 +31,7 @@ from .errors import (
     NotIntertwining, NotRestricting, NotWellDefined,
 )
 from .hopf import CheckReport, algebra_spaces, coalgebra_spaces
-from .linalg import SparseMatrix, Subspace, combine, image, invert, kernel
+from .linalg import SparseMatrix, Subspace, combine, image, kernel
 from .tensor import Legs, S, Sinv, act, compile_operator, eps, prod, unit
 
 
@@ -39,19 +42,23 @@ def _power(m, k):
     return out
 
 
-class AlgebraCylinder:
-    """Operator families on H^(x)(p+1) (x) A^(x)(q+1) for a comodule algebra."""
+def _coaction_bars(L, first, count):
+    """The products of coaction legs 1 and of legs 2 over the `count` A
+    factors from `first` on."""
+    return (prod(*[L.coact(first + j, 1) for j in range(count)]),
+            prod(*[L.coact(first + j, 2) for j in range(count)]))
 
-    def __init__(self, comodule_algebra):
-        self.A = comodule_algebra
-        self.field = comodule_algebra.field
-        self.spaces = algebra_spaces(comodule_algebra)
-        self.dh = comodule_algebra.hopf.dim
-        self.da = comodule_algebra.dim
+
+class _CellOperators:
+    """Memoized operators compiled on the cells H^(x)(p+1) (x) B^(x)(q+1),
+    with B the (co)module (co)algebra whose leg label is `block`."""
+
+    block = None
+
+    def __init__(self, field, spaces):
+        self.field = field
+        self.spaces = spaces
         self._cache = {}
-
-    def space_dim(self, p, q):
-        return self.dh ** (p + 1) * self.da ** (q + 1)
 
     def _memo(self, key, builder):
         got = self._cache.get(key)
@@ -62,53 +69,65 @@ class AlgebraCylinder:
 
     def _specs(self, p, q, expand=None):
         expand = expand or {}
-        specs = []
-        for f in range(p + 1 + q + 1):
-            label = "H" if f <= p else "A"
-            specs.append((label, expand.get(f, ("id",))))
-        return specs
+        return [("H" if f <= p else self.block, expand.get(f, ("id",)))
+                for f in range(p + 1 + q + 1)]
 
     def _compile(self, specs, outputs):
         return compile_operator(self.field, self.spaces, specs, outputs)
 
+
+class AlgebraCylinder(_CellOperators):
+    """Operator families on H^(x)(p+1) (x) A^(x)(q+1) for a comodule algebra."""
+
+    block = "A"
+
+    def __init__(self, comodule_algebra):
+        super().__init__(comodule_algebra.field,
+                         algebra_spaces(comodule_algebra))
+        self.A = comodule_algebra
+        self.dh = comodule_algebra.hopf.dim
+        self.da = comodule_algebra.dim
+
+    def space_dim(self, p, q):
+        return self.dh ** (p + 1) * self.da ** (q + 1)
+
     # -- vertical (A-direction) family ------------------------------------------
+
+    def _rotation_v_parts(self, p, q):
+        """Legs, conjugated H-block and coaction body shared by the vertical
+        rotation and the last vertical face: the coaction legs of the last A
+        factor conjugate every H factor."""
+        aq = p + 1 + q
+        specs = self._specs(p, q, {aq: ("coaction", 2 * p + 2)})
+        L = Legs(specs)
+        outs = [prod(L.coact(aq, 2 * p + 2 - 2 * k), L.plain(k),
+                     S(L.coact(aq, 2 * p + 1 - 2 * k))) for k in range(p + 1)]
+        return specs, L, outs, L.coact(aq, 0)
 
     def tau_v(self, p, q):
         def build():
-            aq = p + 1 + q
-            specs = self._specs(p, q, {aq: ("coaction", 2 * p + 2)})
-            L = Legs(specs)
-            outs = []
-            for i in range(p + 1):
-                outs.append(prod(L.coact(aq, 2 * p + 2 - 2 * i), L.plain(i),
-                                 S(L.coact(aq, 2 * p + 1 - 2 * i))))
-            outs.append(L.coact(aq, 0))
+            specs, L, outs, body = self._rotation_v_parts(p, q)
+            outs.append(body)
             outs.extend(L.plain(p + 1 + j) for j in range(q))
             return self._compile(specs, outs)
         return self._memo(("tv", p, q), build)
 
     def face_v(self, p, q, i):
         def build():
-            aq = p + 1 + q
-            if i < q:
-                specs = self._specs(p, q)
-                L = Legs(specs)
-                outs = [L.plain(f) for f in range(p + 1)]
-                for j in range(q + 1):
-                    if j == i:
-                        outs.append(prod(L.plain(p + 1 + i),
-                                         L.plain(p + 1 + i + 1)))
-                    elif j != i + 1:
-                        outs.append(L.plain(p + 1 + j))
+            if i == q:
+                specs, L, outs, body = self._rotation_v_parts(p, q)
+                outs.append(prod(body, L.plain(p + 1)))
+                outs.extend(L.plain(p + 1 + j) for j in range(1, q))
                 return self._compile(specs, outs)
-            specs = self._specs(p, q, {aq: ("coaction", 2 * p + 2)})
+            specs = self._specs(p, q)
             L = Legs(specs)
-            outs = []
-            for k in range(p + 1):
-                outs.append(prod(L.coact(aq, 2 * p + 2 - 2 * k), L.plain(k),
-                                 S(L.coact(aq, 2 * p + 1 - 2 * k))))
-            outs.append(prod(L.coact(aq, 0), L.plain(p + 1)))
-            outs.extend(L.plain(p + 1 + j) for j in range(1, q))
+            outs = [L.plain(f) for f in range(p + 1)]
+            for j in range(q + 1):
+                if j == i:
+                    outs.append(prod(L.plain(p + 1 + i),
+                                     L.plain(p + 1 + i + 1)))
+                elif j != i + 1:
+                    outs.append(L.plain(p + 1 + j))
             return self._compile(specs, outs)
         return self._memo(("dv", p, q, i), build)
 
@@ -126,41 +145,40 @@ class AlgebraCylinder:
 
     # -- horizontal (H-direction) family -----------------------------------------
 
-    def _abar_specs(self, p, q):
-        return self._specs(p, q, {p + 1 + j: ("coaction", 2) for j in range(q + 1)})
+    def _rotation_h_parts(self, p, q):
+        """Legs, S-inverse-twisted last H factor and coaction bodies shared
+        by the horizontal rotation and the last horizontal face."""
+        specs = self._specs(p, q,
+                            {p + 1 + j: ("coaction", 2) for j in range(q + 1)})
+        L = Legs(specs)
+        bar1, bar2 = _coaction_bars(L, p + 1, q + 1)
+        bodies = [L.coact(p + 1 + j, 0) for j in range(q + 1)]
+        return specs, L, (Sinv(bar1), L.plain(p), bar2), bodies
 
     def tau_h(self, p, q):
         def build():
-            specs = self._abar_specs(p, q)
-            L = Legs(specs)
-            bar1 = prod(*[L.coact(p + 1 + j, 1) for j in range(q + 1)])
-            bar2 = prod(*[L.coact(p + 1 + j, 2) for j in range(q + 1)])
-            outs = [prod(Sinv(bar1), L.plain(p), bar2)]
+            specs, L, twisted, bodies = self._rotation_h_parts(p, q)
+            outs = [prod(*twisted)]
             outs.extend(L.plain(i) for i in range(p))
-            outs.extend(L.coact(p + 1 + j, 0) for j in range(q + 1))
-            return self._compile(specs, outs)
+            return self._compile(specs, outs + bodies)
         return self._memo(("th", p, q), build)
 
     def face_h(self, p, q, i):
         def build():
-            if i < p:
-                specs = self._specs(p, q)
-                L = Legs(specs)
-                outs = []
-                for f in range(p + 1):
-                    if f == i:
-                        outs.append(prod(L.plain(i), L.plain(i + 1)))
-                    elif f != i + 1:
-                        outs.append(L.plain(f))
-                outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
-                return self._compile(specs, outs)
-            specs = self._abar_specs(p, q)
+            if i == p:
+                specs, L, twisted, bodies = self._rotation_h_parts(p, q)
+                outs = [prod(*twisted, L.plain(0))]
+                outs.extend(L.plain(i2) for i2 in range(1, p))
+                return self._compile(specs, outs + bodies)
+            specs = self._specs(p, q)
             L = Legs(specs)
-            bar1 = prod(*[L.coact(p + 1 + j, 1) for j in range(q + 1)])
-            bar2 = prod(*[L.coact(p + 1 + j, 2) for j in range(q + 1)])
-            outs = [prod(Sinv(bar1), L.plain(p), bar2, L.plain(0))]
-            outs.extend(L.plain(i2) for i2 in range(1, p))
-            outs.extend(L.coact(p + 1 + j, 0) for j in range(q + 1))
+            outs = []
+            for f in range(p + 1):
+                if f == i:
+                    outs.append(prod(L.plain(i), L.plain(i + 1)))
+                elif f != i + 1:
+                    outs.append(L.plain(f))
+            outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
             return self._compile(specs, outs)
         return self._memo(("dh", p, q, i), build)
 
@@ -190,37 +208,20 @@ class AlgebraCylinder:
                        (((-1) ** i, self.face_h(p, q, i)) for i in range(p + 1)))
 
 
-class CoalgebraCocylinder:
+class CoalgebraCocylinder(_CellOperators):
     """Cooperator families on H^(x)(p+1) (x) C^(x)(q+1) for a module coalgebra."""
 
+    block = "C"
+
     def __init__(self, module_coalgebra):
+        super().__init__(module_coalgebra.field,
+                         coalgebra_spaces(module_coalgebra))
         self.C = module_coalgebra
-        self.field = module_coalgebra.field
-        self.spaces = coalgebra_spaces(module_coalgebra)
         self.dh = module_coalgebra.hopf.dim
         self.dc = module_coalgebra.dim
-        self._cache = {}
 
     def space_dim(self, p, q):
         return self.dh ** (p + 1) * self.dc ** (q + 1)
-
-    def _memo(self, key, builder):
-        got = self._cache.get(key)
-        if got is None:
-            got = builder()
-            self._cache[key] = got
-        return got
-
-    def _specs(self, p, q, expand=None):
-        expand = expand or {}
-        specs = []
-        for f in range(p + 1 + q + 1):
-            label = "H" if f <= p else "C"
-            specs.append((label, expand.get(f, ("id",))))
-        return specs
-
-    def _compile(self, specs, outputs):
-        return compile_operator(self.field, self.spaces, specs, outputs)
 
     def _gblock_pairs(self, L, p):
         """The product g_0^(0) S(g_0^(2)) ... g_p^(0) S(g_p^(2)) of comult-2 legs."""
@@ -670,9 +671,10 @@ def phi_matrix_coalgebra(c, n):
     return compile_operator(f, spaces, specs, outs)
 
 
-def _psi_candidate_coalgebra(c, n):
-    """Mirror of the coalgebra-side map: slot k undoes the nested action with
-    the S-inverse of symmetric leg pairs straddling each middle leg."""
+def psi_matrix_coalgebra(c, n):
+    """Inverse of the degree-n coalgebra-side map, the mirror of its leg
+    nesting: slot k undoes the nested action with the S-inverse of symmetric
+    leg pairs straddling each middle leg."""
     f = c.field
     spaces = coalgebra_spaces(c)
     specs = []
@@ -700,29 +702,13 @@ def _psi_candidate_coalgebra(c, n):
     return compile_operator(f, spaces, specs, outs)
 
 
-def psi_matrix_coalgebra(c, n):
-    """Inverse of the degree-n coalgebra-side map.
-
-    Built from the mirrored leg nesting and verified against the forward map;
-    falls back to exact matrix inversion should the pattern ever fail."""
-    phi = phi_matrix_coalgebra(c, n)
-    psi = _psi_candidate_coalgebra(c, n)
-    if psi @ phi != SparseMatrix.identity(c.field, phi.cols):
-        psi = invert(phi)
-        if psi is None:
-            raise NotInverse("coalgebra-side iso is singular at degree %d" % n)
-    return psi
-
-
-def phi_psi_algebra(a, N=3, check=True, crossed_ops=None, diag_ops=None):
+def phi_psi_algebra(a, N=3, check=True):
     """Families (phi_n, psi_n), verified mutually inverse and intertwining."""
     phi = {n: phi_matrix_algebra(a, n) for n in range(N + 1)}
     psi = {n: psi_matrix_algebra(a, n) for n in range(N + 1)}
     if check:
-        if crossed_ops is None:
-            crossed_ops = cyclic_module_of_algebra(crossed_product_algebra(a), N)
-        if diag_ops is None:
-            diag_ops = diagonal_cyclic(AlgebraCylinder(a), N)
+        crossed_ops = cyclic_module_of_algebra(crossed_product_algebra(a), N)
+        diag_ops = diagonal_cyclic(AlgebraCylinder(a), N)
         for n in range(N + 1):
             ident = SparseMatrix.identity(a.field, phi[n].cols)
             if psi[n] @ phi[n] != ident or phi[n] @ psi[n] != \
@@ -732,20 +718,18 @@ def phi_psi_algebra(a, N=3, check=True, crossed_ops=None, diag_ops=None):
     return phi, psi
 
 
-def phi_psi_coalgebra(c, N=2, check=True, crossed_ops=None, diag_ops=None):
+def phi_psi_coalgebra(c, N=2, check=True):
+    """Families (phi_n, psi_n), always verified inverse; with check, also
+    intertwining."""
     phi = {n: phi_matrix_coalgebra(c, n) for n in range(N + 1)}
     psi = {n: psi_matrix_coalgebra(c, n) for n in range(N + 1)}
+    for n in range(N + 1):
+        if psi[n] @ phi[n] != SparseMatrix.identity(c.field, phi[n].cols):
+            raise NotInverse("phi/psi not inverse at degree %d" % n)
     if check:
-        if crossed_ops is None:
-            crossed_ops = cocyclic_module_of_coalgebra(
-                crossed_product_coalgebra(c), N)
-        if diag_ops is None:
-            diag_ops = diagonal_cocyclic(CoalgebraCocylinder(c), N)
-        for n in range(N + 1):
-            ident = SparseMatrix.identity(c.field, phi[n].cols)
-            if psi[n] @ phi[n] != ident:
-                raise NotInverse("phi/psi not inverse at degree %d" % n)
-        _check_cointertwining(phi, crossed_ops, diag_ops)
+        _check_cointertwining(
+            phi, cocyclic_module_of_coalgebra(crossed_product_coalgebra(c), N),
+            diagonal_cocyclic(CoalgebraCocylinder(c), N))
     return phi, psi
 
 
@@ -789,8 +773,7 @@ def first_column_action(a, n, check=True):
     specs = [("H", ("comult", 1)), ("H", ("id",))]
     specs += [("A", ("coaction", 2)) for _ in range(n + 1)]
     L = Legs(specs)
-    bar1 = prod(*[L.coact(2 + j, 1) for j in range(n + 1)])
-    bar2 = prod(*[L.coact(2 + j, 2) for j in range(n + 1)])
+    bar1, bar2 = _coaction_bars(L, 2, n + 1)
     outs = [prod(Sinv(bar1), L.com(0, 0), bar2, L.plain(1), Sinv(L.com(0, 1)))]
     outs.extend(L.coact(2 + j, 0) for j in range(n + 1))
     action = compile_operator(f, spaces, specs, outs)
@@ -854,39 +837,22 @@ def _mprod(*terms):
 
 # -- regrouping onto Hopf-module form (algebra side) ---------------------------------
 
-class AlgebraModuleForm:
+class AlgebraModuleForm(_CellOperators):
     """The cylinder conjugated onto H^(x)p (x) (H (x) A^(x)(q+1)).
 
-    to_module / from_module are the mutually inverse regrouping maps; the
-    conjugated operators admit closed forms (bar faces act through the
-    first-column action, the vertical family conjugates through the top
-    coaction legs of the last A factor) which are built independently and
-    compared entrywise by check().
+    to_module / from_module are the mutually inverse regrouping maps.  The
+    conjugated operators that move legs between the blocks admit closed
+    forms (bar faces act through the first-column action, the rotation and
+    last face conjugate through the top coaction legs of the last A factor),
+    built independently and compared entrywise by check(); the regrouping
+    leaves the other vertical operators as they are in the cylinder.
     """
 
+    block = "A"
+
     def __init__(self, cyl: AlgebraCylinder):
+        super().__init__(cyl.field, cyl.spaces)
         self.cyl = cyl
-        self.field = cyl.field
-        self.spaces = cyl.spaces
-        self._cache = {}
-
-    def _memo(self, key, builder):
-        got = self._cache.get(key)
-        if got is None:
-            got = builder()
-            self._cache[key] = got
-        return got
-
-    def _specs(self, p, q, expand=None):
-        expand = expand or {}
-        specs = []
-        for f in range(p + 1 + q + 1):
-            label = "H" if f <= p else "A"
-            specs.append((label, expand.get(f, ("id",))))
-        return specs
-
-    def _compile(self, specs, outs):
-        return compile_operator(self.field, self.spaces, specs, outs)
 
     def to_module(self, p, q):
         def build():
@@ -973,30 +939,10 @@ class AlgebraModuleForm:
         outs.extend(L.plain(p + 1 + j) for j in range(q))
         return self._compile(specs, outs)
 
-    def closed_face_v(self, p, q, i):
-        if i < q:
-            specs = self._specs(p, q)
-            L = Legs(specs)
-            outs = [L.plain(f) for f in range(p + 1)]
-            for j in range(q + 1):
-                if j == i:
-                    outs.append(prod(L.plain(p + 1 + i), L.plain(p + 1 + i + 1)))
-                elif j != i + 1:
-                    outs.append(L.plain(p + 1 + j))
-            return self._compile(specs, outs)
+    def closed_last_face_v(self, p, q):
         specs, L, bars, mod, aq = self._rotation_v_parts(p, q)
         outs = list(bars) + [mod, prod(L.coact(aq, 0), L.plain(p + 1))]
         outs.extend(L.plain(p + 1 + j) for j in range(1, q))
-        return self._compile(specs, outs)
-
-    def closed_degen_v(self, p, q, i):
-        specs = self._specs(p, q)
-        L = Legs(specs)
-        outs = [L.plain(f) for f in range(p + 1)]
-        for j in range(q + 1):
-            outs.append(L.plain(p + 1 + j))
-            if j == i:
-                outs.append(unit("A"))
         return self._compile(specs, outs)
 
     def closed_tau_h(self, p, q):
@@ -1015,8 +961,7 @@ class AlgebraModuleForm:
         expand.update({p + 1 + j: ("coaction", 2) for j in range(q + 1)})
         specs = self._specs(p, q, expand)
         L = Legs(specs)
-        bar1 = prod(*[L.coact(p + 1 + j, 1) for j in range(q + 1)])
-        bar2 = prod(*[L.coact(p + 1 + j, 2) for j in range(q + 1)])
+        bar1, bar2 = _coaction_bars(L, p + 1, q + 1)
         top = [L.com(i, 3) for i in range(p - 1)] + [L.com(p - 1, 2)]
         mid = [L.com(i, 2) for i in range(p - 1)] + [L.com(p - 1, 1)]
         outs = [prod(L.com(p, 0), Sinv(_mprod(*top)))]
@@ -1051,8 +996,7 @@ class AlgebraModuleForm:
         expand.update({p + 1 + j: ("coaction", 2) for j in range(q + 1)})
         specs = self._specs(p, q, expand)
         L = Legs(specs)
-        bar1 = prod(*[L.coact(p + 1 + j, 1) for j in range(q + 1)])
-        bar2 = prod(*[L.coact(p + 1 + j, 2) for j in range(q + 1)])
+        bar1, bar2 = _coaction_bars(L, p + 1, q + 1)
         outs = [L.plain(f) for f in range(p - 1)]
         outs.append(prod(Sinv(bar1), L.com(p - 1, 0), bar2, L.plain(p),
                          Sinv(L.com(p - 1, 1))))
@@ -1076,9 +1020,11 @@ class AlgebraModuleForm:
     # -- verification --------------------------------------------------------------
 
     def check(self, P, Q, raise_on_fail=True) -> CheckReport:
-        """to/from inverse, every conjugated operator vs its closed form,
-        and the conjugated horizontal boundary vs the Hopf-module boundary."""
+        """to/from inverse, every conjugated operator vs its closed form or
+        the cylinder operator it leaves alone, and the conjugated horizontal
+        boundary vs the Hopf-module boundary."""
         from .homology import hopf_module_boundary
+        cyl = self.cyl
         rep = CheckReport("algebra module form")
 
         def chk(name, p, q, lhs, rhs):
@@ -1089,7 +1035,7 @@ class AlgebraModuleForm:
 
         for p in range(P + 1):
             for q in range(Q + 1):
-                ident = SparseMatrix.identity(self.field, self.cyl.space_dim(p, q))
+                ident = SparseMatrix.identity(self.field, cyl.space_dim(p, q))
                 chk("to . from = id", p, q,
                     self.to_module(p, q) @ self.from_module(p, q), ident)
                 chk("from . to = id", p, q,
@@ -1101,9 +1047,11 @@ class AlgebraModuleForm:
                 for i in range(q + 1):
                     if q >= 1:
                         chk("transformed face_v %d" % i, p, q,
-                            self.face_v(p, q, i), self.closed_face_v(p, q, i))
+                            self.face_v(p, q, i),
+                            self.closed_last_face_v(p, q) if i == q
+                            else cyl.face_v(p, q, i))
                     chk("transformed degen_v %d" % i, p, q,
-                        self.degen_v(p, q, i), self.closed_degen_v(p, q, i))
+                        self.degen_v(p, q, i), cyl.degen_v(p, q, i))
                 for i in range(p + 1):
                     if p >= 1:
                         chk("transformed face_h %d" % i, p, q,
@@ -1112,8 +1060,8 @@ class AlgebraModuleForm:
                         self.degen_h(p, q, i), self.closed_degen_h(p, q, i))
                 if p >= 1:
                     delta = hopf_module_boundary(
-                        self.cyl.A.hopf,
-                        first_column_action(self.cyl.A, q, check=False), p)
+                        cyl.A.hopf,
+                        first_column_action(cyl.A, q, check=False), p)
                     chk("transformed boundary_h = module boundary", p, q,
                         self.boundary_h(p, q), delta)
         return rep
@@ -1121,32 +1069,18 @@ class AlgebraModuleForm:
 
 # -- regrouping onto Hopf-comodule form (coalgebra side) ------------------------------
 
-class CoalgebraModuleForm:
-    """The cocylinder conjugated onto H^(x)p (x) (H (x) C^(x)(q+1))."""
+class CoalgebraModuleForm(_CellOperators):
+    """The cocylinder conjugated onto H^(x)p (x) (H (x) C^(x)(q+1)).
+
+    The regrouping leaves every vertical cooperator but the rotation and the
+    last coface as it is in the cocylinder; check() compares those with the
+    cocylinder's own and the others with their closed forms."""
+
+    block = "C"
 
     def __init__(self, cocyl: CoalgebraCocylinder):
+        super().__init__(cocyl.field, cocyl.spaces)
         self.cocyl = cocyl
-        self.field = cocyl.field
-        self.spaces = cocyl.spaces
-        self._cache = {}
-
-    def _memo(self, key, builder):
-        got = self._cache.get(key)
-        if got is None:
-            got = builder()
-            self._cache[key] = got
-        return got
-
-    def _specs(self, p, q, expand=None):
-        expand = expand or {}
-        specs = []
-        for f in range(p + 1 + q + 1):
-            label = "H" if f <= p else "C"
-            specs.append((label, expand.get(f, ("id",))))
-        return specs
-
-    def _compile(self, specs, outs):
-        return compile_operator(self.field, self.spaces, specs, outs)
 
     def to_module(self, p, q):
         """Regroup by peeling the leading factor: its first leg becomes the
@@ -1225,18 +1159,7 @@ class CoalgebraModuleForm:
                         L.plain(p + 1)))
         return self._compile(specs, outs)
 
-    def closed_coface_v(self, p, q, i):
-        if i <= q:
-            specs = self._specs(p, q, {p + 1 + i: ("comult", 1)})
-            L = Legs(specs)
-            outs = [L.plain(f) for f in range(p + 1)]
-            for j in range(q + 1):
-                if j == i:
-                    outs.append(L.com(p + 1 + i, 0))
-                    outs.append(L.com(p + 1 + i, 1))
-                else:
-                    outs.append(L.plain(p + 1 + j))
-            return self._compile(specs, outs)
+    def closed_last_coface_v(self, p, q):
         expand = {f: ("comult", 2) for f in range(p + 1)}
         expand[p + 1] = ("comult", 1)
         specs = self._specs(p, q, expand)
@@ -1247,14 +1170,6 @@ class CoalgebraModuleForm:
         outs.extend(L.plain(p + 1 + j) for j in range(1, q + 1))
         outs.append(act(self._module_action_pairs(L, p, range(p), q),
                         L.com(p + 1, 0)))
-        return self._compile(specs, outs)
-
-    def closed_codegen_v(self, p, q, i):
-        specs = self._specs(p, q)
-        L = Legs(specs)
-        outs = [L.plain(f) for f in range(p + 1)]
-        outs.extend(L.plain(p + 1 + j) for j in range(q + 1) if j != i + 1)
-        outs.append(eps(L.plain(p + 1 + i + 1)))
         return self._compile(specs, outs)
 
     def closed_coface_h(self, p, q, i):
@@ -1315,6 +1230,7 @@ class CoalgebraModuleForm:
 
     def check(self, P, Q, raise_on_fail=True) -> CheckReport:
         from .homology import hopf_comodule_coboundary
+        cocyl = self.cocyl
         rep = CheckReport("coalgebra module form")
 
         def chk(name, p, q, lhs, rhs):
@@ -1325,8 +1241,7 @@ class CoalgebraModuleForm:
 
         for p in range(P + 1):
             for q in range(Q + 1):
-                ident = SparseMatrix.identity(self.field,
-                                              self.cocyl.space_dim(p, q))
+                ident = SparseMatrix.identity(self.field, cocyl.space_dim(p, q))
                 chk("to . from = id", p, q,
                     self.to_module(p, q) @ self.from_module(p, q), ident)
                 chk("from . to = id", p, q,
@@ -1335,16 +1250,18 @@ class CoalgebraModuleForm:
                     self.tau_v(p, q), self.closed_tau_v(p, q))
                 for i in range(q + 2):
                     chk("transformed coface_v %d" % i, p, q,
-                        self.coface_v(p, q, i), self.closed_coface_v(p, q, i))
+                        self.coface_v(p, q, i),
+                        self.closed_last_coface_v(p, q) if i == q + 1
+                        else cocyl.coface_v(p, q, i))
                 for i in range(q):
                     chk("transformed codegen_v %d" % i, p, q,
-                        self.codegen_v(p, q, i), self.closed_codegen_v(p, q, i))
+                        self.codegen_v(p, q, i), cocyl.codegen_v(p, q, i))
                 for i in range(p + 2):
                     chk("transformed coface_h %d" % i, p, q,
                         self.coface_h(p, q, i), self.closed_coface_h(p, q, i))
                 cb = hopf_comodule_coboundary(
-                    self.cocyl.C.hopf,
-                    first_column_coaction(self.cocyl.C, q, check=False), p)
+                    cocyl.C.hopf, first_column_coaction(cocyl.C, q, check=False),
+                    p)
                 chk("transformed coboundary_h = comodule coboundary", p, q,
                     self.coboundary_h(p, q), cb)
                 if p >= 1:
@@ -1355,120 +1272,11 @@ class CoalgebraModuleForm:
                             self.codegen_h(p, q, i), self.closed_codegen_h(p, q, i))
                 else:
                     chk("transformed tau_h (p=0)", p, q,
-                        self.tau_h(p, q), self.cocyl.tau_h(p, q))
+                        self.tau_h(p, q), cocyl.tau_h(p, q))
         return rep
 
 
-# -- first-column (co)cyclic families and coinvariants --------------------------------
-
-def first_column_cyclic_family(a, N) -> CyclicOps:
-    """Paracyclic structure on H (x) A^(x)(n+1): rotation conjugates the H
-    factor through the top coaction legs of the last A factor.  Cyclic only
-    after passing to coinvariants."""
-    f = a.field
-    spaces = algebra_spaces(a)
-
-    def specs(n, expand=None):
-        expand = expand or {}
-        out = [("H", ("id",))]
-        out += [("A", expand.get(j, ("id",))) for j in range(n + 1)]
-        return out
-
-    def tau(n):
-        sp = specs(n, {n: ("coaction", 2)})
-        L = Legs(sp)
-        outs = [prod(L.coact(n + 1, 2), L.plain(0), S(L.coact(n + 1, 1))),
-                L.coact(n + 1, 0)]
-        outs.extend(L.plain(1 + j) for j in range(n))
-        return compile_operator(f, spaces, sp, outs)
-
-    def face(n, i):
-        if i < n:
-            sp = specs(n)
-            L = Legs(sp)
-            outs = [L.plain(0)]
-            for j in range(n + 1):
-                if j == i:
-                    outs.append(prod(L.plain(1 + i), L.plain(2 + i)))
-                elif j != i + 1:
-                    outs.append(L.plain(1 + j))
-            return compile_operator(f, spaces, sp, outs)
-        sp = specs(n, {n: ("coaction", 2)})
-        L = Legs(sp)
-        outs = [prod(L.coact(n + 1, 2), L.plain(0), S(L.coact(n + 1, 1))),
-                prod(L.coact(n + 1, 0), L.plain(1))]
-        outs.extend(L.plain(1 + j) for j in range(1, n))
-        return compile_operator(f, spaces, sp, outs)
-
-    def degen(n, i):
-        sp = specs(n)
-        L = Legs(sp)
-        outs = [L.plain(0)]
-        for j in range(n + 1):
-            outs.append(L.plain(1 + j))
-            if j == i:
-                outs.append(unit("A"))
-        return compile_operator(f, spaces, sp, outs)
-
-    dims = [a.hopf.dim * a.dim ** (n + 1) for n in range(N + 1)]
-    faces = {(n, i): face(n, i) for n in range(1, N + 1) for i in range(n + 1)}
-    degens = {(n, i): degen(n, i) for n in range(N) for i in range(n + 1)}
-    cyc = {n: tau(n) for n in range(N + 1)}
-    return CyclicOps(f, dims, faces, degens, cyc, N)
-
-
-def first_column_cocyclic_family(c, N) -> CocyclicOps:
-    """Paracocyclic structure on H (x) C^(x)(n+1); cocyclic on coinvariants."""
-    f = c.field
-    spaces = coalgebra_spaces(c)
-
-    def specs(n, expand=None):
-        expand = expand or {}
-        out = [("H", expand.get("H", ("id",)))]
-        out += [("C", expand.get(j, ("id",))) for j in range(n + 1)]
-        return out
-
-    def tau(n):
-        sp = specs(n, {"H": ("comult", 2)})
-        L = Legs(sp)
-        outs = [L.com(0, 1)]
-        outs.extend(L.plain(1 + j) for j in range(1, n + 1))
-        outs.append(act(prod(L.com(0, 0), S(L.com(0, 2))), L.plain(1)))
-        return compile_operator(f, spaces, sp, outs)
-
-    def coface(n, i):
-        if i <= n:
-            sp = specs(n, {i: ("comult", 1)})
-            L = Legs(sp)
-            outs = [L.plain(0)]
-            for j in range(n + 1):
-                if j == i:
-                    outs.append(L.com(1 + i, 0))
-                    outs.append(L.com(1 + i, 1))
-                else:
-                    outs.append(L.plain(1 + j))
-            return compile_operator(f, spaces, sp, outs)
-        sp = specs(n, {"H": ("comult", 2), 0: ("comult", 1)})
-        L = Legs(sp)
-        outs = [L.com(0, 1), L.com(1, 1)]
-        outs.extend(L.plain(1 + j) for j in range(1, n + 1))
-        outs.append(act(prod(L.com(0, 0), S(L.com(0, 2))), L.com(1, 0)))
-        return compile_operator(f, spaces, sp, outs)
-
-    def codegen(n, i):
-        sp = specs(n)
-        L = Legs(sp)
-        outs = [L.plain(0)]
-        outs.extend(L.plain(1 + j) for j in range(n + 1) if j != i + 1)
-        outs.append(eps(L.plain(1 + i + 1)))
-        return compile_operator(f, spaces, sp, outs)
-
-    dims = [c.hopf.dim * c.dim ** (n + 1) for n in range(N + 1)]
-    cofaces = {(n, i): coface(n, i) for n in range(N) for i in range(n + 2)}
-    codegens = {(n, i): codegen(n, i) for n in range(1, N + 1) for i in range(n)}
-    cyc = {n: tau(n) for n in range(N + 1)}
-    return CocyclicOps(f, dims, cofaces, codegens, cyc, N)
-
+# -- coinvariants of the first column ------------------------------------------------
 
 class QuotientPresentation:
     """A quotient V / R with projection and lift matrices.
@@ -1499,10 +1307,11 @@ class QuotientPresentation:
 
 
 def coinvariant_cyclic_module(a, N=2, check=True):
-    """The quotient of the first column by span{h.x - counit(h) x}, with the
-    induced cyclic operators.  Returns (CyclicOps, [QuotientPresentation])."""
+    """The quotient of the first column, the cylinder's p = 0 column with
+    its vertical operators, by span{h.x - counit(h) x}, with the induced
+    cyclic operators.  Returns (CyclicOps, [QuotientPresentation])."""
     f = a.field
-    fam = first_column_cyclic_family(a, N)
+    fam = _vertical_view(AlgebraCylinder(a), 0, N)
     pres = []
     for n in range(N + 1):
         x = fam.dim(n)
@@ -1561,10 +1370,11 @@ class SubspacePresentation:
 
 
 def coinvariant_cocyclic_module(c, N=2, check=True):
-    """The subspace of the first column where the coaction is trivial, with
-    the induced cocyclic operators.  Returns (CocyclicOps, [SubspacePresentation])."""
+    """The subspace of the first column, the cocylinder's p = 0 column with
+    its vertical cooperators, where the coaction is trivial, with the
+    induced cocyclic operators.  Returns (CocyclicOps, [SubspacePresentation])."""
     f = c.field
-    fam = first_column_cocyclic_family(c, N)
+    fam = _covertical_view(CoalgebraCocylinder(c), 0, N)
     pres = []
     for n in range(N + 1):
         x = fam.dim(n)

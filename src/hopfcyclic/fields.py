@@ -168,9 +168,6 @@ class Field:
             return _demote(1 / Fraction(a))
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return a == 0
 

@@ -22,8 +22,7 @@ from .errors import CharTwo, NotAGroup, Singular
 from .fields import Field
 from .linalg import SparseMatrix, invert
 from .tensor import (
-    SpaceOps, Spaces, iterate_coaction_matrix, iterate_comult_matrix, perm_matrix,
-    tensor_unindex,
+    SpaceOps, Spaces, iterate_comult_matrix, perm_matrix, tensor_unindex,
 )
 
 
@@ -380,11 +379,6 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
 def iterate_comult(h: HopfAlgebra, k: int) -> SparseMatrix:
     """The iterated comultiplication H -> H^(x)(k+1)."""
     return iterate_comult_matrix(h.field, space_ops(h), k)
-
-
-def iterate_coaction(a: ComoduleAlgebra, k: int) -> SparseMatrix:
-    """The iterated coaction A -> H^(x)k (x) A."""
-    return iterate_coaction_matrix(a.field, a.hopf.dim, comodule_space_ops(a), k)
 
 
 # -- canonical (co)actions ----------------------------------------------------------

@@ -103,14 +103,6 @@ class SparseMatrix:
             ent = {(i, 0): field.of(v) for i, v in enumerate(vec)}
         return cls(field, dim, 1, ent)
 
-    @classmethod
-    def row_vector(cls, field, vec, dim):
-        if isinstance(vec, dict):
-            ent = {(0, j): v for j, v in vec.items()}
-        else:
-            ent = {(0, j): field.of(v) for j, v in enumerate(vec)}
-        return cls(field, 1, dim, ent)
-
     # -- access ---------------------------------------------------------------
 
     def __getitem__(self, ij):

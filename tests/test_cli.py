@@ -72,6 +72,32 @@ def test_missing_block_exits_two(tmp_path):
     assert "algebra" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("args", [
+    "verify iso", "verify transforms", "compute hh", "compute hc",
+    "compute ss-pages", "compute coinvariants", "compare diagonal-vs-direct",
+    "compare ez-hochschild",
+])
+def test_target_needing_either_block_exits_two_without_both(args, tmp_path,
+                                                           capsys):
+    """A target that runs on the algebra or the coalgebra block refuses a
+    document with neither; a bad degree bound is reported first."""
+    from hopfcyclic import cli
+    with open(data_file("c2_Q")) as fh:
+        data = json.load(fh)
+    del data["algebra"], data["coalgebra"]
+    doc = tmp_path / "hopf_only.json"
+    doc.write_text(json.dumps(data))
+    argv = args.split() + ["-i", str(doc)]
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "target %s needs an algebra or coalgebra block"
+        % args.split()[1]}
+    flag = "--qmax" if args in ("verify transforms", "compute ss-pages") \
+        else "--nmax"
+    assert cli.main(argv + [flag, "-1"]) == 2
+    assert "must be an integer >= 0" in capsys.readouterr().out
+
+
 def test_malformed_file_exits_two(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
@@ -452,6 +478,13 @@ class _Reached(Exception):
      "(co)face work"),
     ("compare collapse-coalgebra", "--nmax 99", "--nmax 100",
      "(co)face work"),
+    ("compute coinvariants", "--nmax 100", "--nmax 101",
+     "(co)face work 102^3 = 1061208, above the limit 1048576"),
+    ("compute ss-pages", "--pmax 15 --qmax 14", "--pmax 15 --qmax 15",
+     "(co)face work 32^2 33^2 = 1115136, above the limit 1048576"),
+    # the total complex reaches every cell with p + q <= pmax + qmax + 1
+    ("compute ss-pages", "--pmax 0 --qmax 29", "--pmax 0 --qmax 30",
+     "(co)face work 32^2 33^2"),
     ("verify cylindrical", "--pmax 20 --qmax 20", "--pmax 21 --qmax 21",
      "operator pairs 529^2 = 279841, above the limit 262144"),
     ("verify cocylindrical", "--pmax 20 --qmax 20", "--pmax 21 --qmax 21",
@@ -474,7 +507,8 @@ def test_degree_work_limits_on_a_structure_of_dimension_one(
 
     for name in ("crossed_product_algebra", "crossed_product_coalgebra",
                  "AlgebraCylinder", "CoalgebraCocylinder",
-                 "phi_psi_algebra", "phi_psi_coalgebra"):
+                 "phi_psi_algebra", "phi_psi_coalgebra",
+                 "coinvariant_cyclic_module", "coinvariant_cocyclic_module"):
         monkeypatch.setattr(cli, name, reached)
     argv = args.split() + ["-i", data_file("ground_field_Q")]
     with pytest.raises(_Reached):
