@@ -7,7 +7,7 @@
 plus `-o report.json` and `--csv dir/` on every command.  Exit codes:
 0 all checks pass, 1 a check failed or a verify / compare checked nothing,
 2 input error or a job above a size limit (`MAX_CHAIN_DIM` on crossed
-products, `MAX_EXPR_DIM` on coinvariants, `MAX_TOTAL_DIM` on spectral pages,
+products, `MAX_COLUMN_DIM` on coinvariants, `MAX_TOTAL_DIM` on spectral pages,
 `MAX_FACE_WORK` on all three, `MAX_CYLINDER_DIM` and `MAX_CHECK_WORK`
 on `verify cylindrical|cocylindrical|transforms|iso` and `compare
 ez-hochschild`).  Reports are normalized JSON and
@@ -108,32 +108,43 @@ def _opt(params, doc, key, default):
 # bound.
 MAX_CHAIN_DIM = 2 ** 17
 
-# Largest expression width dim(H)^(2N+5) that the first-column (co)action of
-# a coinvariant job at top degree N may compile: its output splits H into
-# 2N+5 legs.  Measured with `compute coinvariants` on a 2-core VM: the
-# admitted jobs at the edge finish, C2 --nmax 8 (2^21) in 38 s and 770 MB,
-# Sweedler --nmax 3 (4^11 = 2^22) in 5 s and 600 MB; the first refused
-# ones take C2 --nmax 9 (2^23) 161 s and 2.9 GB, S3 --nmax 2 (6^9) 54 s and
-# 3.4 GB, and C3 --nmax 5 (3^15) runs out of a 3.5 GB address space.
-MAX_EXPR_DIM = 2 ** 22
+# Largest first column H (x) X^(N+1) (X = A or C) at the top degree N that a
+# coinvariant job may build.  Its (co)action is compiled column by column
+# from the structure tables, so nothing is built over the 2N + 5 legs of H;
+# the job's time and memory grow with the first column through its degrees.
+# Measured with `compute coinvariants` on a 2-core VM: the admitted jobs at
+# the edge take C2 --nmax 13 (2 2^14 = 2^15) 84 s and 1.6 GB, C3 --nmax 7
+# (3 3^8) 15 s and 0.4 GB, Sweedler --nmax 5 (4 4^6) 34 s and 0.6 GB and
+# S3 --nmax 3 (6 6^4) 5 s and 0.2 GB; of the first refused ones, S3
+# --nmax 4 (6 6^5) takes 35 s and 1.1 GB and C3 --nmax 8 (3 3^9) 58 s and
+# 1.3 GB, while C2 --nmax 14 doubles C2's edge.  The README lists the runs.
+MAX_COLUMN_DIM = 2 ** 15
 
 # Largest top total space, the sum of dim(H)^(p+1) dim(A)^(q+1) over
-# p + q = pmax + qmax + 1, that `compute ss-pages` may build.  Measured on a
-# 2-core VM, building dominates: the admitted jobs at the edge take C2
-# (pmax, qmax) = (5, 4) (45056) 75 s and 1.8 GB and C3 (3, 2) (45927) 43 s
-# and 1.8 GB; at 98304, Sweedler (2, 2) finishes in 43 s at 2.4 GB but C2
-# (5, 5) runs out of a 3.5 GB address space, as do C3 (3, 3) and S3 (2, 1).
-MAX_TOTAL_DIM = 2 ** 16
+# p + q = pmax + qmax + 1, that `compute ss-pages` may build.  The last
+# horizontal face reads 2q + 4 legs of H, but no matrix is built over them,
+# so building grows with the total space.  Measured on a 2-core VM: the
+# admitted jobs at the edge take C2 (pmax, qmax) = (6, 5), (11, 0) and
+# (0, 11) (13 2^14 = 212992) 59-63 s and 1.4 GB, S3 (2, 1) (233280) 18 s
+# and 0.6 GB and C3 (3, 3) (157464) 20 s and 0.6 GB; of the first refused
+# ones, Sweedler (3, 2) (7 4^8 = 458752) takes 85 s and 1.7 GB and C3
+# (4, 3) (9 3^10) 85 s and 2.3 GB, and C2 (6, 6) (14 2^15) doubles C2's
+# edge.  The README lists the runs.
+MAX_TOTAL_DIM = 2 ** 18
 
 # Bound on what `verify cylindrical|cocylindrical|transforms|iso` and
 # `compare ez-hochschild` build: the number of cells a job reaches times the
 # largest of them (the diagonal cells on iso and ez-hochschild, whose total
-# complex is smaller), and, apart, its widest compiled expression, counted
-# as dim(H)^legs (times dim(A) with a body leg).  Measured on a 2-core VM,
-# the admitted corpus jobs at the edge take up to 92 s (C2 `cylindrical`
-# (5, 8), 1.4 GB) and 1.5 GB (C2 `transforms` (1, 8), 54 s); the refused C2
-# `cylindrical` (7, 7) and (4, 9) take 167 s and 2.5 GB and 144 s and
-# 2.7 GB.  The README lists the runs and the bounds.
+# complex is smaller), and, apart, its widest operator expression, counted
+# as dim(H)^legs (times dim(A) with a body leg).  The compiler builds nothing
+# over those legs, so the width only stands in for the check work that grows
+# with the degrees, which the cells undercount: C2 `cylindrical` (0, 15),
+# whose cells sit at the bound, takes 215 s and 2.9 GB and is refused by its
+# last horizontal face (2^34) alone.  Measured on a 2-core VM, the admitted
+# corpus jobs at the edge take up to 67 s and 1.1 GB (C2 `cylindrical`
+# (5, 8)); the width also refuses cheaper jobs, such as C2 `cylindrical`
+# (4, 9) (64 s, 1.1 GB) and C2 `transforms` (5, 5) (8 s, 0.2 GB).  The
+# README lists the runs and the bounds.
 MAX_CYLINDER_DIM = 2 ** 21
 
 # The caps above never grow on a structure of dimension 1 (ground_field_Q),
@@ -211,20 +222,19 @@ def _check_size(doc, nmax, blocks):
 
 
 def _check_coinvariant_size(doc, nmax, top, blocks):
-    """Refuse a coinvariant job whose first-column (co)action at the top
-    degree `top` needs an expression wider than MAX_EXPR_DIM, or whose
-    (co)face work up to `top` exceeds MAX_FACE_WORK."""
+    """Refuse a coinvariant job whose first column at the top degree `top`
+    passes MAX_COLUMN_DIM, or whose (co)face work up to `top` exceeds
+    MAX_FACE_WORK."""
     for block in blocks:
         s = getattr(doc, block)
         if s is None:
             continue
-        d = s.hopf.dim
-        k = 2 * top + 5
-        if _capped_power(d, k, MAX_EXPR_DIM) > MAX_EXPR_DIM:
+        factors = [(s.hopf.dim, 1), (s.dim, top + 1)]
+        if _capped_product(factors, MAX_COLUMN_DIM) > MAX_COLUMN_DIM:
             raise TooLarge(
-                "--nmax %d on the %s block needs a first-column expression "
-                "of width %s, above the limit %d"
-                % (nmax, block, _product_text([(d, k)]), MAX_EXPR_DIM))
+                "--nmax %d on the %s block needs a first column of dimension "
+                "%s, above the limit %d"
+                % (nmax, block, _product_text(factors), MAX_COLUMN_DIM))
         if (top + 1) ** 3 > MAX_FACE_WORK:
             raise TooLarge(
                 "--nmax %d on the %s block needs (co)face work %s, above "
@@ -265,7 +275,7 @@ def _check_pages_size(doc, pmax, qmax, blocks):
 
 def _build_sizes(target, dh, d, bounds):
     """(what, (base, exponent) factors, limit) for the cells, the widest
-    compiled expressions and the operator pairs of a verify or ez-hochschild
+    operator expressions and the operator pairs of a verify or ez-hochschild
     job, with dh = dim(H) and d = dim(A) or dim(C): both sides share the
     shapes."""
     if target == "transforms":

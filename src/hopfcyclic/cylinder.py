@@ -1356,17 +1356,16 @@ class SubspacePresentation:
 
     def restrict(self, op, target: "SubspacePresentation", name):
         """Matrix of op on subspace coordinates; NotRestricting if it leaves."""
-        f = self.subspace.field
+        moved = op @ self.include
         ent = {}
-        for k in range(self.dim):
-            col = (op @ self.include).column(k)
+        for k, col in moved.column_index().items():
             coeffs = target.subspace.coefficients(col)
             if coeffs is None:
                 raise NotRestricting("%s leaves the coinvariant subspace" % name)
-            for i, v in enumerate(coeffs):
-                if not f.is_zero(v):
-                    ent[(i, k)] = v
-        return SparseMatrix(f, target.dim, self.dim, ent)
+            for i, v in coeffs.items():
+                ent[(i, k)] = v
+        return SparseMatrix._settled(self.subspace.field, target.dim,
+                                     self.dim, ent)
 
 
 def coinvariant_cocyclic_module(c, N=2, check=True):

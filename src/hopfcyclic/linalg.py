@@ -450,7 +450,7 @@ def _kept_column(field, col, low):
 class Subspace:
     """A subspace of k^n presented by a reduced-echelon basis."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_index")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_index", "_pos")
 
     def __init__(self, field, ambient_dim, vectors=()):
         self.field = field
@@ -459,6 +459,7 @@ class Subspace:
         self.basis = basis
         self.pivots = pivots
         self._index = dict(zip(pivots, basis))
+        self._pos = None
 
     @classmethod
     def coordinate(cls, field, ambient_dim, coords):
@@ -471,6 +472,7 @@ class Subspace:
         one = field.one()
         sub.basis = [{j: one} for j in sub.pivots]
         sub._index = dict(zip(sub.pivots, sub.basis))
+        sub._pos = None
         return sub
 
     @property
@@ -485,16 +487,15 @@ class Subspace:
         return not self.reduce(vec)
 
     def coefficients(self, vec):
-        """Coefficients of vec in the echelon basis, or None if outside."""
-        f = self.field
-        r = dict(vec)
-        coeffs = []
-        for pc, b in zip(self.pivots, self.basis):
-            c = r.get(pc, f.zero())
-            coeffs.append(c)
-            if not f.is_zero(c):
-                r = _row_axpy(f, r, f.neg(c), b)
-        return None if r else coeffs
+        """The nonzero coefficients of vec in the echelon basis, as {basis
+        index: scalar}, or None if vec lies outside.  The basis is reduced,
+        so they are the entries of vec at the pivots."""
+        if self.reduce(vec):
+            return None
+        if self._pos is None:
+            self._pos = {j: k for k, j in enumerate(self.pivots)}
+        pos = self._pos
+        return {pos[j]: v for j, v in vec.items() if j in pos}
 
     def sum(self, other):
         if self.ambient_dim != other.ambient_dim:

@@ -14,27 +14,25 @@ leg space is never materialized.
 The compiler reads every leg assignment as one integer offset: each leg adds
 a fixed weight times its value, so an input column is a fold of its factors'
 (offset, coeff) lists, and each offset expands into the Kronecker product of
-the output expressions' columns.  Scalars are summed with native + and *
-and settled into the field once per entry.  The expansion and expression
-matrices are memoized on the `Spaces` passed in, under (label, expansion)
+the output expressions' columns.  Nothing is built over the leg space of an
+expression: each expression column is made the first time it is reached,
+straight from the structure tables (`mult`, `action`, `antipode(_inv)`,
+`counit`, `unit`) and the memoized columns of its parts, and each expansion
+splits a basis vector one leg at a time by `comult` or `coaction`.
+Scalars are summed with native + and * and settled into the field once per
+column and once per entry of the result.  The expansions and the expression
+columns are memoized on the `Spaces` passed in, under (label, expansion)
 and under the expression's shape (the tree with each leg replaced by its
-space label).  `hopf.algebra_spaces` and `hopf.coalgebra_spaces` build a
-fresh `Spaces` for each structure, so the memo lives as long as the
-cylinder, module form or crossed product that owns it, and never across
-structures.
+space label), so a column made for one operator serves every later one.
+`hopf.algebra_spaces` and `hopf.coalgebra_spaces` build a fresh `Spaces` for
+each structure, so the memo lives as long as the cylinder, module form or
+crossed product that owns it, and never across structures.
 """
 
 from __future__ import annotations
 
 from .fields import settle
-from .linalg import SparseMatrix, kron_all
-
-
-def tensor_index(dims, multi):
-    idx = 0
-    for d, m in zip(dims, multi):
-        idx = idx * d + m
-    return idx
+from .linalg import SparseMatrix
 
 
 def tensor_unindex(dims, idx):
@@ -46,27 +44,33 @@ def tensor_unindex(dims, idx):
 
 
 def perm_matrix(field, dims, out_to_in):
-    """Factor permutation; out_to_in[k] is the input position of output k."""
+    """Factor permutation; out_to_in[k] is the input position of output k.
+
+    The output index is linear in the input digits: input factor s adds its
+    digit times the stride of the output position it moves to."""
     n = len(dims)
     assert sorted(out_to_in) == list(range(n))
-    out_dims = [dims[s] for s in out_to_in]
+    stride = [0] * n
     total = 1
-    for d in dims:
-        total *= d
-    ent = {}
+    for k in range(n - 1, -1, -1):
+        s = out_to_in[k]
+        stride[s] = total
+        total *= dims[s]
+    out = [0]
+    for d, w in zip(dims, stride):
+        out = [i + m * w for i in out for m in range(d)]
     one = field.one()
-    for j in range(total):
-        multi = tensor_unindex(dims, j)
-        ent[(tensor_index(out_dims, [multi[s] for s in out_to_in]), j)] = one
-    return SparseMatrix._settled(field, total, total, ent)
+    return SparseMatrix._settled(field, total, total,
+                                 {(i, j): one for j, i in enumerate(out)})
 
 
 class Spaces(dict):
     """Label -> SpaceOps of one structure, with the compiler's memo.
 
-    `memo` holds the expansion and expression matrices `compile_operator`
-    builds on these spaces, so it lives exactly as long as the object that
-    owns the spaces (a cylinder, a module form, one crossed product).
+    `memo` holds the expansions and the expression columns
+    `compile_operator` makes on these spaces, so it lives exactly as long as
+    the object that owns the spaces (a cylinder, a module form, one crossed
+    product).
     """
 
     __slots__ = ("memo",)
@@ -171,16 +175,6 @@ class Legs:
         return ("leg", self.start[f] + (k - bar))
 
 
-def _mult_chain(field, ops, n):
-    """Iterated product X^(x)n -> X; n = 0 gives the unit, n = 1 the identity."""
-    if n == 0:
-        return ops.unit
-    m = SparseMatrix.identity(field, ops.dim)
-    for _ in range(n - 1):
-        m = ops.mult @ m.kron(SparseMatrix.identity(field, ops.dim))
-    return m
-
-
 def iterate_comult_matrix(field, ops, k):
     """X -> X^(x)(k+1) by k applications of comult to the last factor."""
     m = SparseMatrix.identity(field, ops.dim)
@@ -189,42 +183,46 @@ def iterate_comult_matrix(field, ops, k):
     return m
 
 
-def iterate_coaction_matrix(field, hdim, ops, k):
-    """X -> H^(x)k (x) X by k applications of the coaction to the body."""
-    m = SparseMatrix.identity(field, ops.dim)
-    for j in range(k):
-        m = SparseMatrix.identity(field, hdim ** j).kron(ops.coaction) @ m
-    return m
-
-
-def _expansion_matrix(field, spaces, label, exp):
-    ops = spaces[label]
-    if exp[0] == "id":
-        return SparseMatrix.identity(field, ops.dim), [ops.dim]
-    if exp[0] == "comult":
-        k = exp[1]
-        return iterate_comult_matrix(field, ops, k), [ops.dim] * (k + 1)
-    if exp[0] == "coaction":
-        k = exp[1]
-        hdim = spaces["H"].dim
-        return (iterate_coaction_matrix(field, hdim, ops, k),
-                [hdim] * k + [ops.dim])
-    raise ValueError("unknown expansion %r" % (exp,))
+_EMPTY = {}
 
 
 def _expansion(field, spaces, label, exp):
     """Memoized expansion of one factor: (leg dims, decoded columns).
 
-    columns[i] lists (leg values, coeff) for the expansion of basis vector i.
+    columns[i] lists (leg values, coeff) for the expansion of basis vector i,
+    split one leg at a time: ("comult", k) splits the last leg k times by
+    the comultiplication, ("coaction", k) the body k times by the coaction.
     """
     key = ("expansion", label, exp)
     got = spaces.memo.get(key)
-    if got is None:
-        mat, ldims = _expansion_matrix(field, spaces, label, exp)
-        got = ldims, [[(tensor_unindex(ldims, r), v)
-                       for r, v in mat.column(i).items()]
-                      for i in range(mat.cols)]
-        spaces.memo[key] = got
+    if got is not None:
+        return got
+    ops = spaces[label]
+    d = ops.dim
+    if exp[0] == "id":
+        k, split, ldims = 0, None, [d]
+    elif exp[0] == "comult":
+        k, split, ldims = exp[1], ops.comult, [d] * (exp[1] + 1)
+    elif exp[0] == "coaction":
+        k, split = exp[1], ops.coaction
+        ldims = [spaces["H"].dim] * k + [d]
+    else:
+        raise ValueError("unknown expansion %r" % (exp,))
+    split = split and split.column_index()
+    columns = []
+    for i in range(d):
+        terms = {(i,): 1}
+        for _ in range(k):
+            nxt = {}
+            get = nxt.get
+            for legs, c in terms.items():
+                head = legs[:-1]
+                for r, v in split.get(legs[-1], _EMPTY).items():
+                    split_legs = head + divmod(r, d)
+                    nxt[split_legs] = get(split_legs, 0) + c * v
+            terms = settle(field, nxt)
+        columns.append(list(terms.items()))
+    got = spaces.memo[key] = ldims, columns
     return got
 
 
@@ -245,7 +243,7 @@ def _shape(e, leg_spaces):
 
 
 def _slots(e, out):
-    """Append the expression's leg slots, in the order its matrix reads them."""
+    """Append the expression's leg slots, in the order its columns read them."""
     tag = e[0]
     if tag == "leg":
         out.append(e[1])
@@ -260,81 +258,139 @@ def _slots(e, out):
     return out
 
 
-def _compile_expr(field, spaces, shape):
-    """Memoized (matrix, space label) of an expression shape.
+def _apply(cols, vec):
+    """A linear map, given by its column index, applied to [(index, coeff)]."""
+    out = {}
+    get = out.get
+    for j, c in vec:
+        for i, a in cols.get(j, _EMPTY).items():
+            out[i] = get(i, 0) + a * c
+    return out
 
-    The matrix maps the tensor product of the expression's legs (in `_slots`
-    order) to the expression's output space ("1" for counit-consumed scalars).
+
+def _apply2(cols, d, x, y):
+    """A bilinear map X (x) Y -> Z, given by the column index of its matrix
+    (column a d + b for the basis tensor (a, b), d = dim Y), applied to
+    x, y as [(index, coeff)]."""
+    out = {}
+    get = out.get
+    for a, c in x:
+        base = a * d
+        for b, e in y:
+            ce = c * e
+            for i, v in cols.get(base + b, _EMPTY).items():
+                out[i] = get(i, 0) + v * ce
+    return out
+
+
+class _Columns(dict):
+    """The columns of one expression shape on one structure, made on demand.
+
+    Maps a column index (the shape's legs, read in `_slots` order, as one
+    mixed-radix number) to its settled entries [(row, coeff)].  `cols` and
+    `rows` are the dimensions of the shape's matrix, which is never built:
+    a column is made from the columns of the shape's parts, themselves
+    memoized under their own shapes, and one structure map.  A product is
+    folded left to right, ((x1 x2) x3) ..., so a column of
+    prod(x1, ..., xn) is the product of a column of prod(x1, ..., xn-1)
+    and one of xn.
     """
+
+    __slots__ = ("field", "tag", "parts", "table", "d", "space", "cols",
+                 "rows")
+
+    def __init__(self, field, spaces, shape):
+        super().__init__()
+        self.field = field
+        self.tag = tag = shape[0]
+        self.parts = ()
+        self.table = self.d = None
+        if tag in ("leg", "unit"):
+            self.space = shape[1]
+            self.rows = spaces[self.space].dim
+            self.cols = self.rows if tag == "leg" else 1
+            if tag == "unit":
+                self.table = list(spaces[self.space].unit.column(0).items())
+            return
+        if tag == "prod":
+            xs = shape[1]
+            if not xs:
+                raise ValueError("empty product; use unit(label)")
+            if len(xs) > 1:
+                xs = (("prod", xs[:-1]) if len(xs) > 2 else xs[0], xs[-1])
+        else:
+            xs = shape[1:]
+        self.parts = tuple(_columns(field, spaces, x) for x in xs)
+        first, last = self.parts[0].space, self.parts[-1].space
+        if tag == "prod":
+            if first != last:
+                raise ValueError("product of legs from different spaces")
+            sp = first
+            if len(self.parts) == 2:
+                self.table = spaces[sp].mult.column_index()
+                self.d = spaces[sp].dim
+        elif tag == "act":
+            if first != "H":
+                raise ValueError("action by a non-Hopf expression")
+            sp = last
+            self.table = spaces[sp].action.column_index()
+            self.d = spaces[sp].dim
+        elif tag == "eps":
+            sp = "1"
+            self.table = spaces[first].counit.column_index()
+        else:
+            if first != "H":
+                raise ValueError("antipode applied to non-Hopf leg")
+            sp = "H"
+            h = spaces["H"]
+            self.table = (h.antipode if tag == "S"
+                          else h.antipode_inv).column_index()
+        self.space = sp
+        self.rows = 1 if sp == "1" else spaces[sp].dim
+        self.cols = 1
+        for p in self.parts:
+            self.cols *= p.cols
+
+    def column(self, k):
+        col = self.get(k)
+        if col is None:
+            col = self[k] = self._make(k)
+        return col
+
+    def _make(self, k):
+        tag = self.tag
+        if tag == "leg":
+            return [(k, 1)]
+        if tag == "unit":
+            return self.table
+        if len(self.parts) == 1:
+            inner = self.parts[0].column(k)
+            if self.table is None:
+                return inner
+            out = _apply(self.table, inner)
+        else:
+            left, right = self.parts
+            k1, k2 = divmod(k, right.cols)
+            out = _apply2(self.table, self.d, left.column(k1),
+                          right.column(k2))
+        return list(settle(self.field, out).items())
+
+
+def _columns(field, spaces, shape):
+    """The memoized `_Columns` of an expression shape."""
     got = spaces.memo.get(shape)
     if got is None:
-        got = _build_expr(field, spaces, shape)
-        spaces.memo[shape] = got
+        got = spaces.memo[shape] = _Columns(field, spaces, shape)
     return got
 
 
-def _build_expr(field, spaces, shape):
-    tag = shape[0]
-    if tag == "leg":
-        sp = shape[1]
-        return SparseMatrix.identity(field, spaces[sp].dim), sp
-    if tag in ("S", "Sinv"):
-        m, sp = _compile_expr(field, spaces, shape[1])
-        if sp != "H":
-            raise ValueError("antipode applied to non-Hopf leg")
-        a = spaces["H"].antipode if tag == "S" else spaces["H"].antipode_inv
-        return a @ m, "H"
-    if tag == "prod":
-        parts = [_compile_expr(field, spaces, x) for x in shape[1]]
-        sp = parts[0][1]
-        if any(p[1] != sp for p in parts):
-            raise ValueError("product of legs from different spaces")
-        mat = _mult_chain(field, spaces[sp], len(parts)) @ kron_all(
-            field, [p[0] for p in parts])
-        return mat, sp
-    if tag == "act":
-        hm, hsp = _compile_expr(field, spaces, shape[1])
-        cm, csp = _compile_expr(field, spaces, shape[2])
-        if hsp != "H":
-            raise ValueError("action by a non-Hopf expression")
-        return spaces[csp].action @ hm.kron(cm), csp
-    if tag == "eps":
-        m, sp = _compile_expr(field, spaces, shape[1])
-        return spaces[sp].counit @ m, "1"
-    sp = shape[1]
-    return spaces[sp].unit, sp
-
-
-def _fold(factor_terms, blocks, f, terms, prefix, sums):
-    """Fold factors f.. into `terms` and add each input column to `sums`.
-
-    terms: (offset, coeff) of factors 0..f-1 for the input columns whose
-    leading indices give `prefix`.  At the last factor each offset expands
-    into the Kronecker product of its output columns.
-    """
-    if f < len(factor_terms):
-        base = prefix * len(factor_terms[f])
-        for i, col in enumerate(factor_terms[f]):
-            _fold(factor_terms, blocks, f + 1,
-                  [(o + o2, c * c2) for o, c in terms for o2, c2 in col],
-                  base + i, sums)
-        return
-    get = sums.get
-    for o, c in terms:
-        rows = [(0, c)]
-        for radix, cols, w in blocks:
-            o, k = divmod(o, radix)
-            if cols is None:
-                rows = [(r + k * w, x) for r, x in rows]
-                continue
-            col = cols.get(k)
-            if col is None:
-                break
-            rows = [(r + r2, x * y) for r, x in rows for r2, y in col]
-        else:
-            for r, x in rows:
-                key = (r, prefix)
-                sums[key] = get(key, 0) + x
+def _weighted(memo, cache, k, w):
+    """Column k of an expression, its rows times the block weight w, stored
+    in the compile's own cache (the memo itself when w is 1)."""
+    col = memo.column(k)
+    if cache is not memo:
+        col = cache[k] = [(r * w, v) for r, v in col]
+    return col
 
 
 def compile_operator(field, spaces, specs, outputs):
@@ -342,17 +398,21 @@ def compile_operator(field, spaces, specs, outputs):
 
     specs: list of (space_label, expansion) for the input factors.
     outputs: expressions, one per output factor, using every leg exactly once.
-    spaces: the `Spaces` of one structure; its memo keeps the expansion and
-    expression matrices built here for every later compile on it.
+    spaces: the `Spaces` of one structure; its memo keeps the expansions and
+    the expression columns made here for every later compile on it.
 
-    Output k reads its legs as one column index c_k, and (c_0, c_1, ...) is
-    one mixed-radix offset, linear in the leg values: each leg adds a fixed
-    weight times its value.  So each expansion column becomes a list of
-    (offset, coeff), and an input column folds the lists of its factors one
-    at a time; distinct leg assignments land on distinct offsets, so no two
-    terms of the fold merge.  Each offset expands into the Kronecker product
-    of the output columns it names, and the sum in each output entry is
-    settled into the field at the end.
+    Every leg assignment is read as one integer, linear in the leg values:
+    each leg adds a fixed weight times its value.  A leg that is an output
+    on its own adds its share of the output row; the legs of the other
+    outputs add their output's column index, as one mixed-radix number
+    above the row.  So each expansion column becomes a list of (offset,
+    coeff), and the input columns are folded breadth-first, one factor at a
+    time, into one [(offset, coeff)] list per input column; distinct leg
+    assignments land on distinct offsets, so no two terms of the fold
+    merge.  Each offset expands into the Kronecker product of the output
+    columns it names, each evaluated from the structure tables the first
+    time any compile on these spaces reaches it, and the sum in each output
+    entry is settled into the field at the end.
     """
     legmap = Legs(specs)
     leg_dims = []
@@ -362,44 +422,86 @@ def compile_operator(field, spaces, specs, outputs):
         factor_cols.append((len(leg_dims), cols))
         leg_dims.extend(ldims)
 
-    # Output blocks, rightmost first: (radix, columns, row weight).  A run of
-    # plain legs is one identity block (columns None); any other output has
-    # its columns as {col: [(weighted row, coeff)]}.
+    # Expression blocks, rightmost first: (radix, weighted columns, row
+    # weight, memo).  A block with row weight 1 reads the memo itself.
     blocks = []
     weight = [0] * len(leg_dims)
+    expr_slots = []
     used = []
     n_out = 1
     n_off = 1
     for e in reversed(outputs):
-        mat, _ = _compile_expr(field, spaces, _shape(e, legmap.leg_spaces))
         slots = _slots(e, [])
+        used.extend(slots)
+        if e[0] == "leg":
+            weight[e[1]] = n_out
+            n_out *= leg_dims[e[1]]
+            continue
         for s in reversed(slots):
             weight[s] = n_off
             n_off *= leg_dims[s]
-        used.extend(slots)
-        if e[0] != "leg":
-            cols = {}
-            for (r, c), v in mat.entries.items():
-                cols.setdefault(c, []).append((r * n_out, v))
-            blocks.append((mat.cols, cols, n_out))
-        elif blocks and blocks[-1][1] is None:
-            radix, _, w = blocks[-1]
-            blocks[-1] = (radix * mat.cols, None, w)
-        else:
-            blocks.append((mat.cols, None, n_out))
-        n_out *= mat.rows
+        expr_slots.extend(slots)
+        memo = _columns(field, spaces, _shape(e, legmap.leg_spaces))
+        blocks.append((memo.cols, memo if n_out == 1 else {}, n_out, memo))
+        n_out *= memo.rows
     if sorted(used) != list(range(len(leg_dims))):
         raise ValueError("legs not used exactly once: %s of %d"
                          % (sorted(used), len(leg_dims)))
+    for s in expr_slots:
+        weight[s] *= n_out
 
     factor_terms = [
         [[(sum(weight[first + t] * x for t, x in enumerate(legs)), v)
           for legs, v in col] for col in cols]
         for first, cols in factor_cols]
-    n_in = 1
+    # The term lists of the input columns, in column order, over every
+    # factor but the last, which is folded in as each column is reached.
+    last = factor_terms.pop() if factor_terms else [[(0, 1)]]
+    flat = [[(0, 1)]]
     for terms in factor_terms:
-        n_in *= len(terms)
+        flat = [[(o + o2, c * c2) for o, c in ts for o2, c2 in col]
+                for ts in flat for col in terms]
 
+    # An offset splits into the row of its bare legs and, above it, the
+    # column indices of the expressions.
+    n_in = len(flat) * len(last)
+    single = len(blocks) == 1
+    if single:
+        _, cols1, w1, memo1 = blocks[0]
     sums = {}
-    _fold(factor_terms, blocks, 0, [(0, 1)], 0, sums)
+    get = sums.get
+    j = 0
+    for ts in flat:
+        for col_in in last:
+            for o1, c1 in ts:
+                for o2, c2 in col_in:
+                    e, r = divmod(o1 + o2, n_out)
+                    c = c1 * c2
+                    if not blocks:
+                        key = (r, j)
+                        sums[key] = get(key, 0) + c
+                        continue
+                    if single:
+                        col = cols1.get(e)
+                        if col is None:
+                            col = _weighted(memo1, cols1, e, w1)
+                        for r2, y in col:
+                            key = (r + r2, j)
+                            sums[key] = get(key, 0) + c * y
+                        continue
+                    rows = [(r, c)]
+                    for radix, cols, w, memo in blocks:
+                        e, k = divmod(e, radix)
+                        col = cols.get(k)
+                        if col is None:
+                            col = _weighted(memo, cols, k, w)
+                        if not col:
+                            break
+                        rows = [(r + r2, x * y) for r, x in rows
+                                for r2, y in col]
+                    else:
+                        for r, x in rows:
+                            key = (r, j)
+                            sums[key] = get(key, 0) + x
+            j += 1
     return SparseMatrix._settled(field, n_out, n_in, settle(field, sums))

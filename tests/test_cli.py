@@ -315,14 +315,17 @@ def test_size_limit_on_the_corpus(name, first_refused):
 
 
 @pytest.mark.parametrize("args", [
-    ["compute", "coinvariants", "--nmax", "2"],
+    ["compute", "coinvariants", "--nmax", "4"],
     ["compare", "collapse-algebra", "--nmax", "1"],
     ["compare", "collapse-coalgebra", "--nmax", "1"],
 ])
 def test_coinvariant_job_above_expression_limit_is_refused_at_once(
         args, monkeypatch, capsys):
-    """S3 at top degree 2 needs a first-column expression of width 6^9: the
-    job exits 2 before any coinvariant module or crossed product is built."""
+    """S3 at top degree 4 needs a first column of dimension 6 6^5: the job
+    exits 2 before any coinvariant module or crossed product is built.  On
+    the corpus the crossed-product cap refuses a collapse job before the
+    first column passes the cap, so the collapse rows lower the cap below
+    S3's first column at top degree 2 (6 6^3) to reach it."""
     from hopfcyclic import cli
 
     def unreachable(*a, **k):
@@ -331,16 +334,21 @@ def test_coinvariant_job_above_expression_limit_is_refused_at_once(
     for name in ("coinvariant_cyclic_module", "coinvariant_cocyclic_module",
                  "crossed_product_algebra", "crossed_product_coalgebra"):
         monkeypatch.setattr(cli, name, unreachable)
+    collapse = args[0] == "compare"
+    if collapse:
+        monkeypatch.setattr(cli, "MAX_COLUMN_DIM", 2 ** 10)
     code = cli.main(args[:2] + ["-i", data_file("s3_Q")] + args[2:])
     err = json.loads(capsys.readouterr().out)
     assert code == 2 and set(err) == {"error"}
-    assert "width 6^9 = 10077696, above the limit" in err["error"]
+    expected = "6 6^3 = 1296" if collapse else "6 6^5 = 46656"
+    assert ("first column of dimension %s, above the limit" % expected
+            in err["error"])
 
 
 def test_ss_pages_job_above_total_limit_is_refused_at_once(
         monkeypatch, capsys):
-    """Sweedler at pmax = qmax = 2 needs a top total space of 6 * 4^7: the
-    job exits 2 before any total complex is built."""
+    """Sweedler at pmax = 3, qmax = 2 needs a top total space of 7 * 4^8:
+    the job exits 2 before any total complex is built."""
     from hopfcyclic import cli
 
     def unreachable(*a, **k):
@@ -350,15 +358,15 @@ def test_ss_pages_job_above_total_limit_is_refused_at_once(
                  "AlgebraCylinder", "CoalgebraCocylinder"):
         monkeypatch.setattr(cli, name, unreachable)
     code = cli.main(["compute", "ss-pages", "-i", data_file("sweedler_Q"),
-                     "--pmax", "2", "--qmax", "2"])
+                     "--pmax", "3", "--qmax", "2"])
     err = json.loads(capsys.readouterr().out)
     assert code == 2 and set(err) == {"error"}
-    assert "over p+q = 5 = 98304, above the limit" in err["error"]
+    assert "over p+q = 6 = 458752, above the limit" in err["error"]
 
 
 @pytest.mark.parametrize("args, text", [
     (["compute", "coinvariants", "-i", "c2_Q", "--nmax", str(10 ** 6)],
-     "width 2^2000005, above the limit"),
+     "first column of dimension 2 2^1000001, above the limit"),
     (["compute", "ss-pages", "-i", "c2_Q", "--pmax", str(10 ** 6)],
      "over p+q = 1000003, above the limit"),
     (["compute", "ss-pages", "-i", "ground_field_Q", "--pmax", str(10 ** 9)],
@@ -377,10 +385,11 @@ def test_huge_bounds_are_refused_without_building_the_estimate(args, text,
 # refused at (collapse-* builds one degree more, so its bound is one lower),
 # and the first pmax + qmax of `compute ss-pages`.  Every benchmarked job is
 # admitted: coinvariants on C2 at --nmax 3, collapse on C2 at --nmax 2 and
-# pages on C2 at (2, 2).
+# pages on C2 at (2, 2); so is the S3 coinvariants --nmax 2 scale point
+# (CI runs it).
 @pytest.mark.parametrize("name, coinvariants, pages", [
-    ("c2_Q", 9, 10), ("c2_F2", 9, 10), ("c3_Q", 5, 6), ("sweedler_Q", 4, 4),
-    ("s3_Q", 2, 3),
+    ("c2_Q", 14, 12), ("c2_F2", 14, 12), ("c3_Q", 8, 7),
+    ("sweedler_Q", 6, 5), ("s3_Q", 4, 4),
 ])
 def test_coinvariant_and_pages_limits_on_the_corpus(name, coinvariants, pages):
     from hopfcyclic import cli

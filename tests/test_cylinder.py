@@ -1,5 +1,8 @@
 """Bi-paracyclic operator families, diagonals, and the crossed-product isos."""
 
+import os
+import time
+
 import pytest
 
 from hopfcyclic.fields import Field
@@ -12,13 +15,17 @@ from hopfcyclic.crossed import check_cyclic_ops, check_cocyclic_ops
 from hopfcyclic.cylinder import (
     AlgebraCylinder, CoalgebraCocylinder, build_algebra_cylinder,
     build_coalgebra_cocylinder, check_algebra_cylinder,
-    check_coalgebra_cocylinder, diagonal_cocyclic, diagonal_cyclic,
+    check_coalgebra_cocylinder, coinvariant_cocyclic_module,
+    coinvariant_cyclic_module, diagonal_cocyclic, diagonal_cyclic,
     first_column_action, first_column_coaction, phi_psi_algebra,
     phi_psi_coalgebra, phi_matrix_algebra, psi_matrix_algebra,
     phi_matrix_coalgebra, psi_matrix_coalgebra,
 )
+from hopfcyclic.io import load_document
 from hopfcyclic.linalg import SparseMatrix
 from hopfcyclic.tensor import perm_matrix
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -163,3 +170,20 @@ def test_first_column_coaction_axioms_and_group_like_collapse():
         assert co.column(j) == {j: QQ.one()}
     c4 = regular_module_coalgebra(sweedler_hopf(QQ))
     first_column_coaction(c4, 1)
+
+
+@pytest.mark.parametrize("build, block, dims", [
+    (coinvariant_cyclic_module, "algebra", [18, 108, 648]),
+    (coinvariant_cocyclic_module, "coalgebra", [36, 216, 1296]),
+])
+def test_s3_coinvariant_modules_at_degree_two(build, block, dims):
+    """Scale point: at N = 2 the first-column (co)action of S3 reads
+    2N + 5 = 9 legs of H, and its expression columns are made only where
+    an input column reaches them, never over all of H^9, so each module
+    takes a second or so (with every check on) in a few tens of MB."""
+    doc = load_document(os.path.join(DATA, "s3_Q.json"))
+    start = time.perf_counter()
+    ops, pres = build(getattr(doc, block), N=2)
+    assert [p.dim for p in pres] == dims
+    assert ops.dims == dims
+    assert time.perf_counter() - start < 30

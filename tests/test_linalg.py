@@ -148,7 +148,8 @@ def test_subspace_sum_and_coefficients():
     s = a.sum(b)
     assert s.dim == 2
     coeffs = s.coefficients({0: QQ.of(2), 1: QQ.of(-5)})
-    assert coeffs == [QQ.of(2), QQ.of(-5)]
+    assert coeffs == {0: QQ.of(2), 1: QQ.of(-5)}
+    assert s.coefficients({1: QQ.of(3)}) == {1: QQ.of(3)}
     assert s.coefficients({2: QQ.one()}) is None
 
 

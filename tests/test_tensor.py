@@ -1,19 +1,25 @@
 """The operator compiler against a materialized reference, and its memo."""
 
+import functools
 import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from hopfcyclic.fields import Field
 from hopfcyclic.hopf import algebra_spaces, coalgebra_spaces
 from hopfcyclic.io import load_document
 from hopfcyclic.linalg import SparseMatrix, kron_all
 from hopfcyclic.tensor import (
-    Legs, S, Sinv, act, compile_operator, eps, perm_matrix, prod, unit,
+    Legs, S, Sinv, act, compile_operator, eps, perm_matrix, prod,
+    tensor_unindex, unit,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 CORPUS = ("c2_Q", "c3_Q", "sweedler_Q", "c2_F2")
+QQ = Field.rationals()
 
 
 def load(name):
@@ -206,3 +212,115 @@ def test_fresh_spaces_start_with_an_empty_memo():
     fresh = algebra_spaces(a)
     assert fresh.memo == {} and fresh.memo is not used.memo
     assert coalgebra_spaces(load("sweedler_Q").coalgebra).memo == {}
+
+
+# -- random descriptions ------------------------------------------------------------
+
+# The structure maps of each leg space: which expansions split it, and
+# which expressions take it.
+_SIDES = {
+    "algebra": (algebra_spaces, lambda doc: doc.algebra, {
+        "H": ("comult", True, True), "A": ("coaction", True, False)}),
+    "coalgebra": (coalgebra_spaces, lambda doc: doc.coalgebra, {
+        "H": ("comult", True, True), "C": ("comult", False, True)}),
+}
+_doc = functools.lru_cache(maxsize=None)(load)
+
+
+def _draw_description(data, labels, dims):
+    """Random specs and outputs: every leg used once, over every
+    expression kind the side's spaces allow.  labels maps a space to
+    (its expansion, whether it multiplies, whether it has a counit)."""
+    specs = []
+    for _ in range(data.draw(st.integers(1, 3), label="factors")):
+        label = data.draw(st.sampled_from(sorted(labels)))
+        if data.draw(st.booleans()):
+            specs.append((label, ("id",)))
+        else:
+            specs.append((label, (labels[label][0],
+                                  data.draw(st.integers(0, 2)))))
+    leg_spaces = Legs(specs).leg_spaces
+    width = 1
+    for sp in leg_spaces:
+        width *= dims[sp]
+    assume(width <= 2 ** 12)
+    items = [(("leg", s), sp) for s, sp in enumerate(leg_spaces)]
+    mult = [sp for sp in sorted(labels) if labels[sp][1]]
+    for _ in range(data.draw(st.integers(0, 8), label="steps")):
+        kinds = ["unit"]
+        if any(sp == "H" for _, sp in items):
+            kinds += ["S", "Sinv"]
+        if any(sp in labels and labels[sp][2] for _, sp in items):
+            kinds.append("eps")
+        if any(sum(sp == m for _, sp in items) >= 2 for m in mult):
+            kinds.append("prod")
+        if "C" in labels and {"H", "C"} <= {sp for _, sp in items}:
+            kinds.append("act")
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "unit":
+            label = data.draw(st.sampled_from(mult))
+            items.append((unit(label), label))
+            continue
+        if kind == "prod":
+            sp = data.draw(st.sampled_from(
+                [m for m in mult if sum(s == m for _, s in items) >= 2]))
+            mine = [i for i, (_, s) in enumerate(items) if s == sp]
+            picked = data.draw(st.lists(st.sampled_from(mine), min_size=2,
+                                        max_size=3, unique=True))
+            new = (prod(*[items[i][0] for i in picked]), sp)
+            items = [x for i, x in enumerate(items) if i not in picked]
+            items.append(new)
+            continue
+        if kind == "act":
+            h = data.draw(st.sampled_from(
+                [i for i, (_, s) in enumerate(items) if s == "H"]))
+            c = data.draw(st.sampled_from(
+                [i for i, (_, s) in enumerate(items) if s == "C"]))
+            new = (act(items[h][0], items[c][0]), "C")
+            items = [x for i, x in enumerate(items) if i not in (h, c)]
+            items.append(new)
+            continue
+        if kind == "eps":
+            ok = [i for i, (_, s) in enumerate(items)
+                  if s in labels and labels[s][2]]
+        else:
+            ok = [i for i, (_, s) in enumerate(items) if s == "H"]
+        i = data.draw(st.sampled_from(ok))
+        wrap = {"S": S, "Sinv": Sinv, "eps": eps}[kind]
+        items[i] = (wrap(items[i][0]), "1" if kind == "eps" else "H")
+    outputs = data.draw(st.permutations([e for e, _ in items]))
+    return specs, outputs
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(data=st.data(), name=st.sampled_from(CORPUS),
+       side=st.sampled_from(sorted(_SIDES)))
+def test_random_descriptions_match_the_reference(data, name, side):
+    """Two random descriptions compiled on the same spaces, the second one
+    reading the columns the first left in the memo."""
+    make_spaces, block, labels = _SIDES[side]
+    s = block(_doc(name))
+    spaces = make_spaces(s)
+    dims = {label: ops.dim for label, ops in spaces.items()}
+    for _ in range(2):
+        specs, outs = _draw_description(data, labels, dims)
+        got = compile_operator(s.field, spaces, specs, outs)
+        assert got == reference(s.field, spaces, specs, outs)
+        assert_settled(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.lists(st.integers(1, 4), max_size=5), data=st.data())
+def test_perm_matrix_moves_each_factor_to_its_output_position(dims, data):
+    perm = data.draw(st.permutations(range(len(dims))))
+    m = perm_matrix(QQ, dims, perm)
+    out_dims = [dims[s] for s in perm]
+    total = m.rows
+    assert (m.rows, m.cols, m.nnz()) == (total, total, total)
+    for j in range(total):
+        multi = tensor_unindex(dims, j)
+        image = tensor_unindex(out_dims, next(iter(m.column(j))))
+        assert image == tuple(multi[s] for s in perm)
+    assert_settled(m)
