@@ -90,7 +90,7 @@ def _opt(params, doc, key, default):
         value = params[key]
     else:
         value = doc.options.get(_OPTION_KEYS[key], default)
-    if not isinstance(value, int) or value < 0:
+    if type(value) is not int or value < 0:
         raise ParseError("degree bound --%s must be an integer >= 0, got %r"
                          % (key, value))
     return value

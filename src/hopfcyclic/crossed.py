@@ -14,8 +14,10 @@ factors with the last face wrapping (r_n r_0, r_1, ..., r_{n-1}),
 degeneracies insert 1, and t pulls the last factor to the front.  Cocyclic
 module of a coalgebra: cofaces comultiply slot i (the last one wraps),
 codegeneracies hit slot i+1 with the counit, tau rotates left.  Its
-cohomology is computed as the homology of its transpose, a cyclic module
-(`CocyclicOps.transpose`).
+transpose is a cyclic module (`CocyclicOps.transpose`): its identities are
+checked by the cyclic suite on the transpose, which reports them under
+their cochain names and degrees, and its cohomology is computed as the
+homology of the transpose.
 """
 
 from __future__ import annotations
@@ -95,6 +97,11 @@ class CyclicOps:
     def t(self, n):
         return self.cyclic[n]
 
+    def label(self, name, n):
+        """The name and degree that an identity or map named `name` at
+        degree n is reported under."""
+        return name, n
+
 
 class CocyclicOps:
     """Coface/codegeneracy/cocyclic matrices of a cocyclic module."""
@@ -122,14 +129,35 @@ class CocyclicOps:
     def transpose(self) -> CyclicOps:
         """The dual cyclic module, d_i = (delta^i)^T, s_i = (sigma^i)^T,
         t = tau^T: transposing reverses composition, so each cocyclic
-        relation becomes the matching cyclic one (Connes 1983), and b, B and
-        Connes' complex become the transposes of the cochain ones."""
+        relation becomes the matching cyclic one (Connes 1983).  The cyclic
+        suite on it is the cocyclic suite, and b, B and Connes' complex are
+        the transposes of the cochain ones."""
         return _DualCyclicOps(self)
+
+
+# A cyclic identity or map of the transpose at degree n, as the cocyclic
+# module names it: (cochain name, shift), reported at degree n + shift.
+_COCHAIN_NAMES = {
+    "d_i d_j = d_{j-1} d_i": ("del^j del^i = del^i del^{j-1}", -2),
+    "s_i s_j = s_{j+1} s_i": ("sig^j sig^i = sig^i sig^{j+1}", 2),
+    "d_i s_j relations": ("sig^j del^i relations", 0),
+    "d_0 t = d_n": ("t del^0 = del^{n+1}", -1),
+    "d_i t = t d_{i-1}": ("t del^i = del^{i-1} t", -1),
+    "s_0 t = t^2 s_n": ("t sig^0 = sig^{n-1} t^2", 1),
+    "s_i t = t s_{i-1}": ("t sig^i = sig^{i-1} t", 1),
+    "t^(n+1) = id": ("t^(n+1) = id", 0),
+    "t": ("t", 0),
+    "d_%d": ("del^%d", -1),
+    "s_%d": ("sig^%d", 1),
+}
 
 
 class _DualCyclicOps(CyclicOps):
     """A cocyclic module's transpose, each matrix transposed as it is read,
-    so the cocyclic module's matrices are never held twice."""
+    so the cocyclic module's matrices are never held twice.  It labels each
+    identity and map by its cochain name and degree (`_COCHAIN_NAMES`), so
+    the cyclic suite and the intertwining check report in the cochain
+    orientation."""
 
     def __init__(self, co):
         super().__init__(co.field, co.dims, None, None, None, co.N)
@@ -143,6 +171,10 @@ class _DualCyclicOps(CyclicOps):
 
     def t(self, n):
         return self.co.t(n).transpose()
+
+    def label(self, name, n):
+        name, shift = _COCHAIN_NAMES[name]
+        return name, n + shift
 
 
 def cyclic_module_of_algebra(r: Algebra, N: int = 3) -> CyclicOps:
@@ -193,17 +225,26 @@ def cocyclic_module_of_coalgebra(c: Coalgebra, N: int = 3) -> CocyclicOps:
 
 # -- identity suites -------------------------------------------------------------
 
+def _power(m, k):
+    out = SparseMatrix.identity(m.field, m.rows)
+    for _ in range(k):
+        out = m @ out
+    return out
+
+
 def check_cyclic_ops(ops: CyclicOps, cyclic=True, report=None, raise_on_fail=False):
     """Simplicial + cyclic-compatibility relations; t^(n+1) = id if cyclic.
 
     With cyclic=False the same relations are checked minus t^(n+1) = id
-    (a paracyclic module).
+    (a paracyclic module).  Each identity is recorded under the name and
+    degree that `ops.label` gives it.
     """
     rep = report or CheckReport("cyclic module")
     N = ops.N
 
     def chk(name, n, lhs, rhs):
         ok = lhs == rhs
+        name, n = ops.label(name, n)
         rep.record_bool(name, ok, "degree %d" % n)
         if raise_on_fail and not ok:
             raise IdentityFailure(name, q=n)
@@ -245,69 +286,15 @@ def check_cyclic_ops(ops: CyclicOps, cyclic=True, report=None, raise_on_fail=Fal
                 ops.degen(n, i) @ ops.t(n), ops.t(n + 1) @ ops.degen(n, i - 1))
     if cyclic:
         for n in range(N + 1):
-            tn = SparseMatrix.identity(ops.field, ops.dim(n))
-            for _ in range(n + 1):
-                tn = ops.t(n) @ tn
-            chk("t^(n+1) = id", n, tn,
+            chk("t^(n+1) = id", n, _power(ops.t(n), n + 1),
                 SparseMatrix.identity(ops.field, ops.dim(n)))
     return rep
 
 
 def check_cocyclic_ops(ops: CocyclicOps, cocyclic=True, report=None,
                        raise_on_fail=False):
-    """Cosimplicial + cocyclic-compatibility relations; t^(n+1) = id if cocyclic."""
-    rep = report or CheckReport("cocyclic module")
-    N = ops.N
-
-    def chk(name, n, lhs, rhs):
-        ok = lhs == rhs
-        rep.record_bool(name, ok, "degree %d" % n)
-        if raise_on_fail and not ok:
-            raise IdentityFailure(name, q=n)
-
-    for n in range(N - 1):
-        for j in range(n + 2 + 1):
-            for i in range(j):
-                chk("del^j del^i = del^i del^{j-1}", n,
-                    ops.coface(n + 1, j) @ ops.coface(n, i),
-                    ops.coface(n + 1, i) @ ops.coface(n, j - 1))
-    for n in range(2, N + 1):
-        for i in range(n):
-            for j in range(i, n - 1):
-                chk("sig^j sig^i = sig^i sig^{j+1}", n,
-                    ops.codegen(n - 1, j) @ ops.codegen(n, i),
-                    ops.codegen(n - 1, i) @ ops.codegen(n, j + 1))
-    for n in range(N):
-        for j in range(n + 1):
-            for i in range(n + 2):
-                lhs = ops.codegen(n + 1, j) @ ops.coface(n, i)
-                if i < j:
-                    rhs = ops.coface(n - 1, i) @ ops.codegen(n, j - 1)
-                elif i in (j, j + 1):
-                    rhs = SparseMatrix.identity(ops.field, ops.dim(n))
-                else:
-                    rhs = ops.coface(n - 1, i - 1) @ ops.codegen(n, j)
-                chk("sig^j del^i relations", n, lhs, rhs)
-    for n in range(N):
-        chk("t del^0 = del^{n+1}", n,
-            ops.t(n + 1) @ ops.coface(n, 0), ops.coface(n, n + 1))
-        for i in range(1, n + 2):
-            chk("t del^i = del^{i-1} t", n,
-                ops.t(n + 1) @ ops.coface(n, i),
-                ops.coface(n, i - 1) @ ops.t(n))
-    for n in range(1, N + 1):
-        chk("t sig^0 = sig^{n-1} t^2", n,
-            ops.t(n - 1) @ ops.codegen(n, 0),
-            ops.codegen(n, n - 1) @ ops.t(n) @ ops.t(n))
-        for i in range(1, n):
-            chk("t sig^i = sig^{i-1} t", n,
-                ops.t(n - 1) @ ops.codegen(n, i),
-                ops.codegen(n, i - 1) @ ops.t(n))
-    if cocyclic:
-        for n in range(N + 1):
-            tn = SparseMatrix.identity(ops.field, ops.dim(n))
-            for _ in range(n + 1):
-                tn = ops.t(n) @ tn
-            chk("t^(n+1) = id", n, tn,
-                SparseMatrix.identity(ops.field, ops.dim(n)))
-    return rep
+    """The cyclic suite on the transpose, under the cochain names and
+    degrees; t^(n+1) = id if cocyclic."""
+    return check_cyclic_ops(ops.transpose(), cocyclic,
+                            report or CheckReport("cocyclic module"),
+                            raise_on_fail)

@@ -23,9 +23,9 @@ with S and S-inverse placed per the standard Hopf identities
 
 from __future__ import annotations
 
-from .crossed import CocyclicOps, CyclicOps, crossed_product_algebra, \
-    crossed_product_coalgebra, check_cocyclic_ops, check_cyclic_ops, \
-    cocyclic_module_of_coalgebra, cyclic_module_of_algebra
+from .crossed import CocyclicOps, CyclicOps, _power, \
+    crossed_product_algebra, crossed_product_coalgebra, check_cocyclic_ops, \
+    check_cyclic_ops, cocyclic_module_of_coalgebra, cyclic_module_of_algebra
 from .errors import (
     AxiomFailure, ClosedFormMismatch, IdentityFailure, NotInverse,
     NotIntertwining, NotRestricting, NotWellDefined,
@@ -33,13 +33,6 @@ from .errors import (
 from .hopf import CheckReport, algebra_spaces, coalgebra_spaces
 from .linalg import SparseMatrix, Subspace, combine, image, kernel
 from .tensor import Legs, S, Sinv, act, compile_operator, eps, prod, unit
-
-
-def _power(m, k):
-    out = SparseMatrix.identity(m.field, m.rows)
-    for _ in range(k):
-        out = m @ out
-    return out
 
 
 def _coaction_bars(L, first, count):
@@ -727,41 +720,33 @@ def phi_psi_coalgebra(c, N=2, check=True):
         if psi[n] @ phi[n] != SparseMatrix.identity(c.field, phi[n].cols):
             raise NotInverse("phi/psi not inverse at degree %d" % n)
     if check:
-        _check_cointertwining(
-            phi, cocyclic_module_of_coalgebra(crossed_product_coalgebra(c), N),
-            diagonal_cocyclic(CoalgebraCocylinder(c), N))
+        src = cocyclic_module_of_coalgebra(crossed_product_coalgebra(c), N)
+        dst = diagonal_cocyclic(CoalgebraCocylinder(c), N)
+        # phi^T intertwines the transposes, from dst's to src's
+        _check_intertwining({n: m.transpose() for n, m in phi.items()},
+                            dst.transpose(), src.transpose())
     return phi, psi
 
 
 def _check_intertwining(phi, src: CyclicOps, dst: CyclicOps):
-    """phi must carry every face/degeneracy/cyclic operator of src to dst."""
+    """phi must carry every face/degeneracy/cyclic operator of src to dst;
+    a failure names the operator and degree as dst labels them."""
+    def fail(name, n, *i):
+        name, n = dst.label(name, n)
+        raise NotIntertwining("%s at degree %d" % (name % i, n))
+
     N = min(src.N, dst.N, max(phi))
     for n in range(N + 1):
         if phi[n] @ src.t(n) != dst.t(n) @ phi[n]:
-            raise NotIntertwining("t at degree %d" % n)
+            fail("t", n)
     for n in range(1, N + 1):
         for i in range(n + 1):
             if phi[n - 1] @ src.face(n, i) != dst.face(n, i) @ phi[n]:
-                raise NotIntertwining("d_%d at degree %d" % (i, n))
+                fail("d_%d", n, i)
     for n in range(N):
         for i in range(n + 1):
             if phi[n + 1] @ src.degen(n, i) != dst.degen(n, i) @ phi[n]:
-                raise NotIntertwining("s_%d at degree %d" % (i, n))
-
-
-def _check_cointertwining(phi, src: CocyclicOps, dst: CocyclicOps):
-    N = min(src.N, dst.N, max(phi))
-    for n in range(N + 1):
-        if phi[n] @ src.t(n) != dst.t(n) @ phi[n]:
-            raise NotIntertwining("t at degree %d" % n)
-    for n in range(N):
-        for i in range(n + 2):
-            if phi[n + 1] @ src.coface(n, i) != dst.coface(n, i) @ phi[n]:
-                raise NotIntertwining("del^%d at degree %d" % (i, n))
-    for n in range(1, N + 1):
-        for i in range(n):
-            if phi[n - 1] @ src.codegen(n, i) != dst.codegen(n, i) @ phi[n]:
-                raise NotIntertwining("sig^%d at degree %d" % (i, n))
+                fail("s_%d", n, i)
 
 
 # -- first-column action / coaction --------------------------------------------------

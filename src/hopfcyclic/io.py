@@ -40,62 +40,60 @@ def _parse_field(node):
     raise ParseError("unknown field kind %r" % (node["kind"],))
 
 
-def _entries(field, triples, shape, index_of, what):
+def _entries(field, triples, shape, bounds, key, what):
+    """The matrix of `shape` from entries [*indices, scalar]: index k must
+    be a JSON integer in range(bounds[k]), and `key` maps the indices to
+    (row, column)."""
     ent = {}
-    rows, cols = shape
     for t in triples:
         try:
             *idx, c = t
             val = field.parse(str(c))
         except Exception as e:
             raise ParseError("bad %s entry %r: %s" % (what, t, e))
-        key = index_of([int(i) for i in idx])
-        if key is None or not (0 <= key[0] < rows and 0 <= key[1] < cols):
-            raise ParseError("%s entry %r out of range" % (what, t))
-        if key in ent:
+        if len(idx) != len(bounds) or not all(
+                type(i) is int and 0 <= i < b for i, b in zip(idx, bounds)):
+            raise ParseError("bad %s entry %r: each index must be an integer "
+                             "within its basis" % (what, t))
+        k = key(*idx)
+        if k in ent:
             raise ParseError("duplicate %s entry %r" % (what, t))
         if not field.is_zero(val):
-            ent[key] = val
-    return SparseMatrix(field, rows, cols, ent)
+            ent[k] = val
+    return SparseMatrix(field, *shape, ent)
 
 
 def _mult_matrix(field, triples, d):
-    return _entries(field, triples, (d, d * d),
-                    lambda ix: (ix[2], ix[0] * d + ix[1]) if len(ix) == 3 else None,
-                    "mult")
+    return _entries(field, triples, (d, d * d), (d, d, d),
+                    lambda i, j, k: (k, i * d + j), "mult")
 
 
 def _comult_matrix(field, triples, d):
-    return _entries(field, triples, (d * d, d),
-                    lambda ix: (ix[1] * d + ix[2], ix[0]) if len(ix) == 3 else None,
-                    "comult")
+    return _entries(field, triples, (d * d, d), (d, d, d),
+                    lambda i, j, k: (j * d + k, i), "comult")
 
 
 def _vector(field, pairs, d):
-    return _entries(field, pairs, (d, 1),
-                    lambda ix: (ix[0], 0) if len(ix) == 1 else None, "vector")
+    return _entries(field, pairs, (d, 1), (d,), lambda i: (i, 0), "vector")
 
 
 def _covector(field, pairs, d):
-    return _entries(field, pairs, (1, d),
-                    lambda ix: (0, ix[0]) if len(ix) == 1 else None, "covector")
+    return _entries(field, pairs, (1, d), (d,), lambda i: (0, i), "covector")
 
 
 def _map_matrix(field, triples, d):
-    return _entries(field, triples, (d, d),
-                    lambda ix: (ix[1], ix[0]) if len(ix) == 2 else None, "map")
+    return _entries(field, triples, (d, d), (d, d),
+                    lambda i, j: (j, i), "map")
 
 
 def _coaction_matrix(field, triples, dh, da):
-    return _entries(field, triples, (dh * da, da),
-                    lambda ix: (ix[1] * da + ix[2], ix[0]) if len(ix) == 3 else None,
-                    "coaction")
+    return _entries(field, triples, (dh * da, da), (da, dh, da),
+                    lambda i, j, k: (j * da + k, i), "coaction")
 
 
 def _action_matrix(field, triples, dh, dc):
-    return _entries(field, triples, (dc, dh * dc),
-                    lambda ix: (ix[2], ix[0] * dc + ix[1]) if len(ix) == 3 else None,
-                    "action")
+    return _entries(field, triples, (dc, dh * dc), (dh, dc, dc),
+                    lambda i, j, k: (k, i * dc + j), "action")
 
 
 class InputDocument:

@@ -115,6 +115,26 @@ def test_out_of_range_index_exits_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("triple", [
+    [2, -1, 0, "1"],  # flattens to 2 * 2 - 1, the key of e_1 e_1
+    ["a", 1, 0, "1"],
+    [1.7, 1, 0, "1"],  # int() would truncate it to e_1 e_1
+    [True, 1, 0, "1"],
+])
+def test_bad_index_exits_two(triple, tmp_path):
+    """Each index is checked against its own basis and must be a JSON
+    integer; the triple replaces e_1 e_1 -> e_0 in C2's product."""
+    with open(data_file("c2_Q")) as fh:
+        data = json.load(fh)
+    mult = data["hopf"]["mult"]
+    mult[mult.index([1, 1, 0, "1"])] = triple
+    bad = tmp_path / "index.json"
+    bad.write_text(json.dumps(data))
+    code, out, _ = run_cli("verify", "hopf", "-i", str(bad))
+    assert code == 2
+    assert set(json.loads(out)) == {"error"}
+
+
 def test_compute_hc_ground_field():
     code, out, _ = run_cli("compute", "hc", "-i", data_file("ground_field_Q"),
                            "--nmax", "3")
@@ -219,6 +239,15 @@ def test_non_integer_bound_in_options_exits_two(tmp_path):
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps(data))
     code, out, _ = run_cli("verify", "iso", "-i", str(doc))
+    assert code == 2
+    assert "--nmax" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_bound_in_options_exits_two(value, tmp_path):
+    """A JSON boolean is not a degree bound, though Python counts it an int."""
+    code, out, _ = run_cli("compute", "hh", "-i",
+                           _with_options(tmp_path, {"N": value}))
     assert code == 2
     assert "--nmax" in json.loads(out)["error"]
 

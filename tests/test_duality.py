@@ -1,22 +1,32 @@
 """The cochain side as the transpose of the chain side.
 
 `CocyclicOps.transpose`, `hopf.dual_hopf` and the transposed total complex
-replace hand-written cochain code.  These tests fail when a transposition is
-wrong: the relation suites of a cocyclic module and of its transpose pass or
-fail together, and the cochain formulas the package no longer holds (kept
-here as an oracle) equal the transposes of what the chain side builds.
+replace hand-written cochain code, the identity checks included: the
+cocyclic suite and the coalgebra-side intertwining check run the chain-side
+checks on the transposes.  These tests fail when a transposition is wrong:
+the relation suites of a cocyclic module and of its transpose pass or fail
+together; on every corruption, the transposed checks report entry for entry
+and raise word for word what the hand-written ones did
+(`tests/cochain_oracle.py`); and the cochain formulas the package no longer
+holds (kept here as an oracle) equal the transposes of what the chain side
+builds.
 """
 
 import os
 
 import pytest
 
+import cochain_oracle
+from hopfcyclic import cylinder
 from hopfcyclic.crossed import (
-    check_cocyclic_ops, check_cyclic_ops, cocyclic_module_of_coalgebra,
-    crossed_product_coalgebra,
+    CocyclicOps, check_cocyclic_ops, check_cyclic_ops,
+    cocyclic_module_of_coalgebra, crossed_product_coalgebra,
 )
-from hopfcyclic.cylinder import first_column_coaction
-from hopfcyclic.errors import NotCosemisimple
+from hopfcyclic.cylinder import (
+    CoalgebraCocylinder, diagonal_cocyclic, first_column_coaction,
+    phi_psi_coalgebra,
+)
+from hopfcyclic.errors import IdentityFailure, NotCosemisimple, NotIntertwining
 from hopfcyclic.hopf import check_hopf, dual_hopf
 from hopfcyclic.homology import (
     _norm, _one_minus_lambda, _signed_orbits, connes_dims,
@@ -49,15 +59,34 @@ def _cocyclic_modules(name):
 
 # -- (a) the relation suites pass and fail together ------------------------------
 
-def _corrupted(ops):
-    """ops with the last entry of one coface out of degree 0 changed."""
-    f = ops.field
-    m = ops.cofaces[(0, 1)]
-    ij = max(m.entries)
+def _bumped(m):
+    """m with its last entry (or, if it has none, entry (0, 0)) plus one."""
+    f = m.field
+    ij = max(m.entries, default=(0, 0))
     ent = dict(m.entries)
-    ent[ij] = f.add(ent[ij], f.one())
-    ops.cofaces[(0, 1)] = SparseMatrix(f, m.rows, m.cols, ent)
-    return ops
+    ent[ij] = f.add(ent.get(ij, f.zero()), f.one())
+    return SparseMatrix(f, m.rows, m.cols, ent)
+
+
+_MAPS = ("cofaces", "codegens", "cocyclic")
+
+
+def _corrupted(ops, table="cofaces", key=(0, 1)):
+    """A copy of ops with one matrix changed by `_bumped`: by default a
+    coface out of degree 0; `table` is one of `_MAPS`."""
+    maps = {name: dict(getattr(ops, name)) for name in _MAPS}
+    maps[table][key] = _bumped(maps[table][key])
+    return CocyclicOps(ops.field, ops.dims, maps["cofaces"],
+                       maps["codegens"], maps["cocyclic"], ops.N)
+
+
+def _corruptions(ops):
+    """ops as it is, then with each coface, codegeneracy and t corrupted in
+    turn."""
+    yield ops
+    for table in _MAPS:
+        for key in sorted(getattr(ops, table)):
+            yield _corrupted(ops, table, key)
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -68,6 +97,62 @@ def test_transpose_is_cyclic_exactly_where_the_module_is_cocyclic(name):
         bad = _corrupted(ops)
         assert not check_cocyclic_ops(bad).ok
         assert not check_cyclic_ops(bad.transpose()).ok
+
+
+def _suite_outcome(check, ops, cocyclic):
+    """The report's subject and entries, and the text the suite raises with
+    raise_on_fail (None when it raises nothing)."""
+    rep = check(ops, cocyclic=cocyclic)
+    try:
+        check(ops, cocyclic=cocyclic, raise_on_fail=True)
+        raised = None
+    except IdentityFailure as e:
+        raised = str(e)
+    return rep.subject, rep.entries, raised
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_cocyclic_suite_reports_what_the_hand_written_one_did(name):
+    """Run through the transpose, the suite names each identity, gives its
+    degree and fails where the hand-written cosimplicial suite did, entry
+    for entry, on every corruption, with and without t^(n+1) = id."""
+    for ops in _cocyclic_modules(name):
+        for case in _corruptions(ops):
+            for cocyclic in (True, False):
+                assert _suite_outcome(check_cocyclic_ops, case, cocyclic) == \
+                    _suite_outcome(cochain_oracle.check_cocyclic_ops, case,
+                                   cocyclic)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_coalgebra_isomorphism_check_fails_where_the_cointertwining_did(
+        name, monkeypatch):
+    """phi_psi_coalgebra checks phi on the transposes; with each map of
+    either cocyclic module corrupted in turn, it raises the text the
+    hand-written cointertwining check raised, or passes where it passed."""
+    c = _doc(name).coalgebra
+    cp = crossed_product_coalgebra(c)
+    N = 2 if cp.dim <= 9 else 1
+    src = cocyclic_module_of_coalgebra(cp, N)
+    dst = diagonal_cocyclic(CoalgebraCocylinder(c), N)
+    phi, _ = phi_psi_coalgebra(c, N, check=False)
+    cases = [(s, dst) for s in _corruptions(src)]
+    cases += [(src, d) for d in list(_corruptions(dst))[1:]]
+    for s, d in cases:
+        try:
+            cochain_oracle._check_cointertwining(phi, s, d)
+            want = None
+        except NotIntertwining as e:
+            want = str(e)
+        monkeypatch.setattr(cylinder, "cocyclic_module_of_coalgebra",
+                            lambda *args: s)
+        monkeypatch.setattr(cylinder, "diagonal_cocyclic", lambda *args: d)
+        try:
+            phi_psi_coalgebra(c, N)
+            got = None
+        except NotIntertwining as e:
+            got = str(e)
+        assert got == want
 
 
 def test_transpose_moves_each_map_to_its_dual_place():
@@ -203,3 +288,19 @@ def test_sweedler_reports_match_the_cochain_code(golden, argv, monkeypatch,
     code = cli.main(argv.split() + ["-i", "data/sweedler_Q.json"])
     with open(os.path.join("tests", "goldens", golden + ".json")) as fh:
         assert code == 0 and capsys.readouterr().out == fh.read()
+
+
+def test_failing_cocylinder_report_matches_the_recorded_one(monkeypatch,
+                                                            capsys):
+    """A Sweedler module coalgebra with the action entry x . 1 -> x negated
+    fails 19 of the cocylinder's identities, the first `t del^i = del^{i-1}
+    t` at degree 0: the whole report, exit 1, byte for byte against the one
+    recorded from the hand-written cocyclic suite (tests/goldens)."""
+    from hopfcyclic import cli
+    monkeypatch.chdir(os.path.join(DATA, ".."))
+    code = cli.main(["verify", "cocylindrical", "--pmax", "1", "--qmax", "1",
+                     "-i", "tests/sweedler_Q_bad_action.json"])
+    with open(os.path.join("tests", "goldens",
+                           "cocylindrical_bad_action_sweedler_Q_p1_q1.json")) \
+            as fh:
+        assert code == 1 and capsys.readouterr().out == fh.read()
