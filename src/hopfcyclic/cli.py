@@ -99,13 +99,13 @@ def _opt(params, doc, key, default):
 # Largest top chain space dim(R)^(nmax+2), R = A # H or C # H, that a
 # crossed-product job may build: every path still builds the top b in full.
 # Measured on a 2-core VM, the admitted corpus jobs at the edge take, for C2
-# --nmax 6 (4^8 = 65536), 5.5 s and 295 MB with `compute hc` over Q
-# (Connes' complex), 37 s and 325 MB with `compute hh`, and 44 s and 660 MB
-# with `compute hc` over F_2 ((b, B)); for C3 --nmax 3 (9^5), 3.4 s and
-# 186 MB with `hc`, 20 s and 195 MB with `hh`.  Through (b, B), the first
-# refused ones, C2 --nmax 7 (4^9) and C3 --nmax 4 (9^6), had not finished
-# after 400 s, at 1.8 and 2.2 GB resident.  The README lists every corpus
-# bound.
+# --nmax 6 (4^8 = 65536), 4.4 s and 295 MB with `compute hc` over Q
+# (Connes' complex), 12-15 s and 300 MB with `compute hh`, and 39-41 s and
+# 600 MB with `compute hc` over F_2 ((b, B)); for C3 --nmax 3 (9^5), 3.3 s
+# and 186 MB with `hc`, 7-8 s and 168 MB with `hh`.  Through (b, B), the
+# first refused ones, C2 --nmax 7 (4^9) and C3 --nmax 4 (9^6), had not
+# finished after 400 s, at 1.8 and 2.2 GB resident.  The README lists every
+# corpus bound.
 MAX_CHAIN_DIM = 2 ** 17
 
 # Largest first column H (x) X^(N+1) (X = A or C) at the top degree N that a

@@ -4,11 +4,12 @@ A rational scalar is a plain int when it is integral and a
 `fractions.Fraction` otherwise, so the integer structure constants of the
 corpus run on native ints; an int and a Fraction of equal value compare and
 hash alike, and mixing them stays exact.  Prime-field scalars are plain ints
-kept reduced in [0, p).  Elimination and the other scalar code go through a
-Field object; the sparse products, the matrix sums of `linalg.combine` and
-the operator compiler sum with native + and * and hand the sums to
-`settle`, which restores the same representation.  No floating point and no
-tolerance ever appears.
+kept reduced in [0, p).  Code that works one scalar at a time (parsing,
+printing, integrals, the pivot scaling of an echelon form) goes through a
+Field object.  The sparse products, the matrix sums of `linalg.combine`,
+the operator compiler and the one elimination kernel of `linalg`
+(fraction-free over Q) compute with native + and *, and `settle` restores
+the same representation.  No floating point and no tolerance ever appears.
 """
 
 from __future__ import annotations

@@ -33,11 +33,30 @@ def _parse_field(node):
     if node["kind"] == "Q":
         return Field.rationals()
     if node["kind"] == "Fp":
+        p = node.get("p")
+        if type(p) is not int:
+            raise ParseError("bad prime field: p must be an integer, got %r"
+                             % (p,))
         try:
-            return Field.prime(int(node["p"]))
-        except (KeyError, ValueError) as e:
+            return Field.prime(p)
+        except ValueError as e:
             raise ParseError("bad prime field: %s" % e)
     raise ParseError("unknown field kind %r" % (node["kind"],))
+
+
+def _lists(node, block, keys):
+    """node[key] for each key, in order: node must be a JSON object and each
+    value a JSON list."""
+    if not isinstance(node, dict):
+        raise ParseError("%s block must be an object" % block)
+    out = []
+    for key in keys:
+        if key not in node:
+            raise ParseError("%s block missing %r" % (block, key))
+        if not isinstance(node[key], list):
+            raise ParseError("%s %s must be a list" % (block, key))
+        out.append(node[key])
+    return out
 
 
 def _entries(field, triples, shape, bounds, key, what):
@@ -112,45 +131,37 @@ def parse_document(data) -> InputDocument:
     hnode = data.get("hopf")
     if not isinstance(hnode, dict):
         raise ParseError("missing hopf block")
-    try:
-        basis = list(hnode["basis"])
-        d = len(basis)
-        hopf = HopfAlgebra(
-            field, d,
-            _mult_matrix(field, hnode["mult"], d),
-            _vector(field, hnode["unit"], d),
-            _comult_matrix(field, hnode["comult"], d),
-            _covector(field, hnode["counit"], d),
-            _map_matrix(field, hnode["antipode"], d),
-            basis_names=[str(b) for b in basis])
-    except KeyError as e:
-        raise ParseError("hopf block missing %s" % e)
+    basis, mult, unit, comult, counit, antipode = _lists(
+        hnode, "hopf", ("basis", "mult", "unit", "comult", "counit",
+                        "antipode"))
+    d = len(basis)
+    hopf = HopfAlgebra(
+        field, d,
+        _mult_matrix(field, mult, d),
+        _vector(field, unit, d),
+        _comult_matrix(field, comult, d),
+        _covector(field, counit, d),
+        _map_matrix(field, antipode, d),
+        basis_names=[str(b) for b in basis])
     algebra = None
     if "algebra" in data:
-        anode = data["algebra"]
-        try:
-            abasis = [str(b) for b in anode["basis"]]
-            da = len(abasis)
-            alg = Algebra(field, da,
-                          _mult_matrix(field, anode["mult"], da),
-                          _vector(field, anode["unit"], da), abasis)
-            algebra = ComoduleAlgebra(
-                hopf, alg, _coaction_matrix(field, anode["coaction"], d, da))
-        except KeyError as e:
-            raise ParseError("algebra block missing %s" % e)
+        abasis, mult, unit, coaction = _lists(
+            data["algebra"], "algebra", ("basis", "mult", "unit", "coaction"))
+        da = len(abasis)
+        alg = Algebra(field, da, _mult_matrix(field, mult, da),
+                      _vector(field, unit, da), [str(b) for b in abasis])
+        algebra = ComoduleAlgebra(
+            hopf, alg, _coaction_matrix(field, coaction, d, da))
     coalgebra = None
     if "coalgebra" in data:
-        cnode = data["coalgebra"]
-        try:
-            cbasis = [str(b) for b in cnode["basis"]]
-            dc = len(cbasis)
-            coa = Coalgebra(field, dc,
-                            _comult_matrix(field, cnode["comult"], dc),
-                            _covector(field, cnode["counit"], dc), cbasis)
-            coalgebra = ModuleCoalgebra(
-                hopf, coa, _action_matrix(field, cnode["action"], d, dc))
-        except KeyError as e:
-            raise ParseError("coalgebra block missing %s" % e)
+        cbasis, comult, counit, action = _lists(
+            data["coalgebra"], "coalgebra",
+            ("basis", "comult", "counit", "action"))
+        dc = len(cbasis)
+        coa = Coalgebra(field, dc, _comult_matrix(field, comult, dc),
+                        _covector(field, counit, dc), [str(b) for b in cbasis])
+        coalgebra = ModuleCoalgebra(
+            hopf, coa, _action_matrix(field, action, d, dc))
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise ParseError("options must be an object")

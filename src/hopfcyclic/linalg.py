@@ -14,18 +14,16 @@ and is adopted as is by `SparseMatrix._settled`.  Every sum of matrices,
 `+`, `-`, negation, `scale` and the alternating face sums of the cylinders
 and mixed complexes, goes through `combine`.
 
-Elimination has two entries, each with a fixed pivot rule.  `_echelonize` is
-the forward pass on rows: rows are bucketed by leading column and only the
-bucket of the current pivot column is reduced.  The pivot is the leftmost
-column, then the sparsest row holding it, then the first such row in input
-order.  `rank` needs only this pass.  `_rref` adds one bottom-up
-back-substitution through a {pivot column: row} index; `Subspace`, `kernel`
-and `invert` use it (a span of unit vectors, `Subspace.coordinate`, is
-already reduced and skips it), and `Subspace.reduce` clears a vector through
-the same index.  `column_pairs` is the persistence reduction on columns: each column
+Elimination has one forward pass, `_reduce_columns`: the persistence
+reduction on columns, fraction-free over Q with native ints.  Each column
 is reduced only by earlier ones and its pivot is its last nonzero row, so
-the pairs it returns respect any filtration that the coordinate order
-refines.
+the pairs `column_pairs` returns respect any filtration that the coordinate
+order refines; `rank` is their number.  `_echelonize` reads a row echelon
+form off the same reduction, with the rows fed in as columns in reversed
+coordinates.  `_rref` adds one bottom-up back-substitution through a
+{pivot column: row} index; `Subspace`, `kernel` and `invert` use it (a span
+of unit vectors, `Subspace.coordinate`, is already reduced and skips it),
+and `Subspace.reduce` clears a vector through the same index.
 """
 
 from __future__ import annotations
@@ -276,48 +274,29 @@ def block_matrix(field, blocks, row_dims, col_dims):
     return SparseMatrix._settled(field, roff[-1], coff[-1], ent)
 
 
-# -- echelon machinery ---------------------------------------------------------
+# -- elimination --------------------------------------------------------------
 
 def _echelonize(field, rows):
-    """Forward elimination of a list of dict-vectors to row echelon form.
+    """Row echelon form of a list of dict-vectors, read off `_reduce_columns`.
 
     Returns (pivots, rows): pivot columns strictly increasing, row k with
     entry 1 at pivots[k] and nothing to its left.  Entries above a pivot are
     left in place; `_rref` clears them.  Zero rows drop out, so the rank is
     len(pivots).
 
-    Rows are bucketed by leading column.  Each step pops the smallest
-    column that has a bucket: only the rows in that bucket hold the column,
-    so only they are reduced, and each is re-bucketed by its new leading
-    column.  Pivot rule: leftmost column, then the sparsest candidate row,
-    then the first in input order.
+    Each row enters the column reduction as a column whose coordinate j is
+    row -j, so its pivot, the last nonzero row, is the row's leftmost
+    column.  The kept columns are scaled to pivot entry 1 and sorted by
+    pivot.
     """
-    buckets = {}
-    for k, r in enumerate(rows):
-        if r:
-            buckets.setdefault(min(r), []).append((len(r), k, r))
-    heap = list(buckets)
-    heapq.heapify(heap)
-    pivots = []
+    _, kept = _reduce_columns(field, [
+        (k, {-j: v for j, v in r.items()}) for k, r in enumerate(rows) if r])
+    pivots = sorted(-low for low in kept)
     out = []
-    while heap:
-        col = heapq.heappop(heap)
-        bucket = buckets.pop(col)
-        best = min(bucket)
-        bucket.remove(best)
-        prow = best[2]
-        inv = field.inv(prow[col])
-        prow = {j: field.mul(inv, v) for j, v in prow.items()}
-        for _, k, r in bucket:
-            r = _row_axpy(field, r, field.neg(r[col]), prow)
-            if r:
-                lead = min(r)
-                if lead not in buckets:
-                    buckets[lead] = []
-                    heapq.heappush(heap, lead)
-                buckets[lead].append((len(r), k, r))
-        pivots.append(col)
-        out.append(prow)
+    for j in pivots:
+        col = kept[-j]
+        inv = field.inv(col[-j])
+        out.append({-k: field.mul(inv, v) for k, v in col.items()})
     return pivots, out
 
 
@@ -337,56 +316,58 @@ def _rref(field, rows):
 
 
 def _clear(field, r, index):
-    """r with each pivot column j it holds cleared: r - r[j] * index[j].
+    """r - sum of r[j] * index[j] over the pivot columns j of index that r
+    holds, summed natively and settled once.
 
     index maps pivot columns to reduced rows (entry 1 at their own pivot, 0
-    at every other pivot in index), so clearing one pivot column never
-    refills another.
+    at every other pivot in index), so each coefficient is the entry of r
+    itself and the result is 0 at every pivot.
     """
-    for j in [j for j in r if j in index]:
-        r = _row_axpy(field, r, field.neg(r[j]), index[j])
-    return r
-
-
-def _row_axpy(field, r, c, p):
-    """r + c*p for dict-vectors."""
     out = dict(r)
-    for j, v in p.items():
-        w = field.add(out.get(j, field.zero()), field.mul(c, v))
-        if field.is_zero(w):
-            out.pop(j, None)
-        else:
-            out[j] = w
-    return out
+    get = out.get
+    for j, c in r.items():
+        row = index.get(j)
+        if row is not None:
+            for k, v in row.items():
+                out[k] = get(k, 0) - c * v
+    return settle(field, out)
 
 
 def column_pairs(m: SparseMatrix, skip=()):
     """{column: pivot row} of the persistence reduction of m's columns.
 
-    Columns are taken left to right, each reduced only by earlier reduced
-    columns: while its last nonzero row is the pivot of an earlier column,
-    a multiple of that column is subtracted to clear it.  A column that
-    reduces to zero has no pair; rank(m) is the number of pairs.  Columns in
-    skip are not reduced at all (clearing: a column known to reduce to zero).
-
-    The pivot rule, last nonzero row, is fixed: when the coordinate orders
-    of rows and columns refine a filtration, the pairs are those of the
-    filtered complex (Edelsbrunner, Letscher & Zomorodian 2002).  Sums are
-    native and the rows of the column being reduced wait in a max-heap, so
-    the next pivot candidate is found without a rescan; over F_p an entry is
-    settled only when it reaches the top of the heap.  Over Q the reduction
-    is fraction-free: the column is scaled by the pivot entry of the column
-    it subtracts, which `_kept_column` keeps a positive int.
+    A column that reduces to zero has no pair; rank(m) is the number of
+    pairs.  Columns in skip are not reduced at all (clearing: a column known
+    to reduce to zero).  The pivot rule, last nonzero row, is fixed: when the
+    coordinate orders of rows and columns refine a filtration, the pairs are
+    those of the filtered complex (Edelsbrunner, Letscher & Zomorodian 2002).
     """
-    field = m.field
-    p = field.p
-    kept = {}  # pivot row -> its column, normalized by _kept_column
-    pairs = {}
     cols = m.column_index()
-    for j in sorted(cols):
-        if j in skip:
-            continue
-        col = cols[j]
+    return _reduce_columns(m.field, [(j, cols[j]) for j in sorted(cols)
+                                     if j not in skip])[0]
+
+
+def _reduce_columns(field, columns):
+    """The one forward elimination: (pairs, kept) of a column reduction.
+
+    columns is a list of (key, nonzero dict-vector), taken in order, each
+    reduced only by earlier reduced columns: while its last nonzero row is
+    the pivot of an earlier column, a multiple of that column is subtracted
+    to clear it.  pairs maps the key of each column that does not reduce to
+    zero to its pivot row; kept maps each pivot row to its reduced column,
+    normalized by `_kept_column`.
+
+    Sums are native and the rows of the column being reduced wait in a
+    max-heap, so the next pivot candidate is found without a rescan; over
+    F_p an entry is settled only when it reaches the top of the heap.  Over
+    Q the reduction is fraction-free: the column is scaled by the pivot
+    entry of the column it subtracts, which `_kept_column` keeps a positive
+    int.
+    """
+    p = field.p
+    kept = {}
+    pairs = {}
+    for j, col in columns:
         low = max(col)
         if low in kept:
             col = dict(col) if p is not None else _integral(col)
@@ -421,7 +402,7 @@ def column_pairs(m: SparseMatrix, skip=()):
                 continue
         pairs[j] = low
         kept[low] = _kept_column(field, col, low)
-    return pairs
+    return pairs, kept
 
 
 def _integral(col):
@@ -480,8 +461,9 @@ class Subspace:
         return len(self.basis)
 
     def reduce(self, vec):
-        """Residual of a dict-vector modulo this subspace."""
-        return _clear(self.field, dict(vec), self._index)
+        """Residual of a dict-vector modulo this subspace: 0 at every
+        pivot."""
+        return _clear(self.field, vec, self._index)
 
     def contains(self, vec):
         return not self.reduce(vec)
@@ -521,8 +503,8 @@ class Subspace:
 
 
 def rank(m: SparseMatrix) -> int:
-    pivots, _ = _echelonize(m.field, m.row_dicts())
-    return len(pivots)
+    """The number of pairs of m's column reduction."""
+    return len(column_pairs(m))
 
 
 def kernel(m: SparseMatrix) -> Subspace:

@@ -135,6 +135,39 @@ def test_bad_index_exits_two(triple, tmp_path):
     assert set(json.loads(out)) == {"error"}
 
 
+def _set(path, value):
+    def edit(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_set(("field", "p"), 2.9), "p must be an integer"),  # int() made it 2
+    (_set(("field", "p"), True), "p must be an integer"),  # int() made it 1
+    (_set(("field", "p"), "2"), "p must be an integer"),
+    (_set(("hopf", "basis"), 3), "hopf basis must be a list"),
+    (_set(("hopf", "mult"), 5), "hopf mult must be a list"),
+    (_set(("algebra",), [1]), "algebra block must be an object"),
+    (_set(("coalgebra",), "counit"), "coalgebra block must be an object"),
+], ids=["p-float", "p-bool", "p-string", "basis-int", "mult-int",
+        "algebra-list", "coalgebra-string"])
+def test_malformed_block_exits_two(edit, reason, tmp_path, capsys):
+    """The prime must be a JSON integer, each block a JSON object and each
+    of its entries a JSON list; anything else is a parse error."""
+    from hopfcyclic import cli
+    with open(data_file("c2_F2")) as fh:
+        data = json.load(fh)
+    edit(data)
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(data))
+    assert cli.main(["verify", "hopf", "-i", str(bad)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert set(err) == {"error"} and reason in err["error"]
+
+
 def test_compute_hc_ground_field():
     code, out, _ = run_cli("compute", "hc", "-i", data_file("ground_field_Q"),
                            "--nmax", "3")

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import elimination_oracle
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -264,27 +265,37 @@ def _to_domain(m):
     return DomainMatrix(rows, (m.rows, m.cols), dom)
 
 
+def _domain_rows(field, dm):
+    """Every row of a DomainMatrix as a dict-vector over field."""
+    return [{j: v for j, x in enumerate(row)
+             for v in [field.of(Fraction(int(x.numerator), int(x.denominator))
+                                if field.p is None else int(x))] if v}
+            for row in dm.to_list()]
+
+
 def _from_domain_rows(field, dm):
     """The nonzero rows of a DomainMatrix as dict-vectors over field."""
-    out = []
-    for row in dm.to_list():
-        vec = {}
-        for j, x in enumerate(row):
-            v = (Fraction(int(x.numerator), int(x.denominator))
-                 if field.p is None else int(x))
-            v = field.of(v)
-            if not field.is_zero(v):
-                vec[j] = v
-        if vec:
-            out.append(vec)
-    return out
+    return [r for r in _domain_rows(field, dm) if r]
+
+
+def _from_domain_matrix(field, dm):
+    return SparseMatrix(field, *dm.shape, {
+        (i, j): v for i, r in enumerate(_domain_rows(field, dm))
+        for j, v in r.items()})
+
+
+def _square_block(m):
+    """The leading square block of m."""
+    n = min(m.rows, m.cols)
+    return SparseMatrix(m.field, n, n, {
+        (i, j): v for (i, j), v in m.entries.items() if i < n and j < n})
 
 
 @given(_sparse_matrices())
 @settings(max_examples=120, deadline=None)
 def test_kernel_agrees_with_sympy_domain_matrix(drawn):
-    """rank, kernel and the reduced echelon basis against sympy over Q and
-    GF(2), GF(3), GF(5)."""
+    """rank, kernel, the reduced echelon basis and the inverse of the leading
+    square block against sympy over Q and GF(2), GF(3), GF(5)."""
     field, m = drawn
     ref = _to_domain(m)
     assert rank(m) == ref.rank() == len(_echelonize(field, m.row_dicts())[0])
@@ -301,6 +312,44 @@ def test_kernel_agrees_with_sympy_domain_matrix(drawn):
     assert ker.dim == m.cols - ref.rank()
     for space in (sub, ker):
         _assert_settled(space.basis_matrix())
+    sq = _square_block(m)
+    ref_sq = _to_domain(sq)
+    inv = invert(sq)
+    if ref_sq.rank() < sq.rows:
+        assert inv is None
+    else:
+        assert inv == _from_domain_matrix(field, ref_sq.inv())
+        _assert_settled(inv)
+
+
+@given(_sparse_matrices(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_one_kernel_agrees_with_the_row_elimination_oracle(drawn, data):
+    """rank, echelon pivots, the reduced echelon basis, the kernel basis, the
+    inverse and residuals against the bucketed row elimination through Field
+    methods (`elimination_oracle`) over Q and GF(2), GF(3), GF(5); a residual
+    is 0 at every pivot and differs from its vector by a member of the
+    span."""
+    field, m = drawn
+    assert rank(m) == elimination_oracle.rank(m)
+    pivots, basis = elimination_oracle.rref(field, m.row_dicts())
+    assert _echelonize(field, m.row_dicts())[0] == pivots
+    sub = Subspace(field, m.cols, m.row_dicts())
+    assert sub.pivots == pivots and sub.basis == basis
+    assert kernel(m).basis == elimination_oracle.kernel_basis(m)
+    sq = _square_block(m)
+    assert invert(sq) == elimination_oracle.inverse(sq)
+    values = _ORACLE_ENTRIES if field.p is None else (0, 1, 2, 3, 4)
+    vec = {j: v for j in range(m.cols)
+           for v in [field.of(data.draw(st.sampled_from(values)))] if v}
+    res = sub.reduce(vec)
+    assert res == elimination_oracle.reduce(field, basis, pivots, vec)
+    _assert_settled_scalars(field, res.values())
+    assert not any(j in res for j in pivots)
+    diff = {j: w for j in set(vec) | set(res)
+            for w in [field.sub(vec.get(j, 0), res.get(j, 0))] if w}
+    assert sub.contains(diff)
+    assert elimination_oracle.reduce(field, basis, pivots, diff) == {}
 
 
 @given(_sparse_matrices())
@@ -336,22 +385,26 @@ def test_column_pairs_pivot_rule():
 
 
 def test_echelonize_pivot_rule():
-    """Leftmost column, then the sparsest candidate, then input order; the
-    forward pass leaves entries above the pivots in place."""
+    """Rows are taken in input order, each reduced only by earlier ones: its
+    pivot is its leftmost column once no earlier pivot row holds that
+    column.  Kept rows are scaled to pivot 1 and sorted by pivot; entries
+    above a pivot are left in place."""
     m = SparseMatrix.from_rows(QQ, [[2, 2, 2, 0],
                                     [1, 0, 1, 0],
                                     [0, 3, 0, 1]])
     pivots, rows = _echelonize(QQ, m.row_dicts())
-    # row 1 is the sparsest holder of column 0; row 0 reduces to (0, 2, 0, 0)
+    # row 0 holds column 0 first; row 1 reduces against it to (0, -1, 0, 0)
     assert pivots == [0, 1, 3]
-    assert rows == [{0: 1, 2: 1}, {1: 1}, {3: 1}]
+    assert rows == [{0: 1, 1: 1, 2: 1}, {1: 1}, {3: 1}]
     assert rank(m) == len(pivots) == 3
     tie = SparseMatrix.from_rows(QQ, [[0, 2, 0, 3],
                                       [1, 1, 0, 0],
                                       [1, 0, 2, 0]])
     pivots, rows = _echelonize(QQ, tie.row_dicts())
+    # row 2 reduces against row 1, then against row 0, to pivot column 2
     assert pivots == [0, 1, 2]
-    assert rows[0] == {0: 1, 1: 1}
+    assert rows == [{0: 1, 1: 1}, {1: 1, 3: Fraction(3, 2)},
+                    {2: 1, 3: Fraction(3, 4)}]
     assert rank(tie) == len(pivots) == 3
     assert Subspace(QQ, 4, tie.row_dicts()).basis == [
         {0: 1, 3: Fraction(-3, 2)}, {1: 1, 3: Fraction(3, 2)},
