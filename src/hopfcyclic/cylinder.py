@@ -8,6 +8,24 @@ Dually for a module coalgebra C with cofaces/codegeneracies.  The first
 column H (x) A^(x)(n+1) (H (x) C^(x)(n+1)) is the p = 0 column of the
 (co)cylinder with its vertical operators.
 
+Each operator but the rotations tau_v, tau_h (which keep their cell) maps
+the cell (p, q) into the cell shifted by its shift, and there are `count`
+of it at (p, q):
+
+    operator    shift     count        operator    shift     count
+    face_v      (0, -1)   q + 1        coface_v    (0, +1)   q + 2
+    degen_v     (0, +1)   q + 1        codegen_v   (0, -1)   q
+    face_h      (-1, 0)   p + 1        coface_h    (+1, 0)   p + 2
+    degen_h     (+1, 0)   p + 1        codegen_h   (-1, 0)   p
+
+Bi-paracyclic (Getzler-Jones) means: each column and each row is a
+paracyclic (paracocyclic) module, tau_v and tau_h commute, tau_h^(p+1)
+tau_v^(q+1) = id, and every vertical operator x commutes with every
+horizontal operator y: x at y's target after y equals y at x's target after
+x.  That one table drives the identity suite, the alternating
+(co)boundaries, the conjugation onto Hopf-(co)module form and the total
+complexes of `homology`.
+
 Also here: the diagonal (co)cyclic modules, the degreewise isomorphisms with
 the (co)cyclic module of the crossed product, the regrouping transform onto
 Hopf-(co)module form together with the closed forms of the transformed
@@ -23,6 +41,8 @@ with S and S-inverse placed per the standard Hopf identities
 
 from __future__ import annotations
 
+import functools
+
 from .crossed import CocyclicOps, CyclicOps, _power, \
     crossed_product_algebra, crossed_product_coalgebra, check_cocyclic_ops, \
     check_cyclic_ops, cocyclic_module_of_coalgebra, cyclic_module_of_algebra
@@ -35,6 +55,39 @@ from .linalg import SparseMatrix, Subspace, combine, image, kernel
 from .tensor import Legs, S, Sinv, act, compile_operator, eps, prod, unit
 
 
+# operator -> (shift (dp, dq) to the cell it maps into, its count at (p, q));
+# the rotations keep their cell and take no index
+_OPERATORS = {
+    "tau_v": ((0, 0), None),
+    "tau_h": ((0, 0), None),
+    "face_v": ((0, -1), lambda p, q: q + 1),
+    "degen_v": ((0, 1), lambda p, q: q + 1),
+    "face_h": ((-1, 0), lambda p, q: p + 1),
+    "degen_h": ((1, 0), lambda p, q: p + 1),
+    "coface_v": ((0, 1), lambda p, q: q + 2),
+    "codegen_v": ((0, -1), lambda p, q: q),
+    "coface_h": ((1, 0), lambda p, q: p + 2),
+    "codegen_h": ((-1, 0), lambda p, q: p),
+}
+
+
+def _target(name, p, q):
+    """The cell that operator `name` maps the cell (p, q) into."""
+    (dp, dq), _ = _OPERATORS[name]
+    return p + dp, q + dq
+
+
+def _inside(cell, P, Q):
+    """Whether the cell lies in the window 0..P x 0..Q."""
+    return 0 <= cell[0] <= P and 0 <= cell[1] <= Q
+
+
+def _indices(name, p, q):
+    """The index tuples of `name` at (p, q): one empty tuple for a rotation."""
+    count = _OPERATORS[name][1]
+    return [()] if count is None else [(i,) for i in range(count(p, q))]
+
+
 def _coaction_bars(L, first, count):
     """The products of coaction legs 1 and of legs 2 over the `count` A
     factors from `first` on."""
@@ -42,23 +95,37 @@ def _coaction_bars(L, first, count):
             prod(*[L.coact(first + j, 2) for j in range(count)]))
 
 
+def _cell_op(build):
+    """A cell operator memoized on its structure's `_cache` under
+    (name, *args)."""
+    name = build.__name__
+
+    @functools.wraps(build)
+    def op(self, *args):
+        key = (name,) + args
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = build(self, *args)
+        return got
+    return op
+
+
 class _CellOperators:
     """Memoized operators compiled on the cells H^(x)(p+1) (x) B^(x)(q+1),
-    with B the (co)module (co)algebra whose leg label is `block`."""
+    with B the (co)module (co)algebra `structure` whose leg label is
+    `block`."""
 
     block = None
 
-    def __init__(self, field, spaces):
-        self.field = field
+    def __init__(self, structure, spaces):
+        self.field = structure.field
         self.spaces = spaces
+        self.dh = structure.hopf.dim
+        self.db = structure.dim
         self._cache = {}
 
-    def _memo(self, key, builder):
-        got = self._cache.get(key)
-        if got is None:
-            got = builder()
-            self._cache[key] = got
-        return got
+    def space_dim(self, p, q):
+        return self.dh ** (p + 1) * self.db ** (q + 1)
 
     def _specs(self, p, q, expand=None):
         expand = expand or {}
@@ -68,21 +135,42 @@ class _CellOperators:
     def _compile(self, specs, outputs):
         return compile_operator(self.field, self.spaces, specs, outputs)
 
+    def _alternating(self, name, p, q):
+        """The alternating sum of the family `name` at (p, q): a Hochschild
+        (co)boundary into the family's target cell."""
+        op = getattr(self, name)
+        return combine(self.field, self.space_dim(*_target(name, p, q)),
+                       self.space_dim(p, q),
+                       (((-1) ** i, op(p, q, i))
+                        for (i,) in _indices(name, p, q)))
 
-class AlgebraCylinder(_CellOperators):
+
+class _BiParacyclic(_CellOperators):
+    """A (co)cylinder: `family` names its (co)face and (co)degeneracy
+    families, `module` the (co)cyclic module class of each row and
+    column."""
+
+    family = module = None
+
+    def b_v(self, p, q):
+        """The vertical Hochschild (co)boundary out of X_{p,q}."""
+        return self._alternating(self.family[0] + "_v", p, q)
+
+    def b_h(self, p, q):
+        """The horizontal Hochschild (co)boundary out of X_{p,q}."""
+        return self._alternating(self.family[0] + "_h", p, q)
+
+
+class AlgebraCylinder(_BiParacyclic):
     """Operator families on H^(x)(p+1) (x) A^(x)(q+1) for a comodule algebra."""
 
     block = "A"
+    family = ("face", "degen")
+    module = CyclicOps
 
     def __init__(self, comodule_algebra):
-        super().__init__(comodule_algebra.field,
-                         algebra_spaces(comodule_algebra))
+        super().__init__(comodule_algebra, algebra_spaces(comodule_algebra))
         self.A = comodule_algebra
-        self.dh = comodule_algebra.hopf.dim
-        self.da = comodule_algebra.dim
-
-    def space_dim(self, p, q):
-        return self.dh ** (p + 1) * self.da ** (q + 1)
 
     # -- vertical (A-direction) family ------------------------------------------
 
@@ -97,44 +185,40 @@ class AlgebraCylinder(_CellOperators):
                      S(L.coact(aq, 2 * p + 1 - 2 * k))) for k in range(p + 1)]
         return specs, L, outs, L.coact(aq, 0)
 
+    @_cell_op
     def tau_v(self, p, q):
-        def build():
-            specs, L, outs, body = self._rotation_v_parts(p, q)
-            outs.append(body)
-            outs.extend(L.plain(p + 1 + j) for j in range(q))
-            return self._compile(specs, outs)
-        return self._memo(("tv", p, q), build)
+        specs, L, outs, body = self._rotation_v_parts(p, q)
+        outs.append(body)
+        outs.extend(L.plain(p + 1 + j) for j in range(q))
+        return self._compile(specs, outs)
 
+    @_cell_op
     def face_v(self, p, q, i):
-        def build():
-            if i == q:
-                specs, L, outs, body = self._rotation_v_parts(p, q)
-                outs.append(prod(body, L.plain(p + 1)))
-                outs.extend(L.plain(p + 1 + j) for j in range(1, q))
-                return self._compile(specs, outs)
-            specs = self._specs(p, q)
-            L = Legs(specs)
-            outs = [L.plain(f) for f in range(p + 1)]
-            for j in range(q + 1):
-                if j == i:
-                    outs.append(prod(L.plain(p + 1 + i),
-                                     L.plain(p + 1 + i + 1)))
-                elif j != i + 1:
-                    outs.append(L.plain(p + 1 + j))
+        if i == q:
+            specs, L, outs, body = self._rotation_v_parts(p, q)
+            outs.append(prod(body, L.plain(p + 1)))
+            outs.extend(L.plain(p + 1 + j) for j in range(1, q))
             return self._compile(specs, outs)
-        return self._memo(("dv", p, q, i), build)
-
-    def degen_v(self, p, q, i):
-        def build():
-            specs = self._specs(p, q)
-            L = Legs(specs)
-            outs = [L.plain(f) for f in range(p + 1)]
-            for j in range(q + 1):
+        specs = self._specs(p, q)
+        L = Legs(specs)
+        outs = [L.plain(f) for f in range(p + 1)]
+        for j in range(q + 1):
+            if j == i:
+                outs.append(prod(L.plain(p + 1 + i), L.plain(p + 1 + i + 1)))
+            elif j != i + 1:
                 outs.append(L.plain(p + 1 + j))
-                if j == i:
-                    outs.append(unit("A"))
-            return self._compile(specs, outs)
-        return self._memo(("sv", p, q, i), build)
+        return self._compile(specs, outs)
+
+    @_cell_op
+    def degen_v(self, p, q, i):
+        specs = self._specs(p, q)
+        L = Legs(specs)
+        outs = [L.plain(f) for f in range(p + 1)]
+        for j in range(q + 1):
+            outs.append(L.plain(p + 1 + j))
+            if j == i:
+                outs.append(unit("A"))
+        return self._compile(specs, outs)
 
     # -- horizontal (H-direction) family -----------------------------------------
 
@@ -148,73 +232,54 @@ class AlgebraCylinder(_CellOperators):
         bodies = [L.coact(p + 1 + j, 0) for j in range(q + 1)]
         return specs, L, (Sinv(bar1), L.plain(p), bar2), bodies
 
+    @_cell_op
     def tau_h(self, p, q):
-        def build():
-            specs, L, twisted, bodies = self._rotation_h_parts(p, q)
-            outs = [prod(*twisted)]
-            outs.extend(L.plain(i) for i in range(p))
-            return self._compile(specs, outs + bodies)
-        return self._memo(("th", p, q), build)
+        specs, L, twisted, bodies = self._rotation_h_parts(p, q)
+        outs = [prod(*twisted)]
+        outs.extend(L.plain(i) for i in range(p))
+        return self._compile(specs, outs + bodies)
 
+    @_cell_op
     def face_h(self, p, q, i):
-        def build():
-            if i == p:
-                specs, L, twisted, bodies = self._rotation_h_parts(p, q)
-                outs = [prod(*twisted, L.plain(0))]
-                outs.extend(L.plain(i2) for i2 in range(1, p))
-                return self._compile(specs, outs + bodies)
-            specs = self._specs(p, q)
-            L = Legs(specs)
-            outs = []
-            for f in range(p + 1):
-                if f == i:
-                    outs.append(prod(L.plain(i), L.plain(i + 1)))
-                elif f != i + 1:
-                    outs.append(L.plain(f))
-            outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
-            return self._compile(specs, outs)
-        return self._memo(("dh", p, q, i), build)
-
-    def degen_h(self, p, q, i):
-        def build():
-            specs = self._specs(p, q)
-            L = Legs(specs)
-            outs = []
-            for f in range(p + 1):
+        if i == p:
+            specs, L, twisted, bodies = self._rotation_h_parts(p, q)
+            outs = [prod(*twisted, L.plain(0))]
+            outs.extend(L.plain(i2) for i2 in range(1, p))
+            return self._compile(specs, outs + bodies)
+        specs = self._specs(p, q)
+        L = Legs(specs)
+        outs = []
+        for f in range(p + 1):
+            if f == i:
+                outs.append(prod(L.plain(i), L.plain(i + 1)))
+            elif f != i + 1:
                 outs.append(L.plain(f))
-                if f == i:
-                    outs.append(unit("H"))
-            outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
-            return self._compile(specs, outs)
-        return self._memo(("sh", p, q, i), build)
+        outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
+        return self._compile(specs, outs)
 
-    # -- boundaries ---------------------------------------------------------------
-
-    def b_v(self, p, q):
-        """Vertical Hochschild boundary X_{p,q} -> X_{p,q-1} (q >= 1)."""
-        return combine(self.field, self.space_dim(p, q - 1), self.space_dim(p, q),
-                       (((-1) ** i, self.face_v(p, q, i)) for i in range(q + 1)))
-
-    def b_h(self, p, q):
-        """Horizontal Hochschild boundary X_{p,q} -> X_{p-1,q} (p >= 1)."""
-        return combine(self.field, self.space_dim(p - 1, q), self.space_dim(p, q),
-                       (((-1) ** i, self.face_h(p, q, i)) for i in range(p + 1)))
+    @_cell_op
+    def degen_h(self, p, q, i):
+        specs = self._specs(p, q)
+        L = Legs(specs)
+        outs = []
+        for f in range(p + 1):
+            outs.append(L.plain(f))
+            if f == i:
+                outs.append(unit("H"))
+        outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
+        return self._compile(specs, outs)
 
 
-class CoalgebraCocylinder(_CellOperators):
+class CoalgebraCocylinder(_BiParacyclic):
     """Cooperator families on H^(x)(p+1) (x) C^(x)(q+1) for a module coalgebra."""
 
     block = "C"
+    family = ("coface", "codegen")
+    module = CocyclicOps
 
     def __init__(self, module_coalgebra):
-        super().__init__(module_coalgebra.field,
-                         coalgebra_spaces(module_coalgebra))
+        super().__init__(module_coalgebra, coalgebra_spaces(module_coalgebra))
         self.C = module_coalgebra
-        self.dh = module_coalgebra.hopf.dim
-        self.dc = module_coalgebra.dim
-
-    def space_dim(self, p, q):
-        return self.dh ** (p + 1) * self.dc ** (q + 1)
 
     def _gblock_pairs(self, L, p):
         """The product g_0^(0) S(g_0^(2)) ... g_p^(0) S(g_p^(2)) of comult-2 legs."""
@@ -226,50 +291,46 @@ class CoalgebraCocylinder(_CellOperators):
 
     # -- vertical (C-direction, cosimplicial) family ------------------------------
 
+    @_cell_op
     def tau_v(self, p, q):
-        def build():
-            specs = self._specs(p, q, {i: ("comult", 2) for i in range(p + 1)})
-            L = Legs(specs)
-            outs = [L.com(i, 1) for i in range(p + 1)]
-            outs.extend(L.plain(p + 1 + j) for j in range(1, q + 1))
-            outs.append(act(self._gblock_pairs(L, p), L.plain(p + 1)))
-            return self._compile(specs, outs)
-        return self._memo(("tv", p, q), build)
+        specs = self._specs(p, q, {i: ("comult", 2) for i in range(p + 1)})
+        L = Legs(specs)
+        outs = [L.com(i, 1) for i in range(p + 1)]
+        outs.extend(L.plain(p + 1 + j) for j in range(1, q + 1))
+        outs.append(act(self._gblock_pairs(L, p), L.plain(p + 1)))
+        return self._compile(specs, outs)
 
+    @_cell_op
     def coface_v(self, p, q, i):
-        def build():
-            if i <= q:
-                specs = self._specs(p, q, {p + 1 + i: ("comult", 1)})
-                L = Legs(specs)
-                outs = [L.plain(f) for f in range(p + 1)]
-                for j in range(q + 1):
-                    if j == i:
-                        outs.append(L.com(p + 1 + i, 0))
-                        outs.append(L.com(p + 1 + i, 1))
-                    else:
-                        outs.append(L.plain(p + 1 + j))
-                return self._compile(specs, outs)
-            expand = {f: ("comult", 2) for f in range(p + 1)}
-            expand[p + 1] = ("comult", 1)
-            specs = self._specs(p, q, expand)
-            L = Legs(specs)
-            outs = [L.com(f, 1) for f in range(p + 1)]
-            outs.append(L.com(p + 1, 1))
-            outs.extend(L.plain(p + 1 + j) for j in range(1, q + 1))
-            outs.append(act(self._gblock_pairs(L, p), L.com(p + 1, 0)))
-            return self._compile(specs, outs)
-        return self._memo(("dv", p, q, i), build)
-
-    def codegen_v(self, p, q, i):
-        def build():
-            specs = self._specs(p, q)
+        if i <= q:
+            specs = self._specs(p, q, {p + 1 + i: ("comult", 1)})
             L = Legs(specs)
             outs = [L.plain(f) for f in range(p + 1)]
-            outs.extend(L.plain(p + 1 + j)
-                        for j in range(q + 1) if j != i + 1)
-            outs.append(eps(L.plain(p + 1 + i + 1)))
+            for j in range(q + 1):
+                if j == i:
+                    outs.append(L.com(p + 1 + i, 0))
+                    outs.append(L.com(p + 1 + i, 1))
+                else:
+                    outs.append(L.plain(p + 1 + j))
             return self._compile(specs, outs)
-        return self._memo(("sv", p, q, i), build)
+        expand = {f: ("comult", 2) for f in range(p + 1)}
+        expand[p + 1] = ("comult", 1)
+        specs = self._specs(p, q, expand)
+        L = Legs(specs)
+        outs = [L.com(f, 1) for f in range(p + 1)]
+        outs.append(L.com(p + 1, 1))
+        outs.extend(L.plain(p + 1 + j) for j in range(1, q + 1))
+        outs.append(act(self._gblock_pairs(L, p), L.com(p + 1, 0)))
+        return self._compile(specs, outs)
+
+    @_cell_op
+    def codegen_v(self, p, q, i):
+        specs = self._specs(p, q)
+        L = Legs(specs)
+        outs = [L.plain(f) for f in range(p + 1)]
+        outs.extend(L.plain(p + 1 + j) for j in range(q + 1) if j != i + 1)
+        outs.append(eps(L.plain(p + 1 + i + 1)))
+        return self._compile(specs, outs)
 
     # -- horizontal (H-direction, cosimplicial) family ----------------------------
 
@@ -283,247 +344,126 @@ class CoalgebraCocylinder(_CellOperators):
         return [prod(L.com(f, q + 2 + j), Sinv(L.com(f, q - j)))
                 for j in range(q + 1)]
 
+    @_cell_op
     def tau_h(self, p, q):
-        def build():
-            specs = self._specs(p, q, {0: ("comult", 2 * q + 2)})
-            L = Legs(specs)
-            comps = self._diag_sinv_pairs(L, 0, q)
-            outs = [L.plain(i) for i in range(1, p + 1)]
-            outs.append(L.com(0, q + 1))
-            outs.extend(act(comps[j], L.plain(p + 1 + j)) for j in range(q + 1))
-            return self._compile(specs, outs)
-        return self._memo(("th", p, q), build)
+        specs = self._specs(p, q, {0: ("comult", 2 * q + 2)})
+        L = Legs(specs)
+        comps = self._diag_sinv_pairs(L, 0, q)
+        outs = [L.plain(i) for i in range(1, p + 1)]
+        outs.append(L.com(0, q + 1))
+        outs.extend(act(comps[j], L.plain(p + 1 + j)) for j in range(q + 1))
+        return self._compile(specs, outs)
 
+    @_cell_op
     def coface_h(self, p, q, i):
-        def build():
-            if i <= p:
-                specs = self._specs(p, q, {i: ("comult", 1)})
-                L = Legs(specs)
-                outs = []
-                for f in range(p + 1):
-                    if f == i:
-                        outs.append(L.com(i, 0))
-                        outs.append(L.com(i, 1))
-                    else:
-                        outs.append(L.plain(f))
-                outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
-                return self._compile(specs, outs)
-            specs = self._specs(p, q, {0: ("comult", 2 * q + 3)})
+        if i <= p:
+            specs = self._specs(p, q, {i: ("comult", 1)})
             L = Legs(specs)
-            comps = self._diag_sinv_pairs(L, 0, q)
-            outs = [L.com(0, 2 * q + 3)]
-            outs.extend(L.plain(f) for f in range(1, p + 1))
-            outs.append(L.com(0, q + 1))
-            outs.extend(act(comps[j], L.plain(p + 1 + j)) for j in range(q + 1))
-            return self._compile(specs, outs)
-        return self._memo(("dh", p, q, i), build)
-
-    def codegen_h(self, p, q, i):
-        def build():
-            specs = self._specs(p, q)
-            L = Legs(specs)
-            outs = [L.plain(f) for f in range(p + 1) if f != i + 1]
-            outs.append(eps(L.plain(i + 1)))
+            outs = []
+            for f in range(p + 1):
+                if f == i:
+                    outs.append(L.com(i, 0))
+                    outs.append(L.com(i, 1))
+                else:
+                    outs.append(L.plain(f))
             outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
             return self._compile(specs, outs)
-        return self._memo(("sh", p, q, i), build)
+        specs = self._specs(p, q, {0: ("comult", 2 * q + 3)})
+        L = Legs(specs)
+        comps = self._diag_sinv_pairs(L, 0, q)
+        outs = [L.com(0, 2 * q + 3)]
+        outs.extend(L.plain(f) for f in range(1, p + 1))
+        outs.append(L.com(0, q + 1))
+        outs.extend(act(comps[j], L.plain(p + 1 + j)) for j in range(q + 1))
+        return self._compile(specs, outs)
 
-    def b_v(self, p, q):
-        """Vertical Hochschild coboundary X_{p,q} -> X_{p,q+1}."""
-        return combine(self.field, self.space_dim(p, q + 1), self.space_dim(p, q),
-                       (((-1) ** i, self.coface_v(p, q, i)) for i in range(q + 2)))
-
-    def b_h(self, p, q):
-        """Horizontal Hochschild coboundary X_{p,q} -> X_{p+1,q}."""
-        return combine(self.field, self.space_dim(p + 1, q), self.space_dim(p, q),
-                       (((-1) ** i, self.coface_h(p, q, i)) for i in range(p + 2)))
+    @_cell_op
+    def codegen_h(self, p, q, i):
+        specs = self._specs(p, q)
+        L = Legs(specs)
+        outs = [L.plain(f) for f in range(p + 1) if f != i + 1]
+        outs.append(eps(L.plain(i + 1)))
+        outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
+        return self._compile(specs, outs)
 
 
 # -- identity suites ------------------------------------------------------------
 
-def _vertical_view(cyl, p, Q):
-    dims = [cyl.space_dim(p, q) for q in range(Q + 1)]
-    faces = {(q, i): cyl.face_v(p, q, i)
-             for q in range(1, Q + 1) for i in range(q + 1)}
-    degens = {(q, i): cyl.degen_v(p, q, i)
-              for q in range(Q) for i in range(q + 1)}
-    cyc = {q: cyl.tau_v(p, q) for q in range(Q + 1)}
-    return CyclicOps(cyl.field, dims, faces, degens, cyc, Q)
+def _view(cyl, axis, fixed, M):
+    """The paracyclic (paracocyclic) module of `cyl` in direction `axis`
+    ("v" or "h") through degrees 0..M, the other degree held at `fixed`:
+    every (co)face and (co)degeneracy whose target lies in the range."""
+    cell = (lambda n: (fixed, n)) if axis == "v" else (lambda n: (n, fixed))
+    maps = []
+    for kind in cyl.family:
+        name = "%s_%s" % (kind, axis)
+        op = getattr(cyl, name)
+        maps.append({(n, i): op(*cell(n), i) for n in range(M + 1)
+                     if _inside(_target(name, *cell(n)), *cell(M))
+                     for (i,) in _indices(name, *cell(n))})
+    rotation = getattr(cyl, "tau_" + axis)
+    return cyl.module(cyl.field, [cyl.space_dim(*cell(n)) for n in range(M + 1)],
+                      *maps, {n: rotation(*cell(n)) for n in range(M + 1)}, M)
 
 
-def _horizontal_view(cyl, q, P):
-    dims = [cyl.space_dim(p, q) for p in range(P + 1)]
-    faces = {(p, i): cyl.face_h(p, q, i)
-             for p in range(1, P + 1) for i in range(p + 1)}
-    degens = {(p, i): cyl.degen_h(p, q, i)
-              for p in range(P) for i in range(p + 1)}
-    cyc = {p: cyl.tau_h(p, q) for p in range(P + 1)}
-    return CyclicOps(cyl.field, dims, faces, degens, cyc, P)
+def _check_bi_paracyclic(cyl, P, Q, report, raise_on_fail, suite, pairs):
+    """Every column and row through `suite`, the rotation identities, and
+    `x y commute` for each ordered pair (x, y) of `pairs` on every cell
+    whose targets lie in the window: x at y's target after y equals y at
+    x's target after x."""
+    def chk(name, p, q, lhs, rhs):
+        ok = lhs == rhs
+        report.record_bool(name, ok, "cell (p=%d, q=%d)" % (p, q))
+        if raise_on_fail and not ok:
+            raise IdentityFailure(name, p, q)
+
+    for p in range(P + 1):
+        suite(_view(cyl, "v", p, Q), False, report, raise_on_fail)
+    for q in range(Q + 1):
+        suite(_view(cyl, "h", q, P), False, report, raise_on_fail)
+    for p in range(P + 1):
+        for q in range(Q + 1):
+            tv, th = cyl.tau_v(p, q), cyl.tau_h(p, q)
+            ident = SparseMatrix.identity(cyl.field, cyl.space_dim(p, q))
+            chk("tau_v tau_h = tau_h tau_v", p, q, tv @ th, th @ tv)
+            chk("tau_h^(p+1) tau_v^(q+1) = id", p, q,
+                _power(th, p + 1) @ _power(tv, q + 1), ident)
+            chk("tau_v^(q+1) tau_h^(p+1) = id", p, q,
+                _power(tv, q + 1) @ _power(th, p + 1), ident)
+            for x, y in pairs:
+                xt, yt = _target(x, p, q), _target(y, p, q)
+                if not (_inside(xt, P, Q) and _inside(yt, P, Q)):
+                    continue
+                opx, opy = getattr(cyl, x), getattr(cyl, y)
+                for i in _indices(x, p, q):
+                    for j in _indices(y, p, q):
+                        chk("%s %s commute" % (x, y), p, q,
+                            opx(*yt, *i) @ opy(p, q, *j),
+                            opy(*xt, *j) @ opx(p, q, *i))
+    return report
 
 
 def check_algebra_cylinder(cyl: AlgebraCylinder, P, Q,
                            raise_on_fail=False) -> CheckReport:
     """Full bi-paracyclic suite, commutation, and the cylindrical condition."""
-    rep = CheckReport("algebra cylinder")
-
-    def chk(name, p, q, lhs, rhs):
-        ok = lhs == rhs
-        rep.record_bool(name, ok, "cell (p=%d, q=%d)" % (p, q))
-        if raise_on_fail and not ok:
-            raise IdentityFailure(name, p, q)
-
-    for p in range(P + 1):
-        check_cyclic_ops(_vertical_view(cyl, p, Q), cyclic=False, report=rep,
-                         raise_on_fail=raise_on_fail)
-    for q in range(Q + 1):
-        check_cyclic_ops(_horizontal_view(cyl, q, P), cyclic=False, report=rep,
-                         raise_on_fail=raise_on_fail)
-    for p in range(P + 1):
-        for q in range(Q + 1):
-            tv, th = cyl.tau_v(p, q), cyl.tau_h(p, q)
-            chk("tau_v tau_h = tau_h tau_v", p, q, tv @ th, th @ tv)
-            cyl_cond = _power(th, p + 1) @ _power(tv, q + 1)
-            ident = SparseMatrix.identity(cyl.field, cyl.space_dim(p, q))
-            chk("tau_h^(p+1) tau_v^(q+1) = id", p, q, cyl_cond, ident)
-            chk("tau_v^(q+1) tau_h^(p+1) = id", p, q,
-                _power(tv, q + 1) @ _power(th, p + 1), ident)
-            # commutation of every vertical with every horizontal operator
-            if q >= 1:
-                for i in range(q + 1):
-                    chk("face_v tau_h commute", p, q,
-                        cyl.face_v(p, q, i) @ th,
-                        cyl.tau_h(p, q - 1) @ cyl.face_v(p, q, i))
-            for i in range(q + 1) if q < Q else []:
-                chk("degen_v tau_h commute", p, q,
-                    cyl.degen_v(p, q, i) @ th,
-                    cyl.tau_h(p, q + 1) @ cyl.degen_v(p, q, i))
-            if p >= 1:
-                for j in range(p + 1):
-                    chk("face_h tau_v commute", p, q,
-                        cyl.face_h(p, q, j) @ tv,
-                        cyl.tau_v(p - 1, q) @ cyl.face_h(p, q, j))
-            for j in range(p + 1) if p < P else []:
-                chk("degen_h tau_v commute", p, q,
-                    cyl.degen_h(p, q, j) @ tv,
-                    cyl.tau_v(p + 1, q) @ cyl.degen_h(p, q, j))
-            if p >= 1 and q >= 1:
-                for i in range(q + 1):
-                    for j in range(p + 1):
-                        chk("face_v face_h commute", p, q,
-                            cyl.face_v(p - 1, q, i) @ cyl.face_h(p, q, j),
-                            cyl.face_h(p, q - 1, j) @ cyl.face_v(p, q, i))
-            if p >= 1 and q < Q:
-                for i in range(q + 1):
-                    for j in range(p + 1):
-                        chk("degen_v face_h commute", p, q,
-                            cyl.degen_v(p - 1, q, i) @ cyl.face_h(p, q, j),
-                            cyl.face_h(p, q + 1, j) @ cyl.degen_v(p, q, i))
-            if p < P and q >= 1:
-                for i in range(q + 1):
-                    for j in range(p + 1):
-                        chk("face_v degen_h commute", p, q,
-                            cyl.face_v(p + 1, q, i) @ cyl.degen_h(p, q, j),
-                            cyl.degen_h(p, q - 1, j) @ cyl.face_v(p, q, i))
-            if p < P and q < Q:
-                for i in range(q + 1):
-                    for j in range(p + 1):
-                        chk("degen_v degen_h commute", p, q,
-                            cyl.degen_v(p + 1, q, i) @ cyl.degen_h(p, q, j),
-                            cyl.degen_h(p, q + 1, j) @ cyl.degen_v(p, q, i))
-    return rep
-
-
-def _covertical_view(cocyl, p, Q):
-    dims = [cocyl.space_dim(p, q) for q in range(Q + 1)]
-    cofaces = {(q, i): cocyl.coface_v(p, q, i)
-               for q in range(Q) for i in range(q + 2)}
-    codegens = {(q, i): cocyl.codegen_v(p, q, i)
-                for q in range(1, Q + 1) for i in range(q)}
-    cyc = {q: cocyl.tau_v(p, q) for q in range(Q + 1)}
-    return CocyclicOps(cocyl.field, dims, cofaces, codegens, cyc, Q)
-
-
-def _cohorizontal_view(cocyl, q, P):
-    dims = [cocyl.space_dim(p, q) for p in range(P + 1)]
-    cofaces = {(p, i): cocyl.coface_h(p, q, i)
-               for p in range(P) for i in range(p + 2)}
-    codegens = {(p, i): cocyl.codegen_h(p, q, i)
-                for p in range(1, P + 1) for i in range(p)}
-    cyc = {p: cocyl.tau_h(p, q) for p in range(P + 1)}
-    return CocyclicOps(cocyl.field, dims, cofaces, codegens, cyc, P)
+    return _check_bi_paracyclic(
+        cyl, P, Q, CheckReport("algebra cylinder"), raise_on_fail,
+        check_cyclic_ops,
+        [("face_v", "tau_h"), ("degen_v", "tau_h"), ("face_h", "tau_v"),
+         ("degen_h", "tau_v"), ("face_v", "face_h"), ("degen_v", "face_h"),
+         ("face_v", "degen_h"), ("degen_v", "degen_h")])
 
 
 def check_coalgebra_cocylinder(cocyl: CoalgebraCocylinder, P, Q,
                                raise_on_fail=False) -> CheckReport:
     """Full bi-paracocyclic suite, commutation, and the cocylindrical condition."""
-    rep = CheckReport("coalgebra cocylinder")
-
-    def chk(name, p, q, lhs, rhs):
-        ok = lhs == rhs
-        rep.record_bool(name, ok, "cell (p=%d, q=%d)" % (p, q))
-        if raise_on_fail and not ok:
-            raise IdentityFailure(name, p, q)
-
-    for p in range(P + 1):
-        check_cocyclic_ops(_covertical_view(cocyl, p, Q), cocyclic=False,
-                           report=rep, raise_on_fail=raise_on_fail)
-    for q in range(Q + 1):
-        check_cocyclic_ops(_cohorizontal_view(cocyl, q, P), cocyclic=False,
-                           report=rep, raise_on_fail=raise_on_fail)
-    for p in range(P + 1):
-        for q in range(Q + 1):
-            tv, th = cocyl.tau_v(p, q), cocyl.tau_h(p, q)
-            chk("tau_v tau_h = tau_h tau_v", p, q, tv @ th, th @ tv)
-            ident = SparseMatrix.identity(cocyl.field, cocyl.space_dim(p, q))
-            chk("tau_h^(p+1) tau_v^(q+1) = id", p, q,
-                _power(th, p + 1) @ _power(tv, q + 1), ident)
-            chk("tau_v^(q+1) tau_h^(p+1) = id", p, q,
-                _power(tv, q + 1) @ _power(th, p + 1), ident)
-            if q < Q:
-                for i in range(q + 2):
-                    chk("coface_v tau_h commute", p, q,
-                        cocyl.coface_v(p, q, i) @ th,
-                        cocyl.tau_h(p, q + 1) @ cocyl.coface_v(p, q, i))
-            if q >= 1:
-                for i in range(q):
-                    chk("codegen_v tau_h commute", p, q,
-                        cocyl.codegen_v(p, q, i) @ th,
-                        cocyl.tau_h(p, q - 1) @ cocyl.codegen_v(p, q, i))
-            if p < P:
-                for j in range(p + 2):
-                    chk("coface_h tau_v commute", p, q,
-                        cocyl.coface_h(p, q, j) @ tv,
-                        cocyl.tau_v(p + 1, q) @ cocyl.coface_h(p, q, j))
-            if p >= 1:
-                for j in range(p):
-                    chk("codegen_h tau_v commute", p, q,
-                        cocyl.codegen_h(p, q, j) @ tv,
-                        cocyl.tau_v(p - 1, q) @ cocyl.codegen_h(p, q, j))
-            if p < P and q < Q:
-                for i in range(q + 2):
-                    for j in range(p + 2):
-                        chk("coface_v coface_h commute", p, q,
-                            cocyl.coface_v(p + 1, q, i) @ cocyl.coface_h(p, q, j),
-                            cocyl.coface_h(p, q + 1, j) @ cocyl.coface_v(p, q, i))
-            if p >= 1 and q < Q:
-                for i in range(q + 2):
-                    for j in range(p):
-                        chk("coface_v codegen_h commute", p, q,
-                            cocyl.coface_v(p - 1, q, i) @ cocyl.codegen_h(p, q, j),
-                            cocyl.codegen_h(p, q + 1, j) @ cocyl.coface_v(p, q, i))
-            if p < P and q >= 1:
-                for i in range(q):
-                    for j in range(p + 2):
-                        chk("codegen_v coface_h commute", p, q,
-                            cocyl.codegen_v(p + 1, q, i) @ cocyl.coface_h(p, q, j),
-                            cocyl.coface_h(p, q - 1, j) @ cocyl.codegen_v(p, q, i))
-            if p >= 1 and q >= 1:
-                for i in range(q):
-                    for j in range(p):
-                        chk("codegen_v codegen_h commute", p, q,
-                            cocyl.codegen_v(p - 1, q, i) @ cocyl.codegen_h(p, q, j),
-                            cocyl.codegen_h(p, q - 1, j) @ cocyl.codegen_v(p, q, i))
-    return rep
+    return _check_bi_paracyclic(
+        cocyl, P, Q, CheckReport("coalgebra cocylinder"), raise_on_fail,
+        check_cocyclic_ops,
+        [("coface_v", "tau_h"), ("codegen_v", "tau_h"), ("coface_h", "tau_v"),
+         ("codegen_h", "tau_v"), ("coface_v", "coface_h"),
+         ("coface_v", "codegen_h"), ("codegen_v", "coface_h"),
+         ("codegen_v", "codegen_h")])
 
 
 def build_algebra_cylinder(a, P=2, Q=2, check=True) -> AlgebraCylinder:
@@ -543,33 +483,29 @@ def build_coalgebra_cocylinder(c, P=1, Q=1, check=True) -> CoalgebraCocylinder:
 
 # -- diagonals --------------------------------------------------------------------
 
+def _diagonal(cyl, N):
+    """The (co)cyclic module on the diagonal cells X_{n,n}: each operator is
+    the vertical one of its index at the horizontal one's target, after the
+    horizontal one."""
+    maps = []
+    for kind in cyl.family:
+        v, h = getattr(cyl, kind + "_v"), kind + "_h"
+        maps.append({(n, i): v(*_target(h, n, n), i) @ getattr(cyl, h)(n, n, i)
+                     for n in range(N + 1) if _inside(_target(h, n, n), N, N)
+                     for (i,) in _indices(h, n, n)})
+    return cyl.module(cyl.field, [cyl.space_dim(n, n) for n in range(N + 1)],
+                      *maps, {n: cyl.tau_v(n, n) @ cyl.tau_h(n, n)
+                              for n in range(N + 1)}, N)
+
+
 def diagonal_cyclic(cyl: AlgebraCylinder, N=3) -> CyclicOps:
     """The cyclic module on the diagonal cells X_{n,n}."""
-    dims = [cyl.space_dim(n, n) for n in range(N + 1)]
-    faces, degens, cyc = {}, {}, {}
-    for n in range(N + 1):
-        cyc[n] = cyl.tau_v(n, n) @ cyl.tau_h(n, n)
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = cyl.face_v(n - 1, n, i) @ cyl.face_h(n, n, i)
-    for n in range(N):
-        for i in range(n + 1):
-            degens[(n, i)] = cyl.degen_v(n + 1, n, i) @ cyl.degen_h(n, n, i)
-    return CyclicOps(cyl.field, dims, faces, degens, cyc, N)
+    return _diagonal(cyl, N)
 
 
 def diagonal_cocyclic(cocyl: CoalgebraCocylinder, N=3) -> CocyclicOps:
-    dims = [cocyl.space_dim(n, n) for n in range(N + 1)]
-    cofaces, codegens, cyc = {}, {}, {}
-    for n in range(N + 1):
-        cyc[n] = cocyl.tau_v(n, n) @ cocyl.tau_h(n, n)
-    for n in range(N):
-        for i in range(n + 2):
-            cofaces[(n, i)] = cocyl.coface_v(n + 1, n, i) @ cocyl.coface_h(n, n, i)
-    for n in range(1, N + 1):
-        for i in range(n):
-            codegens[(n, i)] = cocyl.codegen_v(n - 1, n, i) @ cocyl.codegen_h(n, n, i)
-    return CocyclicOps(cocyl.field, dims, cofaces, codegens, cyc, N)
+    """The cocyclic module on the diagonal cells X_{n,n}."""
+    return _diagonal(cocyl, N)
 
 
 # -- isomorphism with the crossed product (co)cyclic module -------------------------
@@ -820,6 +756,16 @@ def _mprod(*terms):
     return prod(*terms)
 
 
+def _conjugated(name):
+    """The operator `name` of the (co)cylinder `base` carried onto module
+    form: to_module at its target cell, after it, after from_module."""
+    def op(self, p, q, *i):
+        return self.to_module(*_target(name, p, q)) \
+            @ getattr(self.base, name)(p, q, *i) @ self.from_module(p, q)
+    op.__name__ = op.__qualname__ = name
+    return op
+
+
 # -- regrouping onto Hopf-module form (algebra side) ---------------------------------
 
 class AlgebraModuleForm(_CellOperators):
@@ -836,60 +782,40 @@ class AlgebraModuleForm(_CellOperators):
     block = "A"
 
     def __init__(self, cyl: AlgebraCylinder):
-        super().__init__(cyl.field, cyl.spaces)
-        self.cyl = cyl
+        super().__init__(cyl.A, cyl.spaces)
+        self.base = cyl
 
+    @_cell_op
     def to_module(self, p, q):
-        def build():
-            specs = self._specs(p, q, {i: ("comult", 1) for i in range(1, p + 1)})
-            L = Legs(specs)
-            outs = [L.com(i, 0) for i in range(1, p + 1)]
-            outs.append(_mprod(L.plain(0),
-                               *[L.com(i, 1) for i in range(1, p + 1)]))
-            outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
-            return self._compile(specs, outs)
-        return self._memo(("beta", p, q), build)
+        specs = self._specs(p, q, {i: ("comult", 1) for i in range(1, p + 1)})
+        L = Legs(specs)
+        outs = [L.com(i, 0) for i in range(1, p + 1)]
+        outs.append(_mprod(L.plain(0), *[L.com(i, 1) for i in range(1, p + 1)]))
+        outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
+        return self._compile(specs, outs)
 
+    @_cell_op
     def from_module(self, p, q):
-        def build():
-            specs = self._specs(p, q, {i: ("comult", 1) for i in range(p)})
-            L = Legs(specs)
-            tail = _mprod(*[L.com(i, 1) for i in range(p)])
-            outs = [_mprod(L.plain(p), Sinv(tail) if tail else None)]
-            outs.extend(L.com(i, 0) for i in range(p))
-            outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
-            return self._compile(specs, outs)
-        return self._memo(("gamma", p, q), build)
+        specs = self._specs(p, q, {i: ("comult", 1) for i in range(p)})
+        L = Legs(specs)
+        tail = _mprod(*[L.com(i, 1) for i in range(p)])
+        outs = [_mprod(L.plain(p), Sinv(tail) if tail else None)]
+        outs.extend(L.com(i, 0) for i in range(p))
+        outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
+        return self._compile(specs, outs)
 
     # -- conjugated operators --------------------------------------------------
 
-    def tau_v(self, p, q):
-        return self.to_module(p, q) @ self.cyl.tau_v(p, q) @ self.from_module(p, q)
-
-    def face_v(self, p, q, i):
-        return self.to_module(p, q - 1) @ self.cyl.face_v(p, q, i) \
-            @ self.from_module(p, q)
-
-    def degen_v(self, p, q, i):
-        return self.to_module(p, q + 1) @ self.cyl.degen_v(p, q, i) \
-            @ self.from_module(p, q)
-
-    def tau_h(self, p, q):
-        return self.to_module(p, q) @ self.cyl.tau_h(p, q) @ self.from_module(p, q)
-
-    def face_h(self, p, q, i):
-        return self.to_module(p - 1, q) @ self.cyl.face_h(p, q, i) \
-            @ self.from_module(p, q)
-
-    def degen_h(self, p, q, i):
-        return self.to_module(p + 1, q) @ self.cyl.degen_h(p, q, i) \
-            @ self.from_module(p, q)
+    tau_v = _conjugated("tau_v")
+    face_v = _conjugated("face_v")
+    degen_v = _conjugated("degen_v")
+    tau_h = _conjugated("tau_h")
+    face_h = _conjugated("face_h")
+    degen_h = _conjugated("degen_h")
 
     def boundary_h(self, p, q):
         """Conjugated horizontal boundary (the Hopf-module boundary)."""
-        cyl = self.cyl
-        return combine(self.field, cyl.space_dim(p - 1, q), cyl.space_dim(p, q),
-                       (((-1) ** i, self.face_h(p, q, i)) for i in range(p + 1)))
+        return self._alternating("face_h", p, q)
 
     # -- closed forms ------------------------------------------------------------
 
@@ -939,7 +865,7 @@ class AlgebraModuleForm(_CellOperators):
         source computations does not equal the conjugate; see the recorded
         counterexample in the tests.)"""
         if p == 0:
-            return self.cyl.tau_h(0, q)
+            return self.base.tau_h(0, q)
         expand = {i: ("comult", 3) for i in range(p - 1)}
         expand[p - 1] = ("comult", 2)
         expand[p] = ("comult", 1)
@@ -1009,7 +935,7 @@ class AlgebraModuleForm(_CellOperators):
         the cylinder operator it leaves alone, and the conjugated horizontal
         boundary vs the Hopf-module boundary."""
         from .homology import hopf_module_boundary
-        cyl = self.cyl
+        cyl = self.base
         rep = CheckReport("algebra module form")
 
         def chk(name, p, q, lhs, rhs):
@@ -1064,63 +990,43 @@ class CoalgebraModuleForm(_CellOperators):
     block = "C"
 
     def __init__(self, cocyl: CoalgebraCocylinder):
-        super().__init__(cocyl.field, cocyl.spaces)
-        self.cocyl = cocyl
+        super().__init__(cocyl.C, cocyl.spaces)
+        self.base = cocyl
 
+    @_cell_op
     def to_module(self, p, q):
         """Regroup by peeling the leading factor: its first leg becomes the
         module slot and S of its remaining legs left-multiplies the other
         factors diagonally (H is a module coalgebra over itself by
         multiplication, so the dot here is multiplication)."""
-        def build():
-            specs = self._specs(p, q, {0: ("comult", p)})
-            L = Legs(specs)
-            outs = [prod(S(L.com(0, p - j)), L.plain(j + 1))
-                    for j in range(p)]
-            outs.append(L.com(0, 0))
-            outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
-            return self._compile(specs, outs)
-        return self._memo(("beta", p, q), build)
+        specs = self._specs(p, q, {0: ("comult", p)})
+        L = Legs(specs)
+        outs = [prod(S(L.com(0, p - j)), L.plain(j + 1)) for j in range(p)]
+        outs.append(L.com(0, 0))
+        outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
+        return self._compile(specs, outs)
 
+    @_cell_op
     def from_module(self, p, q):
-        def build():
-            specs = self._specs(p, q, {p: ("comult", p)})
-            L = Legs(specs)
-            outs = [L.com(p, 0)]
-            for i in range(1, p + 1):
-                outs.append(prod(L.com(p, i), L.plain(i - 1)))
-            outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
-            return self._compile(specs, outs)
-        return self._memo(("gamma", p, q), build)
+        specs = self._specs(p, q, {p: ("comult", p)})
+        L = Legs(specs)
+        outs = [L.com(p, 0)]
+        for i in range(1, p + 1):
+            outs.append(prod(L.com(p, i), L.plain(i - 1)))
+        outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
+        return self._compile(specs, outs)
 
     # -- conjugated operators ---------------------------------------------------
 
-    def tau_v(self, p, q):
-        return self.to_module(p, q) @ self.cocyl.tau_v(p, q) @ self.from_module(p, q)
-
-    def coface_v(self, p, q, i):
-        return self.to_module(p, q + 1) @ self.cocyl.coface_v(p, q, i) \
-            @ self.from_module(p, q)
-
-    def codegen_v(self, p, q, i):
-        return self.to_module(p, q - 1) @ self.cocyl.codegen_v(p, q, i) \
-            @ self.from_module(p, q)
-
-    def tau_h(self, p, q):
-        return self.to_module(p, q) @ self.cocyl.tau_h(p, q) @ self.from_module(p, q)
-
-    def coface_h(self, p, q, i):
-        return self.to_module(p + 1, q) @ self.cocyl.coface_h(p, q, i) \
-            @ self.from_module(p, q)
-
-    def codegen_h(self, p, q, i):
-        return self.to_module(p - 1, q) @ self.cocyl.codegen_h(p, q, i) \
-            @ self.from_module(p, q)
+    tau_v = _conjugated("tau_v")
+    coface_v = _conjugated("coface_v")
+    codegen_v = _conjugated("codegen_v")
+    tau_h = _conjugated("tau_h")
+    coface_h = _conjugated("coface_h")
+    codegen_h = _conjugated("codegen_h")
 
     def coboundary_h(self, p, q):
-        cocyl = self.cocyl
-        return combine(self.field, cocyl.space_dim(p + 1, q), cocyl.space_dim(p, q),
-                       (((-1) ** i, self.coface_h(p, q, i)) for i in range(p + 2)))
+        return self._alternating("coface_h", p, q)
 
     # -- closed forms --------------------------------------------------------------
 
@@ -1178,8 +1084,8 @@ class CoalgebraModuleForm(_CellOperators):
             outs.append(L.plain(p))
             outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
             return self._compile(specs, outs)
-        fcc = first_column_coaction(self.cocyl.C, q, check=False)
-        return SparseMatrix.identity(self.field, self.cocyl.dh ** p).kron(fcc)
+        fcc = first_column_coaction(self.base.C, q, check=False)
+        return SparseMatrix.identity(self.field, self.dh ** p).kron(fcc)
 
     def closed_codegen_h(self, p, q, i):
         specs = self._specs(p, q)
@@ -1195,7 +1101,7 @@ class CoalgebraModuleForm(_CellOperators):
         S of its middle block left-multiplies the remaining bar factors
         diagonally, and the module factor acts on the C-block."""
         if p == 0:
-            return self.cocyl.tau_h(0, q)
+            return self.base.tau_h(0, q)
         gmod = p
         expand = {gmod: ("comult", 2 * q + 4), 0: ("comult", p)}
         specs = self._specs(p, q, expand)
@@ -1215,7 +1121,7 @@ class CoalgebraModuleForm(_CellOperators):
 
     def check(self, P, Q, raise_on_fail=True) -> CheckReport:
         from .homology import hopf_comodule_coboundary
-        cocyl = self.cocyl
+        cocyl = self.base
         rep = CheckReport("coalgebra module form")
 
         def chk(name, p, q, lhs, rhs):
@@ -1296,7 +1202,7 @@ def coinvariant_cyclic_module(a, N=2, check=True):
     its vertical operators, by span{h.x - counit(h) x}, with the induced
     cyclic operators.  Returns (CyclicOps, [QuotientPresentation])."""
     f = a.field
-    fam = _vertical_view(AlgebraCylinder(a), 0, N)
+    fam = _view(AlgebraCylinder(a), "v", 0, N)
     pres = []
     for n in range(N + 1):
         x = fam.dim(n)
@@ -1358,7 +1264,7 @@ def coinvariant_cocyclic_module(c, N=2, check=True):
     its vertical cooperators, where the coaction is trivial, with the
     induced cocyclic operators.  Returns (CocyclicOps, [SubspacePresentation])."""
     f = c.field
-    fam = _covertical_view(CoalgebraCocylinder(c), 0, N)
+    fam = _view(CoalgebraCocylinder(c), "v", 0, N)
     pres = []
     for n in range(N + 1):
         x = fam.dim(n)

@@ -17,14 +17,37 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson &
+# Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality by deterministic Miller-Rabin; ValueError at or above
+    PRIME_BOUND, where these bases prove nothing."""
+    if n >= PRIME_BOUND:
+        raise ValueError("modulus %d is not below %d, the bound under which "
+                         "primality is decided exactly" % (n, PRIME_BOUND))
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -45,8 +45,8 @@ from .hopf import dual_hopf
 # `rank` is not called here but stays bound on purpose: perfbench's self-test
 # checks that the tracer rebinds a function imported by name elsewhere.
 from .linalg import (  # noqa: F401
-    SparseMatrix, Subspace, _homology_dims, block_matrix, column_pairs,
-    combine, kernel, rank,
+    SparseMatrix, _homology_dims, block_matrix, column_pairs, combine, kernel,
+    rank,
 )
 
 
@@ -438,10 +438,6 @@ class FilteredComplex:
                 out.extend(range(off, off + dim))
         return out
 
-    def filtration(self, i, n) -> Subspace:
-        return Subspace.coordinate(self.field, self.dim(n),
-                                   self.filtration_coords(i, n))
-
     def cell_block(self, n, src_cell, dst_cell):
         """The block of d between two cells, as a matrix."""
         dn = self.d[n]
@@ -476,8 +472,26 @@ def _total_cells(cyl, N):
     return cells, dims
 
 
-def _filtered_complex(field, cells, dims, d, N, check):
-    fc = FilteredComplex(field, dims, d, cells, N, N)
+def _total_complex(cyl, N, check, b_v, b_h):
+    """Tot_n = sum of X_{p,q} (p+q = n, ordered by q), d = (-1)^p b_v + b_h
+    with b_v(p, q): X_{p,q} -> X_{p,q-1} and b_h(p, q): X_{p,q} -> X_{p-1,q},
+    filtered by F_i = sum over q <= i."""
+    f = cyl.field
+    cells, dims = _total_cells(cyl, N)
+    d = {}
+    for n in range(1, N + 1):
+        blocks = {}
+        for p, q, _, _ in cells[n]:
+            if q >= 1:
+                bv = b_v(p, q)
+                if p % 2 == 1:
+                    bv = bv.scale(f.neg(f.one()))
+                blocks[(q - 1, q)] = bv
+            if p >= 1:
+                blocks[(q, q)] = b_h(p, q)
+        d[n] = block_matrix(f, blocks, [c[3] for c in cells[n - 1]],
+                            [c[3] for c in cells[n]])
+    fc = FilteredComplex(f, dims, d, cells, N, N)
     if check:
         for n in range(2, N + 1):
             if not (d[n - 1] @ d[n]).is_zero():
@@ -487,49 +501,20 @@ def _filtered_complex(field, cells, dims, d, N, check):
 
 
 def total_complex_algebra(cyl, N=3, check=True) -> FilteredComplex:
-    """Tot_n = sum of X_{p,q} (p+q = n, ordered by q), d = (-1)^p b_v + b_h,
-    filtered by F_i = sum over q <= i."""
-    f = cyl.field
-    cells, dims = _total_cells(cyl, N)
-    d = {}
-    for n in range(1, N + 1):
-        blocks = {}
-        for p, q, _, _ in cells[n]:
-            if q >= 1:
-                bv = cyl.b_v(p, q)
-                if p % 2 == 1:
-                    bv = bv.scale(f.neg(f.one()))
-                blocks[(q - 1, q)] = bv
-            if p >= 1:
-                blocks[(q, q)] = cyl.b_h(p, q)
-        d[n] = block_matrix(f, blocks, [c[3] for c in cells[n - 1]],
-                            [c[3] for c in cells[n]])
-    return _filtered_complex(f, cells, dims, d, N, check)
+    """The total complex of the cylinder, d = (-1)^p b_v + b_h."""
+    return _total_complex(cyl, N, check, cyl.b_v, cyl.b_h)
 
 
 def total_complex_coalgebra(cocyl, N=3, check=True) -> FilteredComplex:
     """The transpose of the cochain total complex Tot^n = sum of X_{p,q}
-    (p+q = n), d^n = (-1)^p b_v + b_h, filtered by q >= i: T_n = Tot^n
-    ordered by q, d_n = (d^(n-1))^T with blocks (-1)^p b_v(p, q-1)^T and
+    (p+q = n), d^n = (-1)^p b_v + b_h, filtered by q >= i: the cylinder's
+    total complex of the transposed coboundaries b_v(p, q-1)^T and
     b_h(p-1, q)^T, filtered by q <= i.  It has the cochain complex's
     (co)homology and pages; a cochain d^r out of a position is d^r into it.
     """
-    f = cocyl.field
-    cells, dims = _total_cells(cocyl, N)
-    d = {}
-    for n in range(1, N + 1):
-        blocks = {}
-        # the cochain blocks out of degree n - 1, q descending
-        for q in range(n - 1, -1, -1):
-            p = n - 1 - q
-            bv = cocyl.b_v(p, q)
-            if p % 2 == 1:
-                bv = bv.scale(f.neg(f.one()))
-            blocks[(q, q + 1)] = bv.transpose()
-            blocks[(q, q)] = cocyl.b_h(p, q).transpose()
-        d[n] = block_matrix(f, blocks, [c[3] for c in cells[n - 1]],
-                            [c[3] for c in cells[n]])
-    return _filtered_complex(f, cells, dims, d, N, check)
+    return _total_complex(cocyl, N, check,
+                          lambda p, q: cocyl.b_v(p, q - 1).transpose(),
+                          lambda p, q: cocyl.b_h(p - 1, q).transpose())
 
 
 def check_filtration(fc: FilteredComplex):
@@ -537,7 +522,9 @@ def check_filtration(fc: FilteredComplex):
 
     Once nesting holds, a column whose boundary lies in the filtration
     piece of the level where the column enters lies in every larger piece
-    too, so d-stability is tested once per column, at that level."""
+    too, so d-stability is tested once per column, at that level.  Every
+    piece is spanned by coordinates, so a column lies in it exactly when
+    every row the column touches is one of them."""
     entering = {}  # n -> [(i, coordinates entering the filtration at i)]
     for n in range(fc.N + 1):
         prev = set()
@@ -557,9 +544,9 @@ def check_filtration(fc: FilteredComplex):
         for i, cols in entering[n]:
             if not cols:
                 continue
-            sub = fc.filtration(i, n - 1)
+            inside = set(fc.filtration_coords(i, n - 1))
             for j in cols:
-                if not sub.contains(dn.column(j)):
+                if not inside.issuperset(dn.column(j)):
                     raise FiltrationViolation(
                         "d leaves F_%d at degree %d" % (i, n))
     return True

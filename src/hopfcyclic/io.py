@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError
+from .errors import ParseError, Singular
 from .fields import Field
 from .hopf import (
     Algebra, Coalgebra, ComoduleAlgebra, HopfAlgebra, ModuleCoalgebra,
@@ -135,14 +135,17 @@ def parse_document(data) -> InputDocument:
         hnode, "hopf", ("basis", "mult", "unit", "comult", "counit",
                         "antipode"))
     d = len(basis)
-    hopf = HopfAlgebra(
-        field, d,
-        _mult_matrix(field, mult, d),
-        _vector(field, unit, d),
-        _comult_matrix(field, comult, d),
-        _covector(field, counit, d),
-        _map_matrix(field, antipode, d),
-        basis_names=[str(b) for b in basis])
+    try:
+        hopf = HopfAlgebra(
+            field, d,
+            _mult_matrix(field, mult, d),
+            _vector(field, unit, d),
+            _comult_matrix(field, comult, d),
+            _covector(field, counit, d),
+            _map_matrix(field, antipode, d),
+            basis_names=[str(b) for b in basis])
+    except Singular as e:  # no antipode inverse, so no operator can be built
+        raise ParseError("bad hopf block: %s" % e)
     algebra = None
     if "algebra" in data:
         abasis, mult, unit, coaction = _lists(

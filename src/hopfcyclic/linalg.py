@@ -21,9 +21,8 @@ the pairs `column_pairs` returns respect any filtration that the coordinate
 order refines; `rank` is their number.  `_echelonize` reads a row echelon
 form off the same reduction, with the rows fed in as columns in reversed
 coordinates.  `_rref` adds one bottom-up back-substitution through a
-{pivot column: row} index; `Subspace`, `kernel` and `invert` use it (a span
-of unit vectors, `Subspace.coordinate`, is already reduced and skips it),
-and `Subspace.reduce` clears a vector through the same index.
+{pivot column: row} index; `Subspace`, `kernel` and `invert` use it, and
+`Subspace.reduce` clears a vector through the same index.
 """
 
 from __future__ import annotations
@@ -442,20 +441,6 @@ class Subspace:
         self._index = dict(zip(pivots, basis))
         self._pos = None
 
-    @classmethod
-    def coordinate(cls, field, ambient_dim, coords):
-        """The span of the unit vectors at coords, built with no elimination:
-        sorted unit vectors are already the canonical reduced echelon basis."""
-        sub = cls.__new__(cls)
-        sub.field = field
-        sub.ambient_dim = ambient_dim
-        sub.pivots = sorted(coords)
-        one = field.one()
-        sub.basis = [{j: one} for j in sub.pivots]
-        sub._index = dict(zip(sub.pivots, sub.basis))
-        sub._pos = None
-        return sub
-
     @property
     def dim(self):
         return len(self.basis)
@@ -472,7 +457,7 @@ class Subspace:
         """The nonzero coefficients of vec in the echelon basis, as {basis
         index: scalar}, or None if vec lies outside.  The basis is reduced,
         so they are the entries of vec at the pivots."""
-        if self.reduce(vec):
+        if not self.contains(vec):
             return None
         if self._pos is None:
             self._pos = {j: k for k, j in enumerate(self.pivots)}

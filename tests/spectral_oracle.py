@@ -28,7 +28,8 @@ def _z_subspace(fc, r, i, n, memo):
         f = fc.field
         if n < 0 or n > fc.N:
             return Subspace(f, 0)
-        basis = fc.filtration(i, n)
+        basis = Subspace(f, fc.dim(n), [{c: f.one()}
+                                        for c in fc.filtration_coords(i, n)])
         tgt = n - 1
         j = i - r
         if tgt < 0 or tgt > fc.N:

@@ -148,12 +148,14 @@ def _set(path, value):
     (_set(("field", "p"), 2.9), "p must be an integer"),  # int() made it 2
     (_set(("field", "p"), True), "p must be an integer"),  # int() made it 1
     (_set(("field", "p"), "2"), "p must be an integer"),
+    (_set(("field", "p"), 3215031751), "not prime"),  # strong pseudoprime
+    (_set(("field", "p"), 2 ** 89 - 1), "decided exactly"),  # prime, too big
     (_set(("hopf", "basis"), 3), "hopf basis must be a list"),
     (_set(("hopf", "mult"), 5), "hopf mult must be a list"),
     (_set(("algebra",), [1]), "algebra block must be an object"),
     (_set(("coalgebra",), "counit"), "coalgebra block must be an object"),
-], ids=["p-float", "p-bool", "p-string", "basis-int", "mult-int",
-        "algebra-list", "coalgebra-string"])
+], ids=["p-float", "p-bool", "p-string", "p-pseudoprime", "p-above-bound",
+        "basis-int", "mult-int", "algebra-list", "coalgebra-string"])
 def test_malformed_block_exits_two(edit, reason, tmp_path, capsys):
     """The prime must be a JSON integer, each block a JSON object and each
     of its entries a JSON list; anything else is a parse error."""
@@ -166,6 +168,39 @@ def test_malformed_block_exits_two(edit, reason, tmp_path, capsys):
     assert cli.main(["verify", "hopf", "-i", str(bad)]) == 2
     err = json.loads(capsys.readouterr().out)
     assert set(err) == {"error"} and reason in err["error"]
+
+
+@pytest.mark.parametrize("edit", [
+    _set(("hopf", "antipode"), []),
+    lambda data: data["hopf"]["basis"].append("z"),
+], ids=["empty-antipode", "basis-longer-than-tables"])
+def test_singular_antipode_exits_two(edit, tmp_path, capsys):
+    """With no antipode entries, or a basis name that no table mentions,
+    the antipode has no inverse and no operator can be built: every job
+    refuses the input."""
+    from hopfcyclic import cli
+    with open(data_file("c2_Q")) as fh:
+        data = json.load(fh)
+    edit(data)
+    bad = tmp_path / "singular.json"
+    bad.write_text(json.dumps(data))
+    for job in ("verify hopf", "compute hc --nmax 1", "verify cylindrical",
+                "compute coinvariants --nmax 1",
+                "compute ss-pages --rmax 1 --pmax 1 --qmax 1"):
+        assert cli.main(job.split() + ["-i", str(bad)]) == 2, job
+        err = json.loads(capsys.readouterr().out)
+        assert err == {"error": "bad hopf block: antipode is not invertible"}
+
+
+def test_large_prime_field_is_accepted_at_once(tmp_path, capsys):
+    from hopfcyclic import cli
+    with open(data_file("c2_F2")) as fh:
+        data = json.load(fh)
+    data["field"]["p"] = 10 ** 18 + 9
+    doc = tmp_path / "big_p.json"
+    doc.write_text(json.dumps(data))
+    assert cli.main(["verify", "hopf", "-i", str(doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
 
 
 def test_compute_hc_ground_field():

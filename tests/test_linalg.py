@@ -1,6 +1,7 @@
 """Exact linear algebra: rank / kernel / image / homology bookkeeping."""
 
 import random
+import time
 from fractions import Fraction
 
 import elimination_oracle
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from hopfcyclic.errors import CompositionNotZero
-from hopfcyclic.fields import Field
+from hopfcyclic.fields import Field, is_prime
 from hopfcyclic.io import _map_matrix, _map_pairs
 from hopfcyclic.linalg import (
     SparseMatrix, Subspace, _echelonize, block_matrix, column_pairs, combine,
@@ -20,6 +21,21 @@ from hopfcyclic.linalg import (
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
+
+
+def test_is_prime_is_exact_below_its_bound():
+    assert [n for n in range(-3, 5000) if is_prime(n)] == \
+        list(sympy.primerange(0, 5000))
+    # a Carmichael number and strong pseudoprimes to bases 2 and 2, 3, 5, 7
+    for n in (561, 2047, 3215031751):
+        assert not is_prime(n)
+        with pytest.raises(ValueError, match="not prime"):
+            Field.prime(n)
+    start = time.perf_counter()
+    assert is_prime(10 ** 18 + 9) and Field.prime(10 ** 18 + 9).p == 10 ** 18 + 9
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match="decided exactly"):
+        is_prime(2 ** 89 - 1)
 
 
 def test_field_parse_roundtrip():
@@ -152,17 +168,6 @@ def test_subspace_sum_and_coefficients():
     assert coeffs == {0: QQ.of(2), 1: QQ.of(-5)}
     assert s.coefficients({1: QQ.of(3)}) == {1: QQ.of(3)}
     assert s.coefficients({2: QQ.one()}) is None
-
-
-@pytest.mark.parametrize("field", [QQ, F2])
-def test_coordinate_subspace_is_the_rref_of_its_unit_vectors(field):
-    coords = [5, 0, 3]
-    fast = Subspace.coordinate(field, 7, coords)
-    slow = Subspace(field, 7, [{j: field.one()} for j in coords])
-    assert fast == slow and fast.pivots == slow.pivots == [0, 3, 5]
-    assert fast.contains({0: field.one(), 5: field.one()})
-    assert not fast.contains({1: field.one()})
-    assert Subspace.coordinate(field, 4, []) == Subspace(field, 4)
 
 
 def test_invert():

@@ -1,5 +1,6 @@
 """Regrouping transforms onto Hopf-(co)module form and their closed forms."""
 
+import json
 import os
 
 import pytest
@@ -13,7 +14,7 @@ from hopfcyclic.hopf import (
 from hopfcyclic.cylinder import (
     AlgebraCylinder, AlgebraModuleForm, CoalgebraCocylinder,
     CoalgebraModuleForm, coinvariant_cocyclic_module, coinvariant_cyclic_module,
-    _covertical_view, _vertical_view, first_column_action,
+    _view, first_column_action,
     first_column_coaction,
 )
 from hopfcyclic.crossed import check_cyclic_ops, check_cocyclic_ops
@@ -32,7 +33,7 @@ def kc2():
 def test_transform_identity_for_empty_bar_block():
     mf = AlgebraModuleForm(AlgebraCylinder(regular_comodule_algebra(kc2())))
     for q in range(3):
-        n = mf.cyl.space_dim(0, q)
+        n = mf.space_dim(0, q)
         assert mf.to_module(0, q) == SparseMatrix.identity(QQ, n)
         assert mf.from_module(0, q) == SparseMatrix.identity(QQ, n)
 
@@ -42,7 +43,7 @@ def test_transform_identity_for_trivial_hopf():
     a = trivial_comodule_algebra(trivial_hopf(QQ), h.as_algebra())
     mf = AlgebraModuleForm(AlgebraCylinder(a))
     for p in range(3):
-        n = mf.cyl.space_dim(p, 1)
+        n = mf.space_dim(p, 1)
         assert mf.to_module(p, 1) == SparseMatrix.identity(QQ, n)
 
 
@@ -108,7 +109,7 @@ def test_published_rotation_display_is_not_the_conjugate():
 
 def test_first_column_families_are_paracyclic_and_cyclic_after_quotient():
     a = regular_comodule_algebra(kc2())
-    fam = _vertical_view(AlgebraCylinder(a), 0, 2)  # the first column
+    fam = _view(AlgebraCylinder(a), "v", 0, 2)  # the first column
     rep = check_cyclic_ops(fam, cyclic=False)
     assert rep.ok
     ops, pres = coinvariant_cyclic_module(a, N=2)
@@ -125,7 +126,7 @@ def test_coinvariant_quotient_dims_trivial_coaction():
 
 def test_coinvariant_subspace_ops_cocyclic():
     c = regular_module_coalgebra(kc2())
-    fam = _covertical_view(CoalgebraCocylinder(c), 0, 2)  # the first column
+    fam = _view(CoalgebraCocylinder(c), "v", 0, 2)  # the first column
     assert check_cocyclic_ops(fam, cocyclic=False).ok
     ops, pres = coinvariant_cocyclic_module(c, N=2)
     assert check_cocyclic_ops(ops, cocyclic=True).ok
@@ -146,6 +147,9 @@ def test_coinvariant_modules_sweedler():
 
 @pytest.mark.parametrize("golden, argv, exit_code", [
     ("transforms_sweedler_Q_p1_q1", "verify transforms --pmax 1 --qmax 1", 0),
+    # asymmetric windows: a swapped P/Q or a wrong target shift shows here
+    ("transforms_sweedler_Q_p1_q2", "verify transforms --pmax 1 --qmax 2", 0),
+    ("cylindrical_sweedler_Q_p2_q1", "verify cylindrical --pmax 2 --qmax 1", 0),
     ("cocylindrical_sweedler_Q_p1_q1",
      "verify cocylindrical --pmax 1 --qmax 1", 0),
     ("iso_sweedler_Q_n1", "verify iso --nmax 1", 0),
@@ -165,3 +169,24 @@ def test_sweedler_reports_match_the_recorded_ones(golden, argv, exit_code,
     code = cli.main(argv.split() + ["-i", "data/sweedler_Q.json"])
     with open(os.path.join("tests", "goldens", golden + ".json")) as fh:
         assert code == exit_code and capsys.readouterr().out == fh.read()
+
+
+def test_failing_cylinder_report_matches_the_recorded_one(monkeypatch, capsys):
+    """A Sweedler comodule algebra with the coaction term gx -> gx (x) g
+    negated fails only `coaction multiplicative` as a comodule algebra, and
+    21 of the cylinder's 122 identities, the first `d_i d_j = d_{j-1} d_i`
+    at degree 2: the whole report, exit 1, byte for byte against the one
+    recorded before the suites were one (tests/goldens)."""
+    from hopfcyclic import cli
+    monkeypatch.chdir(os.path.join(DATA, ".."))
+    bad = "tests/sweedler_Q_bad_coaction.json"
+    assert cli.main(["verify", "comodule-algebra", "-i", bad]) == 1
+    failed = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]
+              if not c["ok"]]
+    assert failed == ["coaction multiplicative"]
+    code = cli.main(["verify", "cylindrical", "--pmax", "1", "--qmax", "2",
+                     "-i", bad])
+    with open(os.path.join("tests", "goldens",
+                           "cylindrical_bad_coaction_sweedler_Q_p1_q2.json")) \
+            as fh:
+        assert code == 1 and capsys.readouterr().out == fh.read()
