@@ -6,13 +6,43 @@
 
 plus `-o report.json` and `--csv dir/` on every command.  Exit codes:
 0 all checks pass, 1 a check failed or a verify / compare checked nothing,
-2 input error or a job above a size limit (`MAX_CHAIN_DIM` on crossed
-products, `MAX_COLUMN_DIM` on coinvariants, `MAX_TOTAL_DIM` on spectral pages,
-`MAX_FACE_WORK` on all three, `MAX_CYLINDER_DIM` and `MAX_CHECK_WORK`
-on `verify cylindrical|cocylindrical|transforms|iso` and `compare
-ez-hochschild`).  Reports are normalized JSON and
+2 input error or a job above a size limit.  Reports are normalized JSON and
 byte-identical across runs; wall-clock timings go to stderr only when
 --timings is given.  No environment variables are read.
+
+Each target is written once for the algebra and the coalgebra side and runs
+on every block it needs that the document has.  Before anything is built,
+one gate checks the rows of `_sizes` on each of those blocks in turn, in
+the order below (dh = dim(H), d = the block's dimension, P = pmax,
+Q = qmax; each limit is the `MAX_*` constant of that name):
+
+    target               row                                         limit
+    hh, hc,              chain space (dh d)^(nmax+2)                 CHAIN
+    diagonal-vs-direct   (co)face work (nmax+2)^3                    FACE
+    collapse-*           the rows of hh, then those of coinvariants
+                         at nmax + 1
+    coinvariants         first column dh d^(nmax+1)                  COLUMN
+                         (co)face work (nmax+1)^3                    FACE
+    hopf-homology,       (co)bar space dh^(top+1) on the hopf block  CHAIN
+    comodule-cohomology  (co)face work (top+2)^3                     FACE
+                         (top = qmax, resp. pmax)
+    ss-pages             total space: sum of dh^(p+1) d^(q+1) over   TOTAL
+                         p + q = n = P + Q + 1
+                         (co)face work (n+1)^2 (n+2)^2               FACE
+                         page entries (rmax+1)(P+1)(Q+1)             TOTAL
+    cylindrical,         cells (P+1)(Q+1) dh^(P+1) d^(Q+1)           CYLINDER
+    cocylindrical        last horizontal (co)face dh^(2Q+4)          CYLINDER
+                         vertical (co)action dh^(2P+2) d             CYLINDER
+                         operator pairs ((P+2)(Q+2))^2               CHECK
+    transforms           cells (P+2)(Q+2) max(dh, d) dh^(P+1)        CYLINDER
+                         d^(Q+1)
+                         first-column (co)action dh^(2Q+5)           CYLINDER
+                         closed vertical rotation dh^(4P+2) d        CYLINDER
+                         closed horizontal rotation dh^(2P+2Q+3)     CYLINDER
+                         operator pairs ((P+2)(Q+2))^2               CHECK
+    iso (N = nmax),      cells (N+1) (dh d)^(N+1)                    CYLINDER
+    ez-hochschild        last horizontal (co)face dh^(2N+4)          CYLINDER
+    (N = nmax + 1)       operator pairs (N+2)^3                      CHECK
 
 `compute hh` ranks the Hochschild boundary b of the crossed product's
 (co)cyclic module alone.  `compute hc` over Q ranks Connes' cyclic complex
@@ -40,8 +70,8 @@ from .crossed import (
 from .cylinder import (
     AlgebraCylinder, AlgebraModuleForm, CoalgebraCocylinder,
     CoalgebraModuleForm, check_algebra_cylinder, check_coalgebra_cocylinder,
-    coinvariant_cocyclic_module, coinvariant_cyclic_module, phi_psi_algebra,
-    phi_psi_coalgebra,
+    coinvariant_cocyclic_module, coinvariant_cyclic_module, diagonal_cocyclic,
+    diagonal_cyclic, phi_psi_algebra, phi_psi_coalgebra,
 )
 from .homology import (
     b_column_dims, cochain_mixed_complex, connes_dims, cyclic_dims,
@@ -69,19 +99,48 @@ def _report_entries(rep):
             for name, ok, detail in rep.entries]
 
 
-def _require(doc, attr, target):
-    if getattr(doc, attr) is None:
-        raise MissingBlock("target %s needs the %s block" % (target, attr))
+# The one block of a target that does not run on each of the algebra and
+# coalgebra blocks the document has.
+_ONE_SIDE = {
+    "hopf": "hopf", "hopf-homology": "hopf", "comodule-cohomology": "hopf",
+    "comodule-algebra": "algebra", "cylindrical": "algebra",
+    "collapse-algebra": "algebra",
+    "module-coalgebra": "coalgebra", "cocylindrical": "coalgebra",
+    "collapse-coalgebra": "coalgebra",
+}
 
 
-def _require_either(doc, target):
-    if doc.algebra is None and doc.coalgebra is None:
+def _sides(doc, target):
+    """The blocks a target runs on, in report order; MissingBlock when the
+    document has none of them."""
+    if target in _ONE_SIDE:
+        side = _ONE_SIDE[target]
+        if getattr(doc, side) is None:
+            raise MissingBlock("target %s needs the %s block"
+                               % (target, side))
+        return [side]
+    sides = [s for s in ("algebra", "coalgebra")
+             if getattr(doc, s) is not None]
+    if not sides:
         raise MissingBlock("target %s needs an algebra or coalgebra block"
                            % target)
+    return sides
 
 
 # The document `options` key of each degree-bound flag (see io.py).
 _OPTION_KEYS = {"nmax": "N", "pmax": "P", "qmax": "Q", "rmax": "rmax"}
+
+# The degree bounds of each target other than nmax alone (default 2), with
+# their defaults, in the order they are read.
+_BOUNDS = {
+    "hopf": (), "comodule-algebra": (), "module-coalgebra": (),
+    "cylindrical": (("pmax", 2), ("qmax", 2)),
+    "cocylindrical": (("pmax", 1), ("qmax", 1)),
+    "transforms": (("pmax", 1), ("qmax", 1)),
+    "hopf-homology": (("qmax", 3),),
+    "comodule-cohomology": (("pmax", 3),),
+    "ss-pages": (("rmax", 2), ("pmax", 2), ("qmax", 2)),
+}
 
 
 def _opt(params, doc, key, default):
@@ -104,8 +163,10 @@ def _opt(params, doc, key, default):
 # 600 MB with `compute hc` over F_2 ((b, B)); for C3 --nmax 3 (9^5), 3.3 s
 # and 186 MB with `hc`, 7-8 s and 168 MB with `hh`.  Through (b, B), the
 # first refused ones, C2 --nmax 7 (4^9) and C3 --nmax 4 (9^6), had not
-# finished after 400 s, at 1.8 and 2.2 GB resident.  The README lists every
-# corpus bound.
+# finished after 400 s, at 1.8 and 2.2 GB resident.  The same limit holds
+# the top bar space dim(H)^(top+1) of `compute hopf-homology|
+# comodule-cohomology`: S3 --qmax 5 (6^6) takes 9.6 s and 132 MB, C2
+# --qmax 15 (2^16) 17.3 s and 362 MB.  The README lists every corpus bound.
 MAX_CHAIN_DIM = 2 ** 17
 
 # Largest first column H (x) X^(N+1) (X = A or C) at the top degree N that a
@@ -129,7 +190,8 @@ MAX_COLUMN_DIM = 2 ** 15
 # and 0.6 GB and C3 (3, 3) (157464) 20 s and 0.6 GB; of the first refused
 # ones, Sweedler (3, 2) (7 4^8 = 458752) takes 85 s and 1.7 GB and C3
 # (4, 3) (9 3^10) 85 s and 2.3 GB, and C2 (6, 6) (14 2^15) doubles C2's
-# edge.  The README lists the runs.
+# edge.  The same limit holds the page entries (rmax+1)(pmax+1)(qmax+1)
+# the report prints.  The README lists the runs.
 MAX_TOTAL_DIM = 2 ** 18
 
 # Bound on what `verify cylindrical|cocylindrical|transforms|iso` and
@@ -152,17 +214,17 @@ MAX_CYLINDER_DIM = 2 ** 21
 # MAX_FACE_WORK bounds the (co)face work of a job that builds a (co)cyclic
 # module up to degree N, (N + 1)^3 (N + 1 degrees of up to N + 1 (co)faces
 # over as many factors; N = nmax + 1 for the crossed products and collapse,
-# nmax for coinvariants), and that of the total complex of ss-pages up to
-# N = pmax + qmax + 1, (N + 1)^2 (N + 2)^2 (N + 1 degrees of up to N + 1
-# cells with up to N + 2 (co)faces over as many factors); MAX_CHECK_WORK
-# bounds the operator pairs of a verify or ez-hochschild job:
-# ((pmax+2)(qmax+2))^2 for the (co)cylinder suites and transforms, (N+2)^3
-# for the diagonal of iso and ez-hochschild.  Set from runs on
-# ground_field_Q on both sides of each bound (2-core VM): the slowest
-# targets at the admitted edges take 44 s (`diagonal-vs-direct --nmax 99`)
-# and 67 s (`ez-hochschild --nmax 61`); the README lists the runs.  They
-# admit every job on a structure of dimension >= 2 that the caps above
-# admit.
+# nmax for coinvariants, top + 1 for the (co)bar complexes), and that of the
+# total complex of ss-pages up to N = pmax + qmax + 1, (N + 1)^2 (N + 2)^2
+# (N + 1 degrees of up to N + 1 cells with up to N + 2 (co)faces over as
+# many factors); MAX_CHECK_WORK bounds the operator pairs of a verify or
+# ez-hochschild job: ((pmax+2)(qmax+2))^2 for the (co)cylinder suites and
+# transforms, (N+2)^3 for the diagonal of iso and ez-hochschild.  Set from
+# runs on ground_field_Q on both sides of each bound (2-core VM): the
+# slowest targets at the admitted edges take 44 s (`diagonal-vs-direct
+# --nmax 99`) and 67 s (`ez-hochschild --nmax 61`); the README lists the
+# runs.  They admit every job on a structure of dimension >= 2 that the caps
+# above admit.
 MAX_FACE_WORK = 2 ** 20
 MAX_CHECK_WORK = 2 ** 18
 
@@ -180,17 +242,6 @@ def _capped_power(d, k, limit):
     return out
 
 
-def _capped_product(factors, limit):
-    """The product of (base, exponent) factors, or limit + 1 once it passes
-    limit, with no power built past limit."""
-    out = 1
-    for base, k in factors:
-        out *= _capped_power(base, k, limit)
-        if out > limit:
-            return limit + 1
-    return out
-
-
 def _product_text(factors):
     text = " ".join("%d" % b if k == 1 else "%d^%d" % (b, k)
                     for b, k in factors)
@@ -199,85 +250,60 @@ def _product_text(factors):
     return text
 
 
-def _check_size(doc, nmax, blocks):
-    """Refuse a crossed-product job whose top chain space exceeds
-    MAX_CHAIN_DIM, or whose (co)face work exceeds MAX_FACE_WORK, before
-    anything is built."""
-    for block in blocks:
-        s = getattr(doc, block)
-        if s is None:
-            continue
-        d = s.dim * s.hopf.dim
-        k = nmax + 2
-        if _capped_power(d, k, MAX_CHAIN_DIM) > MAX_CHAIN_DIM:
-            raise TooLarge(
-                "--nmax %d on the %s block needs a chain space of "
-                "dimension %s, above the limit %d"
-                % (nmax, block, _product_text([(d, k)]), MAX_CHAIN_DIM))
-        if k ** 3 > MAX_FACE_WORK:
-            raise TooLarge(
-                "--nmax %d on the %s block needs (co)face work %s, above "
-                "the limit %d" % (nmax, block, _product_text([(k, 3)]),
-                                  MAX_FACE_WORK))
+def _row(what, factors, limit):
+    """The gate row of a product of (base, exponent) factors; its value is
+    limit + 1 from the first factor that passes limit on."""
+    value = 1
+    for base, k in factors:
+        value *= _capped_power(base, k, limit)
+        if value > limit:
+            value = limit + 1
+            break
+    return what, (value, _product_text(factors)), limit
 
 
-def _check_coinvariant_size(doc, nmax, top, blocks):
-    """Refuse a coinvariant job whose first column at the top degree `top`
-    passes MAX_COLUMN_DIM, or whose (co)face work up to `top` exceeds
-    MAX_FACE_WORK."""
-    for block in blocks:
-        s = getattr(doc, block)
-        if s is None:
-            continue
-        factors = [(s.hopf.dim, 1), (s.dim, top + 1)]
-        if _capped_product(factors, MAX_COLUMN_DIM) > MAX_COLUMN_DIM:
-            raise TooLarge(
-                "--nmax %d on the %s block needs a first column of dimension "
-                "%s, above the limit %d"
-                % (nmax, block, _product_text(factors), MAX_COLUMN_DIM))
-        if (top + 1) ** 3 > MAX_FACE_WORK:
-            raise TooLarge(
-                "--nmax %d on the %s block needs (co)face work %s, above "
-                "the limit %d" % (nmax, block, _product_text([(top + 1, 3)]),
-                                  MAX_FACE_WORK))
-
-
-def _check_pages_size(doc, pmax, qmax, blocks):
-    """Refuse a spectral-pages job whose top total space exceeds
-    MAX_TOTAL_DIM, or whose (co)face work exceeds MAX_FACE_WORK, before
-    anything is built."""
-    n = pmax + qmax + 1
-    work = [(n + 1, 2), (n + 2, 2)]
-    for block in blocks:
-        s = getattr(doc, block)
-        if s is None:
-            continue
-        dh, da = s.hopf.dim, s.dim
+def _sizes(target, bounds, dh, d):
+    """The gate rows (what, (value, text), limit) of a job on one block, in
+    the order they are checked, with dh = dim(H) and d the block's
+    dimension (dim(H) on the hopf block): the algebra and coalgebra sides
+    share the shapes."""
+    if target in ("hh", "hc", "diagonal-vs-direct", "collapse-algebra",
+                  "collapse-coalgebra"):
+        k = bounds["nmax"] + 2
+        rows = [_row("a chain space of dimension", [(dh * d, k)],
+                     MAX_CHAIN_DIM),
+                _row("(co)face work", [(k, 3)], MAX_FACE_WORK)]
+        if target.startswith("collapse"):
+            rows += _sizes("coinvariants", {"nmax": k - 1}, dh, d)
+        return rows
+    if target == "coinvariants":
+        top = bounds["nmax"]
+        return [_row("a first column of dimension", [(dh, 1), (d, top + 1)],
+                     MAX_COLUMN_DIM),
+                _row("(co)face work", [(top + 1, 3)], MAX_FACE_WORK)]
+    if target in ("hopf-homology", "comodule-cohomology"):
+        (top,) = bounds.values()
+        return [_row("a (co)bar space of dimension", [(d, top + 1)],
+                     MAX_CHAIN_DIM),
+                _row("(co)face work", [(top + 2, 3)], MAX_FACE_WORK)]
+    if target == "ss-pages":
+        R, P, Q = bounds["rmax"], bounds["pmax"], bounds["qmax"]
+        n = P + Q + 1
         total = 0
-        for p in range(n + 1):
+        for p in range(n + 1):  # stops at the first partial sum past it
             total += _capped_power(dh, p + 1, MAX_TOTAL_DIM) \
-                * _capped_power(da, n - p + 1, MAX_TOTAL_DIM)
+                * _capped_power(d, n - p + 1, MAX_TOTAL_DIM)
             if total > MAX_TOTAL_DIM:
-                value = " = %d" % sum(dh ** (p + 1) * da ** (n - p + 1)
-                                      for p in range(n + 1)) \
-                    if n <= 64 else ""
-                raise TooLarge(
-                    "--pmax %d --qmax %d on the %s block needs a total space "
-                    "of dimension sum of %d^(p+1) %d^(q+1) over p+q = %d%s, "
-                    "above the limit %d"
-                    % (pmax, qmax, block, dh, da, n, value, MAX_TOTAL_DIM))
-        if _capped_product(work, MAX_FACE_WORK) > MAX_FACE_WORK:
-            raise TooLarge(
-                "--pmax %d --qmax %d on the %s block needs (co)face work %s, "
-                "above the limit %d" % (pmax, qmax, block,
-                                        _product_text(work), MAX_FACE_WORK))
-
-
-def _build_sizes(target, dh, d, bounds):
-    """(what, (base, exponent) factors, limit) for the cells, the widest
-    operator expressions and the operator pairs of a verify or ez-hochschild
-    job, with dh = dim(H) and d = dim(A) or dim(C): both sides share the
-    shapes."""
+                break
+        text = "sum of %d^(p+1) %d^(q+1) over p+q = %d" % (dh, d, n)
+        if n <= 64:
+            text += " = %d" % sum(dh ** (p + 1) * d ** (n - p + 1)
+                                  for p in range(n + 1))
+        return [("a total space of dimension", (total, text), MAX_TOTAL_DIM),
+                _row("(co)face work", [(n + 1, 2), (n + 2, 2)],
+                     MAX_FACE_WORK),
+                _row("page entries (--rmax %d)" % R,
+                     [(R + 1, 1), (P + 1, 1), (Q + 1, 1)], MAX_TOTAL_DIM)]
     if target == "transforms":
         # the checks reach the cells (pmax+1, qmax) and (pmax, qmax+1)
         P, Q = bounds["pmax"], bounds["qmax"]
@@ -293,104 +319,104 @@ def _build_sizes(target, dh, d, bounds):
         widths = [("last horizontal (co)face", [(dh, 2 * Q + 4)]),
                   ("vertical (co)action", [(dh, 2 * P + 2), (d, 1)])]
         pairs = [((P + 2) * (Q + 2), 2)]
-    else:  # the diagonal cells up to N = nmax (iso) or nmax + 1 (ez)
+    elif target in ("iso", "ez-hochschild"):
+        # the diagonal cells up to N = nmax (iso) or nmax + 1 (ez)
         N = bounds["nmax"] + (target == "ez-hochschild")
         cells = [(N + 1, 1), (dh * d, N + 1)]
         widths = [("last horizontal (co)face", [(dh, 2 * N + 4)])]
         pairs = [(N + 2, 3)]
-    return [("cells of total dimension", cells, MAX_CYLINDER_DIM)] \
-        + [("a %s expression of width" % what, factors, MAX_CYLINDER_DIM)
+    else:  # the structure checks build nothing that grows
+        return []
+    return [_row("cells of total dimension", cells, MAX_CYLINDER_DIM)] \
+        + [_row("a %s expression of width" % what, factors, MAX_CYLINDER_DIM)
            for what, factors in widths] \
-        + [("operator pairs", pairs, MAX_CHECK_WORK)]
+        + [_row("operator pairs", pairs, MAX_CHECK_WORK)]
 
 
-def _check_build_size(doc, target, bounds, blocks):
-    """Refuse a verify or ez-hochschild job whose cells or widest expression
-    pass MAX_CYLINDER_DIM, or whose operator pairs pass MAX_CHECK_WORK,
-    before anything is built."""
-    flags = " ".join("--%s %d" % kv for kv in sorted(bounds.items()))
-    for block in blocks:
-        s = getattr(doc, block)
-        if s is None:
-            continue
-        for what, factors, limit in _build_sizes(target, s.hopf.dim, s.dim,
-                                                 bounds):
-            if _capped_product(factors, limit) > limit:
+def _check_size(doc, target, bounds, sides):
+    """Refuse a job with TooLarge at its first gate row above its limit,
+    block by block, before anything is built."""
+    # rmax counts pages, not degrees: only the row that reads it names it
+    flags = " ".join("--%s %d" % kv for kv in sorted(bounds.items())
+                     if kv[0] != "rmax")
+    for side in sides:
+        for what, (value, text), limit in _sizes(target, bounds, doc.hopf.dim,
+                                                 getattr(doc, side).dim):
+            if value > limit:
                 raise TooLarge("%s on the %s block needs %s %s, above the "
-                               "limit %d" % (flags, block, what,
-                                             _product_text(factors), limit))
+                               "limit %d" % (flags, side, what, text, limit))
+
+
+def _admit(doc, target, params):
+    """(bounds, sides) of a job the gate admits: its degree bounds and the
+    blocks it runs on."""
+    if target in ("cylindrical", "cocylindrical"):
+        _sides(doc, target)  # these name a missing block before a bad bound
+    bounds = {key: _opt(params, doc, key, default)
+              for key, default in _BOUNDS.get(target, (("nmax", 2),))}
+    sides = _sides(doc, target)
+    _check_size(doc, target, bounds, sides)
+    return bounds, sides
+
+
+def _cylinder(doc, side):
+    if side == "algebra":
+        return AlgebraCylinder(doc.algebra)
+    return CoalgebraCocylinder(doc.coalgebra)
+
+
+def _crossed_module(doc, side, N):
+    """The (co)cyclic module of the side's crossed product up to degree N."""
+    if side == "algebra":
+        return cyclic_module_of_algebra(crossed_product_algebra(doc.algebra),
+                                        N=N)
+    return cocyclic_module_of_coalgebra(
+        crossed_product_coalgebra(doc.coalgebra), N=N)
+
+
+def _coinvariants(doc, side, N):
+    """(module, presentations) of the side's coinvariant (co)cyclic module
+    up to degree N."""
+    if side == "algebra":
+        return coinvariant_cyclic_module(doc.algebra, N=N)
+    return coinvariant_cocyclic_module(doc.coalgebra, N=N)
 
 
 def cmd_verify(doc, target, params):
+    bounds, sides = _admit(doc, target, params)
     checks = []
-    if target == "hopf":
-        checks += _report_entries(check_hopf(doc.hopf))
-    elif target == "comodule-algebra":
-        _require(doc, "algebra", target)
-        checks += _report_entries(check_comodule_algebra(doc.algebra))
-    elif target == "module-coalgebra":
-        _require(doc, "coalgebra", target)
-        checks += _report_entries(check_module_coalgebra(doc.coalgebra))
-    elif target == "cylindrical":
-        _require(doc, "algebra", target)
-        pmax = _opt(params, doc, "pmax", 2)
-        qmax = _opt(params, doc, "qmax", 2)
-        _check_build_size(doc, target, {"pmax": pmax, "qmax": qmax},
-                          ("algebra",))
-        rep = check_algebra_cylinder(AlgebraCylinder(doc.algebra), pmax, qmax)
-        checks += _report_entries(rep)
-    elif target == "cocylindrical":
-        _require(doc, "coalgebra", target)
-        pmax = _opt(params, doc, "pmax", 1)
-        qmax = _opt(params, doc, "qmax", 1)
-        _check_build_size(doc, target, {"pmax": pmax, "qmax": qmax},
-                          ("coalgebra",))
-        rep = check_coalgebra_cocylinder(CoalgebraCocylinder(doc.coalgebra),
-                                         pmax, qmax)
-        checks += _report_entries(rep)
-    elif target == "iso":
-        nmax = _opt(params, doc, "nmax", 2)
-        _require_either(doc, target)
-        _check_build_size(doc, target, {"nmax": nmax},
-                          ("algebra", "coalgebra"))
-        if doc.algebra is not None:
+    for side in sides:
+        s = getattr(doc, side)
+        alg = side == "algebra"
+        if target == "hopf":
+            checks += _report_entries(check_hopf(s))
+        elif target in ("comodule-algebra", "module-coalgebra"):
+            check = check_comodule_algebra if alg else check_module_coalgebra
+            checks += _report_entries(check(s))
+        elif target in ("cylindrical", "cocylindrical"):
+            suite = check_algebra_cylinder if alg \
+                else check_coalgebra_cocylinder
+            checks += _report_entries(suite(_cylinder(doc, side),
+                                            bounds["pmax"], bounds["qmax"]))
+        elif target == "iso":
+            nmax = bounds["nmax"]
             try:
-                phi_psi_algebra(doc.algebra, N=nmax)
-                checks.append({"name": "algebra-side iso (inverse and "
-                                       "intertwining, n <= %d)" % nmax,
+                (phi_psi_algebra if alg else phi_psi_coalgebra)(s, N=nmax)
+                checks.append({"name": "%s-side iso (inverse and "
+                                       "intertwining, n <= %d)" % (side, nmax),
                                "ok": True, "detail": None})
             except HopfCyclicError as e:
-                checks.append({"name": "algebra-side iso", "ok": False,
+                checks.append({"name": "%s-side iso" % side, "ok": False,
                                "detail": str(e)})
-        if doc.coalgebra is not None:
+        else:  # transforms
+            form = AlgebraModuleForm if alg else CoalgebraModuleForm
+            mf = form(_cylinder(doc, side))
             try:
-                phi_psi_coalgebra(doc.coalgebra, N=nmax)
-                checks.append({"name": "coalgebra-side iso (inverse and "
-                                       "intertwining, n <= %d)" % nmax,
-                               "ok": True, "detail": None})
+                checks += _report_entries(mf.check(bounds["pmax"],
+                                                   bounds["qmax"]))
             except HopfCyclicError as e:
-                checks.append({"name": "coalgebra-side iso", "ok": False,
-                               "detail": str(e)})
-    elif target == "transforms":
-        pmax = _opt(params, doc, "pmax", 1)
-        qmax = _opt(params, doc, "qmax", 1)
-        _require_either(doc, target)
-        _check_build_size(doc, target, {"pmax": pmax, "qmax": qmax},
-                          ("algebra", "coalgebra"))
-        if doc.algebra is not None:
-            mf = AlgebraModuleForm(AlgebraCylinder(doc.algebra))
-            try:
-                checks += _report_entries(mf.check(pmax, qmax))
-            except HopfCyclicError as e:
-                checks.append({"name": "algebra-side transforms", "ok": False,
-                               "detail": str(e)})
-        if doc.coalgebra is not None:
-            cmf = CoalgebraModuleForm(CoalgebraCocylinder(doc.coalgebra))
-            try:
-                checks += _report_entries(cmf.check(pmax, qmax))
-            except HopfCyclicError as e:
-                checks.append({"name": "coalgebra-side transforms", "ok": False,
-                               "detail": str(e)})
+                checks.append({"name": "%s-side transforms" % side,
+                               "ok": False, "detail": str(e)})
     # a run that checked nothing has shown nothing
     return {"checks": checks}, bool(checks) and all(c["ok"] for c in checks)
 
@@ -415,58 +441,37 @@ def _pages_table(pages, ranks):
 
 
 def cmd_compute(doc, target, params):
+    bounds, sides = _admit(doc, target, params)
     tables = {}
-    checks = []
-    if target in ("hh", "hc"):
-        nmax = _opt(params, doc, "nmax", 2)
-        _require_either(doc, target)
-        _check_size(doc, nmax, ("algebra", "coalgebra"))
-        if doc.algebra is not None:
-            r = crossed_product_algebra(doc.algebra)
-            tables["%s_crossed_product_algebra" % target] = _crossed_dims(
-                target, cyclic_module_of_algebra(r, N=nmax + 1), nmax)
-        if doc.coalgebra is not None:
-            cc = crossed_product_coalgebra(doc.coalgebra)
-            tables["%s_crossed_product_coalgebra" % target] = _crossed_dims(
-                target, cocyclic_module_of_coalgebra(cc, N=nmax + 1), nmax)
-    elif target == "hopf-homology":
-        qmax = _opt(params, doc, "qmax", 3)
-        tables["hopf_module_homology_trivial_coefficients"] = \
-            hopf_module_homology(doc.hopf, trivial_module_action(doc.hopf), qmax)
-    elif target == "comodule-cohomology":
-        pmax = _opt(params, doc, "pmax", 3)
-        tables["hopf_comodule_cohomology_trivial_coefficients"] = \
-            hopf_comodule_cohomology(doc.hopf,
-                                     trivial_comodule_coaction(doc.hopf), pmax)
-    elif target == "ss-pages":
-        rmax = _opt(params, doc, "rmax", 2)
-        pmax = _opt(params, doc, "pmax", 2)
-        qmax = _opt(params, doc, "qmax", 2)
-        _require_either(doc, target)
-        _check_pages_size(doc, pmax, qmax, ("algebra", "coalgebra"))
-        if doc.algebra is not None:
-            fc = total_complex_algebra(AlgebraCylinder(doc.algebra),
-                                       N=pmax + qmax + 1)
-            tables["pages_algebra"] = _pages_table(
-                spectral_pages(fc, rmax, (pmax, qmax)), "diff_ranks")
-        if doc.coalgebra is not None:
-            fc = total_complex_coalgebra(CoalgebraCocylinder(doc.coalgebra),
-                                         N=pmax + qmax + 1)
-            # fc is the transposed cochain complex: the cochain d^r out of
-            # a position is its d^r into that position
-            tables["pages_coalgebra"] = _pages_table(
-                spectral_pages(fc, rmax, (pmax, qmax)), "diff_ranks_in")
-    elif target == "coinvariants":
-        nmax = _opt(params, doc, "nmax", 2)
-        _require_either(doc, target)
-        _check_coinvariant_size(doc, nmax, nmax, ("algebra", "coalgebra"))
-        if doc.algebra is not None:
-            _, pres = coinvariant_cyclic_module(doc.algebra, N=nmax)
-            tables["coinvariant_quotient_dims"] = [p.dim for p in pres]
-        if doc.coalgebra is not None:
-            _, pres = coinvariant_cocyclic_module(doc.coalgebra, N=nmax)
-            tables["coinvariant_subspace_dims"] = [p.dim for p in pres]
-    return {"checks": checks, "tables": tables}, True
+    for side in sides:
+        s = getattr(doc, side)
+        alg = side == "algebra"
+        if target in ("hh", "hc"):
+            tables["%s_crossed_product_%s" % (target, side)] = _crossed_dims(
+                target, _crossed_module(doc, side, bounds["nmax"] + 1),
+                bounds["nmax"])
+        elif target == "hopf-homology":
+            tables["hopf_module_homology_trivial_coefficients"] = \
+                hopf_module_homology(s, trivial_module_action(s),
+                                     bounds["qmax"])
+        elif target == "comodule-cohomology":
+            tables["hopf_comodule_cohomology_trivial_coefficients"] = \
+                hopf_comodule_cohomology(s, trivial_comodule_coaction(s),
+                                         bounds["pmax"])
+        elif target == "ss-pages":
+            window = (bounds["pmax"], bounds["qmax"])
+            total = total_complex_algebra if alg else total_complex_coalgebra
+            fc = total(_cylinder(doc, side), N=sum(window) + 1)
+            # on the coalgebra side fc is the transposed cochain complex:
+            # the cochain d^r out of a position is its d^r into it
+            tables["pages_" + side] = _pages_table(
+                spectral_pages(fc, bounds["rmax"], window),
+                "diff_ranks" if alg else "diff_ranks_in")
+        else:  # coinvariants
+            _, pres = _coinvariants(doc, side, bounds["nmax"])
+            kind = "quotient" if alg else "subspace"
+            tables["coinvariant_%s_dims" % kind] = [p.dim for p in pres]
+    return {"checks": [], "tables": tables}, True
 
 
 def _verdicts(lhs, rhs):
@@ -475,72 +480,37 @@ def _verdicts(lhs, rhs):
 
 
 def cmd_compare(doc, target, params):
-    nmax = _opt(params, doc, "nmax", 2)
+    bounds, sides = _admit(doc, target, params)
+    nmax = bounds["nmax"]
     verdicts = {}
-    if target == "diagonal-vs-direct":
-        _require_either(doc, target)
-        _check_size(doc, nmax, ("algebra", "coalgebra"))
-        if doc.algebra is not None:
-            from .cylinder import diagonal_cyclic
-            r = crossed_product_algebra(doc.algebra)
-            mc_direct = mixed_complex(cyclic_module_of_algebra(r, N=nmax + 1))
-            diag = diagonal_cyclic(AlgebraCylinder(doc.algebra), N=nmax + 1)
-            mc_diag = mixed_complex(diag)
-            verdicts["hh_algebra"] = _verdicts(
+    for side in sides:
+        alg = side == "algebra"
+        mixed = mixed_complex if alg else cochain_mixed_complex
+        if target == "diagonal-vs-direct":
+            mc_direct = mixed(_crossed_module(doc, side, nmax + 1))
+            diagonal = diagonal_cyclic if alg else diagonal_cocyclic
+            mc_diag = mixed(diagonal(_cylinder(doc, side), N=nmax + 1))
+            verdicts["hh_" + side] = _verdicts(
                 hochschild_dims(mc_direct, nmax), hochschild_dims(mc_diag, nmax))
-            verdicts["hc_algebra"] = _verdicts(
+            verdicts["hc_" + side] = _verdicts(
                 cyclic_dims(mc_direct, nmax), cyclic_dims(mc_diag, nmax))
-        if doc.coalgebra is not None:
-            from .cylinder import diagonal_cocyclic
-            cc = crossed_product_coalgebra(doc.coalgebra)
-            mc_direct = cochain_mixed_complex(
-                cocyclic_module_of_coalgebra(cc, N=nmax + 1))
-            diag = diagonal_cocyclic(CoalgebraCocylinder(doc.coalgebra),
-                                     N=nmax + 1)
-            mc_diag = cochain_mixed_complex(diag)
-            verdicts["hh_coalgebra"] = _verdicts(
-                hochschild_dims(mc_direct, nmax), hochschild_dims(mc_diag, nmax))
-            verdicts["hc_coalgebra"] = _verdicts(
-                cyclic_dims(mc_direct, nmax), cyclic_dims(mc_diag, nmax))
-    elif target == "ez-hochschild":
-        _require_either(doc, target)
-        _check_build_size(doc, target, {"nmax": nmax},
-                          ("algebra", "coalgebra"))
-        if doc.algebra is not None:
-            rep = ez_compare_hochschild(AlgebraCylinder(doc.algebra), nmax)
-            verdicts["ez_algebra"] = [
+        elif target == "ez-hochschild":
+            rep = ez_compare_hochschild(_cylinder(doc, side), nmax)
+            verdicts["ez_" + side] = [
                 {"n": n, "lhs": a, "rhs": b, "equal": eq}
                 for n, a, b, eq in rep]
-        if doc.coalgebra is not None:
-            rep = ez_compare_hochschild(CoalgebraCocylinder(doc.coalgebra),
-                                        nmax)
-            verdicts["ez_coalgebra"] = [
-                {"n": n, "lhs": a, "rhs": b, "equal": eq}
-                for n, a, b, eq in rep]
-    elif target == "collapse-algebra":
-        _require(doc, "algebra", target)
-        _check_size(doc, nmax, ("algebra",))
-        _check_coinvariant_size(doc, nmax, nmax + 1, ("algebra",))
-        r = crossed_product_algebra(doc.algebra)
-        lhs = cyclic_dims(mixed_complex(
-            cyclic_module_of_algebra(r, N=nmax + 1)), nmax)
-        ops, _ = coinvariant_cyclic_module(doc.algebra, N=nmax + 1)
-        rhs = cyclic_dims(mixed_complex(ops), nmax)
-        verdicts["hc_crossed_vs_coinvariants"] = _verdicts(lhs, rhs)
-    elif target == "collapse-coalgebra":
-        _require(doc, "coalgebra", target)
-        _check_size(doc, nmax, ("coalgebra",))
-        _check_coinvariant_size(doc, nmax, nmax + 1, ("coalgebra",))
-        cc = crossed_product_coalgebra(doc.coalgebra)
-        lhs = cyclic_dims(cochain_mixed_complex(
-            cocyclic_module_of_coalgebra(cc, N=nmax + 1)), nmax)
-        ops, _ = coinvariant_cocyclic_module(doc.coalgebra, N=nmax + 1)
-        rhs = cyclic_dims(cochain_mixed_complex(ops), nmax)
-        verdicts["hc_crossed_vs_coinvariants"] = _verdicts(lhs, rhs)
+        else:  # collapse-algebra, collapse-coalgebra
+            lhs = cyclic_dims(mixed(_crossed_module(doc, side, nmax + 1)),
+                              nmax)
+            ops, _ = _coinvariants(doc, side, nmax + 1)
+            rhs = cyclic_dims(mixed(ops), nmax)
+            verdicts["hc_crossed_vs_coinvariants"] = _verdicts(lhs, rhs)
     rows = [v for table in verdicts.values() for v in table]
     # a comparison that produced no verdict has shown nothing
     ok = bool(rows) and all(v["equal"] for v in rows)
     return {"checks": [], "verdicts": verdicts}, ok
+
+
 
 
 def _write_csv(report, directory):

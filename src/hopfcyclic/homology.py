@@ -669,6 +669,7 @@ def spectral_pages(fc: FilteredComplex, rmax, window):
             sources[(n, src[col], g)] += 1
             targets[(n - 1, tgt[row], g)] += 1
     pages = []
+    killed = Counter()   # (n, level) -> generators paired with gap < r
     for r in range(rmax + 1):
         table = {}
         ranks = {}
@@ -678,10 +679,10 @@ def spectral_pages(fc: FilteredComplex, rmax, window):
                 n = i + j
                 if n > fc.N - 1:
                     continue
-                table[(i, j)] = gens[(n, i)] - sum(paired[(n, i, g)]
-                                                   for g in range(r))
+                table[(i, j)] = gens[(n, i)] - killed[(n, i)]
                 ranks[(i, j)] = sources[(n, i, r)]
                 ranks_in[(i, j)] = targets[(n, i, r)]
+                killed[(n, i)] += paired[(n, i, r)]
         pages.append(SSPage(r, table, ranks, ranks_in))
     return pages
 

@@ -406,9 +406,11 @@ def test_size_limit_on_the_corpus(name, first_refused):
     from hopfcyclic import cli
     from hopfcyclic.errors import TooLarge
     doc = load_document(data_file(name))
-    cli._check_size(doc, first_refused - 1, ("algebra", "coalgebra"))
+    cli._check_size(doc, "hh", {"nmax": first_refused - 1},
+                    ("algebra", "coalgebra"))
     with pytest.raises(TooLarge):
-        cli._check_size(doc, first_refused, ("algebra", "coalgebra"))
+        cli._check_size(doc, "hh", {"nmax": first_refused},
+                        ("algebra", "coalgebra"))
 
 
 @pytest.mark.parametrize("args", [
@@ -494,16 +496,20 @@ def test_coinvariant_and_pages_limits_on_the_corpus(name, coinvariants, pages):
     doc = load_document(data_file(name))
     blocks = ("algebra", "coalgebra")
     n = coinvariants - 1
-    cli._check_coinvariant_size(doc, n, n, blocks)
-    cli._check_coinvariant_size(doc, n - 1, n, blocks)
+    # the coinvariant rows of collapse-* at --nmax m are those of
+    # coinvariants at m + 1
+    cli._check_size(doc, "coinvariants", {"nmax": n}, blocks)
+    cli._check_size(doc, "coinvariants", {"nmax": (n - 1) + 1}, blocks)
     with pytest.raises(TooLarge):
-        cli._check_coinvariant_size(doc, n + 1, n + 1, blocks)
+        cli._check_size(doc, "coinvariants", {"nmax": n + 1}, blocks)
     with pytest.raises(TooLarge):
-        cli._check_coinvariant_size(doc, n, n + 1, blocks)
+        cli._check_size(doc, "coinvariants", {"nmax": n + 1}, blocks)
     for pmax in range(pages):
-        cli._check_pages_size(doc, pmax, pages - 1 - pmax, blocks)
+        cli._check_size(doc, "ss-pages", {"rmax": 2, "pmax": pmax,
+                                          "qmax": pages - 1 - pmax}, blocks)
         with pytest.raises(TooLarge):
-            cli._check_pages_size(doc, pmax, pages - pmax, blocks)
+            cli._check_size(doc, "ss-pages", {"rmax": 2, "pmax": pmax,
+                                              "qmax": pages - pmax}, blocks)
 
 
 @pytest.mark.parametrize("args, text", [
@@ -558,15 +564,15 @@ def test_verify_and_ez_limits_on_the_corpus(name, cylinder, transforms, iso,
     for target, first in (("cylindrical", cylinder),
                           ("cocylindrical", cylinder),
                           ("transforms", transforms)):
-        cli._check_build_size(doc, target,
-                              {"pmax": first - 1, "qmax": first - 1}, blocks)
+        cli._check_size(doc, target,
+                        {"pmax": first - 1, "qmax": first - 1}, blocks)
         with pytest.raises(TooLarge):
-            cli._check_build_size(doc, target,
-                                  {"pmax": first, "qmax": first}, blocks)
+            cli._check_size(doc, target,
+                            {"pmax": first, "qmax": first}, blocks)
     for target, first in (("iso", iso), ("ez-hochschild", ez)):
-        cli._check_build_size(doc, target, {"nmax": first - 1}, blocks)
+        cli._check_size(doc, target, {"nmax": first - 1}, blocks)
         with pytest.raises(TooLarge):
-            cli._check_build_size(doc, target, {"nmax": first}, blocks)
+            cli._check_size(doc, target, {"nmax": first}, blocks)
 
 
 class _Reached(Exception):
@@ -603,6 +609,13 @@ class _Reached(Exception):
      "operator pairs 65^3 = 274625, above the limit 262144"),
     ("compare ez-hochschild", "--nmax 61", "--nmax 62",
      "operator pairs 65^3"),
+    ("compute hopf-homology", "--qmax 99", "--qmax 100",
+     "(co)face work 102^3 = 1061208, above the limit 1048576"),
+    ("compute comodule-cohomology", "--pmax 99", "--pmax 100",
+     "(co)face work 102^3"),
+    ("compute ss-pages", "--pmax 15 --qmax 14 --rmax 1091",
+     "--pmax 15 --qmax 14 --rmax 1092",
+     "page entries (--rmax 1092) 1093 16 15 = 262320, above the limit 262144"),
 ])
 def test_degree_work_limits_on_a_structure_of_dimension_one(
         args, edge, refused, text, monkeypatch, capsys):
@@ -614,12 +627,86 @@ def test_degree_work_limits_on_a_structure_of_dimension_one(
     for name in ("crossed_product_algebra", "crossed_product_coalgebra",
                  "AlgebraCylinder", "CoalgebraCocylinder",
                  "phi_psi_algebra", "phi_psi_coalgebra",
-                 "coinvariant_cyclic_module", "coinvariant_cocyclic_module"):
+                 "coinvariant_cyclic_module", "coinvariant_cocyclic_module",
+                 "hopf_module_homology", "hopf_comodule_cohomology"):
         monkeypatch.setattr(cli, name, reached)
     argv = args.split() + ["-i", data_file("ground_field_Q")]
     with pytest.raises(_Reached):
         cli.main(argv + edge.split())
     code = cli.main(argv + refused.split())
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2 and set(err) == {"error"}
+    assert text in err["error"]
+
+
+# The first top degree of the (co)bar complex of `compute hopf-homology`
+# (--qmax) and `compute comodule-cohomology` (--pmax) each corpus structure
+# is refused at: dim(H)^(top+1) first passes 2^17 there.  The benchmarked
+# jobs (--qmax 8 and --pmax 8 on c2_F2) lie below.
+@pytest.mark.parametrize("name, first_refused", [
+    ("c2_Q", 17), ("c2_F2", 17), ("c3_Q", 10), ("sweedler_Q", 8),
+    ("s3_Q", 6), ("ground_field_Q", 100),
+])
+def test_bar_limits_on_the_corpus(name, first_refused):
+    from hopfcyclic import cli
+    from hopfcyclic.errors import TooLarge
+    doc = load_document(data_file(name))
+    for target, flag in (("hopf-homology", "qmax"),
+                         ("comodule-cohomology", "pmax")):
+        cli._check_size(doc, target, {flag: first_refused - 1}, ("hopf",))
+        with pytest.raises(TooLarge):
+            cli._check_size(doc, target, {flag: first_refused}, ("hopf",))
+
+
+# The first --rmax of `compute ss-pages` refused at each window: the page
+# entries (rmax+1)(pmax+1)(qmax+1) first pass 2^18 there, on every structure.
+@pytest.mark.parametrize("pmax, qmax, first_refused", [
+    (1, 1, 65536), (2, 2, 29127), (3, 3, 16384), (15, 14, 1092),
+])
+def test_rmax_limit_on_the_corpus(pmax, qmax, first_refused):
+    from hopfcyclic import cli
+    from hopfcyclic.errors import TooLarge
+    blocks = ("algebra", "coalgebra")
+    for name in ("c2_Q", "ground_field_Q"):
+        doc = load_document(data_file(name))
+        if name == "c2_Q" and pmax + qmax >= 12:
+            continue  # the total space refuses it first
+        bounds = {"pmax": pmax, "qmax": qmax}
+        cli._check_size(doc, "ss-pages",
+                        dict(bounds, rmax=first_refused - 1), blocks)
+        with pytest.raises(TooLarge):
+            cli._check_size(doc, "ss-pages",
+                            dict(bounds, rmax=first_refused), blocks)
+
+
+@pytest.mark.parametrize("args, text", [
+    (["compute", "hopf-homology", "-i", "s3_Q", "--qmax", "8"],
+     "--qmax 8 on the hopf block needs a (co)bar space of dimension "
+     "6^9 = 10077696, above the limit 131072"),
+    (["compute", "comodule-cohomology", "-i", "s3_Q", "--pmax", "8"],
+     "--pmax 8 on the hopf block needs a (co)bar space of dimension "
+     "6^9 = 10077696, above the limit 131072"),
+    (["compute", "hopf-homology", "-i", "ground_field_Q", "--qmax",
+      "100000"], "(co)face work 100002^3"),
+    (["compute", "ss-pages", "-i", "c2_Q", "--rmax", "100000000"],
+     "--pmax 2 --qmax 2 on the algebra block needs page entries "
+     "(--rmax 100000000) 100000001 3 3 = 900000009, above the limit 262144"),
+])
+def test_bar_and_rmax_jobs_above_size_limits_are_refused_at_once(
+        args, text, monkeypatch, capsys):
+    """The job exits 2 before any (co)bar complex, total complex or page
+    is built."""
+    from hopfcyclic import cli
+
+    def unreachable(*a, **k):
+        raise AssertionError("a refused job built a complex")
+
+    for name in ("hopf_module_homology", "hopf_comodule_cohomology",
+                 "spectral_pages", "total_complex_algebra",
+                 "total_complex_coalgebra", "AlgebraCylinder",
+                 "CoalgebraCocylinder"):
+        monkeypatch.setattr(cli, name, unreachable)
+    code = cli.main(args[:3] + [data_file(args[3])] + args[4:])
     err = json.loads(capsys.readouterr().out)
     assert code == 2 and set(err) == {"error"}
     assert text in err["error"]

@@ -195,6 +195,19 @@ def test_pages_match_subquotient_oracle_on_corpus(name, rmax, pmax, qmax):
                            oracle_pages(fc, rmax, (pmax, qmax)))
 
 
+def test_a_larger_rmax_only_appends_stable_pages():
+    """The dimensions are running sums over the gaps: a larger rmax leaves
+    the earlier pages as they were, and every page past the largest gap is
+    E_infinity, with d^r = 0."""
+    fc = total_complex_algebra(make_cyl(), N=3)
+    short = spectral_pages(fc, 3, (1, 1))
+    long = spectral_pages(fc, 200, (1, 1))
+    assert _same_pages(long[:4], short)
+    last = long[-1]
+    assert all(p.table == last.table for p in long[3:])
+    assert not any(last.diff_ranks.values())
+
+
 def test_pages_report_matches_recorded_subquotient_report(monkeypatch, capsys):
     """c2_Q at rmax 4, pmax 3, qmax 3, byte for byte against the report of
     the subquotient code (tests/goldens, recorded from that code)."""
