@@ -30,7 +30,7 @@ print("window p,q <= 2:", rep.ok, "(%d comparisons incl. closed forms)"
 print()
 print("== the transformed boundary IS the Hopf-module boundary ==")
 for p, q in [(1, 0), (2, 1)]:
-    delta = hopf_module_boundary(h, first_column_action(a, q, check=False), p)
+    delta = hopf_module_boundary(h, first_column_action(a, q), p)
     print("(p=%d, q=%d): conjugated boundary == bar boundary: %s"
           % (p, q, mf.boundary_h(p, q) == delta))
 

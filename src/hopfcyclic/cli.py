@@ -24,7 +24,7 @@ Q = qmax; each limit is the `MAX_*` constant of that name):
     coinvariants         first column dh d^(nmax+1)                  COLUMN
                          (co)face work (nmax+1)^3                    FACE
     hopf-homology,       (co)bar space dh^(top+1) on the hopf block  CHAIN
-    comodule-cohomology  (co)face work (top+2)^3                     FACE
+    comodule-cohomology  (co)face work (top+2)^2                     FACE
                          (top = qmax, resp. pmax)
     ss-pages             total space: sum of dh^(p+1) d^(q+1) over   TOTAL
                          p + q = n = P + Q + 1
@@ -214,17 +214,19 @@ MAX_CYLINDER_DIM = 2 ** 21
 # MAX_FACE_WORK bounds the (co)face work of a job that builds a (co)cyclic
 # module up to degree N, (N + 1)^3 (N + 1 degrees of up to N + 1 (co)faces
 # over as many factors; N = nmax + 1 for the crossed products and collapse,
-# nmax for coinvariants, top + 1 for the (co)bar complexes), and that of the
-# total complex of ss-pages up to N = pmax + qmax + 1, (N + 1)^2 (N + 2)^2
-# (N + 1 degrees of up to N + 1 cells with up to N + 2 (co)faces over as
-# many factors); MAX_CHECK_WORK bounds the operator pairs of a verify or
-# ez-hochschild job: ((pmax+2)(qmax+2))^2 for the (co)cylinder suites and
-# transforms, (N+2)^3 for the diagonal of iso and ez-hochschild.  Set from
-# runs on ground_field_Q on both sides of each bound (2-core VM): the
-# slowest targets at the admitted edges take 44 s (`diagonal-vs-direct
-# --nmax 99`) and 67 s (`ez-hochschild --nmax 61`); the README lists the
-# runs.  They admit every job on a structure of dimension >= 2 that the caps
-# above admit.
+# nmax for coinvariants), that of the (co)bar complexes up to degree
+# top + 1, (top + 2)^2 (each (co)face is one structure map tensored with
+# identities), and that of the total complex of ss-pages up to
+# N = pmax + qmax + 1, (N + 1)^2 (N + 2)^2 (N + 1 degrees of up to N + 1
+# cells with up to N + 2 (co)faces over as many factors); MAX_CHECK_WORK
+# bounds the operator pairs of a verify or ez-hochschild job:
+# ((pmax+2)(qmax+2))^2 for the (co)cylinder suites and transforms, (N+2)^3
+# for the diagonal of iso and ez-hochschild.  Set from runs on
+# ground_field_Q on both sides of each bound (2-core VM): the slowest
+# targets at the admitted edges take 44 s (`diagonal-vs-direct --nmax 99`)
+# and 67 s (`ez-hochschild --nmax 61`); the README lists the runs.  They
+# admit every job on a structure of dimension >= 2 that the caps above
+# admit.
 MAX_FACE_WORK = 2 ** 20
 MAX_CHECK_WORK = 2 ** 18
 
@@ -285,7 +287,7 @@ def _sizes(target, bounds, dh, d):
         (top,) = bounds.values()
         return [_row("a (co)bar space of dimension", [(d, top + 1)],
                      MAX_CHAIN_DIM),
-                _row("(co)face work", [(top + 2, 3)], MAX_FACE_WORK)]
+                _row("(co)face work", [(top + 2, 2)], MAX_FACE_WORK)]
     if target == "ss-pages":
         R, P, Q = bounds["rmax"], bounds["pmax"], bounds["qmax"]
         n = P + Q + 1

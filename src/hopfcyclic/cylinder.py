@@ -466,18 +466,17 @@ def check_coalgebra_cocylinder(cocyl: CoalgebraCocylinder, P, Q,
          ("codegen_v", "codegen_h")])
 
 
-def build_algebra_cylinder(a, P=2, Q=2, check=True) -> AlgebraCylinder:
-    """Construct the cylinder of a comodule algebra; verify the suite if check."""
+def build_algebra_cylinder(a, P=2, Q=2) -> AlgebraCylinder:
+    """The cylinder of a comodule algebra, its suite verified on the
+    P x Q window."""
     cyl = AlgebraCylinder(a)
-    if check:
-        check_algebra_cylinder(cyl, P, Q, raise_on_fail=True)
+    check_algebra_cylinder(cyl, P, Q, raise_on_fail=True)
     return cyl
 
 
-def build_coalgebra_cocylinder(c, P=1, Q=1, check=True) -> CoalgebraCocylinder:
+def build_coalgebra_cocylinder(c, P=1, Q=1) -> CoalgebraCocylinder:
     cocyl = CoalgebraCocylinder(c)
-    if check:
-        check_coalgebra_cocylinder(cocyl, P, Q, raise_on_fail=True)
+    check_coalgebra_cocylinder(cocyl, P, Q, raise_on_fail=True)
     return cocyl
 
 
@@ -631,36 +630,33 @@ def psi_matrix_coalgebra(c, n):
     return compile_operator(f, spaces, specs, outs)
 
 
-def phi_psi_algebra(a, N=3, check=True):
+def phi_psi_algebra(a, N=3):
     """Families (phi_n, psi_n), verified mutually inverse and intertwining."""
     phi = {n: phi_matrix_algebra(a, n) for n in range(N + 1)}
     psi = {n: psi_matrix_algebra(a, n) for n in range(N + 1)}
-    if check:
-        crossed_ops = cyclic_module_of_algebra(crossed_product_algebra(a), N)
-        diag_ops = diagonal_cyclic(AlgebraCylinder(a), N)
-        for n in range(N + 1):
-            ident = SparseMatrix.identity(a.field, phi[n].cols)
-            if psi[n] @ phi[n] != ident or phi[n] @ psi[n] != \
-                    SparseMatrix.identity(a.field, phi[n].rows):
-                raise NotInverse("phi/psi not inverse at degree %d" % n)
-        _check_intertwining(phi, crossed_ops, diag_ops)
+    crossed_ops = cyclic_module_of_algebra(crossed_product_algebra(a), N)
+    diag_ops = diagonal_cyclic(AlgebraCylinder(a), N)
+    for n in range(N + 1):
+        ident = SparseMatrix.identity(a.field, phi[n].cols)
+        if psi[n] @ phi[n] != ident or phi[n] @ psi[n] != \
+                SparseMatrix.identity(a.field, phi[n].rows):
+            raise NotInverse("phi/psi not inverse at degree %d" % n)
+    _check_intertwining(phi, crossed_ops, diag_ops)
     return phi, psi
 
 
-def phi_psi_coalgebra(c, N=2, check=True):
-    """Families (phi_n, psi_n), always verified inverse; with check, also
-    intertwining."""
+def phi_psi_coalgebra(c, N=2):
+    """Families (phi_n, psi_n), verified inverse and intertwining."""
     phi = {n: phi_matrix_coalgebra(c, n) for n in range(N + 1)}
     psi = {n: psi_matrix_coalgebra(c, n) for n in range(N + 1)}
     for n in range(N + 1):
         if psi[n] @ phi[n] != SparseMatrix.identity(c.field, phi[n].cols):
             raise NotInverse("phi/psi not inverse at degree %d" % n)
-    if check:
-        src = cocyclic_module_of_coalgebra(crossed_product_coalgebra(c), N)
-        dst = diagonal_cocyclic(CoalgebraCocylinder(c), N)
-        # phi^T intertwines the transposes, from dst's to src's
-        _check_intertwining({n: m.transpose() for n, m in phi.items()},
-                            dst.transpose(), src.transpose())
+    src = cocyclic_module_of_coalgebra(crossed_product_coalgebra(c), N)
+    dst = diagonal_cocyclic(CoalgebraCocylinder(c), N)
+    # phi^T intertwines the transposes, from dst's to src's
+    _check_intertwining({n: m.transpose() for n, m in phi.items()},
+                        dst.transpose(), src.transpose())
     return phi, psi
 
 
@@ -687,7 +683,7 @@ def _check_intertwining(phi, src: CyclicOps, dst: CyclicOps):
 
 # -- first-column action / coaction --------------------------------------------------
 
-def first_column_action(a, n, check=True):
+def first_column_action(a, n):
     """Action H (x) (H (x) A^(x)(n+1)) -> H (x) A^(x)(n+1) on the first column."""
     f = a.field
     spaces = algebra_spaces(a)
@@ -697,10 +693,7 @@ def first_column_action(a, n, check=True):
     bar1, bar2 = _coaction_bars(L, 2, n + 1)
     outs = [prod(Sinv(bar1), L.com(0, 0), bar2, L.plain(1), Sinv(L.com(0, 1)))]
     outs.extend(L.coact(2 + j, 0) for j in range(n + 1))
-    action = compile_operator(f, spaces, specs, outs)
-    if check:
-        _check_module_action(a.hopf, action)
-    return action
+    return compile_operator(f, spaces, specs, outs)
 
 
 def _check_module_action(h, action):
@@ -714,7 +707,7 @@ def _check_module_action(h, action):
         raise AxiomFailure("first-column action is not unital")
 
 
-def first_column_coaction(c, n, check=True):
+def first_column_coaction(c, n):
     """Coaction H (x) C^(x)(n+1) -> H (x) (H (x) C^(x)(n+1)) on the first column.
 
     The Hopf factor splits into 2n+5 legs: an (n+1)-leg block, one kept leg,
@@ -729,10 +722,7 @@ def first_column_coaction(c, n, check=True):
     for j in range(n + 1):
         outs.append(act(prod(L.com(0, n + 2 + j), Sinv(L.com(0, n - j))),
                         L.plain(1 + j)))
-    coaction = compile_operator(f, spaces, specs, outs)
-    if check:
-        _check_comodule_coaction(c.hopf, coaction)
-    return coaction
+    return compile_operator(f, spaces, specs, outs)
 
 
 def _check_comodule_coaction(h, coaction):
@@ -930,10 +920,11 @@ class AlgebraModuleForm(_CellOperators):
 
     # -- verification --------------------------------------------------------------
 
-    def check(self, P, Q, raise_on_fail=True) -> CheckReport:
+    def check(self, P, Q) -> CheckReport:
         """to/from inverse, every conjugated operator vs its closed form or
         the cylinder operator it leaves alone, and the conjugated horizontal
-        boundary vs the Hopf-module boundary."""
+        boundary vs the Hopf-module boundary; the first mismatch raises
+        ClosedFormMismatch."""
         from .homology import hopf_module_boundary
         cyl = self.base
         rep = CheckReport("algebra module form")
@@ -941,7 +932,7 @@ class AlgebraModuleForm(_CellOperators):
         def chk(name, p, q, lhs, rhs):
             ok = lhs == rhs
             rep.record_bool(name, ok, "cell (p=%d, q=%d)" % (p, q))
-            if raise_on_fail and not ok:
+            if not ok:
                 raise ClosedFormMismatch("%s at (p=%d, q=%d)" % (name, p, q))
 
         for p in range(P + 1):
@@ -972,7 +963,7 @@ class AlgebraModuleForm(_CellOperators):
                 if p >= 1:
                     delta = hopf_module_boundary(
                         cyl.A.hopf,
-                        first_column_action(cyl.A, q, check=False), p)
+                        first_column_action(cyl.A, q), p)
                     chk("transformed boundary_h = module boundary", p, q,
                         self.boundary_h(p, q), delta)
         return rep
@@ -1084,7 +1075,7 @@ class CoalgebraModuleForm(_CellOperators):
             outs.append(L.plain(p))
             outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
             return self._compile(specs, outs)
-        fcc = first_column_coaction(self.base.C, q, check=False)
+        fcc = first_column_coaction(self.base.C, q)
         return SparseMatrix.identity(self.field, self.dh ** p).kron(fcc)
 
     def closed_codegen_h(self, p, q, i):
@@ -1119,7 +1110,7 @@ class CoalgebraModuleForm(_CellOperators):
 
     # -- verification -----------------------------------------------------------------
 
-    def check(self, P, Q, raise_on_fail=True) -> CheckReport:
+    def check(self, P, Q) -> CheckReport:
         from .homology import hopf_comodule_coboundary
         cocyl = self.base
         rep = CheckReport("coalgebra module form")
@@ -1127,7 +1118,7 @@ class CoalgebraModuleForm(_CellOperators):
         def chk(name, p, q, lhs, rhs):
             ok = lhs == rhs
             rep.record_bool(name, ok, "cell (p=%d, q=%d)" % (p, q))
-            if raise_on_fail and not ok:
+            if not ok:
                 raise ClosedFormMismatch("%s at (p=%d, q=%d)" % (name, p, q))
 
         for p in range(P + 1):
@@ -1151,8 +1142,7 @@ class CoalgebraModuleForm(_CellOperators):
                     chk("transformed coface_h %d" % i, p, q,
                         self.coface_h(p, q, i), self.closed_coface_h(p, q, i))
                 cb = hopf_comodule_coboundary(
-                    cocyl.C.hopf, first_column_coaction(cocyl.C, q, check=False),
-                    p)
+                    cocyl.C.hopf, first_column_coaction(cocyl.C, q), p)
                 chk("transformed coboundary_h = comodule coboundary", p, q,
                     self.coboundary_h(p, q), cb)
                 if p >= 1:
@@ -1197,7 +1187,7 @@ class QuotientPresentation:
         return len(self.coords)
 
 
-def coinvariant_cyclic_module(a, N=2, check=True):
+def coinvariant_cyclic_module(a, N=2):
     """The quotient of the first column, the cylinder's p = 0 column with
     its vertical operators, by span{h.x - counit(h) x}, with the induced
     cyclic operators.  Returns (CyclicOps, [QuotientPresentation])."""
@@ -1206,17 +1196,17 @@ def coinvariant_cyclic_module(a, N=2, check=True):
     pres = []
     for n in range(N + 1):
         x = fam.dim(n)
-        action = first_column_action(a, n, check=check)
+        action = first_column_action(a, n)
+        _check_module_action(a.hopf, action)
         rel = action - a.hopf.counit.kron(SparseMatrix.identity(f, x))
         pres.append(QuotientPresentation(image(rel)))
 
     def induce(op, n_src, n_dst, name):
         ind = pres[n_dst].project @ op @ pres[n_src].lift
-        if check:
-            relmat = pres[n_src].relations.basis_matrix()
-            if not (pres[n_dst].project @ op @ relmat).is_zero():
-                raise NotWellDefined("%s does not preserve the relations at "
-                                     "degree %d" % (name, n_src))
+        relmat = pres[n_src].relations.basis_matrix()
+        if not (pres[n_dst].project @ op @ relmat).is_zero():
+            raise NotWellDefined("%s does not preserve the relations at "
+                                 "degree %d" % (name, n_src))
         return ind
 
     dims = [p.dim for p in pres]
@@ -1226,11 +1216,10 @@ def coinvariant_cyclic_module(a, N=2, check=True):
               for n in range(N) for i in range(n + 1)}
     cyc = {n: induce(fam.t(n), n, n, "cyclic operator") for n in range(N + 1)}
     ops = CyclicOps(f, dims, faces, degens, cyc, N)
-    if check:
-        rep = check_cyclic_ops(ops, cyclic=True)
-        if not rep.ok:
-            raise NotWellDefined("induced operators fail the cyclic suite: %s"
-                                 % rep.failures()[:3])
+    rep = check_cyclic_ops(ops, cyclic=True)
+    if not rep.ok:
+        raise NotWellDefined("induced operators fail the cyclic suite: %s"
+                             % rep.failures()[:3])
     return ops, pres
 
 
@@ -1259,7 +1248,7 @@ class SubspacePresentation:
                                      self.dim, ent)
 
 
-def coinvariant_cocyclic_module(c, N=2, check=True):
+def coinvariant_cocyclic_module(c, N=2):
     """The subspace of the first column, the cocylinder's p = 0 column with
     its vertical cooperators, where the coaction is trivial, with the
     induced cocyclic operators.  Returns (CocyclicOps, [SubspacePresentation])."""
@@ -1268,7 +1257,8 @@ def coinvariant_cocyclic_module(c, N=2, check=True):
     pres = []
     for n in range(N + 1):
         x = fam.dim(n)
-        coaction = first_column_coaction(c, n, check=check)
+        coaction = first_column_coaction(c, n)
+        _check_comodule_coaction(c.hopf, coaction)
         insert1 = c.hopf.unit.kron(SparseMatrix.identity(f, x))
         pres.append(SubspacePresentation(kernel(coaction - insert1)))
 
@@ -1282,9 +1272,8 @@ def coinvariant_cocyclic_module(c, N=2, check=True):
     cyc = {n: pres[n].restrict(fam.t(n), pres[n], "cocyclic operator")
            for n in range(N + 1)}
     ops = CocyclicOps(f, dims, cofaces, codegens, cyc, N)
-    if check:
-        rep = check_cocyclic_ops(ops, cocyclic=True)
-        if not rep.ok:
-            raise NotRestricting("induced operators fail the cocyclic suite: %s"
-                                 % rep.failures()[:3])
+    rep = check_cocyclic_ops(ops, cocyclic=True)
+    if not rep.ok:
+        raise NotRestricting("induced operators fail the cocyclic suite: %s"
+                             % rep.failures()[:3])
     return ops, pres

@@ -163,27 +163,27 @@ def _ident(field, n):
     return SparseMatrix.identity(field, n)
 
 
-def check_algebra(a, report=None, prefix=""):
+def check_algebra(a, report=None):
     f = a.field
     d = a.dim
     rep = report or CheckReport("algebra")
     i = _ident(f, d)
-    rep.record(prefix + "associativity",
+    rep.record("associativity",
                a.mult @ a.mult.kron(i), a.mult @ i.kron(a.mult), [d, d, d])
-    rep.record(prefix + "left unit", a.mult @ a.unit.kron(i), i, [d])
-    rep.record(prefix + "right unit", a.mult @ i.kron(a.unit), i, [d])
+    rep.record("left unit", a.mult @ a.unit.kron(i), i, [d])
+    rep.record("right unit", a.mult @ i.kron(a.unit), i, [d])
     return rep
 
 
-def check_coalgebra(c, report=None, prefix=""):
+def check_coalgebra(c, report=None):
     f = c.field
     d = c.dim
     rep = report or CheckReport("coalgebra")
     i = _ident(f, d)
-    rep.record(prefix + "coassociativity",
+    rep.record("coassociativity",
                c.comult.kron(i) @ c.comult, i.kron(c.comult) @ c.comult, [d])
-    rep.record(prefix + "left counit", c.counit.kron(i) @ c.comult, i, [d])
-    rep.record(prefix + "right counit", i.kron(c.counit) @ c.comult, i, [d])
+    rep.record("left counit", c.counit.kron(i) @ c.comult, i, [d])
+    rep.record("right counit", i.kron(c.counit) @ c.comult, i, [d])
     return rep
 
 

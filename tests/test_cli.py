@@ -609,10 +609,10 @@ class _Reached(Exception):
      "operator pairs 65^3 = 274625, above the limit 262144"),
     ("compare ez-hochschild", "--nmax 61", "--nmax 62",
      "operator pairs 65^3"),
-    ("compute hopf-homology", "--qmax 99", "--qmax 100",
-     "(co)face work 102^3 = 1061208, above the limit 1048576"),
-    ("compute comodule-cohomology", "--pmax 99", "--pmax 100",
-     "(co)face work 102^3"),
+    ("compute hopf-homology", "--qmax 1022", "--qmax 1023",
+     "(co)face work 1025^2 = 1050625, above the limit 1048576"),
+    ("compute comodule-cohomology", "--pmax 1022", "--pmax 1023",
+     "(co)face work 1025^2"),
     ("compute ss-pages", "--pmax 15 --qmax 14 --rmax 1091",
      "--pmax 15 --qmax 14 --rmax 1092",
      "page entries (--rmax 1092) 1093 16 15 = 262320, above the limit 262144"),
@@ -641,11 +641,12 @@ def test_degree_work_limits_on_a_structure_of_dimension_one(
 
 # The first top degree of the (co)bar complex of `compute hopf-homology`
 # (--qmax) and `compute comodule-cohomology` (--pmax) each corpus structure
-# is refused at: dim(H)^(top+1) first passes 2^17 there.  The benchmarked
-# jobs (--qmax 8 and --pmax 8 on c2_F2) lie below.
+# is refused at: dim(H)^(top+1) first passes 2^17 there, and on the ground
+# field the (co)face work (top+2)^2 first passes 2^20.  The benchmarked jobs
+# (--qmax 8 and --pmax 8 on c2_F2) lie below.
 @pytest.mark.parametrize("name, first_refused", [
     ("c2_Q", 17), ("c2_F2", 17), ("c3_Q", 10), ("sweedler_Q", 8),
-    ("s3_Q", 6), ("ground_field_Q", 100),
+    ("s3_Q", 6), ("ground_field_Q", 1023),
 ])
 def test_bar_limits_on_the_corpus(name, first_refused):
     from hopfcyclic import cli
@@ -687,7 +688,7 @@ def test_rmax_limit_on_the_corpus(pmax, qmax, first_refused):
      "--pmax 8 on the hopf block needs a (co)bar space of dimension "
      "6^9 = 10077696, above the limit 131072"),
     (["compute", "hopf-homology", "-i", "ground_field_Q", "--qmax",
-      "100000"], "(co)face work 100002^3"),
+      "100000"], "(co)face work 100002^2"),
     (["compute", "ss-pages", "-i", "c2_Q", "--rmax", "100000000"],
      "--pmax 2 --qmax 2 on the algebra block needs page entries "
      "(--rmax 100000000) 100000001 3 3 = 900000009, above the limit 262144"),

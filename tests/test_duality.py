@@ -135,7 +135,7 @@ def test_coalgebra_isomorphism_check_fails_where_the_cointertwining_did(
     N = 2 if cp.dim <= 9 else 1
     src = cocyclic_module_of_coalgebra(cp, N)
     dst = diagonal_cocyclic(CoalgebraCocylinder(c), N)
-    phi, _ = phi_psi_coalgebra(c, N, check=False)
+    phi, _ = phi_psi_coalgebra(c, N)
     cases = [(s, dst) for s in _corruptions(src)]
     cases += [(src, d) for d in list(_corruptions(dst))[1:]]
     for s, d in cases:
@@ -238,7 +238,7 @@ def test_cobar_coboundary_is_the_transposed_dual_bar_boundary(name):
     doc = _doc(name)
     h = doc.hopf
     for coaction in (trivial_comodule_coaction(h),
-                     first_column_coaction(doc.coalgebra, 0, check=False)):
+                     first_column_coaction(doc.coalgebra, 0)):
         for p in range(3):
             assert hopf_comodule_coboundary(h, coaction, p) == \
                 _cobar(h, coaction, p)

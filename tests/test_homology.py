@@ -206,16 +206,17 @@ def _spoil(d_out, d_in):
 
 
 def test_dims_still_check_composites_when_construction_did_not():
-    """Ranking each differential once must not drop the d.d = 0 check."""
-    mc = mixed_complex(cyclic_module_of_algebra(kc2().as_algebra(), N=4),
-                       check=False)
+    """Ranking each differential once must not drop the d.d = 0 check: a
+    differential spoiled after construction is still caught (the total
+    complex checks nothing when built, the mixed complex checks itself)."""
+    mc = mixed_complex(cyclic_module_of_algebra(kc2().as_algebra(), N=4))
     mc.b[3] = _spoil(mc.b[2], mc.b[3])  # b[1] = 0: the algebra commutes
     with pytest.raises(CompositionNotZero):
         hochschild_dims(mc, 2)
     with pytest.raises(CompositionNotZero):
         cyclic_dims(mc, 2)
     fc = total_complex_algebra(
-        AlgebraCylinder(regular_comodule_algebra(kc2())), N=4, check=False)
+        AlgebraCylinder(regular_comodule_algebra(kc2())), N=4)
     fc.d[3] = _spoil(fc.d[2], fc.d[3])
     with pytest.raises(CompositionNotZero):
         total_homology_dims(fc, 2)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from spectral_oracle import oracle_pages
 
-from hopfcyclic.errors import FiltrationViolation
+from hopfcyclic.errors import FiltrationViolation, TotalNotSquareZero
 from hopfcyclic.fields import Field
 from hopfcyclic.io import load_document
 from hopfcyclic.linalg import SparseMatrix, invert
@@ -49,7 +49,21 @@ def make_cyl(field=QQ):
 def test_total_complex_square_zero_and_filtration():
     fc = total_complex_algebra(make_cyl(), N=3)
     assert fc.dims == [4, 16, 48, 128]
-    # d-stability, nesting, exhaustion all checked in the constructor
+    for n in range(2, 4):
+        assert (fc.d[n - 1] @ fc.d[n]).is_zero()
+    assert check_filtration(fc)  # d-stability, nesting, exhaustion
+
+
+def test_pages_refuse_a_total_complex_that_is_not_square_zero():
+    """The total complex is built unchecked; the pages, which rely on
+    d d = 0, refuse a d[3] spoiled after construction."""
+    fc = total_complex_algebra(make_cyl(), N=3)
+    i = min(k for (_, k) in fc.d[2].entries)  # a nonzero column of d[2]
+    ent = dict(fc.d[3].entries)
+    ent[(i, 0)] = QQ.add(fc.d[3][(i, 0)], QQ.one())
+    fc.d[3] = SparseMatrix(QQ, fc.d[3].rows, fc.d[3].cols, ent)
+    with pytest.raises(TotalNotSquareZero, match="d d != 0 at degree 3"):
+        spectral_pages(fc, 1, (1, 1))
 
 
 def test_total_complex_trivial_hopf_is_hochschild_of_a():

@@ -78,7 +78,7 @@ def test_boundary_equals_module_boundary_entrywise():
     for p in range(1, 3):
         for q in range(3):
             delta = hopf_module_boundary(
-                a.hopf, first_column_action(a, q, check=False), p)
+                a.hopf, first_column_action(a, q), p)
             assert mf.boundary_h(p, q) == delta
 
 
@@ -88,7 +88,7 @@ def test_coboundary_equals_comodule_coboundary_entrywise():
     for p in range(3):
         for q in range(3):
             cb = hopf_comodule_coboundary(
-                c.hopf, first_column_coaction(c, q, check=False), p)
+                c.hopf, first_column_coaction(c, q), p)
             assert cmf.coboundary_h(p, q) == cb
 
 
