@@ -26,8 +26,7 @@ from .crossed import (
 )
 from .cylinder import (
     AlgebraCylinder, AlgebraModuleForm, CoalgebraCocylinder,
-    CoalgebraModuleForm, build_algebra_cylinder, build_coalgebra_cocylinder,
-    check_algebra_cylinder, check_coalgebra_cocylinder,
+    CoalgebraModuleForm, check_algebra_cylinder, check_coalgebra_cocylinder,
     coinvariant_cocyclic_module, coinvariant_cyclic_module, diagonal_cocyclic,
     diagonal_cyclic, first_column_action, first_column_coaction,
     phi_psi_algebra, phi_psi_coalgebra,

@@ -27,7 +27,7 @@ from .hopf import (
     Algebra, Coalgebra, CheckReport, algebra_spaces, check_algebra,
     check_coalgebra, coalgebra_spaces,
 )
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, amplify
 from .tensor import Legs, S, Sinv, act, compile_operator, perm_matrix, prod
 
 
@@ -177,14 +177,16 @@ class _DualCyclicOps(CyclicOps):
         return name, n + shift
 
 
+def _rotate_left(x, d, top):
+    """x is the index of a basis tensor of factors of dimension d, top = d
+    to the number of factors less one; the index of that tensor once its
+    first factor moves to the end."""
+    return (x % top) * d + x // top
+
+
 def cyclic_module_of_algebra(r: Algebra, N: int = 3) -> CyclicOps:
     f = r.field
     d = r.dim
-    ident = SparseMatrix.identity
-
-    def I(k):
-        return ident(f, d ** k)
-
     dims = [d ** (n + 1) for n in range(N + 1)]
     faces, degens, cyclic = {}, {}, {}
     for n in range(N + 1):
@@ -192,22 +194,22 @@ def cyclic_module_of_algebra(r: Algebra, N: int = 3) -> CyclicOps:
                                 tuple([n] + list(range(n))))
     for n in range(1, N + 1):
         for i in range(n):
-            faces[(n, i)] = I(i).kron(r.mult).kron(I(n - 1 - i))
-        faces[(n, n)] = faces[(n, 0)] @ cyclic[n]
+            faces[(n, i)] = amplify(r.mult, d ** i, d ** (n - 1 - i))
+        # d_n = d_0 t and t moves the last factor to the front, so column c
+        # of d_0 is column t^-1(c) of d_n: c rotated left
+        top = d ** n
+        faces[(n, n)] = SparseMatrix._settled(f, dims[n - 1], dims[n], {
+            (i, _rotate_left(c, d, top)): v
+            for (i, c), v in faces[(n, 0)].entries.items()})
     for n in range(N):
         for i in range(n + 1):
-            degens[(n, i)] = I(i + 1).kron(r.unit).kron(I(n - i))
+            degens[(n, i)] = amplify(r.unit, d ** (i + 1), d ** (n - i))
     return CyclicOps(f, dims, faces, degens, cyclic, N)
 
 
 def cocyclic_module_of_coalgebra(c: Coalgebra, N: int = 3) -> CocyclicOps:
     f = c.field
     d = c.dim
-    ident = SparseMatrix.identity
-
-    def I(k):
-        return ident(f, d ** k)
-
     dims = [d ** (n + 1) for n in range(N + 1)]
     cofaces, codegens, cocyclic = {}, {}, {}
     for n in range(N + 1):
@@ -215,11 +217,16 @@ def cocyclic_module_of_coalgebra(c: Coalgebra, N: int = 3) -> CocyclicOps:
                                   tuple(list(range(1, n + 1)) + [0]))
     for n in range(N):
         for i in range(n + 1):
-            cofaces[(n, i)] = I(i).kron(c.comult).kron(I(n - i))
-        cofaces[(n, n + 1)] = cocyclic[n + 1] @ cofaces[(n, 0)]
+            cofaces[(n, i)] = amplify(c.comult, d ** i, d ** (n - i))
+        # del^(n+1) = tau del^0 and tau moves the first factor to the end, so
+        # row i of del^0 is row tau(i) of del^(n+1): i rotated left
+        top = d ** (n + 1)
+        cofaces[(n, n + 1)] = SparseMatrix._settled(f, dims[n + 1], dims[n], {
+            (_rotate_left(i, d, top), j): v
+            for (i, j), v in cofaces[(n, 0)].entries.items()})
     for n in range(1, N + 1):
         for i in range(n):
-            codegens[(n, i)] = I(i + 1).kron(c.counit).kron(I(n - 1 - i))
+            codegens[(n, i)] = amplify(c.counit, d ** (i + 1), d ** (n - 1 - i))
     return CocyclicOps(f, dims, cofaces, codegens, cocyclic, N)
 
 

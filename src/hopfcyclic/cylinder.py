@@ -466,20 +466,6 @@ def check_coalgebra_cocylinder(cocyl: CoalgebraCocylinder, P, Q,
          ("codegen_v", "codegen_h")])
 
 
-def build_algebra_cylinder(a, P=2, Q=2) -> AlgebraCylinder:
-    """The cylinder of a comodule algebra, its suite verified on the
-    P x Q window."""
-    cyl = AlgebraCylinder(a)
-    check_algebra_cylinder(cyl, P, Q, raise_on_fail=True)
-    return cyl
-
-
-def build_coalgebra_cocylinder(c, P=1, Q=1) -> CoalgebraCocylinder:
-    cocyl = CoalgebraCocylinder(c)
-    check_coalgebra_cocylinder(cocyl, P, Q, raise_on_fail=True)
-    return cocyl
-
-
 # -- diagonals --------------------------------------------------------------------
 
 def _diagonal(cyl, N):

@@ -7,22 +7,27 @@ tolerance anywhere.
 There are two doors into a matrix.  The public constructor is for input from
 outside the computation (parsed files, the Hopf builders, `from_rows`,
 tests): it checks every key against the shape and drops zero values.  Every
-computed result (`@`, `kron`, `transpose`, `identity`, `block_matrix`,
-`combine`, a basis matrix, an inverse, the compiled operators of `tensor`)
-is settled exactly once by `fields.settle` or built from settled scalars,
-and is adopted as is by `SparseMatrix._settled`.  Every sum of matrices,
-`+`, `-`, negation, `scale` and the alternating face sums of the cylinders
-and mixed complexes, goes through `combine`.
+computed result (`@`, `kron`, `amplify`, `transpose`, `identity`,
+`block_matrix`, `combine`, a basis matrix, an inverse, the compiled
+operators of `tensor`) is settled exactly once by `fields.settle` or built
+from settled scalars, and is adopted as is by `SparseMatrix._settled`.
+Every sum of matrices, `+`, `-`, negation, `scale` and the alternating face
+sums of the cylinders and mixed complexes, goes through `combine`.
 
 Elimination has one forward pass, `_reduce_columns`: the persistence
 reduction on columns, fraction-free over Q with native ints.  Each column
 is reduced only by earlier ones and its pivot is its last nonzero row, so
 the pairs `column_pairs` returns respect any filtration that the coordinate
-order refines; `rank` is their number.  `_echelonize` reads a row echelon
-form off the same reduction, with the rows fed in as columns in reversed
-coordinates.  `_rref` adds one bottom-up back-substitution through a
-{pivot column: row} index; `Subspace`, `kernel` and `invert` use it, and
-`Subspace.reduce` clears a vector through the same index.
+order refines.  `rank` is the number of pairs of the same reduction fed a
+matrix's rows, the columns of its transpose, and keeps the pivots on the
+matrix.  Every homology rank (`_homology_dims`) is such a reduction of a
+coboundary d^T, cleared across degrees: a row of d that is a pivot of the
+previous differential's reduction is skipped (Chen & Kerber 2011).
+`_echelonize` reads a row echelon form off the same reduction, with the
+rows fed in as columns in reversed coordinates.  `_rref` adds one bottom-up
+back-substitution through a {pivot column: row} index; `Subspace`, `kernel`
+and `invert` use it, and `Subspace.reduce` clears a vector through the
+same index.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from .fields import Field, settle
 class SparseMatrix:
     """Immutable sparse matrix; entries maps (row, col) -> nonzero scalar."""
 
-    __slots__ = ("field", "rows", "cols", "entries", "_cols_index")
+    __slots__ = ("field", "rows", "cols", "entries", "_cols_index",
+                 "_row_pivots")
 
     def __init__(self, field, rows, cols, entries=None):
         self.field = field
@@ -53,6 +59,7 @@ class SparseMatrix:
                     ent[(i, j)] = v
         self.entries = ent
         self._cols_index = None
+        self._row_pivots = None
 
     @classmethod
     def _settled(cls, field, rows, cols, entries):
@@ -67,6 +74,7 @@ class SparseMatrix:
         m.cols = cols
         m.entries = entries
         m._cols_index = None
+        m._row_pivots = None
         return m
 
     # -- constructors ---------------------------------------------------------
@@ -244,6 +252,19 @@ def combine(field, rows, cols, terms):
         for ij, v in m.entries.items():
             sums[ij] = get(ij, 0) + c * v
     return SparseMatrix._settled(field, rows, cols, settle(field, sums))
+
+
+def amplify(m: SparseMatrix, left, right) -> SparseMatrix:
+    """I_left (x) m (x) I_right, by index arithmetic: m's entry at (i, j)
+    lands at ((a rows + i) right + b, (a cols + j) right + b) for a < left
+    and b < right.  The identity entries are 1, so m's scalars are adopted
+    as they are, with no product and no settle."""
+    rows, cols = m.rows * right, m.cols * right
+    corners = [(a * rows + i * right, a * cols + j * right, v)
+               for a in range(left) for (i, j), v in m.entries.items()]
+    diagonal = range(right)
+    return SparseMatrix._settled(m.field, left * rows, left * cols, {
+        (r + b, c + b): v for r, c, v in corners for b in diagonal})
 
 
 def kron_all(field, mats):
@@ -487,9 +508,24 @@ class Subspace:
         return "Subspace(dim %d of k^%d)" % (self.dim, self.ambient_dim)
 
 
-def rank(m: SparseMatrix) -> int:
-    """The number of pairs of m's column reduction."""
-    return len(column_pairs(m))
+def rank(m: SparseMatrix, cleared=()) -> int:
+    """The number of pairs of the reduction of m's rows.
+
+    The rows enter `_reduce_columns` as columns, read off m's entries with
+    no transpose, so each pivot is a row's last nonzero column.  The pivot
+    columns are kept on m, so m is reduced once however often its rank is
+    asked for.  Rows in cleared are skipped: the caller vouches that each
+    is a combination of earlier rows, which would reduce to zero, so the
+    pairs, and the pivots kept, are those of the full reduction.
+    """
+    if m._row_pivots is None:
+        rows = {}
+        for (i, j), v in m.entries.items():
+            rows.setdefault(i, {})[j] = v
+        pairs, _ = _reduce_columns(m.field, [
+            (i, rows[i]) for i in sorted(rows) if i not in cleared])
+        m._row_pivots = frozenset(pairs.values())
+    return len(m._row_pivots)
 
 
 def kernel(m: SparseMatrix) -> Subspace:
@@ -525,18 +561,17 @@ def homology_dim(d_out: SparseMatrix, d_in: SparseMatrix) -> int:
 def _homology_dims(pairs):
     """homology_dim of each (d_out, d_in) pair of an iterable, in order.
 
-    A differential is d_in at one degree and d_out at the next: each matrix
-    object is ranked once, and each composite d_out . d_in is multiplied
-    once.  A shape mismatch or a nonzero composite raises at the first pair
-    that has it.
+    Every rank is one reduction of a coboundary's columns, the rows of d,
+    cleared in the cohomology direction (Chen & Kerber 2011).  Once
+    d_out . d_in = 0 is verified, each pivot column c of d_out's row
+    reduction is skipped among d_in's rows: the reduced row of d_out with
+    last nonzero entry at c is a combination R with R . d_in = 0, so row c
+    of d_in is a combination of the rows before it.  A differential is d_in
+    at one degree and d_out at the next and `rank` keeps its pivots, so
+    each matrix is reduced once, and each composite is multiplied once.  A
+    shape mismatch or a nonzero composite raises at the first pair that
+    has it.
     """
-    ranks = {}  # id(m) -> (m, rank); holding m keeps its id from being reused
-
-    def rank_of(m):
-        if id(m) not in ranks:
-            ranks[id(m)] = (m, rank(m))
-        return ranks[id(m)][1]
-
     out = []
     for d_out, d_in in pairs:
         if d_out.cols != d_in.rows:
@@ -545,7 +580,10 @@ def _homology_dims(pairs):
         if not comp.is_zero():
             ij = sorted(comp.entries)[0]
             raise CompositionNotZero("d.d != 0 first at %s" % (ij,))
-        out.append(d_in.rows - rank_of(d_out) - rank_of(d_in))
+        if d_out._row_pivots is None:
+            rank(d_out)
+        out.append(d_in.rows - len(d_out._row_pivots)
+                   - rank(d_in, d_out._row_pivots))
     return out
 
 

@@ -1,5 +1,8 @@
 """Crossed products and standard (co)cyclic modules."""
 
+import glob
+import os
+
 import pytest
 
 from hopfcyclic.fields import Field
@@ -14,7 +17,9 @@ from hopfcyclic.crossed import (
     crossed_product_algebra, crossed_product_coalgebra,
     cyclic_module_of_algebra,
 )
-from hopfcyclic.linalg import SparseMatrix
+from hopfcyclic.homology import hopf_module_boundary, trivial_module_action
+from hopfcyclic.io import load_document
+from hopfcyclic.linalg import SparseMatrix, combine
 from hopfcyclic.tensor import perm_matrix
 
 QQ = Field.rationals()
@@ -155,3 +160,90 @@ def test_crossed_modules_over_crossed_products_pass_suites():
     assert check_cyclic_ops(cyclic_module_of_algebra(r, N=2)).ok
     cc = crossed_product_coalgebra(regular_module_coalgebra(kc2()))
     assert check_cocyclic_ops(cocyclic_module_of_coalgebra(cc, N=2)).ok
+
+
+# -- the (co)faces against the kron / matmul expressions they are built from ---
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+CORPUS = sorted(glob.glob(os.path.join(DATA, "*.json")))
+
+
+def _ident(f, n):
+    return SparseMatrix.identity(f, n)
+
+
+def _oracle_cyclic(r, N):
+    """faces, degeneracies of the cyclic module of r as Kronecker products
+    of identities and r's structure maps; the wrap face is d_0 t."""
+    f, d = r.field, r.dim
+    faces, degens = {}, {}
+    for n in range(1, N + 1):
+        for i in range(n):
+            faces[(n, i)] = _ident(f, d ** i).kron(r.mult).kron(
+                _ident(f, d ** (n - 1 - i)))
+        faces[(n, n)] = faces[(n, 0)] @ perm_matrix(
+            f, [d] * (n + 1), tuple([n] + list(range(n))))
+    for n in range(N):
+        for i in range(n + 1):
+            degens[(n, i)] = _ident(f, d ** (i + 1)).kron(r.unit).kron(
+                _ident(f, d ** (n - i)))
+    return faces, degens
+
+
+def _oracle_cocyclic(c, N):
+    """cofaces, codegeneracies of the cocyclic module of c as Kronecker
+    products; the wrap coface is tau del^0."""
+    f, d = c.field, c.dim
+    cofaces, codegens = {}, {}
+    for n in range(N):
+        for i in range(n + 1):
+            cofaces[(n, i)] = _ident(f, d ** i).kron(c.comult).kron(
+                _ident(f, d ** (n - i)))
+        cofaces[(n, n + 1)] = perm_matrix(
+            f, [d] * (n + 2), tuple(list(range(1, n + 2)) + [0])) \
+            @ cofaces[(n, 0)]
+    for n in range(1, N + 1):
+        for i in range(n):
+            codegens[(n, i)] = _ident(f, d ** (i + 1)).kron(c.counit).kron(
+                _ident(f, d ** (n - 1 - i)))
+    return cofaces, codegens
+
+
+def _oracle_bar_boundary(h, action, p):
+    """The bar boundary as the alternating sum of Kronecker products."""
+    f, d, m = h.field, h.dim, action.rows
+    faces = [h.counit.kron(_ident(f, d ** (p - 1) * m))]
+    faces += [_ident(f, d ** (i - 1)).kron(h.mult).kron(
+        _ident(f, d ** (p - 1 - i) * m)) for i in range(1, p)]
+    faces.append(_ident(f, d ** (p - 1)).kron(action))
+    return combine(f, d ** (p - 1) * m, d ** p * m,
+                   (((-1) ** i, face) for i, face in enumerate(faces)))
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=os.path.basename)
+def test_faces_and_bar_boundary_match_kronecker_products(path):
+    """At N = 3, every face, degeneracy, coface and codegeneracy of the
+    (co)cyclic modules of A, C, H and, where dim^4 stays small, of the
+    crossed products, and the bar boundary of C and of the ground field,
+    equal the kron / matmul expressions they are written without."""
+    N = 3
+    doc = load_document(path)
+    h = doc.hopf
+    algebras = [doc.algebra.algebra, h.as_algebra()]
+    coalgebras = [doc.coalgebra.coalgebra, h.as_coalgebra()]
+    if (doc.algebra.dim * h.dim) ** (N + 1) <= 9 ** 4:
+        algebras.append(crossed_product_algebra(doc.algebra))
+    if (doc.coalgebra.dim * h.dim) ** (N + 1) <= 9 ** 4:
+        coalgebras.append(crossed_product_coalgebra(doc.coalgebra))
+    for r in algebras:
+        ops = cyclic_module_of_algebra(r, N)
+        faces, degens = _oracle_cyclic(r, N)
+        assert ops.faces == faces and ops.degens == degens
+    for c in coalgebras:
+        ops = cocyclic_module_of_coalgebra(c, N)
+        cofaces, codegens = _oracle_cocyclic(c, N)
+        assert ops.cofaces == cofaces and ops.codegens == codegens
+    for action in (doc.coalgebra.action, trivial_module_action(h)):
+        for p in range(1, N + 1):
+            assert hopf_module_boundary(h, action, p) == \
+                _oracle_bar_boundary(h, action, p)

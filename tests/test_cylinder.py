@@ -16,8 +16,7 @@ from hopfcyclic.hopf import (
 from hopfcyclic.crossed import check_cyclic_ops, check_cocyclic_ops
 from hopfcyclic.cylinder import (
     AlgebraCylinder, CoalgebraCocylinder, _check_comodule_coaction,
-    _check_module_action, build_algebra_cylinder,
-    build_coalgebra_cocylinder, check_algebra_cylinder,
+    _check_module_action, check_algebra_cylinder,
     check_coalgebra_cocylinder, coinvariant_cocyclic_module,
     coinvariant_cyclic_module, diagonal_cocyclic, diagonal_cyclic,
     first_column_action, first_column_coaction, phi_psi_algebra,
@@ -59,8 +58,8 @@ def test_kc2_cylinder_conjugation_trivial():
 
 
 def test_kc2_full_suite():
-    cyl = build_algebra_cylinder(regular_comodule_algebra(kc2()), 2, 2)
-    rep = check_algebra_cylinder(cyl, 2, 2)
+    cyl = AlgebraCylinder(regular_comodule_algebra(kc2()))
+    rep = check_algebra_cylinder(cyl, 2, 2, raise_on_fail=True)
     assert rep.ok
 
 

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import elimination_oracle
 import pytest
@@ -11,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from hopfcyclic import linalg
 from hopfcyclic.errors import CompositionNotZero
 from hopfcyclic.fields import Field, is_prime
 from hopfcyclic.io import _map_matrix, _map_pairs
 from hopfcyclic.linalg import (
-    SparseMatrix, Subspace, _echelonize, block_matrix, column_pairs, combine,
-    homology_dim, image, invert, kernel, rank,
+    SparseMatrix, Subspace, _echelonize, _homology_dims, block_matrix,
+    column_pairs, combine, homology_dim, image, invert, kernel, rank,
 )
 
 QQ = Field.rationals()
@@ -376,6 +378,135 @@ def test_column_pairs_match_the_lower_left_rank_function(drawn):
     assert got == want and len(got) == rank(m)
     unpaired = set(range(m.cols)) - set(got)
     assert column_pairs(m, unpaired) == want
+
+
+def _random_invertible(field, n, rng):
+    """L D U with L unit lower triangular, D a nonzero diagonal and U unit
+    upper triangular: invertible by construction."""
+    values = _ORACLE_ENTRIES if field.p is None else tuple(range(field.p))
+    nonzero = [v for v in values if v]
+
+    def triangle(above):
+        return SparseMatrix.from_rows(field, [
+            [1 if i == j else rng.choice(values) if (j > i) == above else 0
+             for j in range(n)] for i in range(n)])
+
+    diag = SparseMatrix.from_rows(field, [
+        [rng.choice(nonzero) if i == j else 0 for j in range(n)]
+        for i in range(n)])
+    return triangle(False) @ diag @ triangle(True)
+
+
+@st.composite
+def _complexes(draw):
+    """A chain complex C_0 <- C_1 <- ... <- C_(L+1) with known homology.
+
+    d_n = Q_(n-1) E_n Q_n^(-1), each Q_n a random invertible matrix and
+    E_n a direct sum of elementary k -> k pieces: rank(d_n) of C_n's
+    coordinates, chosen at random, each sent to a nonzero multiple of its
+    own coordinate of C_(n-1), among those no piece of E_(n-1) leaves.
+    Returns (field, dims, {n: d_n}, ranks, betti) with betti[n] = dim H_n
+    for n <= L."""
+    field = draw(st.sampled_from((QQ, F2, Field.prime(3))))
+    top = draw(st.integers(min_value=1, max_value=4))  # L
+    ranks = [0] + [draw(st.integers(min_value=0, max_value=3))
+                   for _ in range(top + 1)] + [0]
+    betti = [draw(st.integers(min_value=0, max_value=2))
+             for _ in range(top + 2)]
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    dims = [ranks[n] + ranks[n + 1] + betti[n] for n in range(top + 2)]
+    sources, targets = [], []
+    for n, dim in enumerate(dims):
+        coords = rng.sample(range(dim), dim)
+        sources.append(coords[:ranks[n]])
+        targets.append(coords[ranks[n]:ranks[n] + ranks[n + 1]])
+    nonzero = [v for v in (_ORACLE_ENTRIES if field.p is None
+                           else range(field.p)) if v]
+    Q = [_random_invertible(field, dim, rng) for dim in dims]
+    d = {}
+    for n in range(1, top + 2):
+        elementary = SparseMatrix(field, dims[n - 1], dims[n], {
+            (t, s): field.of(rng.choice(nonzero))
+            for s, t in zip(sources[n], targets[n - 1])})
+        d[n] = Q[n - 1] @ elementary @ elimination_oracle.inverse(Q[n])
+    return field, dims, d, ranks, betti[:top + 1]
+
+
+def _chain_pairs(field, dims, d):
+    """(d_n, d_(n+1)) for n = 0..L, d_0 the zero map out of C_0."""
+    return [(SparseMatrix.zeros(field, 0, dims[0]), d[1])] + \
+        [(d[n], d[n + 1]) for n in range(1, len(d))]
+
+
+@given(_complexes())
+@settings(max_examples=100, deadline=None)
+def test_cleared_ranks_give_the_known_homology(drawn):
+    """`_homology_dims` returns the Betti numbers the complex was built
+    with; each rank equals the row elimination oracle's and its pivots
+    equal those of an uncleared reduction; the rows of d_n fed to the
+    reduction are exactly its nonzero rows less the pivots of d_(n-1)."""
+    field, dims, d, ranks, betti = drawn
+    fed = []
+    reduce_columns = linalg._reduce_columns
+
+    def spy(field, columns):
+        fed.append({k for k, _ in columns})
+        return reduce_columns(field, columns)
+
+    with mock.patch.object(linalg, "_reduce_columns", spy):
+        assert _homology_dims(_chain_pairs(field, dims, d)) == betti
+    assert fed[0] == set() and len(fed) == len(d) + 1
+    pivots = frozenset()
+    for n in range(1, len(d) + 1):
+        m = d[n]
+        assert rank(m) == elimination_oracle.rank(m) == ranks[n]
+        full = SparseMatrix(field, m.rows, m.cols, m.entries)
+        rank(full)
+        assert m._row_pivots == full._row_pivots
+        assert fed[n] == {i for i, _ in m.entries} - pivots
+        pivots = m._row_pivots
+
+
+@given(_complexes(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_nonzero_composite_raises_at_its_first_pair(drawn, data):
+    """One entry of one d_k is bumped by 1.  If some composite is then
+    nonzero, CompositionNotZero is raised at the first such pair, with the
+    first nonzero entry in its text, and no later pair is drawn.  Either
+    way every rank, the ones kept on the matrices included, equals the
+    oracle's: no clearing runs before its composite is checked."""
+    field, dims, d, _, _ = drawn
+    k = data.draw(st.integers(min_value=1, max_value=len(d)))
+    m = d[k]
+    i = data.draw(st.integers(min_value=0, max_value=m.rows - 1)) \
+        if m.rows else None
+    j = data.draw(st.integers(min_value=0, max_value=m.cols - 1)) \
+        if m.cols else None
+    if i is not None and j is not None:
+        d[k] = m + SparseMatrix(field, m.rows, m.cols, {(i, j): 1})
+    pairs = _chain_pairs(field, dims, d)
+    composites = [a @ b for a, b in pairs]
+    first = next((n for n, c in enumerate(composites) if not c.is_zero()),
+                 None)
+    drawn_pairs = []
+
+    def lazy():
+        for pair in pairs:
+            drawn_pairs.append(pair)
+            yield pair
+
+    if first is None:
+        got = _homology_dims(lazy())
+        r = [0] + [elimination_oracle.rank(d[n]) for n in range(1, len(d) + 1)]
+        assert got == [dims[n] - r[n] - r[n + 1] for n in range(len(d))]
+    else:
+        with pytest.raises(CompositionNotZero) as err:
+            _homology_dims(lazy())
+        assert str(err.value) == "d.d != 0 first at %s" % (
+            min(composites[first].entries),)
+        assert len(drawn_pairs) == first + 1
+    for m in d.values():
+        assert rank(m) == elimination_oracle.rank(m)
 
 
 def test_column_pairs_pivot_rule():
