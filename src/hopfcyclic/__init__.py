@@ -22,7 +22,7 @@ from .hopf import (
 from .crossed import (
     CocyclicOps, CyclicOps, check_cocyclic_ops, check_cyclic_ops,
     cocyclic_module_of_coalgebra, crossed_product_algebra,
-    crossed_product_coalgebra, cyclic_module_of_algebra,
+    crossed_product_coalgebra, cyclic_module_of_algebra, dual_algebra,
 )
 from .cylinder import (
     AlgebraCylinder, AlgebraModuleForm, CoalgebraCocylinder,
@@ -37,7 +37,8 @@ from .homology import (
     cyclic_dims, ez_compare_hochschild,
     find_dual_left_integral, find_right_integral, hochschild_dims,
     hopf_comodule_cohomology, hopf_module_boundary, hopf_module_homology,
-    mixed_complex, semisimple_homotopy_check, spectral_pages,
+    mixed_complex, normalized_hochschild_dims, normalized_mixed_complex,
+    semisimple_homotopy_check, spectral_pages,
     total_complex_algebra, total_complex_coalgebra, total_homology_dims,
     trivial_comodule_coaction, trivial_module_action,
 )

@@ -44,12 +44,12 @@ Q = qmax; each limit is the `MAX_*` constant of that name):
     ez-hochschild        last horizontal (co)face dh^(2N+4)          CYLINDER
     (N = nmax + 1)       operator pairs (N+2)^3                      CHECK
 
-`compute hh` ranks the Hochschild boundary b of the crossed product's
-(co)cyclic module alone.  `compute hc` over Q ranks Connes' cyclic complex
-(the quotient by 1 - lambda on the algebra side, the lambda-invariant
-cochains on the coalgebra side); over F_p, where that complex can give other
-dimensions, it ranks the (b, B) total complex.  `compare` always builds
-(b, B).
+`compute hh` ranks the normalized Hochschild boundary b of the crossed
+product (of its dual algebra on the coalgebra side) alone.  `compute hc`
+over Q ranks Connes' cyclic complex (the quotient by 1 - lambda on the
+algebra side, the lambda-invariant cochains on the coalgebra side); over
+F_p, where that complex can give other dimensions, it ranks the normalized
+(b, B) total complex.  `compare` always builds the unnormalized (b, B).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .errors import HopfCyclicError, MissingBlock, ParseError, TooLarge
 from .hopf import check_comodule_algebra, check_hopf, check_module_coalgebra
 from .crossed import (
     cocyclic_module_of_coalgebra, crossed_product_algebra,
-    crossed_product_coalgebra, cyclic_module_of_algebra,
+    crossed_product_coalgebra, cyclic_module_of_algebra, dual_algebra,
 )
 from .cylinder import (
     AlgebraCylinder, AlgebraModuleForm, CoalgebraCocylinder,
@@ -74,10 +74,10 @@ from .cylinder import (
     diagonal_cyclic, phi_psi_algebra, phi_psi_coalgebra,
 )
 from .homology import (
-    b_column_dims, cochain_mixed_complex, connes_dims, cyclic_dims,
-    ez_compare_hochschild, hochschild_dims, hopf_comodule_cohomology,
-    hopf_module_homology, mixed_complex, spectral_pages,
-    total_complex_algebra, total_complex_coalgebra,
+    cochain_mixed_complex, connes_dims, cyclic_dims, ez_compare_hochschild,
+    hochschild_dims, hopf_comodule_cohomology, hopf_module_homology,
+    mixed_complex, normalized_hochschild_dims, normalized_mixed_complex,
+    spectral_pages, total_complex_algebra, total_complex_coalgebra,
     trivial_comodule_coaction, trivial_module_action,
 )
 from .io import load_document
@@ -156,12 +156,14 @@ def _opt(params, doc, key, default):
 
 
 # Largest top chain space dim(R)^(nmax+2), R = A # H or C # H, that a
-# crossed-product job may build: every path still builds the top b in full.
-# Measured on a 2-core VM, the admitted corpus jobs at the edge take, for C2
-# --nmax 6 (4^8 = 65536), 4.4 s and 295 MB with `compute hc` over Q
-# (Connes' complex), 12-15 s and 300 MB with `compute hh`, and 39-41 s and
-# 600 MB with `compute hc` over F_2 ((b, B)); for C3 --nmax 3 (9^5), 3.3 s
-# and 186 MB with `hc`, 7-8 s and 168 MB with `hh`.  Through (b, B), the
+# crossed-product job may build: `compute hc` over Q and `compare` build the
+# top b in full, `compute hh` and `compute hc` over F_p only its
+# dim(R) (dim(R) - 1)^(nmax+1) non-degenerate columns.  Measured on a 2-core
+# VM, the admitted corpus jobs at the edge take, for C2 --nmax 6 (4^8 =
+# 65536), 3.1-3.5 s and 264 MB with `compute hc` over Q (Connes' complex),
+# 0.8 s and 45 MB with `compute hh`, and 1.5 s and 73 MB with `compute hc`
+# over F_2 (normalized (b, B)); for C3 --nmax 3 (9^5), 1.3-2.3 s and 160 MB
+# with `hc`, 1.9 s and 90 MB with `hh`.  Through the unnormalized (b, B), the
 # first refused ones, C2 --nmax 7 (4^9) and C3 --nmax 4 (9^6), had not
 # finished after 400 s, at 1.8 and 2.2 GB resident.  The same limit holds
 # the top bar space dim(H)^(top+1) of `compute hopf-homology|
@@ -423,14 +425,21 @@ def cmd_verify(doc, target, params):
     return {"checks": checks}, bool(checks) and all(c["ok"] for c in checks)
 
 
-def _crossed_dims(target, ops, nmax):
-    """hh from b alone on every field; hc from Connes' complex over Q and
-    from the (b, B) total complex over F_p, where the two differ."""
+def _crossed_dims(doc, side, target, nmax):
+    """hh from the normalized b alone on every field; hc from Connes'
+    complex over Q and from the normalized (b, B) total complex over F_p,
+    where the two differ.  The coalgebra side's normalized complexes are
+    those of the dual algebra: its cyclic module is the transposed
+    cocyclic module."""
+    if target == "hc" and doc.field.p is None:
+        return connes_dims(_crossed_module(doc, side, nmax + 1), nmax)
+    if side == "algebra":
+        r = crossed_product_algebra(doc.algebra)
+    else:
+        r = dual_algebra(crossed_product_coalgebra(doc.coalgebra))
     if target == "hh":
-        return b_column_dims(ops, nmax)
-    if ops.field.p is None:
-        return connes_dims(ops, nmax)
-    return cyclic_dims(mixed_complex(ops), nmax)
+        return normalized_hochschild_dims(r, nmax)
+    return cyclic_dims(normalized_mixed_complex(r, nmax + 1), nmax)
 
 
 def _pages_table(pages, ranks):
@@ -450,8 +459,7 @@ def cmd_compute(doc, target, params):
         alg = side == "algebra"
         if target in ("hh", "hc"):
             tables["%s_crossed_product_%s" % (target, side)] = _crossed_dims(
-                target, _crossed_module(doc, side, bounds["nmax"] + 1),
-                bounds["nmax"])
+                doc, side, target, bounds["nmax"])
         elif target == "hopf-homology":
             tables["hopf_module_homology_trivial_coefficients"] = \
                 hopf_module_homology(s, trivial_module_action(s),

@@ -27,7 +27,7 @@ from .hopf import (
     Algebra, Coalgebra, CheckReport, algebra_spaces, check_algebra,
     check_coalgebra, coalgebra_spaces,
 )
-from .linalg import SparseMatrix, amplify
+from .linalg import SparseMatrix, amplify, invert
 from .tensor import Legs, S, Sinv, act, compile_operator, perm_matrix, prod
 
 
@@ -230,11 +230,72 @@ def cocyclic_module_of_coalgebra(c: Coalgebra, N: int = 3) -> CocyclicOps:
     return CocyclicOps(f, dims, cofaces, codegens, cocyclic, N)
 
 
+# -- the non-degenerate coordinates of an algebra's cyclic module ---------------
+
+def dual_algebra(c: Coalgebra) -> Algebra:
+    """The algebra C* = (Delta^T, counit^T) on the dual basis: its cyclic
+    module is the transpose of C's cocyclic module, face by face."""
+    return Algebra(c.field, c.dim, c.comult.transpose(), c.counit.transpose(),
+                   c.basis_names)
+
+
+def unit_first(r: Algebra) -> Algebra:
+    """r itself when its unit is e_0; else r in the basis f_0 = 1, then the
+    e_j other than e_k in order, k the first coordinate of the unit."""
+    f, d = r.field, r.dim
+    unit = r.unit.column(0)
+    if unit == {0: 1}:
+        return r
+    k = min(unit)
+    cols = {(i, 0): v for i, v in unit.items()}
+    cols.update({(j, col): 1
+                 for col, j in enumerate([j for j in range(d) if j != k], 1)})
+    basis = SparseMatrix._settled(f, d, d, cols)
+    inv = invert(basis)
+    return Algebra(f, d, inv @ r.mult @ basis.kron(basis), inv @ r.unit)
+
+
+def normalized_faces(r: Algebra, n):
+    """The faces d_0..d_n out of degree n of r's cyclic module on the
+    normalized chains R (x) Rbar^(x)n, Rbar = R / k 1, for r's unit e_0.
+
+    A chain is a basis tensor (x_0, ..., x_n) with x_1, ..., x_n >= 1, at
+    index x_0 e^n + the base-e number of (x_1 - 1, ..., x_n - 1), e = d - 1:
+    d (d - 1)^n of them.  Each face is the full face restricted to these
+    coordinates, as the degenerate chains, those with the unit past x_0,
+    span a subcomplex: r's product with the legs that leave Rbar dropped,
+    tensored with identities, the wrap face d_n with its columns relabelled
+    as in `cyclic_module_of_algebra`."""
+    f, d = r.field, r.dim
+    e = d - 1
+    inner, first, wrap = {}, {}, {}
+    for (c, col), v in r.mult.entries.items():
+        a, b = divmod(col, d)
+        if b:
+            first[(c, a * e + b - 1)] = v
+            if a and c:
+                inner[(c - 1, (a - 1) * e + b - 1)] = v
+        if a:
+            wrap[(c, (a - 1) * d + b)] = v
+    rest = e ** (n - 1)
+    faces = [amplify(SparseMatrix._settled(f, d, d * e, first), 1, rest)]
+    bar = SparseMatrix._settled(f, e, e * e, inner)
+    faces += [amplify(bar, d * e ** (i - 1), e ** (n - 1 - i))
+              for i in range(1, n)]
+    # the wrap face read on (x_n, x_0, x_1, ...): rotate each column left
+    wrapped = amplify(SparseMatrix._settled(f, d, e * d, wrap), 1, rest)
+    faces.append(SparseMatrix._settled(f, d * rest, d * e ** n, {
+        (i, _rotate_left(j, e, d * rest)): v
+        for (i, j), v in wrapped.entries.items()}))
+    return faces
+
+
 # -- identity suites -------------------------------------------------------------
 
 def _power(m, k):
-    out = SparseMatrix.identity(m.field, m.rows)
-    for _ in range(k):
+    """m^k for k >= 1."""
+    out = m
+    for _ in range(k - 1):
         out = m @ out
     return out
 

@@ -33,10 +33,13 @@ operators that move legs between the blocks, the action/coaction on the
 first column, and the coinvariant quotient/subspace with induced
 (co)cyclic operators.
 
-Every operator below is compiled from a leg-by-leg description; conjugation
-by an element u expands as u0 . g . S(u1) over a comultiplication split of u,
-with S and S-inverse placed per the standard Hopf identities
-(Sinv(x))0 = Sinv(x1), S((Sinv(x))1) = x0.
+An operator that is one structure map on adjacent legs tensored with
+identities, every (co)face and (co)degeneracy but the last (co)faces and
+the closed forms of that shape, is built by index arithmetic
+(`linalg.amplify`).  Every other operator is compiled from a leg-by-leg
+description; conjugation by an element u expands as u0 . g . S(u1) over a
+comultiplication split of u, with S and S-inverse placed per the standard
+Hopf identities (Sinv(x))0 = Sinv(x1), S((Sinv(x))1) = x0.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ from .errors import (
     NotIntertwining, NotRestricting, NotWellDefined,
 )
 from .hopf import CheckReport, algebra_spaces, coalgebra_spaces
-from .linalg import SparseMatrix, Subspace, combine, image, kernel
-from .tensor import Legs, S, Sinv, act, compile_operator, eps, prod, unit
+from .linalg import SparseMatrix, Subspace, amplify, combine, image, kernel
+from .tensor import Legs, S, Sinv, act, compile_operator, prod
 
 
 # operator -> (shift (dp, dq) to the cell it maps into, its count at (p, q));
@@ -120,6 +123,7 @@ class _CellOperators:
     def __init__(self, structure, spaces):
         self.field = structure.field
         self.spaces = spaces
+        self.hopf = structure.hopf
         self.dh = structure.hopf.dim
         self.db = structure.dim
         self._cache = {}
@@ -134,6 +138,18 @@ class _CellOperators:
 
     def _compile(self, specs, outputs):
         return compile_operator(self.field, self.spaces, specs, outputs)
+
+    def _on_block(self, m, p, before, after):
+        """I (x) m (x) I on a cell H^(x)(p+1) (x) B^(x)(q+1): m on the B
+        legs with `before` B legs to its left and `after` to its right."""
+        return amplify(m, self.dh ** (p + 1) * self.db ** before,
+                       self.db ** after)
+
+    def _on_hopf(self, m, before, after, q):
+        """I (x) m (x) I on a cell H^(x)(p+1) (x) B^(x)(q+1): m on the H
+        legs with `before` H legs to its left and `after` to its right."""
+        return amplify(m, self.dh ** before,
+                       self.dh ** after * self.db ** (q + 1))
 
     def _alternating(self, name, p, q):
         """The alternating sum of the family `name` at (p, q): a Hochschild
@@ -199,26 +215,11 @@ class AlgebraCylinder(_BiParacyclic):
             outs.append(prod(body, L.plain(p + 1)))
             outs.extend(L.plain(p + 1 + j) for j in range(1, q))
             return self._compile(specs, outs)
-        specs = self._specs(p, q)
-        L = Legs(specs)
-        outs = [L.plain(f) for f in range(p + 1)]
-        for j in range(q + 1):
-            if j == i:
-                outs.append(prod(L.plain(p + 1 + i), L.plain(p + 1 + i + 1)))
-            elif j != i + 1:
-                outs.append(L.plain(p + 1 + j))
-        return self._compile(specs, outs)
+        return self._on_block(self.A.mult, p, i, q - 1 - i)
 
     @_cell_op
     def degen_v(self, p, q, i):
-        specs = self._specs(p, q)
-        L = Legs(specs)
-        outs = [L.plain(f) for f in range(p + 1)]
-        for j in range(q + 1):
-            outs.append(L.plain(p + 1 + j))
-            if j == i:
-                outs.append(unit("A"))
-        return self._compile(specs, outs)
+        return self._on_block(self.A.unit, p, i + 1, q - i)
 
     # -- horizontal (H-direction) family -----------------------------------------
 
@@ -246,28 +247,11 @@ class AlgebraCylinder(_BiParacyclic):
             outs = [prod(*twisted, L.plain(0))]
             outs.extend(L.plain(i2) for i2 in range(1, p))
             return self._compile(specs, outs + bodies)
-        specs = self._specs(p, q)
-        L = Legs(specs)
-        outs = []
-        for f in range(p + 1):
-            if f == i:
-                outs.append(prod(L.plain(i), L.plain(i + 1)))
-            elif f != i + 1:
-                outs.append(L.plain(f))
-        outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
-        return self._compile(specs, outs)
+        return self._on_hopf(self.hopf.mult, i, p - 1 - i, q)
 
     @_cell_op
     def degen_h(self, p, q, i):
-        specs = self._specs(p, q)
-        L = Legs(specs)
-        outs = []
-        for f in range(p + 1):
-            outs.append(L.plain(f))
-            if f == i:
-                outs.append(unit("H"))
-        outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
-        return self._compile(specs, outs)
+        return self._on_hopf(self.hopf.unit, i + 1, p - i, q)
 
 
 class CoalgebraCocylinder(_BiParacyclic):
@@ -303,16 +287,7 @@ class CoalgebraCocylinder(_BiParacyclic):
     @_cell_op
     def coface_v(self, p, q, i):
         if i <= q:
-            specs = self._specs(p, q, {p + 1 + i: ("comult", 1)})
-            L = Legs(specs)
-            outs = [L.plain(f) for f in range(p + 1)]
-            for j in range(q + 1):
-                if j == i:
-                    outs.append(L.com(p + 1 + i, 0))
-                    outs.append(L.com(p + 1 + i, 1))
-                else:
-                    outs.append(L.plain(p + 1 + j))
-            return self._compile(specs, outs)
+            return self._on_block(self.C.comult, p, i, q - i)
         expand = {f: ("comult", 2) for f in range(p + 1)}
         expand[p + 1] = ("comult", 1)
         specs = self._specs(p, q, expand)
@@ -325,12 +300,7 @@ class CoalgebraCocylinder(_BiParacyclic):
 
     @_cell_op
     def codegen_v(self, p, q, i):
-        specs = self._specs(p, q)
-        L = Legs(specs)
-        outs = [L.plain(f) for f in range(p + 1)]
-        outs.extend(L.plain(p + 1 + j) for j in range(q + 1) if j != i + 1)
-        outs.append(eps(L.plain(p + 1 + i + 1)))
-        return self._compile(specs, outs)
+        return self._on_block(self.C.counit, p, i + 1, q - 1 - i)
 
     # -- horizontal (H-direction, cosimplicial) family ----------------------------
 
@@ -357,17 +327,7 @@ class CoalgebraCocylinder(_BiParacyclic):
     @_cell_op
     def coface_h(self, p, q, i):
         if i <= p:
-            specs = self._specs(p, q, {i: ("comult", 1)})
-            L = Legs(specs)
-            outs = []
-            for f in range(p + 1):
-                if f == i:
-                    outs.append(L.com(i, 0))
-                    outs.append(L.com(i, 1))
-                else:
-                    outs.append(L.plain(f))
-            outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
-            return self._compile(specs, outs)
+            return self._on_hopf(self.hopf.comult, i, p - i, q)
         specs = self._specs(p, q, {0: ("comult", 2 * q + 3)})
         L = Legs(specs)
         comps = self._diag_sinv_pairs(L, 0, q)
@@ -379,12 +339,7 @@ class CoalgebraCocylinder(_BiParacyclic):
 
     @_cell_op
     def codegen_h(self, p, q, i):
-        specs = self._specs(p, q)
-        L = Legs(specs)
-        outs = [L.plain(f) for f in range(p + 1) if f != i + 1]
-        outs.append(eps(L.plain(i + 1)))
-        outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
-        return self._compile(specs, outs)
+        return self._on_hopf(self.hopf.counit, i + 1, p - 1 - i, q)
 
 
 # -- identity suites ------------------------------------------------------------
@@ -426,10 +381,9 @@ def _check_bi_paracyclic(cyl, P, Q, report, raise_on_fail, suite, pairs):
             tv, th = cyl.tau_v(p, q), cyl.tau_h(p, q)
             ident = SparseMatrix.identity(cyl.field, cyl.space_dim(p, q))
             chk("tau_v tau_h = tau_h tau_v", p, q, tv @ th, th @ tv)
-            chk("tau_h^(p+1) tau_v^(q+1) = id", p, q,
-                _power(th, p + 1) @ _power(tv, q + 1), ident)
-            chk("tau_v^(q+1) tau_h^(p+1) = id", p, q,
-                _power(tv, q + 1) @ _power(th, p + 1), ident)
+            pv, ph = _power(tv, q + 1), _power(th, p + 1)
+            chk("tau_h^(p+1) tau_v^(q+1) = id", p, q, ph @ pv, ident)
+            chk("tau_v^(q+1) tau_h^(p+1) = id", p, q, pv @ ph, ident)
             for x, y in pairs:
                 xt, yt = _target(x, p, q), _target(y, p, q)
                 if not (_inside(xt, P, Q) and _inside(yt, P, Q)):
@@ -683,13 +637,10 @@ def first_column_action(a, n):
 
 
 def _check_module_action(h, action):
-    f = h.field
     m = action.rows
-    ih = SparseMatrix.identity(f, h.dim)
-    im = SparseMatrix.identity(f, m)
-    if action @ h.mult.kron(im) != action @ ih.kron(action):
+    if action @ amplify(h.mult, 1, m) != action @ amplify(action, h.dim, 1):
         raise AxiomFailure("first-column action is not associative")
-    if action @ h.unit.kron(im) != im:
+    if action @ amplify(h.unit, 1, m) != SparseMatrix.identity(h.field, m):
         raise AxiomFailure("first-column action is not unital")
 
 
@@ -712,13 +663,11 @@ def first_column_coaction(c, n):
 
 
 def _check_comodule_coaction(h, coaction):
-    f = h.field
     m = coaction.cols
-    ih = SparseMatrix.identity(f, h.dim)
-    im = SparseMatrix.identity(f, m)
-    if h.comult.kron(im) @ coaction != ih.kron(coaction) @ coaction:
+    if amplify(h.comult, 1, m) @ coaction \
+            != amplify(coaction, h.dim, 1) @ coaction:
         raise AxiomFailure("first-column coaction is not coassociative")
-    if h.counit.kron(im) @ coaction != im:
+    if amplify(h.counit, 1, m) @ coaction != SparseMatrix.identity(h.field, m):
         raise AxiomFailure("first-column coaction is not counital")
 
 
@@ -861,24 +810,9 @@ class AlgebraModuleForm(_CellOperators):
 
     def closed_face_h(self, p, q, i):
         if i == 0:
-            specs = self._specs(p, q)
-            L = Legs(specs)
-            outs = [L.plain(f) for f in range(1, p + 1)]
-            outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
-            outs.append(eps(L.plain(0)))
-            return self._compile(specs, outs)
+            return self._on_hopf(self.hopf.counit, 0, p, q)
         if i < p:
-            specs = self._specs(p, q)
-            L = Legs(specs)
-            outs = []
-            for f in range(p):
-                if f == i - 1:
-                    outs.append(prod(L.plain(i - 1), L.plain(i)))
-                elif f != i:
-                    outs.append(L.plain(f))
-            outs.append(L.plain(p))
-            outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
-            return self._compile(specs, outs)
+            return self._on_hopf(self.hopf.mult, i - 1, p - i, q)
         expand = {p - 1: ("comult", 1)}
         expand.update({p + 1 + j: ("coaction", 2) for j in range(q + 1)})
         specs = self._specs(p, q, expand)
@@ -891,18 +825,7 @@ class AlgebraModuleForm(_CellOperators):
         return self._compile(specs, outs)
 
     def closed_degen_h(self, p, q, i):
-        specs = self._specs(p, q)
-        L = Legs(specs)
-        outs = []
-        if i == 0:
-            outs.append(unit("H"))
-        for f in range(p):
-            outs.append(L.plain(f))
-            if f + 1 == i:
-                outs.append(unit("H"))
-        outs.append(L.plain(p))
-        outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
-        return self._compile(specs, outs)
+        return self._on_hopf(self.hopf.unit, i, p + 1 - i, q)
 
     # -- verification --------------------------------------------------------------
 
@@ -1042,36 +965,13 @@ class CoalgebraModuleForm(_CellOperators):
 
     def closed_coface_h(self, p, q, i):
         if i == 0:
-            specs = self._specs(p, q)
-            L = Legs(specs)
-            outs = [unit("H")]
-            outs.extend(L.plain(f) for f in range(p + 1))
-            outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
-            return self._compile(specs, outs)
+            return self._on_hopf(self.hopf.unit, 0, p + 1, q)
         if i <= p:
-            specs = self._specs(p, q, {i - 1: ("comult", 1)})
-            L = Legs(specs)
-            outs = []
-            for f in range(p):
-                if f == i - 1:
-                    outs.append(L.com(i - 1, 0))
-                    outs.append(L.com(i - 1, 1))
-                else:
-                    outs.append(L.plain(f))
-            outs.append(L.plain(p))
-            outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
-            return self._compile(specs, outs)
-        fcc = first_column_coaction(self.base.C, q)
-        return SparseMatrix.identity(self.field, self.dh ** p).kron(fcc)
+            return self._on_hopf(self.hopf.comult, i - 1, p + 1 - i, q)
+        return amplify(first_column_coaction(self.base.C, q), self.dh ** p, 1)
 
     def closed_codegen_h(self, p, q, i):
-        specs = self._specs(p, q)
-        L = Legs(specs)
-        outs = [L.plain(f) for f in range(p) if f != i]
-        outs.append(L.plain(p))
-        outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
-        outs.append(eps(L.plain(i)))
-        return self._compile(specs, outs)
+        return self._on_hopf(self.hopf.counit, i, p - i, q)
 
     def closed_cotau_h(self, p, q):
         """The first bar factor's outer legs wrap into the two module slots,
@@ -1184,7 +1084,7 @@ def coinvariant_cyclic_module(a, N=2):
         x = fam.dim(n)
         action = first_column_action(a, n)
         _check_module_action(a.hopf, action)
-        rel = action - a.hopf.counit.kron(SparseMatrix.identity(f, x))
+        rel = action - amplify(a.hopf.counit, 1, x)
         pres.append(QuotientPresentation(image(rel)))
 
     def induce(op, n_src, n_dst, name):
@@ -1245,7 +1145,7 @@ def coinvariant_cocyclic_module(c, N=2):
         x = fam.dim(n)
         coaction = first_column_coaction(c, n)
         _check_comodule_coaction(c.hopf, coaction)
-        insert1 = c.hopf.unit.kron(SparseMatrix.identity(f, x))
+        insert1 = amplify(c.hopf.unit, 1, x)
         pres.append(SubspacePresentation(kernel(coaction - insert1)))
 
     dims = [p.dim for p in pres]

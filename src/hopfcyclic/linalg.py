@@ -267,14 +267,6 @@ def amplify(m: SparseMatrix, left, right) -> SparseMatrix:
         (r + b, c + b): v for r, c, v in corners for b in diagonal})
 
 
-def kron_all(field, mats):
-    """Kronecker product of a list (empty list gives the 1x1 identity)."""
-    out = SparseMatrix.identity(field, 1)
-    for m in mats:
-        out = out.kron(m)
-    return out
-
-
 def block_matrix(field, blocks, row_dims, col_dims):
     """Assemble a matrix from a {(bi, bj): SparseMatrix} block dict."""
     roff = [0]

@@ -15,7 +15,7 @@ from hopfcyclic.hopf import (
 from hopfcyclic.crossed import (
     check_cocyclic_ops, check_cyclic_ops, cocyclic_module_of_coalgebra,
     crossed_product_algebra, crossed_product_coalgebra,
-    cyclic_module_of_algebra,
+    cyclic_module_of_algebra, dual_algebra,
 )
 from hopfcyclic.homology import hopf_module_boundary, trivial_module_action
 from hopfcyclic.io import load_document
@@ -247,3 +247,26 @@ def test_faces_and_bar_boundary_match_kronecker_products(path):
         for p in range(1, N + 1):
             assert hopf_module_boundary(h, action, p) == \
                 _oracle_bar_boundary(h, action, p)
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=os.path.basename)
+def test_the_dual_algebra_has_the_transposed_cocyclic_module(path):
+    """At N = 3, the cyclic module of C* = (Delta^T, counit^T) equals the
+    transposed cocyclic module of C, face by face, for C, H and, where
+    dim^4 stays small, the crossed product coalgebra."""
+    N = 3
+    doc = load_document(path)
+    h = doc.hopf
+    coalgebras = [doc.coalgebra.coalgebra, h.as_coalgebra()]
+    if (doc.coalgebra.dim * h.dim) ** (N + 1) <= 9 ** 4:
+        coalgebras.append(crossed_product_coalgebra(doc.coalgebra))
+    for c in coalgebras:
+        ops = cyclic_module_of_algebra(dual_algebra(c), N)
+        dual = cocyclic_module_of_coalgebra(c, N).transpose()
+        for n in range(N + 1):
+            assert ops.dim(n) == dual.dim(n) and ops.t(n) == dual.t(n)
+            for i in range(n + 1):
+                if n >= 1:
+                    assert ops.face(n, i) == dual.face(n, i)
+                if n < N:
+                    assert ops.degen(n, i) == dual.degen(n, i)

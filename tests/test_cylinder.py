@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import cylinder_oracle
 from hopfcyclic import cylinder
 from hopfcyclic.errors import AxiomFailure
 from hopfcyclic.fields import Field
@@ -15,7 +16,8 @@ from hopfcyclic.hopf import (
 )
 from hopfcyclic.crossed import check_cyclic_ops, check_cocyclic_ops
 from hopfcyclic.cylinder import (
-    AlgebraCylinder, CoalgebraCocylinder, _check_comodule_coaction,
+    AlgebraCylinder, AlgebraModuleForm, CoalgebraCocylinder,
+    CoalgebraModuleForm, _check_comodule_coaction,
     _check_module_action, check_algebra_cylinder,
     check_coalgebra_cocylinder, coinvariant_cocyclic_module,
     coinvariant_cyclic_module, diagonal_cocyclic, diagonal_cyclic,
@@ -215,3 +217,51 @@ def test_s3_coinvariant_modules_at_degree_two(build, block, dims):
     assert [p.dim for p in pres] == dims
     assert ops.dims == dims
     assert time.perf_counter() - start < 30
+
+
+# -- operators written as one structure map tensored with identities ----------
+
+CORPUS = sorted(f[:-5] for f in os.listdir(DATA) if f.endswith(".json"))
+
+
+def _amplified_pairs(doc, P, Q):
+    """(name, p, q, i, operator, its leg description) for every operator
+    that `cylinder.py` builds by `amplify`, on every cell p <= P, q <= Q."""
+    cyl = AlgebraCylinder(doc.algebra)
+    cocyl = CoalgebraCocylinder(doc.coalgebra)
+    amf, cmf = AlgebraModuleForm(cyl), CoalgebraModuleForm(cocyl)
+    for p in range(P + 1):
+        for q in range(Q + 1):
+            ranges = [
+                (cyl, "face_v", range(q)), (cyl, "degen_v", range(q + 1)),
+                (cyl, "face_h", range(p)), (cyl, "degen_h", range(p + 1)),
+                (cocyl, "coface_v", range(q + 1)),
+                (cocyl, "codegen_v", range(q)),
+                (cocyl, "coface_h", range(p + 1)),
+                (cocyl, "codegen_h", range(p)),
+                (amf, "closed_face_h", range(p)),
+                (amf, "closed_degen_h", range(p + 1)),
+                (cmf, "closed_coface_h", range(p + 2)),
+                (cmf, "closed_codegen_h", range(p)),
+            ]
+            for obj, name, indices in ranges:
+                for i in indices:
+                    extra = (first_column_coaction,) \
+                        if name == "closed_coface_h" else ()
+                    yield (name, p, q, i, getattr(obj, name)(p, q, i),
+                           getattr(cylinder_oracle, name)(obj, p, q, i,
+                                                          *extra))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_amplified_operators_match_their_leg_descriptions(name):
+    """Every (co)face and (co)degeneracy, and every module-form closed form,
+    that is one structure map tensored with identities equals the compiled
+    leg description it replaces, on the cells p, q <= 2 of every corpus
+    file: 171 operators a file."""
+    doc = load_document(os.path.join(DATA, name + ".json"))
+    count = 0
+    for op, p, q, i, got, want in _amplified_pairs(doc, 2, 2):
+        assert got == want, (op, p, q, i)
+        count += 1
+    assert count == 171

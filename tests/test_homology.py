@@ -1,9 +1,12 @@
 """Mixed complexes, Connes' complex, Hopf-(co)module (co)homology,
 integrals, homotopies."""
 
+import functools
 import os
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from hopfcyclic.cylinder import AlgebraCylinder
 from hopfcyclic.errors import (
@@ -19,18 +22,20 @@ from hopfcyclic.hopf import (
 )
 from hopfcyclic.crossed import (
     CocyclicOps, cocyclic_module_of_coalgebra, crossed_product_algebra,
-    crossed_product_coalgebra, cyclic_module_of_algebra,
+    crossed_product_coalgebra, cyclic_module_of_algebra, dual_algebra,
+    normalized_faces, unit_first,
 )
 from hopfcyclic.homology import (
     _signed_orbits, b_column_dims, cochain_mixed_complex, connes_dims,
     cosemisimple_homotopy_check, cyclic_dims,
     find_dual_left_integral, find_right_integral, hochschild_dims,
     hopf_comodule_cohomology, hopf_module_homology, mixed_complex,
+    normalized_hochschild_dims, normalized_mixed_complex,
     semisimple_homotopy_check, total_complex_algebra, total_homology_dims,
     trivial_comodule_coaction, trivial_module_action,
 )
 from hopfcyclic.io import load_document
-from hopfcyclic.linalg import SparseMatrix
+from hopfcyclic.linalg import SparseMatrix, invert
 from hopfcyclic.tensor import perm_matrix
 
 QQ = Field.rationals()
@@ -189,6 +194,28 @@ def test_homotopy_matches_vanishing():
         == [0, 0, 0]
 
 
+def test_each_bar_boundary_and_composite_is_built_once(monkeypatch):
+    """The bar homology multiplies each composite delta_(p-1) delta_p once
+    (with the zero map out of degree 0: qmax + 1 products), and the
+    homotopy check builds each bar boundary once (qmax + 1 of them)."""
+    from hopfcyclic import homology
+    h2, h = kc2(F2), kc2()
+    t = find_right_integral(h)
+    built = []
+    boundary = homology.hopf_module_boundary
+    monkeypatch.setattr(homology, "hopf_module_boundary",
+                        lambda *args: built.append(args[2]) or boundary(*args))
+    products = []
+    matmul = SparseMatrix.__matmul__
+    monkeypatch.setattr(SparseMatrix, "__matmul__",
+                        lambda a, b: products.append(1) or matmul(a, b))
+    assert hopf_module_homology(h2, trivial_module_action(h2), 4) == [1] * 5
+    assert built == [1, 2, 3, 4, 5] and len(products) == 5
+    built.clear()
+    semisimple_homotopy_check(h, t, trivial_module_action(h), 3)
+    assert built == [1, 2, 3, 4]
+
+
 def test_s3_group_homology_rational():
     s3 = group_algebra(symmetric_group_table(3), QQ)
     assert hopf_module_homology(s3, trivial_module_action(s3), 2) == [1, 0, 0]
@@ -243,6 +270,14 @@ def _mixed(ops):
     if isinstance(ops, CocyclicOps):
         return cochain_mixed_complex(ops)
     return mixed_complex(ops)
+
+
+def _corpus_algebras(name):
+    """The crossed product algebra of a corpus file and the dual algebra of
+    its crossed product coalgebra, the algebras of `_corpus_modules`."""
+    doc = load_document(os.path.join(DATA, name + ".json"))
+    return [crossed_product_algebra(doc.algebra),
+            dual_algebra(crossed_product_coalgebra(doc.coalgebra))]
 
 
 # Every Q corpus file, both blocks, at windows that run in seconds.
@@ -331,3 +366,114 @@ def test_connes_complex_checks_that_b_squares_to_zero():
                                    N=3)
     with pytest.raises(CompositionNotZero):
         connes_dims(ops, 2)
+
+
+# -- the normalized complexes ----------------------------------------------------
+
+# Every corpus file, both blocks, over Q and F_2, at windows that run in
+# seconds through the unnormalized (b, B).
+@pytest.mark.parametrize("name, nmax", [
+    ("ground_field_Q", 4), ("c2_Q", 4), ("c2_Q_trivial", 3), ("c2_F2", 4),
+    ("c2_F2_trivial", 3), ("c3_Q", 2), ("c3_Q_trivial", 2), ("sweedler_Q", 1),
+    ("sweedler_Q_trivial", 1), ("s3_Q", 1),
+])
+def test_normalized_complex_matches_the_unnormalized_route(name, nmax):
+    """hh from the normalized b and hc from the normalized (b, B) equal the
+    unnormalized (b, B) of the (co)cyclic module and, over Q, Connes'
+    complex."""
+    for ops, r in zip(_corpus_modules(name, nmax), _corpus_algebras(name)):
+        mc = _mixed(ops)
+        hh, hc = hochschild_dims(mc, nmax), cyclic_dims(mc, nmax)
+        assert normalized_hochschild_dims(r, nmax) == hh
+        assert cyclic_dims(normalized_mixed_complex(r, nmax + 1), nmax) == hc
+        if r.field.p is None:
+            assert connes_dims(ops, nmax) == hc
+
+
+def _restricted(m, rows, cols):
+    """m on the coordinates listed in rows and cols, in their order."""
+    rpos = {x: k for k, x in enumerate(rows)}
+    cpos = {x: k for k, x in enumerate(cols)}
+    return SparseMatrix(m.field, len(rows), len(cols), {
+        (rpos[i], cpos[j]): v for (i, j), v in m.entries.items()
+        if i in rpos and j in cpos})
+
+
+def _non_degenerate(d, n):
+    """The basis tensors of (k^d)^(x)(n+1) with no e_0 past the first leg."""
+    return [x for x in range(d ** (n + 1))
+            if all(x // d ** k % d for k in range(n))]
+
+
+@pytest.mark.parametrize("name", ["ground_field_Q", "c2_Q", "c2_F2", "c3_Q",
+                                  "sweedler_Q"])
+def test_normalized_faces_and_B_are_the_full_ones_restricted(name):
+    """Each normalized face is the full face, and the normalized B the
+    full B = (1 - lambda) t s_n N, read on the non-degenerate coordinates,
+    on the crossed product algebra and the dual algebra (unit moved to
+    e_0) of the crossed product coalgebra."""
+    N = 3 if name != "sweedler_Q" else 2
+    for r in _corpus_algebras(name):
+        r = unit_first(r)
+        ops = cyclic_module_of_algebra(r, N)
+        full, normal = mixed_complex(ops), normalized_mixed_complex(r, N)
+        keep = [_non_degenerate(r.dim, n) for n in range(N + 1)]
+        assert normal.dims == [len(k) for k in keep]
+        for n in range(1, N + 1):
+            assert normalized_faces(r, n) == [
+                _restricted(ops.face(n, i), keep[n - 1], keep[n])
+                for i in range(n + 1)]
+        for n in range(N):
+            assert normal.B[n] == _restricted(full.B[n], keep[n + 1], keep[n])
+
+
+def test_unit_first_moves_the_unit_to_e0():
+    """A corpus algebra's unit is e_0 already; the dual algebra of a group
+    coalgebra has unit the counit, sum of the dual basis, and is moved."""
+    r = crossed_product_algebra(regular_comodule_algebra(kc2()))
+    assert unit_first(r) is r
+    dual = dual_algebra(kc2().as_coalgebra())
+    assert dual.unit.column(0) == {0: 1, 1: 1}
+    moved = unit_first(dual)
+    assert moved.unit.column(0) == {0: 1}
+    ident = SparseMatrix.identity(QQ, 2)
+    assert moved.mult @ moved.unit.kron(ident) == ident
+    assert moved.mult @ ident.kron(moved.unit) == ident
+
+
+@functools.lru_cache(maxsize=None)
+def _normalized_dims(name, side, nmax):
+    r = _corpus_algebras(name)[side]
+    return (normalized_hochschild_dims(r, nmax),
+            cyclic_dims(normalized_mixed_complex(r, nmax + 1), nmax))
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+@pytest.mark.parametrize("name, nmax", [
+    ("c2_Q", 3), ("c2_F2", 3), ("c3_Q", 1), ("sweedler_Q", 1),
+])
+@pytest.mark.parametrize("side", [0, 1], ids=["algebra", "coalgebra"])
+def test_a_unit_off_the_basis_gives_the_same_dims(name, nmax, side, data):
+    """The algebra in a random basis, a permutation of a lower
+    unitriangular one, where its unit is no basis vector and its first
+    nonzero coordinate may be any, has the same normalized hh and hc."""
+    r = _corpus_algebras(name)[side]
+    f, d = r.field, r.dim
+    perm = data.draw(st.permutations(range(d)))
+    lower = data.draw(st.dictionaries(
+        st.tuples(st.integers(1, d - 1), st.integers(0, d - 2))
+        .filter(lambda ij: ij[1] < ij[0]),
+        st.integers(-2, 2), max_size=d))
+    entries = {(i, i): 1 for i in range(d)}
+    entries.update({ij: f.of(v) for ij, v in lower.items()})
+    basis = SparseMatrix(f, d, d, {(perm[i], i): 1 for i in range(d)}) \
+        @ SparseMatrix(f, d, d, entries)
+    inv = invert(basis)
+    conj = Algebra(f, d, inv @ r.mult @ basis.kron(basis), inv @ r.unit)
+    unit = conj.unit.column(0)
+    assume(len(unit) > 1 or 0 not in unit)
+    assert (normalized_hochschild_dims(conj, nmax),
+            cyclic_dims(normalized_mixed_complex(conj, nmax + 1), nmax)) \
+        == _normalized_dims(name, side, nmax)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hopfcyclic.fields import Field
 from hopfcyclic.hopf import algebra_spaces, coalgebra_spaces
 from hopfcyclic.io import load_document
-from hopfcyclic.linalg import SparseMatrix, kron_all
+from hopfcyclic.linalg import SparseMatrix
 from hopfcyclic.tensor import (
     Legs, S, Sinv, act, compile_operator, eps, perm_matrix, prod,
     tensor_unindex, unit,
@@ -78,8 +78,8 @@ def _ref_expr(field, spaces, leg_spaces, e):
     if tag == "prod":
         parts = [_ref_expr(field, spaces, leg_spaces, x) for x in e[1]]
         sp = parts[0][2]
-        mat = _ref_product(field, spaces[sp], len(parts)) @ kron_all(
-            field, [p[0] for p in parts])
+        mat = _ref_product(field, spaces[sp], len(parts)) @ functools.reduce(
+            SparseMatrix.kron, [p[0] for p in parts])
         return mat, [s for p in parts for s in p[1]], sp
     if tag == "act":
         hm, hs, _ = _ref_expr(field, spaces, leg_spaces, e[1])
@@ -101,8 +101,9 @@ def reference(field, spaces, specs, outputs):
     outs = [_ref_expr(field, spaces, leg_spaces, e) for e in outputs]
     gather = perm_matrix(field, leg_dims, [s for _, sl, _ in outs for s in sl])
     assert_settled(gather)
-    return (kron_all(field, [m for m, _, _ in outs]) @ gather
-            @ kron_all(field, expansions))
+    one = SparseMatrix.identity(field, 1)
+    return (functools.reduce(SparseMatrix.kron, [m for m, _, _ in outs], one)
+            @ gather @ functools.reduce(SparseMatrix.kron, expansions, one))
 
 
 def assert_settled(m):
