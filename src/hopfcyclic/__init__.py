@@ -10,7 +10,7 @@ spectral-sequence pages by exact rank computations over Q or a prime field.
 """
 
 from .fields import Field
-from .linalg import SparseMatrix, Subspace, homology_dim, image, kernel, rank
+from .linalg import SparseMatrix, Subspace, image, kernel, rank
 from .hopf import (
     Algebra, Coalgebra, ComoduleAlgebra, HopfAlgebra, ModuleCoalgebra,
     antipode_inverse, check_comodule_algebra, check_hopf,

@@ -9,10 +9,11 @@ filtered by q <= i (a filtered complex and its dual have the same
 persistence pairs: de Silva, Morozov & Vejdemo-Johansson 2011).
 
 Everything reduces to exact rank computations.  Every homology dimension
-comes from `_homology_dims`, which checks each composite d_out . d_in = 0
-and takes each rank from one reduction of the coboundary d^T, cleared
-across degrees in the cohomology direction (Chen & Kerber 2011), the rule
-`_filtered_pairs` uses for the pages.  The Hochschild boundary b is the
+and every spectral page comes from `_homology_dims`, which checks each
+composite d_out . d_in = 0 and takes each rank from one reduction of the
+coboundary d^T, cleared across degrees in the cohomology direction (Chen &
+Kerber 2011); the pages read the pairs that reduction keeps on each
+differential.  The Hochschild boundary b is the
 alternating sum of the faces, built in one place (`hochschild_boundary`).
 The degree-raising operator of a mixed complex is built as
 (1 - signed_cyclic) . extra_degeneracy . norm, with the extra degeneracy
@@ -32,9 +33,11 @@ The total complex of a cylinder carries d = (-1)^p b_vertical + b_horizontal
 (the sign lives on the vertical part and depends on the horizontal degree, as
 required by d^2 = 0 for commuting boundaries) and is filtered by the vertical
 degree.  Its coordinates are ordered so that the order refines the
-filtration, so one persistence reduction per degree (`column_pairs`, with
-clearing) pairs the generators, and every spectral-sequence page and page
-differential rank is a count of those pairs by filtration gap.
+filtration.  With the cell blocks taken in reverse order, each d_n^T is a
+coboundary of the dual complex in an order that refines the dual
+filtration, so the cleared reduction of `_homology_dims` pairs the
+generators, and every spectral-sequence page and page differential rank is
+a count of those pairs by filtration gap.
 """
 
 from __future__ import annotations
@@ -52,8 +55,7 @@ from .hopf import dual_hopf
 # `rank` is not called here but stays bound on purpose: perfbench's self-test
 # checks that the tracer rebinds a function imported by name elsewhere.
 from .linalg import (  # noqa: F401
-    SparseMatrix, _homology_dims, amplify, block_matrix, column_pairs, combine,
-    kernel, rank,
+    SparseMatrix, _homology_dims, amplify, block_matrix, combine, kernel, rank,
 )
 
 
@@ -665,36 +667,44 @@ def _reversed_blocks(fc, n):
     return pos
 
 
-def _filtered_pairs(fc, nmax):
-    """{n: {column: pivot row}} of d_1, ..., d_(nmax+1), every differential
-    a page at total degree <= nmax reads, by `column_pairs` with clearing
-    in the cohomology direction.
+def _filtered_pairs(fc):
+    """{n: {column: pivot row}} of d_1, ..., d_N, from the cleared
+    reduction of `_homology_dims`, which checks every composite first.
 
-    d_n transposed with the cell blocks in reverse order is the coboundary
-    d^(n-1) of the dual complex, its coordinates ordered to refine the
-    filtration q >= i; a pair (column c, row r) of it is the pair (column r,
-    row c) of d_n.  The coboundaries are reduced from d^0 up, and a column
-    that is already a pivot row one degree down is skipped: it is the last
-    row of a coboundary, so it reduces to zero.
+    The dual complex is filtered by q >= i, so its coordinates refine that
+    filtration once the cell blocks are taken in reverse order.  d_n with
+    the blocks of both degrees reversed, (tgt[i], src[j]) for an entry
+    (i, j), is the transpose of the coboundary d^(n-1) in such coordinates:
+    the reduction of its rows, each pivot a row's last nonzero column, is
+    the filtered reduction of the coboundary's columns, cleared across
+    degrees.  Each kept pair (pivot column, row) is a pair (column, row) of
+    d_n once the positions are read back.  A nonzero composite d_(n-1) d_n
+    raises TotalNotSquareZero at its lowest degree n.
     """
-    pos = [_reversed_blocks(fc, n) for n in range(nmax + 2)]
-    back = [sorted(range(len(ps)), key=ps.__getitem__) for ps in pos]
-    pairs = {}
-    cleared = ()
-    for n in range(1, nmax + 2):
+    pos = [_reversed_blocks(fc, n) for n in range(fc.N + 1)]
+    built = {}
+
+    def reversed_d(n):
         src, tgt = pos[n], pos[n - 1]
-        dual = SparseMatrix._settled(
-            fc.field, fc.dim(n), fc.dim(n - 1),
-            {(src[j], tgt[i]): v for (i, j), v in fc.d[n].entries.items()})
-        found = column_pairs(dual, cleared)
-        cleared = set(found.values())
-        pairs[n] = {back[n][r]: back[n - 1][c] for c, r in found.items()}
-    return pairs
+        built[n] = SparseMatrix._settled(
+            fc.field, fc.dim(n - 1), fc.dim(n),
+            {(tgt[i], src[j]): v for (i, j), v in fc.d[n].entries.items()})
+        return built[n]
+
+    try:
+        _homology_dims(_degree_pairs(fc.field, fc.dim(0), reversed_d,
+                                     fc.N - 1))
+    except CompositionNotZero:
+        raise TotalNotSquareZero("d d != 0 at degree %d" % max(built)) \
+            from None
+    back = [sorted(range(len(ps)), key=ps.__getitem__) for ps in pos]
+    return {n: {back[n][c]: back[n - 1][r] for c, r in m._pairs.items()}
+            for n, m in built.items()}
 
 
 def spectral_pages(fc: FilteredComplex, rmax, window):
-    """Pages E^0..E^rmax of the filtered complex, from one filtered column
-    reduction per degree.
+    """Pages E^0..E^rmax of the filtered complex, from the one cleared
+    reduction that gives its homology dimensions.
 
     The coordinate order refines the filtration, so the pairs of
     `_filtered_pairs` split the complex into elementary pieces: a pair
@@ -708,14 +718,14 @@ def spectral_pages(fc: FilteredComplex, rmax, window):
     outgoing boundaries stay inside the truncation; a rank whose target
     degree falls outside 0..N is 0, as no pair reaches it.
 
-    The pages rely on d d = 0 and on a filtration that d preserves; both
-    are checked first.  Then every gap is >= 0: each coboundary column has
-    entries only at levels >= its own, and the reduction adds to it only
-    columns to its left, whose levels are >= its own too.
+    The pages rely on d d = 0 and on a filtration that d preserves: the
+    reduction checks every composite, through d_N whatever the window, and
+    the filtration is checked before any pair is read.  Then every gap is
+    >= 0: each coboundary column has entries only at levels >= its own,
+    and the reduction adds to it only columns to its left, whose levels are
+    >= its own too.
     """
-    for n in range(2, fc.N + 1):
-        if not (fc.d[n - 1] @ fc.d[n]).is_zero():
-            raise TotalNotSquareZero("d d != 0 at degree %d" % n)
+    pairs = _filtered_pairs(fc)
     check_filtration(fc)
     imax, jmax = window
     nmax = min(fc.N - 1, imax + jmax)
@@ -727,9 +737,9 @@ def spectral_pages(fc: FilteredComplex, rmax, window):
     for n in range(nmax + 1):
         for (_, q, _, dim) in fc.cells[n]:
             gens[(n, q)] += dim
-    for n, prs in _filtered_pairs(fc, nmax).items():
+    for n in range(1, nmax + 2):
         src, tgt = level[n], level[n - 1]
-        for col, row in prs.items():
+        for col, row in pairs[n].items():
             g = src[col] - tgt[row]
             paired[(n, src[col], g)] += 1
             paired[(n - 1, tgt[row], g)] += 1

@@ -17,12 +17,14 @@ sums of the cylinders and mixed complexes, goes through `combine`.
 Elimination has one forward pass, `_reduce_columns`: the persistence
 reduction on columns, fraction-free over Q with native ints.  Each column
 is reduced only by earlier ones and its pivot is its last nonzero row, so
-the pairs `column_pairs` returns respect any filtration that the coordinate
-order refines.  `rank` is the number of pairs of the same reduction fed a
-matrix's rows, the columns of its transpose, and keeps the pivots on the
-matrix.  Every homology rank (`_homology_dims`) is such a reduction of a
-coboundary d^T, cleared across degrees: a row of d that is a pivot of the
-previous differential's reduction is skipped (Chen & Kerber 2011).
+its pairs respect any filtration that the coordinate order refines
+(Edelsbrunner, Letscher & Zomorodian 2002).
+`rank` is the number of pairs of the same reduction fed a matrix's rows,
+the columns of its transpose, and keeps the pairs on the matrix.  Every
+homology rank, and every pair a spectral page counts, comes from
+`_homology_dims`: such a reduction of each coboundary d^T, cleared across
+degrees, a row of d that is a pivot of the previous differential's
+reduction being skipped (Chen & Kerber 2011).
 `_echelonize` reads a row echelon form off the same reduction, with the
 rows fed in as columns in reversed coordinates.  `_rref` adds one bottom-up
 back-substitution through a {pivot column: row} index; `Subspace`, `kernel`
@@ -44,7 +46,7 @@ class SparseMatrix:
     """Immutable sparse matrix; entries maps (row, col) -> nonzero scalar."""
 
     __slots__ = ("field", "rows", "cols", "entries", "_cols_index",
-                 "_row_pivots")
+                 "_pairs")
 
     def __init__(self, field, rows, cols, entries=None):
         self.field = field
@@ -59,7 +61,7 @@ class SparseMatrix:
                     ent[(i, j)] = v
         self.entries = ent
         self._cols_index = None
-        self._row_pivots = None
+        self._pairs = None
 
     @classmethod
     def _settled(cls, field, rows, cols, entries):
@@ -74,7 +76,7 @@ class SparseMatrix:
         m.cols = cols
         m.entries = entries
         m._cols_index = None
-        m._row_pivots = None
+        m._pairs = None
         return m
 
     # -- constructors ---------------------------------------------------------
@@ -345,20 +347,6 @@ def _clear(field, r, index):
     return settle(field, out)
 
 
-def column_pairs(m: SparseMatrix, skip=()):
-    """{column: pivot row} of the persistence reduction of m's columns.
-
-    A column that reduces to zero has no pair; rank(m) is the number of
-    pairs.  Columns in skip are not reduced at all (clearing: a column known
-    to reduce to zero).  The pivot rule, last nonzero row, is fixed: when the
-    coordinate orders of rows and columns refine a filtration, the pairs are
-    those of the filtered complex (Edelsbrunner, Letscher & Zomorodian 2002).
-    """
-    cols = m.column_index()
-    return _reduce_columns(m.field, [(j, cols[j]) for j in sorted(cols)
-                                     if j not in skip])[0]
-
-
 def _reduce_columns(field, columns):
     """The one forward elimination: (pairs, kept) of a column reduction.
 
@@ -504,20 +492,21 @@ def rank(m: SparseMatrix, cleared=()) -> int:
     """The number of pairs of the reduction of m's rows.
 
     The rows enter `_reduce_columns` as columns, read off m's entries with
-    no transpose, so each pivot is a row's last nonzero column.  The pivot
-    columns are kept on m, so m is reduced once however often its rank is
-    asked for.  Rows in cleared are skipped: the caller vouches that each
-    is a combination of earlier rows, which would reduce to zero, so the
-    pairs, and the pivots kept, are those of the full reduction.
+    no transpose, so each pivot is a row's last nonzero column.  The pairs
+    are kept on m as {pivot column: row}, so m is reduced once however
+    often its rank is asked for, and the pivot columns are at hand to clear
+    the next differential's rows.  Rows in cleared are skipped: the caller
+    vouches that each is a combination of earlier rows, which would reduce
+    to zero, so the pairs kept are those of the full reduction.
     """
-    if m._row_pivots is None:
+    if m._pairs is None:
         rows = {}
         for (i, j), v in m.entries.items():
             rows.setdefault(i, {})[j] = v
         pairs, _ = _reduce_columns(m.field, [
             (i, rows[i]) for i in sorted(rows) if i not in cleared])
-        m._row_pivots = frozenset(pairs.values())
-    return len(m._row_pivots)
+        m._pairs = {low: i for i, low in pairs.items()}
+    return len(m._pairs)
 
 
 def kernel(m: SparseMatrix) -> Subspace:
@@ -542,16 +531,9 @@ def image(m: SparseMatrix) -> Subspace:
     return Subspace(m.field, m.rows, m.transpose().row_dicts())
 
 
-def homology_dim(d_out: SparseMatrix, d_in: SparseMatrix) -> int:
-    """dim ker(d_out) - rank(d_in) for consecutive differentials.
-
-    Raises CompositionNotZero unless d_out . d_in = 0 (exactly).
-    """
-    return _homology_dims([(d_out, d_in)])[0]
-
-
 def _homology_dims(pairs):
-    """homology_dim of each (d_out, d_in) pair of an iterable, in order.
+    """dim ker(d_out) - rank(d_in) for each (d_out, d_in) pair of an
+    iterable of consecutive differentials, in order.
 
     Every rank is one reduction of a coboundary's columns, the rows of d,
     cleared in the cohomology direction (Chen & Kerber 2011).  Once
@@ -559,10 +541,10 @@ def _homology_dims(pairs):
     reduction is skipped among d_in's rows: the reduced row of d_out with
     last nonzero entry at c is a combination R with R . d_in = 0, so row c
     of d_in is a combination of the rows before it.  A differential is d_in
-    at one degree and d_out at the next and `rank` keeps its pivots, so
+    at one degree and d_out at the next and `rank` keeps its pairs, so
     each matrix is reduced once, and each composite is multiplied once.  A
-    shape mismatch or a nonzero composite raises at the first pair that
-    has it.
+    shape mismatch or a nonzero composite (CompositionNotZero) raises at
+    the first pair that has it.
     """
     out = []
     for d_out, d_in in pairs:
@@ -572,10 +554,9 @@ def _homology_dims(pairs):
         if not comp.is_zero():
             ij = sorted(comp.entries)[0]
             raise CompositionNotZero("d.d != 0 first at %s" % (ij,))
-        if d_out._row_pivots is None:
+        if d_out._pairs is None:
             rank(d_out)
-        out.append(d_in.rows - len(d_out._row_pivots)
-                   - rank(d_in, d_out._row_pivots))
+        out.append(d_in.rows - len(d_out._pairs) - rank(d_in, d_out._pairs))
     return out
 
 

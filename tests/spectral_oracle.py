@@ -2,9 +2,10 @@
 
 This is the page computation the package used before its filtered column
 reduction, kept in method: every page and differential rank is a dimension
-of sums of `Subspace`s.  It is slow, and independent of
-`linalg.column_pairs`.  Filtered complexes are chain complexes with an
-increasing filtration; a cochain complex enters as its transpose.
+of sums of `Subspace`s.  It is slow, and independent of the persistence
+pairs that `spectral_pages` reads off `linalg._homology_dims`.  Filtered
+complexes are chain complexes with an increasing filtration; a cochain
+complex enters as its transpose.
 """
 
 from hopfcyclic.homology import SSPage

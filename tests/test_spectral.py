@@ -66,6 +66,63 @@ def test_pages_refuse_a_total_complex_that_is_not_square_zero():
         spectral_pages(fc, 1, (1, 1))
 
 
+def _spoiled_top(fc):
+    """fc with one entry of d[3] bumped so that d[2] d[3] != 0: the entry
+    sends column 0 of T_3, at level 0, to a row at level 2, the first one
+    d[2] does not kill, so d[3] also leaves F_0."""
+    _, _, off, dim = fc.find_cell(2, 0, 2)
+    i = min(j for (_, j) in fc.d[2].entries if off <= j < off + dim)
+    ent = dict(fc.d[3].entries)
+    ent[(i, 0)] = QQ.add(fc.d[3][(i, 0)], QQ.one())
+    fc.d[3] = SparseMatrix(QQ, fc.d[3].rows, fc.d[3].cols, ent)
+    return fc
+
+
+def test_pages_refuse_d_d_before_the_filtration():
+    """A total complex that breaks both d d = 0 and the filtration is
+    refused for d d first, at the degree of the lowest failing composite."""
+    fc = _spoiled_top(total_complex_algebra(make_cyl(), N=3))
+    with pytest.raises(FiltrationViolation, match="d leaves F_0 at degree 3"):
+        check_filtration(fc)
+    with pytest.raises(TotalNotSquareZero, match="d d != 0 at degree 3"):
+        spectral_pages(fc, 1, (1, 1))
+
+
+def test_a_narrow_window_still_checks_the_top_composite():
+    """The window (0, 0) reads only degrees 0 and 1, but the reduction runs
+    through d_N: a spoiled d[3] is refused all the same."""
+    fc = _spoiled_top(total_complex_algebra(make_cyl(), N=3))
+    with pytest.raises(TotalNotSquareZero, match="d d != 0 at degree 3"):
+        spectral_pages(fc, 2, (0, 0))
+
+
+def test_pages_reduce_each_differential_once(monkeypatch):
+    """One pages run on a corpus total complex reduces d_0 (zero), d_1, ...,
+    d_N once each and multiplies each composite d_(n-1) d_n once."""
+    from hopfcyclic import linalg
+    doc = load_document(os.path.join(ROOT, "data", "sweedler_Q.json"))
+    fc = total_complex_algebra(AlgebraCylinder(doc.algebra), N=3)
+    reduced, products = [], []
+    reduce_columns = linalg._reduce_columns
+    matmul = SparseMatrix.__matmul__
+
+    def spy_reduce(field, columns):
+        reduced.append(len(columns))
+        return reduce_columns(field, columns)
+
+    def spy_matmul(a, b):
+        products.append((a.rows, a.cols, b.cols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(linalg, "_reduce_columns", spy_reduce)
+    monkeypatch.setattr(SparseMatrix, "__matmul__", spy_matmul)
+    spectral_pages(fc, 2, (1, 1))
+    dims = [0] + fc.dims
+    assert len(reduced) == fc.N + 1 and reduced[0] == 0
+    assert products == [(dims[n - 1], dims[n], dims[n + 1])
+                        for n in range(1, fc.N + 1)]
+
+
 def test_total_complex_trivial_hopf_is_hochschild_of_a():
     h = kc2()
     a = trivial_comodule_algebra(trivial_hopf(QQ), h.as_algebra())
@@ -231,6 +288,20 @@ def test_pages_report_matches_recorded_subquotient_report(monkeypatch, capsys):
                      "--rmax", "4", "--pmax", "3", "--qmax", "3"])
     with open(os.path.join("tests", "goldens",
                            "ss_pages_c2_Q_r4_p3_q3.json")) as fh:
+        assert code == 0 and capsys.readouterr().out == fh.read()
+
+
+def test_pages_report_over_q_at_dimension_nine(monkeypatch, capsys):
+    """c3_Q (d = 9) at pmax 2, qmax 2, byte for byte against the report
+    recorded before the pages and the homology dimensions shared one
+    reduction: fraction-free clearing across three degrees on both
+    sides."""
+    from hopfcyclic import cli
+    monkeypatch.chdir(ROOT)
+    code = cli.main(["compute", "ss-pages", "-i", "data/c3_Q.json",
+                     "--pmax", "2", "--qmax", "2"])
+    with open(os.path.join("tests", "goldens",
+                           "ss_pages_c3_Q_r2_p2_q2.json")) as fh:
         assert code == 0 and capsys.readouterr().out == fh.read()
 
 
