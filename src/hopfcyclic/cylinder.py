@@ -36,10 +36,18 @@ first column, and the coinvariant quotient/subspace with induced
 An operator that is one structure map on adjacent legs tensored with
 identities, every (co)face and (co)degeneracy but the last (co)faces and
 the closed forms of that shape, is built by index arithmetic
-(`linalg.amplify`).  Every other operator is compiled from a leg-by-leg
-description; conjugation by an element u expands as u0 . g . S(u1) over a
-comultiplication split of u, with S and S-inverse placed per the standard
-Hopf identities (Sinv(x))0 = Sinv(x1), S((Sinv(x))1) = x0.
+(`linalg.amplify`).  The rotations and last (co)faces move every factor
+but one or two as plain legs: the vertical ones pass all but the moved
+block factor(s), the horizontal ones all but the moved H factor(s).  Each
+is compiled once per row or column, at q = 0 (the last vertical face at
+q = 1) or at p = 0 (the last horizontal face at p = 1), and every other
+cell inserts the passed legs into that kernel by index arithmetic
+(`linalg.widen`).  The regrouping maps onto module form and their closed
+vertical rotation and last (co)face are built the same way.  A kernel is
+compiled from a leg-by-leg description; conjugation by an element u
+expands as u0 . g . S(u1) over a comultiplication split of u, with S and
+S-inverse placed per the standard Hopf identities (Sinv(x))0 = Sinv(x1),
+S((Sinv(x))1) = x0.
 """
 
 from __future__ import annotations
@@ -54,7 +62,8 @@ from .errors import (
     NotIntertwining, NotRestricting, NotWellDefined,
 )
 from .hopf import CheckReport, algebra_spaces, coalgebra_spaces
-from .linalg import SparseMatrix, Subspace, amplify, combine, image, kernel
+from .linalg import SparseMatrix, Subspace, amplify, combine, image, \
+    kernel, widen
 from .tensor import Legs, S, Sinv, act, compile_operator, prod
 
 
@@ -114,9 +123,8 @@ def _cell_op(build):
 
 
 class _CellOperators:
-    """Memoized operators compiled on the cells H^(x)(p+1) (x) B^(x)(q+1),
-    with B the (co)module (co)algebra `structure` whose leg label is
-    `block`."""
+    """Memoized operators on the cells H^(x)(p+1) (x) B^(x)(q+1), with B
+    the (co)module (co)algebra `structure` whose leg label is `block`."""
 
     block = None
 
@@ -150,6 +158,25 @@ class _CellOperators:
         legs with `before` H legs to its left and `after` to its right."""
         return amplify(m, self.dh ** before,
                        self.dh ** after * self.db ** (q + 1))
+
+    def _widen(self, kernel, mid, lo, hi):
+        """`kernel` with I_mid passed through.  The algebra side moves a
+        factor from behind the passed legs to in front of them, so they are
+        the digits above `lo` in the rows and above `hi` in the columns;
+        the coalgebra side moves one the other way."""
+        if self.block == "A":
+            return widen(kernel, mid, lo, hi)
+        return widen(kernel, mid, hi, lo)
+
+    def _widen_v(self, kernel, legs):
+        """A vertical kernel with `legs` more B legs passed through."""
+        return self._widen(kernel, self.db ** legs, 1, self.db)
+
+    def _widen_h(self, kernel, legs, q):
+        """A horizontal kernel on row q with `legs` more H legs passed
+        through."""
+        n = self.db ** (q + 1)
+        return self._widen(kernel, self.dh ** legs, n, self.dh * n)
 
     def _alternating(self, name, p, q):
         """The alternating sum of the family `name` at (p, q): a Hochschild
@@ -203,19 +230,19 @@ class AlgebraCylinder(_BiParacyclic):
 
     @_cell_op
     def tau_v(self, p, q):
-        specs, L, outs, body = self._rotation_v_parts(p, q)
-        outs.append(body)
-        outs.extend(L.plain(p + 1 + j) for j in range(q))
-        return self._compile(specs, outs)
+        if q:
+            return self._widen_v(self.tau_v(p, 0), q)
+        specs, L, outs, body = self._rotation_v_parts(p, 0)
+        return self._compile(specs, outs + [body])
 
     @_cell_op
     def face_v(self, p, q, i):
-        if i == q:
-            specs, L, outs, body = self._rotation_v_parts(p, q)
-            outs.append(prod(body, L.plain(p + 1)))
-            outs.extend(L.plain(p + 1 + j) for j in range(1, q))
-            return self._compile(specs, outs)
-        return self._on_block(self.A.mult, p, i, q - 1 - i)
+        if i < q:
+            return self._on_block(self.A.mult, p, i, q - 1 - i)
+        if q > 1:
+            return self._widen_v(self.face_v(p, 1, 1), q - 1)
+        specs, L, outs, body = self._rotation_v_parts(p, 1)
+        return self._compile(specs, outs + [prod(body, L.plain(p + 1))])
 
     @_cell_op
     def degen_v(self, p, q, i):
@@ -235,19 +262,19 @@ class AlgebraCylinder(_BiParacyclic):
 
     @_cell_op
     def tau_h(self, p, q):
-        specs, L, twisted, bodies = self._rotation_h_parts(p, q)
-        outs = [prod(*twisted)]
-        outs.extend(L.plain(i) for i in range(p))
-        return self._compile(specs, outs + bodies)
+        if p:
+            return self._widen_h(self.tau_h(0, q), p, q)
+        specs, L, twisted, bodies = self._rotation_h_parts(0, q)
+        return self._compile(specs, [prod(*twisted)] + bodies)
 
     @_cell_op
     def face_h(self, p, q, i):
-        if i == p:
-            specs, L, twisted, bodies = self._rotation_h_parts(p, q)
-            outs = [prod(*twisted, L.plain(0))]
-            outs.extend(L.plain(i2) for i2 in range(1, p))
-            return self._compile(specs, outs + bodies)
-        return self._on_hopf(self.hopf.mult, i, p - 1 - i, q)
+        if i < p:
+            return self._on_hopf(self.hopf.mult, i, p - 1 - i, q)
+        if p > 1:
+            return self._widen_h(self.face_h(1, q, 1), p - 1, q)
+        specs, L, twisted, bodies = self._rotation_h_parts(1, q)
+        return self._compile(specs, [prod(*twisted, L.plain(0))] + bodies)
 
     @_cell_op
     def degen_h(self, p, q, i):
@@ -277,10 +304,11 @@ class CoalgebraCocylinder(_BiParacyclic):
 
     @_cell_op
     def tau_v(self, p, q):
-        specs = self._specs(p, q, {i: ("comult", 2) for i in range(p + 1)})
+        if q:
+            return self._widen_v(self.tau_v(p, 0), q)
+        specs = self._specs(p, 0, {i: ("comult", 2) for i in range(p + 1)})
         L = Legs(specs)
         outs = [L.com(i, 1) for i in range(p + 1)]
-        outs.extend(L.plain(p + 1 + j) for j in range(1, q + 1))
         outs.append(act(self._gblock_pairs(L, p), L.plain(p + 1)))
         return self._compile(specs, outs)
 
@@ -288,13 +316,13 @@ class CoalgebraCocylinder(_BiParacyclic):
     def coface_v(self, p, q, i):
         if i <= q:
             return self._on_block(self.C.comult, p, i, q - i)
+        if q:
+            return self._widen_v(self.coface_v(p, 0, 1), q)
         expand = {f: ("comult", 2) for f in range(p + 1)}
         expand[p + 1] = ("comult", 1)
-        specs = self._specs(p, q, expand)
+        specs = self._specs(p, 0, expand)
         L = Legs(specs)
-        outs = [L.com(f, 1) for f in range(p + 1)]
-        outs.append(L.com(p + 1, 1))
-        outs.extend(L.plain(p + 1 + j) for j in range(1, q + 1))
+        outs = [L.com(f, 1) for f in range(p + 2)]
         outs.append(act(self._gblock_pairs(L, p), L.com(p + 1, 0)))
         return self._compile(specs, outs)
 
@@ -304,38 +332,35 @@ class CoalgebraCocylinder(_BiParacyclic):
 
     # -- horizontal (H-direction, cosimplicial) family ----------------------------
 
-    def _diag_sinv_pairs(self, L, f, q):
-        """Legs of Sinv(g^(0) S(g^(2))) acting diagonally on q+1 targets.
+    def _diag_sinv_outputs(self, L, q):
+        """Leg q+1 of the H factor of the cell (0, q), then the C-block
+        acted on diagonally by Sinv(g^(0) S(g^(2))).
 
-        Factor f carries comult legs 0..2q+2: the (0)-block is 0..q, leg q+1
-        is kept, the (2)-block is q+2..2q+2.  The j-th diagonal component is
-        leg(q+2+j) . Sinv(leg(q-j)).
+        The H factor carries comult legs 0..2q+2 (and more): the (0)-block
+        is 0..q, leg q+1 is kept, the (2)-block is q+2..2q+2.  The j-th
+        diagonal component is leg(q+2+j) . Sinv(leg(q-j)).
         """
-        return [prod(L.com(f, q + 2 + j), Sinv(L.com(f, q - j)))
-                for j in range(q + 1)]
+        return [L.com(0, q + 1)] + [
+            act(prod(L.com(0, q + 2 + j), Sinv(L.com(0, q - j))),
+                L.plain(1 + j)) for j in range(q + 1)]
 
     @_cell_op
     def tau_h(self, p, q):
-        specs = self._specs(p, q, {0: ("comult", 2 * q + 2)})
-        L = Legs(specs)
-        comps = self._diag_sinv_pairs(L, 0, q)
-        outs = [L.plain(i) for i in range(1, p + 1)]
-        outs.append(L.com(0, q + 1))
-        outs.extend(act(comps[j], L.plain(p + 1 + j)) for j in range(q + 1))
-        return self._compile(specs, outs)
+        if p:
+            return self._widen_h(self.tau_h(0, q), p, q)
+        specs = self._specs(0, q, {0: ("comult", 2 * q + 2)})
+        return self._compile(specs, self._diag_sinv_outputs(Legs(specs), q))
 
     @_cell_op
     def coface_h(self, p, q, i):
         if i <= p:
             return self._on_hopf(self.hopf.comult, i, p - i, q)
-        specs = self._specs(p, q, {0: ("comult", 2 * q + 3)})
+        if p:
+            return self._widen_h(self.coface_h(0, q, 1), p, q)
+        specs = self._specs(0, q, {0: ("comult", 2 * q + 3)})
         L = Legs(specs)
-        comps = self._diag_sinv_pairs(L, 0, q)
-        outs = [L.com(0, 2 * q + 3)]
-        outs.extend(L.plain(f) for f in range(1, p + 1))
-        outs.append(L.com(0, q + 1))
-        outs.extend(act(comps[j], L.plain(p + 1 + j)) for j in range(q + 1))
-        return self._compile(specs, outs)
+        return self._compile(
+            specs, [L.com(0, 2 * q + 3)] + self._diag_sinv_outputs(L, q))
 
     @_cell_op
     def codegen_h(self, p, q, i):
@@ -712,21 +737,25 @@ class AlgebraModuleForm(_CellOperators):
 
     @_cell_op
     def to_module(self, p, q):
-        specs = self._specs(p, q, {i: ("comult", 1) for i in range(1, p + 1)})
+        if q:
+            return amplify(self.to_module(p, 0), 1, self.db ** q)
+        specs = self._specs(p, 0, {i: ("comult", 1) for i in range(1, p + 1)})
         L = Legs(specs)
         outs = [L.com(i, 0) for i in range(1, p + 1)]
         outs.append(_mprod(L.plain(0), *[L.com(i, 1) for i in range(1, p + 1)]))
-        outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
+        outs.append(L.plain(p + 1))
         return self._compile(specs, outs)
 
     @_cell_op
     def from_module(self, p, q):
-        specs = self._specs(p, q, {i: ("comult", 1) for i in range(p)})
+        if q:
+            return amplify(self.from_module(p, 0), 1, self.db ** q)
+        specs = self._specs(p, 0, {i: ("comult", 1) for i in range(p)})
         L = Legs(specs)
         tail = _mprod(*[L.com(i, 1) for i in range(p)])
         outs = [_mprod(L.plain(p), Sinv(tail) if tail else None)]
         outs.extend(L.com(i, 0) for i in range(p))
-        outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
+        outs.append(L.plain(p + 1))
         return self._compile(specs, outs)
 
     # -- conjugated operators --------------------------------------------------
@@ -769,17 +798,20 @@ class AlgebraModuleForm(_CellOperators):
                         S(L.coact(aq, top - 2))])
         return specs, L, bars, _mprod(*mod), aq
 
+    @_cell_op
     def closed_tau_v(self, p, q):
-        specs, L, bars, mod, aq = self._rotation_v_parts(p, q)
-        outs = list(bars) + [mod, L.coact(aq, 0)]
-        outs.extend(L.plain(p + 1 + j) for j in range(q))
-        return self._compile(specs, outs)
+        if q:
+            return self._widen_v(self.closed_tau_v(p, 0), q)
+        specs, L, bars, mod, aq = self._rotation_v_parts(p, 0)
+        return self._compile(specs, bars + [mod, L.coact(aq, 0)])
 
+    @_cell_op
     def closed_last_face_v(self, p, q):
-        specs, L, bars, mod, aq = self._rotation_v_parts(p, q)
-        outs = list(bars) + [mod, prod(L.coact(aq, 0), L.plain(p + 1))]
-        outs.extend(L.plain(p + 1 + j) for j in range(1, q))
-        return self._compile(specs, outs)
+        if q > 1:
+            return self._widen_v(self.closed_last_face_v(p, 1), q - 1)
+        specs, L, bars, mod, aq = self._rotation_v_parts(p, 1)
+        return self._compile(specs,
+                             bars + [mod, prod(L.coact(aq, 0), L.plain(p + 1))])
 
     def closed_tau_h(self, p, q):
         """Closed form of the conjugated horizontal rotation, derived by
@@ -827,6 +859,11 @@ class AlgebraModuleForm(_CellOperators):
     def closed_degen_h(self, p, q, i):
         return self._on_hopf(self.hopf.unit, i, p + 1 - i, q)
 
+    @_cell_op
+    def first_column(self, q):
+        """The first-column action at degree q."""
+        return first_column_action(self.base.A, q)
+
     # -- verification --------------------------------------------------------------
 
     def check(self, P, Q) -> CheckReport:
@@ -871,8 +908,7 @@ class AlgebraModuleForm(_CellOperators):
                         self.degen_h(p, q, i), self.closed_degen_h(p, q, i))
                 if p >= 1:
                     delta = hopf_module_boundary(
-                        cyl.A.hopf,
-                        first_column_action(cyl.A, q), p)
+                        cyl.A.hopf, self.first_column(q), p)
                     chk("transformed boundary_h = module boundary", p, q,
                         self.boundary_h(p, q), delta)
         return rep
@@ -899,21 +935,25 @@ class CoalgebraModuleForm(_CellOperators):
         module slot and S of its remaining legs left-multiplies the other
         factors diagonally (H is a module coalgebra over itself by
         multiplication, so the dot here is multiplication)."""
-        specs = self._specs(p, q, {0: ("comult", p)})
+        if q:
+            return amplify(self.to_module(p, 0), 1, self.db ** q)
+        specs = self._specs(p, 0, {0: ("comult", p)})
         L = Legs(specs)
         outs = [prod(S(L.com(0, p - j)), L.plain(j + 1)) for j in range(p)]
         outs.append(L.com(0, 0))
-        outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
+        outs.append(L.plain(p + 1))
         return self._compile(specs, outs)
 
     @_cell_op
     def from_module(self, p, q):
-        specs = self._specs(p, q, {p: ("comult", p)})
+        if q:
+            return amplify(self.from_module(p, 0), 1, self.db ** q)
+        specs = self._specs(p, 0, {p: ("comult", p)})
         L = Legs(specs)
         outs = [L.com(p, 0)]
         for i in range(1, p + 1):
             outs.append(prod(L.com(p, i), L.plain(i - 1)))
-        outs.extend(L.plain(p + 1 + j) for j in range(q + 1))
+        outs.append(L.plain(p + 1))
         return self._compile(specs, outs)
 
     # -- conjugated operators ---------------------------------------------------
@@ -930,7 +970,7 @@ class CoalgebraModuleForm(_CellOperators):
 
     # -- closed forms --------------------------------------------------------------
 
-    def _module_action_pairs(self, L, gmod, gbars, q):
+    def _module_action_pairs(self, L, gmod, gbars):
         """g^(0) gbar_1^(0) S(gbar_1^(2)) ... S(g^(2)) with comult-2 factors."""
         terms = [L.com(gmod, 0)]
         for i in gbars:
@@ -939,36 +979,41 @@ class CoalgebraModuleForm(_CellOperators):
         terms.append(S(L.com(gmod, 2)))
         return prod(*terms)
 
+    @_cell_op
     def closed_tau_v(self, p, q):
-        expand = {f: ("comult", 2) for f in range(p + 1)}
-        specs = self._specs(p, q, expand)
+        if q:
+            return self._widen_v(self.closed_tau_v(p, 0), q)
+        specs = self._specs(p, 0, {f: ("comult", 2) for f in range(p + 1)})
         L = Legs(specs)
-        outs = [L.com(i, 1) for i in range(p)]
-        outs.append(L.com(p, 1))
-        outs.extend(L.plain(p + 1 + j) for j in range(1, q + 1))
-        outs.append(act(self._module_action_pairs(L, p, range(p), q),
+        outs = [L.com(i, 1) for i in range(p + 1)]
+        outs.append(act(self._module_action_pairs(L, p, range(p)),
                         L.plain(p + 1)))
         return self._compile(specs, outs)
 
+    @_cell_op
     def closed_last_coface_v(self, p, q):
+        if q:
+            return self._widen_v(self.closed_last_coface_v(p, 0), q)
         expand = {f: ("comult", 2) for f in range(p + 1)}
         expand[p + 1] = ("comult", 1)
-        specs = self._specs(p, q, expand)
+        specs = self._specs(p, 0, expand)
         L = Legs(specs)
-        outs = [L.com(i, 1) for i in range(p)]
-        outs.append(L.com(p, 1))
-        outs.append(L.com(p + 1, 1))
-        outs.extend(L.plain(p + 1 + j) for j in range(1, q + 1))
-        outs.append(act(self._module_action_pairs(L, p, range(p), q),
+        outs = [L.com(f, 1) for f in range(p + 2)]
+        outs.append(act(self._module_action_pairs(L, p, range(p)),
                         L.com(p + 1, 0)))
         return self._compile(specs, outs)
+
+    @_cell_op
+    def first_column(self, q):
+        """The first-column coaction at degree q."""
+        return first_column_coaction(self.base.C, q)
 
     def closed_coface_h(self, p, q, i):
         if i == 0:
             return self._on_hopf(self.hopf.unit, 0, p + 1, q)
         if i <= p:
             return self._on_hopf(self.hopf.comult, i - 1, p + 1 - i, q)
-        return amplify(first_column_coaction(self.base.C, q), self.dh ** p, 1)
+        return amplify(self.first_column(q), self.dh ** p, 1)
 
     def closed_codegen_h(self, p, q, i):
         return self._on_hopf(self.hopf.counit, i, p - i, q)
@@ -1028,7 +1073,7 @@ class CoalgebraModuleForm(_CellOperators):
                     chk("transformed coface_h %d" % i, p, q,
                         self.coface_h(p, q, i), self.closed_coface_h(p, q, i))
                 cb = hopf_comodule_coboundary(
-                    cocyl.C.hopf, first_column_coaction(cocyl.C, q), p)
+                    cocyl.C.hopf, self.first_column(q), p)
                 chk("transformed coboundary_h = comodule coboundary", p, q,
                     self.coboundary_h(p, q), cb)
                 if p >= 1:

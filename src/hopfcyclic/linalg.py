@@ -7,7 +7,7 @@ tolerance anywhere.
 There are two doors into a matrix.  The public constructor is for input from
 outside the computation (parsed files, the Hopf builders, `from_rows`,
 tests): it checks every key against the shape and drops zero values.  Every
-computed result (`@`, `kron`, `amplify`, `transpose`, `identity`,
+computed result (`@`, `kron`, `amplify`, `widen`, `transpose`, `identity`,
 `block_matrix`, `combine`, a basis matrix, an inverse, the compiled
 operators of `tensor`) is settled exactly once by `fields.settle` or built
 from settled scalars, and is adopted as is by `SparseMatrix._settled`.
@@ -267,6 +267,22 @@ def amplify(m: SparseMatrix, left, right) -> SparseMatrix:
     diagonal = range(right)
     return SparseMatrix._settled(m.field, left * rows, left * cols, {
         (r + b, c + b): v for r, c, v in corners for b in diagonal})
+
+
+def widen(m: SparseMatrix, mid, row_lo, col_lo) -> SparseMatrix:
+    """m with I_mid inserted at one digit of its rows and one of its
+    columns, by index arithmetic: m's entry at (i, j) lands at
+    ((i // row_lo mid + x) row_lo + i % row_lo,
+    (j // col_lo mid + x) col_lo + j % col_lo) for x < mid.  So an operator
+    on U (x) W -> U' (x) W', with row_lo = dim W' and col_lo = dim W, passes
+    a middle factor of dimension mid through untouched.  As in `amplify`,
+    m's scalars are adopted as they are, with no product and no settle."""
+    corners = [((i // row_lo) * mid * row_lo + i % row_lo,
+                (j // col_lo) * mid * col_lo + j % col_lo, v)
+               for (i, j), v in m.entries.items()]
+    middle = [(x * row_lo, x * col_lo) for x in range(mid)]
+    return SparseMatrix._settled(m.field, m.rows * mid, m.cols * mid, {
+        (r + dr, c + dc): v for r, c, v in corners for dr, dc in middle})
 
 
 def block_matrix(field, blocks, row_dims, col_dims):

@@ -26,7 +26,12 @@ and under the expression's shape (the tree with each leg replaced by its
 space label), so a column made for one operator serves every later one.
 `hopf.algebra_spaces` and `hopf.coalgebra_spaces` build a fresh `Spaces` for
 each structure, so the memo lives as long as the cylinder, module form or
-crossed product that owns it, and never across structures.
+crossed product that owns it, and never across structures.  A (co)cylinder
+compiles one kernel per row or column of each rotation and last (co)face
+and widens it to the other cells by index arithmetic, so on a cylinder the
+memo serves the kernels of the other rows and columns, which share
+expression shapes (the coaction bars, the conjugating pairs), and the
+closed forms of the module form, which compiles on the cylinder's spaces.
 """
 
 from __future__ import annotations

@@ -219,17 +219,25 @@ def test_s3_coinvariant_modules_at_degree_two(build, block, dims):
     assert time.perf_counter() - start < 30
 
 
-# -- operators written as one structure map tensored with identities ----------
+# -- operators built by index arithmetic ---------------------------------------
 
 CORPUS = sorted(f[:-5] for f in os.listdir(DATA) if f.endswith(".json"))
+
+# every cell of the 2 x 2 window and one past it each way, where a kernel is
+# widened by two legs
+WIDENED_CELLS = [(p, q) for p in range(3) for q in range(3)] + [(3, 1), (1, 3)]
+
+
+def _structures(doc):
+    cyl = AlgebraCylinder(doc.algebra)
+    cocyl = CoalgebraCocylinder(doc.coalgebra)
+    return cyl, cocyl, AlgebraModuleForm(cyl), CoalgebraModuleForm(cocyl)
 
 
 def _amplified_pairs(doc, P, Q):
     """(name, p, q, i, operator, its leg description) for every operator
     that `cylinder.py` builds by `amplify`, on every cell p <= P, q <= Q."""
-    cyl = AlgebraCylinder(doc.algebra)
-    cocyl = CoalgebraCocylinder(doc.coalgebra)
-    amf, cmf = AlgebraModuleForm(cyl), CoalgebraModuleForm(cocyl)
+    cyl, cocyl, amf, cmf = _structures(doc)
     for p in range(P + 1):
         for q in range(Q + 1):
             ranges = [
@@ -253,15 +261,78 @@ def _amplified_pairs(doc, P, Q):
                                                           *extra))
 
 
+def _widened_pairs(doc, cells):
+    """(name, p, q, index, operator, its leg description) for every
+    rotation, last (co)face, regrouping map and closed vertical form that
+    `cylinder.py` builds from a kernel on another cell, on each of the
+    cells."""
+    cyl, cocyl, amf, cmf = _structures(doc)
+    o = cylinder_oracle
+    for p, q in cells:
+        rows = [(cyl, "tau_v", (), o.tau_v), (cyl, "tau_h", (), o.tau_h),
+                (cocyl, "tau_v", (), o.cotau_v),
+                (cocyl, "coface_v", (q + 1,), o.last_coface_v),
+                (cocyl, "tau_h", (), o.cotau_h),
+                (cocyl, "coface_h", (p + 1,), o.last_coface_h),
+                (cmf, "closed_last_coface_v", (), o.closed_last_coface_v)]
+        for mf in (amf, cmf):
+            rows += [(mf, "to_module", (), o.to_module),
+                     (mf, "from_module", (), o.from_module),
+                     (mf, "closed_tau_v", (), o.closed_tau_v)]
+        if q:
+            rows += [(cyl, "face_v", (q,), o.last_face_v),
+                     (amf, "closed_last_face_v", (), o.closed_last_face_v)]
+        if p:
+            rows.append((cyl, "face_h", (p,), o.last_face_h))
+        for obj, name, i, oracle in rows:
+            yield ("%s.%s" % (type(obj).__name__, name), p, q, i,
+                   getattr(obj, name)(p, q, *i), oracle(obj, p, q))
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_amplified_operators_match_their_leg_descriptions(name):
-    """Every (co)face and (co)degeneracy, and every module-form closed form,
-    that is one structure map tensored with identities equals the compiled
-    leg description it replaces, on the cells p, q <= 2 of every corpus
-    file: 171 operators a file."""
+    """Every operator built by index arithmetic equals the compiled leg
+    description it replaces, on every corpus file:
+    - each (co)face and (co)degeneracy, and each module-form closed form,
+      that is one structure map tensored with identities, on the cells
+      p, q <= 2: 171 operators a file;
+    - each rotation, last (co)face, regrouping map and closed vertical
+      rotation or last (co)face, widened from its kernel, on the cells
+      p, q <= 2, (3, 1) and (1, 3): 167 operators a file."""
     doc = load_document(os.path.join(DATA, name + ".json"))
     count = 0
     for op, p, q, i, got, want in _amplified_pairs(doc, 2, 2):
         assert got == want, (op, p, q, i)
         count += 1
     assert count == 171
+    count = 0
+    for op, p, q, i, got, want in _widened_pairs(doc, WIDENED_CELLS):
+        assert got == want, (op, p, q, i)
+        count += 1
+    assert count == 167
+
+
+@pytest.mark.parametrize("build, check", [
+    (lambda doc: AlgebraCylinder(doc.algebra), check_algebra_cylinder),
+    (lambda doc: CoalgebraCocylinder(doc.coalgebra),
+     check_coalgebra_cocylinder),
+], ids=["cylinder", "cocylinder"])
+def test_the_suites_compile_one_kernel_per_row_and_column(build, check,
+                                                          monkeypatch):
+    """The rotations and last (co)faces are compiled once per column (the
+    vertical ones) or row (the horizontal ones) and widened to every other
+    cell, so the suite on the window P x Q compiles 2 (P + Q + 2)
+    operators, not a few per cell."""
+    honest = cylinder.compile_operator
+    compiles = []
+
+    def counted(*args):
+        compiles.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(cylinder, "compile_operator", counted)
+    doc = load_document(os.path.join(DATA, "sweedler_Q.json"))
+    for P, Q in [(1, 1), (2, 1), (1, 2)]:
+        compiles.clear()
+        assert check(build(doc), P, Q).ok
+        assert len(compiles) == 2 * (P + Q + 2), (P, Q)

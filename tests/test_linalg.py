@@ -18,8 +18,9 @@ from hopfcyclic.fields import Field, is_prime
 from hopfcyclic.io import _map_matrix, _map_pairs
 from hopfcyclic.linalg import (
     SparseMatrix, Subspace, _echelonize, _homology_dims, block_matrix,
-    combine, image, invert, kernel, rank,
+    combine, image, invert, kernel, rank, widen,
 )
+from hopfcyclic.tensor import perm_matrix
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -794,3 +795,36 @@ def test_sums_agree_with_field_reference(drawn):
     assert _dense(bm) == [r + z for r in _dense(mats[0])] \
         + [r + s for r, s in zip(_dense(mats[-1]), _dense(ident))]
     _assert_settled(bm)
+
+
+@st.composite
+def _widen_operands(draw):
+    """A field, a matrix whose rows and columns each split into a high and
+    a low digit, and the dimension of the factor to pass between them."""
+    field = draw(st.sampled_from((QQ, F2, Field.prime(3))))
+    values = _ORACLE_ENTRIES if field.p is None else (0, 0, 1, -1, 2)
+    r_hi, r_lo, c_hi, c_lo, mid = (draw(st.integers(min_value=1, max_value=3))
+                                   for _ in range(5))
+    rows, cols = r_hi * r_lo, c_hi * c_lo
+    m = SparseMatrix(field, rows, cols, {
+        (i, j): field.of(v) for i in range(rows) for j in range(cols)
+        for v in [draw(st.sampled_from(values))] if v != 0})
+    return m, (r_hi, r_lo), (c_hi, c_lo), mid
+
+
+@given(_widen_operands())
+@settings(max_examples=150, deadline=None)
+def test_widen_is_a_permuted_kronecker_product(drawn):
+    """widen(m, mid, row_lo, col_lo) against (m (x) I_mid) with its rows
+    and columns permuted by `perm_matrix`: the passed factor moves from
+    the lowest digit to the one above row_lo (col_lo), over Q, GF(2) and
+    GF(3)."""
+    m, (r_hi, r_lo), (c_hi, c_lo), mid = drawn
+    f = m.field
+    rows_in = perm_matrix(f, [r_hi, r_lo, mid], (0, 2, 1))
+    cols_out = perm_matrix(f, [c_hi, mid, c_lo], (0, 2, 1))
+    want = rows_in @ m.kron(SparseMatrix.identity(f, mid)) @ cols_out
+    got = widen(m, mid, r_lo, c_lo)
+    assert (got.rows, got.cols) == (m.rows * mid, m.cols * mid)
+    assert got == want
+    _assert_settled(got)

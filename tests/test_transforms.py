@@ -150,6 +150,11 @@ def test_coinvariant_modules_sweedler():
     # asymmetric windows: a swapped P/Q or a wrong target shift shows here
     ("transforms_sweedler_Q_p1_q2", "verify transforms --pmax 1 --qmax 2", 0),
     ("cylindrical_sweedler_Q_p2_q1", "verify cylindrical --pmax 2 --qmax 1", 0),
+    # every rotation and last (co)face off its kernel's row or column is
+    # widened from the kernel
+    ("cylindrical_sweedler_Q_p2_q2", "verify cylindrical --pmax 2 --qmax 2", 0),
+    ("cocylindrical_sweedler_Q_p2_q2",
+     "verify cocylindrical --pmax 2 --qmax 2", 0),
     ("cocylindrical_sweedler_Q_p1_q1",
      "verify cocylindrical --pmax 1 --qmax 1", 0),
     ("iso_sweedler_Q_n1", "verify iso --nmax 1", 0),
@@ -190,3 +195,28 @@ def test_failing_cylinder_report_matches_the_recorded_one(monkeypatch, capsys):
                            "cylindrical_bad_coaction_sweedler_Q_p1_q2.json")) \
             as fh:
         assert code == 1 and capsys.readouterr().out == fh.read()
+
+
+@pytest.mark.parametrize("golden, target, bad, failing", [
+    ("cylindrical_bad_coaction_sweedler_Q_p2_q2", "cylindrical",
+     "tests/sweedler_Q_bad_coaction.json", 34),
+    ("cocylindrical_bad_action_sweedler_Q_p2_q2", "cocylindrical",
+     "tests/sweedler_Q_bad_action.json", 52),
+], ids=["cylinder", "cocylinder"])
+def test_failing_reports_on_the_widened_window_match_the_recorded_ones(
+        golden, target, bad, failing, monkeypatch, capsys):
+    """On the window (2, 2) every rotation and last (co)face outside its
+    kernel's row or column is widened from the kernel.  The Sweedler
+    structures with one coaction term, or one action entry, negated fail
+    the same checks there as when every cell was compiled: the whole
+    report, exit 1, byte for byte against the one recorded before the
+    widening (tests/goldens)."""
+    from hopfcyclic import cli
+    monkeypatch.chdir(os.path.join(DATA, ".."))
+    code = cli.main(["verify", target, "--pmax", "2", "--qmax", "2",
+                     "-i", bad])
+    out = capsys.readouterr().out
+    with open(os.path.join("tests", "goldens", golden + ".json")) as fh:
+        assert code == 1 and out == fh.read()
+    checks = json.loads(out)["checks"]
+    assert (len(checks), sum(not c["ok"] for c in checks)) == (259, failing)
