@@ -46,10 +46,10 @@ Q = qmax; each limit is the `MAX_*` constant of that name):
 
 `compute hh` ranks the normalized Hochschild boundary b of the crossed
 product (of its dual algebra on the coalgebra side) alone.  `compute hc`
-over Q ranks Connes' cyclic complex (the quotient by 1 - lambda on the
-algebra side, the lambda-invariant cochains on the coalgebra side); over
-F_p, where that complex can give other dimensions, it ranks the normalized
-(b, B) total complex.  `compare` always builds the unnormalized (b, B).
+over Q ranks Connes' cyclic complex C/(1 - lambda) of the same algebra, from
+its structure constants; over F_p, where that complex can give other
+dimensions, the normalized (b, B) total complex.  Neither builds a
+(co)cyclic module; `compare` always builds the unnormalized (b, B).
 """
 
 from __future__ import annotations
@@ -428,17 +428,16 @@ def cmd_verify(doc, target, params):
 def _crossed_dims(doc, side, target, nmax):
     """hh from the normalized b alone on every field; hc from Connes'
     complex over Q and from the normalized (b, B) total complex over F_p,
-    where the two differ.  The coalgebra side's normalized complexes are
-    those of the dual algebra: its cyclic module is the transposed
-    cocyclic module."""
-    if target == "hc" and doc.field.p is None:
-        return connes_dims(_crossed_module(doc, side, nmax + 1), nmax)
+    where the two differ.  The coalgebra side runs on the dual algebra,
+    whose cyclic module is the transposed cocyclic module."""
     if side == "algebra":
         r = crossed_product_algebra(doc.algebra)
     else:
         r = dual_algebra(crossed_product_coalgebra(doc.coalgebra))
     if target == "hh":
         return normalized_hochschild_dims(r, nmax)
+    if doc.field.p is None:
+        return connes_dims(r, nmax)
     return cyclic_dims(normalized_mixed_complex(r, nmax + 1), nmax)
 
 

@@ -840,20 +840,22 @@ class AlgebraModuleForm(_CellOperators):
         outs.extend(L.coact(p + 1 + j, 0) for j in range(q + 1))
         return self._compile(specs, outs)
 
+    @_cell_op
     def closed_face_h(self, p, q, i):
         if i == 0:
             return self._on_hopf(self.hopf.counit, 0, p, q)
         if i < p:
             return self._on_hopf(self.hopf.mult, i - 1, p - i, q)
-        expand = {p - 1: ("comult", 1)}
-        expand.update({p + 1 + j: ("coaction", 2) for j in range(q + 1)})
-        specs = self._specs(p, q, expand)
+        if p > 1:  # the last face passes the bar factors before its own
+            return amplify(self.closed_face_h(1, q, 1), self.dh ** (p - 1), 1)
+        expand = {0: ("comult", 1)}
+        expand.update({2 + j: ("coaction", 2) for j in range(q + 1)})
+        specs = self._specs(1, q, expand)
         L = Legs(specs)
-        bar1, bar2 = _coaction_bars(L, p + 1, q + 1)
-        outs = [L.plain(f) for f in range(p - 1)]
-        outs.append(prod(Sinv(bar1), L.com(p - 1, 0), bar2, L.plain(p),
-                         Sinv(L.com(p - 1, 1))))
-        outs.extend(L.coact(p + 1 + j, 0) for j in range(q + 1))
+        bar1, bar2 = _coaction_bars(L, 2, q + 1)
+        outs = [prod(Sinv(bar1), L.com(0, 0), bar2, L.plain(1),
+                     Sinv(L.com(0, 1)))]
+        outs.extend(L.coact(2 + j, 0) for j in range(q + 1))
         return self._compile(specs, outs)
 
     def closed_degen_h(self, p, q, i):

@@ -24,10 +24,10 @@ and writes b and B = s N on the rest by index arithmetic.
 
 When Q is inside the field, cyclic homology is also the homology of Connes'
 complex (Connes 1985; Loday, Cyclic Homology, 2.1.5): HC_n = H_n(C_n /
-(1 - lambda), b), lambda = (-1)^n t.  On a tensor-power module t rotates the
-factors, so the quotient has a basis of signed orbits of basis tensors and
-needs no elimination (`connes_dims`).  Over F_p the two differ (C2 over F_2
-is the example), so there a (b, B) total complex is the only route.
+(1 - lambda), b), lambda = (-1)^n t.  On an algebra's cyclic module t rotates
+the factors, so the quotient has a basis of signed orbits of basis tensors,
+and `connes_dims` writes b on it from the structure constants.  Over F_p the
+two differ (C2 over F_2 is the example): there (b, B) is the only route.
 
 The total complex of a cylinder carries d = (-1)^p b_vertical + b_horizontal
 (the sign lives on the vertical part and depends on the horizontal degree, as
@@ -247,7 +247,7 @@ def cyclic_dims(mc: MixedComplex, nmax):
         mc.field, mc.dim(0), lambda n: _total_differential(mc, n), nmax))
 
 
-# -- straight from a (co)cyclic module: b alone, Connes' complex --------------
+# -- b alone on a (co)cyclic module; Connes' complex of an algebra -------------
 
 def b_column_dims(ops, nmax):
     """Hochschild homology of a (transposed co)cyclic module through degree
@@ -258,22 +258,13 @@ def b_column_dims(ops, nmax):
         ops.field, ops.dim(0), lambda n: hochschild_boundary(ops, n), nmax))
 
 
-def _signed_orbits(field, d, n):
-    """(P, S) for the orbits of the basis tensors of (k^d)^(x)(n+1) under
-    lambda = (-1)^n t, t a rotation of the factors.
-
-    An orbit {x, t x, ..., t^(s-1) x} has lambda^s x = (-1)^(ns) x, so when
-    n s is odd, 1 - lambda kills it and it carries no invariant.  Every other
-    orbit is one basis vector [x] of C_n/(1 - lambda), x its least index.
-    P: C_n -> C_n/(1 - lambda) sends t^k x to (-1)^(nk) [x] and S sends [x]
-    to x, so P S = 1.  A rotation either way gives the same orbits, signs
-    and quotient.
-    """
-    size = d ** (n + 1)
-    top = d ** n
-    neg = field.neg(field.one())
-    seen = bytearray(size)
-    proj, pick = {}, {}
+def _signed_orbit_labels(d, n):
+    """(labels, count) for the orbits of the basis tensors of (k^d)^(x)(n+1)
+    under lambda = (-1)^n t, t x = (x % d) d^n + x // d: None on an orbit of
+    size s with n s odd, which 1 - lambda kills; else labels[t^k x] = (its
+    number in the order of least tensors x, (-1)^(nk))."""
+    size, top = d ** (n + 1), d ** n
+    seen, labels, count = bytearray(size), [None] * size, 0
     for x in range(size):
         if seen[x]:
             continue
@@ -282,53 +273,61 @@ def _signed_orbits(field, d, n):
         while y != x:
             orbit.append(y)
             y = (y % d) * top + y // d
-        for y in orbit:
-            seen[y] = 1
-        if n * len(orbit) % 2:
-            continue
-        k = len(pick)
         for step, y in enumerate(orbit):
-            proj[(k, y)] = neg if n * step % 2 else 1
-        pick[(x, k)] = 1
-    return (SparseMatrix._settled(field, len(pick), size, proj),
-            SparseMatrix._settled(field, size, len(pick), pick))
+            seen[y] = 1
+            if n * len(orbit) % 2 == 0:
+                labels[y] = (count, -1 if n * step % 2 else 1)
+        count += n * len(orbit) % 2 == 0
+    return labels, count
 
 
-def connes_dims(ops, nmax):
-    """Cyclic homology dims through degree nmax (nmax <= N-1) from Connes'
-    complex, with no B and no total complex; a cocyclic module is
-    transposed first (its lambda-invariant cochains are spanned by the
-    transposed P).
+def connes_dims(r, nmax):
+    """Cyclic homology of an algebra r through degree nmax from Connes'
+    complex C_n/(1 - lambda), C_n = R^(x)(n+1); needs Q inside the field.
 
-    Needs Q inside the field and a tensor-power module, C_n = C_0^(x)(n+1)
-    with t rotating the factors, as built by `cyclic_module_of_algebra` and
-    `cocyclic_module_of_coalgebra`.  With (P, S) of `_signed_orbits`, b_n
-    descends to P_{n-1} b_n S_n on C/(1 - lambda), checked as
-    P_{n-1} b_n lambda_n = P_{n-1} b_n (MixedIdentityFailure otherwise), and
-    `_homology_dims` checks that the induced differential squares to zero.
-    """
-    f = ops.field
+    b is written from r's structure constants tensor by tensor: d_i (i < n)
+    multiplies digits i and i + 1, d_n = d_0 t, and each term lands on its
+    signed orbit.  b descends exactly when each tensor t^k x of a kept orbit
+    has (-1)^(nk) times the column of its least tensor x and each of a
+    killed orbit the zero column: checked on every tensor
+    (MixedIdentityFailure).  The least tensors' columns are the differential."""
+    f = r.field
     if f.p is not None:
         raise ValueError("Connes' complex computes HC only when Q is inside "
                          "the field")
-    ops = _as_cyclic(ops)
-    _check_truncation(nmax, ops.N)
-    d = ops.dim(0)
-    if any(ops.dim(n) != d ** (n + 1) for n in range(ops.N + 1)):
-        raise ValueError("Connes' complex needs C_n = C_0^(x)(n+1)")
-    orbits = {}
-
-    def maps(n):
-        if n not in orbits:
-            orbits[n] = _signed_orbits(f, d, n)
-        return orbits[n]
+    d, cols = r.dim, r.mult.column_index()  # column a d + b: e_a e_b
+    below = [[(y, 1) for y in range(d)], d]  # degree 0: d one-tensor orbits
 
     def diff(n):
-        pb = maps(n - 1)[0] @ hochschild_boundary(ops, n)
-        if pb @ _signed_cyclic(ops, n) != pb:
-            raise MixedIdentityFailure(
-                "b does not descend to C/(1 - lambda) at degree %d" % n)
-        return pb @ maps(n)[1]
+        labels, rows = below
+        faces = [((-1) ** i, d ** (n - 1 - i % n)) for i in range(n + 1)]
+        top = d ** n
+
+        def column(x):
+            sums = {}
+            for i, (sign, low) in enumerate(faces):
+                # d_n = d_0 t, t moving the last factor to the front
+                hi, tail = divmod(x if i < n else x % d * top + x // d, low)
+                head, pair = divmod(hi, d * d)
+                for c, v in cols.get(pair, {}).items():
+                    lab = labels[(head * d + c) * low + tail]
+                    if lab:
+                        sums[lab[0]] = sums.get(lab[0], 0) + sign * lab[1] * v
+            return {k: v for k, v in sums.items() if v}
+
+        here, count = _signed_orbit_labels(d, n)
+        reps = []
+        for x, lab in enumerate(here):
+            col = column(x)
+            if lab and lab[0] == len(reps):  # the least tensor of its orbit
+                reps.append(col)
+            elif col != ({k: lab[1] * v for k, v in reps[lab[0]].items()}
+                         if lab else {}):
+                raise MixedIdentityFailure(
+                    "b does not descend to C/(1 - lambda) at degree %d" % n)
+        below[:] = [here, count]
+        return SparseMatrix._settled(f, rows, count, settle(f, {
+            (k, j): v for j, col in enumerate(reps) for k, v in col.items()}))
 
     return _homology_dims(_degree_pairs(f, d, diff, nmax))
 

@@ -131,6 +131,18 @@ def closed_face_h(mf, p, q, i):  # i < p
     return mf._compile(specs, outs)
 
 
+def closed_last_face_h(mf, p, q):  # p >= 1
+    expand = {p - 1: ("comult", 1)}
+    expand.update({p + 1 + j: ("coaction", 2) for j in range(q + 1)})
+    specs, L = _plain(mf, p, q, expand)
+    bar1, bar2 = _coaction_bars(L, p + 1, q + 1)
+    outs = [L.plain(f) for f in range(p - 1)]
+    outs.append(prod(Sinv(bar1), L.com(p - 1, 0), bar2, L.plain(p),
+                     Sinv(L.com(p - 1, 1))))
+    outs.extend(L.coact(p + 1 + j, 0) for j in range(q + 1))
+    return mf._compile(specs, outs)
+
+
 def closed_degen_h(mf, p, q, i):
     specs, L = _plain(mf, p, q)
     outs = []

@@ -711,3 +711,64 @@ def test_bar_and_rmax_jobs_above_size_limits_are_refused_at_once(
     err = json.loads(capsys.readouterr().out)
     assert code == 2 and set(err) == {"error"}
     assert text in err["error"]
+
+
+# -- compute hc over Q: Connes' complex of the crossed product algebras -------
+
+@pytest.mark.parametrize("name, nmax", [("c2_Q", 3), ("sweedler_Q", 1)])
+def test_hc_over_q_builds_no_cyclic_module(name, nmax, monkeypatch, capsys):
+    """`compute hc` over Q writes Connes' complex of each side's algebra
+    straight from its structure constants: neither (co)cyclic-module
+    builder runs, and the only products on each side are the nmax + 1
+    composites d d that the homology ranks check."""
+    from hopfcyclic import cli, crossed
+    from hopfcyclic.linalg import SparseMatrix
+
+    def unreachable(*a, **k):
+        raise AssertionError("compute hc over Q built a (co)cyclic module")
+
+    for module in (cli, crossed):
+        for builder in ("cyclic_module_of_algebra",
+                        "cocyclic_module_of_coalgebra"):
+            monkeypatch.setattr(module, builder, unreachable)
+    products = []
+    honest_matmul = SparseMatrix.__matmul__
+
+    def counted(self, other):
+        products.append(1)
+        return honest_matmul(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
+    per_side = []
+    honest_connes = cli.connes_dims
+
+    def spied(r, n):
+        before = len(products)
+        out = honest_connes(r, n)
+        per_side.append(len(products) - before)
+        return out
+
+    monkeypatch.setattr(cli, "connes_dims", spied)
+    code = cli.main(["compute", "hc", "-i", data_file(name),
+                     "--nmax", str(nmax)])
+    capsys.readouterr()
+    assert code == 0
+    assert per_side == [nmax + 1, nmax + 1]
+
+
+# Each report as recorded from the route that built the (co)cyclic modules
+# and projected b onto the signed orbits with sparse products.
+@pytest.mark.parametrize("golden, argv", [
+    ("hc_sweedler_Q_n2", "compute hc -i data/sweedler_Q.json --nmax 2"),
+    ("hc_s3_Q_n1", "compute hc -i data/s3_Q.json --nmax 1"),
+    ("hc_c3_Q_n3", "compute hc -i data/c3_Q.json --nmax 3"),
+])
+def test_hc_reports_match_the_orbit_matrix_route(golden, argv, monkeypatch,
+                                                  capsys):
+    """Sweedler is not cocommutative, S3 is not abelian and C3 reaches
+    d = 9 at degree 3: each report byte for byte (tests/goldens)."""
+    from hopfcyclic import cli
+    monkeypatch.chdir(os.path.join(DATA, ".."))
+    code = cli.main(argv.split())
+    with open(os.path.join("tests", "goldens", golden + ".json")) as fh:
+        assert code == 0 and capsys.readouterr().out == fh.read()

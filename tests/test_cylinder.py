@@ -263,9 +263,9 @@ def _amplified_pairs(doc, P, Q):
 
 def _widened_pairs(doc, cells):
     """(name, p, q, index, operator, its leg description) for every
-    rotation, last (co)face, regrouping map and closed vertical form that
-    `cylinder.py` builds from a kernel on another cell, on each of the
-    cells."""
+    rotation, last (co)face, regrouping map, closed vertical form and
+    closed last horizontal face that `cylinder.py` builds from a kernel on
+    another cell, on each of the cells."""
     cyl, cocyl, amf, cmf = _structures(doc)
     o = cylinder_oracle
     for p, q in cells:
@@ -283,7 +283,8 @@ def _widened_pairs(doc, cells):
             rows += [(cyl, "face_v", (q,), o.last_face_v),
                      (amf, "closed_last_face_v", (), o.closed_last_face_v)]
         if p:
-            rows.append((cyl, "face_h", (p,), o.last_face_h))
+            rows += [(cyl, "face_h", (p,), o.last_face_h),
+                     (amf, "closed_face_h", (p,), o.closed_last_face_h)]
         for obj, name, i, oracle in rows:
             yield ("%s.%s" % (type(obj).__name__, name), p, q, i,
                    getattr(obj, name)(p, q, *i), oracle(obj, p, q))
@@ -296,9 +297,10 @@ def test_amplified_operators_match_their_leg_descriptions(name):
     - each (co)face and (co)degeneracy, and each module-form closed form,
       that is one structure map tensored with identities, on the cells
       p, q <= 2: 171 operators a file;
-    - each rotation, last (co)face, regrouping map and closed vertical
-      rotation or last (co)face, widened from its kernel, on the cells
-      p, q <= 2, (3, 1) and (1, 3): 167 operators a file."""
+    - each rotation, last (co)face, regrouping map, closed vertical
+      rotation or last (co)face and closed last horizontal face, widened or
+      amplified from its kernel, on the cells p, q <= 2, (3, 1) and
+      (1, 3): 175 operators a file."""
     doc = load_document(os.path.join(DATA, name + ".json"))
     count = 0
     for op, p, q, i, got, want in _amplified_pairs(doc, 2, 2):
@@ -309,20 +311,39 @@ def test_amplified_operators_match_their_leg_descriptions(name):
     for op, p, q, i, got, want in _widened_pairs(doc, WIDENED_CELLS):
         assert got == want, (op, p, q, i)
         count += 1
-    assert count == 167
+    assert count == 175
 
 
-@pytest.mark.parametrize("build, check", [
-    (lambda doc: AlgebraCylinder(doc.algebra), check_algebra_cylinder),
+@pytest.mark.parametrize("build, check, compiled", [
+    (lambda doc: AlgebraCylinder(doc.algebra), check_algebra_cylinder,
+     lambda P, Q: 2 * (P + Q + 2)),
     (lambda doc: CoalgebraCocylinder(doc.coalgebra),
-     check_coalgebra_cocylinder),
-], ids=["cylinder", "cocylinder"])
+     check_coalgebra_cocylinder, lambda P, Q: 2 * (P + Q + 2)),
+    (lambda doc: AlgebraModuleForm(AlgebraCylinder(doc.algebra)),
+     lambda mf, P, Q: mf.check(P, Q),
+     lambda P, Q: 2 * (P + Q + 2) + 4 * (P + 1) + 1 + 2 * (Q + 1)
+     + P * (Q + 1)),
+    (lambda doc: CoalgebraModuleForm(CoalgebraCocylinder(doc.coalgebra)),
+     lambda mf, P, Q: mf.check(P, Q),
+     lambda P, Q: 2 * (P + Q + 2) + 4 * (P + 1) + 1 + (Q + 1)
+     + P * (Q + 1)),
+], ids=["cylinder", "cocylinder", "module-form-algebra",
+        "module-form-coalgebra"])
 def test_the_suites_compile_one_kernel_per_row_and_column(build, check,
+                                                          compiled,
                                                           monkeypatch):
     """The rotations and last (co)faces are compiled once per column (the
     vertical ones) or row (the horizontal ones) and widened to every other
     cell, so the suite on the window P x Q compiles 2 (P + Q + 2)
-    operators, not a few per cell."""
+    operators, not a few per cell.
+
+    The module-form check compiles those kernels of the (co)cylinder it
+    conjugates, and adds: per column p <= P, the regrouping maps (to the
+    module form also at P + 1, the target of degen_h) and the closed
+    vertical rotation and last (co)face; per row q <= Q, the first-column
+    (co)action and, on the algebra side, the closed last horizontal face,
+    compiled at p = 1 and amplified to every p >= 2.  Only the closed
+    horizontal rotation is compiled on each cell with p >= 1."""
     honest = cylinder.compile_operator
     compiles = []
 
@@ -335,4 +356,4 @@ def test_the_suites_compile_one_kernel_per_row_and_column(build, check,
     for P, Q in [(1, 1), (2, 1), (1, 2)]:
         compiles.clear()
         assert check(build(doc), P, Q).ok
-        assert len(compiles) == 2 * (P + Q + 2), (P, Q)
+        assert len(compiles) == compiled(P, Q), (P, Q)

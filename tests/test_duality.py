@@ -17,10 +17,11 @@ import os
 import pytest
 
 import cochain_oracle
+import connes_oracle
 from hopfcyclic import cylinder
 from hopfcyclic.crossed import (
     CocyclicOps, check_cocyclic_ops, check_cyclic_ops,
-    cocyclic_module_of_coalgebra, crossed_product_coalgebra,
+    cocyclic_module_of_coalgebra, crossed_product_coalgebra, dual_algebra,
 )
 from hopfcyclic.cylinder import (
     CoalgebraCocylinder, diagonal_cocyclic, first_column_coaction,
@@ -29,7 +30,7 @@ from hopfcyclic.cylinder import (
 from hopfcyclic.errors import IdentityFailure, NotCosemisimple, NotIntertwining
 from hopfcyclic.hopf import check_hopf, dual_hopf
 from hopfcyclic.homology import (
-    _norm, _one_minus_lambda, _signed_orbits, connes_dims,
+    _norm, _one_minus_lambda, connes_dims,
     find_dual_left_integral, hochschild_boundary, hopf_comodule_coboundary,
     mixed_complex, trivial_comodule_coaction,
 )
@@ -200,9 +201,9 @@ def _invariant_connes_dims(ops, nmax):
     S_{n+1}^T b^n P_n^T on the signed orbit sums, after checking that b^n
     keeps the invariants."""
     d = ops.dim(0)
-    P = {n: _signed_orbits(ops.field, d, n)[0].transpose()
+    P = {n: connes_oracle._signed_orbits(ops.field, d, n)[0].transpose()
          for n in range(nmax + 2)}
-    S = {n: _signed_orbits(ops.field, d, n)[1].transpose()
+    S = {n: connes_oracle._signed_orbits(ops.field, d, n)[1].transpose()
          for n in range(nmax + 2)}
     diffs = []
     for n in range(nmax + 1):
@@ -224,13 +225,15 @@ def test_cochain_formulas_are_the_transposed_chain_side(name):
         assert _cochain_B(ops, n + 1) == mc.B[n].transpose()
     d = ops.dim(0)
     for n in range(1, ops.N + 1):
-        P, _ = _signed_orbits(ops.field, d, n - 1)
-        _, S = _signed_orbits(ops.field, d, n)
+        P, _ = connes_oracle._signed_orbits(ops.field, d, n - 1)
+        _, S = connes_oracle._signed_orbits(ops.field, d, n)
         chain = P @ hochschild_boundary(dual, n) @ S
         invariant = S.transpose() @ _cochain_b(ops, n - 1) @ P.transpose()
         assert invariant == chain.transpose()
-    assert connes_dims(ops, ops.N - 1) == \
-        _invariant_connes_dims(ops, ops.N - 1)
+    hc = _invariant_connes_dims(ops, ops.N - 1)
+    assert connes_oracle.connes_dims(ops, ops.N - 1) == hc
+    coalgebra = crossed_product_coalgebra(_doc(name).coalgebra)
+    assert connes_dims(dual_algebra(coalgebra), ops.N - 1) == hc
 
 
 @pytest.mark.parametrize("name", Q_CORPUS)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import connes_oracle
+from hopfcyclic import homology
 from hopfcyclic.cylinder import AlgebraCylinder
 from hopfcyclic.errors import (
     BoundaryNotSquareZero, CoboundaryNotSquareZero, CompositionNotZero,
@@ -26,7 +28,7 @@ from hopfcyclic.crossed import (
     normalized_faces, unit_first,
 )
 from hopfcyclic.homology import (
-    _signed_orbits, b_column_dims, cochain_mixed_complex, connes_dims,
+    _signed_orbit_labels, b_column_dims, cochain_mixed_complex, connes_dims,
     cosemisimple_homotopy_check, cyclic_dims,
     find_dual_left_integral, find_right_integral, hochschild_dims,
     hopf_comodule_cohomology, hopf_module_homology, mixed_complex,
@@ -287,31 +289,86 @@ def _corpus_algebras(name):
     ("s3_Q", 1),
 ])
 def test_b_column_and_connes_complex_match_the_mixed_complex(name, nmax):
-    for ops in _corpus_modules(name, nmax):
+    """b alone on each (co)cyclic module, and Connes' complex of its algebra
+    (the dual algebra on the cochain side) and through the orbit matrices,
+    against the (b, B) mixed complex of the module."""
+    for ops, r in zip(_corpus_modules(name, nmax), _corpus_algebras(name)):
         mc = _mixed(ops)
         assert b_column_dims(ops, nmax) == hochschild_dims(mc, nmax)
-        assert connes_dims(ops, nmax) == cyclic_dims(mc, nmax)
+        hc = cyclic_dims(mc, nmax)
+        assert connes_dims(r, nmax) == hc
+        assert connes_oracle.connes_dims(ops, nmax) == hc
 
 
 def test_connes_complex_of_small_algebras():
-    ops = cyclic_module_of_algebra(trivial_hopf(QQ).as_algebra(), N=5)
-    assert connes_dims(ops, 4) == [1, 0, 1, 0, 1]
-    ops = cocyclic_module_of_coalgebra(kc2().as_coalgebra(), N=4)
-    assert connes_dims(ops, 3) == [2, 0, 2, 0]
+    k = trivial_hopf(QQ).as_algebra()
+    assert connes_dims(k, 4) == [1, 0, 1, 0, 1]
+    ops = cyclic_module_of_algebra(k, N=5)
+    assert connes_oracle.connes_dims(ops, 4) == [1, 0, 1, 0, 1]
+    c = kc2().as_coalgebra()
+    assert connes_dims(dual_algebra(c), 3) == [2, 0, 2, 0]
+    ops = cocyclic_module_of_coalgebra(c, N=4)
+    assert connes_oracle.connes_dims(ops, 3) == [2, 0, 2, 0]
     with pytest.raises(TruncationTooShallow):
-        connes_dims(ops, 4)
-    with pytest.raises(ValueError):  # HC is not H(C/(1 - lambda)) over F_2
-        connes_dims(cyclic_module_of_algebra(kc2(F2).as_algebra(), N=3), 2)
+        connes_oracle.connes_dims(ops, 4)
+    # HC is not H(C/(1 - lambda)) over F_2
+    with pytest.raises(ValueError):
+        connes_dims(kc2(F2).as_algebra(), 2)
+    with pytest.raises(ValueError):
+        connes_oracle.connes_dims(
+            cyclic_module_of_algebra(kc2(F2).as_algebra(), N=3), 2)
 
 
 def test_signed_orbits_drop_the_orbits_lambda_kills():
     """On (k^2)^(x)2, lambda = -t kills e0 e0 and e1 e1 and identifies
     e0 e1 with -e1 e0; in even degree every orbit survives."""
-    P, S = _signed_orbits(QQ, 2, 1)
+    P, S = connes_oracle._signed_orbits(QQ, 2, 1)
     assert P.to_rows() == [[0, 1, -1, 0]]
     assert (P @ S).to_rows() == [[1]]
-    P, S = _signed_orbits(QQ, 2, 2)
+    P, S = connes_oracle._signed_orbits(QQ, 2, 2)
     assert P.rows == 4 and (P @ S) == SparseMatrix.identity(QQ, 4)
+
+
+def test_signed_orbit_labels_drop_the_orbits_lambda_kills():
+    """The same facts for the labels the package reads: e0 e0 and e1 e1
+    are killed, e0 e1 is [e0 e1] and e1 e0 is -[e0 e1]; in even degree
+    every orbit survives.  On every (d, n) tried the labels are the
+    columns of the orbit projection P, and the least tensor of each orbit
+    comes first and carries +1."""
+    assert _signed_orbit_labels(2, 1) == ([None, (0, 1), (0, -1), None], 1)
+    labels, count = _signed_orbit_labels(2, 2)
+    assert count == 4 and None not in labels
+    for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (2, 5)]:
+        labels, count = _signed_orbit_labels(d, n)
+        P, _ = connes_oracle._signed_orbits(QQ, d, n)
+        assert P.rows == count
+        kept = [(y, lab) for y, lab in enumerate(labels) if lab is not None]
+        assert {(k, y): s for y, (k, s) in kept} == P.entries
+        firsts = {}
+        for y, (k, s) in kept:
+            firsts.setdefault(k, s)
+        assert list(firsts) == list(range(count))
+        assert set(firsts.values()) <= {1}
+
+
+def test_the_descent_check_catches_a_mislabelled_orbit(monkeypatch):
+    """The induced b is checked against lambda on every basis tensor: with
+    the sign of t e_0 (x) e_0 (x) e_1 = e_1 (x) e_0 (x) e_0, the second
+    tensor of its orbit, flipped in degree 2, b fails to descend there."""
+    honest = homology._signed_orbit_labels
+
+    def spoiled(d, n):
+        labels, count = honest(d, n)
+        if n == 2:
+            k, s = labels[d ** n]
+            labels[d ** n] = (k, -s)
+        return labels, count
+
+    monkeypatch.setattr(homology, "_signed_orbit_labels", spoiled)
+    with pytest.raises(MixedIdentityFailure,
+                       match="b does not descend to C/\\(1 - lambda\\) at "
+                             "degree 2"):
+        connes_dims(_corpus_algebras("c3_Q")[0], 2)
 
 
 def _rotation_replaced(ops):
@@ -328,7 +385,7 @@ def _rotation_replaced(ops):
 def test_connes_complex_refuses_a_t_that_is_not_the_rotation(cochain):
     ops = _corpus_modules("c3_Q", 2)[cochain]
     with pytest.raises(MixedIdentityFailure):
-        connes_dims(_rotation_replaced(ops), 2)
+        connes_oracle.connes_dims(_rotation_replaced(ops), 2)
 
 
 def _face_flipped(ops, n):
@@ -349,7 +406,8 @@ def test_a_flipped_face_is_caught(cochain):
         b_column_dims(_face_flipped(_corpus_modules("c3_Q", 2)[cochain], 2),
                       2)
     with pytest.raises(MixedIdentityFailure):
-        connes_dims(_face_flipped(_corpus_modules("c3_Q", 2)[cochain], 2), 2)
+        connes_oracle.connes_dims(
+            _face_flipped(_corpus_modules("c3_Q", 2)[cochain], 2), 2)
 
 
 def test_connes_complex_checks_that_b_squares_to_zero():
@@ -362,10 +420,11 @@ def test_connes_complex_checks_that_b_squares_to_zero():
         [0, 0, 1, 0, 1, 0, 1, 0, 0],
     ])
     unit = SparseMatrix.from_rows(QQ, [[1], [0], [0]])
-    ops = cyclic_module_of_algebra(Algebra(QQ, 3, mult, unit, ["1", "x", "y"]),
-                                   N=3)
+    r = Algebra(QQ, 3, mult, unit, ["1", "x", "y"])
     with pytest.raises(CompositionNotZero):
-        connes_dims(ops, 2)
+        connes_dims(r, 2)
+    with pytest.raises(CompositionNotZero):
+        connes_oracle.connes_dims(cyclic_module_of_algebra(r, N=3), 2)
 
 
 # -- the normalized complexes ----------------------------------------------------
@@ -387,7 +446,8 @@ def test_normalized_complex_matches_the_unnormalized_route(name, nmax):
         assert normalized_hochschild_dims(r, nmax) == hh
         assert cyclic_dims(normalized_mixed_complex(r, nmax + 1), nmax) == hc
         if r.field.p is None:
-            assert connes_dims(ops, nmax) == hc
+            assert connes_dims(r, nmax) == hc
+            assert connes_oracle.connes_dims(ops, nmax) == hc
 
 
 def _restricted(m, rows, cols):
@@ -477,3 +537,44 @@ def test_a_unit_off_the_basis_gives_the_same_dims(name, nmax, side, data):
     assert (normalized_hochschild_dims(conj, nmax),
             cyclic_dims(normalized_mixed_complex(conj, nmax + 1), nmax)) \
         == _normalized_dims(name, side, nmax)
+
+
+def _kc2xc2(field):
+    return group_algebra([[i ^ j for j in range(4)] for i in range(4)], field)
+
+
+_SMALL_Q_ALGEBRAS = {
+    "kC2": lambda: kc2().as_algebra(),
+    "kC3": lambda: group_algebra(cyclic_group_table(3), QQ).as_algebra(),
+    "kC2xC2": lambda: _kc2xc2(QQ).as_algebra(),
+    "sweedler": lambda: sweedler_hopf(QQ).as_algebra(),
+}
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(data=st.data())
+@pytest.mark.parametrize("name, nmax", [
+    ("kC2", 3), ("kC3", 2), ("kC2xC2", 2), ("sweedler", 2),
+])
+def test_connes_complex_matches_the_orbit_matrices_and_the_mixed_complex(
+        name, nmax, data):
+    """In a random invertible integer basis, whose inverse brings Fraction
+    structure constants and a unit that is not e_0, Connes' complex of the
+    algebra has the cyclic homology of the orbit-matrix route on its cyclic
+    module and of the normalized (b, B) total complex."""
+    r = _SMALL_Q_ALGEBRAS[name]()
+    d = r.dim
+    rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=d,
+                                       max_size=d), min_size=d, max_size=d))
+    basis = SparseMatrix.from_rows(QQ, rows)
+    inv = invert(basis)
+    assume(inv is not None)
+    conj = Algebra(QQ, d, inv @ r.mult @ basis.kron(basis), inv @ r.unit)
+    assume(conj.unit.column(0) != {0: 1})
+    assume(any(v.__class__ is not int for v in conj.mult.entries.values()))
+    hc = connes_dims(conj, nmax)
+    assert hc == connes_oracle.connes_dims(
+        cyclic_module_of_algebra(conj, N=nmax + 1), nmax)
+    assert hc == cyclic_dims(normalized_mixed_complex(conj, nmax + 1), nmax)
