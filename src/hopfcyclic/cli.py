@@ -49,7 +49,9 @@ product (of its dual algebra on the coalgebra side) alone.  `compute hc`
 over Q ranks Connes' cyclic complex C/(1 - lambda) of the same algebra, from
 its structure constants; over F_p, where that complex can give other
 dimensions, the normalized (b, B) total complex.  Neither builds a
-(co)cyclic module; `compare` always builds the unnormalized (b, B).
+(co)cyclic module.  `compare` ranks the crossed product the same way, and
+builds (b, B) only on the other side of each comparison: the diagonal of
+the (co)cylinder, or the coinvariant module.
 """
 
 from __future__ import annotations
@@ -64,8 +66,7 @@ import time
 from .errors import HopfCyclicError, MissingBlock, ParseError, TooLarge
 from .hopf import check_comodule_algebra, check_hopf, check_module_coalgebra
 from .crossed import (
-    cocyclic_module_of_coalgebra, crossed_product_algebra,
-    crossed_product_coalgebra, cyclic_module_of_algebra, dual_algebra,
+    crossed_product_algebra, crossed_product_coalgebra, dual_algebra,
 )
 from .cylinder import (
     AlgebraCylinder, AlgebraModuleForm, CoalgebraCocylinder,
@@ -156,8 +157,9 @@ def _opt(params, doc, key, default):
 
 
 # Largest top chain space dim(R)^(nmax+2), R = A # H or C # H, that a
-# crossed-product job may build: `compute hc` over Q and `compare` build the
-# top b in full, `compute hh` and `compute hc` over F_p only its
+# crossed-product job may build: `hc` over Q (Connes' complex) and the
+# diagonal of `compare diagonal-vs-direct` build the top b in full, `hh` and
+# `hc` over F_p only its
 # dim(R) (dim(R) - 1)^(nmax+1) non-degenerate columns.  Measured on a 2-core
 # VM, the admitted corpus jobs at the edge take, for C2 --nmax 6 (4^8 =
 # 65536), 3.1-3.5 s and 264 MB with `compute hc` over Q (Connes' complex),
@@ -369,15 +371,6 @@ def _cylinder(doc, side):
     return CoalgebraCocylinder(doc.coalgebra)
 
 
-def _crossed_module(doc, side, N):
-    """The (co)cyclic module of the side's crossed product up to degree N."""
-    if side == "algebra":
-        return cyclic_module_of_algebra(crossed_product_algebra(doc.algebra),
-                                        N=N)
-    return cocyclic_module_of_coalgebra(
-        crossed_product_coalgebra(doc.coalgebra), N=N)
-
-
 def _coinvariants(doc, side, N):
     """(module, presentations) of the side's coinvariant (co)cyclic module
     up to degree N."""
@@ -425,18 +418,21 @@ def cmd_verify(doc, target, params):
     return {"checks": checks}, bool(checks) and all(c["ok"] for c in checks)
 
 
-def _crossed_dims(doc, side, target, nmax):
-    """hh from the normalized b alone on every field; hc from Connes'
-    complex over Q and from the normalized (b, B) total complex over F_p,
-    where the two differ.  The coalgebra side runs on the dual algebra,
+def _crossed_algebra(doc, side):
+    """The side's crossed product; on the coalgebra side its dual algebra,
     whose cyclic module is the transposed cocyclic module."""
     if side == "algebra":
-        r = crossed_product_algebra(doc.algebra)
-    else:
-        r = dual_algebra(crossed_product_coalgebra(doc.coalgebra))
+        return crossed_product_algebra(doc.algebra)
+    return dual_algebra(crossed_product_coalgebra(doc.coalgebra))
+
+
+def _crossed_dims(r, target, nmax):
+    """hh of the crossed-product algebra r from the normalized b alone on
+    every field; hc from Connes' complex over Q and from the normalized
+    (b, B) total complex over F_p, where the two differ."""
     if target == "hh":
         return normalized_hochschild_dims(r, nmax)
-    if doc.field.p is None:
+    if r.field.p is None:
         return connes_dims(r, nmax)
     return cyclic_dims(normalized_mixed_complex(r, nmax + 1), nmax)
 
@@ -458,7 +454,7 @@ def cmd_compute(doc, target, params):
         alg = side == "algebra"
         if target in ("hh", "hc"):
             tables["%s_crossed_product_%s" % (target, side)] = _crossed_dims(
-                doc, side, target, bounds["nmax"])
+                _crossed_algebra(doc, side), target, bounds["nmax"])
         elif target == "hopf-homology":
             tables["hopf_module_homology_trivial_coefficients"] = \
                 hopf_module_homology(s, trivial_module_action(s),
@@ -496,21 +492,21 @@ def cmd_compare(doc, target, params):
         alg = side == "algebra"
         mixed = mixed_complex if alg else cochain_mixed_complex
         if target == "diagonal-vs-direct":
-            mc_direct = mixed(_crossed_module(doc, side, nmax + 1))
+            r = _crossed_algebra(doc, side)
+            hh = _crossed_dims(r, "hh", nmax)
+            hc = _crossed_dims(r, "hc", nmax)
             diagonal = diagonal_cyclic if alg else diagonal_cocyclic
             mc_diag = mixed(diagonal(_cylinder(doc, side), N=nmax + 1))
-            verdicts["hh_" + side] = _verdicts(
-                hochschild_dims(mc_direct, nmax), hochschild_dims(mc_diag, nmax))
-            verdicts["hc_" + side] = _verdicts(
-                cyclic_dims(mc_direct, nmax), cyclic_dims(mc_diag, nmax))
+            verdicts["hh_" + side] = _verdicts(hh,
+                                               hochschild_dims(mc_diag, nmax))
+            verdicts["hc_" + side] = _verdicts(hc, cyclic_dims(mc_diag, nmax))
         elif target == "ez-hochschild":
             rep = ez_compare_hochschild(_cylinder(doc, side), nmax)
             verdicts["ez_" + side] = [
                 {"n": n, "lhs": a, "rhs": b, "equal": eq}
                 for n, a, b, eq in rep]
         else:  # collapse-algebra, collapse-coalgebra
-            lhs = cyclic_dims(mixed(_crossed_module(doc, side, nmax + 1)),
-                              nmax)
+            lhs = _crossed_dims(_crossed_algebra(doc, side), "hc", nmax)
             ops, _ = _coinvariants(doc, side, nmax + 1)
             rhs = cyclic_dims(mixed(ops), nmax)
             verdicts["hc_crossed_vs_coinvariants"] = _verdicts(lhs, rhs)

@@ -17,10 +17,14 @@ differential.  The Hochschild boundary b is the
 alternating sum of the faces, built in one place (`hochschild_boundary`).
 The degree-raising operator of a mixed complex is built as
 (1 - signed_cyclic) . extra_degeneracy . norm, with the extra degeneracy
-t s_n; the three mixed-complex identities are asserted, never assumed.
-The normalized mixed complex of an algebra (`normalized_mixed_complex`)
-drops the degenerate chains, those with the unit in a leg past the first,
-and writes b and B = s N on the rest by index arithmetic.
+t s_n; the three mixed-complex identities are asserted, never assumed, in
+one place, `check_mixed_complex`.  It reads them off the composites D D of
+the (b, B) total complex, which it keeps for the ranks of `cyclic_dims`
+and `hochschild_dims`, and multiplies apart only the top blocks those
+composites do not reach, so each product is formed once.  The normalized
+mixed complex of an algebra (`normalized_mixed_complex`) drops the
+degenerate chains, those with the unit in a leg past the first, and writes
+b and B = s N on the rest by index arithmetic.
 
 When Q is inside the field, cyclic homology is also the homology of Connes'
 complex (Connes 1985; Loday, Cyclic Homology, 2.1.5): HC_n = H_n(C_n /
@@ -71,6 +75,7 @@ class MixedComplex:
         self.b = b
         self.B = B
         self.N = N
+        self._totals = {}  # n -> (blocks, Tot_n -> Tot_(n-1))
 
     def dim(self, n):
         return self.dims[n]
@@ -179,18 +184,49 @@ def cochain_mixed_complex(ops: CocyclicOps) -> MixedComplex:
 
 
 def check_mixed_complex(mc: MixedComplex):
-    """b^2 = 0, B^2 = 0, bB + Bb = 0, exactly; raises MixedIdentityFailure."""
+    """b^2 = 0, B^2 = 0, bB + Bb = 0, exactly; raises MixedIdentityFailure
+    at the first failure, b b before B B before bB + Bb, each by ascending
+    degree.
+
+    The identities are read off the composites D_(n-1) D_n of the total
+    complex, n = 2..N, the ones `cyclic_dims` checks.  The source block of
+    degree m = n - 2j of Tot_n goes by b b into degree m - 2, by bB + Bb
+    into degree m (j >= 1) and by B B into degree m + 2 (j >= 2).  So the
+    composites reach b b at every degree 2..N, bB + Bb at 1..N-2 and B B at
+    0..N-4; bB + Bb at N - 1 and B B at N - 3 and N - 2 are multiplied
+    directly.  Each b b and each composite found zero is kept on its left
+    factor (`SparseMatrix._kills`), so the ranks of `hochschild_dims` and
+    `cyclic_dims` do not form it again.  The composites also hold b B at
+    degree 0, which is not one of the three: a composite nonzero there is
+    left for the ranks to refuse."""
     N = mc.N
+    d = {n: _total_differential(mc, n) for n in range(1, N + 1)}
+    comps = {n: d[n - 1] @ d[n] for n in range(2, N + 1)}
+
+    def zero(n, src):
+        """Whether D_(n-1) D_n is zero from its source block src, of degree
+        n - 2 src, into its first target block, of degree n - 2."""
+        lo = sum(mc.dim(n - 2 * k) for k in range(src))
+        hi = lo + mc.dim(n - 2 * src)
+        rows = mc.dim(n - 2)
+        return not any(i < rows and lo <= j < hi for i, j in comps[n].entries)
+
     for n in range(2, N + 1):
-        if not (mc.b[n - 1] @ mc.b[n]).is_zero():
+        if not zero(n, 0):
             raise MixedIdentityFailure("b b != 0 at degree %d" % n)
     for n in range(N - 1):
-        if not (mc.B[n + 1] @ mc.B[n]).is_zero():
+        if not (zero(n + 4, 2) if n + 4 <= N
+                else (mc.B[n + 1] @ mc.B[n]).is_zero()):
             raise MixedIdentityFailure("B B != 0 at degree %d" % n)
     for n in range(1, N):
-        anti = mc.b[n + 1] @ mc.B[n] + mc.B[n - 1] @ mc.b[n]
-        if not anti.is_zero():
+        if not (zero(n + 2, 1) if n + 2 <= N
+                else (mc.b[n + 1] @ mc.B[n] + mc.B[n - 1] @ mc.b[n])
+                .is_zero()):
             raise MixedIdentityFailure("bB + Bb != 0 at degree %d" % n)
+    for n in range(2, N + 1):
+        mc.b[n - 1]._kills = mc.b[n]
+        if not comps[n].entries:
+            d[n - 1]._kills = d[n]
 
 
 def _degree_pairs(field, dim0, diff, nmax):
@@ -227,7 +263,8 @@ def _total_spaces(n):
 
 
 def _total_differential(mc, n):
-    """Tot_n -> Tot_{n-1}."""
+    """Tot_n -> Tot_{n-1}, assembled once from the b and B it is made of: a
+    block replaced since is assembled anew."""
     src = _total_spaces(n)
     blocks = {}
     for i, m in enumerate(src):
@@ -235,9 +272,14 @@ def _total_differential(mc, n):
             blocks[(i, i)] = mc.b[m]
         if i >= 1:
             blocks[(i - 1, i)] = mc.B[m]
-    return block_matrix(mc.field, blocks,
-                        [mc.dim(m) for m in _total_spaces(n - 1)],
-                        [mc.dim(m) for m in src])
+    made = mc._totals.get(n)
+    if made and all(made[0][ij] is m for ij, m in blocks.items()):
+        return made[1]
+    total = block_matrix(mc.field, blocks,
+                         [mc.dim(m) for m in _total_spaces(n - 1)],
+                         [mc.dim(m) for m in src])
+    mc._totals[n] = (blocks, total)
+    return total
 
 
 def cyclic_dims(mc: MixedComplex, nmax):

@@ -6,7 +6,9 @@ tolerance anywhere.
 
 There are two doors into a matrix.  The public constructor is for input from
 outside the computation (parsed files, the Hopf builders, `from_rows`,
-tests): it checks every key against the shape and drops zero values.  Every
+tests): it checks every key against the shape and settles every value into
+the field (`Field.of` for a non-int, then `fields.settle`), so an F_p value
+lies in [0, p), an integral Q value is an int and no zero is kept.  Every
 computed result (`@`, `kron`, `amplify`, `widen`, `transpose`, `identity`,
 `block_matrix`, `combine`, a basis matrix, an inverse, the compiled
 operators of `tensor`) is settled exactly once by `fields.settle` or built
@@ -46,7 +48,7 @@ class SparseMatrix:
     """Immutable sparse matrix; entries maps (row, col) -> nonzero scalar."""
 
     __slots__ = ("field", "rows", "cols", "entries", "_cols_index",
-                 "_pairs")
+                 "_pairs", "_kills")
 
     def __init__(self, field, rows, cols, entries=None):
         self.field = field
@@ -57,11 +59,11 @@ class SparseMatrix:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise IndexError("entry (%d,%d) out of %dx%d" % (i, j, rows, cols))
-                if not field.is_zero(v):
-                    ent[(i, j)] = v
-        self.entries = ent
+                ent[(i, j)] = v if v.__class__ is int else field.of(v)
+        self.entries = settle(field, ent)
         self._cols_index = None
         self._pairs = None
+        self._kills = None
 
     @classmethod
     def _settled(cls, field, rows, cols, entries):
@@ -77,6 +79,7 @@ class SparseMatrix:
         m.entries = entries
         m._cols_index = None
         m._pairs = None
+        m._kills = None
         return m
 
     # -- constructors ---------------------------------------------------------
@@ -558,18 +561,22 @@ def _homology_dims(pairs):
     last nonzero entry at c is a combination R with R . d_in = 0, so row c
     of d_in is a combination of the rows before it.  A differential is d_in
     at one degree and d_out at the next and `rank` keeps its pairs, so
-    each matrix is reduced once, and each composite is multiplied once.  A
-    shape mismatch or a nonzero composite (CompositionNotZero) raises at
-    the first pair that has it.
+    each matrix is reduced once.  A composite found zero is kept on its
+    left factor (`_kills`), here or by a caller that has already formed
+    it, so each composite is multiplied once.  A shape mismatch or a
+    nonzero composite (CompositionNotZero) raises at the first pair that
+    has it.
     """
     out = []
     for d_out, d_in in pairs:
         if d_out.cols != d_in.rows:
             raise ValueError("complex shape mismatch")
-        comp = d_out @ d_in
-        if not comp.is_zero():
-            ij = sorted(comp.entries)[0]
-            raise CompositionNotZero("d.d != 0 first at %s" % (ij,))
+        if d_out._kills is not d_in:
+            comp = d_out @ d_in
+            if not comp.is_zero():
+                ij = sorted(comp.entries)[0]
+                raise CompositionNotZero("d.d != 0 first at %s" % (ij,))
+            d_out._kills = d_in
         if d_out._pairs is None:
             rank(d_out)
         out.append(d_in.rows - len(d_out._pairs) - rank(d_in, d_out._pairs))

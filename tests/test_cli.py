@@ -715,22 +715,30 @@ def test_bar_and_rmax_jobs_above_size_limits_are_refused_at_once(
 
 # -- compute hc over Q: Connes' complex of the crossed product algebras -------
 
+def _forbid_crossed_modules(monkeypatch, job):
+    """Make both crossed-product (co)cyclic-module builders raise, where
+    `crossed` defines them and where `cylinder` binds them."""
+    from hopfcyclic import crossed, cylinder
+
+    def unreachable(*a, **k):
+        raise AssertionError("%s built a (co)cyclic module" % job)
+
+    for module in (crossed, cylinder):
+        for builder in ("cyclic_module_of_algebra",
+                        "cocyclic_module_of_coalgebra"):
+            monkeypatch.setattr(module, builder, unreachable)
+
+
 @pytest.mark.parametrize("name, nmax", [("c2_Q", 3), ("sweedler_Q", 1)])
 def test_hc_over_q_builds_no_cyclic_module(name, nmax, monkeypatch, capsys):
     """`compute hc` over Q writes Connes' complex of each side's algebra
     straight from its structure constants: neither (co)cyclic-module
     builder runs, and the only products on each side are the nmax + 1
     composites d d that the homology ranks check."""
-    from hopfcyclic import cli, crossed
+    from hopfcyclic import cli
     from hopfcyclic.linalg import SparseMatrix
 
-    def unreachable(*a, **k):
-        raise AssertionError("compute hc over Q built a (co)cyclic module")
-
-    for module in (cli, crossed):
-        for builder in ("cyclic_module_of_algebra",
-                        "cocyclic_module_of_coalgebra"):
-            monkeypatch.setattr(module, builder, unreachable)
+    _forbid_crossed_modules(monkeypatch, "compute hc over Q")
     products = []
     honest_matmul = SparseMatrix.__matmul__
 
@@ -754,6 +762,94 @@ def test_hc_over_q_builds_no_cyclic_module(name, nmax, monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert per_side == [nmax + 1, nmax + 1]
+
+
+# -- compare: the crossed product on the compute route ------------------------
+
+# The exit code of each compare target that ranks the crossed product, as
+# recorded when it ranked the unnormalized (b, B) of its (co)cyclic module:
+# collapse fails over F_2 on the algebra side only.
+@pytest.mark.parametrize("target, name, code", [
+    ("diagonal-vs-direct", "c2_Q", 0), ("diagonal-vs-direct", "c2_F2", 0),
+    ("collapse-algebra", "c2_Q", 0), ("collapse-algebra", "c2_F2", 1),
+    ("collapse-coalgebra", "c2_Q", 0), ("collapse-coalgebra", "c2_F2", 0),
+])
+def test_compare_builds_no_crossed_product_module(target, name, code,
+                                                  monkeypatch, capsys):
+    """`compare` ranks the crossed product as `compute hh|hc` do: neither
+    (co)cyclic-module builder of the crossed product runs, and the exit
+    code is the recorded one."""
+    from hopfcyclic import cli
+    _forbid_crossed_modules(monkeypatch, "compare " + target)
+    assert cli.main(["compare", target, "-i", data_file(name),
+                     "--nmax", "2"]) == code
+    assert json.loads(capsys.readouterr().out)["ok"] is (code == 0)
+
+
+def test_hc_over_f2_forms_each_mixed_product_once(monkeypatch, capsys):
+    """`compute hc` over F_2 ranks the normalized (b, B) of each side's
+    algebra through N = nmax + 1.  Its check forms the N - 1 composites
+    D_(n-1) D_n of the total complex and, apart, the four block products
+    they do not reach (bB + Bb at N - 1, B B at N - 3 and N - 2); the
+    cyclic ranks form only the empty composite out of degree 0.  No pair
+    of matrices is multiplied twice."""
+    from hopfcyclic import cli, homology
+    from hopfcyclic.linalg import SparseMatrix
+    nmax = 3
+    operands = []
+    honest_matmul = SparseMatrix.__matmul__
+
+    def counted(self, other):
+        operands.append((self, other))
+        return honest_matmul(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
+    counts = []
+
+    def spy(module, name):
+        honest = getattr(module, name)
+
+        def spied(*args):
+            before = len(operands)
+            out = honest(*args)
+            counts.append((name, len(operands) - before))
+            return out
+        monkeypatch.setattr(module, name, spied)
+
+    spy(homology, "check_mixed_complex")
+    spy(cli, "cyclic_dims")
+    assert cli.main(["compute", "hc", "-i", data_file("c2_F2"),
+                     "--nmax", str(nmax)]) == 0
+    capsys.readouterr()
+    assert counts == [("check_mixed_complex", nmax + 4),
+                      ("cyclic_dims", 1)] * 2
+    pairs = [(id(a), id(b)) for a, b in operands]
+    assert len(set(pairs)) == len(pairs)
+
+
+# Each report recorded from the route that ranked the crossed product
+# through the unnormalized (b, B) of its (co)cyclic module, with its exit
+# code (collapse fails over F_2).
+@pytest.mark.parametrize("golden, argv, code", [
+    ("collapse_algebra_s3_Q_n1",
+     "compare collapse-algebra -i data/s3_Q.json --nmax 1", 0),
+    ("collapse_coalgebra_s3_Q_n1",
+     "compare collapse-coalgebra -i data/s3_Q.json --nmax 1", 0),
+    ("diagonal_vs_direct_c3_Q_n2",
+     "compare diagonal-vs-direct -i data/c3_Q.json --nmax 2", 0),
+    ("collapse_algebra_c2_F2_n3",
+     "compare collapse-algebra -i data/c2_F2.json --nmax 3", 1),
+])
+def test_compare_reports_match_the_unnormalized_route(golden, argv, code,
+                                                      monkeypatch, capsys):
+    """S3 is not abelian, C3 reaches d = 9 at degree 2 and C2 over F_2 is
+    the modular negative control: each report byte for byte
+    (tests/goldens)."""
+    from hopfcyclic import cli
+    monkeypatch.chdir(os.path.join(DATA, ".."))
+    got = cli.main(argv.split())
+    with open(os.path.join("tests", "goldens", golden + ".json")) as fh:
+        assert (got, capsys.readouterr().out) == (code, fh.read())
 
 
 # Each report as recorded from the route that built the (co)cyclic modules

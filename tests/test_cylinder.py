@@ -321,7 +321,7 @@ def test_amplified_operators_match_their_leg_descriptions(name):
      check_coalgebra_cocylinder, lambda P, Q: 2 * (P + Q + 2)),
     (lambda doc: AlgebraModuleForm(AlgebraCylinder(doc.algebra)),
      lambda mf, P, Q: mf.check(P, Q),
-     lambda P, Q: 2 * (P + Q + 2) + 4 * (P + 1) + 1 + 2 * (Q + 1)
+     lambda P, Q: 2 * (P + Q + 2) + 4 * (P + 1) + 1 + (Q + 1)
      + P * (Q + 1)),
     (lambda doc: CoalgebraModuleForm(CoalgebraCocylinder(doc.coalgebra)),
      lambda mf, P, Q: mf.check(P, Q),
@@ -341,9 +341,9 @@ def test_the_suites_compile_one_kernel_per_row_and_column(build, check,
     conjugates, and adds: per column p <= P, the regrouping maps (to the
     module form also at P + 1, the target of degen_h) and the closed
     vertical rotation and last (co)face; per row q <= Q, the first-column
-    (co)action and, on the algebra side, the closed last horizontal face,
-    compiled at p = 1 and amplified to every p >= 2.  Only the closed
-    horizontal rotation is compiled on each cell with p >= 1."""
+    (co)action, which the closed last horizontal (co)face amplifies to
+    every p.  Only the closed horizontal rotation is compiled on each cell
+    with p >= 1."""
     honest = cylinder.compile_operator
     compiles = []
 

@@ -9,12 +9,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import connes_oracle
+import mixed_oracle
 from hopfcyclic import homology
 from hopfcyclic.cylinder import AlgebraCylinder
 from hopfcyclic.errors import (
     BoundaryNotSquareZero, CoboundaryNotSquareZero, CompositionNotZero,
-    HomotopyFailure, MixedIdentityFailure, NotCosemisimple, NotSemisimple,
-    TruncationTooShallow,
+    HomotopyFailure, HopfCyclicError, MixedIdentityFailure, NotCosemisimple,
+    NotSemisimple, TruncationTooShallow,
 )
 from hopfcyclic.fields import Field
 from hopfcyclic.hopf import (
@@ -28,7 +29,8 @@ from hopfcyclic.crossed import (
     normalized_faces, unit_first,
 )
 from hopfcyclic.homology import (
-    _signed_orbit_labels, b_column_dims, cochain_mixed_complex, connes_dims,
+    MixedComplex, _signed_orbit_labels, b_column_dims, check_mixed_complex,
+    cochain_mixed_complex, connes_dims,
     cosemisimple_homotopy_check, cyclic_dims,
     find_dual_left_integral, find_right_integral, hochschild_dims,
     hopf_comodule_cohomology, hopf_module_homology, mixed_complex,
@@ -252,6 +254,75 @@ def test_dims_still_check_composites_when_construction_did_not():
     not_an_action = SparseMatrix.from_rows(QQ, [[1, 2]])
     with pytest.raises(BoundaryNotSquareZero):
         hopf_module_homology(kc2(), not_an_action, 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _mixed_base(name):
+    """A small mixed complex over Q (the cyclic module of kC2) and one over
+    F_2 (the normalized one of the crossed product of c2_F2), N = 4."""
+    if name == "kC2":
+        return mixed_complex(cyclic_module_of_algebra(kc2().as_algebra(), N=4))
+    doc = load_document(os.path.join(DATA, "c2_F2.json"))
+    return normalized_mixed_complex(crossed_product_algebra(doc.algebra), 4)
+
+
+def _outcome(run):
+    """run()'s value, or the type and text of the error it raises."""
+    try:
+        return run()
+    except HopfCyclicError as e:
+        return type(e).__name__, str(e)
+
+
+def _checked_dims(mc, check):
+    check(mc)
+    return hochschild_dims(mc, mc.N - 1), cyclic_dims(mc, mc.N - 1)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+@pytest.mark.parametrize("name", ["kC2", "c2_F2"])
+def test_mixed_identities_keep_their_texts_and_precedence(name, data):
+    """With up to three entries of b and B altered, the check read off the
+    total composites raises what the check by one product per block
+    (`mixed_oracle`) raised, the same identity at the same degree, and the
+    ranks after it give the same dimensions or the same error."""
+    mc = _mixed_base(name)
+    f, N = mc.field, mc.N
+    spoiled = {"b": {}, "B": {}}
+    for kind, n, i, j, v in data.draw(st.lists(st.tuples(
+            st.sampled_from("bB"), st.integers(0, N), st.integers(0, 999),
+            st.integers(0, 999), st.integers(1, 3)), min_size=1, max_size=3)):
+        n = max(n, 1) if kind == "b" else min(n, N - 1)
+        m = spoiled[kind].get(n, getattr(mc, kind)[n])
+        ent = dict(m.entries)
+        ij = (i % m.rows, j % m.cols)
+        ent[ij] = ent.get(ij, 0) + v
+        spoiled[kind][n] = SparseMatrix(f, m.rows, m.cols, ent)
+    new = mixed_oracle.unchecked(mc, spoiled["b"], spoiled["B"])
+    old = mixed_oracle.unchecked(mc, spoiled["b"], spoiled["B"])
+    assert _outcome(lambda: _checked_dims(new, check_mixed_complex)) \
+        == _outcome(lambda: _checked_dims(
+            old, mixed_oracle.check_mixed_complex))
+
+
+def test_b_B_at_degree_zero_is_left_to_the_ranks():
+    """b B out of degree 0 is none of the three identities: a complex that
+    satisfies them but not b_1 B_0 = 0 passes the check, as before, and the
+    cyclic ranks refuse it, while b alone has its homology."""
+    b1 = SparseMatrix.from_rows(QQ, [[0, 1], [0, 0]])
+    mc = MixedComplex(QQ, [2, 2, 1],
+                      {1: b1, 2: SparseMatrix.zeros(QQ, 2, 1)},
+                      {0: SparseMatrix.from_rows(QQ, [[0, 0], [0, 1]]),
+                       1: SparseMatrix.zeros(QQ, 1, 2)}, 2)
+    assert not (mc.b[1] @ mc.B[0]).is_zero()
+    for check in (check_mixed_complex, mixed_oracle.check_mixed_complex):
+        copy = mixed_oracle.unchecked(mc)
+        check(copy)
+        assert hochschild_dims(copy, 1) == [1, 1]
+        with pytest.raises(CompositionNotZero):
+            cyclic_dims(copy, 1)
 
 
 # -- hh from b alone, hc from Connes' complex ----------------------------------

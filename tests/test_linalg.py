@@ -697,6 +697,36 @@ def test_public_constructor_checks_outside_input():
             bad()
 
 
+def test_public_constructor_settles_an_f2_multiple_of_two_to_zero():
+    """An entry 2 over F_2 is zero: the matrix is zero and has rank 0."""
+    m = SparseMatrix(F2, 1, 1, {(0, 0): 2})
+    assert m.entries == {} and m.is_zero()
+    assert rank(m) == 0
+    assert rank(SparseMatrix(F2, 2, 2, {(0, 0): 1, (1, 1): 4})) == 1
+
+
+def test_public_constructor_reduces_f_p_entries():
+    """An F_2 entry 3 is 1, and so is -1; over F_3 a Fraction is read as
+    the field element it names."""
+    one = SparseMatrix(F2, 1, 1, {(0, 0): 1})
+    assert SparseMatrix(F2, 1, 1, {(0, 0): 3}) == one
+    assert SparseMatrix(F2, 1, 1, {(0, 0): -1}).entries == {(0, 0): 1}
+    f3 = Field.prime(3)
+    assert SparseMatrix(f3, 1, 1, {(0, 0): Fraction(1, 2)}).entries \
+        == {(0, 0): 2}
+
+
+def test_public_constructor_stores_integral_rationals_as_ints():
+    """Fraction(4, 2) over Q is stored as the int 2, as every computed
+    entry is; a true fraction stays a Fraction."""
+    m = SparseMatrix(QQ, 1, 2,
+                     {(0, 0): Fraction(4, 2), (0, 1): Fraction(1, 2)})
+    assert m.entries[(0, 0)].__class__ is int and m.entries[(0, 0)] == 2
+    assert m.entries[(0, 1)] == Fraction(1, 2)
+    assert m == SparseMatrix._settled(QQ, 1, 2, {(0, 0): 2,
+                                                 (0, 1): Fraction(1, 2)})
+
+
 def test_block_matrix_checks_block_shapes():
     one = SparseMatrix.identity(QQ, 1)
     assert block_matrix(QQ, {(0, 0): one, (1, 1): -one}, [1, 1], [1, 1]) \
