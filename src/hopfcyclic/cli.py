@@ -44,14 +44,16 @@ Q = qmax; each limit is the `MAX_*` constant of that name):
     ez-hochschild        last horizontal (co)face dh^(2N+4)          CYLINDER
     (N = nmax + 1)       operator pairs (N+2)^3                      CHECK
 
-`compute hh` ranks the normalized Hochschild boundary b of the crossed
-product (of its dual algebra on the coalgebra side) alone.  `compute hc`
-over Q ranks Connes' cyclic complex C/(1 - lambda) of the same algebra, from
-its structure constants; over F_p, where that complex can give other
-dimensions, the normalized (b, B) total complex.  Neither builds a
-(co)cyclic module.  `compare` ranks the crossed product the same way, and
-builds (b, B) only on the other side of each comparison: the diagonal of
-the (co)cylinder, or the coinvariant module.
+`compute hh|hc` on a crossed product that is semisimple over Q (of its dual
+algebra on the coalgebra side) read both tables off HH_0 = d - rank [R, R]
+and build no chain complex.  Otherwise `compute hh` ranks the normalized
+Hochschild boundary b of the same algebra alone.  `compute hc` over Q ranks
+Connes' cyclic complex C/(1 - lambda), from its structure constants; over
+F_p, where that complex can give other dimensions, the normalized (b, B)
+total complex.  Neither builds a (co)cyclic module.  `compare` ranks the
+crossed product the same way, and builds (b, B) only on the other side of
+each comparison: the diagonal of the (co)cylinder, or the coinvariant
+module.
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ from .homology import (
     cochain_mixed_complex, connes_dims, cyclic_dims, ez_compare_hochschild,
     hochschild_dims, hopf_comodule_cohomology, hopf_module_homology,
     mixed_complex, normalized_hochschild_dims, normalized_mixed_complex,
-    spectral_pages, total_complex_algebra, total_complex_coalgebra,
-    trivial_comodule_coaction, trivial_module_action,
+    semisimple_hh0, spectral_pages, total_complex_algebra,
+    total_complex_coalgebra, trivial_comodule_coaction, trivial_module_action,
 )
 from .io import load_document
 
@@ -160,14 +162,17 @@ def _opt(params, doc, key, default):
 # crossed-product job may build: `hc` over Q (Connes' complex) and the
 # diagonal of `compare diagonal-vs-direct` build the top b in full, `hh` and
 # `hc` over F_p only its
-# dim(R) (dim(R) - 1)^(nmax+1) non-degenerate columns.  Measured on a 2-core
-# VM, the admitted corpus jobs at the edge take, for C2 --nmax 6 (4^8 =
-# 65536), 3.1-3.5 s and 264 MB with `compute hc` over Q (Connes' complex),
-# 0.8 s and 45 MB with `compute hh`, and 1.5 s and 73 MB with `compute hc`
-# over F_2 (normalized (b, B)); for C3 --nmax 3 (9^5), 1.3-2.3 s and 160 MB
-# with `hc`, 1.9 s and 90 MB with `hh`.  Through the unnormalized (b, B), the
-# first refused ones, C2 --nmax 7 (4^9) and C3 --nmax 4 (9^6), had not
-# finished after 400 s, at 1.8 and 2.2 GB resident.  The same limit holds
+# dim(R) (dim(R) - 1)^(nmax+1) non-degenerate columns.  A crossed product
+# that is semisimple over Q builds no chains, yet the same row holds it.
+# Measured on a 2-core VM through the chain complexes, the admitted corpus
+# jobs at the edge take, for C2 --nmax 6 (4^8 = 65536), 1.8-2.1 s and 32 MB
+# with `compute hc` over Q (Connes' complex), 0.8 s and 45 MB with
+# `compute hh`, and 1.5 s and 73 MB with `compute hc` over F_2 (normalized
+# (b, B)); for C3 --nmax 3 (9^5), 1.1-1.5 s and 34 MB with `hc`, 1.9 s and
+# 90 MB with `hh`; through the closed form, 0.1-0.2 s and 18 MB.  Through
+# the unnormalized (b, B), the first refused ones, C2 --nmax 7 (4^9) and C3
+# --nmax 4 (9^6), had not finished after 400 s, at 1.8 and 2.2 GB
+# resident.  The same limit holds
 # the top bar space dim(H)^(top+1) of `compute hopf-homology|
 # comodule-cohomology`: S3 --qmax 5 (6^6) takes 9.6 s and 132 MB, C2
 # --qmax 15 (2^16) 17.3 s and 362 MB.  The README lists every corpus bound.
@@ -427,9 +432,19 @@ def _crossed_algebra(doc, side):
 
 
 def _crossed_dims(r, target, nmax):
-    """hh of the crossed-product algebra r from the normalized b alone on
-    every field; hc from Connes' complex over Q and from the normalized
-    (b, B) total complex over F_p, where the two differ."""
+    """hh or hc of the crossed-product algebra r through degree nmax.
+
+    When r is semisimple over Q (`semisimple_hh0`), both are read off
+    HH_0 = d - rank [r, r]: hh = [HH_0, 0, 0, ...] and hc = [HH_0, 0, HH_0,
+    0, ...], with no chain complex built.  Otherwise hh comes from the
+    normalized b alone on every field, and hc from Connes' complex over Q
+    and from the normalized (b, B) total complex over F_p, where the two
+    differ."""
+    h0 = semisimple_hh0(r)
+    if h0 is not None:
+        if target == "hh":
+            return [h0] + [0] * nmax
+        return [0 if n % 2 else h0 for n in range(nmax + 1)]
     if target == "hh":
         return normalized_hochschild_dims(r, nmax)
     if r.field.p is None:
@@ -564,8 +579,14 @@ def build_parser():
     return parser
 
 
+_parser = None  # built by the first `main` call, not at import
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     params = {"nmax": args.nmax, "rmax": args.rmax,
               "pmax": args.pmax, "qmax": args.qmax}
     start = time.time()

@@ -194,6 +194,3 @@ class Field:
 
     def is_zero(self, a) -> bool:
         return a == 0
-
-    def is_one(self, a) -> bool:
-        return a == 1

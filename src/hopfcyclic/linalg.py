@@ -134,13 +134,6 @@ class SparseMatrix:
     def nnz(self):
         return len(self.entries)
 
-    def to_rows(self):
-        z = self.field.zero()
-        out = [[z] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
     def row_dicts(self):
         out = [dict() for _ in range(self.rows)]
         for (i, j), v in self.entries.items():

@@ -729,12 +729,14 @@ def _forbid_crossed_modules(monkeypatch, job):
             monkeypatch.setattr(module, builder, unreachable)
 
 
-@pytest.mark.parametrize("name, nmax", [("c2_Q", 3), ("sweedler_Q", 1)])
+@pytest.mark.parametrize("name, nmax", [("sweedler_Q_trivial", 1),
+                                        ("sweedler_Q", 1)])
 def test_hc_over_q_builds_no_cyclic_module(name, nmax, monkeypatch, capsys):
-    """`compute hc` over Q writes Connes' complex of each side's algebra
-    straight from its structure constants: neither (co)cyclic-module
-    builder runs, and the only products on each side are the nmax + 1
-    composites d d that the homology ranks check."""
+    """`compute hc` over Q on a crossed product that is not semisimple
+    writes Connes' complex of each side's algebra straight from its
+    structure constants: neither (co)cyclic-module builder runs, and the
+    only products on each side are the nmax + 1 composites d d that the
+    homology ranks check."""
     from hopfcyclic import cli
     from hopfcyclic.linalg import SparseMatrix
 
@@ -762,6 +764,67 @@ def test_hc_over_q_builds_no_cyclic_module(name, nmax, monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert per_side == [nmax + 1, nmax + 1]
+
+
+# The chain-complex route each `compute hh|hc` job on a crossed product
+# that is not semisimple over Q takes, once per side.
+_DIRECT_ROUTES = {("hh", "Q"): "normalized_hochschild_dims",
+                  ("hc", "Q"): "connes_dims",
+                  ("hh", "F2"): "normalized_hochschild_dims",
+                  ("hc", "F2"): "normalized_mixed_complex"}
+
+
+@pytest.mark.parametrize("target", ["hh", "hc"])
+@pytest.mark.parametrize("name, semisimple", [
+    ("c2_Q", True), ("c3_Q", True), ("sweedler_Q", False), ("c2_F2", False),
+])
+def test_semisimple_crossed_products_over_q_build_no_chain_complex(
+        target, name, semisimple, monkeypatch, capsys):
+    """On a crossed product that is semisimple over Q, `compute hh|hc`
+    read their tables off HH_0 and call no chain-complex route; on
+    Sweedler over Q and on every F_p job the routes still run, once per
+    side."""
+    from hopfcyclic import cli
+    calls = []
+    for route in set(_DIRECT_ROUTES.values()):
+        def spied(*args, _route=route, _honest=getattr(cli, route)):
+            calls.append(_route)
+            return _honest(*args)
+        monkeypatch.setattr(cli, route, spied)
+    code = cli.main(["compute", target, "-i", data_file(name), "--nmax", "2"])
+    capsys.readouterr()
+    assert code == 0
+    want = _DIRECT_ROUTES[(target, name.rsplit("_", 1)[1])]
+    assert calls == ([] if semisimple else [want, want])
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    """The parser is built by the first `main` call and reused: a second
+    job prints the same report, and a bad target still exits 2."""
+    from hopfcyclic import cli
+    honest = cli.build_parser
+    built = []
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or honest())
+    argv = ["compute", "hh", "-i", data_file("c2_Q"), "--nmax", "1"]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute", "no-such-target", "-i", data_file("c2_Q")])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert built == [1]
+
+
+def test_importing_the_cli_builds_no_parser():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import hopfcyclic.cli as cli; print(cli._parser)"],
+        capture_output=True, text=True, check=True).stdout
+    assert out == "None\n"
 
 
 # -- compare: the crossed product on the compute route ------------------------
@@ -863,6 +926,21 @@ def test_hc_reports_match_the_orbit_matrix_route(golden, argv, monkeypatch,
                                                   capsys):
     """Sweedler is not cocommutative, S3 is not abelian and C3 reaches
     d = 9 at degree 3: each report byte for byte (tests/goldens)."""
+    from hopfcyclic import cli
+    monkeypatch.chdir(os.path.join(DATA, ".."))
+    code = cli.main(argv.split())
+    with open(os.path.join("tests", "goldens", golden + ".json")) as fh:
+        assert code == 0 and capsys.readouterr().out == fh.read()
+
+
+# Each report as recorded when hh was ranked on the normalized b; both
+# crossed products are semisimple over Q, so they now take the closed form.
+@pytest.mark.parametrize("golden, argv", [
+    ("hh_s3_Q_n1", "compute hh -i data/s3_Q.json --nmax 1"),
+    ("hh_c3_Q_trivial_n2", "compute hh -i data/c3_Q_trivial.json --nmax 2"),
+])
+def test_closed_form_hh_reports_match_the_normalized_b(golden, argv,
+                                                       monkeypatch, capsys):
     from hopfcyclic import cli
     monkeypatch.chdir(os.path.join(DATA, ".."))
     code = cli.main(argv.split())

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import connes_oracle
 import mixed_oracle
-from hopfcyclic import homology
+from hopfcyclic import cli, homology
+from hopfcyclic.corpus import corpus_documents
 from hopfcyclic.cylinder import AlgebraCylinder
 from hopfcyclic.errors import (
     BoundaryNotSquareZero, CoboundaryNotSquareZero, CompositionNotZero,
@@ -34,7 +35,7 @@ from hopfcyclic.homology import (
     cosemisimple_homotopy_check, cyclic_dims,
     find_dual_left_integral, find_right_integral, hochschild_dims,
     hopf_comodule_cohomology, hopf_module_homology, mixed_complex,
-    normalized_hochschild_dims, normalized_mixed_complex,
+    normalized_hochschild_dims, normalized_mixed_complex, semisimple_hh0,
     semisimple_homotopy_check, total_complex_algebra, total_homology_dims,
     trivial_comodule_coaction, trivial_module_action,
 )
@@ -394,8 +395,8 @@ def test_signed_orbits_drop_the_orbits_lambda_kills():
     """On (k^2)^(x)2, lambda = -t kills e0 e0 and e1 e1 and identifies
     e0 e1 with -e1 e0; in even degree every orbit survives."""
     P, S = connes_oracle._signed_orbits(QQ, 2, 1)
-    assert P.to_rows() == [[0, 1, -1, 0]]
-    assert (P @ S).to_rows() == [[1]]
+    assert P == SparseMatrix.from_rows(QQ, [[0, 1, -1, 0]])
+    assert (P @ S) == SparseMatrix.identity(QQ, 1)
     P, S = connes_oracle._signed_orbits(QQ, 2, 2)
     assert P.rows == 4 and (P @ S) == SparseMatrix.identity(QQ, 4)
 
@@ -649,3 +650,104 @@ def test_connes_complex_matches_the_orbit_matrices_and_the_mixed_complex(
     assert hc == connes_oracle.connes_dims(
         cyclic_module_of_algebra(conj, N=nmax + 1), nmax)
     assert hc == cyclic_dims(normalized_mixed_complex(conj, nmax + 1), nmax)
+
+
+# -- the closed form of a semisimple algebra over Q ----------------------------
+
+_Q_FILES = sorted(name for name, doc in corpus_documents().items()
+                  if doc.field.p is None)
+
+
+def _admitted_nmax(doc, side):
+    """The largest --nmax the gate admits for `compute hh|hc` on a side."""
+    dh, d = doc.hopf.dim, getattr(doc, side).dim
+    nmax = -1
+    while all(value <= limit for _, (value, _), limit
+              in cli._sizes("hh", {"nmax": nmax + 1}, dh, d)):
+        nmax += 1
+    return nmax
+
+
+@pytest.mark.parametrize("name", _Q_FILES)
+def test_the_semisimple_closed_form_matches_the_direct_routes(name):
+    """On every Q corpus file, both sides, at every --nmax the gate admits,
+    the hh and hc tables of `compute` equal the normalized b and Connes'
+    complex; Sweedler, the one crossed product that is not semisimple,
+    gets no closed form."""
+    doc = load_document(os.path.join(DATA, name + ".json"))
+    for side, r in zip(("algebra", "coalgebra"), _corpus_algebras(name)):
+        if name.startswith("sweedler"):
+            assert semisimple_hh0(r) is None
+            continue
+        nmax = _admitted_nmax(doc, side)
+        assert nmax >= 1
+        hh = normalized_hochschild_dims(r, nmax)
+        hc = connes_dims(r, nmax)
+        for n in range(nmax + 1):
+            assert cli._crossed_dims(r, "hh", n) == hh[:n + 1], (side, n)
+            assert cli._crossed_dims(r, "hc", n) == hc[:n + 1], (side, n)
+
+
+def test_the_closed_form_answers_over_q_only():
+    """kC2 over F_3 is semisimple with a nondegenerate trace form, and C2
+    over F_2 has a semisimple coalgebra side, yet neither gets a closed
+    form: over F_p the chain complexes are ranked."""
+    assert semisimple_hh0(kc2().as_algebra()) == 2
+    assert semisimple_hh0(kc2(Field.prime(3)).as_algebra()) is None
+    for r in _corpus_algebras("c2_F2"):
+        assert semisimple_hh0(r) is None
+
+
+def _algebra(d, products, unit):
+    """The algebra over Q with e_a e_b = sum of v e_c over products[(a, b)]
+    = {c: v} and the unit sum of v e_c over unit = {c: v}."""
+    mult = {(c, a * d + b): v for (a, b), terms in products.items()
+            for c, v in terms.items()}
+    return Algebra(QQ, d, SparseMatrix(QQ, d, d * d, mult),
+                   SparseMatrix(QQ, d, 1, {(c, 0): v
+                                           for c, v in unit.items()}))
+
+
+# (algebra, HH_0), HH_0 None where the algebra is not semisimple.
+_CLOSED_FORM_CASES = {
+    "QxQ": (lambda: _algebra(2, {(0, 0): {0: 1}, (1, 1): {1: 1}},
+                             {0: 1, 1: 1}), 2),
+    "M2(Q)": (lambda: _algebra(4, {(2 * i + j, 2 * j + k): {2 * i + k: 1}
+                                   for i in range(2) for j in range(2)
+                                   for k in range(2)}, {0: 1, 3: 1}), 1),
+    "Q[C3]": (lambda: group_algebra(cyclic_group_table(3), QQ).as_algebra(),
+              3),
+    "c2_Q": (lambda: _corpus_algebras("c2_Q")[0], 4),
+    "Q[x]/x^2": (lambda: _algebra(2, {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                      (1, 0): {1: 1}}, {0: 1}), None),
+    "T2(Q)": (lambda: _algebra(3, {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                   (1, 2): {1: 1}, (2, 2): {2: 1}},
+                               {0: 1, 2: 1}), None),
+    "sweedler": (lambda: sweedler_hopf(QQ).as_algebra(), None),
+}
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(data=st.data())
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_CASES))
+def test_the_closed_form_does_not_depend_on_the_basis(name, data):
+    """In a random invertible integer basis, a semisimple algebra has the
+    closed form HH_0 of its own basis, and hh and hc equal the normalized
+    b and Connes' complex; an algebra that is not semisimple has none."""
+    build, h0 = _CLOSED_FORM_CASES[name]
+    r = build()
+    d = r.dim
+    rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=d,
+                                       max_size=d), min_size=d, max_size=d))
+    basis = SparseMatrix.from_rows(QQ, rows)
+    inv = invert(basis)
+    assume(inv is not None)
+    conj = Algebra(QQ, d, inv @ r.mult @ basis.kron(basis), inv @ r.unit)
+    assert semisimple_hh0(r) == semisimple_hh0(conj) == h0
+    if h0 is not None:
+        assert cli._crossed_dims(conj, "hh", 2) \
+            == normalized_hochschild_dims(conj, 2) == [h0, 0, 0]
+        assert cli._crossed_dims(conj, "hc", 2) \
+            == connes_dims(conj, 2) == [h0, 0, h0]
