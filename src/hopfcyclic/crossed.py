@@ -27,7 +27,9 @@ from .hopf import (
     Algebra, Coalgebra, CheckReport, algebra_spaces, check_algebra,
     check_coalgebra, coalgebra_spaces,
 )
-from .linalg import SparseMatrix, amplify, invert
+from .linalg import (
+    SparseMatrix, amplify, col_items, invert, relabel, unit_column,
+)
 from .tensor import Legs, S, Sinv, act, compile_operator, perm_matrix, prod
 
 
@@ -198,9 +200,8 @@ def cyclic_module_of_algebra(r: Algebra, N: int = 3) -> CyclicOps:
         # d_n = d_0 t and t moves the last factor to the front, so column c
         # of d_0 is column t^-1(c) of d_n: c rotated left
         top = d ** n
-        faces[(n, n)] = SparseMatrix._settled(f, dims[n - 1], dims[n], {
-            (i, _rotate_left(c, d, top)): v
-            for (i, c), v in faces[(n, 0)].entries.items()})
+        faces[(n, n)] = relabel(faces[(n, 0)],
+                                col_of=lambda c: _rotate_left(c, d, top))
     for n in range(N):
         for i in range(n + 1):
             degens[(n, i)] = amplify(r.unit, d ** (i + 1), d ** (n - i))
@@ -221,9 +222,8 @@ def cocyclic_module_of_coalgebra(c: Coalgebra, N: int = 3) -> CocyclicOps:
         # del^(n+1) = tau del^0 and tau moves the first factor to the end, so
         # row i of del^0 is row tau(i) of del^(n+1): i rotated left
         top = d ** (n + 1)
-        cofaces[(n, n + 1)] = SparseMatrix._settled(f, dims[n + 1], dims[n], {
-            (_rotate_left(i, d, top), j): v
-            for (i, j), v in cofaces[(n, 0)].entries.items()})
+        cofaces[(n, n + 1)] = relabel(
+            cofaces[(n, 0)], row_of=lambda i: _rotate_left(i, d, top))
     for n in range(1, N + 1):
         for i in range(n):
             codegens[(n, i)] = amplify(c.counit, d ** (i + 1), d ** (n - 1 - i))
@@ -247,10 +247,10 @@ def unit_first(r: Algebra) -> Algebra:
     if unit == {0: 1}:
         return r
     k = min(unit)
-    cols = {(i, 0): v for i, v in unit.items()}
-    cols.update({(j, col): 1
+    cols = {0: r.unit.columns[0]}
+    cols.update({col: unit_column(j)
                  for col, j in enumerate([j for j in range(d) if j != k], 1)})
-    basis = SparseMatrix._settled(f, d, d, cols)
+    basis = SparseMatrix._of_columns(f, d, d, cols)
     inv = invert(basis)
     return Algebra(f, d, inv @ r.mult @ basis.kron(basis), inv @ r.unit)
 
@@ -269,14 +269,15 @@ def normalized_faces(r: Algebra, n):
     f, d = r.field, r.dim
     e = d - 1
     inner, first, wrap = {}, {}, {}
-    for (c, col), v in r.mult.entries.items():
+    for col, packed in r.mult.columns.items():
         a, b = divmod(col, d)
-        if b:
-            first[(c, a * e + b - 1)] = v
-            if a and c:
-                inner[(c - 1, (a - 1) * e + b - 1)] = v
-        if a:
-            wrap[(c, (a - 1) * d + b)] = v
+        for c, v in col_items(packed):
+            if b:
+                first[(c, a * e + b - 1)] = v
+                if a and c:
+                    inner[(c - 1, (a - 1) * e + b - 1)] = v
+            if a:
+                wrap[(c, (a - 1) * d + b)] = v
     rest = e ** (n - 1)
     faces = [amplify(SparseMatrix._settled(f, d, d * e, first), 1, rest)]
     bar = SparseMatrix._settled(f, e, e * e, inner)
@@ -284,9 +285,8 @@ def normalized_faces(r: Algebra, n):
               for i in range(1, n)]
     # the wrap face read on (x_n, x_0, x_1, ...): rotate each column left
     wrapped = amplify(SparseMatrix._settled(f, d, e * d, wrap), 1, rest)
-    faces.append(SparseMatrix._settled(f, d * rest, d * e ** n, {
-        (i, _rotate_left(j, e, d * rest)): v
-        for (i, j), v in wrapped.entries.items()}))
+    faces.append(relabel(wrapped,
+                         col_of=lambda j: _rotate_left(j, e, d * rest)))
     return faces
 
 

@@ -62,8 +62,8 @@ from .errors import (
     NotIntertwining, NotRestricting, NotWellDefined,
 )
 from .hopf import CheckReport, algebra_spaces, coalgebra_spaces
-from .linalg import SparseMatrix, Subspace, amplify, combine, image, \
-    kernel, widen
+from .linalg import SparseMatrix, Subspace, amplify, col_items, combine, \
+    image, kernel, pack_columns, widen
 from .tensor import Legs, S, Sinv, act, compile_operator, prod
 
 
@@ -1180,15 +1180,16 @@ class SubspacePresentation:
     def restrict(self, op, target: "SubspacePresentation", name):
         """Matrix of op on subspace coordinates; NotRestricting if it leaves."""
         moved = op @ self.include
-        ent = {}
-        for k, col in moved.column_index().items():
-            coeffs = target.subspace.coefficients(col)
+        rows = target.dim
+        keyed = {}
+        for k, col in moved.columns.items():
+            coeffs = target.subspace.coefficients(dict(col_items(col)))
             if coeffs is None:
                 raise NotRestricting("%s leaves the coinvariant subspace" % name)
-            for i, v in coeffs.items():
-                ent[(i, k)] = v
-        return SparseMatrix._settled(self.subspace.field, target.dim,
-                                     self.dim, ent)
+            keyed.update((k * rows + i, v) for i, v in coeffs.items())
+        field = self.subspace.field
+        return SparseMatrix._of_columns(field, rows, self.dim,
+                                        pack_columns(field, keyed, rows))
 
 
 def coinvariant_cocyclic_module(c, N=2):

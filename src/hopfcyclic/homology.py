@@ -63,7 +63,8 @@ from .errors import (
 from .fields import settle
 from .hopf import dual_hopf
 from .linalg import (
-    SparseMatrix, _homology_dims, amplify, block_matrix, combine, kernel, rank,
+    SparseMatrix, _homology_dims, amplify, block_matrix, col_items, combine,
+    kernel, pack_columns, rank, relabel,
 )
 
 
@@ -145,16 +146,17 @@ def _normalized_B(field, d, n):
     y the base-e number of (x_0 - 1, ..., x_n - 1), e = d - 1, and its
     image term at y rotated left by i digits."""
     e = d - 1
+    rows = d * e ** (n + 1)
     sums = {}
     get = sums.get
     for y in range(e ** (n + 1)):
-        col = e ** n + y
+        base = (e ** n + y) * rows
         for i in range(n + 1):
             top = e ** (n + 1 - i)
-            key = ((y % top) * e ** i + y // top, col)
+            key = base + (y % top) * e ** i + y // top
             sums[key] = get(key, 0) + (-1 if n * i % 2 else 1)
-    return SparseMatrix._settled(field, d * e ** (n + 1), d * e ** n,
-                                 settle(field, sums))
+    return SparseMatrix._of_columns(field, rows, d * e ** n,
+                                    pack_columns(field, sums, rows))
 
 
 def normalized_mixed_complex(r, N) -> MixedComplex:
@@ -213,7 +215,8 @@ def check_mixed_complex(mc: MixedComplex):
         lo = sum(mc.dim(n - 2 * k) for k in range(src))
         hi = lo + mc.dim(n - 2 * src)
         rows = mc.dim(n - 2)
-        return not any(i < rows and lo <= j < hi for i, j in comps[n].entries)
+        return not any(lo <= j < hi and col[0] < rows
+                       for j, col in comps[n].columns.items())
 
     for n in range(2, N + 1):
         if not zero(n, 0):
@@ -229,7 +232,7 @@ def check_mixed_complex(mc: MixedComplex):
             raise MixedIdentityFailure("bB + Bb != 0 at degree %d" % n)
     for n in range(2, N + 1):
         mc.b[n - 1]._kills = mc.b[n]
-        if not comps[n].entries:
+        if comps[n].is_zero():
             d[n - 1]._kills = d[n]
 
 
@@ -341,7 +344,7 @@ def connes_dims(r, nmax):
     if f.p is not None:
         raise ValueError("Connes' complex computes HC only when Q is inside "
                          "the field")
-    d, cols = r.dim, r.mult.column_index()  # column a d + b: e_a e_b
+    d, cols = r.dim, r.mult.columns  # column a d + b: e_a e_b
     below = [[(y, 1) for y in range(d)], d]  # degree 0: d one-tensor orbits
 
     def diff(n):
@@ -355,7 +358,7 @@ def connes_dims(r, nmax):
                 # d_n = d_0 t, t moving the last factor to the front
                 hi, tail = divmod(x if i < n else x % d * top + x // d, low)
                 head, pair = divmod(hi, d * d)
-                for c, v in cols.get(pair, {}).items():
+                for c, v in col_items(cols.get(pair, ())):
                     lab = labels[(head * d + c) * low + tail]
                     if lab:
                         sums[lab[0]] = sums.get(lab[0], 0) + sign * lab[1] * v
@@ -372,8 +375,9 @@ def connes_dims(r, nmax):
                 raise MixedIdentityFailure(
                     "b does not descend to C/(1 - lambda) at degree %d" % n)
         below[:] = [here, count]
-        return SparseMatrix._settled(f, rows, count, settle(f, {
-            (k, j): v for j, col in enumerate(reps) for k, v in col.items()}))
+        return SparseMatrix._of_columns(f, rows, count, pack_columns(f, {
+            j * rows + k: v for j, col in enumerate(reps)
+            for k, v in col.items()}, rows))
 
     return _homology_dims(_degree_pairs(f, d, diff, nmax))
 
@@ -391,10 +395,9 @@ def semisimple_hh0(r):
     f = r.field
     if f.p is not None:
         return None
-    d, cols = r.dim, r.mult.column_index()  # column a d + b: e_a e_b
-    tau = [sum(cols.get(c * d + k, {}).get(k, 0) for k in range(d))
-           for c in range(d)]
-    gram = {divmod(pair, d): sum(v * tau[c] for c, v in col.items())
+    d, cols = r.dim, r.mult.columns  # column a d + b: e_a e_b
+    tau = [sum(r.mult[k, c * d + k] for k in range(d)) for c in range(d)]
+    gram = {divmod(pair, d): sum(v * tau[c] for c, v in col_items(col))
             for pair, col in cols.items()}
     if rank(SparseMatrix._settled(f, d, d, settle(f, gram))) < d:
         return None
@@ -402,7 +405,7 @@ def semisimple_hh0(r):
     pairs = ((a, b) for a in range(d) for b in range(a + 1, d))
     for j, (a, b) in enumerate(pairs):
         for sign, pair in ((1, a * d + b), (-1, b * d + a)):
-            for c, v in cols.get(pair, {}).items():
+            for c, v in col_items(cols.get(pair, ())):
                 commutators[(c, j)] = commutators.get((c, j), 0) + sign * v
     return d - rank(SparseMatrix._settled(
         f, d, d * (d - 1) // 2, settle(f, commutators)))
@@ -583,14 +586,16 @@ class FilteredComplex:
 
     def cell_block(self, n, src_cell, dst_cell):
         """The block of d between two cells, as a matrix."""
-        dn = self.d[n]
+        columns = self.d[n].columns
         sp, sq, soff, sdim = src_cell
         dp, dq, doff, ddim = dst_cell
-        ent = {}
-        for (i, j), v in dn.entries.items():
-            if soff <= j < soff + sdim and doff <= i < doff + ddim:
-                ent[(i - doff, j - soff)] = v
-        return SparseMatrix(self.field, ddim, sdim, ent)
+        out = {}
+        for j in range(sdim):
+            col = [x for i, v in col_items(columns.get(soff + j, ()))
+                   if doff <= i < doff + ddim for x in (i - doff, v)]
+            if col:
+                out[j] = tuple(col)
+        return SparseMatrix._of_columns(self.field, ddim, sdim, out)
 
     def find_cell(self, n, p, q):
         for cell in self.cells[n]:
@@ -684,7 +689,7 @@ def check_filtration(fc: FilteredComplex):
                 continue
             inside = set(fc.filtration_coords(i, n - 1))
             for j in cols:
-                if not inside.issuperset(dn.column(j)):
+                if not inside.issuperset(dn.columns.get(j, ())[::2]):
                     raise FiltrationViolation(
                         "d leaves F_%d at degree %d" % (i, n))
     return True
@@ -761,9 +766,8 @@ def _filtered_pairs(fc):
 
     def reversed_d(n):
         src, tgt = pos[n], pos[n - 1]
-        built[n] = SparseMatrix._settled(
-            fc.field, fc.dim(n - 1), fc.dim(n),
-            {(tgt[i], src[j]): v for (i, j), v in fc.d[n].entries.items()})
+        built[n] = relabel(fc.d[n], row_of=tgt.__getitem__,
+                           col_of=src.__getitem__)
         return built[n]
 
     try:
@@ -837,14 +841,6 @@ def spectral_pages(fc: FilteredComplex, rmax, window):
                 killed[(n, i)] += paired[(n, i, r)]
         pages.append(SSPage(r, table, ranks, ranks_in))
     return pages
-
-
-def page_zero_matches_horizontal_boundary(fc: FilteredComplex, cyl, n, p, q):
-    """The induced page-0 differential on the graded cell equals the
-    (untwisted) horizontal boundary, entrywise."""
-    src = fc.find_cell(n, p, q)
-    dst = fc.find_cell(n - 1, p - 1, q)
-    return fc.cell_block(n, src, dst) == cyl.b_h(p, q)
 
 
 # -- Eilenberg-Zilber comparison at the Hochschild level -------------------------------

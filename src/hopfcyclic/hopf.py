@@ -34,8 +34,11 @@ class CheckReport:
         self.entries = []
 
     def record(self, name, lhs, rhs, in_dims):
-        diff = None if lhs.entries == rhs.entries \
-            else lhs.first_difference(rhs)
+        if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
+            self.entries.append((name, False, "shape %dx%d against %dx%d" % (
+                lhs.rows, lhs.cols, rhs.rows, rhs.cols)))
+            return
+        diff = None if lhs == rhs else lhs.first_difference(rhs)
         if diff is None:
             self.entries.append((name, True, None))
         else:

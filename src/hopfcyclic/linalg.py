@@ -1,18 +1,32 @@
 """Sparse exact linear algebra: rank, kernel, image, homology dimensions.
 
-Matrices are immutable dict-of-entries sparse maps over a Field.  Vectors are
-dicts {index: scalar} with no stored zeros.  Everything is exact; there is no
-tolerance anywhere.
+Matrices are immutable and stored once, column by column, in compressed
+column form (Davis, Direct Methods for Sparse Linear Systems, 2006):
+`columns` maps each nonzero column j to one flat tuple (r0, v0, r1, v1,
+...), rows ascending, values settled and nonzero.  A tuple is never
+changed, so builders share it: a product whose right factor has column j
+equal to the unit vector e_k takes the left factor's column k itself, a
+sum of one term with coefficient 1 keeps that term's columns, `amplify`
+with no identity on the right and `block_matrix` with one block at row
+offset 0 keep their input's columns, a relabelling of columns moves them,
+and every unit column (i, 1) is one tuple for the whole process
+(`unit_column`).  The columns are the only index: `entries` ({(row, col):
+scalar}), `column(j)` ({row: scalar}) and `m[i, j]` are views computed on
+each read.  Vectors are dicts {index: scalar} with no stored zeros.
+Everything is exact; there is no tolerance anywhere.
 
 There are two doors into a matrix.  The public constructor is for input from
 outside the computation (parsed files, the Hopf builders, `from_rows`,
 tests): it checks every key against the shape and settles every value into
-the field (`Field.of` for a non-int, then `fields.settle`), so an F_p value
+the field (`Field.of` for a non-int, then `pack_columns`), so an F_p value
 lies in [0, p), an integral Q value is an int and no zero is kept.  Every
 computed result (`@`, `kron`, `amplify`, `widen`, `transpose`, `identity`,
-`block_matrix`, `combine`, a basis matrix, an inverse, the compiled
-operators of `tensor`) is settled exactly once by `fields.settle` or built
-from settled scalars, and is adopted as is by `SparseMatrix._settled`.
+`block_matrix`, `combine`, `relabel`, a basis matrix, an inverse, the
+compiled operators of `tensor`) writes its columns directly and is adopted
+as is by `SparseMatrix._of_columns`.  A sum is taken with native + and *
+in one dict keyed by the column-major position j rows + i, and split into
+columns after one sort of its keys, each value settled exactly once on the
+way (`pack_columns`).
 Every sum of matrices, `+`, `-`, negation, `scale` and the alternating face
 sums of the cylinders and mixed complexes, goes through `combine`.
 
@@ -38,17 +52,58 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .errors import CompositionNotZero
 from .fields import Field, settle
 
+_flatten = chain.from_iterable
+
+
+def col_items(col):
+    """The (row, scalar) pairs of a packed column."""
+    it = iter(col)
+    return zip(it, it)
+
+
+class _UnitColumns(dict):
+    """The packed unit column e_i = (i, 1), made the first time row i asks
+    for it and shared from then on by every matrix that holds it.  Most
+    columns of the structure maps and of the operators built from them by
+    index arithmetic are unit columns, so this keeps one tuple per row
+    index in place of one per column; a column is never changed, so the
+    sharing is invisible."""
+
+    __slots__ = ()
+
+    def __missing__(self, i):
+        col = self[i] = (i, 1)
+        return col
+
+
+unit_column = _UnitColumns().__getitem__
+
+
+def _single(i, v):
+    """The packed column with the one entry v at row i."""
+    return unit_column(i) if v == 1 else (i, v)
+
+
+def _shift(rows, vals, off):
+    """The packed column of the ascending rows, each plus off, against
+    vals."""
+    if len(rows) == 1:
+        return _single(rows[0] + off, vals[0])
+    return tuple(_flatten(zip(map(off.__add__, rows), vals)))
+
 
 class SparseMatrix:
-    """Immutable sparse matrix; entries maps (row, col) -> nonzero scalar."""
+    """Immutable sparse matrix; columns maps col -> (r0, v0, r1, v1, ...),
+    rows ascending, scalars settled and nonzero, empty columns absent."""
 
-    __slots__ = ("field", "rows", "cols", "entries", "_cols_index",
-                 "_pairs", "_kills")
+    __slots__ = ("field", "rows", "cols", "columns", "_pairs", "_kills")
 
     def __init__(self, field, rows, cols, entries=None):
         self.field = field
@@ -59,28 +114,34 @@ class SparseMatrix:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise IndexError("entry (%d,%d) out of %dx%d" % (i, j, rows, cols))
-                ent[(i, j)] = v if v.__class__ is int else field.of(v)
-        self.entries = settle(field, ent)
-        self._cols_index = None
+                ent[j * rows + i] = v if v.__class__ is int else field.of(v)
+        self.columns = pack_columns(field, ent, rows)
         self._pairs = None
         self._kills = None
 
     @classmethod
-    def _settled(cls, field, rows, cols, entries):
-        """Adopt `entries` unchecked and uncopied.
+    def _of_columns(cls, field, rows, cols, columns):
+        """Adopt packed `columns` unchecked and uncopied.
 
-        Every key must lie in bounds and every value must be settled: no
+        Every row and column must lie in bounds, every column must be
+        nonempty with rows ascending, and every value must be settled: no
         zeros, an integral Q value an int, an F_p value in [0, p).
         """
         m = cls.__new__(cls)
         m.field = field
         m.rows = rows
         m.cols = cols
-        m.entries = entries
-        m._cols_index = None
+        m.columns = columns
         m._pairs = None
         m._kills = None
         return m
+
+    @classmethod
+    def _settled(cls, field, rows, cols, entries):
+        """Pack a {(row, col): scalar} dict unchecked: every key must lie
+        in bounds."""
+        return cls._of_columns(field, rows, cols, pack_columns(
+            field, {j * rows + i: v for (i, j), v in entries.items()}, rows))
 
     # -- constructors ---------------------------------------------------------
 
@@ -90,7 +151,8 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, field, n):
-        return cls._settled(field, n, n, {(i, i): 1 for i in range(n)})
+        return cls._of_columns(field, n, n,
+                               dict(zip(range(n), map(unit_column, range(n)))))
 
     @classmethod
     def from_rows(cls, field, dense):
@@ -113,42 +175,46 @@ class SparseMatrix:
             ent = {(i, 0): field.of(v) for i, v in enumerate(vec)}
         return cls(field, dim, 1, ent)
 
-    # -- access ---------------------------------------------------------------
+    # -- views ----------------------------------------------------------------
+
+    @property
+    def entries(self):
+        """{(row, col): scalar}, built from the columns on each read."""
+        return {(i, j): v for j, col in self.columns.items()
+                for i, v in col_items(col)}
 
     def __getitem__(self, ij):
-        return self.entries.get(ij, self.field.zero())
-
-    def column_index(self):
-        """{col: {row: scalar}} over the nonzero columns, built once."""
-        if self._cols_index is None:
-            idx = {}
-            for (i, k), v in self.entries.items():
-                idx.setdefault(k, {})[i] = v
-            self._cols_index = idx
-        return self._cols_index
+        i, j = ij
+        col = self.columns.get(j, ())
+        k = bisect_left(col[::2], i)
+        if 2 * k < len(col) and col[2 * k] == i:
+            return col[2 * k + 1]
+        return self.field.zero()
 
     def column(self, j):
         """Column j as a dict {row: scalar}."""
-        return self.column_index().get(j, {})
+        return dict(col_items(self.columns.get(j, ())))
 
     def nnz(self):
-        return len(self.entries)
+        return sum(map(len, self.columns.values())) >> 1
 
     def row_dicts(self):
         out = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
+        columns = self.columns
+        for j in sorted(columns):
+            for i, v in col_items(columns[j]):
+                out[i][j] = v
         return out
 
     def is_zero(self):
-        return not self.entries
+        return not self.columns
 
     def __eq__(self, other):
         return (
             isinstance(other, SparseMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.columns == other.columns
         )
 
     def __hash__(self):
@@ -158,12 +224,18 @@ class SparseMatrix:
         return "SparseMatrix(%dx%d, %d nonzero)" % (self.rows, self.cols, self.nnz())
 
     def first_difference(self, other):
-        """First (row, col) where self and other differ, or None."""
-        keys = set(self.entries) | set(other.entries)
-        for ij in sorted(keys):
-            if self[ij] != other[ij]:
-                return ij
-        return None
+        """First (row, col) in row-major order where self and other differ,
+        or None."""
+        a, b = self.columns, other.columns
+        first = None
+        for j in a.keys() | b.keys():
+            x, y = a.get(j, ()), b.get(j, ())
+            if x != y:
+                x, y = dict(col_items(x)), dict(col_items(y))
+                i = min(i for i in x.keys() | y.keys() if x.get(i) != y.get(i))
+                if first is None or (i, j) < first:
+                    first = (i, j)
+        return first
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -180,56 +252,112 @@ class SparseMatrix:
         return combine(self.field, self.rows, self.cols, ((c, self),))
 
     def __matmul__(self, other):
-        """Composition self . other (apply other first)."""
+        """Composition self . other (apply other first).
+
+        A column of other that is one entry 1 at row k is self's column k,
+        shared as it is; the other columns are summed natively in one dict,
+        keyed by the column-major position j rows + i, and split into
+        columns once, as `combine` does."""
         if self.cols != other.rows:
             raise ValueError("composition mismatch: %dx%d @ %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        # Native sums; an exact cancellation over Q is dropped at once.  F_p
-        # representatives are positive, so their sums never hit 0 before
-        # `settle` reduces them.
-        cols = self.column_index()
+        rows = self.rows
+        left = self.columns.get
+        out = {}
         sums = {}
         get = sums.get
-        for (k, j), bv in other.entries.items():
-            col = cols.get(k)
-            if col:
-                for i, av in col.items():
-                    ij = (i, j)
-                    w = get(ij, 0) + av * bv
-                    if w:
-                        sums[ij] = w
-                    else:
-                        del sums[ij]
-        return SparseMatrix._settled(self.field, self.rows, other.cols,
-                                     settle(self.field, sums))
+        for j, col in other.columns.items():
+            if len(col) == 2 and col[1] == 1:
+                a = left(col[0])
+                if a is not None:
+                    out[j] = a
+                continue
+            base = j * rows
+            it = iter(col)
+            for k, bv in zip(it, it):
+                a = left(k)
+                if a is not None:
+                    ia = iter(a)
+                    for i, av in zip(ia, ia):
+                        i += base
+                        sums[i] = get(i, 0) + av * bv
+        if sums:
+            out.update(pack_columns(self.field, sums, rows))
+        return SparseMatrix._of_columns(self.field, rows, other.cols, out)
 
     def transpose(self):
-        return SparseMatrix._settled(
+        """Rows become columns: self's columns are read in ascending order,
+        so each new column is written with its rows ascending."""
+        out = {}
+        get = out.get
+        columns = self.columns
+        for j in sorted(columns):
+            col = columns[j]
+            if len(col) == 2:
+                row = get(col[0])
+                if row is None:
+                    out[col[0]] = [j, col[1]]
+                else:
+                    row += (j, col[1])
+                continue
+            it = iter(col)
+            for i, v in zip(it, it):
+                row = get(i)
+                if row is None:
+                    out[i] = [j, v]
+                else:
+                    row += (j, v)
+        return SparseMatrix._of_columns(
             self.field, self.cols, self.rows,
-            {(j, i): v for (i, j), v in self.entries.items()})
+            {i: tuple(row) for i, row in out.items()})
 
     def kron(self, other):
-        """Kronecker product; row-major, leftmost factor varying slowest."""
-        f = self.field
+        """Kronecker product; row-major, leftmost factor varying slowest.
+
+        Column j1 other.cols + j2 holds, for each entry (i1, v1) of self's
+        column j1 in turn, other's column j2 shifted down by i1 other.rows
+        and scaled by v1, so its rows come out ascending; a product of
+        nonzero scalars is nonzero, so nothing cancels, and a product of
+        ints over Q is settled as it is."""
+        p = self.field.p
         rows, cols = other.rows, other.cols
-        right = list(other.entries.items())
-        ent = {}
-        for (i1, j1), v1 in self.entries.items():
-            i0, j0 = i1 * rows, j1 * cols
-            for (i2, j2), v2 in right:
-                ent[(i0 + i2, j0 + j2)] = v1 * v2
-        return SparseMatrix._settled(f, self.rows * rows, self.cols * cols,
-                                     settle(f, ent))
+        right = [(j, list(col_items(col)), _ints(p, col))
+                 for j, col in other.columns.items()]
+        out = {}
+        for j1, a in self.columns.items():
+            j0 = j1 * cols
+            ints = _ints(p, a)
+            a = list(col_items(a))
+            for j2, b, b_ints in right:
+                if len(a) == 1 and len(b) == 1:
+                    (i1, v1), (i2, v2) = a[0], b[0]
+                    out[j0 + j2] = _single(i1 * rows + i2,
+                                           v1 * v2 if ints and b_ints
+                                           else _scalar(p, v1 * v2))
+                    continue
+                if ints and b_ints:
+                    col = [x for i1, v1 in a for i2, v2 in b
+                           for x in (i1 * rows + i2, v1 * v2)]
+                elif p is not None:
+                    col = [x for i1, v1 in a for i2, v2 in b
+                           for x in (i1 * rows + i2, v1 * v2 % p)]
+                else:
+                    col = [x for i1, v1 in a for i2, v2 in b
+                           for x in (i1 * rows + i2, _scalar(p, v1 * v2))]
+                out[j0 + j2] = tuple(col)
+        return SparseMatrix._of_columns(self.field, self.rows * rows,
+                                        self.cols * cols, out)
 
     def apply(self, vec):
         """Apply to a dict-vector; returns a dict-vector."""
-        cols = self.column_index()
+        cols = self.columns
         out = {}
         get = out.get
         for j, c in vec.items():
             col = cols.get(j)
             if col:
-                for i, a in col.items():
+                it = iter(col)
+                for i, a in zip(it, it):
                     out[i] = get(i, 0) + a * c
         return settle(self.field, out)
 
@@ -237,32 +365,171 @@ class SparseMatrix:
 def combine(field, rows, cols, terms):
     """The rows x cols matrix sum of c * m over the (c, m) pairs of terms.
 
-    Every m must be rows x cols.  The sum is taken with native + and * in one
-    dict and settled once, so c may be any int or field scalar (a sign -1
-    over F_p included).
+    Every m must be rows x cols, and c may be any int or field scalar (a
+    sign -1 over F_p included): it is settled first, and a term whose c is
+    0 is dropped.  One term is scaled column by column, and with c = 1 its
+    columns are shared; several are summed with native + and * in one dict,
+    keyed by the column-major position j rows + i, and settled once as it
+    is split into columns.
     """
-    sums = {}
-    get = sums.get
+    scaled = []
     for c, m in terms:
         if m.rows != rows or m.cols != cols:
             raise ValueError("shape mismatch %sx%s vs %sx%s"
                              % (rows, cols, m.rows, m.cols))
-        for ij, v in m.entries.items():
-            sums[ij] = get(ij, 0) + c * v
-    return SparseMatrix._settled(field, rows, cols, settle(field, sums))
+        c = _scalar(field.p, c)
+        if c:
+            scaled.append((c, m.columns))
+    if len(scaled) == 1:
+        c, columns = scaled[0]
+        if c != 1:
+            columns = _scaled(field.p, c, columns)
+        return SparseMatrix._of_columns(field, rows, cols, columns)
+    sums = {}
+    get = sums.get
+    for c, columns in scaled:
+        for j, col in columns.items():
+            if len(col) == 2:
+                k = j * rows + col[0]
+                sums[k] = get(k, 0) + c * col[1]
+                continue
+            base = j * rows
+            it = iter(col)
+            for i, v in zip(it, it):
+                k = base + i
+                sums[k] = get(k, 0) + c * v
+    return SparseMatrix._of_columns(field, rows, cols,
+                                    pack_columns(field, sums, rows))
+
+
+def _scalar(p, v):
+    """A native scalar settled: reduced mod p, or over Q (p None) an
+    integral Fraction made an int."""
+    if p is not None:
+        return v % p
+    if v.__class__ is Fraction and v.denominator == 1:
+        return v.numerator
+    return v
+
+
+def _ints(p, col):
+    """Whether a packed column over Q has only int values."""
+    return p is None and all(v.__class__ is int for v in col[1::2])
+
+
+def _shifts(rows, vals, offsets):
+    """The packed columns of the ascending rows, each plus off, against
+    vals, for each off in offsets; rows has two entries or more."""
+    return (tuple(_flatten(zip(map(off.__add__, rows), vals)))
+            for off in offsets)
+
+
+def _singles(rows, v):
+    """The one-entry packed columns (r, v) for r in rows; unit columns are
+    shared."""
+    return map(unit_column, rows) if v == 1 else zip(rows, repeat(v))
+
+
+def _scaled(p, c, columns):
+    """Packed columns times a nonzero settled scalar c; a product of
+    nonzero scalars is nonzero, so no column loses an entry, and over Q a
+    product of ints is settled as it is."""
+    out = {}
+    for j, col in columns.items():
+        vals = col[1::2]
+        if p is not None:
+            vals = [c * v % p for v in vals]
+        elif c.__class__ is int and _ints(p, col):
+            vals = list(map(c.__mul__, vals))
+        else:
+            vals = [_scalar(p, c * v) for v in vals]
+        out[j] = _shift(col[::2], vals, 0)
+    return out
+
+
+def pack_columns(field, sums, rows):
+    """The packed columns of a dict of native sums keyed by column-major
+    position j rows + i: one sort of the keys, then each column is cut off
+    in turn, its values settled as `fields.settle` settles (zeros dropped,
+    an integral Q value an int, an F_p value in [0, p))."""
+    p = field.p
+    out = {}
+    long = []  # columns of more than one entry, grown as lists
+    end = 0
+    for k in sorted(sums):
+        v = sums[k]
+        if p is None:
+            if not v:
+                continue
+            if v.__class__ is Fraction and v.denominator == 1:
+                v = v.numerator
+        else:
+            v %= p
+            if not v:
+                continue
+        if k >= end:  # the first entry of column j
+            j = k // rows
+            base = j * rows
+            end = base + rows
+            out[j] = unit_column(k - base) if v == 1 else (k - base, v)
+            continue
+        col = out[j]
+        if col.__class__ is tuple:
+            col = out[j] = [*col]
+            long.append(j)
+        col += (k - base, v)
+    for j in long:
+        out[j] = tuple(out[j])
+    return out
+
+
+def relabel(m: SparseMatrix, row_of=None, col_of=None) -> SparseMatrix:
+    """m with entry (i, j) moved to (row_of(i), col_of(j)); each is a
+    permutation of m's rows or columns, None for the identity.  Moved
+    columns are shared; a column whose rows move is sorted again."""
+    columns = m.columns
+    if row_of is not None:
+        columns = {j: _single(row_of(col[0]), col[1]) if len(col) == 2
+                   else tuple(
+            _flatten(sorted([(row_of(i), v) for i, v in col_items(col)])))
+            for j, col in columns.items()}
+    if col_of is not None:
+        columns = dict(zip(map(col_of, columns), columns.values()))
+    return SparseMatrix._of_columns(m.field, m.rows, m.cols, columns)
 
 
 def amplify(m: SparseMatrix, left, right) -> SparseMatrix:
     """I_left (x) m (x) I_right, by index arithmetic: m's entry at (i, j)
     lands at ((a rows + i) right + b, (a cols + j) right + b) for a < left
     and b < right.  The identity entries are 1, so m's scalars are adopted
-    as they are, with no product and no settle."""
+    as they are, with no product and no settle; the block a = 0 of
+    I_left (x) m is m's own columns."""
     rows, cols = m.rows * right, m.cols * right
-    corners = [(a * rows + i * right, a * cols + j * right, v)
-               for a in range(left) for (i, j), v in m.entries.items()]
-    diagonal = range(right)
-    return SparseMatrix._settled(m.field, left * rows, left * cols, {
-        (r + b, c + b): v for r, c, v in corners for b in diagonal})
+    out = {}
+    for j, col in m.columns.items():
+        if len(col) == 2:  # the columns (a cols + j) right + b, one entry each
+            i, v = col
+            if right == 1:
+                out.update(zip(range(j, left * cols, cols),
+                               _singles(range(i, left * rows, rows), v)))
+                continue
+            for a in range(left):
+                r0, c0 = a * rows + i * right, a * cols + j * right
+                out.update(zip(range(c0, c0 + right),
+                               _singles(range(r0, r0 + right), v)))
+            continue
+        if right == 1:
+            rows_a, vals = col[::2], col[1::2]
+            out[j] = col
+            for a in range(1, left):
+                out[a * cols + j] = _shift(rows_a, vals, a * rows)
+            continue
+        spread, vals = [i * right for i in col[::2]], col[1::2]
+        for a in range(left):
+            r0, c0 = a * rows, a * cols + j * right
+            out.update(zip(range(c0, c0 + right),
+                           _shifts(spread, vals, range(r0, r0 + right))))
+    return SparseMatrix._of_columns(m.field, left * rows, left * cols, out)
 
 
 def widen(m: SparseMatrix, mid, row_lo, col_lo) -> SparseMatrix:
@@ -271,33 +538,52 @@ def widen(m: SparseMatrix, mid, row_lo, col_lo) -> SparseMatrix:
     ((i // row_lo mid + x) row_lo + i % row_lo,
     (j // col_lo mid + x) col_lo + j % col_lo) for x < mid.  So an operator
     on U (x) W -> U' (x) W', with row_lo = dim W' and col_lo = dim W, passes
-    a middle factor of dimension mid through untouched.  As in `amplify`,
+    a middle factor of dimension mid through untouched.  The row map is
+    increasing, so each column keeps its rows ascending; as in `amplify`,
     m's scalars are adopted as they are, with no product and no settle."""
-    corners = [((i // row_lo) * mid * row_lo + i % row_lo,
-                (j // col_lo) * mid * col_lo + j % col_lo, v)
-               for (i, j), v in m.entries.items()]
-    middle = [(x * row_lo, x * col_lo) for x in range(mid)]
-    return SparseMatrix._settled(m.field, m.rows * mid, m.cols * mid, {
-        (r + dr, c + dc): v for r, c, v in corners for dr, dc in middle})
+    out = {}
+    for j, col in m.columns.items():
+        spread = [(i // row_lo) * mid * row_lo + i % row_lo
+                  for i in col[::2]]
+        vals = col[1::2]
+        c0 = (j // col_lo) * mid * col_lo + j % col_lo
+        if len(spread) == 1:  # the columns c0 + x col_lo, each one entry
+            r0 = spread[0]
+            out.update(zip(range(c0, c0 + mid * col_lo, col_lo),
+                           _singles(range(r0, r0 + mid * row_lo, row_lo),
+                                    vals[0])))
+            continue
+        out.update(zip(range(c0, c0 + mid * col_lo, col_lo),
+                       _shifts(spread, vals, range(0, mid * row_lo, row_lo))))
+    return SparseMatrix._of_columns(m.field, m.rows * mid, m.cols * mid, out)
 
 
 def block_matrix(field, blocks, row_dims, col_dims):
-    """Assemble a matrix from a {(bi, bj): SparseMatrix} block dict."""
+    """Assemble a matrix from a {(bi, bj): SparseMatrix} block dict.
+
+    The blocks are taken by block row, so each column is the concatenation
+    of its pieces with rows ascending; a column with one piece at row
+    offset 0 is the block's column, shared."""
     roff = [0]
     for d in row_dims:
         roff.append(roff[-1] + d)
     coff = [0]
     for d in col_dims:
         coff.append(coff[-1] + d)
-    ent = {}
-    for (bi, bj), m in blocks.items():
+    out = {}
+    get = out.get
+    for (bi, bj), m in sorted(blocks.items()):
         if m is None:
             continue
         if m.rows != row_dims[bi] or m.cols != col_dims[bj]:
             raise ValueError("block (%d,%d) shape mismatch" % (bi, bj))
-        for (i, j), v in m.entries.items():
-            ent[(roff[bi] + i, coff[bj] + j)] = v
-    return SparseMatrix._settled(field, roff[-1], coff[-1], ent)
+        r0, c0 = roff[bi], coff[bj]
+        for j, col in m.columns.items():
+            if r0:
+                col = _shift(col[::2], col[1::2], r0)
+            got = get(c0 + j)
+            out[c0 + j] = col if got is None else got + col
+    return SparseMatrix._of_columns(field, roff[-1], coff[-1], out)
 
 
 # -- elimination --------------------------------------------------------------
@@ -484,12 +770,10 @@ class Subspace:
 
     def basis_matrix(self):
         """ambient_dim x dim matrix whose columns are the basis vectors."""
-        ent = {}
-        for k, b in enumerate(self.basis):
-            for i, v in b.items():
-                ent[(i, k)] = v
-        return SparseMatrix._settled(self.field, self.ambient_dim, self.dim,
-                                     ent)
+        return SparseMatrix._of_columns(
+            self.field, self.ambient_dim, self.dim,
+            {k: tuple(_flatten(sorted(b.items())))
+             for k, b in enumerate(self.basis)})
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -503,7 +787,7 @@ class Subspace:
 def rank(m: SparseMatrix, cleared=()) -> int:
     """The number of pairs of the reduction of m's rows.
 
-    The rows enter `_reduce_columns` as columns, read off m's entries with
+    The rows enter `_reduce_columns` as columns, read off m's columns with
     no transpose, so each pivot is a row's last nonzero column.  The pairs
     are kept on m as {pivot column: row}, so m is reduced once however
     often its rank is asked for, and the pivot columns are at hand to clear
@@ -513,8 +797,23 @@ def rank(m: SparseMatrix, cleared=()) -> int:
     """
     if m._pairs is None:
         rows = {}
-        for (i, j), v in m.entries.items():
-            rows.setdefault(i, {})[j] = v
+        get = rows.get
+        for j, col in m.columns.items():
+            if len(col) == 2:
+                i = col[0]
+                row = get(i)
+                if row is None:
+                    rows[i] = {j: col[1]}
+                else:
+                    row[j] = col[1]
+                continue
+            it = iter(col)
+            for i, v in zip(it, it):
+                row = get(i)
+                if row is None:
+                    rows[i] = {j: v}
+                else:
+                    row[j] = v
         pairs, _ = _reduce_columns(m.field, [
             (i, rows[i]) for i in sorted(rows) if i not in cleared])
         m._pairs = {low: i for i, low in pairs.items()}
@@ -540,7 +839,9 @@ def kernel(m: SparseMatrix) -> Subspace:
 
 def image(m: SparseMatrix) -> Subspace:
     """Column span."""
-    return Subspace(m.field, m.rows, m.transpose().row_dicts())
+    columns = m.columns
+    return Subspace(m.field, m.rows,
+                    [dict(col_items(columns[j])) for j in sorted(columns)])
 
 
 def _homology_dims(pairs):
@@ -567,7 +868,7 @@ def _homology_dims(pairs):
         if d_out._kills is not d_in:
             comp = d_out @ d_in
             if not comp.is_zero():
-                ij = sorted(comp.entries)[0]
+                ij = min((col[0], j) for j, col in comp.columns.items())
                 raise CompositionNotZero("d.d != 0 first at %s" % (ij,))
             d_out._kills = d_in
         if d_out._pairs is None:
@@ -590,9 +891,14 @@ def invert(m: SparseMatrix):
     pivots, rred = _rref(f, aug)
     if len(pivots) < n or pivots[:n] != list(range(n)):
         return None
-    ent = {}
+    out = {}  # the rows i come in ascending order
     for i, r in zip(pivots, rred):
         for j, v in r.items():
             if j >= n:
-                ent[(i, j - n)] = v
-    return SparseMatrix._settled(f, n, n, ent)
+                col = out.get(j - n)
+                if col is None:
+                    out[j - n] = [i, v]
+                else:
+                    col += (i, v)
+    return SparseMatrix._of_columns(
+        f, n, n, {j: tuple(col) for j, col in out.items()})

@@ -37,7 +37,7 @@ closed forms of the module form, which compiles on the cylinder's spaces.
 from __future__ import annotations
 
 from .fields import settle
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, col_items, pack_columns, unit_column
 
 
 def tensor_unindex(dims, idx):
@@ -64,9 +64,8 @@ def perm_matrix(field, dims, out_to_in):
     out = [0]
     for d, w in zip(dims, stride):
         out = [i + m * w for i in out for m in range(d)]
-    one = field.one()
-    return SparseMatrix._settled(field, total, total,
-                                 {(i, j): one for j, i in enumerate(out)})
+    return SparseMatrix._of_columns(field, total, total,
+                                    dict(enumerate(map(unit_column, out))))
 
 
 class Spaces(dict):
@@ -188,9 +187,6 @@ def iterate_comult_matrix(field, ops, k):
     return m
 
 
-_EMPTY = {}
-
-
 def _expansion(field, spaces, label, exp):
     """Memoized expansion of one factor: (leg dims, decoded columns).
 
@@ -213,7 +209,7 @@ def _expansion(field, spaces, label, exp):
         ldims = [spaces["H"].dim] * k + [d]
     else:
         raise ValueError("unknown expansion %r" % (exp,))
-    split = split and split.column_index()
+    split = split and split.columns
     columns = []
     for i in range(d):
         terms = {(i,): 1}
@@ -222,7 +218,7 @@ def _expansion(field, spaces, label, exp):
             get = nxt.get
             for legs, c in terms.items():
                 head = legs[:-1]
-                for r, v in split.get(legs[-1], _EMPTY).items():
+                for r, v in col_items(split.get(legs[-1], ())):
                     split_legs = head + divmod(r, d)
                     nxt[split_legs] = get(split_legs, 0) + c * v
             terms = settle(field, nxt)
@@ -264,26 +260,27 @@ def _slots(e, out):
 
 
 def _apply(cols, vec):
-    """A linear map, given by its column index, applied to [(index, coeff)]."""
+    """A linear map, given by its packed columns, applied to
+    [(index, coeff)]."""
     out = {}
     get = out.get
     for j, c in vec:
-        for i, a in cols.get(j, _EMPTY).items():
+        for i, a in col_items(cols.get(j, ())):
             out[i] = get(i, 0) + a * c
     return out
 
 
 def _apply2(cols, d, x, y):
-    """A bilinear map X (x) Y -> Z, given by the column index of its matrix
-    (column a d + b for the basis tensor (a, b), d = dim Y), applied to
-    x, y as [(index, coeff)]."""
+    """A bilinear map X (x) Y -> Z, given by the packed columns of its
+    matrix (column a d + b for the basis tensor (a, b), d = dim Y), applied
+    to x, y as [(index, coeff)]."""
     out = {}
     get = out.get
     for a, c in x:
         base = a * d
         for b, e in y:
             ce = c * e
-            for i, v in cols.get(base + b, _EMPTY).items():
+            for i, v in col_items(cols.get(base + b, ())):
                 out[i] = get(i, 0) + v * ce
     return out
 
@@ -332,24 +329,24 @@ class _Columns(dict):
                 raise ValueError("product of legs from different spaces")
             sp = first
             if len(self.parts) == 2:
-                self.table = spaces[sp].mult.column_index()
+                self.table = spaces[sp].mult.columns
                 self.d = spaces[sp].dim
         elif tag == "act":
             if first != "H":
                 raise ValueError("action by a non-Hopf expression")
             sp = last
-            self.table = spaces[sp].action.column_index()
+            self.table = spaces[sp].action.columns
             self.d = spaces[sp].dim
         elif tag == "eps":
             sp = "1"
-            self.table = spaces[first].counit.column_index()
+            self.table = spaces[first].counit.columns
         else:
             if first != "H":
                 raise ValueError("antipode applied to non-Hopf leg")
             sp = "H"
             h = spaces["H"]
             self.table = (h.antipode if tag == "S"
-                          else h.antipode_inv).column_index()
+                          else h.antipode_inv).columns
         self.space = sp
         self.rows = 1 if sp == "1" else spaces[sp].dim
         self.cols = 1
@@ -416,8 +413,9 @@ def compile_operator(field, spaces, specs, outputs):
     assignments land on distinct offsets, so no two terms of the fold
     merge.  Each offset expands into the Kronecker product of the output
     columns it names, each evaluated from the structure tables the first
-    time any compile on these spaces reaches it, and the sum in each output
-    entry is settled into the field at the end.
+    time any compile on these spaces reaches it; the sums are native, keyed
+    by column-major position, and split into settled columns once
+    (`pack_columns`).
     """
     legmap = Legs(specs)
     leg_dims = []
@@ -475,7 +473,7 @@ def compile_operator(field, spaces, specs, outputs):
         _, cols1, w1, memo1 = blocks[0]
     sums = {}
     get = sums.get
-    j = 0
+    base = 0  # j n_out, for the input column j
     for ts in flat:
         for col_in in last:
             for o1, c1 in ts:
@@ -483,18 +481,19 @@ def compile_operator(field, spaces, specs, outputs):
                     e, r = divmod(o1 + o2, n_out)
                     c = c1 * c2
                     if not blocks:
-                        key = (r, j)
-                        sums[key] = get(key, 0) + c
+                        r += base
+                        sums[r] = get(r, 0) + c
                         continue
                     if single:
                         col = cols1.get(e)
                         if col is None:
                             col = _weighted(memo1, cols1, e, w1)
+                        r += base
                         for r2, y in col:
-                            key = (r + r2, j)
-                            sums[key] = get(key, 0) + c * y
+                            r2 += r
+                            sums[r2] = get(r2, 0) + c * y
                         continue
-                    rows = [(r, c)]
+                    rows = [(r + base, c)]
                     for radix, cols, w, memo in blocks:
                         e, k = divmod(e, radix)
                         col = cols.get(k)
@@ -506,7 +505,7 @@ def compile_operator(field, spaces, specs, outputs):
                                 for r2, y in col]
                     else:
                         for r, x in rows:
-                            key = (r, j)
-                            sums[key] = get(key, 0) + x
-            j += 1
-    return SparseMatrix._settled(field, n_out, n_in, settle(field, sums))
+                            sums[r] = get(r, 0) + x
+            base += n_out
+    return SparseMatrix._of_columns(field, n_out, n_in,
+                                    pack_columns(field, sums, n_out))

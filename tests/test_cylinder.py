@@ -357,3 +357,30 @@ def test_the_suites_compile_one_kernel_per_row_and_column(build, check,
         compiles.clear()
         assert check(build(doc), P, Q).ok
         assert len(compiles) == compiled(P, Q), (P, Q)
+
+
+@pytest.mark.parametrize("name, window", [("c3_Q", (2, 2)),
+                                          ("sweedler_Q", (2, 1))])
+def test_cell_operators_retain_few_bytes_per_nonzero(name, window):
+    """Memory guard on the column storage: everything allocated from
+    building the cylinder to the end of its suite and still alive, over the
+    nonzeros its operator cache holds.  Matrices that kept a second,
+    dict-of-dicts column index besides their entries retained 371-393
+    bytes per nonzero here; one flat tuple per column, with unit columns
+    and product columns shared, retains 70-90."""
+    import gc
+    import tracemalloc
+
+    doc = load_document(os.path.join(DATA, name + ".json"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cyl = AlgebraCylinder(doc.algebra)
+        assert check_algebra_cylinder(cyl, *window).ok
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nnz = sum(m.nnz() for m in cyl._cache.values())
+    assert nnz > 10000
+    assert retained / nnz < 140

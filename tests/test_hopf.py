@@ -5,7 +5,7 @@ import pytest
 from hopfcyclic.errors import CharTwo, NotAGroup, Singular
 from hopfcyclic.fields import Field
 from hopfcyclic.hopf import (
-    HopfAlgebra, antipode_inverse, check_comodule_algebra, check_hopf,
+    CheckReport, HopfAlgebra, antipode_inverse, check_comodule_algebra, check_hopf,
     check_module_coalgebra, cyclic_group_table, group_algebra, iterate_comult,
     regular_comodule_algebra, regular_module_coalgebra, space_ops,
     sweedler_hopf, symmetric_group_table, trivial_comodule_algebra,
@@ -154,3 +154,23 @@ def test_iterate_comult_association_free(make, k):
     for j in range(k):
         left = h.comult.kron(SparseMatrix.identity(h.field, h.dim ** j)) @ left
     assert left == right
+
+
+def test_check_report_compares_whole_matrices():
+    """A record compares shapes as well as nonzeros: the 2 x 2 identity
+    against the 2 x 3 matrix with the same nonzeros is a failure that names
+    both shapes, not a pass."""
+    rep = CheckReport("shapes")
+    wide = SparseMatrix(QQ, 2, 3, {(0, 0): 1, (1, 1): 1})
+    rep.record("square vs wide", SparseMatrix.identity(QQ, 2), wide, [2])
+    assert not rep.ok
+    assert rep.failures() == [("square vs wide", False,
+                               "shape 2x2 against 2x3")]
+    rep = CheckReport("values")
+    rep.record("equal", wide, SparseMatrix(QQ, 2, 3, {(1, 1): 1, (0, 0): 1}),
+               [3])
+    rep.record("unequal", wide, SparseMatrix(QQ, 2, 3, {(0, 0): 1, (1, 2): 1}),
+               [3])
+    assert rep.entries == [
+        ("equal", True, None),
+        ("unequal", False, "first failure at input basis (1,)")]

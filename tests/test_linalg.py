@@ -17,10 +17,12 @@ from hopfcyclic.errors import CompositionNotZero
 from hopfcyclic.fields import Field, is_prime
 from hopfcyclic.io import _map_matrix, _map_pairs
 from hopfcyclic.linalg import (
-    SparseMatrix, Subspace, _echelonize, _homology_dims, block_matrix,
-    combine, image, invert, kernel, rank, widen,
+    SparseMatrix, Subspace, _echelonize, _homology_dims, amplify,
+    block_matrix, combine, image, invert, kernel, rank, relabel, widen,
 )
-from hopfcyclic.tensor import perm_matrix
+from hopfcyclic.tensor import (
+    SpaceOps, Spaces, compile_operator, leg, perm_matrix, prod,
+)
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -858,3 +860,157 @@ def test_widen_is_a_permuted_kronecker_product(drawn):
     assert (got.rows, got.cols) == (m.rows * mid, m.cols * mid)
     assert got == want
     _assert_settled(got)
+
+
+def _assert_packed(m):
+    """The storage invariant: each stored column is a nonempty flat tuple
+    (r0, v0, r1, v1, ...) with rows ascending and in bounds, values settled;
+    every view agrees with it."""
+    for j, col in m.columns.items():
+        assert 0 <= j < m.cols and col.__class__ is tuple and col
+        rows = col[::2]
+        assert list(rows) == sorted(set(rows)) and 0 <= rows[0] \
+            and rows[-1] < m.rows
+        _assert_settled_scalars(m.field, col[1::2])
+    dense = _dense(m)
+    want = {(i, j): v for i, row in enumerate(dense)
+            for j, v in enumerate(row) if v != 0}
+    assert m.entries == want and m.nnz() == len(want)
+    assert m.is_zero() == (not want)
+    for j in range(m.cols):
+        assert m.column(j) == {i: v for (i, k), v in want.items() if k == j}
+    assert m.row_dicts() == [{j: v for (k, j), v in want.items() if k == i}
+                             for i in range(m.rows)]
+
+
+def _snapshot(*ms):
+    return [(m, dict(m.columns)) for m in ms]
+
+
+def _assert_untouched(snap):
+    """No column dict changed and every column is the same object."""
+    for m, cols in snap:
+        assert m.columns == cols
+        assert all(m.columns[j] is col for j, col in cols.items())
+
+
+def _from_dense(field, dense, cols):
+    return SparseMatrix(field, len(dense), cols, {
+        (i, j): v for i, row in enumerate(dense) for j, v in enumerate(row)
+        if v != 0})
+
+
+def _ref_shift(dense, rows, cols, row_of, col_of):
+    out = [[0] * cols for _ in range(rows)]
+    for i, row in enumerate(dense):
+        for j, v in enumerate(row):
+            out[row_of(i)][col_of(j)] = v
+    return out
+
+
+@st.composite
+def _column_operands(draw):
+    """A field (Q, GF(2) or GF(3)); a and b whose product has one column
+    that cancels (over Q between true fractions); a permutation-like p
+    (each column one entry 1); a row order; a 2 x 4 table."""
+    field = draw(st.sampled_from((QQ, F2, Field.prime(3))))
+    values = _ORACLE_ENTRIES if field.p is None else (0, 0, 1, 2, -1)
+    rows, inner, cols = (draw(st.integers(min_value=1, max_value=4))
+                         for _ in range(3))
+
+    def dense(r, c):
+        return [[field.of(draw(st.sampled_from(values))) for _ in range(c)]
+                for _ in range(r)]
+
+    da, db, table = dense(rows, inner), dense(inner, cols), dense(2, 4)
+    # [A | A] times [[B, x], [B, -x]]: the last column cancels exactly
+    x = [field.of(draw(st.sampled_from(values[3:]))) for _ in range(inner)]
+    a = _from_dense(field, [r + r for r in da], 2 * inner)
+    b = _from_dense(field, [r + [v] for r, v in zip(db, x)]
+                    + [r + [field.neg(v)] for r, v in zip(db, x)], cols + 1)
+    image = draw(st.lists(st.integers(min_value=0, max_value=2 * inner - 1),
+                          min_size=1, max_size=5))
+    p = SparseMatrix(field, 2 * inner, len(image),
+                     {(i, j): 1 for j, i in enumerate(image)})
+    order = draw(st.permutations(range(rows)))
+    return field, a, b, p, order, _from_dense(field, table, 4)
+
+
+@given(_column_operands())
+@settings(max_examples=120, deadline=None)
+def test_column_storage_agrees_with_dense_oracle(drawn):
+    """Every builder and view of the column storage against dense lists
+    over Q (true fractions), GF(2) and GF(3): `@` (a cancelled column is
+    not stored; a unit column of the right factor is the left factor's
+    column object), `kron`, `amplify`, `widen`, `transpose`, `combine` (a
+    sum that reaches p is zero), `block_matrix`, `identity`, `invert`,
+    `apply`, `relabel` and `compile_operator`; `==` and `first_difference`
+    read the columns; `@`, `combine`, `rank` and `kernel` leave every
+    column they share untouched."""
+    f, a, b, p, order, table = drawn
+    snap = _snapshot(a, b, p)
+    ab = a @ b
+    assert _dense(ab) == _ref_matmul(f, _dense(a), _dense(b),
+                                     a.rows, a.cols, b.cols)
+    assert b.cols - 1 not in ab.columns
+    ap = a @ p
+    assert _dense(ap) == _ref_matmul(f, _dense(a), _dense(p),
+                                     a.rows, a.cols, p.cols)
+    for j, col in p.columns.items():
+        assert ap.columns.get(j) is a.columns.get(col[0])
+    snap += _snapshot(ab, ap)
+    for m in (a, b, p, ab, ap):
+        _assert_packed(m)
+    k = a.kron(b)
+    assert _dense(k) == _ref_kron(f, _dense(a), _dense(b))
+    built = [k]
+    for left, right in ((1, 1), (2, 1), (1, 2), (2, 3)):
+        built.append(amplify(a, left, right))
+        assert built[-1] == SparseMatrix.identity(f, left).kron(a).kron(
+            SparseMatrix.identity(f, right))
+    built += [widen(a, 2, 1, 1), widen(a, 2, a.rows, a.cols)]
+    assert built[-2] == a.kron(SparseMatrix.identity(f, 2))
+    assert built[-1] == SparseMatrix.identity(f, 2).kron(a)
+    built.append(ab.transpose())
+    assert _dense(built[-1]) == [list(r) for r in zip(*_dense(ab))]
+    # a sum that reaches p cancels: p copies of one matrix over GF(p)
+    signs = [1] * f.p if f.p else [1, -1]
+    assert combine(f, ab.rows, ab.cols, [(c, ab) for c in signs]).columns \
+        == {}
+    terms = [(2, a), (-1, a @ SparseMatrix.identity(f, a.cols)), (3, a)]
+    built.append(combine(f, a.rows, a.cols, terms))
+    assert _dense(built[-1]) == _ref_combine(f, a.rows, a.cols, terms)
+    ident = SparseMatrix.identity(f, ab.rows)
+    built += [ident, block_matrix(f, {(0, 0): ab, (1, 0): ab, (1, 1): ident},
+                                  [ab.rows, ab.rows], [ab.cols, ab.rows])]
+    assert _dense(built[-1]) == [r + [0] * ab.rows for r in _dense(ab)] \
+        + [r + s for r, s in zip(_dense(ab), _dense(ident))]
+    flip = ab.cols - 1
+    built.append(relabel(ab, row_of=order.__getitem__,
+                         col_of=lambda j: flip - j))
+    assert _dense(built[-1]) == _ref_shift(_dense(ab), ab.rows, ab.cols,
+                                           order.__getitem__,
+                                           lambda j: flip - j)
+    vec = {j: f.one() for j in range(0, a.cols, 2)}
+    assert a.apply(vec) == _ref_apply(f, a, vec)
+    # unit upper triangular, so invertible
+    n = a.rows
+    upper = _from_dense(f, [[1 if i == j else a[(i, j)] if i < j < a.cols
+                             else 0 for j in range(n)] for i in range(n)], n)
+    built.append(invert(upper))
+    assert built[-1] @ upper == upper @ built[-1] == SparseMatrix.identity(f, n)
+    # a 2 x 4 table read as X (x) X -> X, its legs swapped
+    spaces = Spaces({"X": SpaceOps(2, mult=table)})
+    built.append(compile_operator(f, spaces, [("X", ("id",)), ("X", ("id",))],
+                                  [prod(leg(1), leg(0))]))
+    assert built[-1] == table @ perm_matrix(f, [2, 2], (1, 0))
+    for m in built:
+        _assert_packed(m)
+    # equality and the first difference read the columns
+    assert ab == SparseMatrix(f, ab.rows, ab.cols, ab.entries)
+    other = ab + SparseMatrix(f, ab.rows, ab.cols, {(0, flip): 1})
+    assert ab != other and ab.first_difference(other) == (0, flip)
+    for m in (a, b, p, ab, ap):
+        rank(m)
+        kernel(m)
+    _assert_untouched(snap)
