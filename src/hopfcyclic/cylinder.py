@@ -178,14 +178,17 @@ class _CellOperators:
         n = self.db ** (q + 1)
         return self._widen(kernel, self.dh ** legs, n, self.dh * n)
 
+    def _signed(self, name, p, q):
+        """The terms (sign, operator) of the alternating sum of the family
+        `name` at (p, q)."""
+        op = getattr(self, name)
+        return [((-1) ** i, op(p, q, i)) for (i,) in _indices(name, p, q)]
+
     def _alternating(self, name, p, q):
         """The alternating sum of the family `name` at (p, q): a Hochschild
         (co)boundary into the family's target cell."""
-        op = getattr(self, name)
         return combine(self.field, self.space_dim(*_target(name, p, q)),
-                       self.space_dim(p, q),
-                       (((-1) ** i, op(p, q, i))
-                        for (i,) in _indices(name, p, q)))
+                       self.space_dim(p, q), self._signed(name, p, q))
 
 
 class _BiParacyclic(_CellOperators):
@@ -198,6 +201,11 @@ class _BiParacyclic(_CellOperators):
     def b_v(self, p, q):
         """The vertical Hochschild (co)boundary out of X_{p,q}."""
         return self._alternating(self.family[0] + "_v", p, q)
+
+    def b_terms(self, direction, p, q):
+        """The terms (sign, operator) of b_v (direction "v") or b_h ("h")
+        out of X_{p,q}, for a caller that sums them itself."""
+        return self._signed(self.family[0] + "_" + direction, p, q)
 
     def b_h(self, p, q):
         """The horizontal Hochschild (co)boundary out of X_{p,q}."""

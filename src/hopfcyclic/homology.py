@@ -64,7 +64,7 @@ from .fields import settle
 from .hopf import dual_hopf
 from .linalg import (
     SparseMatrix, _homology_dims, amplify, block_matrix, col_items, combine,
-    kernel, pack_columns, rank, relabel,
+    kernel, pack_columns, place, rank, relabel,
 )
 
 
@@ -620,32 +620,36 @@ def _total_cells(cyl, N):
     return cells, dims
 
 
-def _total_complex(cyl, N, b_v, b_h):
+def _total_complex(cyl, N, v_terms, h_terms, transposed):
     """Tot_n = sum of X_{p,q} (p+q = n, ordered by q), d = (-1)^p b_v + b_h
     with b_v(p, q): X_{p,q} -> X_{p,q-1} and b_h(p, q): X_{p,q} -> X_{p-1,q},
-    filtered by F_i = sum over q <= i.  Unchecked: `spectral_pages` checks
-    d d = 0 and the filtration, `total_homology_dims` every composite."""
+    filtered by F_i = sum over q <= i.  v_terms and h_terms give the signed
+    operators whose sums, each transposed when `transposed`, are b_v and
+    b_h; every one is summed straight into its block of d_n (`place`).
+    Unchecked: `spectral_pages` checks d d = 0 and the filtration,
+    `total_homology_dims` every composite."""
     f = cyl.field
     cells, dims = _total_cells(cyl, N)
     d = {}
     for n in range(1, N + 1):
-        blocks = {}
-        for p, q, _, _ in cells[n]:
+        below = {q: off for _, q, off, _ in cells[n - 1]}
+        terms = []
+        for p, q, off, _ in cells[n]:
             if q >= 1:
-                bv = b_v(p, q)
-                if p % 2 == 1:
-                    bv = bv.scale(f.neg(f.one()))
-                blocks[(q - 1, q)] = bv
+                sign = -1 if p % 2 else 1
+                terms += [(sign * c, m, below[q - 1], off, transposed)
+                          for c, m in v_terms(p, q)]
             if p >= 1:
-                blocks[(q, q)] = b_h(p, q)
-        d[n] = block_matrix(f, blocks, [c[3] for c in cells[n - 1]],
-                            [c[3] for c in cells[n]])
+                terms += [(c, m, below[q], off, transposed)
+                          for c, m in h_terms(p, q)]
+        d[n] = place(f, dims[n - 1], dims[n], terms)
     return FilteredComplex(f, dims, d, cells, N, N)
 
 
 def total_complex_algebra(cyl, N=3) -> FilteredComplex:
     """The total complex of the cylinder, d = (-1)^p b_v + b_h."""
-    return _total_complex(cyl, N, cyl.b_v, cyl.b_h)
+    return _total_complex(cyl, N, lambda p, q: cyl.b_terms("v", p, q),
+                          lambda p, q: cyl.b_terms("h", p, q), False)
 
 
 def total_complex_coalgebra(cocyl, N=3) -> FilteredComplex:
@@ -656,8 +660,8 @@ def total_complex_coalgebra(cocyl, N=3) -> FilteredComplex:
     (co)homology and pages; a cochain d^r out of a position is d^r into it.
     """
     return _total_complex(cocyl, N,
-                          lambda p, q: cocyl.b_v(p, q - 1).transpose(),
-                          lambda p, q: cocyl.b_h(p - 1, q).transpose())
+                          lambda p, q: cocyl.b_terms("v", p, q - 1),
+                          lambda p, q: cocyl.b_terms("h", p - 1, q), True)
 
 
 def check_filtration(fc: FilteredComplex):

@@ -21,14 +21,16 @@ tests): it checks every key against the shape and settles every value into
 the field (`Field.of` for a non-int, then `pack_columns`), so an F_p value
 lies in [0, p), an integral Q value is an int and no zero is kept.  Every
 computed result (`@`, `kron`, `amplify`, `widen`, `transpose`, `identity`,
-`block_matrix`, `combine`, `relabel`, a basis matrix, an inverse, the
-compiled operators of `tensor`) writes its columns directly and is adopted
+`block_matrix`, `combine`, `place`, `relabel`, a basis matrix, an inverse,
+the compiled operators of `tensor`) writes its columns directly and is adopted
 as is by `SparseMatrix._of_columns`.  A sum is taken with native + and *
 in one dict keyed by the column-major position j rows + i, and split into
 columns after one sort of its keys, each value settled exactly once on the
 way (`pack_columns`).
 Every sum of matrices, `+`, `-`, negation, `scale` and the alternating face
-sums of the cylinders and mixed complexes, goes through `combine`.
+sums of the cylinders and mixed complexes, goes through `combine`; `place`
+sums (transposed) blocks at offsets, the faces of a whole total-complex
+differential in one pass.
 
 Elimination has one forward pass, `_reduce_columns`: the persistence
 reduction on columns, fraction-free over Q with native ints.  Each column
@@ -368,9 +370,7 @@ def combine(field, rows, cols, terms):
     Every m must be rows x cols, and c may be any int or field scalar (a
     sign -1 over F_p included): it is settled first, and a term whose c is
     0 is dropped.  One term is scaled column by column, and with c = 1 its
-    columns are shared; several are summed with native + and * in one dict,
-    keyed by the column-major position j rows + i, and settled once as it
-    is split into columns.
+    columns are shared; several are summed as `place` sums them.
     """
     scaled = []
     for c, m in terms:
@@ -379,21 +379,49 @@ def combine(field, rows, cols, terms):
                              % (rows, cols, m.rows, m.cols))
         c = _scalar(field.p, c)
         if c:
-            scaled.append((c, m.columns))
+            scaled.append((c, m))
     if len(scaled) == 1:
-        c, columns = scaled[0]
-        if c != 1:
-            columns = _scaled(field.p, c, columns)
+        c, m = scaled[0]
+        columns = m.columns if c == 1 else _scaled(field.p, c, m.columns)
         return SparseMatrix._of_columns(field, rows, cols, columns)
+    return place(field, rows, cols,
+                 [(c, m, 0, 0, False) for c, m in scaled])
+
+
+def place(field, rows, cols, terms):
+    """The rows x cols matrix sum of c * m, or of c * m^T when t, with its
+    top left corner at (r0, c0), over the (c, m, r0, c0, t) of terms.
+
+    Each (transposed) m must fit inside, and c may be any int or field
+    scalar.  The sum is taken with native + and * in one dict, keyed by the
+    column-major position j rows + i, and split into settled columns once
+    (`pack_columns`), so the blocks of a total complex are summed from
+    their faces in one pass, with no block, sign or transpose of its own.
+    """
+    p = field.p
     sums = {}
     get = sums.get
-    for c, columns in scaled:
-        for j, col in columns.items():
+    for c, m, r0, c0, t in terms:
+        h, w = (m.cols, m.rows) if t else (m.rows, m.cols)
+        if r0 + h > rows or c0 + w > cols:
+            raise ValueError("block %dx%d at (%d, %d) outside %dx%d"
+                             % (h, w, r0, c0, rows, cols))
+        c = _scalar(p, c)
+        if not c:
+            continue
+        for j, col in m.columns.items():
+            if t:  # entry (i, j) of m lands at (r0 + j, c0 + i)
+                base = r0 + j
+                it = iter(col)
+                for i, v in zip(it, it):
+                    k = (c0 + i) * rows + base
+                    sums[k] = get(k, 0) + c * v
+                continue
             if len(col) == 2:
-                k = j * rows + col[0]
+                k = (c0 + j) * rows + r0 + col[0]
                 sums[k] = get(k, 0) + c * col[1]
                 continue
-            base = j * rows
+            base = (c0 + j) * rows + r0
             it = iter(col)
             for i, v in zip(it, it):
                 k = base + i
