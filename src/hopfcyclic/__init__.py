@@ -33,8 +33,8 @@ from .cylinder import (
 )
 from .homology import (
     FilteredComplex, MixedComplex, SSPage, b_column_dims,
-    cochain_mixed_complex, connes_dims, cosemisimple_homotopy_check,
-    cyclic_dims, ez_compare_hochschild,
+    cochain_mixed_complex, cosemisimple_homotopy_check, cyclic_dims,
+    ez_compare_hochschild,
     find_dual_left_integral, find_right_integral, hochschild_dims,
     hopf_comodule_cohomology, hopf_module_boundary, hopf_module_homology,
     mixed_complex, normalized_hochschild_dims, normalized_mixed_complex,

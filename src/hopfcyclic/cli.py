@@ -46,14 +46,12 @@ Q = qmax; each limit is the `MAX_*` constant of that name):
 
 `compute hh|hc` on a crossed product that is semisimple over Q (of its dual
 algebra on the coalgebra side) read both tables off HH_0 = d - rank [R, R]
-and build no chain complex.  Otherwise `compute hh` ranks the normalized
-Hochschild boundary b of the same algebra alone.  `compute hc` over Q ranks
-Connes' cyclic complex C/(1 - lambda), from its structure constants; over
-F_p, where that complex can give other dimensions, the normalized (b, B)
-total complex.  Neither builds a (co)cyclic module.  `compare` ranks the
-crossed product the same way, and builds (b, B) only on the other side of
-each comparison: the diagonal of the (co)cylinder, or the coinvariant
-module.
+and build no chain complex.  Otherwise, on every field, `compute hh` ranks
+the normalized Hochschild boundary b of the same algebra alone and
+`compute hc` its normalized (b, B) total complex.  Neither builds a
+(co)cyclic module.  `compare` ranks the crossed product the same way, and
+builds the unnormalized (b, B) only on the other side of each comparison:
+the diagonal of the (co)cylinder, or the coinvariant module.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ from .cylinder import (
     diagonal_cyclic, phi_psi_algebra, phi_psi_coalgebra,
 )
 from .homology import (
-    cochain_mixed_complex, connes_dims, cyclic_dims, ez_compare_hochschild,
+    cochain_mixed_complex, cyclic_dims, ez_compare_hochschild,
     hochschild_dims, hopf_comodule_cohomology, hopf_module_homology,
     mixed_complex, normalized_hochschild_dims, normalized_mixed_complex,
     semisimple_hh0, spectral_pages, total_complex_algebra,
@@ -159,23 +157,21 @@ def _opt(params, doc, key, default):
 
 
 # Largest top chain space dim(R)^(nmax+2), R = A # H or C # H, that a
-# crossed-product job may build: `hc` over Q (Connes' complex) and the
-# diagonal of `compare diagonal-vs-direct` build the top b in full, `hh` and
-# `hc` over F_p only its
+# crossed-product job may build: the diagonal of `compare
+# diagonal-vs-direct` builds the top b in full, `hh` and `hc` only its
 # dim(R) (dim(R) - 1)^(nmax+1) non-degenerate columns.  A crossed product
 # that is semisimple over Q builds no chains, yet the same row holds it.
-# Measured on a 2-core VM through the chain complexes, the admitted corpus
-# jobs at the edge take, for C2 --nmax 6 (4^8 = 65536), 1.8-2.1 s and 32 MB
-# with `compute hc` over Q (Connes' complex), 0.8 s and 45 MB with
-# `compute hh`, and 1.5 s and 73 MB with `compute hc` over F_2 (normalized
-# (b, B)); for C3 --nmax 3 (9^5), 1.1-1.5 s and 34 MB with `hc`, 1.9 s and
-# 90 MB with `hh`; through the closed form, 0.1-0.2 s and 18 MB.  Through
-# the unnormalized (b, B), the first refused ones, C2 --nmax 7 (4^9) and C3
-# --nmax 4 (9^6), had not finished after 400 s, at 1.8 and 2.2 GB
-# resident.  The same limit holds
-# the top bar space dim(H)^(top+1) of `compute hopf-homology|
-# comodule-cohomology`: S3 --qmax 5 (6^6) takes 9.6 s and 132 MB, C2
-# --qmax 15 (2^16) 17.3 s and 362 MB.  The README lists every corpus bound.
+# Measured on a 2-core VM through the normalized b and (b, B), the admitted
+# corpus jobs at the edge take, for C2 --nmax 6 (4^8 = 65536), 1.3 s and
+# 40 MB with `hc` and 0.5 s and 37 MB with `hh` over Q, 0.8 s and 40 MB and
+# 0.6 s and 38 MB over F_2; for C3 --nmax 3 (9^5), 1.6-1.9 s and 63 MB with
+# `hc`, 1.4 s and 59 MB with `hh`; through the closed form, 0.1-0.2 s and
+# 18 MB.  Through the unnormalized (b, B), the first refused ones, C2
+# --nmax 7 (4^9) and C3 --nmax 4 (9^6), had not finished after 400 s, at
+# 1.8 and 2.2 GB resident.  The same limit holds the top bar space
+# dim(H)^(top+1) of `compute hopf-homology|comodule-cohomology`: S3
+# --qmax 5 (6^6) takes 9.6 s and 132 MB, C2 --qmax 15 (2^16) 17.3 s and
+# 362 MB.  The README lists every corpus bound.
 MAX_CHAIN_DIM = 2 ** 17
 
 # Largest first column H (x) X^(N+1) (X = A or C) at the top degree N that a
@@ -431,25 +427,23 @@ def _crossed_algebra(doc, side):
     return dual_algebra(crossed_product_coalgebra(doc.coalgebra))
 
 
-def _crossed_dims(r, target, nmax):
-    """hh or hc of the crossed-product algebra r through degree nmax.
+def _crossed_dims(r, targets, nmax):
+    """{target: table} of the targets ("hh", "hc") of the crossed-product
+    algebra r through degree nmax.
 
-    When r is semisimple over Q (`semisimple_hh0`), both are read off
-    HH_0 = d - rank [r, r]: hh = [HH_0, 0, 0, ...] and hc = [HH_0, 0, HH_0,
-    0, ...], with no chain complex built.  Otherwise hh comes from the
-    normalized b alone on every field, and hc from Connes' complex over Q
-    and from the normalized (b, B) total complex over F_p, where the two
-    differ."""
+    When r is semisimple over Q (`semisimple_hh0`, decided once for all the
+    targets), each is read off HH_0 = d - rank [r, r]: hh = [HH_0, 0, 0,
+    ...] and hc = [HH_0, 0, HH_0, 0, ...], with no chain complex built.
+    Otherwise, on every field, hh comes from the normalized b alone and hc
+    from the normalized (b, B) total complex."""
     h0 = semisimple_hh0(r)
     if h0 is not None:
-        if target == "hh":
-            return [h0] + [0] * nmax
-        return [0 if n % 2 else h0 for n in range(nmax + 1)]
-    if target == "hh":
-        return normalized_hochschild_dims(r, nmax)
-    if r.field.p is None:
-        return connes_dims(r, nmax)
-    return cyclic_dims(normalized_mixed_complex(r, nmax + 1), nmax)
+        closed = {"hh": [h0] + [0] * nmax,
+                  "hc": [0 if n % 2 else h0 for n in range(nmax + 1)]}
+        return {target: closed[target] for target in targets}
+    return {target: normalized_hochschild_dims(r, nmax) if target == "hh"
+            else cyclic_dims(normalized_mixed_complex(r, nmax + 1), nmax)
+            for target in targets}
 
 
 def _pages_table(pages, ranks):
@@ -469,7 +463,7 @@ def cmd_compute(doc, target, params):
         alg = side == "algebra"
         if target in ("hh", "hc"):
             tables["%s_crossed_product_%s" % (target, side)] = _crossed_dims(
-                _crossed_algebra(doc, side), target, bounds["nmax"])
+                _crossed_algebra(doc, side), [target], bounds["nmax"])[target]
         elif target == "hopf-homology":
             tables["hopf_module_homology_trivial_coefficients"] = \
                 hopf_module_homology(s, trivial_module_action(s),
@@ -507,21 +501,21 @@ def cmd_compare(doc, target, params):
         alg = side == "algebra"
         mixed = mixed_complex if alg else cochain_mixed_complex
         if target == "diagonal-vs-direct":
-            r = _crossed_algebra(doc, side)
-            hh = _crossed_dims(r, "hh", nmax)
-            hc = _crossed_dims(r, "hc", nmax)
+            dims = _crossed_dims(_crossed_algebra(doc, side), ["hh", "hc"],
+                                 nmax)
             diagonal = diagonal_cyclic if alg else diagonal_cocyclic
             mc_diag = mixed(diagonal(_cylinder(doc, side), N=nmax + 1))
-            verdicts["hh_" + side] = _verdicts(hh,
+            verdicts["hh_" + side] = _verdicts(dims["hh"],
                                                hochschild_dims(mc_diag, nmax))
-            verdicts["hc_" + side] = _verdicts(hc, cyclic_dims(mc_diag, nmax))
+            verdicts["hc_" + side] = _verdicts(dims["hc"],
+                                               cyclic_dims(mc_diag, nmax))
         elif target == "ez-hochschild":
             rep = ez_compare_hochschild(_cylinder(doc, side), nmax)
             verdicts["ez_" + side] = [
                 {"n": n, "lhs": a, "rhs": b, "equal": eq}
                 for n, a, b, eq in rep]
         else:  # collapse-algebra, collapse-coalgebra
-            lhs = _crossed_dims(_crossed_algebra(doc, side), "hc", nmax)
+            lhs = _crossed_dims(_crossed_algebra(doc, side), ["hc"], nmax)["hc"]
             ops, _ = _coinvariants(doc, side, nmax + 1)
             rhs = cyclic_dims(mixed(ops), nmax)
             verdicts["hc_crossed_vs_coinvariants"] = _verdicts(lhs, rhs)

@@ -1,5 +1,5 @@
-"""Mixed complexes, Connes' complex, Hopf-module homology, total complexes,
-pages: chain complexes only, and the closed form that needs none.
+"""Mixed complexes, Hopf-module homology, total complexes, pages: chain
+complexes only, and the closed form that needs none.
 
 Every cochain invariant is the chain invariant of the transpose, which has
 the same ranks: a cocyclic module enters as its dual cyclic module
@@ -24,19 +24,14 @@ and `hochschild_dims`, and multiplies apart only the top blocks those
 composites do not reach, so each product is formed once.  The normalized
 mixed complex of an algebra (`normalized_mixed_complex`) drops the
 degenerate chains, those with the unit in a leg past the first, and writes
-b and B = s N on the rest by index arithmetic.
-
-When Q is inside the field, cyclic homology is also the homology of Connes'
-complex (Connes 1985; Loday, Cyclic Homology, 2.1.5): HC_n = H_n(C_n /
-(1 - lambda), b), lambda = (-1)^n t.  On an algebra's cyclic module t rotates
-the factors, so the quotient has a basis of signed orbits of basis tensors,
-and `connes_dims` writes b on it from the structure constants.  Over F_p the
-two differ (C2 over F_2 is the example): there (b, B) is the only route.
+b and B = s N on the rest by index arithmetic.  It gives an algebra's
+Hochschild and cyclic homology over every field (Loday, Cyclic Homology,
+2.1.9), so it is the one chain route for both.
 
 An algebra that is semisimple over Q needs no chain complex: its HH_0 is
 d - rank [R, R] and every other HH_n is zero, so HC_2k = HH_0 and
 HC_2k+1 = 0 (`semisimple_hh0`, which decides semisimplicity by the rank of
-the trace form).  The chain routes above stay the general route and its
+the trace form).  The normalized complex stays the general route and its
 test oracle.
 
 The total complex of a cylinder carries d = (-1)^p b_vertical + b_horizontal
@@ -296,7 +291,7 @@ def cyclic_dims(mc: MixedComplex, nmax):
         mc.field, mc.dim(0), lambda n: _total_differential(mc, n), nmax))
 
 
-# -- b alone on a (co)cyclic module; Connes' complex of an algebra -------------
+# -- b alone on a (co)cyclic module; the closed form of a semisimple algebra ---
 
 def b_column_dims(ops, nmax):
     """Hochschild homology of a (transposed co)cyclic module through degree
@@ -305,81 +300,6 @@ def b_column_dims(ops, nmax):
     _check_truncation(nmax, ops.N)
     return _homology_dims(_degree_pairs(
         ops.field, ops.dim(0), lambda n: hochschild_boundary(ops, n), nmax))
-
-
-def _signed_orbit_labels(d, n):
-    """(labels, count) for the orbits of the basis tensors of (k^d)^(x)(n+1)
-    under lambda = (-1)^n t, t x = (x % d) d^n + x // d: None on an orbit of
-    size s with n s odd, which 1 - lambda kills; else labels[t^k x] = (its
-    number in the order of least tensors x, (-1)^(nk))."""
-    size, top = d ** (n + 1), d ** n
-    seen, labels, count = bytearray(size), [None] * size, 0
-    for x in range(size):
-        if seen[x]:
-            continue
-        orbit = [x]
-        y = (x % d) * top + x // d
-        while y != x:
-            orbit.append(y)
-            y = (y % d) * top + y // d
-        for step, y in enumerate(orbit):
-            seen[y] = 1
-            if n * len(orbit) % 2 == 0:
-                labels[y] = (count, -1 if n * step % 2 else 1)
-        count += n * len(orbit) % 2 == 0
-    return labels, count
-
-
-def connes_dims(r, nmax):
-    """Cyclic homology of an algebra r through degree nmax from Connes'
-    complex C_n/(1 - lambda), C_n = R^(x)(n+1); needs Q inside the field.
-
-    b is written from r's structure constants tensor by tensor: d_i (i < n)
-    multiplies digits i and i + 1, d_n = d_0 t, and each term lands on its
-    signed orbit.  b descends exactly when each tensor t^k x of a kept orbit
-    has (-1)^(nk) times the column of its least tensor x and each of a
-    killed orbit the zero column: checked on every tensor
-    (MixedIdentityFailure).  The least tensors' columns are the differential."""
-    f = r.field
-    if f.p is not None:
-        raise ValueError("Connes' complex computes HC only when Q is inside "
-                         "the field")
-    d, cols = r.dim, r.mult.columns  # column a d + b: e_a e_b
-    below = [[(y, 1) for y in range(d)], d]  # degree 0: d one-tensor orbits
-
-    def diff(n):
-        labels, rows = below
-        faces = [((-1) ** i, d ** (n - 1 - i % n)) for i in range(n + 1)]
-        top = d ** n
-
-        def column(x):
-            sums = {}
-            for i, (sign, low) in enumerate(faces):
-                # d_n = d_0 t, t moving the last factor to the front
-                hi, tail = divmod(x if i < n else x % d * top + x // d, low)
-                head, pair = divmod(hi, d * d)
-                for c, v in col_items(cols.get(pair, ())):
-                    lab = labels[(head * d + c) * low + tail]
-                    if lab:
-                        sums[lab[0]] = sums.get(lab[0], 0) + sign * lab[1] * v
-            return {k: v for k, v in sums.items() if v}
-
-        here, count = _signed_orbit_labels(d, n)
-        reps = []
-        for x, lab in enumerate(here):
-            col = column(x)
-            if lab and lab[0] == len(reps):  # the least tensor of its orbit
-                reps.append(col)
-            elif col != ({k: lab[1] * v for k, v in reps[lab[0]].items()}
-                         if lab else {}):
-                raise MixedIdentityFailure(
-                    "b does not descend to C/(1 - lambda) at degree %d" % n)
-        below[:] = [here, count]
-        return SparseMatrix._of_columns(f, rows, count, pack_columns(f, {
-            j * rows + k: v for j, col in enumerate(reps)
-            for k, v in col.items()}, rows))
-
-    return _homology_dims(_degree_pairs(f, d, diff, nmax))
 
 
 def semisimple_hh0(r):
@@ -396,7 +316,10 @@ def semisimple_hh0(r):
     if f.p is not None:
         return None
     d, cols = r.dim, r.mult.columns  # column a d + b: e_a e_b
-    tau = [sum(r.mult[k, c * d + k] for k in range(d)) for c in range(d)]
+    tau = [0] * d
+    for pair, col in cols.items():
+        c, k = divmod(pair, d)
+        tau[c] += sum(v for i, v in col_items(col) if i == k)
     gram = {divmod(pair, d): sum(v * tau[c] for c, v in col_items(col))
             for pair, col in cols.items()}
     if rank(SparseMatrix._settled(f, d, d, settle(f, gram))) < d:

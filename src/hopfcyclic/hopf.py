@@ -20,7 +20,7 @@ from itertools import permutations
 
 from .errors import CharTwo, NotAGroup, Singular
 from .fields import Field
-from .linalg import SparseMatrix, invert
+from .linalg import SparseMatrix, amplify, invert
 from .tensor import (
     SpaceOps, Spaces, iterate_comult_matrix, perm_matrix, tensor_unindex,
 )
@@ -172,10 +172,10 @@ def check_algebra(a, report=None):
     d = a.dim
     rep = report or CheckReport("algebra")
     i = _ident(f, d)
-    rep.record("associativity",
-               a.mult @ a.mult.kron(i), a.mult @ i.kron(a.mult), [d, d, d])
-    rep.record("left unit", a.mult @ a.unit.kron(i), i, [d])
-    rep.record("right unit", a.mult @ i.kron(a.unit), i, [d])
+    rep.record("associativity", a.mult @ amplify(a.mult, 1, d),
+               a.mult @ amplify(a.mult, d, 1), [d, d, d])
+    rep.record("left unit", a.mult @ amplify(a.unit, 1, d), i, [d])
+    rep.record("right unit", a.mult @ amplify(a.unit, d, 1), i, [d])
     return rep
 
 
@@ -184,10 +184,10 @@ def check_coalgebra(c, report=None):
     d = c.dim
     rep = report or CheckReport("coalgebra")
     i = _ident(f, d)
-    rep.record("coassociativity",
-               c.comult.kron(i) @ c.comult, i.kron(c.comult) @ c.comult, [d])
-    rep.record("left counit", c.counit.kron(i) @ c.comult, i, [d])
-    rep.record("right counit", i.kron(c.counit) @ c.comult, i, [d])
+    rep.record("coassociativity", amplify(c.comult, 1, d) @ c.comult,
+               amplify(c.comult, d, 1) @ c.comult, [d])
+    rep.record("left counit", amplify(c.counit, 1, d) @ c.comult, i, [d])
+    rep.record("right counit", amplify(c.counit, d, 1) @ c.comult, i, [d])
     return rep
 
 
@@ -210,9 +210,9 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
     rep.record("counit of unit", h.counit @ h.unit, _ident(f, 1), [1])
     target = h.unit @ h.counit
     rep.record("antipode left",
-               h.mult @ h.antipode.kron(i) @ h.comult, target, [d])
+               h.mult @ amplify(h.antipode, 1, d) @ h.comult, target, [d])
     rep.record("antipode right",
-               h.mult @ i.kron(h.antipode) @ h.comult, target, [d])
+               h.mult @ amplify(h.antipode, d, 1) @ h.comult, target, [d])
     rep.record("antipode inverse (left)",
                h.antipode_inv @ h.antipode, i, [d])
     rep.record("antipode inverse (right)",
@@ -225,12 +225,12 @@ def check_comodule_algebra(a: ComoduleAlgebra) -> CheckReport:
     dh, da = a.hopf.dim, a.dim
     rep = CheckReport("comodule algebra")
     check_algebra(a.algebra, rep)
-    ih, ia = _ident(f, dh), _ident(f, da)
     rep.record("coaction coassociative",
-               a.hopf.comult.kron(ia) @ a.coaction,
-               ih.kron(a.coaction) @ a.coaction, [da])
+               amplify(a.hopf.comult, 1, da) @ a.coaction,
+               amplify(a.coaction, dh, 1) @ a.coaction, [da])
     rep.record("coaction counital",
-               a.hopf.counit.kron(ia) @ a.coaction, ia, [da])
+               amplify(a.hopf.counit, 1, da) @ a.coaction, _ident(f, da),
+               [da])
     swap = perm_matrix(f, [dh, da, dh, da], (0, 2, 1, 3))
     rep.record("coaction multiplicative",
                a.coaction @ a.mult,
@@ -246,11 +246,11 @@ def check_module_coalgebra(c: ModuleCoalgebra) -> CheckReport:
     dh, dc = c.hopf.dim, c.dim
     rep = CheckReport("module coalgebra")
     check_coalgebra(c.coalgebra, rep)
-    ih, ic = _ident(f, dh), _ident(f, dc)
     rep.record("action associative",
-               c.action @ c.hopf.mult.kron(ic),
-               c.action @ ih.kron(c.action), [dh, dh, dc])
-    rep.record("action unital", c.action @ c.hopf.unit.kron(ic), ic, [dc])
+               c.action @ amplify(c.hopf.mult, 1, dc),
+               c.action @ amplify(c.action, dh, 1), [dh, dh, dc])
+    rep.record("action unital", c.action @ amplify(c.hopf.unit, 1, dc),
+               _ident(f, dc), [dc])
     swap = perm_matrix(f, [dh, dh, dc, dc], (0, 2, 1, 3))
     rep.record("action comultiplicative",
                c.comult @ c.action,
@@ -398,7 +398,7 @@ def trivial_comodule_algebra(h: HopfAlgebra, algebra=None) -> ComoduleAlgebra:
         f = h.field
         algebra = Algebra(f, 1, SparseMatrix.identity(f, 1),
                           SparseMatrix.identity(f, 1), ["1"])
-    coaction = h.unit.kron(SparseMatrix.identity(algebra.field, algebra.dim))
+    coaction = amplify(h.unit, 1, algebra.dim)
     return ComoduleAlgebra(h, algebra, coaction)
 
 
@@ -413,7 +413,7 @@ def trivial_module_coalgebra(h: HopfAlgebra, coalgebra=None) -> ModuleCoalgebra:
         f = h.field
         coalgebra = Coalgebra(f, 1, SparseMatrix.identity(f, 1),
                               SparseMatrix.identity(f, 1), ["1"])
-    action = h.counit.kron(SparseMatrix.identity(coalgebra.field, coalgebra.dim))
+    action = amplify(h.counit, 1, coalgebra.dim)
     return ModuleCoalgebra(h, coalgebra, action)
 
 

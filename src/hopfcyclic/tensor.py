@@ -37,7 +37,9 @@ closed forms of the module form, which compiles on the cylinder's spaces.
 from __future__ import annotations
 
 from .fields import settle
-from .linalg import SparseMatrix, col_items, pack_columns, unit_column
+from .linalg import (
+    SparseMatrix, amplify, col_items, pack_columns, unit_column,
+)
 
 
 def tensor_unindex(dims, idx):
@@ -183,7 +185,7 @@ def iterate_comult_matrix(field, ops, k):
     """X -> X^(x)(k+1) by k applications of comult to the last factor."""
     m = SparseMatrix.identity(field, ops.dim)
     for j in range(k):
-        m = SparseMatrix.identity(field, ops.dim ** j).kron(ops.comult) @ m
+        m = amplify(ops.comult, ops.dim ** j, 1) @ m
     return m
 
 

@@ -1,13 +1,13 @@
-"""Connes' complex through the orbit matrices: the test oracle for
-`homology.connes_dims`.
+"""Connes' complex through the orbit matrices: the independent test oracle
+over Q for the cyclic homology that the package ranks on the normalized
+(b, B) total complex.
 
-The package writes the induced b on the signed orbits straight from an
-algebra's structure constants.  This is the route it used before, kept
-verbatim: it takes a built (co)cyclic module, forms the projection P onto
-the signed orbits and the section S (`_signed_orbits`), checks that b
-descends as P b lambda = P b, and ranks P b S.  It also runs on a module
-whose operators were altered after building, which the package route
-cannot take.
+HC_n = H_n(C_n / (1 - lambda), b), lambda = (-1)^n t, when Q is inside the
+field (Connes 1985; Loday, Cyclic Homology, 2.1.5): no B, no total complex,
+no normalization.  The oracle takes a built (co)cyclic module, forms the
+projection P onto the signed orbits and the section S (`_signed_orbits`),
+checks that b descends as P b lambda = P b, and ranks P b S.  It also runs
+on a module whose operators were altered after building.
 """
 
 from hopfcyclic.homology import (

@@ -713,7 +713,7 @@ def test_bar_and_rmax_jobs_above_size_limits_are_refused_at_once(
     assert text in err["error"]
 
 
-# -- compute hc over Q: Connes' complex of the crossed product algebras -------
+# -- compute hc over Q: the normalized (b, B) of the crossed product algebras -
 
 def _forbid_crossed_modules(monkeypatch, job):
     """Make both crossed-product (co)cyclic-module builders raise, where
@@ -729,47 +729,65 @@ def _forbid_crossed_modules(monkeypatch, job):
             monkeypatch.setattr(module, builder, unreachable)
 
 
-@pytest.mark.parametrize("name, nmax", [("sweedler_Q_trivial", 1),
-                                        ("sweedler_Q", 1)])
-def test_hc_over_q_builds_no_cyclic_module(name, nmax, monkeypatch, capsys):
-    """`compute hc` over Q on a crossed product that is not semisimple
-    writes Connes' complex of each side's algebra straight from its
-    structure constants: neither (co)cyclic-module builder runs, and the
-    only products on each side are the nmax + 1 composites d d that the
-    homology ranks check."""
-    from hopfcyclic import cli
+def _mixed_product_counts(monkeypatch, name, nmax):
+    """Run `compute hc` on a corpus file and return, per call of
+    `check_mixed_complex` and of `cli.cyclic_dims` in order, (name, number
+    of products it formed), and whether no pair of matrices was multiplied
+    twice in the whole job."""
+    from hopfcyclic import cli, homology
     from hopfcyclic.linalg import SparseMatrix
-
-    _forbid_crossed_modules(monkeypatch, "compute hc over Q")
-    products = []
+    operands = []
     honest_matmul = SparseMatrix.__matmul__
 
     def counted(self, other):
-        products.append(1)
+        operands.append((self, other))
         return honest_matmul(self, other)
 
     monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
-    per_side = []
-    honest_connes = cli.connes_dims
+    counts = []
 
-    def spied(r, n):
-        before = len(products)
-        out = honest_connes(r, n)
-        per_side.append(len(products) - before)
-        return out
+    def spy(module, attr):
+        honest = getattr(module, attr)
 
-    monkeypatch.setattr(cli, "connes_dims", spied)
-    code = cli.main(["compute", "hc", "-i", data_file(name),
-                     "--nmax", str(nmax)])
+        def spied(*args):
+            before = len(operands)
+            out = honest(*args)
+            counts.append((attr, len(operands) - before))
+            return out
+        monkeypatch.setattr(module, attr, spied)
+
+    spy(homology, "check_mixed_complex")
+    spy(cli, "cyclic_dims")
+    assert cli.main(["compute", "hc", "-i", data_file(name),
+                     "--nmax", str(nmax)]) == 0
+    pairs = [(id(a), id(b)) for a, b in operands]
+    return counts, len(set(pairs)) == len(pairs)
+
+
+@pytest.mark.parametrize("name, nmax", [("sweedler_Q_trivial", 1),
+                                        ("sweedler_Q", 1), ("sweedler_Q", 2)])
+def test_hc_over_q_builds_no_cyclic_module(name, nmax, monkeypatch, capsys):
+    """`compute hc` over Q on a crossed product that is not semisimple
+    ranks the normalized (b, B) of each side's algebra, built from its
+    structure constants: neither (co)cyclic-module builder runs.  Its
+    check forms the composites D_(n-1) D_n of the total complex through
+    N = nmax + 1 and, apart, the block products they do not reach (at
+    nmax = 1: one D D, B B at 0, b B and B b at 1; at nmax = 2: two D D,
+    B B at 0 and 1, b B and B b at 2); the cyclic ranks form only the
+    empty composite out of degree 0.  No pair of matrices is multiplied
+    twice."""
+    _forbid_crossed_modules(monkeypatch, "compute hc over Q")
+    counts, once = _mixed_product_counts(monkeypatch, name, nmax)
     capsys.readouterr()
-    assert code == 0
-    assert per_side == [nmax + 1, nmax + 1]
+    assert counts == [("check_mixed_complex", {1: 4, 2: 6}[nmax]),
+                      ("cyclic_dims", 1)] * 2
+    assert once
 
 
 # The chain-complex route each `compute hh|hc` job on a crossed product
 # that is not semisimple over Q takes, once per side.
 _DIRECT_ROUTES = {("hh", "Q"): "normalized_hochschild_dims",
-                  ("hc", "Q"): "connes_dims",
+                  ("hc", "Q"): "normalized_mixed_complex",
                   ("hh", "F2"): "normalized_hochschild_dims",
                   ("hc", "F2"): "normalized_mixed_complex"}
 
@@ -840,13 +858,19 @@ def test_importing_the_cli_builds_no_parser():
 def test_compare_builds_no_crossed_product_module(target, name, code,
                                                   monkeypatch, capsys):
     """`compare` ranks the crossed product as `compute hh|hc` do: neither
-    (co)cyclic-module builder of the crossed product runs, and the exit
-    code is the recorded one."""
+    (co)cyclic-module builder of the crossed product runs, semisimplicity
+    is decided once per side, for hh and hc together, and the exit code is
+    the recorded one."""
     from hopfcyclic import cli
     _forbid_crossed_modules(monkeypatch, "compare " + target)
+    decided = []
+    honest = cli.semisimple_hh0
+    monkeypatch.setattr(cli, "semisimple_hh0",
+                        lambda r: decided.append(r) or honest(r))
     assert cli.main(["compare", target, "-i", data_file(name),
                      "--nmax", "2"]) == code
     assert json.loads(capsys.readouterr().out)["ok"] is (code == 0)
+    assert len(decided) == (2 if target == "diagonal-vs-direct" else 1)
 
 
 def test_hc_over_f2_forms_each_mixed_product_once(monkeypatch, capsys):
@@ -856,38 +880,12 @@ def test_hc_over_f2_forms_each_mixed_product_once(monkeypatch, capsys):
     they do not reach (bB + Bb at N - 1, B B at N - 3 and N - 2); the
     cyclic ranks form only the empty composite out of degree 0.  No pair
     of matrices is multiplied twice."""
-    from hopfcyclic import cli, homology
-    from hopfcyclic.linalg import SparseMatrix
     nmax = 3
-    operands = []
-    honest_matmul = SparseMatrix.__matmul__
-
-    def counted(self, other):
-        operands.append((self, other))
-        return honest_matmul(self, other)
-
-    monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
-    counts = []
-
-    def spy(module, name):
-        honest = getattr(module, name)
-
-        def spied(*args):
-            before = len(operands)
-            out = honest(*args)
-            counts.append((name, len(operands) - before))
-            return out
-        monkeypatch.setattr(module, name, spied)
-
-    spy(homology, "check_mixed_complex")
-    spy(cli, "cyclic_dims")
-    assert cli.main(["compute", "hc", "-i", data_file("c2_F2"),
-                     "--nmax", str(nmax)]) == 0
+    counts, once = _mixed_product_counts(monkeypatch, "c2_F2", nmax)
     capsys.readouterr()
     assert counts == [("check_mixed_complex", nmax + 4),
                       ("cyclic_dims", 1)] * 2
-    pairs = [(id(a), id(b)) for a, b in operands]
-    assert len(set(pairs)) == len(pairs)
+    assert once
 
 
 # Each report recorded from the route that ranked the crossed product
@@ -915,12 +913,16 @@ def test_compare_reports_match_the_unnormalized_route(golden, argv, code,
         assert (got, capsys.readouterr().out) == (code, fh.read())
 
 
-# Each report as recorded from the route that built the (co)cyclic modules
-# and projected b onto the signed orbits with sparse products.
+# Each report as recorded from Connes' complex: the first three from the
+# route that built the (co)cyclic modules and projected b onto the signed
+# orbits with sparse products, the last from the route that wrote b on the
+# orbits straight from the structure constants.
 @pytest.mark.parametrize("golden, argv", [
     ("hc_sweedler_Q_n2", "compute hc -i data/sweedler_Q.json --nmax 2"),
     ("hc_s3_Q_n1", "compute hc -i data/s3_Q.json --nmax 1"),
     ("hc_c3_Q_n3", "compute hc -i data/c3_Q.json --nmax 3"),
+    ("hc_sweedler_Q_trivial_n2",
+     "compute hc -i data/sweedler_Q_trivial.json --nmax 2"),
 ])
 def test_hc_reports_match_the_orbit_matrix_route(golden, argv, monkeypatch,
                                                   capsys):

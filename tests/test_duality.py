@@ -30,9 +30,9 @@ from hopfcyclic.cylinder import (
 from hopfcyclic.errors import IdentityFailure, NotCosemisimple, NotIntertwining
 from hopfcyclic.hopf import check_hopf, dual_hopf
 from hopfcyclic.homology import (
-    _norm, _one_minus_lambda, connes_dims,
-    find_dual_left_integral, hochschild_boundary, hopf_comodule_coboundary,
-    mixed_complex, trivial_comodule_coaction,
+    _norm, _one_minus_lambda, cyclic_dims, find_dual_left_integral,
+    hochschild_boundary, hopf_comodule_coboundary, mixed_complex,
+    normalized_mixed_complex, trivial_comodule_coaction,
 )
 from hopfcyclic.io import load_document
 from hopfcyclic.linalg import SparseMatrix, _homology_dims, combine
@@ -233,7 +233,8 @@ def test_cochain_formulas_are_the_transposed_chain_side(name):
     hc = _invariant_connes_dims(ops, ops.N - 1)
     assert connes_oracle.connes_dims(ops, ops.N - 1) == hc
     coalgebra = crossed_product_coalgebra(_doc(name).coalgebra)
-    assert connes_dims(dual_algebra(coalgebra), ops.N - 1) == hc
+    assert cyclic_dims(normalized_mixed_complex(dual_algebra(coalgebra),
+                                                ops.N), ops.N - 1) == hc
 
 
 @pytest.mark.parametrize("name", Q_CORPUS)

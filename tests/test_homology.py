@@ -1,5 +1,5 @@
-"""Mixed complexes, Connes' complex, Hopf-(co)module (co)homology,
-integrals, homotopies."""
+"""Mixed complexes, the normalized complex against Connes' complex,
+Hopf-(co)module (co)homology, integrals, homotopies."""
 
 import functools
 import os
@@ -30,8 +30,7 @@ from hopfcyclic.crossed import (
     normalized_faces, unit_first,
 )
 from hopfcyclic.homology import (
-    MixedComplex, _signed_orbit_labels, b_column_dims, check_mixed_complex,
-    cochain_mixed_complex, connes_dims,
+    MixedComplex, b_column_dims, check_mixed_complex, cochain_mixed_complex,
     cosemisimple_homotopy_check, cyclic_dims,
     find_dual_left_integral, find_right_integral, hochschild_dims,
     hopf_comodule_cohomology, hopf_module_homology, mixed_complex,
@@ -346,6 +345,12 @@ def _mixed(ops):
     return mixed_complex(ops)
 
 
+def _normalized_hc(r, nmax):
+    """hc of an algebra through nmax from its normalized (b, B), the one
+    chain route of `compute hc`."""
+    return cyclic_dims(normalized_mixed_complex(r, nmax + 1), nmax)
+
+
 def _corpus_algebras(name):
     """The crossed product algebra of a corpus file and the dual algebra of
     its crossed product coalgebra, the algebras of `_corpus_modules`."""
@@ -361,31 +366,30 @@ def _corpus_algebras(name):
     ("s3_Q", 1),
 ])
 def test_b_column_and_connes_complex_match_the_mixed_complex(name, nmax):
-    """b alone on each (co)cyclic module, and Connes' complex of its algebra
-    (the dual algebra on the cochain side) and through the orbit matrices,
-    against the (b, B) mixed complex of the module."""
+    """b alone on each (co)cyclic module, the normalized (b, B) of its
+    algebra (the dual algebra on the cochain side) and Connes' complex
+    through the orbit matrices, against the (b, B) mixed complex of the
+    module."""
     for ops, r in zip(_corpus_modules(name, nmax), _corpus_algebras(name)):
         mc = _mixed(ops)
         assert b_column_dims(ops, nmax) == hochschild_dims(mc, nmax)
         hc = cyclic_dims(mc, nmax)
-        assert connes_dims(r, nmax) == hc
+        assert _normalized_hc(r, nmax) == hc
         assert connes_oracle.connes_dims(ops, nmax) == hc
 
 
 def test_connes_complex_of_small_algebras():
     k = trivial_hopf(QQ).as_algebra()
-    assert connes_dims(k, 4) == [1, 0, 1, 0, 1]
+    assert _normalized_hc(k, 4) == [1, 0, 1, 0, 1]
     ops = cyclic_module_of_algebra(k, N=5)
     assert connes_oracle.connes_dims(ops, 4) == [1, 0, 1, 0, 1]
     c = kc2().as_coalgebra()
-    assert connes_dims(dual_algebra(c), 3) == [2, 0, 2, 0]
+    assert _normalized_hc(dual_algebra(c), 3) == [2, 0, 2, 0]
     ops = cocyclic_module_of_coalgebra(c, N=4)
     assert connes_oracle.connes_dims(ops, 3) == [2, 0, 2, 0]
     with pytest.raises(TruncationTooShallow):
         connes_oracle.connes_dims(ops, 4)
     # HC is not H(C/(1 - lambda)) over F_2
-    with pytest.raises(ValueError):
-        connes_dims(kc2(F2).as_algebra(), 2)
     with pytest.raises(ValueError):
         connes_oracle.connes_dims(
             cyclic_module_of_algebra(kc2(F2).as_algebra(), N=3), 2)
@@ -399,48 +403,6 @@ def test_signed_orbits_drop_the_orbits_lambda_kills():
     assert (P @ S) == SparseMatrix.identity(QQ, 1)
     P, S = connes_oracle._signed_orbits(QQ, 2, 2)
     assert P.rows == 4 and (P @ S) == SparseMatrix.identity(QQ, 4)
-
-
-def test_signed_orbit_labels_drop_the_orbits_lambda_kills():
-    """The same facts for the labels the package reads: e0 e0 and e1 e1
-    are killed, e0 e1 is [e0 e1] and e1 e0 is -[e0 e1]; in even degree
-    every orbit survives.  On every (d, n) tried the labels are the
-    columns of the orbit projection P, and the least tensor of each orbit
-    comes first and carries +1."""
-    assert _signed_orbit_labels(2, 1) == ([None, (0, 1), (0, -1), None], 1)
-    labels, count = _signed_orbit_labels(2, 2)
-    assert count == 4 and None not in labels
-    for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (2, 5)]:
-        labels, count = _signed_orbit_labels(d, n)
-        P, _ = connes_oracle._signed_orbits(QQ, d, n)
-        assert P.rows == count
-        kept = [(y, lab) for y, lab in enumerate(labels) if lab is not None]
-        assert {(k, y): s for y, (k, s) in kept} == P.entries
-        firsts = {}
-        for y, (k, s) in kept:
-            firsts.setdefault(k, s)
-        assert list(firsts) == list(range(count))
-        assert set(firsts.values()) <= {1}
-
-
-def test_the_descent_check_catches_a_mislabelled_orbit(monkeypatch):
-    """The induced b is checked against lambda on every basis tensor: with
-    the sign of t e_0 (x) e_0 (x) e_1 = e_1 (x) e_0 (x) e_0, the second
-    tensor of its orbit, flipped in degree 2, b fails to descend there."""
-    honest = homology._signed_orbit_labels
-
-    def spoiled(d, n):
-        labels, count = honest(d, n)
-        if n == 2:
-            k, s = labels[d ** n]
-            labels[d ** n] = (k, -s)
-        return labels, count
-
-    monkeypatch.setattr(homology, "_signed_orbit_labels", spoiled)
-    with pytest.raises(MixedIdentityFailure,
-                       match="b does not descend to C/\\(1 - lambda\\) at "
-                             "degree 2"):
-        connes_dims(_corpus_algebras("c3_Q")[0], 2)
 
 
 def _rotation_replaced(ops):
@@ -484,7 +446,8 @@ def test_a_flipped_face_is_caught(cochain):
 
 def test_connes_complex_checks_that_b_squares_to_zero():
     """A non-associative product still commutes with the rotation, so b
-    descends; the induced b must still fail b b = 0."""
+    descends; the induced b must still fail b b = 0.  The normalized
+    (b, B) fails its first mixed identity, b b = 0, at degree 2."""
     mult = SparseMatrix.from_rows(QQ, [
         # e0 is the unit; e1 e1 = e2, e1 e2 = e1, e2 e1 = e2 e2 = 0
         [1, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -493,8 +456,8 @@ def test_connes_complex_checks_that_b_squares_to_zero():
     ])
     unit = SparseMatrix.from_rows(QQ, [[1], [0], [0]])
     r = Algebra(QQ, 3, mult, unit, ["1", "x", "y"])
-    with pytest.raises(CompositionNotZero):
-        connes_dims(r, 2)
+    with pytest.raises(MixedIdentityFailure, match="b b != 0 at degree 2"):
+        _normalized_hc(r, 2)
     with pytest.raises(CompositionNotZero):
         connes_oracle.connes_dims(cyclic_module_of_algebra(r, N=3), 2)
 
@@ -511,14 +474,13 @@ def test_connes_complex_checks_that_b_squares_to_zero():
 def test_normalized_complex_matches_the_unnormalized_route(name, nmax):
     """hh from the normalized b and hc from the normalized (b, B) equal the
     unnormalized (b, B) of the (co)cyclic module and, over Q, Connes'
-    complex."""
+    complex through the orbit matrices."""
     for ops, r in zip(_corpus_modules(name, nmax), _corpus_algebras(name)):
         mc = _mixed(ops)
         hh, hc = hochschild_dims(mc, nmax), cyclic_dims(mc, nmax)
         assert normalized_hochschild_dims(r, nmax) == hh
-        assert cyclic_dims(normalized_mixed_complex(r, nmax + 1), nmax) == hc
+        assert _normalized_hc(r, nmax) == hc
         if r.field.p is None:
-            assert connes_dims(r, nmax) == hc
             assert connes_oracle.connes_dims(ops, nmax) == hc
 
 
@@ -633,9 +595,9 @@ _SMALL_Q_ALGEBRAS = {
 def test_connes_complex_matches_the_orbit_matrices_and_the_mixed_complex(
         name, nmax, data):
     """In a random invertible integer basis, whose inverse brings Fraction
-    structure constants and a unit that is not e_0, Connes' complex of the
-    algebra has the cyclic homology of the orbit-matrix route on its cyclic
-    module and of the normalized (b, B) total complex."""
+    structure constants and a unit that is not e_0, the normalized (b, B)
+    total complex of the algebra has the cyclic homology of Connes' complex
+    through the orbit matrices on its cyclic module."""
     r = _SMALL_Q_ALGEBRAS[name]()
     d = r.dim
     rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=d,
@@ -646,10 +608,8 @@ def test_connes_complex_matches_the_orbit_matrices_and_the_mixed_complex(
     conj = Algebra(QQ, d, inv @ r.mult @ basis.kron(basis), inv @ r.unit)
     assume(conj.unit.column(0) != {0: 1})
     assume(any(v.__class__ is not int for v in conj.mult.entries.values()))
-    hc = connes_dims(conj, nmax)
-    assert hc == connes_oracle.connes_dims(
+    assert _normalized_hc(conj, nmax) == connes_oracle.connes_dims(
         cyclic_module_of_algebra(conj, N=nmax + 1), nmax)
-    assert hc == cyclic_dims(normalized_mixed_complex(conj, nmax + 1), nmax)
 
 
 # -- the closed form of a semisimple algebra over Q ----------------------------
@@ -671,9 +631,9 @@ def _admitted_nmax(doc, side):
 @pytest.mark.parametrize("name", _Q_FILES)
 def test_the_semisimple_closed_form_matches_the_direct_routes(name):
     """On every Q corpus file, both sides, at every --nmax the gate admits,
-    the hh and hc tables of `compute` equal the normalized b and Connes'
-    complex; Sweedler, the one crossed product that is not semisimple,
-    gets no closed form."""
+    the hh and hc tables of `compute` equal the normalized b and (b, B);
+    Sweedler, the one crossed product that is not semisimple, gets no
+    closed form."""
     doc = load_document(os.path.join(DATA, name + ".json"))
     for side, r in zip(("algebra", "coalgebra"), _corpus_algebras(name)):
         if name.startswith("sweedler"):
@@ -682,10 +642,28 @@ def test_the_semisimple_closed_form_matches_the_direct_routes(name):
         nmax = _admitted_nmax(doc, side)
         assert nmax >= 1
         hh = normalized_hochschild_dims(r, nmax)
-        hc = connes_dims(r, nmax)
+        hc = _normalized_hc(r, nmax)
         for n in range(nmax + 1):
-            assert cli._crossed_dims(r, "hh", n) == hh[:n + 1], (side, n)
-            assert cli._crossed_dims(r, "hc", n) == hc[:n + 1], (side, n)
+            assert cli._crossed_dims(r, ["hh", "hc"], n) \
+                == {"hh": hh[:n + 1], "hc": hc[:n + 1]}, (side, n)
+
+
+@pytest.mark.parametrize("name", ["sweedler_Q", "sweedler_Q_trivial"])
+def test_hc_of_sweedler_matches_connes_complex(name):
+    """Sweedler's crossed products are not semisimple, so `compute hc`
+    ranks their normalized (b, B): on both files, both sides, at every
+    --nmax the gate admits, its table equals Connes' complex through the
+    orbit matrices on the built (co)cyclic module."""
+    doc = load_document(os.path.join(DATA, name + ".json"))
+    nmax = 2
+    for side, ops, r in zip(("algebra", "coalgebra"),
+                            _corpus_modules(name, nmax),
+                            _corpus_algebras(name)):
+        assert _admitted_nmax(doc, side) == nmax
+        hc = connes_oracle.connes_dims(ops, nmax)
+        for n in range(nmax + 1):
+            assert cli._crossed_dims(r, ["hc"], n) == {"hc": hc[:n + 1]}, \
+                (side, n)
 
 
 def test_the_closed_form_answers_over_q_only():
@@ -735,7 +713,7 @@ _CLOSED_FORM_CASES = {
 def test_the_closed_form_does_not_depend_on_the_basis(name, data):
     """In a random invertible integer basis, a semisimple algebra has the
     closed form HH_0 of its own basis, and hh and hc equal the normalized
-    b and Connes' complex; an algebra that is not semisimple has none."""
+    b and (b, B); an algebra that is not semisimple has none."""
     build, h0 = _CLOSED_FORM_CASES[name]
     r = build()
     d = r.dim
@@ -747,7 +725,7 @@ def test_the_closed_form_does_not_depend_on_the_basis(name, data):
     conj = Algebra(QQ, d, inv @ r.mult @ basis.kron(basis), inv @ r.unit)
     assert semisimple_hh0(r) == semisimple_hh0(conj) == h0
     if h0 is not None:
-        assert cli._crossed_dims(conj, "hh", 2) \
-            == normalized_hochschild_dims(conj, 2) == [h0, 0, 0]
-        assert cli._crossed_dims(conj, "hc", 2) \
-            == connes_dims(conj, 2) == [h0, 0, h0]
+        assert cli._crossed_dims(conj, ["hh", "hc"], 2) \
+            == {"hh": normalized_hochschild_dims(conj, 2),
+                "hc": _normalized_hc(conj, 2)} \
+            == {"hh": [h0, 0, 0], "hc": [h0, 0, h0]}
