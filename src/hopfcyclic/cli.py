@@ -434,16 +434,19 @@ def _crossed_dims(r, targets, nmax):
     When r is semisimple over Q (`semisimple_hh0`, decided once for all the
     targets), each is read off HH_0 = d - rank [r, r]: hh = [HH_0, 0, 0,
     ...] and hc = [HH_0, 0, HH_0, 0, ...], with no chain complex built.
-    Otherwise, on every field, hh comes from the normalized b alone and hc
-    from the normalized (b, B) total complex."""
+    Otherwise, on every field, hc comes from the normalized (b, B) total
+    complex and hh from its b, or from the normalized b alone when hc is
+    not asked for."""
     h0 = semisimple_hh0(r)
     if h0 is not None:
         closed = {"hh": [h0] + [0] * nmax,
                   "hc": [0 if n % 2 else h0 for n in range(nmax + 1)]}
         return {target: closed[target] for target in targets}
-    return {target: normalized_hochschild_dims(r, nmax) if target == "hh"
-            else cyclic_dims(normalized_mixed_complex(r, nmax + 1), nmax)
-            for target in targets}
+    if "hc" not in targets:
+        return {"hh": normalized_hochschild_dims(r, nmax)}
+    mc = normalized_mixed_complex(r, nmax + 1)
+    ranks = {"hh": hochschild_dims, "hc": cyclic_dims}
+    return {target: ranks[target](mc, nmax) for target in targets}
 
 
 def _pages_table(pages, ranks):

@@ -37,12 +37,11 @@ test oracle.
 The total complex of a cylinder carries d = (-1)^p b_vertical + b_horizontal
 (the sign lives on the vertical part and depends on the horizontal degree, as
 required by d^2 = 0 for commuting boundaries) and is filtered by the vertical
-degree.  Its coordinates are ordered so that the order refines the
-filtration.  With the cell blocks taken in reverse order, each d_n^T is a
-coboundary of the dual complex in an order that refines the dual
-filtration, so the cleared reduction of `_homology_dims` pairs the
-generators, and every spectral-sequence page and page differential rank is
-a count of those pairs by filtration gap.
+degree.  Its cell blocks are laid out by q descending, so each d_n^T is a
+coboundary of the dual complex in coordinates that refine the dual
+filtration q >= i: the cleared reduction of `_homology_dims` pairs the
+generators on d_n as it is built, and every spectral-sequence page and page
+differential rank is a count of those pairs by filtration gap.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from .fields import settle
 from .hopf import dual_hopf
 from .linalg import (
     SparseMatrix, _homology_dims, amplify, block_matrix, col_items, combine,
-    kernel, pack_columns, place, rank, relabel,
+    kernel, pack_columns, place, rank,
 )
 
 
@@ -481,9 +480,9 @@ class FilteredComplex:
     """A truncated chain complex with an increasing filtration by coordinate
     blocks.
 
-    cells[n] lists (p, q, offset, dim) summands of T_n; the filtration index
-    is the vertical degree q (F_i T_n = sum over q <= i), and d[n] maps
-    T_n -> T_{n-1}.
+    cells[n] lists (p, q, offset, dim) summands of T_n, q descending; the
+    filtration index is the vertical degree q (F_i T_n = sum over q <= i),
+    and d[n] maps T_n -> T_{n-1}.
     """
 
     def __init__(self, field, dims, d, cells, levels, N):
@@ -528,13 +527,14 @@ class FilteredComplex:
 
 
 def _total_cells(cyl, N):
-    """cells[n] = [(n - q, q, offset, dim) for q = 0..n], and dims[n]."""
+    """cells[n] = [(n - q, q, offset, dim) for q = n, n-1, ..., 0], and
+    dims[n]."""
     cells = []
     dims = []
     for n in range(N + 1):
         row = []
         off = 0
-        for q in range(n + 1):
+        for q in range(n, -1, -1):
             dim = cyl.space_dim(n - q, q)
             row.append((n - q, q, off, dim))
             off += dim
@@ -544,7 +544,7 @@ def _total_cells(cyl, N):
 
 
 def _total_complex(cyl, N, v_terms, h_terms, transposed):
-    """Tot_n = sum of X_{p,q} (p+q = n, ordered by q), d = (-1)^p b_v + b_h
+    """Tot_n = sum of X_{p,q} (p+q = n, q descending), d = (-1)^p b_v + b_h
     with b_v(p, q): X_{p,q} -> X_{p,q-1} and b_h(p, q): X_{p,q} -> X_{p-1,q},
     filtered by F_i = sum over q <= i.  v_terms and h_terms give the signed
     operators whose sums, each transposed when `transposed`, are b_v and
@@ -581,6 +581,8 @@ def total_complex_coalgebra(cocyl, N=3) -> FilteredComplex:
     total complex of the transposed coboundaries b_v(p, q-1)^T and
     b_h(p-1, q)^T, filtered by q <= i.  It has the cochain complex's
     (co)homology and pages; a cochain d^r out of a position is d^r into it.
+    Its cells run q descending, an order that refines the cochain
+    filtration q >= i.
     """
     return _total_complex(cocyl, N,
                           lambda p, q: cocyl.b_terms("v", p, q - 1),
@@ -653,85 +655,56 @@ class SSPage:
 
 def _coordinate_levels(fc, n):
     """The filtration level q of each coordinate of T_n, checking that the
-    coordinate order refines the filtration (q ascending)."""
+    coordinate order refines the dual filtration (q descending)."""
     levels = [None] * fc.dim(n)
     for (_, q, off, dim) in fc.cells[n]:
         levels[off:off + dim] = [q] * dim
-    if any(a > b for a, b in zip(levels, levels[1:])):
+    if any(a < b for a, b in zip(levels, levels[1:])):
         raise FiltrationViolation("coordinate order does not refine the "
                                   "filtration at degree %d" % n)
     return levels
-
-
-def _reversed_blocks(fc, n):
-    """The position of each coordinate of T_n once its cell blocks are
-    taken in reverse order (q descending), each block kept in its order."""
-    pos = [0] * fc.dim(n)
-    new = 0
-    for (_, _, off, dim) in reversed(fc.cells[n]):
-        pos[off:off + dim] = range(new, new + dim)
-        new += dim
-    return pos
-
-
-def _filtered_pairs(fc):
-    """{n: {column: pivot row}} of d_1, ..., d_N, from the cleared
-    reduction of `_homology_dims`, which checks every composite first.
-
-    The dual complex is filtered by q >= i, so its coordinates refine that
-    filtration once the cell blocks are taken in reverse order.  d_n with
-    the blocks of both degrees reversed, (tgt[i], src[j]) for an entry
-    (i, j), is the transpose of the coboundary d^(n-1) in such coordinates:
-    the reduction of its rows, each pivot a row's last nonzero column, is
-    the filtered reduction of the coboundary's columns, cleared across
-    degrees.  Each kept pair (pivot column, row) is a pair (column, row) of
-    d_n once the positions are read back.  A nonzero composite d_(n-1) d_n
-    raises TotalNotSquareZero at its lowest degree n.
-    """
-    pos = [_reversed_blocks(fc, n) for n in range(fc.N + 1)]
-    built = {}
-
-    def reversed_d(n):
-        src, tgt = pos[n], pos[n - 1]
-        built[n] = relabel(fc.d[n], row_of=tgt.__getitem__,
-                           col_of=src.__getitem__)
-        return built[n]
-
-    try:
-        _homology_dims(_degree_pairs(fc.field, fc.dim(0), reversed_d,
-                                     fc.N - 1))
-    except CompositionNotZero:
-        raise TotalNotSquareZero("d d != 0 at degree %d" % max(built)) \
-            from None
-    back = [sorted(range(len(ps)), key=ps.__getitem__) for ps in pos]
-    return {n: {back[n][c]: back[n - 1][r] for c, r in m._pairs.items()}
-            for n, m in built.items()}
 
 
 def spectral_pages(fc: FilteredComplex, rmax, window):
     """Pages E^0..E^rmax of the filtered complex, from the one cleared
     reduction that gives its homology dimensions.
 
-    The coordinate order refines the filtration, so the pairs of
-    `_filtered_pairs` split the complex into elementary pieces: a pair
-    (column in degree n, pivot row) of filtration gap g = level(column) -
-    level(row) lives on pages E^0..E^g and is killed by d^g.  Hence dim E^r
-    at (i, j) (filtration degree, complementary degree; total n = i + j)
-    counts the degree-n generators at level i that are unpaired or have gap
-    >= r; the rank of d^r out of (i, j) counts the pairs whose column sits
-    there with gap exactly r, and the rank into (i, j) the pairs whose row
-    sits there.  Entries need total degree <= N-1 so that both incoming and
-    outgoing boundaries stay inside the truncation; a rank whose target
-    degree falls outside 0..N is 0, as no pair reaches it.
+    The dual complex is filtered by q >= i, which the coordinates refine:
+    the cells run q descending.  So d_n is the transpose of the coboundary
+    d^(n-1) in such coordinates, and the reduction of its rows in
+    `_homology_dims`, each pivot a row's last nonzero column, is the
+    filtered reduction of the coboundary's columns, cleared across degrees.
+    It keeps its pairs (column, pivot row) on d_n, and they split the
+    complex into elementary pieces: a pair (column in degree n, pivot row)
+    of filtration gap g = level(column) - level(row) lives on pages
+    E^0..E^g and is killed by d^g.  Hence dim E^r at (i, j) (filtration
+    degree, complementary degree; total n = i + j) counts the degree-n
+    generators at level i that are unpaired or have gap >= r; the rank of
+    d^r out of (i, j) counts the pairs whose column sits there with gap
+    exactly r, and the rank into (i, j) the pairs whose row sits there.
+    Entries need total degree <= N-1 so that both incoming and outgoing
+    boundaries stay inside the truncation; a rank whose target degree falls
+    outside 0..N is 0, as no pair reaches it.
 
     The pages rely on d d = 0 and on a filtration that d preserves: the
     reduction checks every composite, through d_N whatever the window, and
-    the filtration is checked before any pair is read.  Then every gap is
-    >= 0: each coboundary column has entries only at levels >= its own,
-    and the reduction adds to it only columns to its left, whose levels are
-    >= its own too.
+    raises TotalNotSquareZero at the lowest degree n of a nonzero
+    d_(n-1) d_n; the filtration is checked before any pair is read.  Then
+    every gap is >= 0: each coboundary column has entries only at levels
+    >= its own, and the reduction adds to it only columns to its left,
+    whose levels are >= its own too.
     """
-    pairs = _filtered_pairs(fc)
+    built = []
+
+    def d(n):
+        built.append(n)
+        return fc.d[n]
+
+    try:
+        _homology_dims(_degree_pairs(fc.field, fc.dim(0), d, fc.N - 1))
+    except CompositionNotZero:
+        raise TotalNotSquareZero("d d != 0 at degree %d" % built[-1]) \
+            from None
     check_filtration(fc)
     imax, jmax = window
     nmax = min(fc.N - 1, imax + jmax)
@@ -745,7 +718,7 @@ def spectral_pages(fc: FilteredComplex, rmax, window):
             gens[(n, q)] += dim
     for n in range(1, nmax + 2):
         src, tgt = level[n], level[n - 1]
-        for col, row in pairs[n].items():
+        for col, row in fc.d[n]._pairs.items():
             g = src[col] - tgt[row]
             paired[(n, src[col], g)] += 1
             paired[(n - 1, tgt[row], g)] += 1

@@ -873,6 +873,26 @@ def test_compare_builds_no_crossed_product_module(target, name, code,
     assert len(decided) == (2 if target == "diagonal-vs-direct" else 1)
 
 
+def test_diagonal_vs_direct_builds_the_normalized_b_once_per_side(
+        monkeypatch, capsys):
+    """On Sweedler, which is not semisimple, `compare diagonal-vs-direct`
+    reads hh and hc of each side's crossed product off one normalized mixed
+    complex: its b is built once per degree and side, and the report is
+    the recorded one (tests/goldens)."""
+    from hopfcyclic import cli, homology
+    built = []
+    honest = homology._normalized_b
+    monkeypatch.setattr(homology, "_normalized_b",
+                        lambda r, n: built.append(n) or honest(r, n))
+    monkeypatch.chdir(os.path.join(DATA, ".."))
+    code = cli.main(["compare", "diagonal-vs-direct", "-i",
+                     "data/sweedler_Q.json", "--nmax", "1"])
+    with open(os.path.join("tests", "goldens",
+                           "diagonal_vs_direct_sweedler_Q_n1.json")) as fh:
+        assert (code, capsys.readouterr().out) == (0, fh.read())
+    assert built == [1, 2] * 2
+
+
 def test_hc_over_f2_forms_each_mixed_product_once(monkeypatch, capsys):
     """`compute hc` over F_2 ranks the normalized (b, B) of each side's
     algebra through N = nmax + 1.  Its check forms the N - 1 composites

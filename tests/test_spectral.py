@@ -67,12 +67,13 @@ def test_pages_refuse_a_total_complex_that_is_not_square_zero():
 
 def _spoiled_top(fc):
     """fc with one entry of d[3] bumped so that d[2] d[3] != 0: the entry
-    sends column 0 of T_3, at level 0, to a row at level 2, the first one
-    d[2] does not kill, so d[3] also leaves F_0."""
+    sends the first column of T_3 at level 0 to a row at level 2, the first
+    one d[2] does not kill, so d[3] also leaves F_0."""
     _, _, off, dim = fc.find_cell(2, 0, 2)
     i = min(j for (_, j) in fc.d[2].entries if off <= j < off + dim)
+    _, _, j, _ = fc.find_cell(3, 3, 0)
     ent = dict(fc.d[3].entries)
-    ent[(i, 0)] = QQ.add(fc.d[3][(i, 0)], QQ.one())
+    ent[(i, j)] = QQ.add(fc.d[3][(i, j)], QQ.one())
     fc.d[3] = SparseMatrix(QQ, fc.d[3].rows, fc.d[3].cols, ent)
     return fc
 
@@ -120,6 +121,24 @@ def test_pages_reduce_each_differential_once(monkeypatch):
     assert len(reduced) == fc.N + 1 and reduced[0] == 0
     assert products == [(dims[n - 1], dims[n], dims[n + 1])
                         for n in range(1, fc.N + 1)]
+
+
+def test_cells_run_q_descending_and_pages_reduce_d_as_built():
+    """On both sides the cells of Tot_n run q = n, n-1, ..., 0, one block
+    after the other, and the pages keep their pairs on every d_n of the
+    total complex: the matrices reduced are the ones it holds, no copy."""
+    cocyl = CoalgebraCocylinder(regular_module_coalgebra(kc2()))
+    for fc in (total_complex_algebra(make_cyl(), N=3),
+               total_complex_coalgebra(cocyl, N=3)):
+        for n in range(fc.N + 1):
+            cells = fc.cells[n]
+            assert [(p, q) for p, q, _, _ in cells] == \
+                [(n - q, q) for q in range(n, -1, -1)]
+            assert [off for _, _, off, _ in cells] == \
+                [sum(dim for *_, dim in cells[:k]) for k in range(n + 1)]
+        assert all(fc.d[n]._pairs is None for n in range(1, fc.N + 1))
+        spectral_pages(fc, 1, (1, 1))
+        assert all(fc.d[n]._pairs is not None for n in range(1, fc.N + 1))
 
 
 def test_total_complex_trivial_hopf_is_hochschild_of_a():
@@ -306,23 +325,18 @@ def test_pages_report_over_q_at_dimension_nine(monkeypatch, capsys):
         assert code == 0 and capsys.readouterr().out == fh.read()
 
 
-def _transposed(field, cells, dims, d, top, N):
-    """The chain complex dual to a cochain one (cells by q descending,
-    d[n]: T^n -> T^(n+1)): cells reversed to q ascending, d_(n+1) = (d^n)^T."""
-    chain_cells, pos = [], []
-    for row in cells:
-        out, where, off = [], {}, 0
-        for (p, q, old, k) in reversed(row):
-            out.append((p, q, off, k))
-            where.update((old + x, off + x) for x in range(k))
-            off += k
-        chain_cells.append(out)
-        pos.append(where)
-    dd = {n + 1: SparseMatrix(field, dims[n], dims[n + 1],
-                              {(pos[n][j], pos[n + 1][i]): v
-                               for (i, j), v in m.entries.items()})
-          for n, m in d.items()}
-    return FilteredComplex(field, dims, dd, chain_cells, top, N)
+def test_pages_report_over_f2(monkeypatch, capsys):
+    """c2_F2 at rmax 3, pmax 3, qmax 3, byte for byte against the report
+    recorded when the pages reduced a block-reversed copy of each
+    differential: the elimination on integer scalars, with nonzero d^0 and
+    d^1 on both sides."""
+    from hopfcyclic import cli
+    monkeypatch.chdir(ROOT)
+    code = cli.main(["compute", "ss-pages", "-i", "data/c2_F2.json",
+                     "--rmax", "3", "--pmax", "3", "--qmax", "3"])
+    with open(os.path.join("tests", "goldens",
+                           "ss_pages_c2_F2_r3_p3_q3.json")) as fh:
+        assert code == 0 and capsys.readouterr().out == fh.read()
 
 
 @st.composite
@@ -330,20 +344,20 @@ def _elementary_complexes(draw):
     """(filtered complex, expected pages, rmax, window): a random chain or
     cochain complex given by elementary pieces (d y = x on each pair,
     unpaired generators closed), then hidden by a random filtered change of
-    basis per degree.  A cochain complex (filtered by q >= i) is handed over
-    as its transpose, so a cochain d^r out of a position is the rank of d^r
-    into it."""
+    basis per degree.  Both are laid out with q descending, as the total
+    complexes are.  A cochain complex (filtered by q >= i) is handed over as
+    its transpose in the same coordinates, so a cochain d^r out of a
+    position is the rank of d^r into it."""
     field = draw(st.sampled_from([QQ, F2, F3]))
     cochain = draw(st.booleans())
     N = draw(st.integers(min_value=1, max_value=4))
     top = draw(st.integers(min_value=0, max_value=3))
     rnd = draw(st.randoms(use_true_random=False))
     s = 1 if not cochain else -1
-    order = range(top + 1) if not cochain else range(top, -1, -1)
     cells, levels = [], []
     for n in range(N + 1):
         row, lev = [], []
-        for q in order:
+        for q in range(top, -1, -1):
             k = rnd.randint(0, 2)
             row.append((n - q, q, len(lev), k))
             lev += [q] * k
@@ -370,14 +384,17 @@ def _elementary_complexes(draw):
                 return v
 
     def filtered_basis_change(lev):
-        # unitriangular in coordinate order (earlier coordinates are no later
-        # in the filtration) with a nonzero diagonal, times a lower
-        # unitriangular mix inside each level
+        # triangular with a nonzero diagonal, each new basis vector a sum of
+        # coordinates no later in the filtration: each coordinate sits at a
+        # level no lower than the later ones, so lower triangular for a chain
+        # complex (q <= i) and upper for a cochain one (q >= i); times a
+        # lower unitriangular mix inside each level
         m = len(lev)
-        upper = {(a, b): scalar(a == b) for b in range(m) for a in range(b + 1)}
+        tri = {(a, b): scalar(a == b) for b in range(m) for a in range(m)
+               if s * (a - b) >= 0}
         mix = {(a, b): scalar() if a > b and lev[a] == lev[b] else int(a == b)
                for a in range(m) for b in range(m)}
-        return SparseMatrix(field, m, m, upper) @ SparseMatrix(field, m, m, mix)
+        return SparseMatrix(field, m, m, tri) @ SparseMatrix(field, m, m, mix)
 
     g = [filtered_basis_change(lev) for lev in levels]
     dims = [len(lev) for lev in levels]
@@ -388,9 +405,8 @@ def _elementary_complexes(draw):
                               {(x, y): 1 for y, x in pairs[n]})
         d[n] = g[t] @ normal @ invert(g[n])
     if cochain:
-        fc = _transposed(field, cells, dims, d, top, N)
-    else:
-        fc = FilteredComplex(field, dims, d, cells, top, N)
+        d = {n + 1: m.transpose() for n, m in d.items()}
+    fc = FilteredComplex(field, dims, d, cells, top, N)
 
     rmax = rnd.randint(0, top + 1)
     gap = [{} for _ in range(N + 1)]
@@ -434,24 +450,25 @@ def test_pages_of_random_filtered_complexes(case):
 
 # -- negative controls: filtrations that are not filtrations ------------------------
 
-def _two_level_complex(d_entries, cells0=((0, 0, 0, 1), (-1, 1, 1, 1))):
-    """T_1 = one generator at level 0, T_0 = the given cells; d_1 as given."""
+def _two_level_complex(d_entries, cells0=((-1, 1, 0, 1), (0, 0, 1, 1))):
+    """T_1 = one generator at level 0, T_0 = the given cells (by default q
+    descending: row 0 at level 1, row 1 at level 0); d_1 as given."""
     cells = [list(cells0), [(1, 0, 0, 1)]]
     d = {1: SparseMatrix(QQ, 2, 1, d_entries)}
     return FilteredComplex(QQ, [2, 1], d, cells, 1, 1)
 
 
 def test_d_leaving_the_filtration_is_refused():
-    fc = _two_level_complex({(1, 0): 1})  # level 0 -> level 1
+    fc = _two_level_complex({(0, 0): 1})  # level 0 -> level 1
     with pytest.raises(FiltrationViolation, match="d leaves F_0"):
         check_filtration(fc)
     with pytest.raises(FiltrationViolation, match="d leaves F_0"):
         spectral_pages(fc, 1, (1, 0))
-    assert check_filtration(_two_level_complex({(0, 0): 1}))
+    assert check_filtration(_two_level_complex({(1, 0): 1}))
 
 
 def test_filtration_that_is_not_nested_is_refused():
-    fc = _two_level_complex({(0, 0): 1})
+    fc = _two_level_complex({(1, 0): 1})
     # F_1 drops the level-0 generator that F_0 holds
     fc.filtration_coords = lambda i, n: [
         off + k for (_, q, off, dim) in fc.cells[n] if q == i
@@ -461,7 +478,9 @@ def test_filtration_that_is_not_nested_is_refused():
 
 
 def test_coordinate_order_that_does_not_refine_the_filtration_is_refused():
-    fc = _two_level_complex({(1, 0): 1},
-                            cells0=((-1, 1, 0, 1), (0, 0, 1, 1)))
+    """T_0 laid out q ascending: d keeps the filtration, but the coordinate
+    order does not refine the dual filtration q >= i."""
+    fc = _two_level_complex({(0, 0): 1},
+                            cells0=((0, 0, 0, 1), (-1, 1, 1, 1)))
     with pytest.raises(FiltrationViolation, match="does not refine"):
         spectral_pages(fc, 1, (1, 0))
