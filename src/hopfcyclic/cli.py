@@ -52,6 +52,12 @@ the normalized Hochschild boundary b of the same algebra alone and
 (co)cyclic module.  `compare` ranks the crossed product the same way, and
 builds the unnormalized (b, B) only on the other side of each comparison:
 the diagonal of the (co)cylinder, or the coinvariant module.
+
+`compute hopf-homology|comodule-cohomology` rank the normalized (co)bar
+complex, on the chains with no unit (counit) leg, and `compute ss-pages`
+and `compare ez-hochschild` the total complex normalized in the H
+direction, E^0 restored by its closed form; the gate rows above still
+count the full spaces.
 """
 
 from __future__ import annotations
@@ -169,9 +175,11 @@ def _opt(params, doc, key, default):
 # 18 MB.  Through the unnormalized (b, B), the first refused ones, C2
 # --nmax 7 (4^9) and C3 --nmax 4 (9^6), had not finished after 400 s, at
 # 1.8 and 2.2 GB resident.  The same limit holds the top bar space
-# dim(H)^(top+1) of `compute hopf-homology|comodule-cohomology`: S3
-# --qmax 5 (6^6) takes 9.6 s and 132 MB, C2 --qmax 15 (2^16) 17.3 s and
-# 362 MB.  The README lists every corpus bound.
+# dim(H)^(top+1) of `compute hopf-homology|comodule-cohomology`, which
+# rank only its (dim(H) - 1)^top non-degenerate chains: S3 --qmax 5 (6^6)
+# takes 0.7 s and 53 MB, C2 --qmax 15 (2^16) 0.1 s and 18 MB (9.6 s and
+# 132 MB, 17.3 s and 362 MB on the full bar complex).  The README lists
+# every corpus bound.
 MAX_CHAIN_DIM = 2 ** 17
 
 # Largest first column H (x) X^(N+1) (X = A or C) at the top degree N that a

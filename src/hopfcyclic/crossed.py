@@ -239,20 +239,51 @@ def dual_algebra(c: Coalgebra) -> Algebra:
                    c.basis_names)
 
 
+def unit_basis(field, unit):
+    """(basis, inverse) of the change of basis that puts the nonzero d x 1
+    column `unit` at e_0: f_0 = unit, then the e_j other than e_k in order,
+    k the first coordinate of unit; both the identity when unit is e_0.
+    The columns of basis are the f_j in the old coordinates."""
+    d = unit.rows
+    col = unit.column(0)
+    if col == {0: 1}:
+        ident = SparseMatrix.identity(field, d)
+        return ident, ident
+    k = min(col)
+    cols = {0: unit.columns[0]}
+    cols.update({c: unit_column(j)
+                 for c, j in enumerate([j for j in range(d) if j != k], 1)})
+    basis = SparseMatrix._of_columns(field, d, d, cols)
+    return basis, invert(basis)
+
+
+def unit_legs(field, unit):
+    """(C, P) for a leg of Rbar = R / k unit, R of dimension d: C (d x
+    (d - 1)) takes the coordinates f_1, ..., f_(d-1) of `unit_basis` to R,
+    and P ((d - 1) x d) reads them off an element of R, so P C = I and the
+    kernel of P is the line of the unit.  On a tensor power whose chains
+    with the unit in a leg span a subcomplex, the quotient complex is P
+    (x) ... d ... (x) C on those legs; with the unit at e_0 both only
+    select the coordinates 1, ..., d - 1."""
+    basis, inv = unit_basis(field, unit)
+    d = unit.rows
+    C = SparseMatrix._of_columns(field, d, d - 1, {
+        j - 1: col for j, col in basis.columns.items() if j})
+    rows = {}
+    for j, col in inv.columns.items():
+        kept = tuple(x for i, v in col_items(col) if i for x in (i - 1, v))
+        if kept:
+            rows[j] = kept
+    return C, SparseMatrix._of_columns(field, d - 1, d, rows)
+
+
 def unit_first(r: Algebra) -> Algebra:
-    """r itself when its unit is e_0; else r in the basis f_0 = 1, then the
-    e_j other than e_k in order, k the first coordinate of the unit."""
-    f, d = r.field, r.dim
-    unit = r.unit.column(0)
-    if unit == {0: 1}:
+    """r itself when its unit is e_0; else r in the basis of `unit_basis`."""
+    if r.unit.column(0) == {0: 1}:
         return r
-    k = min(unit)
-    cols = {0: r.unit.columns[0]}
-    cols.update({col: unit_column(j)
-                 for col, j in enumerate([j for j in range(d) if j != k], 1)})
-    basis = SparseMatrix._of_columns(f, d, d, cols)
-    inv = invert(basis)
-    return Algebra(f, d, inv @ r.mult @ basis.kron(basis), inv @ r.unit)
+    basis, inv = unit_basis(r.field, r.unit)
+    return Algebra(r.field, r.dim, inv @ r.mult @ basis.kron(basis),
+                   inv @ r.unit)
 
 
 def normalized_faces(r: Algebra, n):
@@ -263,28 +294,19 @@ def normalized_faces(r: Algebra, n):
     index x_0 e^n + the base-e number of (x_1 - 1, ..., x_n - 1), e = d - 1:
     d (d - 1)^n of them.  Each face is the full face restricted to these
     coordinates, as the degenerate chains, those with the unit past x_0,
-    span a subcomplex: r's product with the legs that leave Rbar dropped,
-    tensored with identities, the wrap face d_n with its columns relabelled
-    as in `cyclic_module_of_algebra`."""
+    span a subcomplex: r's product with the legs that leave Rbar dropped
+    (`unit_legs`), tensored with identities, the wrap face d_n with its
+    columns relabelled as in `cyclic_module_of_algebra`."""
     f, d = r.field, r.dim
     e = d - 1
-    inner, first, wrap = {}, {}, {}
-    for col, packed in r.mult.columns.items():
-        a, b = divmod(col, d)
-        for c, v in col_items(packed):
-            if b:
-                first[(c, a * e + b - 1)] = v
-                if a and c:
-                    inner[(c - 1, (a - 1) * e + b - 1)] = v
-            if a:
-                wrap[(c, (a - 1) * d + b)] = v
+    C, P = unit_legs(f, r.unit)
     rest = e ** (n - 1)
-    faces = [amplify(SparseMatrix._settled(f, d, d * e, first), 1, rest)]
-    bar = SparseMatrix._settled(f, e, e * e, inner)
+    faces = [amplify(r.mult @ amplify(C, d, 1), 1, rest)]
+    bar = P @ r.mult @ C.kron(C)
     faces += [amplify(bar, d * e ** (i - 1), e ** (n - 1 - i))
               for i in range(1, n)]
     # the wrap face read on (x_n, x_0, x_1, ...): rotate each column left
-    wrapped = amplify(SparseMatrix._settled(f, d, e * d, wrap), 1, rest)
+    wrapped = amplify(r.mult @ amplify(C, 1, d), 1, rest)
     faces.append(relabel(wrapped,
                          col_of=lambda j: _rotate_left(j, e, d * rest)))
     return faces

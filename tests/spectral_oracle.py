@@ -5,11 +5,15 @@ reduction, kept in method: every page and differential rank is a dimension
 of sums of `Subspace`s.  It is slow, and independent of the persistence
 pairs that `spectral_pages` reads off `linalg._homology_dims`.  Filtered
 complexes are chain complexes with an increasing filtration; a cochain
-complex enters as its transpose.
+complex enters as its transpose.  `full_total_complex` builds the total
+complex of a (co)cylinder on its full cells, as the package did before it
+normalized the H direction: the complex whose pages those of the
+normalized one must equal.
 """
 
-from hopfcyclic.homology import SSPage
-from hopfcyclic.linalg import SparseMatrix, Subspace, kernel
+from hopfcyclic.cylinder import CoalgebraCocylinder
+from hopfcyclic.homology import FilteredComplex, SSPage
+from hopfcyclic.linalg import SparseMatrix, Subspace, kernel, place
 
 
 def _cached(memo, key, build):
@@ -116,3 +120,44 @@ def oracle_pages(fc, rmax, window):
                 ranks_in[(i, j)] = _rank_out(fc, r, i + r, n + 1, memo)
         pages.append(SSPage(r, table, ranks, ranks_in))
     return pages
+
+
+def full_total_complex(cyl, N):
+    """The total complex of a cylinder (or the transpose of a cocylinder's)
+    on the full cells H^(x)(p+1) (x) B^(x)(q+1), q descending, summed from
+    every (co)face."""
+    co = isinstance(cyl, CoalgebraCocylinder)
+    kind = cyl.family[0]
+
+    def terms(direction, p, q):
+        """The signed (co)faces of b_v or b_h out of the chain cell (p, q),
+        read at their cochain source on the coalgebra side."""
+        if co:
+            p, q = (p - 1, q) if direction == "h" else (p, q - 1)
+        op = getattr(cyl, kind + "_" + direction)
+        count = (q if direction == "v" else p) + 1 + co
+        return [((-1) ** i, op(p, q, i)) for i in range(count)]
+
+    cells, dims = [], []
+    for n in range(N + 1):
+        row, off = [], 0
+        for q in range(n, -1, -1):
+            dim = cyl.space_dim(n - q, q)
+            row.append((n - q, q, off, dim))
+            off += dim
+        cells.append(row)
+        dims.append(off)
+    d = {}
+    for n in range(1, N + 1):
+        below = {q: off for _, q, off, _ in cells[n - 1]}
+        placed = []
+        for p, q, off, _ in cells[n]:
+            if q >= 1:
+                sign = -1 if p % 2 else 1
+                placed += [(sign * c, m, below[q - 1], off, co)
+                           for c, m in terms("v", p, q)]
+            if p >= 1:
+                placed += [(c, m, below[q], off, co)
+                           for c, m in terms("h", p, q)]
+        d[n] = place(cyl.field, dims[n - 1], dims[n], placed)
+    return FilteredComplex(cyl.field, dims, d, cells, N, N)

@@ -10,17 +10,19 @@ from hypothesis import strategies as st
 
 import connes_oracle
 import mixed_oracle
-from hopfcyclic import cli, homology
+from hopfcyclic import cli, homology, linalg
 from hopfcyclic.corpus import corpus_documents
-from hopfcyclic.cylinder import AlgebraCylinder
+from hopfcyclic.cylinder import (
+    AlgebraCylinder, first_column_action, first_column_coaction,
+)
 from hopfcyclic.errors import (
-    BoundaryNotSquareZero, CoboundaryNotSquareZero, CompositionNotZero,
+    AxiomFailure, BoundaryNotSquareZero, CoboundaryNotSquareZero, CompositionNotZero,
     HomotopyFailure, HopfCyclicError, MixedIdentityFailure, NotCosemisimple,
     NotSemisimple, TruncationTooShallow,
 )
 from hopfcyclic.fields import Field
 from hopfcyclic.hopf import (
-    Algebra, HopfAlgebra, cyclic_group_table, group_algebra,
+    Algebra, HopfAlgebra, cyclic_group_table, dual_hopf, group_algebra,
     regular_comodule_algebra, regular_module_coalgebra, sweedler_hopf,
     symmetric_group_table, trivial_hopf,
 )
@@ -44,6 +46,7 @@ from hopfcyclic.tensor import perm_matrix
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
 
 def kc2(field=QQ):
@@ -199,25 +202,160 @@ def test_homotopy_matches_vanishing():
 
 
 def test_each_bar_boundary_and_composite_is_built_once(monkeypatch):
-    """The bar homology multiplies each composite delta_(p-1) delta_p once
-    (with the zero map out of degree 0: qmax + 1 products), and the
-    homotopy check builds each bar boundary once (qmax + 1 of them)."""
+    """The bar homology builds each normalized boundary once and multiplies
+    each composite delta_(p-1) delta_p once (with the zero map out of
+    degree 0: qmax + 1 products); the full boundary is built only at the
+    degrees 1..3 whose composites carry the face identities, and the
+    homotopy check builds each full bar boundary once (qmax + 1 of
+    them)."""
     from hopfcyclic import homology
     h2, h = kc2(F2), kc2()
     t = find_right_integral(h)
-    built = []
+    built, normal, made = [], [], []
     boundary = homology.hopf_module_boundary
+    normalized = homology._normalized_bar_boundary
     monkeypatch.setattr(homology, "hopf_module_boundary",
                         lambda *args: built.append(args[2]) or boundary(*args))
-    products = []
+
+    def spy(pieces, p):
+        normal.append(p)
+        made.append(normalized(pieces, p))
+        return made[-1]
+
+    monkeypatch.setattr(homology, "_normalized_bar_boundary", spy)
+    composites = []
     matmul = SparseMatrix.__matmul__
-    monkeypatch.setattr(SparseMatrix, "__matmul__",
-                        lambda a, b: products.append(1) or matmul(a, b))
+    monkeypatch.setattr(SparseMatrix, "__matmul__", lambda a, b: (
+        composites.append(1) if any(b is m for m in made) else None)
+        or matmul(a, b))
     assert hopf_module_homology(h2, trivial_module_action(h2), 4) == [1] * 5
-    assert built == [1, 2, 3, 4, 5] and len(products) == 5
+    assert normal == [1, 2, 3, 4, 5] and len(composites) == 5
+    assert built == [1, 2, 3]
     built.clear()
     semisimple_homotopy_check(h, t, trivial_module_action(h), 3)
     assert built == [1, 2, 3, 4]
+
+
+def _full_bar_dims(h, action, qmax):
+    """The bar homology ranked on the full complex H^(x)p (x) M, the route
+    the normalized one replaced: the oracle."""
+    return linalg._homology_dims(homology._degree_pairs(
+        h.field, action.rows,
+        lambda p: homology.hopf_module_boundary(h, action, p), qmax))
+
+
+def _full_cobar_dims(h, coaction, pmax):
+    return _full_bar_dims(dual_hopf(h), coaction.transpose(), pmax)
+
+
+# the top (co)bar degree per dimension of H: the full oracle stays small
+_BAR_TOP = {1: 6, 2: 8, 3: 5, 4: 4, 6: 3}
+
+
+@pytest.mark.parametrize("name", sorted(
+    n[:-5] for n in os.listdir(DATA)))
+def test_normalized_bar_and_cobar_equal_the_full_route(name):
+    """On every corpus file the normalized bar and cobar homology equal the
+    full complexes' ranks: with the trivial (co)action through the top
+    degree of _BAR_TOP, and with the first-column (co)action of each block
+    at degree 0 through degree 2 (1 on S3)."""
+    doc = load_document(os.path.join(DATA, name + ".json"))
+    h = doc.hopf
+    top = _BAR_TOP[h.dim]
+    assert hopf_module_homology(h, trivial_module_action(h), top) \
+        == _full_bar_dims(h, trivial_module_action(h), top)
+    assert hopf_comodule_cohomology(h, trivial_comodule_coaction(h), top) \
+        == _full_cobar_dims(h, trivial_comodule_coaction(h), top)
+    top = 2 if h.dim <= 4 else 1
+    action = first_column_action(doc.algebra, 0)
+    assert hopf_module_homology(h, action, top) \
+        == _full_bar_dims(h, action, top)
+    coaction = first_column_coaction(doc.coalgebra, 0)
+    assert hopf_comodule_cohomology(h, coaction, top) \
+        == _full_cobar_dims(h, coaction, top)
+
+
+@pytest.mark.parametrize("name, top", [
+    ("s3_Q", 5), ("c2_F2", 15), ("sweedler_Q", 6),
+])
+def test_bar_reports_at_scale_match_the_full_route(name, top, monkeypatch,
+                                                    capsys):
+    """`compute hopf-homology --qmax top` and `comodule-cohomology --pmax
+    top` at the scale points of the (co)bar gate, byte for byte against
+    the reports recorded when the full bar complex was ranked
+    (tests/goldens)."""
+    monkeypatch.chdir(os.path.join(DATA, ".."))
+    for target, flag, golden in (
+            ("hopf-homology", "--qmax", "hopf_homology_%s_q%d"),
+            ("comodule-cohomology", "--pmax", "comodule_cohomology_%s_p%d")):
+        code = cli.main(["compute", target, "-i", "data/%s.json" % name,
+                         flag, str(top)])
+        with open(os.path.join("tests", "goldens",
+                               golden % (name, top) + ".json")) as fh:
+            assert code == 0 and capsys.readouterr().out == fh.read()
+
+
+def _random_basis(data, f, d):
+    """A random basis of k^d as the columns of a matrix: a permutation of a
+    lower unitriangular one, so the first nonzero coordinate of a vector
+    may move anywhere."""
+    perm = data.draw(st.permutations(range(d)))
+    lower = data.draw(st.dictionaries(
+        st.tuples(st.integers(1, d - 1), st.integers(0, d - 2))
+        .filter(lambda ij: ij[1] < ij[0]),
+        st.integers(-2, 2), max_size=d))
+    entries = {(i, i): 1 for i in range(d)}
+    entries.update({ij: f.of(v) for ij, v in lower.items()})
+    return SparseMatrix(f, d, d, {(perm[i], i): 1 for i in range(d)}) \
+        @ SparseMatrix(f, d, d, entries)
+
+
+def _hopf_in_basis(h, basis):
+    """h with every structure map written in the basis whose vectors are
+    the columns of `basis`."""
+    inv = invert(basis)
+    return HopfAlgebra(h.field, h.dim, inv @ h.mult @ basis.kron(basis),
+                       inv @ h.unit, inv.kron(inv) @ h.comult @ basis,
+                       h.counit @ basis, inv @ h.antipode @ basis,
+                       inv @ h.antipode_inv @ basis)
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+@pytest.mark.parametrize("name, top", [
+    ("c2_Q", 6), ("c2_F2", 6), ("c3_Q", 4), ("sweedler_Q", 3), ("s3_Q", 2),
+])
+def test_bar_and_cobar_with_the_unit_and_counit_off_e0(name, top, data):
+    """H in a random basis, a permutation of a lower unitriangular one,
+    where neither its unit nor its counit is the first (dual) basis vector:
+    the bar and cobar homology with the trivial (co)action are those of H
+    in its own basis, by the full route."""
+    h = load_document(os.path.join(DATA, name + ".json")).hopf
+    conj = _hopf_in_basis(h, _random_basis(data, h.field, h.dim))
+    assume(conj.unit.column(0) != {0: 1})
+    assume(conj.counit.transpose().column(0) != {0: 1})
+    assert hopf_module_homology(conj, trivial_module_action(conj), top) \
+        == _full_bar_dims(h, trivial_module_action(h), top)
+    assert hopf_comodule_cohomology(conj, trivial_comodule_coaction(conj),
+                                    top) \
+        == _full_cobar_dims(h, trivial_comodule_coaction(h), top)
+
+
+def test_a_unit_that_is_no_unit_is_refused_before_normalizing():
+    """The normalized bar complex has the bar homology only when the unit
+    laws hold; a product with e_0 e_1 = 0 is refused, on both sides, at a
+    degree whose full composites the trivial (co)action keeps zero."""
+    h = kc2()
+    bad_mult = SparseMatrix(QQ, 2, 4, {(0, 0): 1, (1, 2): 1, (0, 3): 1})
+    bad = HopfAlgebra(QQ, 2, bad_mult, h.unit, h.comult, h.counit,
+                      h.antipode, h.antipode_inv)
+    with pytest.raises(AxiomFailure, match="not a unit of its product"):
+        hopf_module_homology(bad, trivial_module_action(bad), 1)
+    bad = HopfAlgebra(QQ, 2, h.mult, h.unit, bad_mult.transpose(), h.counit,
+                      h.antipode, h.antipode_inv)
+    with pytest.raises(AxiomFailure, match="not a counit of its coproduct"):
+        hopf_comodule_cohomology(bad, trivial_comodule_coaction(bad), 1)
 
 
 def test_s3_group_homology_rational():
@@ -327,7 +465,6 @@ def test_b_B_at_degree_zero_is_left_to_the_ranks():
 
 # -- hh from b alone, hc from Connes' complex ----------------------------------
 
-DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
 
 def _corpus_modules(name, nmax):
@@ -555,15 +692,7 @@ def test_a_unit_off_the_basis_gives_the_same_dims(name, nmax, side, data):
     nonzero coordinate may be any, has the same normalized hh and hc."""
     r = _corpus_algebras(name)[side]
     f, d = r.field, r.dim
-    perm = data.draw(st.permutations(range(d)))
-    lower = data.draw(st.dictionaries(
-        st.tuples(st.integers(1, d - 1), st.integers(0, d - 2))
-        .filter(lambda ij: ij[1] < ij[0]),
-        st.integers(-2, 2), max_size=d))
-    entries = {(i, i): 1 for i in range(d)}
-    entries.update({ij: f.of(v) for ij, v in lower.items()})
-    basis = SparseMatrix(f, d, d, {(perm[i], i): 1 for i in range(d)}) \
-        @ SparseMatrix(f, d, d, entries)
+    basis = _random_basis(data, f, d)
     inv = invert(basis)
     conj = Algebra(f, d, inv @ r.mult @ basis.kron(basis), inv @ r.unit)
     unit = conj.unit.column(0)

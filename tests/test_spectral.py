@@ -3,19 +3,19 @@
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectral_oracle import oracle_pages
+from spectral_oracle import full_total_complex, oracle_pages
 
 from hopfcyclic.errors import FiltrationViolation, TotalNotSquareZero
 from hopfcyclic.fields import Field
 from hopfcyclic.io import load_document
 from hopfcyclic.linalg import SparseMatrix, invert
 from hopfcyclic.hopf import (
-    cyclic_group_table, group_algebra, regular_comodule_algebra,
-    regular_module_coalgebra, sweedler_hopf, trivial_comodule_algebra,
-    trivial_hopf,
+    ComoduleAlgebra, HopfAlgebra, ModuleCoalgebra, cyclic_group_table,
+    group_algebra, regular_comodule_algebra, regular_module_coalgebra,
+    sweedler_hopf, trivial_comodule_algebra, trivial_hopf,
 )
 from hopfcyclic.crossed import (
     cocyclic_module_of_coalgebra, crossed_product_algebra,
@@ -46,8 +46,12 @@ def make_cyl(field=QQ):
 
 
 def test_total_complex_square_zero_and_filtration():
+    """The cells are normalized in the H direction: 2 1^p 2^(q+1) of the
+    full 2^(p+1) 2^(q+1) coordinates, the rest degenerate."""
     fc = total_complex_algebra(make_cyl(), N=3)
-    assert fc.dims == [4, 16, 48, 128]
+    assert fc.dims == [4, 12, 28, 60]
+    assert [dim + sum(fc.degenerate[(p, q)] for p, q, _, _ in fc.cells[n])
+            for n, dim in enumerate(fc.dims)] == [4, 16, 48, 128]
     for n in range(2, 4):
         assert (fc.d[n - 1] @ fc.d[n]).is_zero()
     assert check_filtration(fc)  # d-stability, nesting, exhaustion
@@ -154,7 +158,18 @@ def test_total_complex_trivial_hopf_is_hochschild_of_a():
     assert tot[0] == hochschild_dims(mc, 0)[0]
 
 
+def _non_degenerate(dh, db, p, q):
+    """The coordinates of the cell (p, q) with no unit e_0 in an H leg past
+    the first."""
+    tail = db ** (q + 1)
+    return [x for x in range(dh ** (p + 1) * tail)
+            if all(x // tail // dh ** k % dh for k in range(p))]
+
+
 def test_page_zero_differential_is_horizontal_boundary():
+    """d^0 = b_h: each block of d between horizontally adjacent cells is
+    the full horizontal boundary, the alternating sum of the faces,
+    restricted to the non-degenerate coordinates (the unit is e_0)."""
     cyl = make_cyl()
     fc = total_complex_algebra(cyl, N=3)
     for n in range(1, 4):
@@ -162,7 +177,14 @@ def test_page_zero_differential_is_horizontal_boundary():
             p = n - q
             src = fc.find_cell(n, p, q)
             dst = fc.find_cell(n - 1, p - 1, q)
-            assert fc.cell_block(n, src, dst) == cyl.b_h(p, q)
+            b_h = sum((cyl.face_h(p, q, i).scale((-1) ** i)
+                       for i in range(1, p + 1)), cyl.face_h(p, q, 0))
+            rows = _non_degenerate(2, 2, p - 1, q)
+            cols = _non_degenerate(2, 2, p, q)
+            want = {(r, c): b_h[(i, j)] for r, i in enumerate(rows)
+                    for c, j in enumerate(cols) if b_h[(i, j)]}
+            assert fc.cell_block(n, src, dst) == \
+                SparseMatrix(QQ, len(rows), len(cols), want)
 
 
 def test_semisimple_first_page_vanishes_above_row_zero():
@@ -277,13 +299,89 @@ def _same_pages(got, want):
 ])
 def test_pages_match_subquotient_oracle_on_corpus(name, rmax, pmax, qmax):
     doc = load_document(os.path.join(ROOT, "data", name + ".json"))
-    fcs = [total_complex_algebra(AlgebraCylinder(doc.algebra),
-                                 N=pmax + qmax + 1),
-           total_complex_coalgebra(CoalgebraCocylinder(doc.coalgebra),
-                                   N=pmax + qmax + 1)]
-    for fc in fcs:
-        assert _same_pages(spectral_pages(fc, rmax, (pmax, qmax)),
-                           oracle_pages(fc, rmax, (pmax, qmax)))
+    N, window = pmax + qmax + 1, (pmax, qmax)
+    for cyl, total in ((AlgebraCylinder(doc.algebra), total_complex_algebra),
+                       (CoalgebraCocylinder(doc.coalgebra),
+                        total_complex_coalgebra)):
+        assert _same_pages(spectral_pages(total(cyl, N), rmax, window),
+                           oracle_pages(full_total_complex(cyl, N), rmax,
+                                        window))
+
+
+# (rmax, pmax, qmax) of the ss-pages goldens on the three files they cover
+@pytest.mark.parametrize("name, rmax, pmax, qmax", [
+    ("c2_Q", 4, 3, 3), ("c3_Q", 2, 2, 2), ("c2_F2", 3, 3, 3),
+])
+def test_closed_form_page_zero_equals_the_full_total_complex(
+        name, rmax, pmax, qmax):
+    """The total complexes are normalized in the H direction and restore
+    E^0 by the closed form: full cell dimensions, and each d^0 rank the
+    quotient's plus that of the acyclic degenerate row.  Every page, E^0
+    included, tables and both rank maps, equals the one the pairs of the
+    full total complex give, on both sides."""
+    doc = load_document(os.path.join(ROOT, "data", name + ".json"))
+    N = pmax + qmax + 1
+    for cyl, total in ((AlgebraCylinder(doc.algebra), total_complex_algebra),
+                       (CoalgebraCocylinder(doc.coalgebra),
+                        total_complex_coalgebra)):
+        fc = total(cyl, N)
+        full = full_total_complex(cyl, N)
+        assert sum(fc.dims) < sum(full.dims)
+        pages = spectral_pages(fc, rmax, (pmax, qmax))
+        assert _same_pages(pages, spectral_pages(full, rmax, (pmax, qmax)))
+        assert pages[0].table == {
+            (q, p): cyl.space_dim(p, q) for (q, p) in pages[0].table}
+
+
+def _in_basis(doc, basis):
+    """The comodule algebra and module coalgebra of doc over H written in
+    the basis of H whose vectors are the columns of `basis`."""
+    h, f = doc.hopf, doc.field
+    inv = invert(basis)
+    conj = HopfAlgebra(f, h.dim, inv @ h.mult @ basis.kron(basis),
+                       inv @ h.unit, inv.kron(inv) @ h.comult @ basis,
+                       h.counit @ basis, inv @ h.antipode @ basis,
+                       inv @ h.antipode_inv @ basis)
+    a, c = doc.algebra, doc.coalgebra
+    return (ComoduleAlgebra(conj, a.algebra, inv.kron(
+                SparseMatrix.identity(f, a.dim)) @ a.coaction),
+            ModuleCoalgebra(conj, c.coalgebra, c.action @ basis.kron(
+                SparseMatrix.identity(f, c.dim))))
+
+
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name, rmax, pmax, qmax", [
+    ("c2_F2", 2, 2, 1), ("c3_Q", 1, 1, 0), ("sweedler_Q", 1, 1, 0),
+])
+def test_pages_with_the_unit_and_counit_off_e0(name, rmax, pmax, qmax, data):
+    """H in a random basis, a permutation of a lower unitriangular one,
+    where neither its unit nor its counit is the first (dual) basis vector:
+    the normalized total complexes read their cells in the basis of
+    `unit_basis`, and every page, E^0 included, is that of H in its own
+    basis, on both sides."""
+    doc = load_document(os.path.join(ROOT, "data", name + ".json"))
+    f, d = doc.field, doc.hopf.dim
+    perm = data.draw(st.permutations(range(d)))
+    lower = data.draw(st.dictionaries(
+        st.tuples(st.integers(1, d - 1), st.integers(0, d - 2))
+        .filter(lambda ij: ij[1] < ij[0]),
+        st.integers(-2, 2), max_size=d))
+    entries = {(i, i): 1 for i in range(d)}
+    entries.update({ij: f.of(v) for ij, v in lower.items()})
+    basis = SparseMatrix(f, d, d, {(perm[i], i): 1 for i in range(d)}) \
+        @ SparseMatrix(f, d, d, entries)
+    a, c = _in_basis(doc, basis)
+    assume(a.hopf.unit.column(0) != {0: 1})
+    assume(a.hopf.counit.transpose().column(0) != {0: 1})
+    window, N = (pmax, qmax), pmax + qmax + 1
+    for cyl, own in ((AlgebraCylinder(a), AlgebraCylinder(doc.algebra)),
+                     (CoalgebraCocylinder(c),
+                      CoalgebraCocylinder(doc.coalgebra))):
+        total = total_complex_algebra if cyl.block == "A" \
+            else total_complex_coalgebra
+        assert _same_pages(spectral_pages(total(cyl, N), rmax, window),
+                           spectral_pages(total(own, N), rmax, window))
 
 
 def test_a_larger_rmax_only_appends_stable_pages():
