@@ -19,6 +19,9 @@ Q = qmax; each limit is the `MAX_*` constant of that name):
     target               row                                         limit
     hh, hc,              chain space (dh d)^(nmax+2)                 CHAIN
     diagonal-vs-direct   (co)face work (nmax+2)^3                    FACE
+                         (hh, hc: the chain row gives way when it alone
+                         refuses and the crossed product is semisimple
+                         over Q, read off the closed form)
     collapse-*           the rows of hh, then those of coinvariants
                          at nmax + 1
     coinvariants         first column dh d^(nmax+1)                  COLUMN
@@ -166,7 +169,8 @@ def _opt(params, doc, key, default):
 # crossed-product job may build: the diagonal of `compare
 # diagonal-vs-direct` builds the top b in full, `hh` and `hc` only its
 # dim(R) (dim(R) - 1)^(nmax+1) non-degenerate columns.  A crossed product
-# that is semisimple over Q builds no chains, yet the same row holds it.
+# that is semisimple over Q builds no chains, so on `hh` and `hc` the row
+# gives way there (`_closed_form`) and the (co)face work row bounds nmax.
 # Measured on a 2-core VM through the normalized b and (b, B), the admitted
 # corpus jobs at the edge take, for C2 --nmax 6 (4^8 = 65536), 1.3 s and
 # 40 MB with `hc` and 0.5 s and 37 MB with `hh` over Q, 0.8 s and 40 MB and
@@ -348,18 +352,35 @@ def _sizes(target, bounds, dh, d):
         + [_row("operator pairs", pairs, MAX_CHECK_WORK)]
 
 
+def _closed_form(doc, side):
+    """Whether `compute hh|hc` read the side's tables off the closed form of
+    a crossed product semisimple over Q.  Asked only over Q and when the
+    closed form's own d^2 products fit the chain-space limit."""
+    d = doc.hopf.dim * getattr(doc, side).dim
+    return (doc.field.p is None and d * d <= MAX_CHAIN_DIM
+            and semisimple_hh0(_crossed_algebra(doc, side)) is not None)
+
+
 def _check_size(doc, target, bounds, sides):
     """Refuse a job with TooLarge at its first gate row above its limit,
-    block by block, before anything is built."""
+    block by block, before anything is built.
+
+    The chain-space row of `compute hh|hc` gives way where it alone is
+    above its limit and the side's crossed product takes the closed form,
+    which builds no chain space; deciding that builds the crossed
+    product."""
     # rmax counts pages, not degrees: only the row that reads it names it
     flags = " ".join("--%s %d" % kv for kv in sorted(bounds.items())
                      if kv[0] != "rmax")
     for side in sides:
-        for what, (value, text), limit in _sizes(target, bounds, doc.hopf.dim,
-                                                 getattr(doc, side).dim):
-            if value > limit:
-                raise TooLarge("%s on the %s block needs %s %s, above the "
-                               "limit %d" % (flags, side, what, text, limit))
+        rows = _sizes(target, bounds, doc.hopf.dim, getattr(doc, side).dim)
+        over = [row for row in rows if row[1][0] > row[2]]
+        if not over or (target in ("hh", "hc") and over == rows[:1]
+                        and _closed_form(doc, side)):
+            continue
+        what, (_, text), limit = over[0]
+        raise TooLarge("%s on the %s block needs %s %s, above the limit %d"
+                       % (flags, side, what, text, limit))
 
 
 def _admit(doc, target, params):

@@ -350,19 +350,6 @@ class SparseMatrix:
         return SparseMatrix._of_columns(self.field, self.rows * rows,
                                         self.cols * cols, out)
 
-    def apply(self, vec):
-        """Apply to a dict-vector; returns a dict-vector."""
-        cols = self.columns
-        out = {}
-        get = out.get
-        for j, c in vec.items():
-            col = cols.get(j)
-            if col:
-                it = iter(col)
-                for i, a in zip(it, it):
-                    out[i] = get(i, 0) + a * c
-        return settle(self.field, out)
-
 
 def combine(field, rows, cols, terms):
     """The rows x cols matrix sum of c * m over the (c, m) pairs of terms.

@@ -23,15 +23,30 @@ Scalars are summed with native + and * and settled into the field once per
 column and once per entry of the result.  The expansions and the expression
 columns are memoized on the `Spaces` passed in, under (label, expansion)
 and under the expression's shape (the tree with each leg replaced by its
-space label), so a column made for one operator serves every later one.
-`hopf.algebra_spaces` and `hopf.coalgebra_spaces` build a fresh `Spaces` for
-each structure, so the memo lives as long as the cylinder, module form or
-crossed product that owns it, and never across structures.  A (co)cylinder
+space label), so a column made for one operator serves every later one on
+those spaces.  `hopf.algebra_spaces` and `hopf.coalgebra_spaces` build a
+fresh `Spaces` for each structure, so that memo lives as long as the
+cylinder, module form or crossed product that owns it.  A (co)cylinder
 compiles one kernel per row or column of each rotation and last (co)face
 and widens it to the other cells by index arithmetic, so on a cylinder the
 memo serves the kernels of the other rows and columns, which share
 expression shapes (the coaction bars, the conjugating pairs), and the
 closed forms of the module form, which compiles on the cylinder's spaces.
+
+A compiled operator is a pure function of the structure tables and its
+description, so `compile_operator` keeps it for the whole process, under
+(the table key of the `Spaces`, the specs, the outputs).  The table key is
+made once per `Spaces`: for each label, its dimension and each structure
+map present as (p, rows, cols, frozenset of its columns), so structures
+with equal integer tables over different fields (`c2_Q`, `c2_F2`) never
+share an entry, and a later job on equal tables (a second command in one
+process) compiles nothing.  Each entry holds its column
+keys (none when they are range(cols)) and its columns as two tuples; the
+entries hold at most `OPERATOR_BUDGET` nonzeros together, the oldest
+evicted first, and an operator larger than that is not kept.  A hit
+returns a new `SparseMatrix` around the shared immutable columns, so what a
+caller writes on a matrix (the pairs of `rank`, the `_kills` of a checked
+composite) never reaches another job.
 """
 
 from __future__ import annotations
@@ -71,19 +86,23 @@ def perm_matrix(field, dims, out_to_in):
 
 
 class Spaces(dict):
-    """Label -> SpaceOps of one structure, with the compiler's memo.
+    """Label -> SpaceOps of one structure, with the compiler's memo and the
+    key of its structure tables.
 
     `memo` holds the expansions and the expression columns
     `compile_operator` makes on these spaces, so it lives exactly as long as
     the object that owns the spaces (a cylinder, a module form, one crossed
-    product).
+    product).  `tables` (`_tables_key`), made by the first compile on these
+    spaces, keys the compiled operators, which outlive the spaces and serve
+    every later `Spaces` with equal tables.
     """
 
-    __slots__ = ("memo",)
+    __slots__ = ("memo", "tables")
 
     def __init__(self, ops):
         super().__init__(ops)
         self.memo = {}
+        self.tables = None
 
 
 class SpaceOps:
@@ -122,7 +141,7 @@ def Sinv(e):
 
 
 def prod(*es):
-    return ("prod", list(es))
+    return ("prod", es)
 
 
 def act(h_expr, c_expr):
@@ -397,13 +416,104 @@ def _weighted(memo, cache, k, w):
     return col
 
 
-def compile_operator(field, spaces, specs, outputs):
-    """Build the sparse matrix of an operator from its leg description.
+# The most nonzeros the compiled operators kept across jobs hold together.
+OPERATOR_BUDGET = 1 << 16
 
-    specs: list of (space_label, expansion) for the input factors.
-    outputs: expressions, one per output factor, using every leg exactly once.
-    spaces: the `Spaces` of one structure; its memo keeps the expansions and
-    the expression columns made here for every later compile on it.
+_MAPS = ("mult", "unit", "comult", "counit", "antipode", "antipode_inv",
+         "coaction", "action")
+
+
+def _tables_key(spaces):
+    """Each label's dimension and structure maps, as the operator cache
+    reads them: (label, dim, ((name, p, rows, cols, frozenset of columns),
+    ...))."""
+    return tuple(sorted(
+        (label, ops.dim, tuple(
+            (name, m.field.p, m.rows, m.cols, frozenset(m.columns.items()))
+            for name in _MAPS for m in (getattr(ops, name),)
+            if m is not None))
+        for label, ops in spaces.items()))
+
+
+class _Operators(dict):
+    """The compiled operators of the process, oldest first: key -> (rows,
+    cols, column keys or None when they are range(cols), columns, nnz).
+    `held` is the sum of the nnz, at most `OPERATOR_BUDGET`.  `tables`
+    maps each table key the entries use to [that key, its entries], so
+    that equal tables compiled on in many jobs are held once."""
+
+    __slots__ = ("held", "tables")
+
+    def __init__(self):
+        super().__init__()
+        self.held = 0
+        self.tables = {}
+
+    def clear(self):
+        super().clear()
+        self.held = 0
+        self.tables.clear()
+
+    def canonical(self, tables):
+        """The table key equal to tables that the entries hold, if any."""
+        got = self.tables.get(tables)
+        return tables if got is None else got[0]
+
+    def store(self, key, m):
+        nnz = m.nnz()
+        if nnz > OPERATOR_BUDGET:
+            return
+        while self.held + nnz > OPERATOR_BUDGET:
+            old = next(iter(self))
+            self.held -= self.pop(old)[4]
+            count = self.tables[old[0]]
+            count[1] -= 1
+            if not count[1]:
+                del self.tables[old[0]]
+        count = self.tables.setdefault(key[0], [key[0], 0])
+        count[1] += 1
+        cols = m.columns
+        self[(count[0],) + key[1:]] = (
+            m.rows, m.cols, None if len(cols) == m.cols else tuple(cols),
+            tuple(cols.values()), nnz)
+        self.held += nnz
+
+
+_operators = _Operators()
+
+
+def compile_operator(field, spaces, specs, outputs):
+    """The sparse matrix of an operator from its leg description.
+
+    specs: list of (space_label, expansion) tuples for the input factors.
+    outputs: expressions, one per output factor, using every leg exactly
+    once, built by the constructors above (nested tuples).
+    spaces: the `Spaces` of one structure.
+
+    The result is kept for the process under the table key of the spaces
+    and the description, and a later call with equal tables and
+    description gets a new matrix around the same columns without
+    compiling; see the module docstring.  A miss compiles (`_compile`).
+    """
+    tables = spaces.tables
+    if tables is None:
+        tables = spaces.tables = _operators.canonical(_tables_key(spaces))
+    key = (tables, tuple(specs), tuple(outputs))
+    got = _operators.get(key)
+    if got is None:
+        m = _compile(field, spaces, specs, outputs)
+        _operators.store(key, m)
+        return m
+    rows, cols, keys, columns, _ = got
+    return SparseMatrix._of_columns(
+        field, rows, cols,
+        dict(zip(range(cols) if keys is None else keys, columns)))
+
+
+def _compile(field, spaces, specs, outputs):
+    """Fold the sparse matrix of an operator from its leg description, on
+    spaces whose memo keeps the expansions and the expression columns made
+    here for every later compile on them.
 
     Every leg assignment is read as one integer, linear in the leg values:
     each leg adds a fixed weight times its value.  A leg that is an output

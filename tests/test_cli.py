@@ -364,14 +364,19 @@ def test_compare_without_verdicts_is_not_ok(monkeypatch, capsys):
     assert report["ok"] is False and code == 1
 
 
+# (job, file, --nmax) of each job refused by its chain-space row alone
 @pytest.mark.parametrize("args", [
-    ["compute", "hc"], ["compute", "hh"], ["compare", "diagonal-vs-direct"],
-    ["compare", "collapse-algebra"], ["compare", "collapse-coalgebra"],
+    ["compute", "hc", "c2_F2", "7"], ["compute", "hh", "c2_F2", "7"],
+    ["compare", "diagonal-vs-direct", "s3_Q", "3"],
+    ["compare", "collapse-algebra", "s3_Q", "3"],
+    ["compare", "collapse-coalgebra", "s3_Q", "3"],
 ])
 def test_crossed_product_job_above_size_limit_is_refused_at_once(
         args, monkeypatch, capsys):
-    """S3 at --nmax 3 needs a chain space of dimension 36^5: the job exits 2
-    before any crossed product is built."""
+    """C2 over F_2 at --nmax 7 needs a chain space of dimension 4^9, and S3
+    at --nmax 3 one of 36^5: the job exits 2 before any crossed product is
+    built.  (Over Q, `compute hh|hc` build it to ask whether it is
+    semisimple: see the next test.)"""
     from hopfcyclic import cli
 
     def unreachable(*a, **k):
@@ -379,10 +384,46 @@ def test_crossed_product_job_above_size_limit_is_refused_at_once(
 
     monkeypatch.setattr(cli, "crossed_product_algebra", unreachable)
     monkeypatch.setattr(cli, "crossed_product_coalgebra", unreachable)
-    code = cli.main(args + ["-i", data_file("s3_Q"), "--nmax", "3"])
+    code = cli.main(args[:2] + ["-i", data_file(args[2]), "--nmax", args[3]])
     err = json.loads(capsys.readouterr().out)
     assert code == 2 and set(err) == {"error"}
-    assert "36^5 = 60466176" in err["error"]
+    assert {"c2_F2": "4^9 = 262144",
+            "s3_Q": "36^5 = 60466176"}[args[2]] in err["error"]
+
+
+@pytest.mark.parametrize("target", ["hh", "hc"])
+def test_closed_form_jobs_pass_the_chain_row_it_never_builds(target,
+                                                             monkeypatch,
+                                                             capsys):
+    """`compute hh|hc` on a crossed product semisimple over Q build no
+    chain space, so the chain-space row gives way where it alone refuses:
+    C2 at --nmax 7 (4^9) and S3 at --nmax 3 (36^5) run, with no chain
+    complex built.  The (co)face work row still bounds --nmax: C2 runs at
+    --nmax 99, and at 100, where both rows refuse, the job is refused by
+    its first.  Sweedler, which is not semisimple, is still refused at
+    --nmax 3 (16^5), before any chain complex is built."""
+    from hopfcyclic import cli
+
+    def unreachable(*a, **k):
+        raise AssertionError("a chain complex was built")
+
+    for name in ("normalized_mixed_complex", "normalized_hochschild_dims"):
+        monkeypatch.setattr(cli, name, unreachable)
+    for name, nmax, h0 in (("c2_Q", 7, [4, 4]), ("s3_Q", 3, [9, 36])):
+        assert cli.main(["compute", target, "-i", data_file(name),
+                         "--nmax", str(nmax)]) == 0
+        tables = json.loads(capsys.readouterr().out)["tables"]
+        assert [t[0] for t in tables.values()] == h0
+        assert all(len(t) == nmax + 1 for t in tables.values())
+    for name, nmax, text in (
+            ("c2_Q", 100, "chain space of dimension 4^102, above"),
+            ("sweedler_Q", 3, "chain space of dimension 16^5 = 1048576")):
+        code = cli.main(["compute", target, "-i", data_file(name),
+                         "--nmax", str(nmax)])
+        err = json.loads(capsys.readouterr().out)
+        assert code == 2 and text in err["error"]
+    cli._check_size(load_document(data_file("c2_Q")), target, {"nmax": 99},
+                    ("algebra", "coalgebra"))
 
 
 def test_huge_nmax_is_refused_without_building_the_power(capsys):
@@ -396,9 +437,12 @@ def test_huge_nmax_is_refused_without_building_the_power(capsys):
     assert "4^1000002, above the limit" in err["error"]
 
 
-# The first --nmax each corpus structure is refused at: dim(R)^(nmax+2)
-# first passes 2^17 there.  Every smaller --nmax is admitted, the Sweedler
-# --nmax 2 and S3 --nmax 1 scale points (CI runs both) included.
+# The first --nmax at which each corpus structure's chain-space row
+# dim(R)^(nmax+2) passes 2^17.  Every smaller --nmax is admitted, the
+# Sweedler --nmax 2 and S3 --nmax 1 scale points (CI runs both) included.
+# The row refuses `compare diagonal-vs-direct` there on every structure,
+# and `compute hh` only where a crossed product is not semisimple over Q
+# (C2 over F_2, Sweedler); the closed form of the others builds no chains.
 @pytest.mark.parametrize("name, first_refused", [
     ("c2_Q", 7), ("c2_F2", 7), ("c3_Q", 4), ("sweedler_Q", 3), ("s3_Q", 2),
 ])
@@ -406,11 +450,17 @@ def test_size_limit_on_the_corpus(name, first_refused):
     from hopfcyclic import cli
     from hopfcyclic.errors import TooLarge
     doc = load_document(data_file(name))
-    cli._check_size(doc, "hh", {"nmax": first_refused - 1},
-                    ("algebra", "coalgebra"))
-    with pytest.raises(TooLarge):
-        cli._check_size(doc, "hh", {"nmax": first_refused},
-                        ("algebra", "coalgebra"))
+    blocks = ("algebra", "coalgebra")
+    for target in ("hh", "diagonal-vs-direct"):
+        cli._check_size(doc, target, {"nmax": first_refused - 1}, blocks)
+    with pytest.raises(TooLarge, match="chain space"):
+        cli._check_size(doc, "diagonal-vs-direct",
+                        {"nmax": first_refused}, blocks)
+    if name in ("c2_F2", "sweedler_Q"):
+        with pytest.raises(TooLarge, match="chain space"):
+            cli._check_size(doc, "hh", {"nmax": first_refused}, blocks)
+    else:
+        cli._check_size(doc, "hh", {"nmax": first_refused}, blocks)
 
 
 @pytest.mark.parametrize("args", [
@@ -968,3 +1018,14 @@ def test_closed_form_hh_reports_match_the_normalized_b(golden, argv,
     code = cli.main(argv.split())
     with open(os.path.join("tests", "goldens", golden + ".json")) as fh:
         assert code == 0 and capsys.readouterr().out == fh.read()
+
+
+def test_negative_controls_across_jobs_in_one_process(monkeypatch):
+    """The passing and failing Sweedler (co)cylinder jobs on the window
+    (2, 2), in one process, then the passing ones again: each report and
+    exit code is its golden, though the compiled operators of every
+    earlier job are kept."""
+    import cross_job_controls
+    monkeypatch.chdir(os.path.join(DATA, ".."))
+    for argv, got, want in cross_job_controls.outcomes():
+        assert got == want, argv

@@ -224,7 +224,7 @@ def test_q_elimination_agrees_with_sympy(drawn):
     k = kernel(m)
     assert k.dim == cols - ref_rank
     for b in k.basis:
-        assert m.apply(b) == {}
+        assert (m @ SparseMatrix.column_vector(QQ, b, cols)).is_zero()
     inv = invert(m)
     if rows != cols or ref.det() == 0:
         assert inv is None
@@ -786,10 +786,10 @@ def _sum_terms(draw):
 @given(_sum_terms())
 @settings(max_examples=150, deadline=None)
 def test_sums_agree_with_field_reference(drawn):
-    """`combine`, `+`, `-`, unary `-`, `scale` and `apply` against dense
-    loops through Field methods over Q (mixed int / Fraction), GF(2), GF(3)
-    and GF(5), with negative coefficients and cancelling sums; every result
-    keeps the stored-entry invariant."""
+    """`combine`, `+`, `-`, unary `-`, `scale` and the product with a
+    column vector against dense loops through Field methods over Q (mixed
+    int / Fraction), GF(2), GF(3) and GF(5), with negative coefficients and
+    cancelling sums; every result keeps the stored-entry invariant."""
     field, rows, cols, terms, cancels, vec = drawn
     total = combine(field, rows, cols, terms)
     assert (total.rows, total.cols) == (rows, cols)
@@ -806,7 +806,7 @@ def test_sums_agree_with_field_reference(drawn):
         neg = -a
         assert _dense(neg) == _ref_combine(field, rows, cols, [(-1, a)])
         _assert_settled(neg)
-        out = a.apply(vec)
+        out = (a @ SparseMatrix.column_vector(field, vec, cols)).column(0)
         assert out == _ref_apply(field, a, vec)
         assert all(0 <= i < rows for i in out)
         _assert_settled_scalars(field, out.values())
@@ -944,9 +944,9 @@ def test_column_storage_agrees_with_dense_oracle(drawn):
     not stored; a unit column of the right factor is the left factor's
     column object), `kron`, `amplify`, `widen`, `transpose`, `combine` (a
     sum that reaches p is zero), `block_matrix`, `identity`, `invert`,
-    `apply`, `relabel` and `compile_operator`; `==` and `first_difference`
-    read the columns; `@`, `combine`, `rank` and `kernel` leave every
-    column they share untouched."""
+    the product with a column vector, `relabel` and `compile_operator`;
+    `==` and `first_difference` read the columns; `@`, `combine`, `rank`
+    and `kernel` leave every column they share untouched."""
     f, a, b, p, order, table = drawn
     snap = _snapshot(a, b, p)
     ab = a @ b
@@ -992,7 +992,8 @@ def test_column_storage_agrees_with_dense_oracle(drawn):
                                            order.__getitem__,
                                            lambda j: flip - j)
     vec = {j: f.one() for j in range(0, a.cols, 2)}
-    assert a.apply(vec) == _ref_apply(f, a, vec)
+    assert (a @ SparseMatrix.column_vector(f, vec, a.cols)).column(0) \
+        == _ref_apply(f, a, vec)
     # unit upper triangular, so invertible
     n = a.rows
     upper = _from_dense(f, [[1 if i == j else a[(i, j)] if i < j < a.cols

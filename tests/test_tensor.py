@@ -1,4 +1,5 @@
-"""The operator compiler against a materialized reference, and its memo."""
+"""The operator compiler against a materialized reference, its memo and
+the compiled operators it keeps across jobs."""
 
 import functools
 import os
@@ -8,22 +9,46 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from hopfcyclic import cli, tensor
 from hopfcyclic.fields import Field
 from hopfcyclic.hopf import algebra_spaces, coalgebra_spaces
 from hopfcyclic.io import load_document
-from hopfcyclic.linalg import SparseMatrix
+from hopfcyclic.linalg import SparseMatrix, rank
 from hopfcyclic.tensor import (
-    Legs, S, Sinv, act, compile_operator, eps, perm_matrix, prod,
-    tensor_unindex, unit,
+    OPERATOR_BUDGET, Legs, S, Sinv, act, compile_operator, eps, perm_matrix,
+    prod, tensor_unindex, unit,
 )
 
-DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+DATA = os.path.join(ROOT, "data")
 CORPUS = ("c2_Q", "c3_Q", "sweedler_Q", "c2_F2")
+EVERY_FILE = sorted(f[:-5] for f in os.listdir(DATA) if f.endswith(".json"))
 QQ = Field.rationals()
 
 
 def load(name):
     return load_document(os.path.join(DATA, name + ".json"))
+
+
+@pytest.fixture
+def no_kept_operators():
+    """Empty the compiled operators kept across jobs, so that what a test
+    counts or finds in a memo does not depend on the tests run before."""
+    tensor._operators.clear()
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """The calls of the compiler's fold, one description each."""
+    calls = []
+    honest = tensor._compile
+
+    def counted(field, spaces, specs, outputs):
+        calls.append((specs, outputs))
+        return honest(field, spaces, specs, outputs)
+
+    monkeypatch.setattr(tensor, "_compile", counted)
+    return calls
 
 
 # -- reference: kron of output matrices . leg gather . kron of expansions ------
@@ -166,7 +191,8 @@ def test_compile_matches_reference_on_coalgebra_side(name):
 
 
 @pytest.mark.parametrize("name", CORPUS)
-def test_shared_shape_with_other_slots_compiles_its_own_matrix(name):
+def test_shared_shape_with_other_slots_compiles_its_own_matrix(
+        name, no_kept_operators):
     """Two descriptions with the same expression shapes but other slots:
     the second reuses the memoized expressions and still gets its own
     matrix."""
@@ -204,7 +230,7 @@ def test_memo_belongs_to_one_structure():
     assert got["regular"] != got["trivial"]
 
 
-def test_fresh_spaces_start_with_an_empty_memo():
+def test_fresh_spaces_start_with_an_empty_memo(no_kept_operators):
     a = load("sweedler_Q").algebra
     used = algebra_spaces(a)
     specs, outs = algebra_description()
@@ -213,6 +239,127 @@ def test_fresh_spaces_start_with_an_empty_memo():
     fresh = algebra_spaces(a)
     assert fresh.memo == {} and fresh.memo is not used.memo
     assert coalgebra_spaces(load("sweedler_Q").coalgebra).memo == {}
+
+
+# -- compiled operators kept across jobs -----------------------------------------
+
+_DESCRIPTIONS = {"algebra": (algebra_spaces, algebra_description),
+                 "coalgebra": (coalgebra_spaces, coalgebra_description)}
+
+
+@pytest.mark.parametrize("side", sorted(_DESCRIPTIONS))
+@pytest.mark.parametrize("name", EVERY_FILE)
+def test_a_hit_equals_a_fresh_compile(name, side, no_kept_operators, folds):
+    """A second structure loaded from the same file (new objects, equal
+    tables) gets the kept operator without a fold, as a new matrix equal
+    to the one a fresh fold makes."""
+    make_spaces, description = _DESCRIPTIONS[side]
+    specs, outs = description()
+    s = getattr(load(name), side)
+    first = compile_operator(s.field, make_spaces(s), specs, outs)
+    assert len(folds) == 1
+    again = getattr(load(name), side)
+    spaces = make_spaces(again)
+    hit = compile_operator(again.field, spaces, specs, outs)
+    assert len(folds) == 1 and spaces.memo == {}
+    assert hit is not first
+    assert hit == tensor._compile(again.field, make_spaces(again), specs,
+                                  outs)
+    assert_settled(hit)
+    if name in CORPUS:
+        assert hit == reference(again.field, spaces, specs, outs)
+
+
+def test_fields_and_structures_never_share_an_entry(no_kept_operators):
+    """c2_Q and c2_F2 have equal integer tables, c2_Q and c2_Q_trivial equal
+    dimensions: each gets its own entry, and the F_2 operator is settled
+    mod 2."""
+    specs, outs = algebra_description()
+    got = {}
+    for name in ("c2_Q", "c2_F2", "c2_Q_trivial"):
+        a = load(name).algebra
+        spaces = algebra_spaces(a)
+        got[name] = compile_operator(a.field, spaces, specs, outs)
+        assert got[name] == reference(a.field, spaces, specs, outs)
+        assert_settled(got[name])
+    q, f2 = load("c2_Q").algebra, load("c2_F2").algebra
+    assert [m.columns for m in (q.mult, q.coaction, q.hopf.antipode)] \
+        == [m.columns for m in (f2.mult, f2.coaction, f2.hopf.antipode)]
+    assert len(tensor._operators) == 3
+    assert got["c2_F2"].field.p == 2 and got["c2_Q"].field.p is None
+    assert got["c2_Q"] != got["c2_Q_trivial"]
+    # a second description on c2_Q tables loaded anew: one more entry, on
+    # the table key the first one holds
+    specs, outs = coalgebra_description()
+    c = load("c2_Q").coalgebra
+    compile_operator(c.field, coalgebra_spaces(c), specs, outs)
+    c = load("c2_Q").coalgebra
+    spaces = coalgebra_spaces(c)
+    compile_operator(c.field, spaces, specs[:2], [outs[0], outs[2], outs[3]])
+    assert len(tensor._operators) == 5
+    assert [n for _, n in tensor._operators.tables.values()] == [1, 1, 1, 2]
+    assert sum(k[0] is spaces.tables for k in tensor._operators) == 2
+
+
+def test_a_hit_is_a_new_matrix_with_no_pairs_or_kills(no_kept_operators):
+    """What a job writes on a compiled matrix (the pairs of `rank`, the
+    composite a check found zero) stays with that job's matrix."""
+    a = load("sweedler_Q").algebra
+    specs, outs = algebra_description()
+    first = compile_operator(a.field, algebra_spaces(a), specs, outs)
+    rank(first)
+    first._kills = first
+    assert first._pairs is not None
+    hits = [compile_operator(a.field, algebra_spaces(a), specs, outs)
+            for _ in range(2)]
+    for hit in hits:
+        assert hit is not first and hit._pairs is None and hit._kills is None
+        assert hit == first
+    assert hits[0] is not hits[1]
+
+
+def _run_cli(argv, capsys):
+    code = cli.main(argv)
+    return code, capsys.readouterr().out
+
+
+def test_a_repeated_job_folds_nothing(no_kept_operators, folds, capsys):
+    """The second run of a job in one process reads every operator it
+    compiles from the first, and prints the same report."""
+    argv = ["verify", "cylindrical", "-i", os.path.join(DATA, "sweedler_Q.json"),
+            "--pmax", "2", "--qmax", "1"]
+    first = _run_cli(argv, capsys)
+    assert first[0] == 0 and folds
+    folds.clear()
+    assert _run_cli(argv, capsys) == first
+    assert folds == []
+
+
+def test_the_kept_operators_stay_within_their_budget(no_kept_operators,
+                                                     monkeypatch, capsys):
+    """Sweedler ss-pages (2, 2) compiles more nonzeros than the budget: the
+    oldest operators are dropped, and the report is still its golden."""
+    monkeypatch.chdir(ROOT)
+    compiled = []
+    honest = tensor._compile
+
+    def counted(*args):
+        m = honest(*args)
+        compiled.append(m.nnz())
+        return m
+
+    monkeypatch.setattr(tensor, "_compile", counted)
+    code, out = _run_cli(["compute", "ss-pages", "-i", "data/sweedler_Q.json",
+                          "--pmax", "2", "--qmax", "2"], capsys)
+    with open(os.path.join("tests", "goldens",
+                           "ss_pages_sweedler_Q_r2_p2_q2.json")) as fh:
+        assert (code, out) == (0, fh.read())
+    assert sum(compiled) > OPERATOR_BUDGET
+    kept = tensor._operators
+    assert 0 < kept.held == sum(e[4] for e in kept.values()) <= OPERATOR_BUDGET
+    assert kept.held == sum(len(c) for e in kept.values() for c in e[3]) // 2
+    assert sum(n for _, n in kept.tables.values()) == len(kept)
+    assert all(kept.tables[key[0]][0] is key[0] for key in kept)
 
 
 # -- random descriptions ------------------------------------------------------------
@@ -300,16 +447,25 @@ def _draw_description(data, labels, dims):
        side=st.sampled_from(sorted(_SIDES)))
 def test_random_descriptions_match_the_reference(data, name, side):
     """Two random descriptions compiled on the same spaces, the second one
-    reading the columns the first left in the memo."""
+    reading the columns the first left in the memo; then both again on the
+    spaces of a structure loaded anew, which get the kept operators."""
+    tensor._operators.clear()
     make_spaces, block, labels = _SIDES[side]
     s = block(_doc(name))
     spaces = make_spaces(s)
     dims = {label: ops.dim for label, ops in spaces.items()}
+    compiled = []
     for _ in range(2):
         specs, outs = _draw_description(data, labels, dims)
         got = compile_operator(s.field, spaces, specs, outs)
         assert got == reference(s.field, spaces, specs, outs)
         assert_settled(got)
+        compiled.append((specs, outs, got))
+    again = make_spaces(block(load(name)))
+    for specs, outs, got in compiled:
+        hit = compile_operator(s.field, again, specs, outs)
+        assert hit == got and hit is not got
+    assert again.memo == {}
 
 
 @settings(max_examples=60, deadline=None)
