@@ -15,7 +15,7 @@ from .hopf import (
     Algebra, Coalgebra, ComoduleAlgebra, HopfAlgebra, ModuleCoalgebra,
     antipode_inverse, check_comodule_algebra, check_hopf,
     check_module_coalgebra, cyclic_group_table, dual_hopf, group_algebra,
-    iterate_comult, regular_comodule_algebra, regular_module_coalgebra,
+    regular_comodule_algebra, regular_module_coalgebra,
     sweedler_hopf, symmetric_group_table, trivial_comodule_algebra,
     trivial_hopf, trivial_module_coalgebra,
 )

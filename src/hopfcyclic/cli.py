@@ -26,8 +26,9 @@ Q = qmax; each limit is the `MAX_*` constant of that name):
                          at nmax + 1
     coinvariants         first column dh d^(nmax+1)                  COLUMN
                          (co)face work (nmax+1)^3                    FACE
-    hopf-homology,       (co)bar space dh^(top+1) on the hopf block  CHAIN
-    comodule-cohomology  (co)face work (top+2)^2                     FACE
+    hopf-homology,       normalized (co)bar space (dh-1)^(top+1)     CHAIN
+    comodule-cohomology  on the hopf block
+                         (co)face work (top+2)^2                     FACE
                          (top = qmax, resp. pmax)
     ss-pages             total space: sum of dh^(p+1) d^(q+1) over   TOTAL
                          p + q = n = P + Q + 1
@@ -57,10 +58,10 @@ builds the unnormalized (b, B) only on the other side of each comparison:
 the diagonal of the (co)cylinder, or the coinvariant module.
 
 `compute hopf-homology|comodule-cohomology` rank the normalized (co)bar
-complex, on the chains with no unit (counit) leg, and `compute ss-pages`
-and `compare ez-hochschild` the total complex normalized in the H
-direction, E^0 restored by its closed form; the gate rows above still
-count the full spaces.
+complex, on the chains with no unit (counit) leg, which its gate row
+counts, and `compute ss-pages` and `compare ez-hochschild` the total
+complex normalized in the H direction, E^0 restored by its closed form;
+their gate rows still count the full spaces.
 """
 
 from __future__ import annotations
@@ -178,12 +179,12 @@ def _opt(params, doc, key, default):
 # `hc`, 1.4 s and 59 MB with `hh`; through the closed form, 0.1-0.2 s and
 # 18 MB.  Through the unnormalized (b, B), the first refused ones, C2
 # --nmax 7 (4^9) and C3 --nmax 4 (9^6), had not finished after 400 s, at
-# 1.8 and 2.2 GB resident.  The same limit holds the top bar space
-# dim(H)^(top+1) of `compute hopf-homology|comodule-cohomology`, which
-# rank only its (dim(H) - 1)^top non-degenerate chains: S3 --qmax 5 (6^6)
-# takes 0.7 s and 53 MB, C2 --qmax 15 (2^16) 0.1 s and 18 MB (9.6 s and
-# 132 MB, 17.3 s and 362 MB on the full bar complex).  The README lists
-# every corpus bound.
+# 1.8 and 2.2 GB resident.  The same limit holds the top normalized bar
+# space (dim(H) - 1)^(top+1) that `compute hopf-homology|comodule-cohomology`
+# rank: at the edges, S3 --qmax 6 (5^7) takes 3.7 s and 277 MB, Sweedler
+# --qmax 9 (3^10) 1.7 s and 110 MB and C3 --qmax 16 (2^17) 21 s and
+# 962 MB; over C2 the normalized space is 1 in every degree, so the
+# (co)face work row bounds top.  The README lists every corpus bound.
 MAX_CHAIN_DIM = 2 ** 17
 
 # Largest first column H (x) X^(N+1) (X = A or C) at the top degree N that a
@@ -302,7 +303,7 @@ def _sizes(target, bounds, dh, d):
                 _row("(co)face work", [(top + 1, 3)], MAX_FACE_WORK)]
     if target in ("hopf-homology", "comodule-cohomology"):
         (top,) = bounds.values()
-        return [_row("a (co)bar space of dimension", [(d, top + 1)],
+        return [_row("a (co)bar space of dimension", [(d - 1, top + 1)],
                      MAX_CHAIN_DIM),
                 _row("(co)face work", [(top + 2, 2)], MAX_FACE_WORK)]
     if target == "ss-pages":
@@ -353,46 +354,55 @@ def _sizes(target, bounds, dh, d):
 
 
 def _closed_form(doc, side):
-    """Whether `compute hh|hc` read the side's tables off the closed form of
-    a crossed product semisimple over Q.  Asked only over Q and when the
-    closed form's own d^2 products fit the chain-space limit."""
+    """The side's crossed product when `compute hh|hc` read its tables off
+    the closed form of a crossed product semisimple over Q, else None.
+    Asked only over Q and when the closed form's own d^2 products fit the
+    chain-space limit."""
     d = doc.hopf.dim * getattr(doc, side).dim
-    return (doc.field.p is None and d * d <= MAX_CHAIN_DIM
-            and semisimple_hh0(_crossed_algebra(doc, side)) is not None)
+    if doc.field.p is not None or d * d > MAX_CHAIN_DIM:
+        return None
+    r = _crossed_algebra(doc, side)
+    return r if semisimple_hh0(r) is not None else None
 
 
 def _check_size(doc, target, bounds, sides):
     """Refuse a job with TooLarge at its first gate row above its limit,
-    block by block, before anything is built.
+    block by block, before anything is built; return {side: crossed
+    product} of what the gate built.
 
     The chain-space row of `compute hh|hc` gives way where it alone is
     above its limit and the side's crossed product takes the closed form,
-    which builds no chain space; deciding that builds the crossed
-    product."""
+    which builds no chain space; deciding that builds the crossed product,
+    which the job then reads."""
     # rmax counts pages, not degrees: only the row that reads it names it
     flags = " ".join("--%s %d" % kv for kv in sorted(bounds.items())
                      if kv[0] != "rmax")
+    built = {}
     for side in sides:
         rows = _sizes(target, bounds, doc.hopf.dim, getattr(doc, side).dim)
         over = [row for row in rows if row[1][0] > row[2]]
-        if not over or (target in ("hh", "hc") and over == rows[:1]
-                        and _closed_form(doc, side)):
+        if not over:
             continue
+        if target in ("hh", "hc") and over == rows[:1]:
+            r = _closed_form(doc, side)
+            if r is not None:
+                built[side] = r
+                continue
         what, (_, text), limit = over[0]
         raise TooLarge("%s on the %s block needs %s %s, above the limit %d"
                        % (flags, side, what, text, limit))
+    return built
 
 
 def _admit(doc, target, params):
-    """(bounds, sides) of a job the gate admits: its degree bounds and the
-    blocks it runs on."""
+    """(bounds, sides, built) of a job the gate admits: its degree bounds,
+    the blocks it runs on and the crossed products the gate built."""
     if target in ("cylindrical", "cocylindrical"):
         _sides(doc, target)  # these name a missing block before a bad bound
     bounds = {key: _opt(params, doc, key, default)
               for key, default in _BOUNDS.get(target, (("nmax", 2),))}
     sides = _sides(doc, target)
-    _check_size(doc, target, bounds, sides)
-    return bounds, sides
+    return bounds, sides, _check_size(doc, target, bounds, sides)
 
 
 def _cylinder(doc, side):
@@ -401,16 +411,17 @@ def _cylinder(doc, side):
     return CoalgebraCocylinder(doc.coalgebra)
 
 
-def _coinvariants(doc, side, N):
+def _coinvariants(doc, side, N, top_faces_only=False):
     """(module, presentations) of the side's coinvariant (co)cyclic module
-    up to degree N."""
+    up to degree N; with top_faces_only, degree N carries its (co)faces
+    only, all that a mixed complex through N reads."""
     if side == "algebra":
-        return coinvariant_cyclic_module(doc.algebra, N=N)
-    return coinvariant_cocyclic_module(doc.coalgebra, N=N)
+        return coinvariant_cyclic_module(doc.algebra, N, top_faces_only)
+    return coinvariant_cocyclic_module(doc.coalgebra, N, top_faces_only)
 
 
 def cmd_verify(doc, target, params):
-    bounds, sides = _admit(doc, target, params)
+    bounds, sides, _ = _admit(doc, target, params)
     checks = []
     for side in sides:
         s = getattr(doc, side)
@@ -488,14 +499,15 @@ def _pages_table(pages, ranks):
 
 
 def cmd_compute(doc, target, params):
-    bounds, sides = _admit(doc, target, params)
+    bounds, sides, built = _admit(doc, target, params)
     tables = {}
     for side in sides:
         s = getattr(doc, side)
         alg = side == "algebra"
         if target in ("hh", "hc"):
+            r = built.get(side) or _crossed_algebra(doc, side)
             tables["%s_crossed_product_%s" % (target, side)] = _crossed_dims(
-                _crossed_algebra(doc, side), [target], bounds["nmax"])[target]
+                r, [target], bounds["nmax"])[target]
         elif target == "hopf-homology":
             tables["hopf_module_homology_trivial_coefficients"] = \
                 hopf_module_homology(s, trivial_module_action(s),
@@ -526,7 +538,7 @@ def _verdicts(lhs, rhs):
 
 
 def cmd_compare(doc, target, params):
-    bounds, sides = _admit(doc, target, params)
+    bounds, sides, _ = _admit(doc, target, params)
     nmax = bounds["nmax"]
     verdicts = {}
     for side in sides:
@@ -548,7 +560,7 @@ def cmd_compare(doc, target, params):
                 for n, a, b, eq in rep]
         else:  # collapse-algebra, collapse-coalgebra
             lhs = _crossed_dims(_crossed_algebra(doc, side), ["hc"], nmax)["hc"]
-            ops, _ = _coinvariants(doc, side, nmax + 1)
+            ops, _ = _coinvariants(doc, side, nmax + 1, top_faces_only=True)
             rhs = cyclic_dims(mixed(ops), nmax)
             verdicts["hc_crossed_vs_coinvariants"] = _verdicts(lhs, rhs)
     rows = [v for table in verdicts.values() for v in table]

@@ -76,8 +76,35 @@ def crossed_product_coalgebra(c) -> Coalgebra:
     return out
 
 
+class _OnRead:
+    """A map of operators, each built on its first read by build(key) and
+    kept.  Only the keys in `domain` exist (when given; else build raises
+    KeyError for a key that does not).  It holds only what was read, so it
+    cannot be iterated."""
+
+    def __init__(self, build, domain=None):
+        self.build = build
+        self.domain = domain
+        self.made = {}
+
+    def __getitem__(self, key):
+        got = self.made.get(key)
+        if got is None:
+            if self.domain is not None and key not in self.domain:
+                raise KeyError(key)
+            got = self.made[key] = self.build(key)
+        return got
+
+    def __iter__(self):
+        raise TypeError("operators built on read cannot be iterated")
+
+
 class CyclicOps:
-    """Face/degeneracy/cyclic matrices of a cyclic module up to degree N."""
+    """Face/degeneracy/cyclic matrices of a cyclic module up to degree N.
+
+    The three maps are read by key only, never iterated, so any of them
+    may build its matrices on read (`_OnRead`).  A module whose degree N
+    carries its faces only holds no degeneracy into N and no t at N."""
 
     def __init__(self, field, dims, faces, degens, cyclic, N):
         self.field = field
@@ -155,24 +182,18 @@ _COCHAIN_NAMES = {
 
 
 class _DualCyclicOps(CyclicOps):
-    """A cocyclic module's transpose, each matrix transposed as it is read,
-    so the cocyclic module's matrices are never held twice.  It labels each
-    identity and map by its cochain name and degree (`_COCHAIN_NAMES`), so
-    the cyclic suite and the intertwining check report in the cochain
-    orientation."""
+    """A cocyclic module's transpose, each matrix transposed on its first
+    read and kept for the life of the view (`_OnRead`), so only what is
+    read is held twice.  It labels each identity and map by its cochain
+    name and degree (`_COCHAIN_NAMES`), so the cyclic suite and the
+    intertwining check report in the cochain orientation."""
 
     def __init__(self, co):
-        super().__init__(co.field, co.dims, None, None, None, co.N)
-        self.co = co
-
-    def face(self, n, i):
-        return self.co.coface(n - 1, i).transpose()
-
-    def degen(self, n, i):
-        return self.co.codegen(n + 1, i).transpose()
-
-    def t(self, n):
-        return self.co.t(n).transpose()
+        super().__init__(
+            co.field, co.dims,
+            _OnRead(lambda key: co.coface(key[0] - 1, key[1]).transpose()),
+            _OnRead(lambda key: co.codegen(key[0] + 1, key[1]).transpose()),
+            _OnRead(lambda n: co.t(n).transpose()), co.N)
 
     def label(self, name, n):
         name, shift = _COCHAIN_NAMES[name]
@@ -322,15 +343,18 @@ def _power(m, k):
     return out
 
 
-def check_cyclic_ops(ops: CyclicOps, cyclic=True, report=None, raise_on_fail=False):
+def check_cyclic_ops(ops: CyclicOps, cyclic=True, report=None,
+                     raise_on_fail=False, top_faces_only=False):
     """Simplicial + cyclic-compatibility relations; t^(n+1) = id if cyclic.
 
     With cyclic=False the same relations are checked minus t^(n+1) = id
-    (a paracyclic module).  Each identity is recorded under the name and
-    degree that `ops.label` gives it.
+    (a paracyclic module).  With top_faces_only, degree N carries its faces
+    only: every relation is checked through N - 1, and d_i d_j at N too.
+    Each identity is recorded under the name and degree that `ops.label`
+    gives it.
     """
     rep = report or CheckReport("cyclic module")
-    N = ops.N
+    N = ops.N - 1 if top_faces_only else ops.N
 
     def chk(name, n, lhs, rhs):
         ok = lhs == rhs
@@ -339,7 +363,7 @@ def check_cyclic_ops(ops: CyclicOps, cyclic=True, report=None, raise_on_fail=Fal
         if raise_on_fail and not ok:
             raise IdentityFailure(name, q=n)
 
-    for n in range(2, N + 1):
+    for n in range(2, ops.N + 1):
         for j in range(n + 1):
             for i in range(j):
                 chk("d_i d_j = d_{j-1} d_i", n,
@@ -382,9 +406,10 @@ def check_cyclic_ops(ops: CyclicOps, cyclic=True, report=None, raise_on_fail=Fal
 
 
 def check_cocyclic_ops(ops: CocyclicOps, cocyclic=True, report=None,
-                       raise_on_fail=False):
+                       raise_on_fail=False, top_faces_only=False):
     """The cyclic suite on the transpose, under the cochain names and
-    degrees; t^(n+1) = id if cocyclic."""
+    degrees; t^(n+1) = id if cocyclic.  With top_faces_only, degree N
+    carries its cofaces from N - 1 only."""
     return check_cyclic_ops(ops.transpose(), cocyclic,
                             report or CheckReport("cocyclic module"),
-                            raise_on_fail)
+                            raise_on_fail, top_faces_only)

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import functools
 
-from .crossed import CocyclicOps, CyclicOps, _power, \
+from .crossed import CocyclicOps, CyclicOps, _OnRead, _power, \
     crossed_product_algebra, crossed_product_coalgebra, check_cocyclic_ops, \
     check_cyclic_ops, cocyclic_module_of_coalgebra, cyclic_module_of_algebra
 from .errors import (
@@ -479,16 +479,23 @@ def check_coalgebra_cocylinder(cocyl: CoalgebraCocylinder, P, Q,
 def _diagonal(cyl, N):
     """The (co)cyclic module on the diagonal cells X_{n,n}: each operator is
     the vertical one of its index at the horizontal one's target, after the
-    horizontal one."""
-    maps = []
-    for kind in cyl.family:
-        v, h = getattr(cyl, kind + "_v"), kind + "_h"
-        maps.append({(n, i): v(*_target(h, n, n), i) @ getattr(cyl, h)(n, n, i)
-                     for n in range(N + 1) if _inside(_target(h, n, n), N, N)
-                     for (i,) in _indices(h, n, n)})
+    horizontal one.  Each is built on its first read (`_OnRead`), so a mixed
+    complex through N builds no degeneracy into N and no rotation at N."""
+    def family(kind):
+        name = kind + "_h"
+        v, h = getattr(cyl, kind + "_v"), getattr(cyl, name)
+
+        def build(key):
+            n, i = key
+            return v(*_target(name, n, n), i) @ h(n, n, i)
+        return _OnRead(build, frozenset(
+            (n, i) for n in range(N + 1) if _inside(_target(name, n, n), N, N)
+            for (i,) in _indices(name, n, n)))
+
     return cyl.module(cyl.field, [cyl.space_dim(n, n) for n in range(N + 1)],
-                      *maps, {n: cyl.tau_v(n, n) @ cyl.tau_h(n, n)
-                              for n in range(N + 1)}, N)
+                      *map(family, cyl.family),
+                      _OnRead(lambda n: cyl.tau_v(n, n) @ cyl.tau_h(n, n),
+                              range(N + 1)), N)
 
 
 def diagonal_cyclic(cyl: AlgebraCylinder, N=3) -> CyclicOps:
@@ -1120,15 +1127,20 @@ class QuotientPresentation:
         return len(self.coords)
 
 
-def coinvariant_cyclic_module(a, N=2):
+def coinvariant_cyclic_module(a, N=2, top_faces_only=False):
     """The quotient of the first column, the cylinder's p = 0 column with
     its vertical operators, by span{h.x - counit(h) x}, with the induced
-    cyclic operators.  Returns (CyclicOps, [QuotientPresentation])."""
+    cyclic operators.  Returns (CyclicOps, [QuotientPresentation]).
+
+    With top_faces_only, degree N carries its faces only, all that a mixed
+    complex through N reads of it: no degeneracy into N and no rotation at
+    N is built, and the suite checks what is built
+    (`check_cyclic_ops`)."""
     f = a.field
-    fam = _view(AlgebraCylinder(a), "v", 0, N)
+    cyl = AlgebraCylinder(a)
     pres = []
     for n in range(N + 1):
-        x = fam.dim(n)
+        x = cyl.space_dim(0, n)
         # each degree on spaces of its own: its columns share no expression
         # with the vertical operators or the other degrees, and kept on the
         # cylinder's memo they raised the peak of S3 --nmax 3 by a sixth
@@ -1146,13 +1158,16 @@ def coinvariant_cyclic_module(a, N=2):
         return ind
 
     dims = [p.dim for p in pres]
-    faces = {(n, i): induce(fam.face(n, i), n, n - 1, "face %d" % i)
+    top = N - 1 if top_faces_only else N
+    faces = {(n, i): induce(cyl.face_v(0, n, i), n, n - 1, "face %d" % i)
              for n in range(1, N + 1) for i in range(n + 1)}
-    degens = {(n, i): induce(fam.degen(n, i), n, n + 1, "degeneracy %d" % i)
-              for n in range(N) for i in range(n + 1)}
-    cyc = {n: induce(fam.t(n), n, n, "cyclic operator") for n in range(N + 1)}
+    degens = {(n, i): induce(cyl.degen_v(0, n, i), n, n + 1,
+                             "degeneracy %d" % i)
+              for n in range(top) for i in range(n + 1)}
+    cyc = {n: induce(cyl.tau_v(0, n), n, n, "cyclic operator")
+           for n in range(top + 1)}
     ops = CyclicOps(f, dims, faces, degens, cyc, N)
-    rep = check_cyclic_ops(ops, cyclic=True)
+    rep = check_cyclic_ops(ops, cyclic=True, top_faces_only=top_faces_only)
     if not rep.ok:
         raise NotWellDefined("induced operators fail the cyclic suite: %s"
                              % rep.failures()[:3])
@@ -1185,15 +1200,19 @@ class SubspacePresentation:
                                         pack_columns(field, keyed, rows))
 
 
-def coinvariant_cocyclic_module(c, N=2):
+def coinvariant_cocyclic_module(c, N=2, top_faces_only=False):
     """The subspace of the first column, the cocylinder's p = 0 column with
     its vertical cooperators, where the coaction is trivial, with the
-    induced cocyclic operators.  Returns (CocyclicOps, [SubspacePresentation])."""
+    induced cocyclic operators.  Returns (CocyclicOps, [SubspacePresentation]).
+
+    With top_faces_only, degree N carries only its cofaces from N - 1, as
+    in `coinvariant_cyclic_module`: no codegeneracy out of N and no
+    rotation at N."""
     f = c.field
-    fam = _view(CoalgebraCocylinder(c), "v", 0, N)
+    cocyl = CoalgebraCocylinder(c)
     pres = []
     for n in range(N + 1):
-        x = fam.dim(n)
+        x = cocyl.space_dim(0, n)
         # each degree on spaces of its own, as in coinvariant_cyclic_module
         coaction = first_column_coaction(c, n)
         _check_comodule_coaction(c.hopf, coaction)
@@ -1201,16 +1220,17 @@ def coinvariant_cocyclic_module(c, N=2):
         pres.append(SubspacePresentation(kernel(coaction - insert1)))
 
     dims = [p.dim for p in pres]
-    cofaces = {(n, i): pres[n].restrict(fam.coface(n, i), pres[n + 1],
+    top = N - 1 if top_faces_only else N
+    cofaces = {(n, i): pres[n].restrict(cocyl.coface_v(0, n, i), pres[n + 1],
                                         "coface %d" % i)
                for n in range(N) for i in range(n + 2)}
-    codegens = {(n, i): pres[n].restrict(fam.codegen(n, i), pres[n - 1],
-                                         "codegeneracy %d" % i)
-                for n in range(1, N + 1) for i in range(n)}
-    cyc = {n: pres[n].restrict(fam.t(n), pres[n], "cocyclic operator")
-           for n in range(N + 1)}
+    codegens = {(n, i): pres[n].restrict(cocyl.codegen_v(0, n, i),
+                                         pres[n - 1], "codegeneracy %d" % i)
+                for n in range(1, top + 1) for i in range(n)}
+    cyc = {n: pres[n].restrict(cocyl.tau_v(0, n), pres[n], "cocyclic operator")
+           for n in range(top + 1)}
     ops = CocyclicOps(f, dims, cofaces, codegens, cyc, N)
-    rep = check_cocyclic_ops(ops, cocyclic=True)
+    rep = check_cocyclic_ops(ops, cocyclic=True, top_faces_only=top_faces_only)
     if not rep.ok:
         raise NotRestricting("induced operators fail the cocyclic suite: %s"
                              % rep.failures()[:3])

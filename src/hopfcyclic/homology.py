@@ -17,11 +17,14 @@ differential.  The Hochschild boundary b is the
 alternating sum of the faces, built in one place (`hochschild_boundary`).
 The degree-raising operator of a mixed complex is built as
 (1 - signed_cyclic) . extra_degeneracy . norm, with the extra degeneracy
-t s_n; the three mixed-complex identities are asserted, never assumed, in
-one place, `check_mixed_complex`.  It reads them off the composites D D of
-the (b, B) total complex, which it keeps for the ranks of `cyclic_dims`
-and `hochschild_dims`, and multiplies apart only the top blocks those
-composites do not reach, so each product is formed once.  The normalized
+t s_n.  A mixed complex through degree N holds b through N and B only
+through N - 2: the blocks of Tot_N, all that the ranks through degree
+N - 1 read.  The three mixed-complex identities are asserted on those
+blocks, never assumed, in one place, `check_mixed_complex`.  It reads them
+off the composites D D of the (b, B) total complex, which it keeps for the
+ranks of `cyclic_dims` and `hochschild_dims`, and multiplies apart only
+B B at N - 3, which those composites do not reach, so each product is
+formed once.  The normalized
 mixed complex of an algebra (`normalized_mixed_complex`) drops the
 degenerate chains, those with the unit in a leg past the first, and writes
 b and B = s N on the rest by index arithmetic.  It gives an algebra's
@@ -74,7 +77,9 @@ from .linalg import (
 class MixedComplex:
     """Spaces with b (degree -1) and B (degree +1).
 
-    b[n]: M_n -> M_{n-1} (1 <= n <= N), B[n]: M_n -> M_{n+1} (0 <= n <= N-1).
+    b[n]: M_n -> M_{n-1} (1 <= n <= N), B[n]: M_n -> M_{n+1} (0 <= n <= N-2):
+    the blocks of the (b, B) total complex through Tot_N, all that the ranks
+    through degree N - 1 read.  B[N-1] would only enter Tot_(N+1).
     """
 
     def __init__(self, field, dims, b, B, N):
@@ -122,12 +127,14 @@ def hochschild_boundary(ops: CyclicOps, n):
 
 def mixed_complex(ops) -> MixedComplex:
     """Mixed complex of a cyclic module: b alternating faces,
-    B = (1 - lambda) (t s_n) N.  A cocyclic module is transposed first."""
+    B = (1 - lambda) (t s_n) N.  A cocyclic module is transposed first.
+    It reads the faces through degree N, but the degeneracies and the
+    rotation only through N - 1: none into N and none at N."""
     ops = _as_cyclic(ops)
     N = ops.N
     b = {n: hochschild_boundary(ops, n) for n in range(1, N + 1)}
     B = {n: _one_minus_lambda(ops, n + 1) @ (ops.t(n + 1) @ ops.degen(n, n))
-         @ _norm(ops, n) for n in range(N)}
+         @ _norm(ops, n) for n in range(N - 1)}
     mc = MixedComplex(ops.field, [ops.dim(n) for n in range(N + 1)], b, B, N)
     check_mixed_complex(mc)
     return mc
@@ -173,7 +180,8 @@ def normalized_mixed_complex(r, N) -> MixedComplex:
     d = r.dim
     mc = MixedComplex(r.field, [d * (d - 1) ** n for n in range(N + 1)],
                       {n: _normalized_b(r, n) for n in range(1, N + 1)},
-                      {n: _normalized_B(r.field, d, n) for n in range(N)}, N)
+                      {n: _normalized_B(r.field, d, n) for n in range(N - 1)},
+                      N)
     check_mixed_complex(mc)
     return mc
 
@@ -193,17 +201,18 @@ def cochain_mixed_complex(ops: CocyclicOps) -> MixedComplex:
 
 
 def check_mixed_complex(mc: MixedComplex):
-    """b^2 = 0, B^2 = 0, bB + Bb = 0, exactly; raises MixedIdentityFailure
-    at the first failure, b b before B B before bB + Bb, each by ascending
+    """b^2 = 0, B^2 = 0, bB + Bb = 0, exactly, on every block the complex
+    holds (b through N, B through N - 2); raises MixedIdentityFailure at
+    the first failure, b b before B B before bB + Bb, each by ascending
     degree.
 
     The identities are read off the composites D_(n-1) D_n of the total
     complex, n = 2..N, the ones `cyclic_dims` checks.  The source block of
     degree m = n - 2j of Tot_n goes by b b into degree m - 2, by bB + Bb
     into degree m (j >= 1) and by B B into degree m + 2 (j >= 2).  So the
-    composites reach b b at every degree 2..N, bB + Bb at 1..N-2 and B B at
-    0..N-4; bB + Bb at N - 1 and B B at N - 3 and N - 2 are multiplied
-    directly.  Each b b and each composite found zero is kept on its left
+    composites reach b b at every degree 2..N, bB + Bb at every degree
+    1..N-2 and B B at 0..N-4; only B B at N - 3 is multiplied directly.
+    Each b b and each composite found zero is kept on its left
     factor (`SparseMatrix._kills`), so the ranks of `hochschild_dims` and
     `cyclic_dims` do not form it again.  The composites also hold b B at
     degree 0, which is not one of the three: a composite nonzero there is
@@ -224,14 +233,12 @@ def check_mixed_complex(mc: MixedComplex):
     for n in range(2, N + 1):
         if not zero(n, 0):
             raise MixedIdentityFailure("b b != 0 at degree %d" % n)
-    for n in range(N - 1):
+    for n in range(N - 2):
         if not (zero(n + 4, 2) if n + 4 <= N
                 else (mc.B[n + 1] @ mc.B[n]).is_zero()):
             raise MixedIdentityFailure("B B != 0 at degree %d" % n)
-    for n in range(1, N):
-        if not (zero(n + 2, 1) if n + 2 <= N
-                else (mc.b[n + 1] @ mc.B[n] + mc.B[n - 1] @ mc.b[n])
-                .is_zero()):
+    for n in range(1, N - 1):
+        if not zero(n + 2, 1):
             raise MixedIdentityFailure("bB + Bb != 0 at degree %d" % n)
     for n in range(2, N + 1):
         mc.b[n - 1]._kills = mc.b[n]

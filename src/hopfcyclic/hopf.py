@@ -22,7 +22,7 @@ from .errors import CharTwo, NotAGroup, Singular
 from .fields import Field
 from .linalg import SparseMatrix, amplify, invert
 from .tensor import (
-    SpaceOps, Spaces, iterate_comult_matrix, perm_matrix, tensor_unindex,
+    SpaceOps, Spaces, perm_matrix, tensor_unindex,
 )
 
 
@@ -378,11 +378,6 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
                        h.unit.transpose(), h.antipode.transpose(),
                        h.antipode_inv.transpose(),
                        ["%s*" % name for name in h.basis_names])
-
-
-def iterate_comult(h: HopfAlgebra, k: int) -> SparseMatrix:
-    """The iterated comultiplication H -> H^(x)(k+1)."""
-    return iterate_comult_matrix(h.field, space_ops(h), k)
 
 
 # -- canonical (co)actions ----------------------------------------------------------

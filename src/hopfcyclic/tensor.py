@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from .fields import settle
 from .linalg import (
-    SparseMatrix, amplify, col_items, pack_columns, unit_column,
+    SparseMatrix, col_items, pack_columns, unit_column,
 )
 
 
@@ -198,14 +198,6 @@ class Legs:
         kind, k = self.specs[f][1]
         assert kind == "coaction" and 0 <= bar <= k
         return ("leg", self.start[f] + (k - bar))
-
-
-def iterate_comult_matrix(field, ops, k):
-    """X -> X^(x)(k+1) by k applications of comult to the last factor."""
-    m = SparseMatrix.identity(field, ops.dim)
-    for j in range(k):
-        m = amplify(ops.comult, ops.dim ** j, 1) @ m
-    return m
 
 
 def _expansion(field, spaces, label, exp):

@@ -16,15 +16,21 @@ from hopfcyclic.linalg import SparseMatrix
 
 
 def check_mixed_complex(mc):
-    """b^2 = 0, B^2 = 0, bB + Bb = 0, exactly; raises MixedIdentityFailure."""
+    """b^2 = 0, B^2 = 0, bB + Bb = 0, exactly, each identity at every
+    degree where the complex holds all of its blocks; raises
+    MixedIdentityFailure."""
     N = mc.N
     for n in range(2, N + 1):
         if not (mc.b[n - 1] @ mc.b[n]).is_zero():
             raise MixedIdentityFailure("b b != 0 at degree %d" % n)
-    for n in range(N - 1):
+    for n in range(N + 1):
+        if n not in mc.B or n + 1 not in mc.B:
+            continue
         if not (mc.B[n + 1] @ mc.B[n]).is_zero():
             raise MixedIdentityFailure("B B != 0 at degree %d" % n)
     for n in range(1, N):
+        if n not in mc.B or n - 1 not in mc.B:
+            continue
         anti = mc.b[n + 1] @ mc.B[n] + mc.B[n - 1] @ mc.b[n]
         if not anti.is_zero():
             raise MixedIdentityFailure("bB + Bb != 0 at degree %d" % n)

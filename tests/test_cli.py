@@ -426,6 +426,25 @@ def test_closed_form_jobs_pass_the_chain_row_it_never_builds(target,
                     ("algebra", "coalgebra"))
 
 
+def test_the_gate_hands_its_crossed_product_to_the_job(monkeypatch, capsys):
+    """Where the chain-space row gives way, the gate builds the side's
+    crossed product to ask for the closed form, and the job reads that
+    one: `compute hc` on C2 at --nmax 7 builds the algebra side's crossed
+    product once and checks its algebra axioms once."""
+    from hopfcyclic import cli, crossed
+    calls = []
+    for module, name in ((cli, "crossed_product_algebra"),
+                         (crossed, "check_algebra")):
+        def spied(*args, _name=name, _honest=getattr(module, name)):
+            calls.append(_name)
+            return _honest(*args)
+        monkeypatch.setattr(module, name, spied)
+    assert cli.main(["compute", "hc", "-i", data_file("c2_Q"),
+                     "--nmax", "7"]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == ["check_algebra", "crossed_product_algebra"]
+
+
 def test_huge_nmax_is_refused_without_building_the_power(capsys):
     """The estimate stops at the first factor past the limit: d^(nmax+2) is
     never built nor printed in full for an absurd --nmax."""
@@ -691,12 +710,13 @@ def test_degree_work_limits_on_a_structure_of_dimension_one(
 
 # The first top degree of the (co)bar complex of `compute hopf-homology`
 # (--qmax) and `compute comodule-cohomology` (--pmax) each corpus structure
-# is refused at: dim(H)^(top+1) first passes 2^17 there, and on the ground
-# field the (co)face work (top+2)^2 first passes 2^20.  The benchmarked jobs
-# (--qmax 8 and --pmax 8 on c2_F2) lie below.
+# is refused at: the normalized top space (dim(H) - 1)^(top+1) first passes
+# 2^17 there, and where dim(H) <= 2 (one normalized chain or none per
+# degree) the (co)face work (top+2)^2 first passes 2^20.  The benchmarked
+# jobs (--qmax 8 and --pmax 8 on c2_F2) lie below.
 @pytest.mark.parametrize("name, first_refused", [
-    ("c2_Q", 17), ("c2_F2", 17), ("c3_Q", 10), ("sweedler_Q", 8),
-    ("s3_Q", 6), ("ground_field_Q", 1023),
+    ("c2_Q", 1023), ("c2_F2", 1023), ("c3_Q", 17), ("sweedler_Q", 10),
+    ("s3_Q", 7), ("ground_field_Q", 1023),
 ])
 def test_bar_limits_on_the_corpus(name, first_refused):
     from hopfcyclic import cli
@@ -733,10 +753,10 @@ def test_rmax_limit_on_the_corpus(pmax, qmax, first_refused):
 @pytest.mark.parametrize("args, text", [
     (["compute", "hopf-homology", "-i", "s3_Q", "--qmax", "8"],
      "--qmax 8 on the hopf block needs a (co)bar space of dimension "
-     "6^9 = 10077696, above the limit 131072"),
+     "5^9 = 1953125, above the limit 131072"),
     (["compute", "comodule-cohomology", "-i", "s3_Q", "--pmax", "8"],
      "--pmax 8 on the hopf block needs a (co)bar space of dimension "
-     "6^9 = 10077696, above the limit 131072"),
+     "5^9 = 1953125, above the limit 131072"),
     (["compute", "hopf-homology", "-i", "ground_field_Q", "--qmax",
       "100000"], "(co)face work 100002^2"),
     (["compute", "ss-pages", "-i", "c2_Q", "--rmax", "100000000"],
@@ -821,15 +841,14 @@ def test_hc_over_q_builds_no_cyclic_module(name, nmax, monkeypatch, capsys):
     ranks the normalized (b, B) of each side's algebra, built from its
     structure constants: neither (co)cyclic-module builder runs.  Its
     check forms the composites D_(n-1) D_n of the total complex through
-    N = nmax + 1 and, apart, the block products they do not reach (at
-    nmax = 1: one D D, B B at 0, b B and B b at 1; at nmax = 2: two D D,
-    B B at 0 and 1, b B and B b at 2); the cyclic ranks form only the
-    empty composite out of degree 0.  No pair of matrices is multiplied
-    twice."""
+    N = nmax + 1 and, apart, the block product they do not reach (at
+    nmax = 1: one D D; at nmax = 2: two D D and B B at 0); the cyclic
+    ranks form only the empty composite out of degree 0.  No pair of
+    matrices is multiplied twice."""
     _forbid_crossed_modules(monkeypatch, "compute hc over Q")
     counts, once = _mixed_product_counts(monkeypatch, name, nmax)
     capsys.readouterr()
-    assert counts == [("check_mixed_complex", {1: 4, 2: 6}[nmax]),
+    assert counts == [("check_mixed_complex", {1: 1, 2: 3}[nmax]),
                       ("cyclic_dims", 1)] * 2
     assert once
 
@@ -943,17 +962,70 @@ def test_diagonal_vs_direct_builds_the_normalized_b_once_per_side(
     assert built == [1, 2] * 2
 
 
+def _diagonals_read(monkeypatch, argv):
+    """Run a job and return, per diagonal (co)cyclic module it built, in
+    order, (N, made, keys): for its (co)faces, (co)degeneracies and
+    rotations, the keys it read and all of its keys, each (co)face and
+    (co)degeneracy keyed as the face(n, i) and degen(n, i) of the cyclic
+    module it is (on the cochain side, of the transpose)."""
+    from hopfcyclic import cli, cylinder
+    from hopfcyclic.crossed import CocyclicOps
+    built = []
+    honest = cylinder._diagonal
+
+    def spied(cyl, N):
+        built.append(honest(cyl, N))
+        return built[-1]
+
+    monkeypatch.setattr(cylinder, "_diagonal", spied)
+    assert cli.main(argv) == 0
+    out = []
+    for ops in built:
+        if isinstance(ops, CocyclicOps):
+            maps, shifts = (ops.cofaces, ops.codegens, ops.cocyclic), (1, -1)
+        else:
+            maps, shifts = (ops.faces, ops.degens, ops.cyclic), (0, 0)
+        out.append((ops.N, *([{(n + d, i) for n, i in getattr(m, part)}
+                               for m, d in zip(maps, shifts)]
+                              + [set(getattr(maps[2], part))]
+                              for part in ("made", "domain"))))
+    return out
+
+
+def test_diagonal_vs_direct_builds_no_top_degeneracy_or_rotation(
+        monkeypatch, capsys):
+    """The mixed complex of the diagonal through N = nmax + 1 reads every
+    (co)face, but no degeneracy into N (on the cochain side no
+    codegeneracy out of N) and no rotation at N, so none is built; `verify
+    iso` reads, and so builds and checks, every map; `compare
+    ez-hochschild` reads b alone, so it builds neither kind."""
+    argv = ["-i", data_file("sweedler_Q"), "--nmax", "1"]
+    seen = _diagonals_read(monkeypatch,
+                           ["compare", "diagonal-vs-direct"] + argv)
+    assert len(seen) == 2
+    for N, made, keys in seen:
+        assert N == 2 and made[0] == keys[0]
+        assert made[1] and made[1] < keys[1]
+        assert all(n < N - 1 for n, _ in made[1])
+        assert made[2] == set(range(N))
+    seen = _diagonals_read(monkeypatch, ["verify", "iso"] + argv)
+    assert len(seen) == 2 and all(made == keys for _, made, keys in seen)
+    for N, made, keys in _diagonals_read(
+            monkeypatch, ["compare", "ez-hochschild"] + argv):
+        assert made[0] == keys[0] and made[1] == made[2] == set()
+    capsys.readouterr()
+
+
 def test_hc_over_f2_forms_each_mixed_product_once(monkeypatch, capsys):
     """`compute hc` over F_2 ranks the normalized (b, B) of each side's
     algebra through N = nmax + 1.  Its check forms the N - 1 composites
-    D_(n-1) D_n of the total complex and, apart, the four block products
-    they do not reach (bB + Bb at N - 1, B B at N - 3 and N - 2); the
-    cyclic ranks form only the empty composite out of degree 0.  No pair
-    of matrices is multiplied twice."""
+    D_(n-1) D_n of the total complex and, apart, the one block product
+    they do not reach (B B at N - 3); the cyclic ranks form only the empty
+    composite out of degree 0.  No pair of matrices is multiplied twice."""
     nmax = 3
     counts, once = _mixed_product_counts(monkeypatch, "c2_F2", nmax)
     capsys.readouterr()
-    assert counts == [("check_mixed_complex", nmax + 4),
+    assert counts == [("check_mixed_complex", nmax + 1),
                       ("cyclic_dims", 1)] * 2
     assert once
 
@@ -1002,6 +1074,17 @@ def test_hc_reports_match_the_orbit_matrix_route(golden, argv, monkeypatch,
     monkeypatch.chdir(os.path.join(DATA, ".."))
     code = cli.main(argv.split())
     with open(os.path.join("tests", "goldens", golden + ".json")) as fh:
+        assert code == 0 and capsys.readouterr().out == fh.read()
+
+
+def test_hc_report_where_the_top_B_cost_the_most(monkeypatch, capsys):
+    """`compute hc` on C2 over F_2 at --nmax 6, the largest admitted
+    normalized (b, B) of the corpus, byte for byte as recorded when the
+    mixed complex still built and checked B[N-1] (tests/goldens)."""
+    from hopfcyclic import cli
+    monkeypatch.chdir(os.path.join(DATA, ".."))
+    code = cli.main("compute hc -i data/c2_F2.json --nmax 6".split())
+    with open(os.path.join("tests", "goldens", "hc_c2_F2_n6.json")) as fh:
         assert code == 0 and capsys.readouterr().out == fh.read()
 
 

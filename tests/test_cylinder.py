@@ -1,13 +1,14 @@
 """Bi-paracyclic operator families, diagonals, and the crossed-product isos."""
 
 import os
+import re
 import time
 
 import pytest
 
 import cylinder_oracle
 from hopfcyclic import cylinder
-from hopfcyclic.errors import AxiomFailure
+from hopfcyclic.errors import AxiomFailure, NotRestricting, NotWellDefined
 from hopfcyclic.fields import Field
 from hopfcyclic.hopf import (
     cyclic_group_table, group_algebra, regular_comodule_algebra,
@@ -25,6 +26,7 @@ from hopfcyclic.cylinder import (
     phi_psi_coalgebra, phi_matrix_algebra, psi_matrix_algebra,
     phi_matrix_coalgebra, psi_matrix_coalgebra,
 )
+from hopfcyclic.homology import cyclic_dims, mixed_complex
 from hopfcyclic.io import load_document
 from hopfcyclic.linalg import SparseMatrix
 from hopfcyclic.tensor import perm_matrix
@@ -108,6 +110,104 @@ def test_diagonal_cocyclic_is_cocyclic():
     cocyl = CoalgebraCocylinder(regular_module_coalgebra(kc2()))
     ops = diagonal_cocyclic(cocyl, 2)
     assert check_cocyclic_ops(ops).ok
+
+
+def test_diagonal_builds_each_operator_on_its_first_read():
+    """Nothing is built until it is read, a second read returns the same
+    matrix, a key past the module raises KeyError as a dict would, and the
+    maps, which hold only what was read, refuse to be iterated."""
+    ops = diagonal_cyclic(AlgebraCylinder(regular_comodule_algebra(kc2())),
+                          2)
+    maps = (ops.faces, ops.degens, ops.cyclic)
+    assert all(not m.made for m in maps)
+    assert ops.face(2, 1) is ops.face(2, 1)
+    assert ops.t(1) is ops.t(1)
+    assert (set(ops.faces.made), set(ops.degens.made), set(ops.cyclic.made)) \
+        == ({(2, 1)}, set(), {1})
+    for m, key in ((ops.faces, (3, 0)), (ops.degens, (2, 0)),
+                   (ops.cyclic, 3)):
+        with pytest.raises(KeyError):
+            m[key]
+        with pytest.raises(TypeError):
+            list(m)
+
+
+def _c2_Q(block):
+    return getattr(load_document(os.path.join(DATA, "c2_Q.json")), block)
+
+
+# N = 3: the maps a top_faces_only module leaves out, by the module's keys
+@pytest.mark.parametrize("build, block, names, dropped", [
+    (coinvariant_cyclic_module, "algebra", ("faces", "degens", "cyclic"),
+     (set(), {(2, 0), (2, 1), (2, 2)}, {3})),
+    (coinvariant_cocyclic_module, "coalgebra",
+     ("cofaces", "codegens", "cocyclic"),
+     (set(), {(3, 0), (3, 1), (3, 2)}, {3})),
+])
+def test_a_top_faces_only_module_is_the_full_one_short_of_its_top(
+        build, block, names, dropped):
+    """With top_faces_only, degree N carries its (co)faces only: each map
+    it holds equals the full module's, it holds no (co)degeneracy into N
+    (on the transpose) and no rotation at N, and its cyclic homology
+    through N - 1 is the full module's."""
+    N = 3
+    full, _ = build(_c2_Q(block), N)
+    top, pres = build(_c2_Q(block), N, top_faces_only=True)
+    assert top.dims == full.dims == [p.dim for p in pres]
+    for name, gone in zip(names, dropped):
+        held, whole = getattr(top, name), getattr(full, name)
+        assert set(held) == set(whole) - gone
+        assert all(held[k] == whole[k] for k in held)
+    assert cyclic_dims(mixed_complex(top), N - 1) \
+        == cyclic_dims(mixed_complex(full), N - 1)
+
+
+def _spoil_top(monkeypatch, cls, name, cell, row, col):
+    """Add 1 at (row, col) of the operator `name` of `cls` at `cell`."""
+    honest = getattr(cls, name)
+
+    def spoiled(self, *args):
+        m = honest(self, *args)
+        if args != cell:
+            return m
+        ent = dict(m.entries)
+        ent[(row, col)] = ent.get((row, col), 0) + 1
+        return SparseMatrix(m.field, m.rows, m.cols, ent)
+
+    monkeypatch.setattr(cls, name, spoiled)
+
+
+def test_a_top_face_off_the_quotient_is_refused(monkeypatch):
+    """A module built with top_faces_only still checks that each top face
+    is well defined on the quotient: on S3 at N = 2, a face out of degree
+    N that carries a relation to a coordinate of the quotient is refused
+    by that check, before the suite runs."""
+    a = load_document(os.path.join(DATA, "s3_Q.json")).algebra
+    _, pres = coinvariant_cyclic_module(a, 2, top_faces_only=True)
+    _spoil_top(monkeypatch, AlgebraCylinder, "face_v", (0, 2, 1),
+               pres[1].coords[0], pres[2].relations.pivots[0])
+    with pytest.raises(NotWellDefined, match="face 1 does not preserve the "
+                                             "relations at degree 2"):
+        coinvariant_cyclic_module(a, 2, top_faces_only=True)
+
+
+@pytest.mark.parametrize("build, block, cls, name, cell, text", [
+    (coinvariant_cyclic_module, "algebra", AlgebraCylinder, "face_v",
+     (0, 3, 1), "d_i d_j = d_{j-1} d_i', False, 'degree 3'"),
+    (coinvariant_cocyclic_module, "coalgebra", CoalgebraCocylinder,
+     "coface_v", (0, 2, 1), "del^j del^i = del^i del^{j-1}', False, "
+                            "'degree 1'"),
+])
+def test_a_spoiled_top_face_fails_the_suite(build, block, cls, name, cell,
+                                            text, monkeypatch):
+    """On c2_Q the first column has no relations and its coinvariant
+    subspace is the whole column, so a spoiled top (co)face is well
+    defined; the suite of a top_faces_only module still checks d_i d_j at
+    N and refuses it there."""
+    _spoil_top(monkeypatch, cls, name, cell, 0, 0)
+    with pytest.raises((NotWellDefined, NotRestricting), match=re.escape(
+            text)):
+        build(_c2_Q(block), 3, top_faces_only=True)
 
 
 def test_phi_degree_zero_is_factor_swap():

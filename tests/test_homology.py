@@ -3,6 +3,7 @@ Hopf-(co)module (co)homology, integrals, homotopies."""
 
 import functools
 import os
+import re
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -432,7 +433,7 @@ def test_mixed_identities_keep_their_texts_and_precedence(name, data):
     for kind, n, i, j, v in data.draw(st.lists(st.tuples(
             st.sampled_from("bB"), st.integers(0, N), st.integers(0, 999),
             st.integers(0, 999), st.integers(1, 3)), min_size=1, max_size=3)):
-        n = max(n, 1) if kind == "b" else min(n, N - 1)
+        n = max(n, 1) if kind == "b" else min(n, N - 2)
         m = spoiled[kind].get(n, getattr(mc, kind)[n])
         ent = dict(m.entries)
         ij = (i % m.rows, j % m.cols)
@@ -443,6 +444,27 @@ def test_mixed_identities_keep_their_texts_and_precedence(name, data):
     assert _outcome(lambda: _checked_dims(new, check_mixed_complex)) \
         == _outcome(lambda: _checked_dims(
             old, mixed_oracle.check_mixed_complex))
+
+
+@pytest.mark.parametrize("entry, text", [
+    ((1, 1), "B B != 0 at degree 1"),
+    ((15, 7), "bB + Bb != 0 at degree 2"),
+])
+def test_a_spoiled_top_B_is_refused(entry, text):
+    """The complex holds B through N - 2 only, and that top block is still
+    checked: on the cyclic module of kC2 (N = 4), one entry of B[2] added
+    to breaks B B at N - 3, which is multiplied apart, or bB + Bb at
+    N - 2, which is read off the composite D_3 D_4; each is refused by
+    its identity, as the oracle refuses it."""
+    mc = _mixed_base("kC2")
+    assert sorted(mc.B) == [0, 1, 2]
+    m = mc.B[2]
+    ent = dict(m.entries)
+    ent[entry] = ent.get(entry, 0) + 1
+    bad = {2: SparseMatrix(QQ, m.rows, m.cols, ent)}
+    for check in (check_mixed_complex, mixed_oracle.check_mixed_complex):
+        with pytest.raises(MixedIdentityFailure, match=re.escape(text)):
+            check(mixed_oracle.unchecked(mc, B=bad))
 
 
 def test_b_B_at_degree_zero_is_left_to_the_ranks():
@@ -654,7 +676,7 @@ def test_normalized_faces_and_B_are_the_full_ones_restricted(name):
             assert normalized_faces(r, n) == [
                 _restricted(ops.face(n, i), keep[n - 1], keep[n])
                 for i in range(n + 1)]
-        for n in range(N):
+        for n in range(N - 1):
             assert normal.B[n] == _restricted(full.B[n], keep[n + 1], keep[n])
 
 

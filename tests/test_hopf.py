@@ -6,13 +6,13 @@ from hopfcyclic.errors import CharTwo, NotAGroup, Singular
 from hopfcyclic.fields import Field
 from hopfcyclic.hopf import (
     CheckReport, HopfAlgebra, antipode_inverse, check_comodule_algebra, check_hopf,
-    check_module_coalgebra, cyclic_group_table, group_algebra, iterate_comult,
+    check_module_coalgebra, cyclic_group_table, group_algebra,
     regular_comodule_algebra, regular_module_coalgebra, space_ops,
     sweedler_hopf, symmetric_group_table, trivial_comodule_algebra,
     trivial_hopf, trivial_module_coalgebra,
 )
 from hopfcyclic.linalg import SparseMatrix
-from hopfcyclic.tensor import iterate_comult_matrix
+from hopfcyclic.tensor import Legs, Spaces, compile_operator
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -131,11 +131,20 @@ def test_corrupted_action_fails():
     assert not check_module_coalgebra(bad).ok
 
 
+def _iterated_comult(h, k):
+    """H -> H^(x)(k+1), compiled from the expansion ("comult", k) of one
+    H factor into its k + 1 Sweedler legs."""
+    specs = [("H", ("comult", k))]
+    L = Legs(specs)
+    return compile_operator(h.field, Spaces({"H": space_ops(h)}), specs,
+                            [L.com(0, j) for j in range(k + 1)])
+
+
 def test_iterate_comult_small_cases():
     h = group_algebra(cyclic_group_table(2), QQ)
-    assert iterate_comult(h, 0) == SparseMatrix.identity(QQ, 2)
-    assert iterate_comult(h, 1) == h.comult
-    d2 = iterate_comult(h, 2)
+    assert _iterated_comult(h, 0) == SparseMatrix.identity(QQ, 2)
+    assert _iterated_comult(h, 1) == h.comult
+    d2 = _iterated_comult(h, 2)
     # group-like g = basis 1: lands on (g, g, g)
     assert d2.column(1) == {1 * 4 + 1 * 2 + 1: QQ.one()}
 
@@ -147,8 +156,7 @@ def test_iterate_comult_small_cases():
 @pytest.mark.parametrize("k", [2, 3])
 def test_iterate_comult_association_free(make, k):
     h = make()
-    ops = space_ops(h)
-    right = iterate_comult_matrix(h.field, ops, k)
+    right = _iterated_comult(h, k)
     # left-associated build: expand the FIRST factor each step
     left = SparseMatrix.identity(h.field, h.dim)
     for j in range(k):
