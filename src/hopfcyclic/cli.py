@@ -354,26 +354,27 @@ def _sizes(target, bounds, dh, d):
 
 
 def _closed_form(doc, side):
-    """The side's crossed product when `compute hh|hc` read its tables off
-    the closed form of a crossed product semisimple over Q, else None.
-    Asked only over Q and when the closed form's own d^2 products fit the
-    chain-space limit."""
+    """(crossed product, HH_0) of the side when `compute hh|hc` read its
+    tables off the closed form of a crossed product semisimple over Q, else
+    None.  Asked only over Q and when the closed form's own d^2 products
+    fit the chain-space limit."""
     d = doc.hopf.dim * getattr(doc, side).dim
     if doc.field.p is not None or d * d > MAX_CHAIN_DIM:
         return None
     r = _crossed_algebra(doc, side)
-    return r if semisimple_hh0(r) is not None else None
+    h0 = semisimple_hh0(r)
+    return None if h0 is None else (r, h0)
 
 
 def _check_size(doc, target, bounds, sides):
     """Refuse a job with TooLarge at its first gate row above its limit,
-    block by block, before anything is built; return {side: crossed
-    product} of what the gate built.
+    block by block, before anything is built; return {side: (crossed
+    product, HH_0)} of what the gate built.
 
     The chain-space row of `compute hh|hc` gives way where it alone is
     above its limit and the side's crossed product takes the closed form,
-    which builds no chain space; deciding that builds the crossed product,
-    which the job then reads."""
+    which builds no chain space; deciding that builds the crossed product
+    and its HH_0, which the job then reads."""
     # rmax counts pages, not degrees: only the row that reads it names it
     flags = " ".join("--%s %d" % kv for kv in sorted(bounds.items())
                      if kv[0] != "rmax")
@@ -384,9 +385,9 @@ def _check_size(doc, target, bounds, sides):
         if not over:
             continue
         if target in ("hh", "hc") and over == rows[:1]:
-            r = _closed_form(doc, side)
-            if r is not None:
-                built[side] = r
+            closed = _closed_form(doc, side)
+            if closed is not None:
+                built[side] = closed
                 continue
         what, (_, text), limit = over[0]
         raise TooLarge("%s on the %s block needs %s %s, above the limit %d"
@@ -396,7 +397,8 @@ def _check_size(doc, target, bounds, sides):
 
 def _admit(doc, target, params):
     """(bounds, sides, built) of a job the gate admits: its degree bounds,
-    the blocks it runs on and the crossed products the gate built."""
+    the blocks it runs on and the crossed products (with their HH_0) the
+    gate built."""
     if target in ("cylindrical", "cocylindrical"):
         _sides(doc, target)  # these name a missing block before a bad bound
     bounds = {key: _opt(params, doc, key, default)
@@ -467,17 +469,18 @@ def _crossed_algebra(doc, side):
     return dual_algebra(crossed_product_coalgebra(doc.coalgebra))
 
 
-def _crossed_dims(r, targets, nmax):
+def _crossed_dims(r, targets, nmax, h0=None):
     """{target: table} of the targets ("hh", "hc") of the crossed-product
     algebra r through degree nmax.
 
     When r is semisimple over Q (`semisimple_hh0`, decided once for all the
-    targets), each is read off HH_0 = d - rank [r, r]: hh = [HH_0, 0, 0,
-    ...] and hc = [HH_0, 0, HH_0, 0, ...], with no chain complex built.
-    Otherwise, on every field, hc comes from the normalized (b, B) total
-    complex and hh from its b, or from the normalized b alone when hc is
-    not asked for."""
-    h0 = semisimple_hh0(r)
+    targets, or given as h0 where the gate has decided it), each is read
+    off HH_0 = d - rank [r, r]: hh = [HH_0, 0, 0, ...] and hc = [HH_0, 0,
+    HH_0, 0, ...], with no chain complex built.  Otherwise, on every field,
+    hc comes from the normalized (b, B) total complex and hh from its b, or
+    from the normalized b alone when hc is not asked for."""
+    if h0 is None:
+        h0 = semisimple_hh0(r)
     if h0 is not None:
         closed = {"hh": [h0] + [0] * nmax,
                   "hc": [0 if n % 2 else h0 for n in range(nmax + 1)]}
@@ -505,9 +508,9 @@ def cmd_compute(doc, target, params):
         s = getattr(doc, side)
         alg = side == "algebra"
         if target in ("hh", "hc"):
-            r = built.get(side) or _crossed_algebra(doc, side)
+            r, h0 = built.get(side) or (_crossed_algebra(doc, side), None)
             tables["%s_crossed_product_%s" % (target, side)] = _crossed_dims(
-                r, [target], bounds["nmax"])[target]
+                r, [target], bounds["nmax"], h0)[target]
         elif target == "hopf-homology":
             tables["hopf_module_homology_trivial_coefficients"] = \
                 hopf_module_homology(s, trivial_module_action(s),

@@ -14,10 +14,12 @@ factors with the last face wrapping (r_n r_0, r_1, ..., r_{n-1}),
 degeneracies insert 1, and t pulls the last factor to the front.  Cocyclic
 module of a coalgebra: cofaces comultiply slot i (the last one wraps),
 codegeneracies hit slot i+1 with the counit, tau rotates left.  Its
-transpose is a cyclic module (`CocyclicOps.transpose`): its identities are
-checked by the cyclic suite on the transpose, which reports them under
-their cochain names and degrees, and its cohomology is computed as the
-homology of the transpose.
+transpose is a cyclic module (`CocyclicOps.transpose`), and its cohomology
+is computed as the homology of the transpose.  Its identities are checked
+by the cyclic suite with no matrix transposed: as (A B)^T = B^T A^T and an
+equality holds exactly when its transpose does, the suite reads each
+cooperator in its transpose's place and composes each side in reverse
+order (`_CochainOrder`), reporting under the cochain names and degrees.
 """
 
 from __future__ import annotations
@@ -131,6 +133,14 @@ class CyclicOps:
         degree n is reported under."""
         return name, n
 
+    def compose(self, *maps):
+        """The composite maps[0] . maps[1] . ... of maps read off this
+        module, the last applied first."""
+        out = maps[0]
+        for m in maps[1:]:
+            out = out @ m
+        return out
+
 
 class CocyclicOps:
     """Coface/codegeneracy/cocyclic matrices of a cocyclic module."""
@@ -158,9 +168,10 @@ class CocyclicOps:
     def transpose(self) -> CyclicOps:
         """The dual cyclic module, d_i = (delta^i)^T, s_i = (sigma^i)^T,
         t = tau^T: transposing reverses composition, so each cocyclic
-        relation becomes the matching cyclic one (Connes 1983).  The cyclic
-        suite on it is the cocyclic suite, and b, B and Connes' complex are
-        the transposes of the cochain ones."""
+        relation becomes the matching cyclic one (Connes 1983), and b, B
+        and Connes' complex are the transposes of the cochain ones.  The
+        identity suites do not transpose (`_CochainOrder`); the homology
+        of the mixed complexes does."""
         return _DualCyclicOps(self)
 
 
@@ -181,12 +192,20 @@ _COCHAIN_NAMES = {
 }
 
 
-class _DualCyclicOps(CyclicOps):
+class _CochainLabels:
+    """Labels each identity and map of a cyclic view of a cocyclic module
+    by its cochain name and degree (`_COCHAIN_NAMES`), so the cyclic suite
+    and the intertwining check report in the cochain orientation."""
+
+    def label(self, name, n):
+        name, shift = _COCHAIN_NAMES[name]
+        return name, n + shift
+
+
+class _DualCyclicOps(_CochainLabels, CyclicOps):
     """A cocyclic module's transpose, each matrix transposed on its first
     read and kept for the life of the view (`_OnRead`), so only what is
-    read is held twice.  It labels each identity and map by its cochain
-    name and degree (`_COCHAIN_NAMES`), so the cyclic suite and the
-    intertwining check report in the cochain orientation."""
+    read is held twice."""
 
     def __init__(self, co):
         super().__init__(
@@ -195,9 +214,32 @@ class _DualCyclicOps(CyclicOps):
             _OnRead(lambda key: co.codegen(key[0] + 1, key[1]).transpose()),
             _OnRead(lambda n: co.t(n).transpose()), co.N)
 
-    def label(self, name, n):
-        name, shift = _COCHAIN_NAMES[name]
-        return name, n + shift
+
+class _CochainOrder(_CochainLabels, CyclicOps):
+    """A cocyclic module's own matrices in its transpose's places: face
+    (n, i) is coface (n - 1, i), degeneracy (n, i) is codegeneracy
+    (n + 1, i) and t(n) is t(n), none of them transposed.  As
+    A^T B^T = (B A)^T and an equality holds exactly when its transpose
+    does, each composite is formed in reverse order (`compose`), so a check
+    written for the transpose checks the cochain relations as they are."""
+
+    def __init__(self, co):
+        super().__init__(co.field, co.dims, co.cofaces, co.codegens,
+                         co.cocyclic, co.N)
+
+    def face(self, n, i):
+        return self.faces[(n - 1, i)]
+
+    def degen(self, n, i):
+        return self.degens[(n + 1, i)]
+
+    def compose(self, *maps):
+        """The cochain composite ... maps[1] . maps[0], the transpose of
+        the composite maps[0]^T . maps[1]^T . ... on the transpose."""
+        out = maps[-1]
+        for m in maps[-2::-1]:
+            out = out @ m
+        return out
 
 
 def _rotate_left(x, d, top):
@@ -351,10 +393,11 @@ def check_cyclic_ops(ops: CyclicOps, cyclic=True, report=None,
     (a paracyclic module).  With top_faces_only, degree N carries its faces
     only: every relation is checked through N - 1, and d_i d_j at N too.
     Each identity is recorded under the name and degree that `ops.label`
-    gives it.
+    gives it, and each side is composed by `ops.compose`.
     """
     rep = report or CheckReport("cyclic module")
     N = ops.N - 1 if top_faces_only else ops.N
+    mul = ops.compose
 
     def chk(name, n, lhs, rhs):
         ok = lhs == rhs
@@ -367,37 +410,36 @@ def check_cyclic_ops(ops: CyclicOps, cyclic=True, report=None,
         for j in range(n + 1):
             for i in range(j):
                 chk("d_i d_j = d_{j-1} d_i", n,
-                    ops.face(n - 1, i) @ ops.face(n, j),
-                    ops.face(n - 1, j - 1) @ ops.face(n, i))
+                    mul(ops.face(n - 1, i), ops.face(n, j)),
+                    mul(ops.face(n - 1, j - 1), ops.face(n, i)))
     for n in range(N - 1):
         for i in range(n + 1):
             for j in range(i, n + 1):
                 chk("s_i s_j = s_{j+1} s_i", n,
-                    ops.degen(n + 1, i) @ ops.degen(n, j),
-                    ops.degen(n + 1, j + 1) @ ops.degen(n, i))
+                    mul(ops.degen(n + 1, i), ops.degen(n, j)),
+                    mul(ops.degen(n + 1, j + 1), ops.degen(n, i)))
     for n in range(N):
         for j in range(n + 1):
             for i in range(n + 2):
-                lhs = ops.face(n + 1, i) @ ops.degen(n, j)
+                lhs = mul(ops.face(n + 1, i), ops.degen(n, j))
                 if i < j:
-                    rhs = ops.degen(n - 1, j - 1) @ ops.face(n, i)
+                    rhs = mul(ops.degen(n - 1, j - 1), ops.face(n, i))
                 elif i in (j, j + 1):
                     rhs = SparseMatrix.identity(ops.field, ops.dim(n))
                 else:
-                    rhs = ops.degen(n - 1, j) @ ops.face(n, i - 1)
+                    rhs = mul(ops.degen(n - 1, j), ops.face(n, i - 1))
                 chk("d_i s_j relations", n, lhs, rhs)
     for n in range(1, N + 1):
-        chk("d_0 t = d_n", n, ops.face(n, 0) @ ops.t(n), ops.face(n, n))
+        chk("d_0 t = d_n", n, mul(ops.face(n, 0), ops.t(n)), ops.face(n, n))
         for i in range(1, n + 1):
-            chk("d_i t = t d_{i-1}", n,
-                ops.face(n, i) @ ops.t(n), ops.t(n - 1) @ ops.face(n, i - 1))
+            chk("d_i t = t d_{i-1}", n, mul(ops.face(n, i), ops.t(n)),
+                mul(ops.t(n - 1), ops.face(n, i - 1)))
     for n in range(N):
-        chk("s_0 t = t^2 s_n", n,
-            ops.degen(n, 0) @ ops.t(n),
-            ops.t(n + 1) @ ops.t(n + 1) @ ops.degen(n, n))
+        chk("s_0 t = t^2 s_n", n, mul(ops.degen(n, 0), ops.t(n)),
+            mul(ops.t(n + 1), ops.t(n + 1), ops.degen(n, n)))
         for i in range(1, n + 1):
-            chk("s_i t = t s_{i-1}", n,
-                ops.degen(n, i) @ ops.t(n), ops.t(n + 1) @ ops.degen(n, i - 1))
+            chk("s_i t = t s_{i-1}", n, mul(ops.degen(n, i), ops.t(n)),
+                mul(ops.t(n + 1), ops.degen(n, i - 1)))
     if cyclic:
         for n in range(N + 1):
             chk("t^(n+1) = id", n, _power(ops.t(n), n + 1),
@@ -407,9 +449,10 @@ def check_cyclic_ops(ops: CyclicOps, cyclic=True, report=None,
 
 def check_cocyclic_ops(ops: CocyclicOps, cocyclic=True, report=None,
                        raise_on_fail=False, top_faces_only=False):
-    """The cyclic suite on the transpose, under the cochain names and
-    degrees; t^(n+1) = id if cocyclic.  With top_faces_only, degree N
-    carries its cofaces from N - 1 only."""
-    return check_cyclic_ops(ops.transpose(), cocyclic,
+    """The cyclic suite on the cocyclic module's own matrices, each side
+    composed in cochain order (`_CochainOrder`), under the cochain names
+    and degrees; no matrix is transposed.  t^(n+1) = id if cocyclic.  With
+    top_faces_only, degree N carries its cofaces from N - 1 only."""
+    return check_cyclic_ops(_CochainOrder(ops), cocyclic,
                             report or CheckReport("cocyclic module"),
                             raise_on_fail, top_faces_only)

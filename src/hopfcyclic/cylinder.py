@@ -55,9 +55,10 @@ from __future__ import annotations
 
 import functools
 
-from .crossed import CocyclicOps, CyclicOps, _OnRead, _power, \
-    crossed_product_algebra, crossed_product_coalgebra, check_cocyclic_ops, \
-    check_cyclic_ops, cocyclic_module_of_coalgebra, cyclic_module_of_algebra
+from .crossed import CocyclicOps, CyclicOps, _CochainOrder, _OnRead, \
+    _power, crossed_product_algebra, crossed_product_coalgebra, \
+    check_cocyclic_ops, check_cyclic_ops, cocyclic_module_of_coalgebra, \
+    cyclic_module_of_algebra
 from .errors import (
     AxiomFailure, ClosedFormMismatch, IdentityFailure, NotInverse,
     NotIntertwining, NotRestricting, NotWellDefined,
@@ -655,30 +656,33 @@ def phi_psi_coalgebra(c, N=2):
             raise NotInverse("phi/psi not inverse at degree %d" % n)
     src = cocyclic_module_of_coalgebra(crossed_product_coalgebra(c), N)
     dst = diagonal_cocyclic(CoalgebraCocylinder(c), N)
-    # phi^T intertwines the transposes, from dst's to src's
-    _check_intertwining({n: m.transpose() for n, m in phi.items()},
-                        dst.transpose(), src.transpose())
+    # phi^T intertwines the transposes, from dst's to src's: checked as
+    # D_dst phi = phi D_src on the cochain maps, composed in cochain order
+    _check_intertwining(phi, _CochainOrder(dst), _CochainOrder(src))
     return phi, psi
 
 
 def _check_intertwining(phi, src: CyclicOps, dst: CyclicOps):
-    """phi must carry every face/degeneracy/cyclic operator of src to dst;
-    a failure names the operator and degree as dst labels them."""
+    """phi must carry every face/degeneracy/cyclic operator of src to dst,
+    each side composed by `dst.compose`; a failure names the operator and
+    degree as dst labels them."""
     def fail(name, n, *i):
         name, n = dst.label(name, n)
         raise NotIntertwining("%s at degree %d" % (name % i, n))
 
+    mul = dst.compose
     N = min(src.N, dst.N, max(phi))
     for n in range(N + 1):
-        if phi[n] @ src.t(n) != dst.t(n) @ phi[n]:
+        if mul(phi[n], src.t(n)) != mul(dst.t(n), phi[n]):
             fail("t", n)
     for n in range(1, N + 1):
         for i in range(n + 1):
-            if phi[n - 1] @ src.face(n, i) != dst.face(n, i) @ phi[n]:
+            if mul(phi[n - 1], src.face(n, i)) != mul(dst.face(n, i), phi[n]):
                 fail("d_%d", n, i)
     for n in range(N):
         for i in range(n + 1):
-            if phi[n + 1] @ src.degen(n, i) != dst.degen(n, i) @ phi[n]:
+            if mul(phi[n + 1], src.degen(n, i)) != mul(dst.degen(n, i),
+                                                       phi[n]):
                 fail("s_%d", n, i)
 
 
@@ -725,12 +729,14 @@ def _mprod(*terms):
 
 def _conjugated(name):
     """The operator `name` of the (co)cylinder `base` carried onto module
-    form: to_module at its target cell, after it, after from_module."""
+    form: to_module at its target cell, after it, after from_module.  It is
+    memoized (`_cell_op`), so the alternating (co)boundary reuses the
+    operators that check() has compared."""
     def op(self, p, q, *i):
         return self.to_module(*_target(name, p, q)) \
             @ getattr(self.base, name)(p, q, *i) @ self.from_module(p, q)
     op.__name__ = op.__qualname__ = name
-    return op
+    return _cell_op(op)
 
 
 # -- regrouping onto Hopf-module form (algebra side) ---------------------------------
@@ -1149,13 +1155,14 @@ def coinvariant_cyclic_module(a, N=2, top_faces_only=False):
         rel = action - amplify(a.hopf.counit, 1, x)
         pres.append(QuotientPresentation(image(rel)))
 
+    relmats = [p.relations.basis_matrix() for p in pres]
+
     def induce(op, n_src, n_dst, name):
-        ind = pres[n_dst].project @ op @ pres[n_src].lift
-        relmat = pres[n_src].relations.basis_matrix()
-        if not (pres[n_dst].project @ op @ relmat).is_zero():
+        moved = pres[n_dst].project @ op
+        if not (moved @ relmats[n_src]).is_zero():
             raise NotWellDefined("%s does not preserve the relations at "
                                  "degree %d" % (name, n_src))
-        return ind
+        return moved @ pres[n_src].lift
 
     dims = [p.dim for p in pres]
     top = N - 1 if top_faces_only else N

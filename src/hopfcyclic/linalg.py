@@ -23,14 +23,17 @@ lies in [0, p), an integral Q value is an int and no zero is kept.  Every
 computed result (`@`, `kron`, `amplify`, `widen`, `transpose`, `identity`,
 `block_matrix`, `combine`, `place`, `relabel`, a basis matrix, an inverse,
 the compiled operators of `tensor`) writes its columns directly and is adopted
-as is by `SparseMatrix._of_columns`.  A sum is taken with native + and *
-in one dict keyed by the column-major position j rows + i, and split into
+as is by `SparseMatrix._of_columns`.  A product is written one column at a
+time (Gustavson 1978): a one-entry column of the right factor takes the
+left factor's column, shared or scaled, and any other column is summed with
+native + and * in a small dict of its own, then sorted and settled on its
+own (`_settled_column`).  Every other sum is taken with native + and * in
+one dict keyed by the column-major position j rows + i, and split into
 columns after one sort of its keys, each value settled exactly once on the
-way (`pack_columns`).
-Every sum of matrices, `+`, `-`, negation, `scale` and the alternating face
-sums of the cylinders and mixed complexes, goes through `combine`; `place`
-sums (transposed) blocks at offsets, the faces of a whole total-complex
-differential in one pass.
+way (`pack_columns`): every sum of matrices, `+`, `-`, negation, `scale`
+and the alternating face sums of the cylinders and mixed complexes, goes
+through `combine`; `place` sums (transposed) blocks at offsets, the faces
+of a whole total-complex differential in one pass.
 
 Elimination has one forward pass, `_reduce_columns`: the persistence
 reduction on columns, fraction-free over Q with native ints.  Each column
@@ -91,6 +94,12 @@ unit_column = _UnitColumns().__getitem__
 def _single(i, v):
     """The packed column with the one entry v at row i."""
     return unit_column(i) if v == 1 else (i, v)
+
+
+def _pack(col):
+    """A flat sequence (r0, v0, r1, v1, ...) as a packed column, a unit
+    column shared."""
+    return _single(*col) if len(col) == 2 else tuple(col)
 
 
 def _shift(rows, vals, off):
@@ -254,38 +263,46 @@ class SparseMatrix:
         return combine(self.field, self.rows, self.cols, ((c, self),))
 
     def __matmul__(self, other):
-        """Composition self . other (apply other first).
+        """Composition self . other (apply other first), written one column
+        at a time (Gustavson, ACM TOMS 1978).
 
-        A column of other that is one entry 1 at row k is self's column k,
-        shared as it is; the other columns are summed natively in one dict,
-        keyed by the column-major position j rows + i, and split into
-        columns once, as `combine` does."""
+        A column of other with one entry v at row k is self's column k:
+        shared as it is when v = 1, else scaled entry by entry, as a
+        product of nonzero scalars never cancels over Q or F_p.  A column
+        with several entries is summed natively in a dict {row: sum} of its
+        own, then sorted and settled on its own (`_settled_column`); no
+        product-wide dict or sort is kept, unlike `combine` and `place`."""
         if self.cols != other.rows:
             raise ValueError("composition mismatch: %dx%d @ %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        rows = self.rows
+        p = self.field.p
         left = self.columns.get
         out = {}
-        sums = {}
-        get = sums.get
         for j, col in other.columns.items():
-            if len(col) == 2 and col[1] == 1:
+            if len(col) == 2:
                 a = left(col[0])
                 if a is not None:
-                    out[j] = a
+                    v = col[1]
+                    out[j] = a if v == 1 else _scale(p, v, a)
                 continue
-            base = j * rows
+            sums = {}
+            get = sums.get
             it = iter(col)
             for k, bv in zip(it, it):
                 a = left(k)
-                if a is not None:
-                    ia = iter(a)
-                    for i, av in zip(ia, ia):
-                        i += base
-                        sums[i] = get(i, 0) + av * bv
-        if sums:
-            out.update(pack_columns(self.field, sums, rows))
-        return SparseMatrix._of_columns(self.field, rows, other.cols, out)
+                if a is None:
+                    continue
+                if len(a) == 2:
+                    i = a[0]
+                    sums[i] = get(i, 0) + a[1] * bv
+                    continue
+                ia = iter(a)
+                for i, av in zip(ia, ia):
+                    sums[i] = get(i, 0) + av * bv
+            a = _settled_column(p, sums)
+            if a:
+                out[j] = a
+        return SparseMatrix._of_columns(self.field, self.rows, other.cols, out)
 
     def transpose(self):
         """Rows become columns: self's columns are read in ascending order,
@@ -311,7 +328,7 @@ class SparseMatrix:
                     row += (j, v)
         return SparseMatrix._of_columns(
             self.field, self.cols, self.rows,
-            {i: tuple(row) for i, row in out.items()})
+            {i: _pack(row) for i, row in out.items()})
 
     def kron(self, other):
         """Kronecker product; row-major, leftmost factor varying slowest.
@@ -369,7 +386,8 @@ def combine(field, rows, cols, terms):
             scaled.append((c, m))
     if len(scaled) == 1:
         c, m = scaled[0]
-        columns = m.columns if c == 1 else _scaled(field.p, c, m.columns)
+        columns = m.columns if c == 1 else {
+            j: _scale(field.p, c, col) for j, col in m.columns.items()}
         return SparseMatrix._of_columns(field, rows, cols, columns)
     return place(field, rows, cols,
                  [(c, m, 0, 0, False) for c, m in scaled])
@@ -445,21 +463,40 @@ def _singles(rows, v):
     return map(unit_column, rows) if v == 1 else zip(rows, repeat(v))
 
 
-def _scaled(p, c, columns):
-    """Packed columns times a nonzero settled scalar c; a product of
-    nonzero scalars is nonzero, so no column loses an entry, and over Q a
+def _scale(p, c, col):
+    """A packed column times a nonzero settled scalar c; a product of
+    nonzero scalars is nonzero, so the column loses no entry, and over Q a
     product of ints is settled as it is."""
-    out = {}
-    for j, col in columns.items():
-        vals = col[1::2]
-        if p is not None:
-            vals = [c * v % p for v in vals]
-        elif c.__class__ is int and _ints(p, col):
-            vals = list(map(c.__mul__, vals))
+    if len(col) == 2:
+        return _single(col[0], _scalar(p, c * col[1]))
+    vals = col[1::2]
+    if p is not None:
+        vals = [c * v % p for v in vals]
+    elif c.__class__ is int and _ints(p, col):
+        vals = list(map(c.__mul__, vals))
+    else:
+        vals = [_scalar(p, c * v) for v in vals]
+    return tuple(_flatten(zip(col[::2], vals)))
+
+
+def _settled_column(p, sums):
+    """The packed column of a dict {row: native sum}: its rows sorted, its
+    values settled as `pack_columns` settles them; () when every sum
+    cancelled."""
+    col = []
+    for i in sorted(sums):
+        v = sums[i]
+        if p is None:
+            if not v:
+                continue
+            if v.__class__ is Fraction and v.denominator == 1:
+                v = v.numerator
         else:
-            vals = [_scalar(p, c * v) for v in vals]
-        out[j] = _shift(col[::2], vals, 0)
-    return out
+            v %= p
+            if not v:
+                continue
+        col += (i, v)
+    return _pack(col)
 
 
 def pack_columns(field, sums, rows):
@@ -787,7 +824,7 @@ class Subspace:
         """ambient_dim x dim matrix whose columns are the basis vectors."""
         return SparseMatrix._of_columns(
             self.field, self.ambient_dim, self.dim,
-            {k: tuple(_flatten(sorted(b.items())))
+            {k: _pack(tuple(_flatten(sorted(b.items()))))
              for k, b in enumerate(self.basis)})
 
     def __eq__(self, other):
@@ -916,4 +953,4 @@ def invert(m: SparseMatrix):
                 else:
                     col += (i, v)
     return SparseMatrix._of_columns(
-        f, n, n, {j: tuple(col) for j, col in out.items()})
+        f, n, n, {j: _pack(col) for j, col in out.items()})

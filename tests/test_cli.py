@@ -445,6 +445,24 @@ def test_the_gate_hands_its_crossed_product_to_the_job(monkeypatch, capsys):
     assert sorted(calls) == ["check_algebra", "crossed_product_algebra"]
 
 
+@pytest.mark.parametrize("nmax", [6, 7])
+def test_semisimplicity_is_decided_once_per_side(nmax, monkeypatch, capsys):
+    """`compute hc` on C2 decides once per side whether the crossed product
+    is semisimple: in the job at --nmax 6, which the gate admits outright,
+    and in the gate at --nmax 7, which hands its HH_0 to the job with the
+    crossed product."""
+    from hopfcyclic import cli
+    calls = []
+    honest = cli.semisimple_hh0
+    monkeypatch.setattr(cli, "semisimple_hh0",
+                        lambda r: calls.append(r.dim) or honest(r))
+    assert cli.main(["compute", "hc", "-i", data_file("c2_Q"),
+                     "--nmax", str(nmax)]) == 0
+    tables = json.loads(capsys.readouterr().out)["tables"]
+    assert [t[0] for t in tables.values()] == [4, 4]
+    assert calls == [4, 4]
+
+
 def test_huge_nmax_is_refused_without_building_the_power(capsys):
     """The estimate stops at the first factor past the limit: d^(nmax+2) is
     never built nor printed in full for an absurd --nmax."""

@@ -1,15 +1,17 @@
 """The cochain side as the transpose of the chain side.
 
 `CocyclicOps.transpose`, `hopf.dual_hopf` and the transposed total complex
-replace hand-written cochain code, the identity checks included: the
-cocyclic suite and the coalgebra-side intertwining check run the chain-side
-checks on the transposes.  These tests fail when a transposition is wrong:
-the relation suites of a cocyclic module and of its transpose pass or fail
-together; on every corruption, the transposed checks report entry for entry
-and raise word for word what the hand-written ones did
-(`tests/cochain_oracle.py`); and the cochain formulas the package no longer
-holds (kept here as an oracle) equal the transposes of what the chain side
-builds.
+replace hand-written cochain code.  The identity checks are the chain-side
+ones as well: the cocyclic suite and the coalgebra-side intertwining check
+run the cyclic checks on each cooperator in its transpose's place, with
+each side composed in reverse order, which checks the transpose of every
+chain identity and transposes no matrix.  These tests fail when a
+transposition is wrong: the relation suites of a cocyclic module and of
+its transpose pass or fail together; on every corruption, the cochain-order
+checks report entry for entry and raise word for word what the hand-written
+ones did (`tests/cochain_oracle.py`); and the cochain formulas the package
+no longer holds (kept here as an oracle) equal the transposes of what the
+chain side builds.
 """
 
 import os
@@ -195,6 +197,23 @@ def test_the_transpose_transposes_each_map_once(monkeypatch):
         degens = [dual.degen(n, i) for n in range(N) for i in range(n + 1)]
         rotations = [dual.t(n) for n in range(N + 1)]
     assert len(calls) == len(faces) + len(degens) + len(rotations)
+
+
+def test_the_cochain_checks_transpose_nothing(monkeypatch, capsys):
+    """`verify cocylindrical` on Sweedler (1, 1) and the coalgebra-side
+    isomorphism check compose the cooperators as they are: neither calls
+    `SparseMatrix.transpose` once, and both pass."""
+    from hopfcyclic import cli
+    calls = []
+    honest = SparseMatrix.transpose
+    monkeypatch.setattr(SparseMatrix, "transpose",
+                        lambda m: calls.append(m) or honest(m))
+    assert cli.main(["verify", "cocylindrical", "-i",
+                     os.path.join(DATA, "sweedler_Q.json"),
+                     "--pmax", "1", "--qmax", "1"]) == 0
+    capsys.readouterr()
+    phi_psi_coalgebra(_doc("sweedler_Q").coalgebra, 2)
+    assert calls == []
 
 
 # -- (b) the cochain formulas, as an oracle ---------------------------------------

@@ -18,7 +18,8 @@ from hopfcyclic.fields import Field, is_prime
 from hopfcyclic.io import _map_matrix, _map_pairs
 from hopfcyclic.linalg import (
     SparseMatrix, Subspace, _echelonize, _homology_dims, amplify,
-    block_matrix, combine, image, invert, kernel, rank, relabel, widen,
+    block_matrix, combine, image, invert, kernel, rank, relabel, unit_column,
+    widen,
 )
 from hopfcyclic.tensor import (
     SpaceOps, Spaces, compile_operator, leg, perm_matrix, prod,
@@ -864,14 +865,17 @@ def test_widen_is_a_permuted_kronecker_product(drawn):
 
 def _assert_packed(m):
     """The storage invariant: each stored column is a nonempty flat tuple
-    (r0, v0, r1, v1, ...) with rows ascending and in bounds, values settled;
-    every view agrees with it."""
+    (r0, v0, r1, v1, ...) with rows ascending and in bounds, values settled,
+    and a column whose one entry is 1 the shared `unit_column`; every view
+    agrees with it."""
     for j, col in m.columns.items():
         assert 0 <= j < m.cols and col.__class__ is tuple and col
         rows = col[::2]
         assert list(rows) == sorted(set(rows)) and 0 <= rows[0] \
             and rows[-1] < m.rows
         _assert_settled_scalars(m.field, col[1::2])
+        if col[1:] == (1,):
+            assert col is unit_column(col[0])
     dense = _dense(m)
     want = {(i, j): v for i, row in enumerate(dense)
             for j, v in enumerate(row) if v != 0}
@@ -912,7 +916,10 @@ def _ref_shift(dense, rows, cols, row_of, col_of):
 def _column_operands(draw):
     """A field (Q, GF(2) or GF(3)); a and b whose product has one column
     that cancels (over Q between true fractions); a permutation-like p
-    (each column one entry 1); a row order; a 2 x 4 table."""
+    (each column one entry 1); a scaling-like s (each column one entry:
+    -1, 2 or 3/2, or plus or minus the inverse of a's first entry in that
+    row's column, so a fraction times a fraction may be integral and a
+    scaled column may be a unit column); a row order; a 2 x 4 table."""
     field = draw(st.sampled_from((QQ, F2, Field.prime(3))))
     values = _ORACLE_ENTRIES if field.p is None else (0, 0, 1, 2, -1)
     rows, inner, cols = (draw(st.integers(min_value=1, max_value=4))
@@ -932,8 +939,18 @@ def _column_operands(draw):
                           min_size=1, max_size=5))
     p = SparseMatrix(field, 2 * inner, len(image),
                      {(i, j): 1 for j, i in enumerate(image)})
+    picks = draw(st.lists(st.integers(min_value=0, max_value=2 * inner - 1),
+                          min_size=1, max_size=6))
+    scalars = {}
+    for j, k in enumerate(picks):
+        inv = field.inv(a.columns.get(k, (0, 1))[1])
+        scalars[(k, j)] = draw(st.sampled_from(
+            (field.neg(field.one()), field.of(2), field.of(Fraction(3, 2)),
+             inv, field.neg(inv)) if field.p is None
+            else (field.neg(field.one()), inv, field.neg(inv))))
+    s = SparseMatrix(field, 2 * inner, len(picks), scalars)
     order = draw(st.permutations(range(rows)))
-    return field, a, b, p, order, _from_dense(field, table, 4)
+    return field, a, b, p, s, order, _from_dense(field, table, 4)
 
 
 @given(_column_operands())
@@ -942,13 +959,16 @@ def test_column_storage_agrees_with_dense_oracle(drawn):
     """Every builder and view of the column storage against dense lists
     over Q (true fractions), GF(2) and GF(3): `@` (a cancelled column is
     not stored; a unit column of the right factor is the left factor's
-    column object), `kron`, `amplify`, `widen`, `transpose`, `combine` (a
-    sum that reaches p is zero), `block_matrix`, `identity`, `invert`,
-    the product with a column vector, `relabel` and `compile_operator`;
-    `==` and `first_difference` read the columns; `@`, `combine`, `rank`
-    and `kernel` leave every column they share untouched."""
-    f, a, b, p, order, table = drawn
-    snap = _snapshot(a, b, p)
+    column object; any other one-entry column scales the left factor's
+    column with no entry lost), `kron`, `amplify`, `widen`, `transpose`,
+    `combine` (a sum that reaches p is zero), `block_matrix`, `identity`,
+    `invert`, the product with a column vector, `relabel` and
+    `compile_operator`, each storing a column whose one entry is 1 as the
+    shared `unit_column`; `==` and `first_difference` read the columns;
+    `@`, `combine`, `rank` and `kernel` leave every column they share
+    untouched."""
+    f, a, b, p, s, order, table = drawn
+    snap = _snapshot(a, b, p, s)
     ab = a @ b
     assert _dense(ab) == _ref_matmul(f, _dense(a), _dense(b),
                                      a.rows, a.cols, b.cols)
@@ -958,8 +978,13 @@ def test_column_storage_agrees_with_dense_oracle(drawn):
                                      a.rows, a.cols, p.cols)
     for j, col in p.columns.items():
         assert ap.columns.get(j) is a.columns.get(col[0])
-    snap += _snapshot(ab, ap)
-    for m in (a, b, p, ab, ap):
+    scaled = a @ s
+    assert _dense(scaled) == _ref_matmul(f, _dense(a), _dense(s),
+                                         a.rows, a.cols, s.cols)
+    for j, (k, v) in s.columns.items():
+        assert len(scaled.columns.get(j, ())) == len(a.columns.get(k, ()))
+    snap += _snapshot(ab, ap, scaled)
+    for m in (a, b, p, s, ab, ap, scaled, ab.transpose() @ a):
         _assert_packed(m)
     k = a.kron(b)
     assert _dense(k) == _ref_kron(f, _dense(a), _dense(b))
@@ -1011,7 +1036,7 @@ def test_column_storage_agrees_with_dense_oracle(drawn):
     assert ab == SparseMatrix(f, ab.rows, ab.cols, ab.entries)
     other = ab + SparseMatrix(f, ab.rows, ab.cols, {(0, flip): 1})
     assert ab != other and ab.first_difference(other) == (0, flip)
-    for m in (a, b, p, ab, ap):
+    for m in (a, b, p, s, ab, ap, scaled):
         rank(m)
         kernel(m)
     _assert_untouched(snap)

@@ -72,6 +72,37 @@ def test_coalgebra_module_form_sweedler():
     assert rep.ok, rep.failures()
 
 
+_CONJUGATED = {"tau_v", "face_v", "degen_v", "tau_h", "face_h", "degen_h",
+               "coface_v", "codegen_v", "coface_h", "codegen_h"}
+
+
+@pytest.mark.parametrize("form, cylinder, structure", [
+    (AlgebraModuleForm, AlgebraCylinder, regular_comodule_algebra),
+    (CoalgebraModuleForm, CoalgebraCocylinder, regular_module_coalgebra),
+])
+def test_the_check_conjugates_each_operator_once(form, cylinder, structure,
+                                                 monkeypatch):
+    """check() builds each conjugated operator once, and the alternating
+    (co)boundary it compares with the Hopf-(co)module one reuses them: each
+    product to_module . op that conjugates an operator is formed once, one
+    per conjugated operator the form holds."""
+    mf = form(cylinder(structure(sweedler_hopf(QQ))))
+    formed = []
+    honest = SparseMatrix.__matmul__
+    monkeypatch.setattr(SparseMatrix, "__matmul__",
+                        lambda a, b: formed.append((a, b)) or honest(a, b))
+    assert mf.check(1, 1).ok
+    monkeypatch.undo()
+    regroup = {name: [m for key, m in mf._cache.items() if key[0] == name]
+               for name in ("to_module", "from_module")}
+    conjugations = [
+        (id(a), id(b)) for a, b in formed
+        if any(a is m for m in regroup["to_module"])
+        and not any(b is m for m in regroup["from_module"])]
+    held = [key for key in mf._cache if key[0] in _CONJUGATED]
+    assert held and len(conjugations) == len(set(conjugations)) == len(held)
+
+
 def test_boundary_equals_module_boundary_entrywise():
     a = regular_comodule_algebra(kc2())
     mf = AlgebraModuleForm(AlgebraCylinder(a))
@@ -158,6 +189,8 @@ def test_coinvariant_modules_sweedler():
     ("cocylindrical_sweedler_Q_p1_q1",
      "verify cocylindrical --pmax 1 --qmax 1", 0),
     ("iso_sweedler_Q_n1", "verify iso --nmax 1", 0),
+    # the coalgebra-side intertwining through degree 2
+    ("iso_sweedler_Q_n2", "verify iso --nmax 2", 0),
     ("coinvariants_sweedler_Q_n1", "compute coinvariants --nmax 1", 0),
     # Sweedler is not semisimple: the collapse fails, the control exits 1
     ("collapse_coalgebra_sweedler_Q_n1", "compare collapse-coalgebra --nmax 1",
