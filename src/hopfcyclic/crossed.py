@@ -14,12 +14,13 @@ factors with the last face wrapping (r_n r_0, r_1, ..., r_{n-1}),
 degeneracies insert 1, and t pulls the last factor to the front.  Cocyclic
 module of a coalgebra: cofaces comultiply slot i (the last one wraps),
 codegeneracies hit slot i+1 with the counit, tau rotates left.  Its
-transpose is a cyclic module (`CocyclicOps.transpose`), and its cohomology
-is computed as the homology of the transpose.  Its identities are checked
-by the cyclic suite with no matrix transposed: as (A B)^T = B^T A^T and an
-equality holds exactly when its transpose does, the suite reads each
-cooperator in its transpose's place and composes each side in reverse
-order (`_CochainOrder`), reporting under the cochain names and degrees.
+transpose is a cyclic module, and its cohomology is computed as the
+homology of the transpose.  Both that and the identity checks read it one
+way, with no coface, codegeneracy or rotation transposed: as
+(A B)^T = B^T A^T and an equality holds exactly when its transpose does,
+each cooperator stands in its transpose's place and each composite is
+formed in reverse order (`_CochainOrder`), reported under the cochain
+names and degrees.
 """
 
 from __future__ import annotations
@@ -106,7 +107,11 @@ class CyclicOps:
 
     The three maps are read by key only, never iterated, so any of them
     may build its matrices on read (`_OnRead`).  A module whose degree N
-    carries its faces only holds no degeneracy into N and no t at N."""
+    carries its faces only holds no degeneracy into N and no t at N.
+    `transposed` says whether each map read off it is the transpose of the
+    one it stands for (`_CochainOrder`)."""
+
+    transposed = False
 
     def __init__(self, field, dims, faces, degens, cyclic, N):
         self.field = field
@@ -165,15 +170,6 @@ class CocyclicOps:
     def t(self, n):
         return self.cocyclic[n]
 
-    def transpose(self) -> CyclicOps:
-        """The dual cyclic module, d_i = (delta^i)^T, s_i = (sigma^i)^T,
-        t = tau^T: transposing reverses composition, so each cocyclic
-        relation becomes the matching cyclic one (Connes 1983), and b, B
-        and Connes' complex are the transposes of the cochain ones.  The
-        identity suites do not transpose (`_CochainOrder`); the homology
-        of the mixed complexes does."""
-        return _DualCyclicOps(self)
-
 
 # A cyclic identity or map of the transpose at degree n, as the cocyclic
 # module names it: (cochain name, shift), reported at degree n + shift.
@@ -192,36 +188,17 @@ _COCHAIN_NAMES = {
 }
 
 
-class _CochainLabels:
-    """Labels each identity and map of a cyclic view of a cocyclic module
-    by its cochain name and degree (`_COCHAIN_NAMES`), so the cyclic suite
-    and the intertwining check report in the cochain orientation."""
-
-    def label(self, name, n):
-        name, shift = _COCHAIN_NAMES[name]
-        return name, n + shift
-
-
-class _DualCyclicOps(_CochainLabels, CyclicOps):
-    """A cocyclic module's transpose, each matrix transposed on its first
-    read and kept for the life of the view (`_OnRead`), so only what is
-    read is held twice."""
-
-    def __init__(self, co):
-        super().__init__(
-            co.field, co.dims,
-            _OnRead(lambda key: co.coface(key[0] - 1, key[1]).transpose()),
-            _OnRead(lambda key: co.codegen(key[0] + 1, key[1]).transpose()),
-            _OnRead(lambda n: co.t(n).transpose()), co.N)
-
-
-class _CochainOrder(_CochainLabels, CyclicOps):
+class _CochainOrder(CyclicOps):
     """A cocyclic module's own matrices in its transpose's places: face
     (n, i) is coface (n - 1, i), degeneracy (n, i) is codegeneracy
     (n + 1, i) and t(n) is t(n), none of them transposed.  As
     A^T B^T = (B A)^T and an equality holds exactly when its transpose
     does, each composite is formed in reverse order (`compose`), so a check
-    written for the transpose checks the cochain relations as they are."""
+    written for the transpose checks the cochain relations as they are,
+    and each identity and map is reported by its cochain name and degree
+    (`label`).  A sum of maps is summed transposed (`transposed`)."""
+
+    transposed = True
 
     def __init__(self, co):
         super().__init__(co.field, co.dims, co.cofaces, co.codegens,
@@ -232,6 +209,10 @@ class _CochainOrder(_CochainLabels, CyclicOps):
 
     def degen(self, n, i):
         return self.degens[(n + 1, i)]
+
+    def label(self, name, n):
+        name, shift = _COCHAIN_NAMES[name]
+        return name, n + shift
 
     def compose(self, *maps):
         """The cochain composite ... maps[1] . maps[0], the transpose of

@@ -2,11 +2,13 @@
 complexes only, and the closed form that needs none.
 
 Every cochain invariant is the chain invariant of the transpose, which has
-the same ranks: a cocyclic module enters as its dual cyclic module
-(`CocyclicOps.transpose`), a comodule over H as the dual module over H*
-(`hopf.dual_hopf`), and a cocylinder's total complex as its transpose,
-filtered by q <= i (a filtered complex and its dual have the same
-persistence pairs: de Silva, Morozov & Vejdemo-Johansson 2011).
+the same ranks: a cocyclic module is read as its dual cyclic module in
+cochain order (`crossed._CochainOrder`), its cofaces summed transposed into
+b and each B composed as the cochain B and transposed once, a comodule
+over H as the dual module over H* (`hopf.dual_hopf`), and a cocylinder's
+total complex as its transpose, filtered by q <= i (a filtered complex and
+its dual have the same persistence pairs: de Silva, Morozov &
+Vejdemo-Johansson 2011).
 
 Everything reduces to exact rank computations.  Every homology dimension
 and every spectral page comes from `_homology_dims`, which checks each
@@ -58,7 +60,8 @@ from __future__ import annotations
 from collections import Counter
 
 from .crossed import (
-    CocyclicOps, CyclicOps, normalized_faces, unit_first, unit_legs,
+    CocyclicOps, CyclicOps, _CochainOrder, normalized_faces, unit_first,
+    unit_legs,
 )
 from .errors import (
     AxiomFailure, BoundaryNotSquareZero, CoboundaryNotSquareZero,
@@ -95,8 +98,9 @@ class MixedComplex:
 
 
 def _as_cyclic(ops):
-    """A cyclic module as is; a cocyclic one as its transpose."""
-    return ops.transpose() if isinstance(ops, CocyclicOps) else ops
+    """A cyclic module as is; a cocyclic one read as its transpose, its own
+    matrices composed in cochain order (`crossed._CochainOrder`)."""
+    return _CochainOrder(ops) if isinstance(ops, CocyclicOps) else ops
 
 
 def _signed_cyclic(ops, n):
@@ -120,21 +124,28 @@ def _norm(ops, n):
 
 
 def hochschild_boundary(ops: CyclicOps, n):
-    """b out of degree n: sum of (-1)^i d_i, C_n -> C_{n-1}."""
-    return combine(ops.field, ops.dim(n - 1), ops.dim(n),
-                   (((-1) ** i, ops.face(n, i)) for i in range(n + 1)))
+    """b out of degree n: sum of (-1)^i d_i, C_n -> C_{n-1}; on a cochain
+    view the cofaces are summed transposed (`place`)."""
+    return place(ops.field, ops.dim(n - 1), ops.dim(n),
+                 [((-1) ** i, ops.face(n, i), 0, 0, ops.transposed)
+                  for i in range(n + 1)])
 
 
 def mixed_complex(ops) -> MixedComplex:
     """Mixed complex of a cyclic module: b alternating faces,
-    B = (1 - lambda) (t s_n) N.  A cocyclic module is transposed first.
+    B = (1 - lambda) (t s_n) N.  A cocyclic module gives the mixed complex
+    of its transpose: each B is composed in cochain order, the cochain
+    B = N (sig^n t) (1 - lambda), and only the finished B is transposed.
     It reads the faces through degree N, but the degeneracies and the
     rotation only through N - 1: none into N and none at N."""
     ops = _as_cyclic(ops)
     N = ops.N
     b = {n: hochschild_boundary(ops, n) for n in range(1, N + 1)}
-    B = {n: _one_minus_lambda(ops, n + 1) @ (ops.t(n + 1) @ ops.degen(n, n))
-         @ _norm(ops, n) for n in range(N - 1)}
+    B = {n: ops.compose(_one_minus_lambda(ops, n + 1),
+                        ops.compose(ops.t(n + 1), ops.degen(n, n)),
+                        _norm(ops, n)) for n in range(N - 1)}
+    if ops.transposed:
+        B = {n: m.transpose() for n, m in B.items()}
     mc = MixedComplex(ops.field, [ops.dim(n) for n in range(N + 1)], b, B, N)
     check_mixed_complex(mc)
     return mc
@@ -309,8 +320,9 @@ def cyclic_dims(mc: MixedComplex, nmax):
 # -- b alone on a (co)cyclic module; the closed form of a semisimple algebra ---
 
 def b_column_dims(ops, nmax):
-    """Hochschild homology of a (transposed co)cyclic module through degree
-    nmax (nmax <= N-1), from b alone: no B, no mixed complex."""
+    """Hochschild homology of a cyclic module, or of a cocyclic module's
+    transpose, through degree nmax (nmax <= N-1), from b alone: no B, no
+    mixed complex, and no matrix transposed."""
     ops = _as_cyclic(ops)
     _check_truncation(nmax, ops.N)
     return _homology_dims(_degree_pairs(

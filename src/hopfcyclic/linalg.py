@@ -815,11 +815,6 @@ class Subspace:
         pos = self._pos
         return {pos[j]: v for j, v in vec.items() if j in pos}
 
-    def sum(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient mismatch")
-        return Subspace(self.field, self.ambient_dim, self.basis + other.basis)
-
     def basis_matrix(self):
         """ambient_dim x dim matrix whose columns are the basis vectors."""
         return SparseMatrix._of_columns(

@@ -1,15 +1,32 @@
-"""The hand-written cochain checks: the test oracle for the transposed ones.
+"""The hand-written cochain checks and the transposed cyclic module: the
+test oracles for the package's one reading of a cocyclic module.
 
-`crossed.check_cocyclic_ops` runs the cyclic suite on a cocyclic module's
-transpose, and the coalgebra-side isomorphism check runs the chain-side
-intertwining check on the transposed maps.  These are the cosimplicial and
+`crossed.check_cocyclic_ops` runs the cyclic suite on a cocyclic module
+read in cochain order, and the coalgebra-side isomorphism check runs the
+chain-side intertwining check the same way.  These are the cosimplicial and
 cocyclic relations, and the cointertwining check, as the package wrote them
-out before: same names, same degree labels, same order.
+out before: same names, same degree labels, same order.  `transposed_cyclic`
+is the dual cyclic module with every map transposed up front, the module
+that the cochain-order reading stands for.
 """
 
+from hopfcyclic.crossed import CyclicOps
 from hopfcyclic.errors import IdentityFailure, NotIntertwining
 from hopfcyclic.hopf import CheckReport
 from hopfcyclic.linalg import SparseMatrix
+
+
+def transposed_cyclic(co):
+    """The cyclic module of a cocyclic module's transpose, every map
+    transposed as it is read off: face (n + 1, i) = (delta^i)^T for coface
+    (n, i), degeneracy (n - 1, i) = (sigma^i)^T for codegeneracy (n, i) and
+    t(n) = tau(n)^T.  Transposing reverses composition, so each cocyclic
+    relation becomes the matching cyclic one (Connes 1983)."""
+    return CyclicOps(
+        co.field, co.dims,
+        {(n + 1, i): m.transpose() for (n, i), m in co.cofaces.items()},
+        {(n - 1, i): m.transpose() for (n, i), m in co.codegens.items()},
+        {n: m.transpose() for n, m in co.cocyclic.items()}, co.N)
 
 
 def check_cocyclic_ops(ops, cocyclic=True, report=None,

@@ -10,9 +10,10 @@ checks that b descends as P b lambda = P b, and ranks P b S.  It also runs
 on a module whose operators were altered after building.
 """
 
+from cochain_oracle import transposed_cyclic
+from hopfcyclic.crossed import CocyclicOps
 from hopfcyclic.homology import (
-    _as_cyclic, _check_truncation, _degree_pairs, _signed_cyclic,
-    hochschild_boundary,
+    _check_truncation, _degree_pairs, _signed_cyclic, hochschild_boundary,
 )
 from hopfcyclic.errors import MixedIdentityFailure
 from hopfcyclic.linalg import SparseMatrix, _homology_dims
@@ -57,8 +58,9 @@ def _signed_orbits(field, d, n):
 def connes_dims(ops, nmax):
     """Cyclic homology dims through degree nmax (nmax <= N-1) from Connes'
     complex, with no B and no total complex; a cocyclic module is
-    transposed first (its lambda-invariant cochains are spanned by the
-    transposed P).
+    transposed first, every map (`cochain_oracle.transposed_cyclic`), so
+    the rotation lambda is built from is t = tau^T (its lambda-invariant
+    cochains are spanned by the transposed P).
 
     Needs Q inside the field and a tensor-power module, C_n = C_0^(x)(n+1)
     with t rotating the factors, as built by `cyclic_module_of_algebra` and
@@ -71,7 +73,8 @@ def connes_dims(ops, nmax):
     if f.p is not None:
         raise ValueError("Connes' complex computes HC only when Q is inside "
                          "the field")
-    ops = _as_cyclic(ops)
+    if isinstance(ops, CocyclicOps):
+        ops = transposed_cyclic(ops)
     _check_truncation(nmax, ops.N)
     d = ops.dim(0)
     if any(ops.dim(n) != d ** (n + 1) for n in range(ops.N + 1)):

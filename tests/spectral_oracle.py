@@ -74,8 +74,9 @@ def _boundary_part(fc, r, i, n, memo):
 def _denominator(fc, r, i, n, memo):
     """Z^{r-1} one step shallower plus the incoming boundaries: E^r at
     filtration i, degree n, is Z^r modulo this."""
-    return _z_subspace(fc, r - 1, i - 1, n, memo).sum(
-        _boundary_part(fc, r, i, n, memo))
+    z = _z_subspace(fc, r - 1, i - 1, n, memo)
+    return Subspace(fc.field, fc.dim(n),
+                    z.basis + _boundary_part(fc, r, i, n, memo).basis)
 
 
 def _rank_out(fc, r, i, n, memo):
@@ -87,8 +88,8 @@ def _rank_out(fc, r, i, n, memo):
     z = _z_subspace(fc, r, i, n, memo)
     t_den = _denominator(fc, r, i - r, n - 1, memo)
     dz = fc.d[n] @ z.basis_matrix()
-    total = t_den.sum(Subspace(fc.field, fc.dim(n - 1),
-                               [dz.column(k) for k in range(z.dim)]))
+    total = Subspace(fc.field, fc.dim(n - 1),
+                     t_den.basis + [dz.column(k) for k in range(z.dim)])
     return total.dim - t_den.dim
 
 

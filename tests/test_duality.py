@@ -1,17 +1,21 @@
 """The cochain side as the transpose of the chain side.
 
-`CocyclicOps.transpose`, `hopf.dual_hopf` and the transposed total complex
-replace hand-written cochain code.  The identity checks are the chain-side
-ones as well: the cocyclic suite and the coalgebra-side intertwining check
-run the cyclic checks on each cooperator in its transpose's place, with
-each side composed in reverse order, which checks the transpose of every
-chain identity and transposes no matrix.  These tests fail when a
-transposition is wrong: the relation suites of a cocyclic module and of
-its transpose pass or fail together; on every corruption, the cochain-order
-checks report entry for entry and raise word for word what the hand-written
-ones did (`tests/cochain_oracle.py`); and the cochain formulas the package
-no longer holds (kept here as an oracle) equal the transposes of what the
-chain side builds.
+A cocyclic module is read one way, as its transpose's cyclic module in
+cochain order (`crossed._CochainOrder`): each cooperator in its transpose's
+place, each composite formed in reverse order.  That reading, `hopf.dual_hopf`
+and the transposed total complex replace hand-written cochain code.  The
+cocyclic suite, the coalgebra-side intertwining check and the mixed complex
+all read a cocyclic module so, which checks the transpose of every chain
+identity and ranks the transpose of every cochain map with no coface,
+codegeneracy or rotation transposed: only each finished B is.  These tests
+fail when a transposition is wrong: the relation suites of a cocyclic module
+and of its transpose, every map transposed up front
+(`cochain_oracle.transposed_cyclic`), pass or fail together; on every
+corruption, the cochain-order checks report entry for entry and raise word
+for word what the hand-written ones did (`tests/cochain_oracle.py`); the
+cochain formulas the package no longer holds (kept here as an oracle) equal
+the transposes of what the chain side builds; and a count of the transposes
+left pins them to the B's and the structure maps.
 """
 
 import os
@@ -22,7 +26,7 @@ import cochain_oracle
 import connes_oracle
 from hopfcyclic import cylinder
 from hopfcyclic.crossed import (
-    CocyclicOps, check_cocyclic_ops, check_cyclic_ops,
+    CocyclicOps, _CochainOrder, check_cocyclic_ops, check_cyclic_ops,
     cocyclic_module_of_coalgebra, crossed_product_coalgebra, dual_algebra,
 )
 from hopfcyclic.cylinder import (
@@ -32,9 +36,9 @@ from hopfcyclic.cylinder import (
 from hopfcyclic.errors import IdentityFailure, NotCosemisimple, NotIntertwining
 from hopfcyclic.hopf import check_hopf, dual_hopf
 from hopfcyclic.homology import (
-    _norm, _one_minus_lambda, cyclic_dims, find_dual_left_integral,
-    hochschild_boundary, hopf_comodule_coboundary, mixed_complex,
-    normalized_mixed_complex, trivial_comodule_coaction,
+    _norm, _one_minus_lambda, b_column_dims, cyclic_dims,
+    find_dual_left_integral, hochschild_boundary, hopf_comodule_coboundary,
+    mixed_complex, normalized_mixed_complex, trivial_comodule_coaction,
 )
 from hopfcyclic.io import load_document
 from hopfcyclic.linalg import SparseMatrix, _homology_dims, combine
@@ -107,10 +111,10 @@ def _corruptions(ops):
 def test_transpose_is_cyclic_exactly_where_the_module_is_cocyclic(name):
     for ops in _cocyclic_modules(name):
         assert check_cocyclic_ops(ops).ok
-        assert check_cyclic_ops(ops.transpose()).ok
+        assert check_cyclic_ops(cochain_oracle.transposed_cyclic(ops)).ok
         bad = _corrupted(ops)
         assert not check_cocyclic_ops(bad).ok
-        assert not check_cyclic_ops(bad.transpose()).ok
+        assert not check_cyclic_ops(cochain_oracle.transposed_cyclic(bad)).ok
 
 
 def _suite_outcome(check, ops, cocyclic):
@@ -127,7 +131,7 @@ def _suite_outcome(check, ops, cocyclic):
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_cocyclic_suite_reports_what_the_hand_written_one_did(name):
-    """Run through the transpose, the suite names each identity, gives its
+    """Run in cochain order, the suite names each identity, gives its
     degree and fails where the hand-written cosimplicial suite did, entry
     for entry, on every corruption, with and without t^(n+1) = id."""
     for ops in _cocyclic_modules(name):
@@ -141,9 +145,10 @@ def test_cocyclic_suite_reports_what_the_hand_written_one_did(name):
 @pytest.mark.parametrize("name", CORPUS)
 def test_coalgebra_isomorphism_check_fails_where_the_cointertwining_did(
         name, monkeypatch):
-    """phi_psi_coalgebra checks phi on the transposes; with each map of
-    either cocyclic module corrupted in turn, it raises the text the
-    hand-written cointertwining check raised, or passes where it passed."""
+    """phi_psi_coalgebra checks phi on the cochain maps, composed in
+    cochain order; with each map of either cocyclic module corrupted in
+    turn, it raises the text the hand-written cointertwining check raised,
+    or passes where it passed."""
     c = _doc(name).coalgebra
     cp = crossed_product_coalgebra(c)
     N = 2 if cp.dim <= 9 else 1
@@ -170,33 +175,30 @@ def test_coalgebra_isomorphism_check_fails_where_the_cointertwining_did(
 
 
 def test_transpose_moves_each_map_to_its_dual_place():
+    """The transposed cyclic module holds each map's transpose in its dual
+    place, and the cochain-order view the map itself."""
     ops = _cocyclic_modules("sweedler_Q")[0]
-    dual = ops.transpose()
+    dual = cochain_oracle.transposed_cyclic(ops)
+    view = _CochainOrder(ops)
     assert dual.dims == ops.dims and dual.N == ops.N
     for (n, i), m in ops.cofaces.items():
         assert dual.face(n + 1, i) == m.transpose()
+        assert view.face(n + 1, i) is m
     for (n, i), m in ops.codegens.items():
         assert dual.degen(n - 1, i) == m.transpose()
+        assert view.degen(n - 1, i) is m
     for n in range(ops.N + 1):
         assert dual.t(n) == ops.t(n).transpose()
+        assert view.t(n) is ops.t(n)
 
 
-def test_the_transpose_transposes_each_map_once(monkeypatch):
-    """A view transposes each map on its first read and keeps it: reading
-    every face, degeneracy and rotation twice transposes each once."""
-    ops = _cocyclic_modules("c2_Q")[0]
-    dual = ops.transpose()
+def _transposes(monkeypatch):
+    """The list each call of `SparseMatrix.transpose` is recorded in."""
     calls = []
     honest = SparseMatrix.transpose
     monkeypatch.setattr(SparseMatrix, "transpose",
                         lambda m: calls.append(m) or honest(m))
-    N = ops.N
-    for _ in range(2):
-        faces = [dual.face(n, i) for n in range(1, N + 1)
-                 for i in range(n + 1)]
-        degens = [dual.degen(n, i) for n in range(N) for i in range(n + 1)]
-        rotations = [dual.t(n) for n in range(N + 1)]
-    assert len(calls) == len(faces) + len(degens) + len(rotations)
+    return calls
 
 
 def test_the_cochain_checks_transpose_nothing(monkeypatch, capsys):
@@ -204,16 +206,36 @@ def test_the_cochain_checks_transpose_nothing(monkeypatch, capsys):
     isomorphism check compose the cooperators as they are: neither calls
     `SparseMatrix.transpose` once, and both pass."""
     from hopfcyclic import cli
-    calls = []
-    honest = SparseMatrix.transpose
-    monkeypatch.setattr(SparseMatrix, "transpose",
-                        lambda m: calls.append(m) or honest(m))
+    calls = _transposes(monkeypatch)
     assert cli.main(["verify", "cocylindrical", "-i",
                      os.path.join(DATA, "sweedler_Q.json"),
                      "--pmax", "1", "--qmax", "1"]) == 0
     capsys.readouterr()
     phi_psi_coalgebra(_doc("sweedler_Q").coalgebra, 2)
     assert calls == []
+
+
+def test_the_cochain_homology_transposes_only_each_B(monkeypatch, capsys):
+    """The mixed complex of a cocyclic module transposes its N - 1 finished
+    B's and no coface, codegeneracy or rotation; b alone transposes
+    nothing.  `compare diagonal-vs-direct` on C2 over Q through degree 2
+    transposes four matrices: the coproduct and counit that `dual_algebra`
+    turns into C*'s product and unit, and the diagonal's two B's."""
+    from hopfcyclic import cli
+    modules = _cocyclic_modules("c2_Q")
+    calls = _transposes(monkeypatch)
+    for ops in modules:
+        calls.clear()
+        mixed_complex(ops)
+        assert len(calls) == ops.N - 1
+        calls.clear()
+        b_column_dims(ops, ops.N - 1)
+        assert calls == []
+    calls.clear()
+    assert cli.main(["compare", "diagonal-vs-direct", "-i",
+                     os.path.join(DATA, "c2_Q.json"), "--nmax", "2"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 4
 
 
 # -- (b) the cochain formulas, as an oracle ---------------------------------------
@@ -265,9 +287,10 @@ def _invariant_connes_dims(ops, nmax):
 @pytest.mark.parametrize("name", Q_CORPUS)
 def test_cochain_formulas_are_the_transposed_chain_side(name):
     ops = _cocyclic_modules(name)[1]
-    dual = ops.transpose()
+    dual = cochain_oracle.transposed_cyclic(ops)
     mc = mixed_complex(ops)
     for n in range(ops.N):
+        assert mc.b[n + 1] == hochschild_boundary(dual, n + 1)
         assert _cochain_b(ops, n) == \
             hochschild_boundary(dual, n + 1).transpose()
     for n in range(ops.N - 1):

