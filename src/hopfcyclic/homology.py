@@ -375,15 +375,7 @@ def trivial_comodule_coaction(h):
 
 def hopf_module_boundary(h, action, p):
     """The bar boundary H^(x)p (x) M -> H^(x)(p-1) (x) M."""
-    f = h.field
-    d = h.dim
-    m = action.rows
-    faces = [amplify(h.counit, 1, d ** (p - 1) * m)]
-    faces += [amplify(h.mult, d ** (i - 1), d ** (p - 1 - i) * m)
-              for i in range(1, p)]
-    faces.append(amplify(action, d ** (p - 1), 1))
-    return combine(f, d ** (p - 1) * m, d ** p * m,
-                   (((-1) ** i, face) for i, face in enumerate(faces)))
+    return _bar_boundary((h.counit, h.mult, action, h.dim, action.rows), p)
 
 
 def hopf_comodule_coboundary(h, coaction, p):
@@ -417,11 +409,12 @@ def _check_bar_laws(h, action, top):
                            "its product, counit and action")
 
 
-def _normalized_bar_boundary(pieces, p):
-    """The bar boundary out of degree p on the normalized chains
-    Hbar^(x)p (x) M, from the `pieces` (counit, product, action, e, m) that
-    `hopf_module_homology` reads off H once, e = dim Hbar, m = dim M.  Its
-    faces are laid out as `crossed.normalized_faces` lays them out: the
+def _bar_boundary(pieces, p):
+    """The bar boundary out of degree p on the chains L^(x)p (x) M, from the
+    `pieces` (counit, product, action, e, m), e = dim L, m = dim M: on the
+    full chains (L = H, `hopf_module_boundary`) and on the normalized ones
+    (L = Hbar, the pieces that `hopf_module_homology` reads off H once).
+    Its faces are laid out as `crossed.normalized_faces` lays them out: the
     counit on the first leg, the product of each adjacent pair of legs,
     the action on the last leg and M."""
     eps, bar, act, e, m = pieces
@@ -452,7 +445,7 @@ def hopf_module_homology(h, action, qmax):
 
     def delta(p):
         built.append(p)
-        return _normalized_bar_boundary(pieces, p)
+        return _bar_boundary(pieces, p)
 
     try:
         return _homology_dims(_degree_pairs(f, m, delta, qmax))
@@ -558,56 +551,45 @@ def cosemisimple_homotopy_check(h, x, coaction, pmax):
 # -- total complex of a cylinder and its filtration -----------------------------------
 
 class FilteredComplex:
-    """A truncated chain complex with an increasing filtration by coordinate
-    blocks.
+    """A truncated chain complex with an increasing filtration, one level
+    per coordinate.
 
-    cells[n] lists (p, q, offset, dim) summands of T_n, q descending; the
-    filtration index is the vertical degree q (F_i T_n = sum over q <= i),
+    cells[n] lists (p, q, offset, dim) summands of T_n, one after the other
+    and q descending; the filtration index is the vertical degree q
+    (F_i T_n = sum over q <= i), `level(n)` reads it off per coordinate,
     and d[n] maps T_n -> T_{n-1}.  On a total complex normalized in the H
     direction, degenerate maps each cell (p, q) to the dimension of its
     degenerate part, from which `spectral_pages` restores E^0.
     """
 
-    def __init__(self, field, dims, d, cells, levels, N, degenerate=None):
+    def __init__(self, field, dims, d, cells, N, degenerate=None):
         self.field = field
         self.dims = dims
         self.d = d
         self.cells = cells
-        self.levels = levels
         self.N = N
         self.degenerate = degenerate or {}
 
     def dim(self, n):
         return 0 if n < 0 or n > self.N else self.dims[n]
 
-    def filtration_coords(self, i, n):
-        """Ambient coordinates spanning F_i T_n."""
-        if n < 0 or n > self.N:
-            return []
+    def level(self, n):
+        """The level q of each coordinate of T_n.  FiltrationViolation
+        unless the cells tile T_n, each starting where the one before it
+        ends, in an order that refines the filtration (q descending)."""
         out = []
-        for (p, q, off, dim) in self.cells[n]:
-            if q <= i:
-                out.extend(range(off, off + dim))
-        return out
-
-    def cell_block(self, n, src_cell, dst_cell):
-        """The block of d between two cells, as a matrix."""
-        columns = self.d[n].columns
-        sp, sq, soff, sdim = src_cell
-        dp, dq, doff, ddim = dst_cell
-        out = {}
-        for j in range(sdim):
-            col = [x for i, v in col_items(columns.get(soff + j, ()))
-                   if doff <= i < doff + ddim for x in (i - doff, v)]
-            if col:
-                out[j] = tuple(col)
-        return SparseMatrix._of_columns(self.field, ddim, sdim, out)
-
-    def find_cell(self, n, p, q):
-        for cell in self.cells[n]:
-            if cell[0] == p and cell[1] == q:
-                return cell
-        raise KeyError("no cell (p=%d, q=%d) in degree %d" % (p, q, n))
+        for (_, q, off, dim) in self.cells[n]:
+            if off != len(out):
+                break
+            if dim and out and out[-1] < q:
+                raise FiltrationViolation("coordinate order does not refine "
+                                          "the filtration at degree %d" % n)
+            out += [q] * dim
+        else:
+            if len(out) == self.dim(n):
+                return out
+        raise FiltrationViolation("filtration not exhaustive at degree %d"
+                                  % n)
 
 
 def _normalized_cells(cyl, N):
@@ -718,7 +700,7 @@ def _total_complex(cyl, N, unit, hopf_map, block_map, v_kernel, h_kernel,
                     last = passing(last, e ** (p - 1), tail, e * tail)
                 terms.append(((-1) ** p, last, to, off, transposed))
         d[n] = place(f, dims[n - 1], dims[n], terms)
-    return FilteredComplex(f, dims, d, cells, N, N, degenerate)
+    return FilteredComplex(f, dims, d, cells, N, degenerate)
 
 
 def total_complex_algebra(cyl, N=3) -> FilteredComplex:
@@ -751,37 +733,21 @@ def total_complex_coalgebra(cocyl, N=3) -> FilteredComplex:
 
 
 def check_filtration(fc: FilteredComplex):
-    """Nesting, exhaustion, and d-stability of the filtration, exactly.
+    """Exhaustion, refinement (`FilteredComplex.level`) and d-stability of
+    the filtration, exactly.
 
-    Once nesting holds, a column whose boundary lies in the filtration
-    piece of the level where the column enters lies in every larger piece
-    too, so d-stability is tested once per column, at that level.  Every
-    piece is spanned by coordinates, so a column lies in it exactly when
-    every row the column touches is one of them."""
-    entering = {}  # n -> [(i, coordinates entering the filtration at i)]
-    for n in range(fc.N + 1):
-        prev = set()
-        entering[n] = []
-        for i in range(fc.levels + 1):
-            cur = set(fc.filtration_coords(i, n))
-            if not prev <= cur:
-                raise FiltrationViolation("filtration not nested at (%d, %d)"
-                                          % (i, n))
-            entering[n].append((i, sorted(cur - prev)))
-            prev = cur
-        if len(prev) != fc.dim(n):
-            raise FiltrationViolation("filtration not exhaustive at degree %d"
-                                      % n)
+    Every piece is a union of cells by level, so the pieces nest.  Levels
+    fall as the coordinate index rises, so a column's first row sits at the
+    highest level the column reaches: d leaves the filtration exactly when
+    a column of d_n has its first row above the column's own level."""
+    level = [fc.level(n) for n in range(fc.N + 1)]
     for n in range(1, fc.N + 1):
-        dn = fc.d[n]
-        for i, cols in entering[n]:
-            if not cols:
-                continue
-            inside = set(fc.filtration_coords(i, n - 1))
-            for j in cols:
-                if not inside.issuperset(dn.columns.get(j, ())[::2]):
-                    raise FiltrationViolation(
-                        "d leaves F_%d at degree %d" % (i, n))
+        src, tgt = level[n], level[n - 1]
+        out = [src[j] for j, col in fc.d[n].columns.items()
+               if tgt[col[0]] > src[j]]
+        if out:
+            raise FiltrationViolation("d leaves F_%d at degree %d"
+                                      % (min(out), n))
     return True
 
 
@@ -812,18 +778,6 @@ class SSPage:
 
     def __repr__(self):
         return "SSPage(r=%d, %d positions)" % (self.r, len(self.table))
-
-
-def _coordinate_levels(fc, n):
-    """The filtration level q of each coordinate of T_n, checking that the
-    coordinate order refines the dual filtration (q descending)."""
-    levels = [None] * fc.dim(n)
-    for (_, q, off, dim) in fc.cells[n]:
-        levels[off:off + dim] = [q] * dim
-    if any(a < b for a, b in zip(levels, levels[1:])):
-        raise FiltrationViolation("coordinate order does not refine the "
-                                  "filtration at degree %d" % n)
-    return levels
 
 
 def spectral_pages(fc: FilteredComplex, rmax, window):
@@ -872,7 +826,7 @@ def spectral_pages(fc: FilteredComplex, rmax, window):
     check_filtration(fc)
     imax, jmax = window
     nmax = min(fc.N - 1, imax + jmax)
-    level = {n: _coordinate_levels(fc, n) for n in range(nmax + 2)}
+    level = {n: fc.level(n) for n in range(nmax + 2)}
     gens = Counter()     # (n, level) -> generators
     paired = Counter()   # (n, level, gap) -> generators paired with that gap
     sources = Counter()  # (n, level, gap) -> pairs with their column there

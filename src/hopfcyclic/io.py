@@ -209,20 +209,6 @@ def _map_pairs(field, m):
                   key=lambda t: t[:2])
 
 
-def _coaction_triples(field, m, da):
-    out = []
-    for (jk, i), v in m.entries.items():
-        out.append([i, jk // da, jk % da, field.to_str(v)])
-    return sorted(out, key=lambda t: t[:3])
-
-
-def _action_triples(field, m, dc):
-    out = []
-    for (k, ij), v in m.entries.items():
-        out.append([ij // dc, ij % dc, k, field.to_str(v)])
-    return sorted(out, key=lambda t: t[:3])
-
-
 def document_to_dict(doc: InputDocument) -> dict:
     f = doc.field
     h = doc.hopf
@@ -243,7 +229,7 @@ def document_to_dict(doc: InputDocument) -> dict:
             "basis": list(a.algebra.basis_names),
             "mult": _mult_triples(f, a.mult, a.dim),
             "unit": _vector_pairs(f, a.unit),
-            "coaction": _coaction_triples(f, a.coaction, a.dim),
+            "coaction": _comult_triples(f, a.coaction, a.dim),
         }
     if doc.coalgebra is not None:
         c = doc.coalgebra
@@ -251,7 +237,7 @@ def document_to_dict(doc: InputDocument) -> dict:
             "basis": list(c.coalgebra.basis_names),
             "comult": _comult_triples(f, c.comult, c.dim),
             "counit": _covector_pairs(f, c.counit),
-            "action": _action_triples(f, c.action, c.dim),
+            "action": _mult_triples(f, c.action, c.dim),
         }
     if doc.options:
         out["options"] = {k: doc.options[k] for k in sorted(doc.options)}

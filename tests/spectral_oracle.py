@@ -13,7 +13,33 @@ normalized one must equal.
 
 from hopfcyclic.cylinder import CoalgebraCocylinder
 from hopfcyclic.homology import FilteredComplex, SSPage
-from hopfcyclic.linalg import SparseMatrix, Subspace, kernel, place
+from hopfcyclic.linalg import SparseMatrix, Subspace, col_items, kernel, place
+
+
+def filtration_coords(fc, i, n):
+    """Ambient coordinates spanning F_i T_n: those of the cells q <= i."""
+    if n < 0 or n > fc.N:
+        return []
+    return [c for (_, q, off, dim) in fc.cells[n] if q <= i
+            for c in range(off, off + dim)]
+
+
+def find_cell(fc, n, p, q):
+    """The cell (p, q, offset, dim) of T_n."""
+    for cell in fc.cells[n]:
+        if cell[0] == p and cell[1] == q:
+            return cell
+    raise KeyError("no cell (p=%d, q=%d) in degree %d" % (p, q, n))
+
+
+def cell_block(fc, n, src_cell, dst_cell):
+    """The block of d_n between two cells, as a matrix."""
+    _, _, soff, sdim = src_cell
+    _, _, doff, ddim = dst_cell
+    return SparseMatrix(fc.field, ddim, sdim, {
+        (i - doff, j): v for j in range(sdim)
+        for i, v in col_items(fc.d[n].columns.get(soff + j, ()))
+        if doff <= i < doff + ddim})
 
 
 def _cached(memo, key, build):
@@ -26,7 +52,7 @@ def _cached(memo, key, build):
 def _z_subspace(fc, r, i, n, memo):
     """Z^r at filtration index i, total degree n: x in F_i with dx r steps
     deeper in the filtration.  Out-of-range filtration indices resolve to the
-    zero subspace / the whole space through filtration_coords.  memo is the
+    zero subspace / the whole space through `filtration_coords`.  memo is the
     calling oracle_pages' dict of subspaces."""
 
     def build():
@@ -34,7 +60,7 @@ def _z_subspace(fc, r, i, n, memo):
         if n < 0 or n > fc.N:
             return Subspace(f, 0)
         basis = Subspace(f, fc.dim(n), [{c: f.one()}
-                                        for c in fc.filtration_coords(i, n)])
+                                        for c in filtration_coords(fc, i, n)])
         tgt = n - 1
         j = i - r
         if tgt < 0 or tgt > fc.N:
@@ -42,7 +68,7 @@ def _z_subspace(fc, r, i, n, memo):
         dmat = fc.d[n]
         bm = basis.basis_matrix()
         img = dmat @ bm
-        inside = set(fc.filtration_coords(j, tgt))
+        inside = set(filtration_coords(fc, j, tgt))
         comp = [c for c in range(fc.dim(tgt)) if c not in inside]
         pos = {c: k for k, c in enumerate(comp)}
         ent = {}
@@ -161,4 +187,4 @@ def full_total_complex(cyl, N):
                 placed += [(c, m, below[q], off, co)
                            for c, m in terms("h", p, q)]
         d[n] = place(cyl.field, dims[n - 1], dims[n], placed)
-    return FilteredComplex(cyl.field, dims, d, cells, N, N)
+    return FilteredComplex(cyl.field, dims, d, cells, N)

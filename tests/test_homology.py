@@ -208,22 +208,24 @@ def test_each_bar_boundary_and_composite_is_built_once(monkeypatch):
     degree 0: qmax + 1 products); the full boundary is built only at the
     degrees 1..3 whose composites carry the face identities, and the
     homotopy check builds each full bar boundary once (qmax + 1 of
-    them)."""
+    them).  Both kinds go through the one builder, told apart by the
+    dimension of their H legs: 2 on the full chains, 1 on the normalized."""
     from hopfcyclic import homology
     h2, h = kc2(F2), kc2()
     t = find_right_integral(h)
     built, normal, made = [], [], []
-    boundary = homology.hopf_module_boundary
-    normalized = homology._normalized_bar_boundary
-    monkeypatch.setattr(homology, "hopf_module_boundary",
-                        lambda *args: built.append(args[2]) or boundary(*args))
+    builder = homology._bar_boundary
 
     def spy(pieces, p):
-        normal.append(p)
-        made.append(normalized(pieces, p))
-        return made[-1]
+        out = builder(pieces, p)
+        if pieces[3] == h.dim:
+            built.append(p)
+        else:
+            normal.append(p)
+            made.append(out)
+        return out
 
-    monkeypatch.setattr(homology, "_normalized_bar_boundary", spy)
+    monkeypatch.setattr(homology, "_bar_boundary", spy)
     composites = []
     matmul = SparseMatrix.__matmul__
     monkeypatch.setattr(SparseMatrix, "__matmul__", lambda a, b: (

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectral_oracle import full_total_complex, oracle_pages
+from spectral_oracle import (
+    cell_block, find_cell, full_total_complex, oracle_pages,
+)
 
 from hopfcyclic.errors import FiltrationViolation, TotalNotSquareZero
 from hopfcyclic.fields import Field
@@ -54,7 +56,7 @@ def test_total_complex_square_zero_and_filtration():
             for n, dim in enumerate(fc.dims)] == [4, 16, 48, 128]
     for n in range(2, 4):
         assert (fc.d[n - 1] @ fc.d[n]).is_zero()
-    assert check_filtration(fc)  # d-stability, nesting, exhaustion
+    assert check_filtration(fc)  # exhaustion, refinement, d-stability
 
 
 def test_pages_refuse_a_total_complex_that_is_not_square_zero():
@@ -73,9 +75,9 @@ def _spoiled_top(fc):
     """fc with one entry of d[3] bumped so that d[2] d[3] != 0: the entry
     sends the first column of T_3 at level 0 to a row at level 2, the first
     one d[2] does not kill, so d[3] also leaves F_0."""
-    _, _, off, dim = fc.find_cell(2, 0, 2)
+    _, _, off, dim = find_cell(fc, 2, 0, 2)
     i = min(j for (_, j) in fc.d[2].entries if off <= j < off + dim)
-    _, _, j, _ = fc.find_cell(3, 3, 0)
+    _, _, j, _ = find_cell(fc, 3, 3, 0)
     ent = dict(fc.d[3].entries)
     ent[(i, j)] = QQ.add(fc.d[3][(i, j)], QQ.one())
     fc.d[3] = SparseMatrix(QQ, fc.d[3].rows, fc.d[3].cols, ent)
@@ -175,15 +177,15 @@ def test_page_zero_differential_is_horizontal_boundary():
     for n in range(1, 4):
         for q in range(n):
             p = n - q
-            src = fc.find_cell(n, p, q)
-            dst = fc.find_cell(n - 1, p - 1, q)
+            src = find_cell(fc, n, p, q)
+            dst = find_cell(fc, n - 1, p - 1, q)
             b_h = sum((cyl.face_h(p, q, i).scale((-1) ** i)
                        for i in range(1, p + 1)), cyl.face_h(p, q, 0))
             rows = _non_degenerate(2, 2, p - 1, q)
             cols = _non_degenerate(2, 2, p, q)
             want = {(r, c): b_h[(i, j)] for r, i in enumerate(rows)
                     for c, j in enumerate(cols) if b_h[(i, j)]}
-            assert fc.cell_block(n, src, dst) == \
+            assert cell_block(fc, n, src, dst) == \
                 SparseMatrix(QQ, len(rows), len(cols), want)
 
 
@@ -504,7 +506,7 @@ def _elementary_complexes(draw):
         d[n] = g[t] @ normal @ invert(g[n])
     if cochain:
         d = {n + 1: m.transpose() for n, m in d.items()}
-    fc = FilteredComplex(field, dims, d, cells, top, N)
+    fc = FilteredComplex(field, dims, d, cells, N)
 
     rmax = rnd.randint(0, top + 1)
     gap = [{} for _ in range(N + 1)]
@@ -553,7 +555,7 @@ def _two_level_complex(d_entries, cells0=((-1, 1, 0, 1), (0, 0, 1, 1))):
     descending: row 0 at level 1, row 1 at level 0); d_1 as given."""
     cells = [list(cells0), [(1, 0, 0, 1)]]
     d = {1: SparseMatrix(QQ, 2, 1, d_entries)}
-    return FilteredComplex(QQ, [2, 1], d, cells, 1, 1)
+    return FilteredComplex(QQ, [2, 1], d, cells, 1)
 
 
 def test_d_leaving_the_filtration_is_refused():
@@ -562,17 +564,30 @@ def test_d_leaving_the_filtration_is_refused():
         check_filtration(fc)
     with pytest.raises(FiltrationViolation, match="d leaves F_0"):
         spectral_pages(fc, 1, (1, 0))
+    # level 0 -> levels 1 and 0: the column's last row stays, its first leaves
+    with pytest.raises(FiltrationViolation, match="d leaves F_0 at degree 1"):
+        check_filtration(_two_level_complex({(0, 0): 1, (1, 0): 1}))
     assert check_filtration(_two_level_complex({(1, 0): 1}))
 
 
-def test_filtration_that_is_not_nested_is_refused():
-    fc = _two_level_complex({(1, 0): 1})
-    # F_1 drops the level-0 generator that F_0 holds
-    fc.filtration_coords = lambda i, n: [
-        off + k for (_, q, off, dim) in fc.cells[n] if q == i
-        for k in range(dim)]
-    with pytest.raises(FiltrationViolation, match="not nested"):
-        check_filtration(fc)
+@pytest.mark.parametrize("cells1", [
+    [(0, 1, 0, 2), (1, 0, 1, 1)],  # coordinate 1 at levels 1 and 0
+    [(0, 1, 0, 1), (1, 0, 2, 1)],  # coordinate 1 in no cell
+    [(0, 1, 0, 1)],                # coordinate 1 in no cell, at the end
+], ids=["overlap", "gap", "short"])
+def test_cells_that_do_not_tile_the_degree_are_refused(cells1):
+    """Cells of T_1 (dimension 2) that overlap or leave out a coordinate: no
+    level per coordinate exists, so neither the check nor the pages read
+    them (an overlap counted on its cells gives E^0 three generators in
+    degree 1)."""
+    cells = [[(0, 0, 0, 1)], cells1, [(1, 1, 0, 1)]]
+    d = {1: SparseMatrix(QQ, 1, 2, {}), 2: SparseMatrix(QQ, 2, 1, {})}
+    fc = FilteredComplex(QQ, [1, 2, 1], d, cells, 2)
+    for check in (lambda: check_filtration(fc),
+                  lambda: spectral_pages(fc, 1, (1, 1))):
+        with pytest.raises(FiltrationViolation,
+                           match="not exhaustive at degree 1"):
+            check()
 
 
 def test_coordinate_order_that_does_not_refine_the_filtration_is_refused():
