@@ -15,12 +15,12 @@ degeneracies insert 1, and t pulls the last factor to the front.  Cocyclic
 module of a coalgebra: cofaces comultiply slot i (the last one wraps),
 codegeneracies hit slot i+1 with the counit, tau rotates left.  Its
 transpose is a cyclic module, and its cohomology is computed as the
-homology of the transpose.  Both that and the identity checks read it one
-way, with no coface, codegeneracy or rotation transposed: as
+homology of the transpose.  A cocyclic module reads itself that way
+(`CocyclicOps` is a `CyclicOps`), so every reader of a cyclic module takes
+it as it is, with no coface, codegeneracy or rotation transposed: as
 (A B)^T = B^T A^T and an equality holds exactly when its transpose does,
 each cooperator stands in its transpose's place and each composite is
-formed in reverse order (`_CochainOrder`), reported under the cochain
-names and degrees.
+formed in reverse order, reported under the cochain names and degrees.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class CyclicOps:
     may build its matrices on read (`_OnRead`).  A module whose degree N
     carries its faces only holds no degeneracy into N and no t at N.
     `transposed` says whether each map read off it is the transpose of the
-    one it stands for (`_CochainOrder`)."""
+    one it stands for (`CocyclicOps`)."""
 
     transposed = False
 
@@ -147,32 +147,8 @@ class CyclicOps:
         return out
 
 
-class CocyclicOps:
-    """Coface/codegeneracy/cocyclic matrices of a cocyclic module."""
-
-    def __init__(self, field, dims, cofaces, codegens, cocyclic, N):
-        self.field = field
-        self.dims = dims          # dims[n] = dim C^n
-        self.cofaces = cofaces    # (n, i) -> C^n -> C^{n+1}, n <= N-1, 0<=i<=n+1
-        self.codegens = codegens  # (n, i) -> C^n -> C^{n-1}, n >= 1, 0<=i<=n-1
-        self.cocyclic = cocyclic  # n -> C^n -> C^n
-        self.N = N
-
-    def dim(self, n):
-        return self.dims[n]
-
-    def coface(self, n, i):
-        return self.cofaces[(n, i)]
-
-    def codegen(self, n, i):
-        return self.codegens[(n, i)]
-
-    def t(self, n):
-        return self.cocyclic[n]
-
-
-# A cyclic identity or map of the transpose at degree n, as the cocyclic
-# module names it: (cochain name, shift), reported at degree n + shift.
+# A cyclic identity or map at degree n, as a cocyclic module names it:
+# (cochain name, shift), reported at degree n + shift.
 _COCHAIN_NAMES = {
     "d_i d_j = d_{j-1} d_i": ("del^j del^i = del^i del^{j-1}", -2),
     "s_i s_j = s_{j+1} s_i": ("sig^j sig^i = sig^i sig^{j+1}", 2),
@@ -188,27 +164,41 @@ _COCHAIN_NAMES = {
 }
 
 
-class _CochainOrder(CyclicOps):
-    """A cocyclic module's own matrices in its transpose's places: face
-    (n, i) is coface (n - 1, i), degeneracy (n, i) is codegeneracy
-    (n + 1, i) and t(n) is t(n), none of them transposed.  As
-    A^T B^T = (B A)^T and an equality holds exactly when its transpose
-    does, each composite is formed in reverse order (`compose`), so a check
-    written for the transpose checks the cochain relations as they are,
-    and each identity and map is reported by its cochain name and degree
-    (`label`).  A sum of maps is summed transposed (`transposed`)."""
+class CocyclicOps(CyclicOps):
+    """Coface/codegeneracy/cocyclic matrices of a cocyclic module, read as
+    its transpose's cyclic module: face (n, i) is coface (n - 1, i),
+    degeneracy (n, i) is codegeneracy (n + 1, i) and t(n) is t(n), none of
+    them transposed.  As A^T B^T = (B A)^T and an equality holds exactly
+    when its transpose does, each composite is formed in reverse order
+    (`compose`), so every reader of a cyclic module reads the cochain
+    relations as they are, each identity and map reported by its cochain
+    name and degree (`label`).  A sum of maps is summed transposed
+    (`transposed`)."""
 
     transposed = True
 
-    def __init__(self, co):
-        super().__init__(co.field, co.dims, co.cofaces, co.codegens,
-                         co.cocyclic, co.N)
+    def __init__(self, field, dims, cofaces, codegens, cocyclic, N):
+        self.field = field
+        self.dims = dims          # dims[n] = dim C^n
+        self.cofaces = cofaces    # (n, i) -> C^n -> C^{n+1}, n <= N-1, 0<=i<=n+1
+        self.codegens = codegens  # (n, i) -> C^n -> C^{n-1}, n >= 1, 0<=i<=n-1
+        self.cocyclic = cocyclic  # n -> C^n -> C^n
+        self.N = N
+
+    def coface(self, n, i):
+        return self.cofaces[(n, i)]
+
+    def codegen(self, n, i):
+        return self.codegens[(n, i)]
 
     def face(self, n, i):
-        return self.faces[(n - 1, i)]
+        return self.cofaces[(n - 1, i)]
 
     def degen(self, n, i):
-        return self.degens[(n + 1, i)]
+        return self.codegens[(n + 1, i)]
+
+    def t(self, n):
+        return self.cocyclic[n]
 
     def label(self, name, n):
         name, shift = _COCHAIN_NAMES[name]
@@ -430,10 +420,11 @@ def check_cyclic_ops(ops: CyclicOps, cyclic=True, report=None,
 
 def check_cocyclic_ops(ops: CocyclicOps, cocyclic=True, report=None,
                        raise_on_fail=False, top_faces_only=False):
-    """The cyclic suite on the cocyclic module's own matrices, each side
-    composed in cochain order (`_CochainOrder`), under the cochain names
-    and degrees; no matrix is transposed.  t^(n+1) = id if cocyclic.  With
-    top_faces_only, degree N carries its cofaces from N - 1 only."""
-    return check_cyclic_ops(_CochainOrder(ops), cocyclic,
+    """`check_cyclic_ops` on the cocyclic module as it reads itself
+    (`CocyclicOps`), reported as a "cocyclic module": its own matrices,
+    composed in cochain order, under the cochain names and degrees; no
+    matrix is transposed.  t^(n+1) = id if cocyclic.  With top_faces_only,
+    degree N carries its cofaces from N - 1 only."""
+    return check_cyclic_ops(ops, cocyclic,
                             report or CheckReport("cocyclic module"),
                             raise_on_fail, top_faces_only)

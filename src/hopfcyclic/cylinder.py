@@ -55,10 +55,9 @@ from __future__ import annotations
 
 import functools
 
-from .crossed import CocyclicOps, CyclicOps, _CochainOrder, _OnRead, \
-    _power, crossed_product_algebra, crossed_product_coalgebra, \
-    check_cocyclic_ops, check_cyclic_ops, cocyclic_module_of_coalgebra, \
-    cyclic_module_of_algebra
+from .crossed import CocyclicOps, CyclicOps, _OnRead, _power, \
+    crossed_product_algebra, crossed_product_coalgebra, check_cocyclic_ops, \
+    check_cyclic_ops, cocyclic_module_of_coalgebra, cyclic_module_of_algebra
 from .errors import (
     AxiomFailure, ClosedFormMismatch, IdentityFailure, NotInverse,
     NotIntertwining, NotRestricting, NotWellDefined,
@@ -190,15 +189,7 @@ class _CellOperators:
                         for (i,) in _indices(name, p, q)])
 
 
-class _BiParacyclic(_CellOperators):
-    """A (co)cylinder: `family` names its (co)face and (co)degeneracy
-    families, `module` the (co)cyclic module class of each row and
-    column."""
-
-    family = module = None
-
-
-class AlgebraCylinder(_BiParacyclic):
+class AlgebraCylinder(_CellOperators):
     """Operator families on H^(x)(p+1) (x) A^(x)(q+1) for a comodule algebra."""
 
     block = "A"
@@ -290,7 +281,7 @@ class AlgebraCylinder(_BiParacyclic):
         return self._compile(specs, outs)
 
 
-class CoalgebraCocylinder(_BiParacyclic):
+class CoalgebraCocylinder(_CellOperators):
     """Cooperator families on H^(x)(p+1) (x) C^(x)(q+1) for a module coalgebra."""
 
     block = "C"
@@ -402,7 +393,9 @@ class CoalgebraCocylinder(_BiParacyclic):
 def _view(cyl, axis, fixed, M):
     """The paracyclic (paracocyclic) module of `cyl` in direction `axis`
     ("v" or "h") through degrees 0..M, the other degree held at `fixed`:
-    every (co)face and (co)degeneracy whose target lies in the range."""
+    every (co)face and (co)degeneracy whose target lies in the range.
+    `cyl.family` names the (co)face and (co)degeneracy families, and
+    `cyl.module` is the (co)cyclic module class of each row and column."""
     cell = (lambda n: (fixed, n)) if axis == "v" else (lambda n: (n, fixed))
     maps = []
     for kind in cyl.family:
@@ -416,8 +409,9 @@ def _view(cyl, axis, fixed, M):
                       *maps, {n: rotation(*cell(n)) for n in range(M + 1)}, M)
 
 
-def _check_bi_paracyclic(cyl, P, Q, report, raise_on_fail, suite, pairs):
-    """Every column and row through `suite`, the rotation identities, and
+def _check_bi_paracyclic(cyl, P, Q, report, raise_on_fail, pairs):
+    """Every column and row through `check_cyclic_ops` (a cocylinder's in
+    cochain order, as `CocyclicOps`), the rotation identities, and
     `x y commute` for each ordered pair (x, y) of `pairs` on every cell
     whose targets lie in the window: x at y's target after y equals y at
     x's target after x."""
@@ -428,9 +422,9 @@ def _check_bi_paracyclic(cyl, P, Q, report, raise_on_fail, suite, pairs):
             raise IdentityFailure(name, p, q)
 
     for p in range(P + 1):
-        suite(_view(cyl, "v", p, Q), False, report, raise_on_fail)
+        check_cyclic_ops(_view(cyl, "v", p, Q), False, report, raise_on_fail)
     for q in range(Q + 1):
-        suite(_view(cyl, "h", q, P), False, report, raise_on_fail)
+        check_cyclic_ops(_view(cyl, "h", q, P), False, report, raise_on_fail)
     for p in range(P + 1):
         for q in range(Q + 1):
             tv, th = cyl.tau_v(p, q), cyl.tau_h(p, q)
@@ -457,7 +451,6 @@ def check_algebra_cylinder(cyl: AlgebraCylinder, P, Q,
     """Full bi-paracyclic suite, commutation, and the cylindrical condition."""
     return _check_bi_paracyclic(
         cyl, P, Q, CheckReport("algebra cylinder"), raise_on_fail,
-        check_cyclic_ops,
         [("face_v", "tau_h"), ("degen_v", "tau_h"), ("face_h", "tau_v"),
          ("degen_h", "tau_v"), ("face_v", "face_h"), ("degen_v", "face_h"),
          ("face_v", "degen_h"), ("degen_v", "degen_h")])
@@ -468,7 +461,6 @@ def check_coalgebra_cocylinder(cocyl: CoalgebraCocylinder, P, Q,
     """Full bi-paracocyclic suite, commutation, and the cocylindrical condition."""
     return _check_bi_paracyclic(
         cocyl, P, Q, CheckReport("coalgebra cocylinder"), raise_on_fail,
-        check_cocyclic_ops,
         [("coface_v", "tau_h"), ("codegen_v", "tau_h"), ("coface_h", "tau_v"),
          ("codegen_h", "tau_v"), ("coface_v", "coface_h"),
          ("coface_v", "codegen_h"), ("codegen_v", "coface_h"),
@@ -658,7 +650,7 @@ def phi_psi_coalgebra(c, N=2):
     dst = diagonal_cocyclic(CoalgebraCocylinder(c), N)
     # phi^T intertwines the transposes, from dst's to src's: checked as
     # D_dst phi = phi D_src on the cochain maps, composed in cochain order
-    _check_intertwining(phi, _CochainOrder(dst), _CochainOrder(src))
+    _check_intertwining(phi, dst, src)
     return phi, psi
 
 

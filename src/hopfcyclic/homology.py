@@ -2,8 +2,8 @@
 complexes only, and the closed form that needs none.
 
 Every cochain invariant is the chain invariant of the transpose, which has
-the same ranks: a cocyclic module is read as its dual cyclic module in
-cochain order (`crossed._CochainOrder`), its cofaces summed transposed into
+the same ranks: a cocyclic module reads itself as its dual cyclic module in
+cochain order (`crossed.CocyclicOps`), its cofaces summed transposed into
 b and each B composed as the cochain B and transposed once, a comodule
 over H as the dual module over H* (`hopf.dual_hopf`), and a cocylinder's
 total complex as its transpose, filtered by q <= i (a filtered complex and
@@ -60,8 +60,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .crossed import (
-    CocyclicOps, CyclicOps, _CochainOrder, normalized_faces, unit_first,
-    unit_legs,
+    CocyclicOps, CyclicOps, normalized_faces, unit_first, unit_legs,
 )
 from .errors import (
     AxiomFailure, BoundaryNotSquareZero, CoboundaryNotSquareZero,
@@ -97,12 +96,6 @@ class MixedComplex:
         return self.dims[n]
 
 
-def _as_cyclic(ops):
-    """A cyclic module as is; a cocyclic one read as its transpose, its own
-    matrices composed in cochain order (`crossed._CochainOrder`)."""
-    return _CochainOrder(ops) if isinstance(ops, CocyclicOps) else ops
-
-
 def _signed_cyclic(ops, n):
     f = ops.field
     t = ops.t(n)
@@ -124,8 +117,8 @@ def _norm(ops, n):
 
 
 def hochschild_boundary(ops: CyclicOps, n):
-    """b out of degree n: sum of (-1)^i d_i, C_n -> C_{n-1}; on a cochain
-    view the cofaces are summed transposed (`place`)."""
+    """b out of degree n: sum of (-1)^i d_i, C_n -> C_{n-1}; on a cocyclic
+    module the cofaces are summed transposed (`place`)."""
     return place(ops.field, ops.dim(n - 1), ops.dim(n),
                  [((-1) ** i, ops.face(n, i), 0, 0, ops.transposed)
                   for i in range(n + 1)])
@@ -138,7 +131,6 @@ def mixed_complex(ops) -> MixedComplex:
     B = N (sig^n t) (1 - lambda), and only the finished B is transposed.
     It reads the faces through degree N, but the degeneracies and the
     rotation only through N - 1: none into N and none at N."""
-    ops = _as_cyclic(ops)
     N = ops.N
     b = {n: hochschild_boundary(ops, n) for n in range(1, N + 1)}
     B = {n: ops.compose(_one_minus_lambda(ops, n + 1),
@@ -323,7 +315,6 @@ def b_column_dims(ops, nmax):
     """Hochschild homology of a cyclic module, or of a cocyclic module's
     transpose, through degree nmax (nmax <= N-1), from b alone: no B, no
     mixed complex, and no matrix transposed."""
-    ops = _as_cyclic(ops)
     _check_truncation(nmax, ops.N)
     return _homology_dims(_degree_pairs(
         ops.field, ops.dim(0), lambda n: hochschild_boundary(ops, n), nmax))
@@ -612,6 +603,24 @@ def _normalized_cells(cyl, N):
     return cells, dims, degenerate
 
 
+def _check_unit_laws(f, unit, hopf_map, transposed):
+    """H's unit `unit` (d x 1) is a two-sided unit of its product
+    `hopf_map`; when transposed, its counit `unit` (1 x d) is a two-sided
+    counit of its coproduct `hopf_map`, checked in cochain order, as it
+    is.  Else AxiomFailure naming the law that fails."""
+    d = hopf_map.cols if transposed else hopf_map.rows
+    if transposed:
+        laws = (("counit law (eps (x) id) Delta", amplify(unit, 1, d)),
+                ("counit law (id (x) eps) Delta", amplify(unit, d, 1)))
+    else:
+        laws = (("unit law m (1 (x) id)", amplify(unit, 1, d)),
+                ("unit law m (id (x) 1)", amplify(unit, d, 1)))
+    ident = SparseMatrix.identity(f, d)
+    for law, leg in laws:
+        if (leg @ hopf_map if transposed else hopf_map @ leg) != ident:
+            raise AxiomFailure("H's %s = id fails" % law)
+
+
 def _total_complex(cyl, N, unit, hopf_map, block_map, v_kernel, h_kernel,
                    transposed):
     """Tot_n = sum of the cells X_{p,q} (p+q = n, q descending), each
@@ -619,23 +628,25 @@ def _total_complex(cyl, N, unit, hopf_map, block_map, v_kernel, h_kernel,
     b_v(p, q): X_{p,q} -> X_{p,q-1} and b_h(p, q): X_{p,q} -> X_{p-1,q},
     filtered by F_i = sum over q <= i.
 
-    The horizontally degenerate chains, images of degen_h, have `unit`
-    (H's unit; on the coalgebra side the counit of H, the unit of H*) in
-    an H leg past the first.  Vertical operators commute with horizontal
-    ones, so they span a sub-double complex, each of whose rows is acyclic
-    (Loday, Cyclic Homology, 1.1.14).  The quotient lives on the cells
-    H (x) Hbar^(x)p (x) B^(x)(q+1), Hbar = H / k unit, where a map of
-    cells is read as P (x) ... m ... (x) C on the Hbar legs
+    The horizontally degenerate chains, images of degen_h, have H's unit
+    `unit` (on the coalgebra side its counit, the unit of H*) in an H leg
+    past the first.  Once `_check_unit_laws` has found it a unit of the
+    product `hopf_map` (a counit of the coproduct), they span a sub-double
+    complex, as vertical operators commute with horizontal ones, each of
+    whose rows is acyclic (Loday, Cyclic Homology, 1.1.14).  The quotient
+    lives on the cells H (x) Hbar^(x)p (x) B^(x)(q+1), Hbar = H / k unit,
+    where a map of cells is read as P (x) ... m ... (x) C on the Hbar legs
     (`crossed.unit_legs`; transposed for a cocylinder's coboundaries).
     The (co)faces on the B legs are `amplify` of `block_map`, those on two
     H legs `amplify` of `hopf_map` read on the quotient, and the last ones
     the kernels v_kernel(p), h_kernel(q), read on the quotient once and
     passed through the other legs by `widen`; each is summed straight into
-    its block of d_n (`place`).  Unchecked: `spectral_pages` checks d d = 0
-    and the filtration, `total_homology_dims` every composite."""
+    its block of d_n (`place`).  `spectral_pages` checks d d = 0 and the
+    filtration, `total_homology_dims` every composite."""
     f, dh, db = cyl.field, cyl.dh, cyl.db
     e = dh - 1
-    C, P = unit_legs(f, unit)
+    _check_unit_laws(f, unit, hopf_map, transposed)
+    C, P = unit_legs(f, unit.transpose() if transposed else unit)
     left, right = (C.transpose(), P.transpose()) if transposed else (P, C)
 
     def on(one, free, bars, tail):
@@ -726,7 +737,7 @@ def total_complex_coalgebra(cocyl, N=3) -> FilteredComplex:
     its kernels: compiled over the changed H, whose coproduct is denser,
     the corpus cocylinders built 24 to 115 times slower.
     """
-    return _total_complex(cocyl, N, cocyl.hopf.counit.transpose(),
+    return _total_complex(cocyl, N, cocyl.hopf.counit,
                           cocyl.hopf.comult, cocyl.C.comult,
                           lambda p: cocyl.coface_v(p, 0, 1),
                           lambda q: cocyl.coface_h(0, q, 1), True)

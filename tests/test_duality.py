@@ -1,21 +1,22 @@
 """The cochain side as the transpose of the chain side.
 
-A cocyclic module is read one way, as its transpose's cyclic module in
-cochain order (`crossed._CochainOrder`): each cooperator in its transpose's
-place, each composite formed in reverse order.  That reading, `hopf.dual_hopf`
-and the transposed total complex replace hand-written cochain code.  The
-cocyclic suite, the coalgebra-side intertwining check and the mixed complex
-all read a cocyclic module so, which checks the transpose of every chain
-identity and ranks the transpose of every cochain map with no coface,
-codegeneracy or rotation transposed: only each finished B is.  These tests
-fail when a transposition is wrong: the relation suites of a cocyclic module
-and of its transpose, every map transposed up front
+A cocyclic module reads itself one way, as its transpose's cyclic module in
+cochain order (`crossed.CocyclicOps` is a `CyclicOps`): each cooperator in
+its transpose's place, each composite formed in reverse order.  That reading,
+`hopf.dual_hopf` and the transposed total complex replace hand-written
+cochain code.  The cyclic suite, the coalgebra-side intertwining check, b and
+the mixed complex all take a cocyclic module as it is, which checks the
+transpose of every chain identity and ranks the transpose of every cochain
+map with no coface, codegeneracy or rotation transposed: only each finished
+B is.  These tests fail when a transposition is wrong: the relation suites of
+a cocyclic module and of its transpose, every map transposed up front
 (`cochain_oracle.transposed_cyclic`), pass or fail together; on every
 corruption, the cochain-order checks report entry for entry and raise word
 for word what the hand-written ones did (`tests/cochain_oracle.py`); the
-cochain formulas the package no longer holds (kept here as an oracle) equal
-the transposes of what the chain side builds; and a count of the transposes
-left pins them to the B's and the structure maps.
+cyclic suite and b take a cocyclic module with no wrapper; the cochain
+formulas the package no longer holds (kept here as an oracle) equal the
+transposes of what the chain side builds; and a count of the transposes left
+pins them to the B's and the structure maps.
 """
 
 import os
@@ -26,7 +27,7 @@ import cochain_oracle
 import connes_oracle
 from hopfcyclic import cylinder
 from hopfcyclic.crossed import (
-    CocyclicOps, _CochainOrder, check_cocyclic_ops, check_cyclic_ops,
+    CocyclicOps, check_cocyclic_ops, check_cyclic_ops,
     cocyclic_module_of_coalgebra, crossed_product_coalgebra, dual_algebra,
 )
 from hopfcyclic.cylinder import (
@@ -179,7 +180,7 @@ def test_transpose_moves_each_map_to_its_dual_place():
     place, and the cochain-order view the map itself."""
     ops = _cocyclic_modules("sweedler_Q")[0]
     dual = cochain_oracle.transposed_cyclic(ops)
-    view = _CochainOrder(ops)
+    view = ops
     assert dual.dims == ops.dims and dual.N == ops.N
     for (n, i), m in ops.cofaces.items():
         assert dual.face(n + 1, i) == m.transpose()
@@ -190,6 +191,23 @@ def test_transpose_moves_each_map_to_its_dual_place():
     for n in range(ops.N + 1):
         assert dual.t(n) == ops.t(n).transpose()
         assert view.t(n) is ops.t(n)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_every_cyclic_reader_takes_a_cocyclic_module_as_it_is(name):
+    """A cocyclic module is read by the readers of a cyclic module with no
+    wrapper: the cyclic suite records on it the entries the cocyclic suite
+    does, passing and corrupted, and its b out of each degree is the
+    alternating sum of the faces of its transpose."""
+    for ops in _cocyclic_modules(name):
+        for case in (ops, _corrupted(ops)):
+            assert check_cyclic_ops(case).entries == \
+                check_cocyclic_ops(case).entries
+        dual = cochain_oracle.transposed_cyclic(ops)
+        for n in range(1, ops.N + 1):
+            assert hochschild_boundary(ops, n) == combine(
+                ops.field, dual.dim(n - 1), dual.dim(n),
+                (((-1) ** i, dual.face(n, i)) for i in range(n + 1)))
 
 
 def _transposes(monkeypatch):

@@ -1,5 +1,6 @@
 """Total complexes, filtrations, spectral pages, EZ comparison, collapse."""
 
+import json
 import os
 
 import pytest
@@ -437,6 +438,49 @@ def test_pages_report_over_f2(monkeypatch, capsys):
     with open(os.path.join("tests", "goldens",
                            "ss_pages_c2_F2_r3_p3_q3.json")) as fh:
         assert code == 0 and capsys.readouterr().out == fh.read()
+
+
+# H's unit or counit spoiled in Sweedler's algebra: the unit set to g (as in
+# tests/sweedler_Q_bad_unit.json), or either one set to zero
+_BAD_UNITS = {"unit g": ("unit", [[1, "1"]]), "zero unit": ("unit", []),
+              "zero counit": ("counit", [])}
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "ss-pages", "--pmax", "1", "--qmax", "1"],
+    ["compare", "ez-hochschild", "--nmax", "1"],
+], ids=["ss-pages", "ez-hochschild"])
+@pytest.mark.parametrize("case", sorted(_BAD_UNITS))
+def test_total_complexes_refuse_a_unit_that_is_not_one(case, argv, tmp_path,
+                                                       monkeypatch, capsys):
+    """The total complexes quotient by the chains with H's unit (on the
+    cochain side, counit) in a leg past the first, which is a subcomplex
+    only when it is a unit: an H whose unit is g or zero, or whose counit
+    is zero, exits 1 with AxiomFailure, on either command.  The unit g is
+    the file of the CI negative control, whose reports are recorded."""
+    from hopfcyclic import cli
+    monkeypatch.chdir(ROOT)
+    with open(os.path.join("data", "sweedler_Q.json")) as fh:
+        doc = json.load(fh)
+    key, value = _BAD_UNITS[case]
+    doc["hopf"][key] = value
+    path = os.path.join("tests", "sweedler_Q_bad_unit.json")
+    with open(path) as fh:
+        assert (json.load(fh) == doc) == (case == "unit g")
+    if case != "unit g":
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+    code = cli.main(argv[:2] + ["-i", path] + argv[2:])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert json.loads(out)["error"].startswith("AxiomFailure: ")
+    if case == "unit g":
+        golden = {"ss-pages": "ss_pages_bad_unit_sweedler_Q_p1_q1",
+                  "ez-hochschild": "ez_hochschild_bad_unit_sweedler_Q_n1"}
+        with open(os.path.join("tests", "goldens",
+                               golden[argv[1]] + ".json")) as fh:
+            assert out == fh.read()
 
 
 @st.composite
