@@ -177,7 +177,7 @@ def test_coalgebra_isomorphism_check_fails_where_the_cointertwining_did(
 
 def test_transpose_moves_each_map_to_its_dual_place():
     """The transposed cyclic module holds each map's transpose in its dual
-    place, and the cochain-order view the map itself."""
+    place, and the cocyclic module, read in cochain order, the map itself."""
     ops = _cocyclic_modules("sweedler_Q")[0]
     dual = cochain_oracle.transposed_cyclic(ops)
     view = ops
