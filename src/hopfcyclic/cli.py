@@ -31,7 +31,8 @@ Q = qmax; each limit is the `MAX_*` constant of that name):
                          (co)face work (top+2)^2                     FACE
                          (top = qmax, resp. pmax)
     ss-pages             total space: sum of dh^(p+1) d^(q+1) over   TOTAL
-                         p + q = n = P + Q + 1
+                         p + q = n = P + Q + 1 (the full cells; the
+                         route builds dh (dh-1)^p d (d-1)^q of each)
                          (co)face work (n+1)^2 (n+2)^2               FACE
                          page entries (rmax+1)(P+1)(Q+1)             TOTAL
     cylindrical,         cells (P+1)(Q+1) dh^(P+1) d^(Q+1)           CYLINDER
@@ -60,8 +61,9 @@ the diagonal of the (co)cylinder, or the coinvariant module.
 `compute hopf-homology|comodule-cohomology` rank the normalized (co)bar
 complex, on the chains with no unit (counit) leg, which its gate row
 counts, and `compute ss-pages` and `compare ez-hochschild` the total
-complex normalized in the H direction, E^0 restored by its closed form;
-their gate rows still count the full spaces.
+complex normalized in the H and the block direction, E^0 and E^1 of
+ss-pages restored by a Dold-Kan count; their gate rows still count the
+full spaces.
 """
 
 from __future__ import annotations
@@ -73,7 +75,9 @@ import os
 import sys
 import time
 
-from .errors import HopfCyclicError, MissingBlock, ParseError, TooLarge
+from .errors import (
+    AxiomFailure, HopfCyclicError, MissingBlock, ParseError, TooLarge,
+)
 from .hopf import check_comodule_algebra, check_hopf, check_module_coalgebra
 from .crossed import (
     crossed_product_algebra, crossed_product_coalgebra, dual_algebra,
@@ -434,6 +438,12 @@ def cmd_verify(doc, target, params):
             check = check_comodule_algebra if alg else check_module_coalgebra
             checks += _report_entries(check(s))
         elif target in ("cylindrical", "cocylindrical"):
+            # the suites check only the identities of the maps they build,
+            # which all hold on an H whose unit or counit is zero
+            failed = [name for name, _, _ in check_hopf(doc.hopf).failures()]
+            if failed:
+                raise AxiomFailure("H fails the Hopf axioms: %s"
+                                   % ", ".join(failed))
             suite = check_algebra_cylinder if alg \
                 else check_coalgebra_cocylinder
             checks += _report_entries(suite(_cylinder(doc, side),

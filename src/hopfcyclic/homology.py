@@ -48,16 +48,24 @@ filtration q >= i: the cleared reduction of `_homology_dims` pairs the
 generators on d_n as it is built, and every spectral-sequence page and page
 differential rank is a count of those pairs by filtration gap.
 
-The bar and cobar complexes and the total complexes are built on their
-normalized chains, with no unit (on the cochain side, counit) in a leg of H
-past the first: the degenerate chains span a subcomplex with acyclic rows
-(Mac Lane, Homology, X.2), so the homology and every page from E^1 on are
-unchanged, and E^0 is restored by its closed form.
+The bar and cobar complexes are built on their normalized chains, with no
+unit (on the cochain side, counit) in a leg of H past the first: the
+degenerate chains span an acyclic subcomplex (Mac Lane, Homology, X.2), so
+the homology is unchanged.  The total complexes are normalized in both
+directions, with no unit (counit) of H in an H leg past the first and none
+of the block A (C) in a B leg past the first: the degenerate chains of
+each kind span a split sub-double complex whose rows, or columns, are
+acyclic (Dold-Kan: the normalized Moore complex), so the homology and every
+page from E^2 on are unchanged, and `spectral_pages` restores E^0 and E^1
+by one Dold-Kan count: binomial sums of the normalized values, plus the
+ranks of the acyclic degenerate parts.  `compare ez-hochschild` reads only
+total homology, so it restores nothing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from math import comb
 
 from .crossed import (
     CocyclicOps, CyclicOps, normalized_faces, unit_first, unit_legs,
@@ -548,18 +556,18 @@ class FilteredComplex:
     cells[n] lists (p, q, offset, dim) summands of T_n, one after the other
     and q descending; the filtration index is the vertical degree q
     (F_i T_n = sum over q <= i), `level(n)` reads it off per coordinate,
-    and d[n] maps T_n -> T_{n-1}.  On a total complex normalized in the H
-    direction, degenerate maps each cell (p, q) to the dimension of its
-    degenerate part, from which `spectral_pages` restores E^0.
+    and d[n] maps T_n -> T_{n-1}.  A total complex of a (co)cylinder is
+    `normalized`: built on its chains normalized in both directions, from
+    which `spectral_pages` restores E^0 and E^1 of the full one.
     """
 
-    def __init__(self, field, dims, d, cells, N, degenerate=None):
+    def __init__(self, field, dims, d, cells, N, normalized=False):
         self.field = field
         self.dims = dims
         self.d = d
         self.cells = cells
         self.N = N
-        self.degenerate = degenerate or {}
+        self.normalized = normalized
 
     def dim(self, n):
         return 0 if n < 0 or n > self.N else self.dims[n]
@@ -585,30 +593,29 @@ class FilteredComplex:
 
 def _normalized_cells(cyl, N):
     """cells[n] = [(n - q, q, offset, dim) for q = n, n-1, ..., 0] of the
-    cells H (x) Hbar^(x)p (x) B^(x)(q+1), dims[n], and the dimension of the
-    degenerate part of each full cell."""
+    cells H (x) Hbar^(x)p (x) B (x) Bbar^(x)q, and dims[n]."""
     dh, db = cyl.dh, cyl.db
-    cells, dims, degenerate = [], [], {}
+    cells, dims = [], []
     for n in range(N + 1):
         row = []
         off = 0
         for q in range(n, -1, -1):
             p = n - q
-            dim = dh * (dh - 1) ** p * db ** (q + 1)
+            dim = dh * (dh - 1) ** p * db * (db - 1) ** q
             row.append((p, q, off, dim))
-            degenerate[(p, q)] = cyl.space_dim(p, q) - dim
             off += dim
         cells.append(row)
         dims.append(off)
-    return cells, dims, degenerate
+    return cells, dims
 
 
-def _check_unit_laws(f, unit, hopf_map, transposed):
-    """H's unit `unit` (d x 1) is a two-sided unit of its product
-    `hopf_map`; when transposed, its counit `unit` (1 x d) is a two-sided
-    counit of its coproduct `hopf_map`, checked in cochain order, as it
-    is.  Else AxiomFailure naming the law that fails."""
-    d = hopf_map.cols if transposed else hopf_map.rows
+def _check_unit_laws(f, name, unit, structure_map, transposed):
+    """The unit `unit` (d x 1) of the algebra `name` is a two-sided unit of
+    its product `structure_map`; when transposed, its counit `unit` (1 x d)
+    is a two-sided counit of its coproduct `structure_map`, checked in
+    cochain order, as it is.  Else AxiomFailure naming the law that
+    fails."""
+    d = structure_map.cols if transposed else structure_map.rows
     if transposed:
         laws = (("counit law (eps (x) id) Delta", amplify(unit, 1, d)),
                 ("counit law (id (x) eps) Delta", amplify(unit, d, 1)))
@@ -617,55 +624,71 @@ def _check_unit_laws(f, unit, hopf_map, transposed):
                 ("unit law m (id (x) 1)", amplify(unit, d, 1)))
     ident = SparseMatrix.identity(f, d)
     for law, leg in laws:
-        if (leg @ hopf_map if transposed else hopf_map @ leg) != ident:
-            raise AxiomFailure("H's %s = id fails" % law)
+        if (leg @ structure_map if transposed else structure_map @ leg) \
+                != ident:
+            raise AxiomFailure("%s's %s = id fails" % (name, law))
 
 
-def _total_complex(cyl, N, unit, hopf_map, block_map, v_kernel, h_kernel,
-                   transposed):
+def _total_complex(cyl, N, hopf, block, v_kernel, h_kernel, transposed):
     """Tot_n = sum of the cells X_{p,q} (p+q = n, q descending), each
-    normalized in the H direction, d = (-1)^p b_v + b_h with
+    normalized in both directions, d = (-1)^p b_v + b_h with
     b_v(p, q): X_{p,q} -> X_{p,q-1} and b_h(p, q): X_{p,q} -> X_{p-1,q},
     filtered by F_i = sum over q <= i.
 
-    The horizontally degenerate chains, images of degen_h, have H's unit
-    `unit` (on the coalgebra side its counit, the unit of H*) in an H leg
-    past the first.  Once `_check_unit_laws` has found it a unit of the
-    product `hopf_map` (a counit of the coproduct), they span a sub-double
-    complex, as vertical operators commute with horizontal ones, each of
-    whose rows is acyclic (Loday, Cyclic Homology, 1.1.14).  The quotient
-    lives on the cells H (x) Hbar^(x)p (x) B^(x)(q+1), Hbar = H / k unit,
-    where a map of cells is read as P (x) ... m ... (x) C on the Hbar legs
-    (`crossed.unit_legs`; transposed for a cocylinder's coboundaries).
-    The (co)faces on the B legs are `amplify` of `block_map`, those on two
-    H legs `amplify` of `hopf_map` read on the quotient, and the last ones
-    the kernels v_kernel(p), h_kernel(q), read on the quotient once and
-    passed through the other legs by `widen`; each is summed straight into
-    its block of d_n (`place`).  `spectral_pages` checks d d = 0 and the
-    filtration, `total_homology_dims` every composite."""
+    `hopf` and `block` are the (unit, product) of H and of the block B (on
+    the coalgebra side the (counit, coproduct) of H and of C, the unit and
+    product of the duals).  The horizontally degenerate chains, images of
+    degen_h, have H's unit in an H leg past the first, and the vertically
+    degenerate ones, images of degen_v, the block's unit in a B leg past
+    the first.  Once `_check_unit_laws` has found each a unit of its
+    product (a counit of its coproduct), each kind spans a sub-double
+    complex, as vertical operators commute with horizontal ones, and the
+    full complex is the doubly normalized one plus degenerate summands
+    whose rows (horizontal) and columns (vertical) are acyclic (Dold-Kan:
+    the normalized Moore complex; Loday, Cyclic Homology).  The
+    quotient lives on the cells H (x) Hbar^(x)p (x) B (x) Bbar^(x)q, Hbar
+    = H / k 1, Bbar = B / k 1, where a map of cells is read as P (x) ...
+    m ... (x) C on the bar legs (`crossed.unit_legs` of each unit;
+    transposed for a cocylinder's coboundaries).  The (co)faces on two
+    legs of one block are `amplify` of its product read on the quotient,
+    and the last ones the kernels v_kernel(p), h_kernel(q), read on the
+    quotient once and passed through the other legs by `widen`; each is
+    summed straight into its block of d_n (`place`).  `spectral_pages`
+    checks d d = 0 and the filtration, `total_homology_dims` every
+    composite."""
     f, dh, db = cyl.field, cyl.dh, cyl.db
-    e = dh - 1
-    _check_unit_laws(f, unit, hopf_map, transposed)
-    C, P = unit_legs(f, unit.transpose() if transposed else unit)
-    left, right = (C.transpose(), P.transpose()) if transposed else (P, C)
+    eh, eb = dh - 1, db - 1
+    bars = {}  # bar leg -> (map onto the quotient, map off it)
+    for leg, name, (unit, structure_map) in (("h", "H", hopf),
+                                             ("b", cyl.block, block)):
+        _check_unit_laws(f, name, unit, structure_map, transposed)
+        C, P = unit_legs(f, unit.transpose() if transposed else unit)
+        bars[leg] = (C.transpose(), P.transpose()) if transposed else (P, C)
+    full = {"H": dh, "B": db}
+    made = {}  # (legs, side) -> on(side, legs)
 
-    def on(one, free, bars, tail):
-        """I_free (x) one^(x)bars (x) I_tail, bars >= 1."""
-        out = one
-        for _ in range(bars - 1):
-            out = out.kron(one)
-        return amplify(out, free, tail)
+    def on(side, legs):
+        """The map `side` (0 onto the quotient, 1 off it) on each bar leg
+        of the chain cell `legs` (H, B full; h, b barred), I on the rest:
+        the one on legs[:-1] times the last leg, each kept."""
+        if not legs:
+            return SparseMatrix.identity(f, 1)
+        got = made.get((legs, side))
+        if got is None:
+            head, leg = on(side, legs[:-1]), legs[-1]
+            got = made[(legs, side)] = amplify(head, 1, full[leg]) \
+                if leg in full else head.kron(bars[leg][side])
+        return got
 
     def quotient(m, tgt, src):
         """m, a map from the chain cell src to tgt (its transpose when
-        transposed), each given as (free, bars, tail) legs, read on the
-        quotient."""
+        transposed), read on the quotient."""
         if transposed:
             tgt, src = src, tgt
-        if src[1]:
-            m = m @ on(right, *src)
-        if tgt[1]:
-            m = on(left, *tgt) @ m
+        if not src.isupper():
+            m = m @ on(1, src)
+        if not tgt.isupper():
+            m = on(0, tgt) @ m
         return m
 
     def passing(m, mid, tgt_lo, src_lo):
@@ -675,13 +698,16 @@ def _total_complex(cyl, N, unit, hopf_map, block_map, v_kernel, h_kernel,
             return widen(m, mid, src_lo, tgt_lo)
         return widen(m, mid, tgt_lo, src_lo)
 
-    first = quotient(hopf_map, (dh, 0, 1), (dh, 1, 1))
-    inner = quotient(hopf_map, (1, 1, 1), (1, 2, 1))
-    kernel_v = [quotient(v_kernel(p), (dh, p, db), (dh, p, db * db))
-                for p in range(N)]
-    kernel_h = [quotient(h_kernel(q), (dh, 0, db ** (q + 1)),
-                         (dh, 1, db ** (q + 1))) for q in range(N)]
-    cells, dims, degenerate = _normalized_cells(cyl, N)
+    hopf_map, block_map = hopf[1], block[1]
+    first_h = quotient(hopf_map, "H", "Hh")
+    inner_h = quotient(hopf_map, "h", "hh")
+    first_b = quotient(block_map, "B", "Bb")
+    inner_b = quotient(block_map, "b", "bb")
+    kernel_v = [quotient(v_kernel(p), "H" + "h" * p + "B",
+                         "H" + "h" * p + "Bb") for p in range(N)]
+    kernel_h = [quotient(h_kernel(q), "HB" + "b" * q, "HhB" + "b" * q)
+                for q in range(N)]
+    cells, dims = _normalized_cells(cyl, N)
     d = {}
     for n in range(1, N + 1):
         below = {q: off for _, q, off, _ in cells[n - 1]}
@@ -690,34 +716,40 @@ def _total_complex(cyl, N, unit, hopf_map, block_map, v_kernel, h_kernel,
             if q >= 1:
                 sign = -1 if p % 2 else 1
                 to = below[q - 1]
-                hb = dh * e ** p
+                hb = dh * eh ** p
+                terms.append((sign, amplify(first_b, hb, eb ** (q - 1)), to,
+                              off, transposed))
                 terms += [(sign * (-1) ** i,
-                           amplify(block_map, hb * db ** i, db ** (q - 1 - i)),
-                           to, off, transposed) for i in range(q)]
+                           amplify(inner_b, hb * db * eb ** (i - 1),
+                                   eb ** (q - 1 - i)),
+                           to, off, transposed)
+                          for i in range(1, q)]
                 last = kernel_v[p]
                 if q > 1:
-                    last = passing(last, db ** (q - 1), 1, db)
+                    last = passing(last, eb ** (q - 1), 1, eb)
                 terms.append((sign * (-1) ** q, last, to, off, transposed))
             if p >= 1:
                 to = below[q]
-                tail = db ** (q + 1)
-                terms.append((1, amplify(first, 1, e ** (p - 1) * tail), to,
-                              off, transposed))
-                terms += [((-1) ** i, amplify(inner, dh * e ** (i - 1),
-                                              e ** (p - 1 - i) * tail),
-                           to, off, transposed) for i in range(1, p)]
+                tail = db * eb ** q
+                terms.append((1, amplify(first_h, 1, eh ** (p - 1) * tail),
+                              to, off, transposed))
+                terms += [((-1) ** i, amplify(inner_h, dh * eh ** (i - 1),
+                                              eh ** (p - 1 - i) * tail),
+                           to, off, transposed)
+                          for i in range(1, p)]
                 last = kernel_h[q]
                 if p > 1:
-                    last = passing(last, e ** (p - 1), tail, e * tail)
+                    last = passing(last, eh ** (p - 1), tail, eh * tail)
                 terms.append(((-1) ** p, last, to, off, transposed))
         d[n] = place(f, dims[n - 1], dims[n], terms)
-    return FilteredComplex(f, dims, d, cells, N, degenerate)
+    return FilteredComplex(f, dims, d, cells, N, normalized=True)
 
 
 def total_complex_algebra(cyl, N=3) -> FilteredComplex:
     """The total complex of the cylinder, d = (-1)^p b_v + b_h, normalized
-    in the H direction."""
-    return _total_complex(cyl, N, cyl.hopf.unit, cyl.hopf.mult, cyl.A.mult,
+    in the H and the A direction."""
+    return _total_complex(cyl, N, (cyl.hopf.unit, cyl.hopf.mult),
+                          (cyl.A.unit, cyl.A.mult),
                           lambda p: cyl.face_v(p, 1, 1),
                           lambda q: cyl.face_h(1, q, 1), False)
 
@@ -729,16 +761,17 @@ def total_complex_coalgebra(cocyl, N=3) -> FilteredComplex:
     b_h(p-1, q)^T, filtered by q <= i.  It has the cochain complex's
     (co)homology and pages; a cochain d^r out of a position is d^r into it.
     Its cells run q descending, an order that refines the cochain
-    filtration q >= i.  It is normalized in the H direction: the
-    codegeneracies apply the counit, so its transpose is normalized as a
-    cylinder over H* is, in the basis of H whose counit is the first dual
-    basis vector (e'_j = e_j - e_0 for a group algebra).  The cocylinder
-    is compiled over H as given, and that change of basis is carried onto
-    its kernels: compiled over the changed H, whose coproduct is denser,
-    the corpus cocylinders built 24 to 115 times slower.
+    filtration q >= i.  It is normalized in the H and the C direction: the
+    codegeneracies apply the counits, so its transpose is normalized as a
+    cylinder over H* with block C* is, in the bases of H and C whose
+    counits are the first dual basis vectors (e'_j = e_j - e_0 for a group
+    algebra).  The cocylinder is compiled over H and C as given, and those
+    changes of basis are carried onto its kernels: compiled over the
+    changed H, whose coproduct is denser, the corpus cocylinders built 24
+    to 115 times slower.
     """
-    return _total_complex(cocyl, N, cocyl.hopf.counit,
-                          cocyl.hopf.comult, cocyl.C.comult,
+    return _total_complex(cocyl, N, (cocyl.hopf.counit, cocyl.hopf.comult),
+                          (cocyl.C.counit, cocyl.C.comult),
                           lambda p: cocyl.coface_v(p, 0, 1),
                           lambda q: cocyl.coface_h(0, q, 1), True)
 
@@ -810,10 +843,9 @@ def spectral_pages(fc: FilteredComplex, rmax, window):
     exactly r, and the rank into (i, j) the pairs whose row sits there.
     Entries need total degree <= N-1 so that both incoming and outgoing
     boundaries stay inside the truncation; a rank whose target degree falls
-    outside 0..N is 0, as no pair reaches it.  On a total complex
-    normalized in the H direction, E^0 adds back the degenerate parts
-    (`fc.degenerate`): their dimensions, and the ranks of their acyclic
-    rows.
+    outside 0..N is 0, as no pair reaches it.  On a `normalized` total
+    complex, E^0 and E^1 are those of the full one, restored by the
+    Dold-Kan count of `_restore_degenerate` from the normalized pages.
 
     The pages rely on d d = 0 and on a filtration that d preserves: the
     reduction checks every composite, through d_N whatever the window, and
@@ -853,15 +885,6 @@ def spectral_pages(fc: FilteredComplex, rmax, window):
             paired[(n - 1, tgt[row], g)] += 1
             sources[(n, src[col], g)] += 1
             targets[(n - 1, tgt[row], g)] += 1
-    degenerate = fc.degenerate
-
-    def acyclic_rank(p, q):
-        """The rank of d^0 = b_h out of the degenerate part of the cell
-        (p, q): its row is acyclic, so this rank is
-        sum over k < p of (-1)^(p-1-k) times the dimension at (k, q)."""
-        return sum((-1) ** (p - 1 - k) * degenerate.get((k, q), 0)
-                   for k in range(p))
-
     pages = []
     killed = Counter()   # (n, level) -> generators paired with gap < r
     for r in range(rmax + 1):
@@ -877,12 +900,87 @@ def spectral_pages(fc: FilteredComplex, rmax, window):
                 ranks[(i, j)] = sources[(n, i, r)]
                 ranks_in[(i, j)] = targets[(n, i, r)]
                 killed[(n, i)] += paired[(n, i, r)]
-                if r == 0:
-                    table[(i, j)] += degenerate.get((j, i), 0)
-                    ranks[(i, j)] += acyclic_rank(j, i)
-                    ranks_in[(i, j)] += acyclic_rank(j + 1, i)
         pages.append(SSPage(r, table, ranks, ranks_in))
+    if fc.normalized:
+        _restore_degenerate(pages)
     return pages
+
+
+def _binomial(values):
+    """[sum over k <= t of C(t, k) values[k] for each t]: the dimensions
+    (or ranks) of a simplicial object's chains from those of its normalized
+    ones (Dold-Kan: X_t is the sum over k of C(t, k) copies of N_k,
+    naturally in maps of simplicial objects)."""
+    return [sum(comb(t, k) * values[k] for k in range(t + 1))
+            for t in range(len(values))]
+
+
+def _acyclic(dims):
+    """[the rank of the differential out of degree t for t = 0..len(dims)]
+    of an exact complex with dimensions dims from degree 0: sum over k < t
+    of (-1)^(t-1-k) dims[k]."""
+    ranks = [0]
+    for dim in dims:
+        ranks.append(dim - ranks[-1])
+    return ranks
+
+
+def _lines(table, axis):
+    """A page table as lines along `axis` (0: the filtration degree i,
+    1: the complementary degree j): {the other degree: [values from 0]}.
+    The positions of a window lie on such lines from 0 on."""
+    lines = {}
+    for key in sorted(table):
+        lines.setdefault(key[1 - axis], []).append(table[key])
+    return lines
+
+
+def _table(lines, axis):
+    """The page table of `lines` along `axis`."""
+    return {(t, other) if axis == 0 else (other, t): v
+            for other, line in lines.items() for t, v in enumerate(line)}
+
+
+def _restore_degenerate(pages):
+    """E^0 and E^1 of the full total complex, in place, from the pages of
+    its doubly normalized one (`_total_complex`), by one Dold-Kan count.
+
+    At (i, j) = (q, p), the H-normalized complex holds C(q, k) copies of
+    the doubly normalized column k, naturally in the horizontal maps, so
+    its E^0 and E^1 dimensions and d^0 ranks are `_binomial` along i of
+    the normalized ones.  The full complex adds, in each row, the
+    horizontally degenerate chains, whose dimensions are those of the full
+    row (`_binomial` along j again) less the H-normalized one; they enter
+    E^0 only, as the row is exact under d^0 (`_acyclic` along j).  On E^1
+    the vertically degenerate part, full less normalized, is exact under
+    d^1, so the ranks of d^1 out of and into (q, p) add `_acyclic` along i
+    at q and q + 1.  From E^2 on, the degenerate parts have vanished and
+    the pages are the normalized ones."""
+    def along_i(table):
+        return _table({j: _binomial(c) for j, c in _lines(table, 0).items()},
+                      0)
+
+    e0 = pages[0]
+    row = along_i(e0.table)  # the H-normalized E^0
+    full = _table({i: _binomial(r) for i, r in _lines(row, 1).items()}, 1)
+    exact = {i: _acyclic(r) for i, r in _lines(
+        {ij: full[ij] - row[ij] for ij in row}, 1).items()}
+    e0.diff_ranks = {(i, j): v + exact[i][j]
+                     for (i, j), v in along_i(e0.diff_ranks).items()}
+    e0.diff_ranks_in = {(i, j): v + exact[i][j + 1]
+                        for (i, j), v in along_i(e0.diff_ranks_in).items()}
+    e0.table = full
+    if len(pages) < 2:
+        return
+    e1 = pages[1]
+    full = along_i(e1.table)
+    exact = {j: _acyclic(c) for j, c in _lines(
+        {ij: full[ij] - e1.table[ij] for ij in full}, 0).items()}
+    e1.diff_ranks = {(i, j): v + exact[j][i]
+                     for (i, j), v in e1.diff_ranks.items()}
+    e1.diff_ranks_in = {(i, j): v + exact[j][i + 1]
+                        for (i, j), v in e1.diff_ranks_in.items()}
+    e1.table = full
 
 
 # -- Eilenberg-Zilber comparison at the Hochschild level -------------------------------

@@ -555,7 +555,9 @@ def amplify(m: SparseMatrix, left, right) -> SparseMatrix:
     lands at ((a rows + i) right + b, (a cols + j) right + b) for a < left
     and b < right.  The identity entries are 1, so m's scalars are adopted
     as they are, with no product and no settle; the block a = 0 of
-    I_left (x) m is m's own columns."""
+    I_left (x) m is m's own columns, and I_1 (x) m (x) I_1 is m."""
+    if left == right == 1:
+        return m
     rows, cols = m.rows * right, m.cols * right
     out = {}
     for j, col in m.columns.items():
@@ -592,7 +594,10 @@ def widen(m: SparseMatrix, mid, row_lo, col_lo) -> SparseMatrix:
     on U (x) W -> U' (x) W', with row_lo = dim W' and col_lo = dim W, passes
     a middle factor of dimension mid through untouched.  The row map is
     increasing, so each column keeps its rows ascending; as in `amplify`,
-    m's scalars are adopted as they are, with no product and no settle."""
+    m's scalars are adopted as they are, with no product and no settle;
+    with mid = 1 it is m."""
+    if mid == 1:
+        return m
     out = {}
     for j, col in m.columns.items():
         spread = [(i // row_lo) * mid * row_lo + i % row_lo

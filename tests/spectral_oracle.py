@@ -8,12 +8,21 @@ complexes are chain complexes with an increasing filtration; a cochain
 complex enters as its transpose.  `full_total_complex` builds the total
 complex of a (co)cylinder on its full cells, as the package did before it
 normalized the H direction: the complex whose pages those of the
-normalized one must equal.
+normalized one must equal.  `h_normalized_pages` is the route the package
+took while it normalized the H direction only: its total complex on the
+cells H (x) Hbar^(x)p (x) B^(x)(q+1), and E^0 restored from the
+dimensions of the degenerate parts of the cells and the ranks of their
+acyclic rows.
 """
 
+from hopfcyclic.crossed import unit_legs
 from hopfcyclic.cylinder import CoalgebraCocylinder
-from hopfcyclic.homology import FilteredComplex, SSPage
-from hopfcyclic.linalg import SparseMatrix, Subspace, col_items, kernel, place
+from hopfcyclic.homology import (
+    FilteredComplex, SSPage, _check_unit_laws, spectral_pages,
+)
+from hopfcyclic.linalg import (
+    SparseMatrix, Subspace, amplify, col_items, kernel, place, widen,
+)
 
 
 def filtration_coords(fc, i, n):
@@ -188,3 +197,125 @@ def full_total_complex(cyl, N):
                            for c, m in terms("h", p, q)]
         d[n] = place(cyl.field, dims[n - 1], dims[n], placed)
     return FilteredComplex(cyl.field, dims, d, cells, N)
+
+
+def h_normalized_total_complex(cyl, N):
+    """(total complex, degenerate) of a (co)cylinder normalized in the H
+    direction only, degenerate mapping each cell (p, q) to the dimension
+    of its horizontally degenerate part.
+
+    Each (co)face is built on the cells H (x) Hbar^(x)p (x) B^(x)(q+1):
+    the B-leg ones `amplify` of the block's product (coproduct), the
+    H-leg ones of H's read as P (x) ... m ... (x) C on the Hbar legs
+    (`crossed.unit_legs` of H's unit, on the coalgebra side of its counit,
+    transposed), and the last ones the (co)cylinder's kernels read on the
+    quotient once and passed through the other legs by `widen`."""
+    co = isinstance(cyl, CoalgebraCocylinder)
+    f, dh, db = cyl.field, cyl.dh, cyl.db
+    e = dh - 1
+    if co:
+        unit, hopf_map, block_map = (cyl.hopf.counit, cyl.hopf.comult,
+                                     cyl.C.comult)
+        v_kernel = lambda p: cyl.coface_v(p, 0, 1)  # noqa: E731
+        h_kernel = lambda q: cyl.coface_h(0, q, 1)  # noqa: E731
+    else:
+        unit, hopf_map, block_map = cyl.hopf.unit, cyl.hopf.mult, cyl.A.mult
+        v_kernel = lambda p: cyl.face_v(p, 1, 1)  # noqa: E731
+        h_kernel = lambda q: cyl.face_h(1, q, 1)  # noqa: E731
+    _check_unit_laws(f, "H", unit, hopf_map, co)
+    C, P = unit_legs(f, unit.transpose() if co else unit)
+    left, right = (C.transpose(), P.transpose()) if co else (P, C)
+
+    def on(one, free, bars, tail):
+        """I_free (x) one^(x)bars (x) I_tail, bars >= 1."""
+        out = one
+        for _ in range(bars - 1):
+            out = out.kron(one)
+        return amplify(out, free, tail)
+
+    def quotient(m, tgt, src):
+        """m, a map from the chain cell src to tgt (its transpose on the
+        coalgebra side), each given as (free, bars, tail) legs, read on
+        the quotient."""
+        if co:
+            tgt, src = src, tgt
+        if src[1]:
+            m = m @ on(right, *src)
+        if tgt[1]:
+            m = on(left, *tgt) @ m
+        return m
+
+    def passing(m, mid, tgt_lo, src_lo):
+        return widen(m, mid, src_lo, tgt_lo) if co \
+            else widen(m, mid, tgt_lo, src_lo)
+
+    first = quotient(hopf_map, (dh, 0, 1), (dh, 1, 1))
+    inner = quotient(hopf_map, (1, 1, 1), (1, 2, 1))
+    kernel_v = [quotient(v_kernel(p), (dh, p, db), (dh, p, db * db))
+                for p in range(N)]
+    kernel_h = [quotient(h_kernel(q), (dh, 0, db ** (q + 1)),
+                         (dh, 1, db ** (q + 1))) for q in range(N)]
+    cells, dims, degenerate = [], [], {}
+    for n in range(N + 1):
+        row, off = [], 0
+        for q in range(n, -1, -1):
+            p = n - q
+            dim = dh * e ** p * db ** (q + 1)
+            row.append((p, q, off, dim))
+            degenerate[(p, q)] = cyl.space_dim(p, q) - dim
+            off += dim
+        cells.append(row)
+        dims.append(off)
+    d = {}
+    for n in range(1, N + 1):
+        below = {q: off for _, q, off, _ in cells[n - 1]}
+        terms = []
+        for p, q, off, _ in cells[n]:
+            if q >= 1:
+                sign = -1 if p % 2 else 1
+                to = below[q - 1]
+                hb = dh * e ** p
+                terms += [(sign * (-1) ** i,
+                           amplify(block_map, hb * db ** i, db ** (q - 1 - i)),
+                           to, off, co) for i in range(q)]
+                last = kernel_v[p]
+                if q > 1:
+                    last = passing(last, db ** (q - 1), 1, db)
+                terms.append((sign * (-1) ** q, last, to, off, co))
+            if p >= 1:
+                to = below[q]
+                tail = db ** (q + 1)
+                terms.append((1, amplify(first, 1, e ** (p - 1) * tail), to,
+                              off, co))
+                terms += [((-1) ** i, amplify(inner, dh * e ** (i - 1),
+                                              e ** (p - 1 - i) * tail),
+                           to, off, co) for i in range(1, p)]
+                last = kernel_h[q]
+                if p > 1:
+                    last = passing(last, e ** (p - 1), tail, e * tail)
+                terms.append(((-1) ** p, last, to, off, co))
+        d[n] = place(f, dims[n - 1], dims[n], terms)
+    return FilteredComplex(f, dims, d, cells, N), degenerate
+
+
+def h_normalized_pages(cyl, N, rmax, window):
+    """The pages of the (co)cylinder's total complex through N as the
+    route normalized in the H direction only gives them: those of its
+    complex, with E^0 restored by adding to each position (i, j) = (q, p)
+    the degenerate part of its cell, and to each d^0 rank out of (into)
+    it the rank of that part's acyclic row out of p (p + 1): the sum over
+    k < p (p + 1) of (-1)^(p-1-k) (-1)^(p-k) times the degenerate
+    dimension at (k, q)."""
+    fc, degenerate = h_normalized_total_complex(cyl, N)
+    pages = spectral_pages(fc, rmax, window)
+
+    def acyclic_rank(p, q):
+        return sum((-1) ** (p - 1 - k) * degenerate.get((k, q), 0)
+                   for k in range(p))
+
+    e0 = pages[0]
+    for (i, j) in e0.table:
+        e0.table[(i, j)] += degenerate.get((j, i), 0)
+        e0.diff_ranks[(i, j)] += acyclic_rank(j, i)
+        e0.diff_ranks_in[(i, j)] += acyclic_rank(j + 1, i)
+    return pages

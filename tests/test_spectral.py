@@ -2,13 +2,15 @@
 
 import json
 import os
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectral_oracle import (
-    cell_block, find_cell, full_total_complex, oracle_pages,
+    cell_block, find_cell, full_total_complex, h_normalized_pages,
+    oracle_pages,
 )
 
 from hopfcyclic.errors import FiltrationViolation, TotalNotSquareZero
@@ -16,7 +18,8 @@ from hopfcyclic.fields import Field
 from hopfcyclic.io import load_document
 from hopfcyclic.linalg import SparseMatrix, invert
 from hopfcyclic.hopf import (
-    ComoduleAlgebra, HopfAlgebra, ModuleCoalgebra, cyclic_group_table,
+    Algebra, Coalgebra, ComoduleAlgebra, HopfAlgebra, ModuleCoalgebra,
+    cyclic_group_table,
     group_algebra, regular_comodule_algebra, regular_module_coalgebra,
     sweedler_hopf, trivial_comodule_algebra, trivial_hopf,
 )
@@ -49,12 +52,16 @@ def make_cyl(field=QQ):
 
 
 def test_total_complex_square_zero_and_filtration():
-    """The cells are normalized in the H direction: 2 1^p 2^(q+1) of the
-    full 2^(p+1) 2^(q+1) coordinates, the rest degenerate."""
+    """The cells are normalized in both directions: 2 1^p 2 1^q of the full
+    2^(p+1) 2^(q+1) coordinates, which are the sum over l <= p, k <= q of
+    C(p, l) C(q, k) normalized cells (l, k) (Dold-Kan), the rest
+    degenerate."""
     fc = total_complex_algebra(make_cyl(), N=3)
-    assert fc.dims == [4, 12, 28, 60]
-    assert [dim + sum(fc.degenerate[(p, q)] for p, q, _, _ in fc.cells[n])
-            for n, dim in enumerate(fc.dims)] == [4, 16, 48, 128]
+    assert fc.normalized and fc.dims == [4, 8, 12, 16]
+    assert all(dim == 4 for n in range(4) for *_, dim in fc.cells[n])
+    assert [sum(comb(p, l) * comb(q, k) * 4 for p, q, _, _ in fc.cells[n]
+                for l in range(p + 1) for k in range(q + 1))
+            for n in range(4)] == [4, 16, 48, 128]
     for n in range(2, 4):
         assert (fc.d[n - 1] @ fc.d[n]).is_zero()
     assert check_filtration(fc)  # exhaustion, refinement, d-stability
@@ -162,17 +169,18 @@ def test_total_complex_trivial_hopf_is_hochschild_of_a():
 
 
 def _non_degenerate(dh, db, p, q):
-    """The coordinates of the cell (p, q) with no unit e_0 in an H leg past
-    the first."""
+    """The coordinates of the cell (p, q) with no unit e_0 in an H leg or a
+    B leg past the first."""
     tail = db ** (q + 1)
     return [x for x in range(dh ** (p + 1) * tail)
-            if all(x // tail // dh ** k % dh for k in range(p))]
+            if all(x // tail // dh ** k % dh for k in range(p))
+            and all(x // db ** k % db for k in range(q))]
 
 
 def test_page_zero_differential_is_horizontal_boundary():
     """d^0 = b_h: each block of d between horizontally adjacent cells is
     the full horizontal boundary, the alternating sum of the faces,
-    restricted to the non-degenerate coordinates (the unit is e_0)."""
+    restricted to the non-degenerate coordinates (both units are e_0)."""
     cyl = make_cyl()
     fc = total_complex_algebra(cyl, N=3)
     for n in range(1, 4):
@@ -317,11 +325,12 @@ def test_pages_match_subquotient_oracle_on_corpus(name, rmax, pmax, qmax):
 ])
 def test_closed_form_page_zero_equals_the_full_total_complex(
         name, rmax, pmax, qmax):
-    """The total complexes are normalized in the H direction and restore
-    E^0 by the closed form: full cell dimensions, and each d^0 rank the
-    quotient's plus that of the acyclic degenerate row.  Every page, E^0
-    included, tables and both rank maps, equals the one the pairs of the
-    full total complex give, on both sides."""
+    """The total complexes are normalized in both directions and restore
+    E^0 and E^1 by the Dold-Kan count: full cell dimensions, binomial sums
+    of the normalized values, and the ranks of the acyclic degenerate
+    parts.  Every page, E^0 and E^1 included, tables and both rank maps,
+    equals the one the pairs of the full total complex give, on both
+    sides."""
     doc = load_document(os.path.join(ROOT, "data", name + ".json"))
     N = pmax + qmax + 1
     for cyl, total in ((AlgebraCylinder(doc.algebra), total_complex_algebra),
@@ -383,6 +392,94 @@ def test_pages_with_the_unit_and_counit_off_e0(name, rmax, pmax, qmax, data):
                       CoalgebraCocylinder(doc.coalgebra))):
         total = total_complex_algebra if cyl.block == "A" \
             else total_complex_coalgebra
+        assert _same_pages(spectral_pages(total(cyl, N), rmax, window),
+                           spectral_pages(total(own, N), rmax, window))
+
+
+# The largest K per corpus file at which the route normalized in the H
+# direction only takes under a second for both sides: the total complex
+# through N = K + 1 that every admitted window (pmax, qmax) with pmax +
+# qmax = K builds, read at the window (K, K), which holds every position
+# of each of them.
+_DESK_WINDOWS = {
+    "c2_F2": 9, "c2_F2_trivial": 9, "c2_Q": 9, "c2_Q_trivial": 9,
+    "c3_Q": 5, "c3_Q_trivial": 5, "ground_field_Q": 11, "s3_Q": 2,
+    "sweedler_Q": 3, "sweedler_Q_trivial": 3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DESK_WINDOWS))
+def test_pages_match_the_h_normalized_route_on_every_corpus_window(name):
+    """Every page through stability (rmax = K + 1), tables and both rank
+    maps, of the total complexes normalized in both directions, with E^0
+    and E^1 restored by the Dold-Kan count, equals the one the route
+    normalized in the H direction only gives (`h_normalized_pages`), on
+    both sides, on every window the ss-pages gate admits with pmax +
+    qmax = K."""
+    from hopfcyclic import cli
+    doc = load_document(os.path.join(ROOT, "data", name + ".json"))
+    K = _DESK_WINDOWS[name]
+    for cyl, total in ((AlgebraCylinder(doc.algebra), total_complex_algebra),
+                       (CoalgebraCocylinder(doc.coalgebra),
+                        total_complex_coalgebra)):
+        for pmax in range(K + 1):
+            bounds = {"rmax": K + 1, "pmax": pmax, "qmax": K - pmax}
+            assert all(value <= limit for _, (value, _), limit in
+                       cli._sizes("ss-pages", bounds, cyl.dh, cyl.db))
+        window = (K, K)
+        assert _same_pages(spectral_pages(total(cyl, K + 1), K + 1, window),
+                           h_normalized_pages(cyl, K + 1, K + 1, window))
+
+
+def _block_in_basis(doc, basis):
+    """The comodule algebra and module coalgebra of doc with A and C
+    written in the basis whose vectors are the columns of `basis`."""
+    h, f = doc.hopf, doc.field
+    inv = invert(basis)
+    ident = SparseMatrix.identity(f, h.dim)
+    a, c = doc.algebra, doc.coalgebra
+    return (ComoduleAlgebra(h, Algebra(f, a.dim,
+                                       inv @ a.mult @ basis.kron(basis),
+                                       inv @ a.unit),
+                            ident.kron(inv) @ a.coaction @ basis),
+            ModuleCoalgebra(h, Coalgebra(f, c.dim,
+                                         inv.kron(inv) @ c.comult @ basis,
+                                         c.counit @ basis),
+                            inv @ c.action @ ident.kron(basis)))
+
+
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name, rmax, pmax, qmax", [
+    ("c2_F2", 2, 1, 2), ("c3_Q", 1, 0, 1), ("sweedler_Q", 1, 0, 1),
+])
+def test_pages_with_the_block_unit_and_counit_off_e0(name, rmax, pmax, qmax,
+                                                     data):
+    """A and C in a random basis, a permutation of a lower unitriangular
+    one, where neither A's unit nor C's counit is the first (dual) basis
+    vector: the total complexes read their B legs in the basis of
+    `unit_basis`, and every page, E^0 and E^1 included, is that of A and
+    C in their own bases, on both sides."""
+    doc = load_document(os.path.join(ROOT, "data", name + ".json"))
+    f, d = doc.field, doc.algebra.dim
+    perm = data.draw(st.permutations(range(d)))
+    lower = data.draw(st.dictionaries(
+        st.tuples(st.integers(1, d - 1), st.integers(0, d - 2))
+        .filter(lambda ij: ij[1] < ij[0]),
+        st.integers(-2, 2), max_size=d))
+    entries = {(i, i): 1 for i in range(d)}
+    entries.update({ij: f.of(v) for ij, v in lower.items()})
+    basis = SparseMatrix(f, d, d, {(perm[i], i): 1 for i in range(d)}) \
+        @ SparseMatrix(f, d, d, entries)
+    a, c = _block_in_basis(doc, basis)
+    assume(a.unit.column(0) != {0: 1})
+    assume(c.counit.transpose().column(0) != {0: 1})
+    window, N = (pmax, qmax), pmax + qmax + 1
+    for cyl, own, total in (
+            (AlgebraCylinder(a), AlgebraCylinder(doc.algebra),
+             total_complex_algebra),
+            (CoalgebraCocylinder(c), CoalgebraCocylinder(doc.coalgebra),
+             total_complex_coalgebra)):
         assert _same_pages(spectral_pages(total(cyl, N), rmax, window),
                            spectral_pages(total(own, N), rmax, window))
 
@@ -478,6 +575,58 @@ def test_total_complexes_refuse_a_unit_that_is_not_one(case, argv, tmp_path,
     if case == "unit g":
         golden = {"ss-pages": "ss_pages_bad_unit_sweedler_Q_p1_q1",
                   "ez-hochschild": "ez_hochschild_bad_unit_sweedler_Q_n1"}
+        with open(os.path.join("tests", "goldens",
+                               golden[argv[1]] + ".json")) as fh:
+            assert out == fh.read()
+
+
+# The block's unit or counit spoiled in Sweedler's comodule algebra and
+# module coalgebra: A's unit set to g (as in
+# tests/sweedler_Q_bad_block_unit.json) or zero, or C's counit zero, with
+# the law each first fails
+_BAD_BLOCK_UNITS = {
+    "A unit g": ("algebra", "unit", [[1, "1"]],
+                 "A's unit law m (1 (x) id) = id fails"),
+    "zero A unit": ("algebra", "unit", [],
+                    "A's unit law m (1 (x) id) = id fails"),
+    "zero C counit": ("coalgebra", "counit", [],
+                      "C's counit law (eps (x) id) Delta = id fails"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "ss-pages", "--pmax", "1", "--qmax", "1"],
+    ["compare", "ez-hochschild", "--nmax", "1"],
+], ids=["ss-pages", "ez-hochschild"])
+@pytest.mark.parametrize("case", sorted(_BAD_BLOCK_UNITS))
+def test_total_complexes_refuse_a_block_unit_that_is_not_one(
+        case, argv, tmp_path, monkeypatch, capsys):
+    """The total complexes also quotient by the chains with the block's
+    unit (on the cochain side, C's counit) in a leg past the first, a
+    subcomplex only when it is a unit: an A whose unit is g or zero, or a
+    C whose counit is zero, exits 1 with AxiomFailure naming the law, on
+    either command, where each used to exit 0.  The unit g is the file of
+    the CI negative control, whose reports are recorded."""
+    from hopfcyclic import cli
+    monkeypatch.chdir(ROOT)
+    with open(os.path.join("data", "sweedler_Q.json")) as fh:
+        doc = json.load(fh)
+    block, key, value, law = _BAD_BLOCK_UNITS[case]
+    doc[block][key] = value
+    path = os.path.join("tests", "sweedler_Q_bad_block_unit.json")
+    with open(path) as fh:
+        assert (json.load(fh) == doc) == (case == "A unit g")
+    if case != "A unit g":
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+    code = cli.main(argv[:2] + ["-i", path] + argv[2:])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert json.loads(out)["error"] == "AxiomFailure: " + law
+    if case == "A unit g":
+        golden = {"ss-pages": "ss_pages_bad_block_unit_sweedler_Q_p1_q1",
+                  "ez-hochschild": "ez_hochschild_bad_block_unit_sweedler_Q_n1"}
         with open(os.path.join("tests", "goldens",
                                golden[argv[1]] + ".json")) as fh:
             assert out == fh.read()

@@ -230,6 +230,32 @@ def test_failing_cylinder_report_matches_the_recorded_one(monkeypatch, capsys):
         assert code == 1 and capsys.readouterr().out == fh.read()
 
 
+@pytest.mark.parametrize("key", ["unit", "counit"])
+@pytest.mark.parametrize("target", ["cylindrical", "cocylindrical"])
+def test_cylinder_suites_refuse_an_h_whose_unit_or_counit_is_zero(
+        target, key, tmp_path, monkeypatch, capsys):
+    """The (co)cylinder suites check only the identities of the maps they
+    build, which all hold on Sweedler with a zero counit (cylindrical) or
+    a zero unit (cocylindrical).  So both commands check H's Hopf axioms
+    first: either zero exits 1 with AxiomFailure naming the failed axioms,
+    and no report entry is added when H passes (the goldens above)."""
+    from hopfcyclic import cli
+    monkeypatch.chdir(os.path.join(DATA, ".."))
+    with open(os.path.join("data", "sweedler_Q.json")) as fh:
+        doc = json.load(fh)
+    doc["hopf"][key] = []
+    path = str(tmp_path / "bad.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code = cli.main(["verify", target, "--pmax", "1", "--qmax", "1",
+                     "-i", path])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and "checks" not in report
+    assert report["error"] == (
+        "AxiomFailure: H fails the Hopf axioms: left %s, right %s, counit "
+        "of unit, antipode left, antipode right" % (key, key))
+
+
 @pytest.mark.parametrize("golden, target, bad, failing", [
     ("cylindrical_bad_coaction_sweedler_Q_p2_q2", "cylindrical",
      "tests/sweedler_Q_bad_coaction.json", 34),
