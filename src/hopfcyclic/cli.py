@@ -58,12 +58,13 @@ the normalized Hochschild boundary b of the same algebra alone and
 builds the unnormalized (b, B) only on the other side of each comparison:
 the diagonal of the (co)cylinder, or the coinvariant module.
 
-`compute hopf-homology|comodule-cohomology` rank the normalized (co)bar
-complex, on the chains with no unit (counit) leg, which its gate row
-counts, and `compute ss-pages` and `compare ez-hochschild` the total
-complex normalized in the H and the block direction, E^0 and E^1 of
-ss-pages restored by a Dold-Kan count; their gate rows still count the
-full spaces.
+`compute hopf-homology|comodule-cohomology` first check H's Hopf axioms,
+as `verify cylindrical|cocylindrical` do (`_require_hopf`), then rank the
+normalized (co)bar complex, on the chains with no unit (counit) leg,
+which its gate row counts, and `compute ss-pages` and `compare
+ez-hochschild` the total complex normalized in the H and the block
+direction, E^0 and E^1 of ss-pages restored by a Dold-Kan count; their
+gate rows still count the full spaces.
 """
 
 from __future__ import annotations
@@ -426,6 +427,17 @@ def _coinvariants(doc, side, N, top_faces_only=False):
     return coinvariant_cocyclic_module(doc.coalgebra, N, top_faces_only)
 
 
+def _require_hopf(h):
+    """AxiomFailure naming each Hopf axiom that h fails.  The (co)cylinder
+    suites check only the identities of the maps they build, and the
+    (co)bar complexes only the laws that make their normalized chains a
+    (co)chain complex: all of them hold on some H that is no Hopf
+    algebra."""
+    failed = [name for name, _, _ in check_hopf(h).failures()]
+    if failed:
+        raise AxiomFailure("H fails the Hopf axioms: %s" % ", ".join(failed))
+
+
 def cmd_verify(doc, target, params):
     bounds, sides, _ = _admit(doc, target, params)
     checks = []
@@ -438,12 +450,7 @@ def cmd_verify(doc, target, params):
             check = check_comodule_algebra if alg else check_module_coalgebra
             checks += _report_entries(check(s))
         elif target in ("cylindrical", "cocylindrical"):
-            # the suites check only the identities of the maps they build,
-            # which all hold on an H whose unit or counit is zero
-            failed = [name for name, _, _ in check_hopf(doc.hopf).failures()]
-            if failed:
-                raise AxiomFailure("H fails the Hopf axioms: %s"
-                                   % ", ".join(failed))
+            _require_hopf(doc.hopf)
             suite = check_algebra_cylinder if alg \
                 else check_coalgebra_cocylinder
             checks += _report_entries(suite(_cylinder(doc, side),
@@ -522,10 +529,12 @@ def cmd_compute(doc, target, params):
             tables["%s_crossed_product_%s" % (target, side)] = _crossed_dims(
                 r, [target], bounds["nmax"], h0)[target]
         elif target == "hopf-homology":
+            _require_hopf(s)
             tables["hopf_module_homology_trivial_coefficients"] = \
                 hopf_module_homology(s, trivial_module_action(s),
                                      bounds["qmax"])
         elif target == "comodule-cohomology":
+            _require_hopf(s)
             tables["hopf_comodule_cohomology_trivial_coefficients"] = \
                 hopf_comodule_cohomology(s, trivial_comodule_coaction(s),
                                          bounds["pmax"])

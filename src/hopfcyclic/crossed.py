@@ -264,7 +264,7 @@ def cocyclic_module_of_coalgebra(c: Coalgebra, N: int = 3) -> CocyclicOps:
     return CocyclicOps(f, dims, cofaces, codegens, cocyclic, N)
 
 
-# -- the non-degenerate coordinates of an algebra's cyclic module ---------------
+# -- the quotient by the unit, on which homology's normalized chains live ----
 
 def dual_algebra(c: Coalgebra) -> Algebra:
     """The algebra C* = (Delta^T, counit^T) on the dual basis: its cyclic
@@ -318,32 +318,6 @@ def unit_first(r: Algebra) -> Algebra:
     basis, inv = unit_basis(r.field, r.unit)
     return Algebra(r.field, r.dim, inv @ r.mult @ basis.kron(basis),
                    inv @ r.unit)
-
-
-def normalized_faces(r: Algebra, n):
-    """The faces d_0..d_n out of degree n of r's cyclic module on the
-    normalized chains R (x) Rbar^(x)n, Rbar = R / k 1, for r's unit e_0.
-
-    A chain is a basis tensor (x_0, ..., x_n) with x_1, ..., x_n >= 1, at
-    index x_0 e^n + the base-e number of (x_1 - 1, ..., x_n - 1), e = d - 1:
-    d (d - 1)^n of them.  Each face is the full face restricted to these
-    coordinates, as the degenerate chains, those with the unit past x_0,
-    span a subcomplex: r's product with the legs that leave Rbar dropped
-    (`unit_legs`), tensored with identities, the wrap face d_n with its
-    columns relabelled as in `cyclic_module_of_algebra`."""
-    f, d = r.field, r.dim
-    e = d - 1
-    C, P = unit_legs(f, r.unit)
-    rest = e ** (n - 1)
-    faces = [amplify(r.mult @ amplify(C, d, 1), 1, rest)]
-    bar = P @ r.mult @ C.kron(C)
-    faces += [amplify(bar, d * e ** (i - 1), e ** (n - 1 - i))
-              for i in range(1, n)]
-    # the wrap face read on (x_n, x_0, x_1, ...): rotate each column left
-    wrapped = amplify(r.mult @ amplify(C, 1, d), 1, rest)
-    faces.append(relabel(wrapped,
-                         col_of=lambda j: _rotate_left(j, e, d * rest)))
-    return faces
 
 
 # -- identity suites -------------------------------------------------------------

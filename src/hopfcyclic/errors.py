@@ -7,7 +7,12 @@ class HopfCyclicError(Exception):
 
 # linear algebra
 class CompositionNotZero(HopfCyclicError):
-    """d_out . d_in is not the zero map; upstream sign/convention bug."""
+    """d_out . d_in is not the zero map; upstream sign/convention bug.
+    Carries the degree of d_in."""
+
+    def __init__(self, message, degree):
+        self.degree = degree
+        super().__init__(message)
 
 
 # structure builders / checkers

@@ -60,6 +60,13 @@ page from E^2 on are unchanged, and `spectral_pages` restores E^0 and E^1
 by one Dold-Kan count: binomial sums of the normalized values, plus the
 ranks of the acyclic degenerate parts.  `compare ez-hochschild` reads only
 total homology, so it restores nothing.
+
+Every normalized boundary is one alternating sum on chains head (x) X (x)
+Y^(x)n (x) tail, written once (`_signed_faces`): face 0 acts on the first
+two legs, each inner face is the product read on the quotient, and the
+last face is given.  The normalized b (`_normalized_b`), the (co)bar
+boundary (`_bar_boundary`) and both directions of a total complex
+(`_total_complex`) are its sums.
 """
 
 from __future__ import annotations
@@ -67,9 +74,7 @@ from __future__ import annotations
 from collections import Counter
 from math import comb
 
-from .crossed import (
-    CocyclicOps, CyclicOps, normalized_faces, unit_first, unit_legs,
-)
+from .crossed import CocyclicOps, CyclicOps, unit_first, unit_legs
 from .errors import (
     AxiomFailure, BoundaryNotSquareZero, CoboundaryNotSquareZero,
     CompositionNotZero, FiltrationViolation, HomotopyFailure,
@@ -80,7 +85,7 @@ from .fields import settle
 from .hopf import dual_hopf
 from .linalg import (
     SparseMatrix, _homology_dims, amplify, block_matrix, col_items, combine,
-    kernel, pack_columns, place, rank, widen,
+    kernel, pack_columns, place, rank, relabel,
 )
 
 
@@ -151,12 +156,40 @@ def mixed_complex(ops) -> MixedComplex:
     return mc
 
 
+def _signed_faces(first, inner, last, head, d0, e, n, tail):
+    """((-1)^i, d_i) for i = 0..n, the faces out of the chains head (x) X
+    (x) Y^(x)n (x) tail, of dimensions head, d0, e^n and tail, whose
+    alternating sum is a normalized bar-type boundary: d_0 is `first` on X
+    (x) Y, each inner d_i is `inner` on the legs i and i + 1 (Y (x) Y, the
+    product read on the quotient), both tensored with identities, and d_n
+    is `last`, as given."""
+    yield 1, amplify(first, head, e ** (n - 1) * tail)
+    for i in range(1, n):
+        yield (-1) ** i, amplify(inner, head * d0 * e ** (i - 1),
+                                 e ** (n - 1 - i) * tail)
+    yield (-1) ** n, last
+
+
 def _normalized_b(r, n):
-    """b out of degree n on the normalized chains of r (unit e_0)."""
-    d, e = r.dim, r.dim - 1
-    return combine(r.field, d * e ** (n - 1), d * e ** n,
-                   (((-1) ** i, face)
-                    for i, face in enumerate(normalized_faces(r, n))))
+    """b out of degree n on the normalized chains R (x) Rbar^(x)n of r,
+    Rbar = R / k 1, for r's unit e_0.
+
+    A chain is a basis tensor (x_0, ..., x_n) with x_1, ..., x_n >= 1, at
+    index x_0 e^n + the base-e number of (x_1 - 1, ..., x_n - 1), e = d - 1.
+    Each face is the full face restricted to these coordinates, as the
+    degenerate chains, those with the unit past x_0, span a subcomplex:
+    `_signed_faces` of r's product with the legs that leave Rbar dropped
+    (`unit_legs`), the wrap face d_n read on (x_n, x_0, x_1, ...), its
+    columns rotated left as in `crossed.cyclic_module_of_algebra`."""
+    f, d = r.field, r.dim
+    e = d - 1
+    C, P = unit_legs(f, r.unit)
+    top = d * e ** (n - 1)
+    wrap = relabel(amplify(r.mult @ amplify(C, 1, d), 1, e ** (n - 1)),
+                   col_of=lambda j: (j % top) * e + j // top)
+    return combine(f, top, d * e ** n, _signed_faces(
+        r.mult @ amplify(C, d, 1), P @ r.mult @ C.kron(C), wrap, 1, d, e, n,
+        1))
 
 
 def _normalized_B(field, d, n):
@@ -413,16 +446,12 @@ def _bar_boundary(pieces, p):
     `pieces` (counit, product, action, e, m), e = dim L, m = dim M: on the
     full chains (L = H, `hopf_module_boundary`) and on the normalized ones
     (L = Hbar, the pieces that `hopf_module_homology` reads off H once).
-    Its faces are laid out as `crossed.normalized_faces` lays them out: the
-    counit on the first leg, the product of each adjacent pair of legs,
-    the action on the last leg and M."""
+    Its faces are `_signed_faces` with no X leg: the counit on the first
+    leg, the product of each adjacent pair of legs, the action on the last
+    leg and M."""
     eps, bar, act, e, m = pieces
-    faces = [amplify(eps, 1, e ** (p - 1) * m)]
-    faces += [amplify(bar, e ** (i - 1), e ** (p - 1 - i) * m)
-              for i in range(1, p)]
-    faces.append(amplify(act, e ** (p - 1), 1))
-    return combine(eps.field, e ** (p - 1) * m, e ** p * m,
-                   (((-1) ** i, face) for i, face in enumerate(faces)))
+    return combine(eps.field, e ** (p - 1) * m, e ** p * m, _signed_faces(
+        eps, bar, amplify(act, e ** (p - 1), 1), 1, 1, e, p, m))
 
 
 def hopf_module_homology(h, action, qmax):
@@ -440,16 +469,11 @@ def hopf_module_homology(h, action, qmax):
     m = action.rows
     pieces = (h.counit @ C, P @ h.mult @ C.kron(C),
               action @ amplify(C, 1, m), h.dim - 1, m)
-    built = []
-
-    def delta(p):
-        built.append(p)
-        return _bar_boundary(pieces, p)
-
     try:
-        return _homology_dims(_degree_pairs(f, m, delta, qmax))
-    except CompositionNotZero:
-        raise BoundaryNotSquareZero(built[-1]) from None
+        return _homology_dims(_degree_pairs(
+            f, m, lambda p: _bar_boundary(pieces, p), qmax))
+    except CompositionNotZero as e:
+        raise BoundaryNotSquareZero(e.degree) from None
 
 
 def hopf_comodule_cohomology(h, coaction, pmax):
@@ -649,13 +673,13 @@ def _total_complex(cyl, N, hopf, block, v_kernel, h_kernel, transposed):
     quotient lives on the cells H (x) Hbar^(x)p (x) B (x) Bbar^(x)q, Hbar
     = H / k 1, Bbar = B / k 1, where a map of cells is read as P (x) ...
     m ... (x) C on the bar legs (`crossed.unit_legs` of each unit;
-    transposed for a cocylinder's coboundaries).  The (co)faces on two
-    legs of one block are `amplify` of its product read on the quotient,
-    and the last ones the kernels v_kernel(p), h_kernel(q), read on the
-    quotient once and passed through the other legs by `widen`; each is
-    summed straight into its block of d_n (`place`).  `spectral_pages`
-    checks d d = 0 and the filtration, `total_homology_dims` every
-    composite."""
+    transposed for a cocylinder's coboundaries).  Each direction's
+    (co)faces are `_signed_faces` of its block's product read on the
+    quotient, the last ones the kernels v_kernel(p), h_kernel(q), read on
+    the quotient once and passed through the other legs by the
+    (co)cylinder's `_widen`; each is summed straight into its block of d_n
+    (`place`).  `spectral_pages` checks d d = 0 and the filtration,
+    `total_homology_dims` every composite."""
     f, dh, db = cyl.field, cyl.dh, cyl.db
     eh, eb = dh - 1, db - 1
     bars = {}  # bar leg -> (map onto the quotient, map off it)
@@ -691,13 +715,6 @@ def _total_complex(cyl, N, hopf, block, v_kernel, h_kernel, transposed):
             m = on(0, tgt) @ m
         return m
 
-    def passing(m, mid, tgt_lo, src_lo):
-        """m with I_mid passed through above the digit tgt_lo of the chain
-        target and src_lo of the chain source."""
-        if transposed:
-            return widen(m, mid, src_lo, tgt_lo)
-        return widen(m, mid, tgt_lo, src_lo)
-
     hopf_map, block_map = hopf[1], block[1]
     first_h = quotient(hopf_map, "H", "Hh")
     inner_h = quotient(hopf_map, "h", "hh")
@@ -715,32 +732,17 @@ def _total_complex(cyl, N, hopf, block, v_kernel, h_kernel, transposed):
         for p, q, off, _ in cells[n]:
             if q >= 1:
                 sign = -1 if p % 2 else 1
-                to = below[q - 1]
-                hb = dh * eh ** p
-                terms.append((sign, amplify(first_b, hb, eb ** (q - 1)), to,
-                              off, transposed))
-                terms += [(sign * (-1) ** i,
-                           amplify(inner_b, hb * db * eb ** (i - 1),
-                                   eb ** (q - 1 - i)),
-                           to, off, transposed)
-                          for i in range(1, q)]
-                last = kernel_v[p]
-                if q > 1:
-                    last = passing(last, eb ** (q - 1), 1, eb)
-                terms.append((sign * (-1) ** q, last, to, off, transposed))
+                last = cyl._widen(kernel_v[p], eb ** (q - 1), 1, eb)
+                terms += [(sign * s, face, below[q - 1], off, transposed)
+                          for s, face in _signed_faces(
+                              first_b, inner_b, last, dh * eh ** p, db, eb,
+                              q, 1)]
             if p >= 1:
-                to = below[q]
                 tail = db * eb ** q
-                terms.append((1, amplify(first_h, 1, eh ** (p - 1) * tail),
-                              to, off, transposed))
-                terms += [((-1) ** i, amplify(inner_h, dh * eh ** (i - 1),
-                                              eh ** (p - 1 - i) * tail),
-                           to, off, transposed)
-                          for i in range(1, p)]
-                last = kernel_h[q]
-                if p > 1:
-                    last = passing(last, eh ** (p - 1), tail, eh * tail)
-                terms.append(((-1) ** p, last, to, off, transposed))
+                last = cyl._widen(kernel_h[q], eh ** (p - 1), tail, eh * tail)
+                terms += [(s, face, below[q], off, transposed)
+                          for s, face in _signed_faces(
+                              first_h, inner_h, last, 1, dh, eh, p, tail)]
         d[n] = place(f, dims[n - 1], dims[n], terms)
     return FilteredComplex(f, dims, d, cells, N, normalized=True)
 
@@ -855,16 +857,11 @@ def spectral_pages(fc: FilteredComplex, rmax, window):
     >= its own, and the reduction adds to it only columns to its left,
     whose levels are >= its own too.
     """
-    built = []
-
-    def d(n):
-        built.append(n)
-        return fc.d[n]
-
     try:
-        _homology_dims(_degree_pairs(fc.field, fc.dim(0), d, fc.N - 1))
-    except CompositionNotZero:
-        raise TotalNotSquareZero("d d != 0 at degree %d" % built[-1]) \
+        _homology_dims(_degree_pairs(fc.field, fc.dim(0), fc.d.__getitem__,
+                                     fc.N - 1))
+    except CompositionNotZero as e:
+        raise TotalNotSquareZero("d d != 0 at degree %d" % e.degree) \
             from None
     check_filtration(fc)
     imax, jmax = window

@@ -167,10 +167,14 @@ class SparseMatrix:
 
     @classmethod
     def from_rows(cls, field, dense):
+        """A matrix from a list of equally long rows; ValueError else."""
         rows = len(dense)
         cols = len(dense[0]) if rows else 0
         ent = {}
         for i, r in enumerate(dense):
+            if len(r) != cols:
+                raise ValueError("row %d has %d entries, not %d"
+                                 % (i, len(r), cols))
             for j, v in enumerate(r):
                 v = field.of(v)
                 if not field.is_zero(v):
@@ -196,6 +200,9 @@ class SparseMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError("entry (%d,%d) out of %dx%d"
+                             % (i, j, self.rows, self.cols))
         col = self.columns.get(j, ())
         k = bisect_left(col[::2], i)
         if 2 * k < len(col) and col[2 * k] == i:
@@ -910,18 +917,20 @@ def _homology_dims(pairs):
     each matrix is reduced once.  A composite found zero is kept on its
     left factor (`_kills`), here or by a caller that has already formed
     it, so each composite is multiplied once.  A shape mismatch or a
-    nonzero composite (CompositionNotZero) raises at the first pair that
-    has it.
+    nonzero composite raises at the first pair that has it; the k-th pair
+    from 0 raises CompositionNotZero with degree k + 1, as it does when
+    the pairs are d_k, d_(k+1) of a complex from degree 0.
     """
     out = []
-    for d_out, d_in in pairs:
+    for k, (d_out, d_in) in enumerate(pairs):
         if d_out.cols != d_in.rows:
             raise ValueError("complex shape mismatch")
         if d_out._kills is not d_in:
             comp = d_out @ d_in
             if not comp.is_zero():
                 ij = min((col[0], j) for j, col in comp.columns.items())
-                raise CompositionNotZero("d.d != 0 first at %s" % (ij,))
+                raise CompositionNotZero("d.d != 0 first at %s" % (ij,),
+                                         k + 1)
             d_out._kills = d_in
         if d_out._pairs is None:
             rank(d_out)

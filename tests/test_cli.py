@@ -1121,6 +1121,35 @@ def test_closed_form_hh_reports_match_the_normalized_b(golden, argv,
         assert code == 0 and capsys.readouterr().out == fh.read()
 
 
+@pytest.mark.parametrize("target, bad, golden", [
+    ("hopf-homology", "unit", None),
+    ("comodule-cohomology", "unit",
+     "comodule_cohomology_bad_unit_sweedler_Q_p3"),
+    ("hopf-homology", "counit", "hopf_homology_bad_counit_sweedler_Q_q3"),
+    ("comodule-cohomology", "counit", None),
+])
+def test_bar_commands_refuse_an_h_that_is_no_hopf_algebra(
+        target, bad, golden, monkeypatch, capsys):
+    """Sweedler with H's unit set to g, or with eps(g) = -1, passes the
+    laws that make the normalized (co)bar chains a complex on one side:
+    `comodule-cohomology` on the first and both commands on the second
+    printed a table with "ok": true.  Both commands check H's Hopf axioms
+    first and exit 1 naming the failed ones; two of the reports are pinned
+    byte for byte (tests/goldens)."""
+    from hopfcyclic import cli
+    monkeypatch.chdir(os.path.join(DATA, ".."))
+    bound = "--qmax" if target == "hopf-homology" else "--pmax"
+    code = cli.main(["compute", target, bound, "3", "-i",
+                     os.path.join("tests", "sweedler_Q_bad_%s.json" % bad)])
+    out = capsys.readouterr().out
+    assert code == 1 and json.loads(out)["error"] == (
+        "AxiomFailure: H fails the Hopf axioms: left %s, right %s, "
+        "antipode left, antipode right" % (bad, bad))
+    if golden:
+        with open(os.path.join("tests", "goldens", golden + ".json")) as fh:
+            assert out == fh.read()
+
+
 def test_negative_controls_across_jobs_in_one_process(monkeypatch):
     """The passing and failing Sweedler (co)cylinder jobs on the window
     (2, 2), in one process, then the passing ones again: each report and

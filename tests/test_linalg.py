@@ -67,6 +67,24 @@ def test_field_parse_roundtrip():
         assert type(x) is int and 0 <= x < 2
 
 
+def test_from_rows_refuses_a_row_of_the_wrong_length():
+    """The checked constructor pads no short row and drops no long one."""
+    for dense in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError, match="row 1 has"):
+            SparseMatrix.from_rows(QQ, dense)
+    assert SparseMatrix.from_rows(QQ, []).rows == 0
+
+
+def test_an_entry_outside_the_shape_is_an_index_error():
+    """m[i, j] reads only inside the shape: no index past it, and no
+    negative one counted from the end, reads as a zero entry."""
+    m = SparseMatrix.identity(QQ, 2)
+    assert (m[1, 1], m[0, 1]) == (1, 0)
+    for ij in ((5, 7), (2, 0), (0, 2), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError):
+            m[ij]
+
+
 def test_rank_empty_matrix():
     m = SparseMatrix.zeros(QQ, 0, 0)
     assert rank(m) == 0
@@ -516,6 +534,7 @@ def test_a_nonzero_composite_raises_at_its_first_pair(drawn, data):
             _homology_dims(lazy())
         assert str(err.value) == "d.d != 0 first at %s" % (
             min(composites[first].entries),)
+        assert err.value.degree == first + 1
         assert len(drawn_pairs) == first + 1
     for m in d.values():
         assert rank(m) == elimination_oracle.rank(m)
