@@ -25,7 +25,7 @@ formed in reverse order, reported under the cochain names and degrees.
 
 from __future__ import annotations
 
-from .errors import AxiomFailure, IdentityFailure
+from .errors import AxiomFailure
 from .hopf import (
     Algebra, Coalgebra, CheckReport, algebra_spaces, check_algebra,
     check_coalgebra, coalgebra_spaces,
@@ -331,7 +331,7 @@ def _power(m, k):
 
 
 def check_cyclic_ops(ops: CyclicOps, cyclic=True, report=None,
-                     raise_on_fail=False, top_faces_only=False):
+                     top_faces_only=False):
     """Simplicial + cyclic-compatibility relations; t^(n+1) = id if cyclic.
 
     With cyclic=False the same relations are checked minus t^(n+1) = id
@@ -345,11 +345,8 @@ def check_cyclic_ops(ops: CyclicOps, cyclic=True, report=None,
     mul = ops.compose
 
     def chk(name, n, lhs, rhs):
-        ok = lhs == rhs
         name, n = ops.label(name, n)
-        rep.record_bool(name, ok, "degree %d" % n)
-        if raise_on_fail and not ok:
-            raise IdentityFailure(name, q=n)
+        rep.record_bool(name, lhs == rhs, "degree %d" % n)
 
     for n in range(2, ops.N + 1):
         for j in range(n + 1):
@@ -393,7 +390,7 @@ def check_cyclic_ops(ops: CyclicOps, cyclic=True, report=None,
 
 
 def check_cocyclic_ops(ops: CocyclicOps, cocyclic=True, report=None,
-                       raise_on_fail=False, top_faces_only=False):
+                       top_faces_only=False):
     """`check_cyclic_ops` on the cocyclic module as it reads itself
     (`CocyclicOps`), reported as a "cocyclic module": its own matrices,
     composed in cochain order, under the cochain names and degrees; no
@@ -401,4 +398,4 @@ def check_cocyclic_ops(ops: CocyclicOps, cocyclic=True, report=None,
     degree N carries its cofaces from N - 1 only."""
     return check_cyclic_ops(ops, cocyclic,
                             report or CheckReport("cocyclic module"),
-                            raise_on_fail, top_faces_only)
+                            top_faces_only)

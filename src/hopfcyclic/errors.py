@@ -32,17 +32,6 @@ class AxiomFailure(HopfCyclicError):
     pass
 
 
-class IdentityFailure(HopfCyclicError):
-    """A (co)cyclic / bi-paracyclic identity failed; carries identity name and cell."""
-
-    def __init__(self, identity, p=None, q=None):
-        self.identity = identity
-        self.p = p
-        self.q = q
-        loc = "" if p is None else " at (p=%s, q=%s)" % (p, q)
-        super().__init__(identity + loc)
-
-
 class NotInverse(HopfCyclicError):
     pass
 

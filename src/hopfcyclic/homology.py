@@ -987,7 +987,10 @@ def ez_compare_hochschild(cyl, nmax):
     cylinder (homology) or a cocylinder (cohomology, through transposes).
 
     Returns a list of (n, total_dim, diagonal_dim, equal); mismatches are
-    reported, not raised.
+    reported, not raised.  A nonzero composite raises at its lowest degree
+    n: TotalNotSquareZero on the total complex, as `spectral_pages` does,
+    and MixedIdentityFailure (b b) on the diagonal, as its mixed complex
+    does.
     """
     from .cylinder import CoalgebraCocylinder, diagonal_cocyclic, diagonal_cyclic
     if isinstance(cyl, CoalgebraCocylinder):
@@ -996,6 +999,14 @@ def ez_compare_hochschild(cyl, nmax):
     else:
         fc = total_complex_algebra(cyl, N=nmax + 1)
         diag = diagonal_cyclic(cyl, N=nmax + 1)
-    tot = total_homology_dims(fc, nmax)
-    dia = b_column_dims(diag, nmax)
+    try:
+        tot = total_homology_dims(fc, nmax)
+    except CompositionNotZero as e:
+        raise TotalNotSquareZero("d d != 0 at degree %d" % e.degree) \
+            from None
+    try:
+        dia = b_column_dims(diag, nmax)
+    except CompositionNotZero as e:
+        raise MixedIdentityFailure("b b != 0 at degree %d" % e.degree) \
+            from None
     return [(n, tot[n], dia[n], tot[n] == dia[n]) for n in range(nmax + 1)]

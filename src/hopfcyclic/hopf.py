@@ -21,9 +21,7 @@ from itertools import permutations
 from .errors import CharTwo, NotAGroup, Singular
 from .fields import Field
 from .linalg import SparseMatrix, amplify, invert
-from .tensor import (
-    SpaceOps, Spaces, perm_matrix, tensor_unindex,
-)
+from .tensor import Spaces, perm_matrix, tensor_unindex
 
 
 class CheckReport:
@@ -414,23 +412,9 @@ def trivial_module_coalgebra(h: HopfAlgebra, coalgebra=None) -> ModuleCoalgebra:
 
 # -- operator-compiler contexts -----------------------------------------------------
 
-def space_ops(h: HopfAlgebra) -> SpaceOps:
-    return SpaceOps(h.dim, mult=h.mult, unit=h.unit, comult=h.comult,
-                    counit=h.counit, antipode=h.antipode,
-                    antipode_inv=h.antipode_inv)
-
-
-def comodule_space_ops(a: ComoduleAlgebra) -> SpaceOps:
-    return SpaceOps(a.dim, mult=a.mult, unit=a.unit, coaction=a.coaction)
-
-
-def module_space_ops(c: ModuleCoalgebra) -> SpaceOps:
-    return SpaceOps(c.dim, comult=c.comult, counit=c.counit, action=c.action)
-
-
 def algebra_spaces(a: ComoduleAlgebra) -> Spaces:
-    return Spaces({"H": space_ops(a.hopf), "A": comodule_space_ops(a)})
+    return Spaces({"H": a.hopf, "A": a})
 
 
 def coalgebra_spaces(c: ModuleCoalgebra) -> Spaces:
-    return Spaces({"H": space_ops(c.hopf), "C": module_space_ops(c)})
+    return Spaces({"H": c.hopf, "C": c})

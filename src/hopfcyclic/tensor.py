@@ -25,8 +25,10 @@ columns are memoized on the `Spaces` passed in, under (label, expansion)
 and under the expression's shape (the tree with each leg replaced by its
 space label), so a column made for one operator serves every later one on
 those spaces.  `hopf.algebra_spaces` and `hopf.coalgebra_spaces` build a
-fresh `Spaces` for each structure, so that memo lives as long as the
-cylinder, module form or crossed product that owns it.  A (co)cylinder
+fresh `Spaces` for each structure, which maps the label "H" to its Hopf
+algebra and "A" or "C" to the structure itself, whose maps the compiler
+reads; so that memo lives as long as the cylinder, module form or crossed
+product that owns it.  A (co)cylinder
 compiles one kernel per row or column of each rotation and last (co)face
 and widens it to the other cells by index arithmetic, so on a cylinder the
 memo serves the kernels of the other rows and columns, which share
@@ -86,8 +88,14 @@ def perm_matrix(field, dims, out_to_in):
 
 
 class Spaces(dict):
-    """Label -> SpaceOps of one structure, with the compiler's memo and the
-    key of its structure tables.
+    """Label -> the structure whose maps that label's legs read, with the
+    compiler's memo and the key of its structure tables.
+
+    A structure is a `HopfAlgebra`, `ComoduleAlgebra` or `ModuleCoalgebra`
+    (any object with `dim` will do), read for the maps of `_MAPS` it has:
+    mult: X (x) X -> X, unit: k -> X (dim x 1), comult: X -> X (x) X,
+    counit: X -> k (1 x dim), antipode / antipode_inv: X -> X,
+    coaction: X -> H (x) X, action: H (x) X -> X.
 
     `memo` holds the expansions and the expression columns
     `compile_operator` makes on these spaces, so it lives exactly as long as
@@ -99,31 +107,10 @@ class Spaces(dict):
 
     __slots__ = ("memo", "tables")
 
-    def __init__(self, ops):
-        super().__init__(ops)
+    def __init__(self, structures):
+        super().__init__(structures)
         self.memo = {}
         self.tables = None
-
-
-class SpaceOps:
-    """Structure maps of one kind of tensor factor, as matrices.
-
-    mult: X (x) X -> X, unit: k -> X (dim x 1), comult: X -> X (x) X,
-    counit: X -> k (1 x dim), antipode / antipode_inv: X -> X,
-    coaction: X -> H (x) X, action: H (x) X -> X.
-    """
-
-    def __init__(self, dim, mult=None, unit=None, comult=None, counit=None,
-                 antipode=None, antipode_inv=None, coaction=None, action=None):
-        self.dim = dim
-        self.mult = mult
-        self.unit = unit
-        self.comult = comult
-        self.counit = counit
-        self.antipode = antipode
-        self.antipode_inv = antipode_inv
-        self.coaction = coaction
-        self.action = action
 
 
 # -- expression constructors ----------------------------------------------------
@@ -211,14 +198,14 @@ def _expansion(field, spaces, label, exp):
     got = spaces.memo.get(key)
     if got is not None:
         return got
-    ops = spaces[label]
-    d = ops.dim
+    x = spaces[label]
+    d = x.dim
     if exp[0] == "id":
         k, split, ldims = 0, None, [d]
     elif exp[0] == "comult":
-        k, split, ldims = exp[1], ops.comult, [d] * (exp[1] + 1)
+        k, split, ldims = exp[1], x.comult, [d] * (exp[1] + 1)
     elif exp[0] == "coaction":
-        k, split = exp[1], ops.coaction
+        k, split = exp[1], x.coaction
         ldims = [spaces["H"].dim] * k + [d]
     else:
         raise ValueError("unknown expansion %r" % (exp,))
@@ -416,15 +403,15 @@ _MAPS = ("mult", "unit", "comult", "counit", "antipode", "antipode_inv",
 
 
 def _tables_key(spaces):
-    """Each label's dimension and structure maps, as the operator cache
-    reads them: (label, dim, ((name, p, rows, cols, frozenset of columns),
-    ...))."""
+    """Each label's dimension and the maps of `_MAPS` its structure has, as
+    the operator cache reads them: (label, dim, ((name, p, rows, cols,
+    frozenset of columns), ...))."""
     return tuple(sorted(
-        (label, ops.dim, tuple(
+        (label, x.dim, tuple(
             (name, m.field.p, m.rows, m.cols, frozenset(m.columns.items()))
-            for name in _MAPS for m in (getattr(ops, name),)
+            for name in _MAPS for m in (getattr(x, name, None),)
             if m is not None))
-        for label, ops in spaces.items()))
+        for label, x in spaces.items()))
 
 
 class _Operators(dict):

@@ -63,7 +63,7 @@ def test_kc2_cylinder_conjugation_trivial():
 
 def test_kc2_full_suite():
     cyl = AlgebraCylinder(regular_comodule_algebra(kc2()))
-    rep = check_algebra_cylinder(cyl, 2, 2, raise_on_fail=True)
+    rep = check_algebra_cylinder(cyl, 2, 2)
     assert rep.ok
 
 

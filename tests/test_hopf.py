@@ -7,7 +7,7 @@ from hopfcyclic.fields import Field
 from hopfcyclic.hopf import (
     CheckReport, HopfAlgebra, antipode_inverse, check_comodule_algebra, check_hopf,
     check_module_coalgebra, cyclic_group_table, group_algebra,
-    regular_comodule_algebra, regular_module_coalgebra, space_ops,
+    regular_comodule_algebra, regular_module_coalgebra,
     sweedler_hopf, symmetric_group_table, trivial_comodule_algebra,
     trivial_hopf, trivial_module_coalgebra,
 )
@@ -136,7 +136,7 @@ def _iterated_comult(h, k):
     H factor into its k + 1 Sweedler legs."""
     specs = [("H", ("comult", k))]
     L = Legs(specs)
-    return compile_operator(h.field, Spaces({"H": space_ops(h)}), specs,
+    return compile_operator(h.field, Spaces({"H": h}), specs,
                             [L.com(0, j) for j in range(k + 1)])
 
 

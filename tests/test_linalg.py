@@ -15,6 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 from hopfcyclic import linalg
 from hopfcyclic.errors import CompositionNotZero
 from hopfcyclic.fields import Field, is_prime
+from hopfcyclic.hopf import Algebra
 from hopfcyclic.io import _map_matrix, _map_pairs
 from hopfcyclic.linalg import (
     SparseMatrix, Subspace, _echelonize, _homology_dims, amplify,
@@ -22,7 +23,7 @@ from hopfcyclic.linalg import (
     widen,
 )
 from hopfcyclic.tensor import (
-    SpaceOps, Spaces, compile_operator, leg, perm_matrix, prod,
+    Spaces, compile_operator, leg, perm_matrix, prod,
 )
 
 QQ = Field.rationals()
@@ -1045,7 +1046,7 @@ def test_column_storage_agrees_with_dense_oracle(drawn):
     built.append(invert(upper))
     assert built[-1] @ upper == upper @ built[-1] == SparseMatrix.identity(f, n)
     # a 2 x 4 table read as X (x) X -> X, its legs swapped
-    spaces = Spaces({"X": SpaceOps(2, mult=table)})
+    spaces = Spaces({"X": Algebra(f, 2, table, None)})
     built.append(compile_operator(f, spaces, [("X", ("id",)), ("X", ("id",))],
                                   [prod(leg(1), leg(0))]))
     assert built[-1] == table @ perm_matrix(f, [2, 2], (1, 0))

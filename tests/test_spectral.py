@@ -13,7 +13,10 @@ from spectral_oracle import (
     oracle_pages,
 )
 
-from hopfcyclic.errors import FiltrationViolation, TotalNotSquareZero
+from hopfcyclic import homology
+from hopfcyclic.errors import (
+    FiltrationViolation, MixedIdentityFailure, TotalNotSquareZero,
+)
 from hopfcyclic.fields import Field
 from hopfcyclic.io import load_document
 from hopfcyclic.linalg import SparseMatrix, invert
@@ -262,6 +265,53 @@ def test_ez_cochain_side_kc2():
     cocyl = CoalgebraCocylinder(regular_module_coalgebra(kc2()))
     rep = ez_compare_hochschild(cocyl, 2)
     assert all(eq for _, _, _, eq in rep)
+
+
+@pytest.mark.parametrize("bad", ["action", "coaction"])
+def test_ez_hochschild_names_the_total_complex_that_fails(bad, monkeypatch,
+                                                           capsys):
+    """Sweedler with an action entry (a coaction term) negated: the total
+    complex is no complex, and `compare ez-hochschild` says so by its
+    degree, as `ss-pages` does; the reports are the CI negative
+    controls'."""
+    from hopfcyclic import cli
+    monkeypatch.chdir(ROOT)
+    code = cli.main(["compare", "ez-hochschild", "-i",
+                     "tests/sweedler_Q_bad_%s.json" % bad, "--nmax", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert json.loads(out)["error"] == \
+        "TotalNotSquareZero: d d != 0 at degree 2"
+    with open(os.path.join("tests", "goldens",
+                           "ez_hochschild_bad_%s_sweedler_Q_n1.json" % bad)) \
+            as fh:
+        assert out == fh.read()
+
+
+@pytest.mark.parametrize("side", ["cylinder", "cocylinder"])
+def test_ez_hochschild_names_the_diagonal_that_fails(side, monkeypatch):
+    """Only the diagonal spoiled, b_2 given one entry that b_1 does not
+    kill: the total complex passes, and the diagonal fails with the text
+    of its mixed complex."""
+    honest = homology.hochschild_boundary
+
+    def spoiled(ops, n):
+        b = honest(ops, n)
+        if n != 2:
+            return b
+        f = b.field
+        i = min(k for (_, k) in honest(ops, 1).entries)
+        entries = dict(b.entries)
+        entries[(i, 0)] = f.add(b[(i, 0)], f.one())
+        return SparseMatrix(f, b.rows, b.cols, entries)
+
+    monkeypatch.setattr(homology, "hochschild_boundary", spoiled)
+    h = sweedler_hopf(QQ)
+    cyl = (AlgebraCylinder(regular_comodule_algebra(h)) if side == "cylinder"
+           else CoalgebraCocylinder(regular_module_coalgebra(h)))
+    with pytest.raises(MixedIdentityFailure) as e:
+        ez_compare_hochschild(cyl, 1)
+    assert str(e.value) == "b b != 0 at degree 2"
 
 
 def test_cochain_total_complex_and_pages():

@@ -301,6 +301,65 @@ def test_fields_and_structures_never_share_an_entry(no_kept_operators):
     assert sum(k[0] is spaces.tables for k in tensor._operators) == 2
 
 
+# The maps each leg label's structure offers the compiler
+_LABEL_MAPS = {
+    "H": ("mult", "unit", "comult", "counit", "antipode", "antipode_inv"),
+    "A": ("mult", "unit", "coaction"),
+    "C": ("comult", "counit", "action"),
+}
+
+
+@pytest.mark.parametrize("name", EVERY_FILE)
+def test_the_table_key_holds_each_labels_maps(name):
+    """The table key of a structure's spaces holds, for each label, its
+    dimension and exactly the maps its structure offers."""
+    doc = load(name)
+    for s, make_spaces in ((doc.algebra, algebra_spaces),
+                           (doc.coalgebra, coalgebra_spaces)):
+        spaces = make_spaces(s)
+        want = tuple(sorted(
+            (label, x.dim, tuple(
+                (name, m.field.p, m.rows, m.cols, frozenset(m.columns.items()))
+                for name in _LABEL_MAPS[label] for m in (getattr(x, name),)))
+            for label, x in spaces.items()))
+        assert tensor._tables_key(spaces) == want
+
+
+def _action(c):
+    """C's action, compiled from its legs."""
+    specs = [("H", ("id",)), ("C", ("id",))]
+    L = Legs(specs)
+    return compile_operator(c.field, coalgebra_spaces(c), specs,
+                            [act(L.plain(0), L.plain(1))])
+
+
+def _coaction(a):
+    """A's coaction, compiled from its legs."""
+    specs = [("A", ("coaction", 1))]
+    L = Legs(specs)
+    return compile_operator(a.field, algebra_spaces(a), specs,
+                            [L.coact(0, 1), L.coact(0, 0)])
+
+
+@pytest.mark.parametrize("side, compiled, bad", [
+    ("coalgebra", _action, "sweedler_Q_bad_action"),
+    ("algebra", _coaction, "sweedler_Q_bad_coaction")])
+def test_structures_differing_in_one_map_never_share_an_entry(
+        side, compiled, bad, no_kept_operators):
+    """Sweedler and a copy with only C's action (A's coaction) changed: one
+    description compiled on each makes two entries and two different
+    matrices, each its structure's own map, so the key reads the
+    (co)action."""
+    got = []
+    for path in (os.path.join(DATA, "sweedler_Q.json"),
+                 os.path.join(ROOT, "tests", bad + ".json")):
+        s = getattr(load_document(path), side)
+        got.append(compiled(s))
+        assert got[-1] == (s.action if side == "coalgebra" else s.coaction)
+    assert len(tensor._operators) == 2
+    assert got[0] != got[1]
+
+
 def test_a_hit_is_a_new_matrix_with_no_pairs_or_kills(no_kept_operators):
     """What a job writes on a compiled matrix (the pairs of `rank`, the
     composite a check found zero) stays with that job's matrix."""
