@@ -58,13 +58,21 @@ the normalized Hochschild boundary b of the same algebra alone and
 builds the unnormalized (b, B) only on the other side of each comparison:
 the diagonal of the (co)cylinder, or the coinvariant module.
 
-`compute hopf-homology|comodule-cohomology` first check H's Hopf axioms,
-as `verify cylindrical|cocylindrical` do (`_require_hopf`), then rank the
-normalized (co)bar complex, on the chains with no unit (counit) leg,
-which its gate row counts, and `compute ss-pages` and `compare
-ez-hochschild` the total complex normalized in the H and the block
-direction, E^0 and E^1 of ss-pages restored by a Dold-Kan count; their
-gate rows still count the full spaces.
+A structure that fails a suite of `hopf` which a result presupposes is
+refused with AxiomFailure naming the failed entries (`CheckReport.require`):
+`verify cylindrical|cocylindrical`, `compute hopf-homology|comodule-cohomology|
+ss-pages|coinvariants` and `compare ez-hochschild|collapse-*` check H's Hopf
+axioms; `compute hopf-homology|comodule-cohomology` then the (co)module laws
+of the trivial (co)action, `compute ss-pages` and `compare ez-hochschild` the
+block's (co)algebra axioms, and `compute coinvariants` and `compare
+collapse-*` its comodule algebra (module coalgebra) axioms.
+
+`compute hopf-homology|comodule-cohomology` rank the normalized (co)bar
+complex, on the chains with no unit (counit) leg, which its gate row
+counts, and `compute ss-pages` and `compare ez-hochschild` the total
+complex normalized in the H and the block direction, E^0 and E^1 of
+ss-pages restored by a Dold-Kan count; their gate rows still count the
+full spaces.
 """
 
 from __future__ import annotations
@@ -76,9 +84,7 @@ import os
 import sys
 import time
 
-from .errors import (
-    AxiomFailure, HopfCyclicError, MissingBlock, ParseError, TooLarge,
-)
+from .errors import HopfCyclicError, MissingBlock, ParseError, TooLarge
 from .hopf import check_comodule_algebra, check_hopf, check_module_coalgebra
 from .crossed import (
     crossed_product_algebra, crossed_product_coalgebra, dual_algebra,
@@ -427,17 +433,6 @@ def _coinvariants(doc, side, N, top_faces_only=False):
     return coinvariant_cocyclic_module(doc.coalgebra, N, top_faces_only)
 
 
-def _require_hopf(h):
-    """AxiomFailure naming each Hopf axiom that h fails.  The (co)cylinder
-    suites check only the identities of the maps they build, and the
-    (co)bar complexes only the laws that make their normalized chains a
-    (co)chain complex: all of them hold on some H that is no Hopf
-    algebra."""
-    failed = [name for name, _, _ in check_hopf(h).failures()]
-    if failed:
-        raise AxiomFailure("H fails the Hopf axioms: %s" % ", ".join(failed))
-
-
 def cmd_verify(doc, target, params):
     bounds, sides, _ = _admit(doc, target, params)
     checks = []
@@ -450,7 +445,7 @@ def cmd_verify(doc, target, params):
             check = check_comodule_algebra if alg else check_module_coalgebra
             checks += _report_entries(check(s))
         elif target in ("cylindrical", "cocylindrical"):
-            _require_hopf(doc.hopf)
+            check_hopf(doc.hopf).require("H fails the Hopf axioms")
             suite = check_algebra_cylinder if alg \
                 else check_coalgebra_cocylinder
             checks += _report_entries(suite(_cylinder(doc, side),
@@ -529,12 +524,10 @@ def cmd_compute(doc, target, params):
             tables["%s_crossed_product_%s" % (target, side)] = _crossed_dims(
                 r, [target], bounds["nmax"], h0)[target]
         elif target == "hopf-homology":
-            _require_hopf(s)
             tables["hopf_module_homology_trivial_coefficients"] = \
                 hopf_module_homology(s, trivial_module_action(s),
                                      bounds["qmax"])
         elif target == "comodule-cohomology":
-            _require_hopf(s)
             tables["hopf_comodule_cohomology_trivial_coefficients"] = \
                 hopf_comodule_cohomology(s, trivial_comodule_coaction(s),
                                          bounds["pmax"])

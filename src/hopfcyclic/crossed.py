@@ -25,7 +25,6 @@ formed in reverse order, reported under the cochain names and degrees.
 
 from __future__ import annotations
 
-from .errors import AxiomFailure
 from .hopf import (
     Algebra, Coalgebra, CheckReport, algebra_spaces, check_algebra,
     check_coalgebra, coalgebra_spaces,
@@ -51,9 +50,7 @@ def crossed_product_algebra(a) -> Algebra:
     names = ["%s*%s" % (x, y)
              for x in a.algebra.basis_names for y in a.hopf.basis_names]
     out = Algebra(f, a.dim * a.hopf.dim, mult, unit, names)
-    rep = check_algebra(out)
-    if not rep.ok:
-        raise AxiomFailure("crossed product algebra: %s" % rep.failures())
+    check_algebra(out).require("the crossed product fails the algebra axioms")
     return out
 
 
@@ -73,9 +70,8 @@ def crossed_product_coalgebra(c) -> Coalgebra:
     names = ["%s*%s" % (x, y)
              for x in c.coalgebra.basis_names for y in c.hopf.basis_names]
     out = Coalgebra(f, c.dim * c.hopf.dim, comult, counit, names)
-    rep = check_coalgebra(out)
-    if not rep.ok:
-        raise AxiomFailure("crossed product coalgebra: %s" % rep.failures())
+    check_coalgebra(out).require(
+        "the crossed product fails the coalgebra axioms")
     return out
 
 

@@ -59,10 +59,13 @@ from .crossed import CocyclicOps, CyclicOps, _OnRead, _power, \
     crossed_product_algebra, crossed_product_coalgebra, check_cocyclic_ops, \
     check_cyclic_ops, cocyclic_module_of_coalgebra, cyclic_module_of_algebra
 from .errors import (
-    AxiomFailure, ClosedFormMismatch, NotInverse,
-    NotIntertwining, NotRestricting, NotWellDefined,
+    ClosedFormMismatch, NotInverse, NotIntertwining, NotRestricting,
+    NotWellDefined,
 )
-from .hopf import CheckReport, algebra_spaces, coalgebra_spaces
+from .hopf import (
+    CheckReport, algebra_spaces, check_comodule, check_comodule_algebra,
+    check_hopf, check_module, check_module_coalgebra, coalgebra_spaces,
+)
 from .linalg import SparseMatrix, Subspace, amplify, col_items, combine, \
     image, kernel, pack_columns, widen
 from .tensor import Legs, S, Sinv, act, compile_operator, prod
@@ -682,27 +685,10 @@ def first_column_action(a, n):
     return AlgebraCylinder(a).first_column(n)
 
 
-def _check_module_action(h, action):
-    m = action.rows
-    if action @ amplify(h.mult, 1, m) != action @ amplify(action, h.dim, 1):
-        raise AxiomFailure("first-column action is not associative")
-    if action @ amplify(h.unit, 1, m) != SparseMatrix.identity(h.field, m):
-        raise AxiomFailure("first-column action is not unital")
-
-
 def first_column_coaction(c, n):
     """Coaction H (x) C^(x)(n+1) -> H (x) (H (x) C^(x)(n+1)) on the first
     column, as compiled by a cocylinder of its own."""
     return CoalgebraCocylinder(c).first_column(n)
-
-
-def _check_comodule_coaction(h, coaction):
-    m = coaction.cols
-    if amplify(h.comult, 1, m) @ coaction \
-            != amplify(coaction, h.dim, 1) @ coaction:
-        raise AxiomFailure("first-column coaction is not coassociative")
-    if amplify(h.counit, 1, m) @ coaction != SparseMatrix.identity(h.field, m):
-        raise AxiomFailure("first-column coaction is not counital")
 
 
 def _mprod(*terms):
@@ -1126,10 +1112,15 @@ def coinvariant_cyclic_module(a, N=2, top_faces_only=False):
     its vertical operators, by span{h.x - counit(h) x}, with the induced
     cyclic operators.  Returns (CyclicOps, [QuotientPresentation]).
 
+    H must pass `check_hopf`, A `check_comodule_algebra` and each degree's
+    compiled first-column action `check_module`, else AxiomFailure.
+
     With top_faces_only, degree N carries its faces only, all that a mixed
     complex through N reads of it: no degeneracy into N and no rotation at
     N is built, and the suite checks what is built
     (`check_cyclic_ops`)."""
+    check_hopf(a.hopf).require("H fails the Hopf axioms")
+    check_comodule_algebra(a).require("A fails the comodule algebra axioms")
     f = a.field
     cyl = AlgebraCylinder(a)
     pres = []
@@ -1139,7 +1130,8 @@ def coinvariant_cyclic_module(a, N=2, top_faces_only=False):
         # with the vertical operators or the other degrees, and kept on the
         # cylinder's memo they raised the peak of S3 --nmax 3 by a sixth
         action = first_column_action(a, n)
-        _check_module_action(a.hopf, action)
+        check_module(a.hopf, action).require(
+            "the first-column action fails the module axioms")
         rel = action - amplify(a.hopf.counit, 1, x)
         pres.append(QuotientPresentation(image(rel)))
 
@@ -1200,9 +1192,14 @@ def coinvariant_cocyclic_module(c, N=2, top_faces_only=False):
     its vertical cooperators, where the coaction is trivial, with the
     induced cocyclic operators.  Returns (CocyclicOps, [SubspacePresentation]).
 
+    H must pass `check_hopf`, C `check_module_coalgebra` and each degree's
+    compiled first-column coaction `check_comodule`, else AxiomFailure.
+
     With top_faces_only, degree N carries only its cofaces from N - 1, as
     in `coinvariant_cyclic_module`: no codegeneracy out of N and no
     rotation at N."""
+    check_hopf(c.hopf).require("H fails the Hopf axioms")
+    check_module_coalgebra(c).require("C fails the module coalgebra axioms")
     f = c.field
     cocyl = CoalgebraCocylinder(c)
     pres = []
@@ -1210,7 +1207,8 @@ def coinvariant_cocyclic_module(c, N=2, top_faces_only=False):
         x = cocyl.space_dim(0, n)
         # each degree on spaces of its own, as in coinvariant_cyclic_module
         coaction = first_column_coaction(c, n)
-        _check_comodule_coaction(c.hopf, coaction)
+        check_comodule(c.hopf, coaction).require(
+            "the first-column coaction fails the comodule axioms")
         insert1 = amplify(c.hopf.unit, 1, x)
         pres.append(SubspacePresentation(kernel(coaction - insert1)))
 

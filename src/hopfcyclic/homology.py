@@ -76,13 +76,15 @@ from math import comb
 
 from .crossed import CocyclicOps, CyclicOps, unit_first, unit_legs
 from .errors import (
-    AxiomFailure, BoundaryNotSquareZero, CoboundaryNotSquareZero,
-    CompositionNotZero, FiltrationViolation, HomotopyFailure,
-    MixedIdentityFailure, NotCosemisimple, NotSemisimple, TotalNotSquareZero,
-    TruncationTooShallow,
+    BoundaryNotSquareZero, CoboundaryNotSquareZero, CompositionNotZero,
+    FiltrationViolation, HomotopyFailure, MixedIdentityFailure,
+    NotCosemisimple, NotSemisimple, TotalNotSquareZero, TruncationTooShallow,
 )
 from .fields import settle
-from .hopf import dual_hopf
+from .hopf import (
+    check_algebra, check_coalgebra, check_comodule, check_hopf, check_module,
+    dual_hopf,
+)
 from .linalg import (
     SparseMatrix, _homology_dims, amplify, block_matrix, col_items, combine,
     kernel, pack_columns, place, rank, relabel,
@@ -418,29 +420,6 @@ def hopf_comodule_coboundary(h, coaction, p):
                                 p + 1).transpose()
 
 
-def _check_bar_laws(h, action, top):
-    """delta delta = 0 on the full bar complex through degree min(3, top),
-    whose composites hold every face identity that a higher one tensors
-    with identities, so a failure is named at the degree the full complex
-    shows it; then the unit laws of the product, counit and action, which
-    make the degenerate chains a subcomplex (else AxiomFailure)."""
-    lower = None
-    for p in range(1, min(3, top) + 1):
-        upper = hopf_module_boundary(h, action, p)
-        if lower is not None and not (lower @ upper).is_zero():
-            raise BoundaryNotSquareZero(p)
-        lower = upper
-    f, d, m = h.field, h.dim, action.rows
-    ident = SparseMatrix.identity(f, d)
-    if not (h.mult @ amplify(h.unit, 1, d) == ident
-            and h.mult @ amplify(h.unit, d, 1) == ident
-            and h.counit @ h.unit == SparseMatrix.identity(f, 1)
-            and action @ amplify(h.unit, 1, m)
-            == SparseMatrix.identity(f, m)):
-        raise AxiomFailure("the unit of the bar complex is not a unit of "
-                           "its product, counit and action")
-
-
 def _bar_boundary(pieces, p):
     """The bar boundary out of degree p on the chains L^(x)p (x) M, from the
     `pieces` (counit, product, action, e, m), e = dim L, m = dim M: on the
@@ -460,18 +439,15 @@ def hopf_module_homology(h, action, qmax):
     H / k 1, on (d - 1)^p m coordinates instead of d^p m; the unit need not
     be e_0 (`crossed.unit_legs`).
 
-    After `_check_bar_laws`, `_homology_dims` checks each normalized
-    composite delta_(p-1) delta_p right after building delta_p, so a
-    failure is BoundaryNotSquareZero(p) at the lowest degree p showing it."""
-    f = h.field
-    _check_bar_laws(h, action, qmax + 1)
-    C, P = unit_legs(f, h.unit)
-    m = action.rows
-    pieces = (h.counit @ C, P @ h.mult @ C.kron(C),
-              action @ amplify(C, 1, m), h.dim - 1, m)
+    H must pass `check_hopf` and the action `check_module` (else
+    AxiomFailure): their unit laws make the degenerate chains a subcomplex.
+    `_homology_dims` checks each normalized composite delta_(p-1) delta_p
+    right after building delta_p, so a failure is BoundaryNotSquareZero(p)
+    at the lowest degree p showing it."""
+    check_hopf(h).require("H fails the Hopf axioms")
+    check_module(h, action).require("the action fails the module axioms")
     try:
-        return _homology_dims(_degree_pairs(
-            f, m, lambda p: _bar_boundary(pieces, p), qmax))
+        return _normalized_bar_dims(h, action, qmax)
     except CompositionNotZero as e:
         raise BoundaryNotSquareZero(e.degree) from None
 
@@ -479,14 +455,30 @@ def hopf_module_homology(h, action, qmax):
 def hopf_comodule_cohomology(h, coaction, pmax):
     """dims of H^p of the cobar complex of the comodule, as the bar homology
     of M* over H* (bar degree p + 1 is cobar degree p): the normalized one,
-    in the basis of H* whose unit, the counit of H, is f_0."""
+    in the basis of H* whose unit, the counit of H, is f_0.
+
+    H must pass `check_hopf` and the coaction `check_comodule`, on H
+    itself (else AxiomFailure); a nonzero normalized composite is
+    CoboundaryNotSquareZero at the lowest cobar degree showing it."""
+    check_hopf(h).require("H fails the Hopf axioms")
+    check_comodule(h, coaction).require(
+        "the coaction fails the comodule axioms")
     try:
-        return hopf_module_homology(dual_hopf(h), coaction.transpose(), pmax)
-    except BoundaryNotSquareZero as e:
+        return _normalized_bar_dims(dual_hopf(h), coaction.transpose(), pmax)
+    except CompositionNotZero as e:
         raise CoboundaryNotSquareZero(e.degree - 1) from None
-    except AxiomFailure:
-        raise AxiomFailure("the counit of the cobar complex is not a counit "
-                           "of its coproduct, unit and coaction") from None
+
+
+def _normalized_bar_dims(h, action, qmax):
+    """The ranks of `hopf_module_homology`, on the pieces of the normalized
+    bar boundary read off H once."""
+    f = h.field
+    C, P = unit_legs(f, h.unit)
+    m = action.rows
+    pieces = (h.counit @ C, P @ h.mult @ C.kron(C),
+              action @ amplify(C, 1, m), h.dim - 1, m)
+    return _homology_dims(_degree_pairs(
+        f, m, lambda p: _bar_boundary(pieces, p), qmax))
 
 
 # -- integrals and (co)semisimplicity homotopies --------------------------------------
@@ -633,60 +625,46 @@ def _normalized_cells(cyl, N):
     return cells, dims
 
 
-def _check_unit_laws(f, name, unit, structure_map, transposed):
-    """The unit `unit` (d x 1) of the algebra `name` is a two-sided unit of
-    its product `structure_map`; when transposed, its counit `unit` (1 x d)
-    is a two-sided counit of its coproduct `structure_map`, checked in
-    cochain order, as it is.  Else AxiomFailure naming the law that
-    fails."""
-    d = structure_map.cols if transposed else structure_map.rows
-    if transposed:
-        laws = (("counit law (eps (x) id) Delta", amplify(unit, 1, d)),
-                ("counit law (id (x) eps) Delta", amplify(unit, d, 1)))
-    else:
-        laws = (("unit law m (1 (x) id)", amplify(unit, 1, d)),
-                ("unit law m (id (x) 1)", amplify(unit, d, 1)))
-    ident = SparseMatrix.identity(f, d)
-    for law, leg in laws:
-        if (leg @ structure_map if transposed else structure_map @ leg) \
-                != ident:
-            raise AxiomFailure("%s's %s = id fails" % (name, law))
-
-
-def _total_complex(cyl, N, hopf, block, v_kernel, h_kernel, transposed):
+def _total_complex(cyl, N, v_kernel, h_kernel, transposed):
     """Tot_n = sum of the cells X_{p,q} (p+q = n, q descending), each
     normalized in both directions, d = (-1)^p b_v + b_h with
     b_v(p, q): X_{p,q} -> X_{p,q-1} and b_h(p, q): X_{p,q} -> X_{p-1,q},
     filtered by F_i = sum over q <= i.
 
-    `hopf` and `block` are the (unit, product) of H and of the block B (on
-    the coalgebra side the (counit, coproduct) of H and of C, the unit and
-    product of the duals).  The horizontally degenerate chains, images of
-    degen_h, have H's unit in an H leg past the first, and the vertically
-    degenerate ones, images of degen_v, the block's unit in a B leg past
-    the first.  Once `_check_unit_laws` has found each a unit of its
-    product (a counit of its coproduct), each kind spans a sub-double
-    complex, as vertical operators commute with horizontal ones, and the
-    full complex is the doubly normalized one plus degenerate summands
-    whose rows (horizontal) and columns (vertical) are acyclic (Dold-Kan:
-    the normalized Moore complex; Loday, Cyclic Homology).  The
-    quotient lives on the cells H (x) Hbar^(x)p (x) B (x) Bbar^(x)q, Hbar
-    = H / k 1, Bbar = B / k 1, where a map of cells is read as P (x) ...
-    m ... (x) C on the bar legs (`crossed.unit_legs` of each unit;
-    transposed for a cocylinder's coboundaries).  Each direction's
-    (co)faces are `_signed_faces` of its block's product read on the
-    quotient, the last ones the kernels v_kernel(p), h_kernel(q), read on
-    the quotient once and passed through the other legs by the
-    (co)cylinder's `_widen`; each is summed straight into its block of d_n
-    (`place`).  `spectral_pages` checks d d = 0 and the filtration,
-    `total_homology_dims` every composite."""
+    Each direction reads the (unit, product) of its structure, H or the
+    block B (on the coalgebra side the (counit, coproduct) of H and of C,
+    the unit and product of the duals).  The horizontally degenerate
+    chains, images of degen_h, have H's unit in an H leg past the first,
+    and the vertically degenerate ones, images of degen_v, the block's unit
+    in a B leg past the first.  H must pass `check_hopf`, and the block
+    `check_algebra` (on the coalgebra side `check_coalgebra`), else
+    AxiomFailure: then each unit is a unit of its product (a counit of its
+    coproduct), each kind spans a sub-double complex, as vertical
+    operators commute with horizontal ones, and the full complex is the
+    doubly normalized one plus degenerate summands whose rows (horizontal)
+    and columns (vertical) are acyclic (Dold-Kan: the normalized Moore
+    complex; Loday, Cyclic Homology).  The (co)action laws are left to the
+    d d = 0 check downstream.  The quotient lives on the cells H (x)
+    Hbar^(x)p (x) B (x) Bbar^(x)q, Hbar = H / k 1, Bbar = B / k 1, where a
+    map of cells is read as P (x) ... m ... (x) C on the bar legs
+    (`crossed.unit_legs` of each unit; transposed for a cocylinder's
+    coboundaries).  Each direction's (co)faces are `_signed_faces` of its
+    block's product read on the quotient, the last ones the kernels
+    v_kernel(p), h_kernel(q), read on the quotient once and passed through
+    the other legs by the (co)cylinder's `_widen`; each is summed straight
+    into its block of d_n (`place`).  `spectral_pages` checks d d = 0 and
+    the filtration, `total_homology_dims` every composite."""
     f, dh, db = cyl.field, cyl.dh, cyl.db
     eh, eb = dh - 1, db - 1
+    block = getattr(cyl, cyl.block)
+    check_hopf(cyl.hopf).require("H fails the Hopf axioms")
+    rep = (check_coalgebra if transposed else check_algebra)(block)
+    rep.require("%s fails the %s axioms" % (cyl.block, rep.subject))
+    unit, product = ("counit", "comult") if transposed else ("unit", "mult")
     bars = {}  # bar leg -> (map onto the quotient, map off it)
-    for leg, name, (unit, structure_map) in (("h", "H", hopf),
-                                             ("b", cyl.block, block)):
-        _check_unit_laws(f, name, unit, structure_map, transposed)
-        C, P = unit_legs(f, unit.transpose() if transposed else unit)
+    for leg, structure in (("h", cyl.hopf), ("b", block)):
+        u = getattr(structure, unit)
+        C, P = unit_legs(f, u.transpose() if transposed else u)
         bars[leg] = (C.transpose(), P.transpose()) if transposed else (P, C)
     full = {"H": dh, "B": db}
     made = {}  # (legs, side) -> on(side, legs)
@@ -715,7 +693,7 @@ def _total_complex(cyl, N, hopf, block, v_kernel, h_kernel, transposed):
             m = on(0, tgt) @ m
         return m
 
-    hopf_map, block_map = hopf[1], block[1]
+    hopf_map, block_map = getattr(cyl.hopf, product), getattr(block, product)
     first_h = quotient(hopf_map, "H", "Hh")
     inner_h = quotient(hopf_map, "h", "hh")
     first_b = quotient(block_map, "B", "Bb")
@@ -750,9 +728,7 @@ def _total_complex(cyl, N, hopf, block, v_kernel, h_kernel, transposed):
 def total_complex_algebra(cyl, N=3) -> FilteredComplex:
     """The total complex of the cylinder, d = (-1)^p b_v + b_h, normalized
     in the H and the A direction."""
-    return _total_complex(cyl, N, (cyl.hopf.unit, cyl.hopf.mult),
-                          (cyl.A.unit, cyl.A.mult),
-                          lambda p: cyl.face_v(p, 1, 1),
+    return _total_complex(cyl, N, lambda p: cyl.face_v(p, 1, 1),
                           lambda q: cyl.face_h(1, q, 1), False)
 
 
@@ -772,9 +748,7 @@ def total_complex_coalgebra(cocyl, N=3) -> FilteredComplex:
     changed H, whose coproduct is denser, the corpus cocylinders built 24
     to 115 times slower.
     """
-    return _total_complex(cocyl, N, (cocyl.hopf.counit, cocyl.hopf.comult),
-                          (cocyl.C.counit, cocyl.C.comult),
-                          lambda p: cocyl.coface_v(p, 0, 1),
+    return _total_complex(cocyl, N, lambda p: cocyl.coface_v(p, 0, 1),
                           lambda q: cocyl.coface_h(0, q, 1), True)
 
 

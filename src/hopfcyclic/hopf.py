@@ -9,16 +9,18 @@ All structure maps are sparse matrices over an exact field:
 plus comodule algebras (coaction A -> H (x) A, an algebra map) and module
 coalgebras (action H (x) C -> C, a coalgebra map).  Axiom checkers evaluate
 the defining identities exhaustively as exact matrix equalities and report
-pass/fail per axiom with the first failing basis tuple.  `dual_hopf`
-transposes every structure map; the cobar complex of an H-comodule is
-computed as the transposed bar complex of the dual module over H*.
+pass/fail per axiom with the first failing basis tuple; each law is
+written once, and `CheckReport.require` is the one refusal of a structure,
+an AxiomFailure naming each failed axiom.  `dual_hopf` transposes every
+structure map; the cobar complex of an H-comodule is computed as the
+transposed bar complex of the dual module over H*.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from .errors import CharTwo, NotAGroup, Singular
+from .errors import AxiomFailure, CharTwo, NotAGroup, Singular
 from .fields import Field
 from .linalg import SparseMatrix, amplify, invert
 from .tensor import Spaces, perm_matrix, tensor_unindex
@@ -54,6 +56,12 @@ class CheckReport:
 
     def failures(self):
         return [e for e in self.entries if not e[1]]
+
+    def require(self, what):
+        """AxiomFailure "<what>: <each failed entry name>" unless all pass."""
+        failed = [name for name, _, _ in self.failures()]
+        if failed:
+            raise AxiomFailure("%s: %s" % (what, ", ".join(failed)))
 
     def __repr__(self):
         state = "ok" if self.ok else "FAILED %d" % len(self.failures())
@@ -218,17 +226,35 @@ def check_hopf(h: HopfAlgebra) -> CheckReport:
     return rep
 
 
+def check_module(h: HopfAlgebra, action, report=None) -> CheckReport:
+    """The module laws of action: H (x) M -> M."""
+    dh, m = h.dim, action.rows
+    rep = report or CheckReport("module")
+    rep.record("action associative", action @ amplify(h.mult, 1, m),
+               action @ amplify(action, dh, 1), [dh, dh, m])
+    rep.record("action unital", action @ amplify(h.unit, 1, m),
+               _ident(h.field, m), [m])
+    return rep
+
+
+def check_comodule(h: HopfAlgebra, coaction, report=None) -> CheckReport:
+    """The comodule laws of coaction: M -> H (x) M."""
+    dh, m = h.dim, coaction.cols
+    rep = report or CheckReport("comodule")
+    rep.record("coaction coassociative",
+               amplify(h.comult, 1, m) @ coaction,
+               amplify(coaction, dh, 1) @ coaction, [m])
+    rep.record("coaction counital", amplify(h.counit, 1, m) @ coaction,
+               _ident(h.field, m), [m])
+    return rep
+
+
 def check_comodule_algebra(a: ComoduleAlgebra) -> CheckReport:
     f = a.field
     dh, da = a.hopf.dim, a.dim
     rep = CheckReport("comodule algebra")
     check_algebra(a.algebra, rep)
-    rep.record("coaction coassociative",
-               amplify(a.hopf.comult, 1, da) @ a.coaction,
-               amplify(a.coaction, dh, 1) @ a.coaction, [da])
-    rep.record("coaction counital",
-               amplify(a.hopf.counit, 1, da) @ a.coaction, _ident(f, da),
-               [da])
+    check_comodule(a.hopf, a.coaction, rep)
     swap = perm_matrix(f, [dh, da, dh, da], (0, 2, 1, 3))
     rep.record("coaction multiplicative",
                a.coaction @ a.mult,
@@ -244,11 +270,7 @@ def check_module_coalgebra(c: ModuleCoalgebra) -> CheckReport:
     dh, dc = c.hopf.dim, c.dim
     rep = CheckReport("module coalgebra")
     check_coalgebra(c.coalgebra, rep)
-    rep.record("action associative",
-               c.action @ amplify(c.hopf.mult, 1, dc),
-               c.action @ amplify(c.action, dh, 1), [dh, dh, dc])
-    rep.record("action unital", c.action @ amplify(c.hopf.unit, 1, dc),
-               _ident(f, dc), [dc])
+    check_module(c.hopf, c.action, rep)
     swap = perm_matrix(f, [dh, dh, dc, dc], (0, 2, 1, 3))
     rep.record("action comultiplicative",
                c.comult @ c.action,

@@ -17,9 +17,8 @@ acyclic rows.
 
 from hopfcyclic.crossed import unit_legs
 from hopfcyclic.cylinder import CoalgebraCocylinder
-from hopfcyclic.homology import (
-    FilteredComplex, SSPage, _check_unit_laws, spectral_pages,
-)
+from hopfcyclic.homology import FilteredComplex, SSPage, spectral_pages
+from hopfcyclic.hopf import check_hopf
 from hopfcyclic.linalg import (
     SparseMatrix, Subspace, amplify, col_items, kernel, place, widen,
 )
@@ -222,7 +221,7 @@ def h_normalized_total_complex(cyl, N):
         unit, hopf_map, block_map = cyl.hopf.unit, cyl.hopf.mult, cyl.A.mult
         v_kernel = lambda p: cyl.face_v(p, 1, 1)  # noqa: E731
         h_kernel = lambda q: cyl.face_h(1, q, 1)  # noqa: E731
-    _check_unit_laws(f, "H", unit, hopf_map, co)
+    check_hopf(cyl.hopf).require("H fails the Hopf axioms")
     C, P = unit_legs(f, unit.transpose() if co else unit)
     left, right = (C.transpose(), P.transpose()) if co else (P, C)
 

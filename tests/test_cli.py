@@ -8,6 +8,10 @@ import sys
 import pytest
 
 from hopfcyclic.corpus import corpus_documents
+from hopfcyclic.hopf import (
+    check_algebra, check_coalgebra, check_comodule_algebra, check_hopf,
+    check_module_coalgebra,
+)
 from hopfcyclic.io import dumps_document, load_document, parse_document
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -1159,3 +1163,79 @@ def test_negative_controls_across_jobs_in_one_process(monkeypatch):
     monkeypatch.chdir(os.path.join(DATA, ".."))
     for argv, got, want in cross_job_controls.outcomes():
         assert got == want, argv
+
+
+# -- one gate per presupposition ---------------------------------------------
+
+# suite -> (the refusal's text, the suite run on a document)
+_SUITES = {
+    "hopf": ("H fails the Hopf axioms", lambda doc: check_hopf(doc.hopf)),
+    "algebra": ("A fails the algebra axioms",
+                lambda doc: check_algebra(doc.algebra)),
+    "coalgebra": ("C fails the coalgebra axioms",
+                  lambda doc: check_coalgebra(doc.coalgebra)),
+    "comodule algebra": ("A fails the comodule algebra axioms",
+                         lambda doc: check_comodule_algebra(doc.algebra)),
+    "module coalgebra": ("C fails the module coalgebra axioms",
+                         lambda doc: check_module_coalgebra(doc.coalgebra)),
+}
+
+# command -> the suites it requires, in the order it requires them; the
+# block suites of ss-pages and ez-hochschild are the algebra side's, then
+# the coalgebra side's.  `compare collapse-*` is left out: it builds and
+# checks the crossed product before the coinvariants require their suites.
+_REQUIRED_SUITES = {
+    "verify cylindrical --pmax 1 --qmax 1": ("hopf",),
+    "verify cocylindrical --pmax 1 --qmax 1": ("hopf",),
+    "compute hopf-homology --qmax 1": ("hopf",),
+    "compute comodule-cohomology --pmax 1": ("hopf",),
+    "compute ss-pages --pmax 1 --qmax 1": ("hopf", "algebra", "coalgebra"),
+    "compare ez-hochschild --nmax 1": ("hopf", "algebra", "coalgebra"),
+    "compute coinvariants --nmax 1": ("hopf", "comodule algebra",
+                                      "module coalgebra"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED_SUITES))
+@pytest.mark.parametrize("bad", ["action", "block_unit", "coaction",
+                                 "counit", "unit"])
+def test_each_command_names_exactly_the_failed_entries(command, bad,
+                                                       monkeypatch, capsys):
+    """On each negative control, a command refuses with the first suite
+    it requires that fails, naming exactly that suite's failed entries on
+    the file; when every suite it requires passes, no AxiomFailure."""
+    from hopfcyclic import cli
+    monkeypatch.chdir(os.path.join(DATA, ".."))
+    path = os.path.join("tests", "sweedler_Q_bad_%s.json" % bad)
+    doc = load_document(path)
+    expected = None
+    for suite in _REQUIRED_SUITES[command]:
+        what, check = _SUITES[suite]
+        failed = [name for name, ok, _ in check(doc).entries if not ok]
+        if failed:
+            expected = "AxiomFailure: %s: %s" % (what, ", ".join(failed))
+            break
+    argv = command.split()
+    code = cli.main(argv[:2] + ["-i", path] + argv[2:])
+    error = json.loads(capsys.readouterr().out).get("error", "")
+    if expected:
+        assert code == 1 and error == expected
+    else:
+        assert not error.startswith("AxiomFailure")
+
+
+@pytest.mark.parametrize("bad", ["action", "coaction"])
+def test_coinvariants_reports_on_a_bad_action_and_coaction(bad, monkeypatch,
+                                                           capsys):
+    """`compute coinvariants --nmax 1` on Sweedler with an action entry or
+    a coaction term negated printed the passing file's tables with "ok":
+    true; it exits 1, byte-identical to its golden."""
+    from hopfcyclic import cli
+    monkeypatch.chdir(os.path.join(DATA, ".."))
+    code = cli.main(["compute", "coinvariants", "-i",
+                     os.path.join("tests", "sweedler_Q_bad_%s.json" % bad),
+                     "--nmax", "1"])
+    golden = os.path.join("tests", "goldens",
+                          "coinvariants_bad_%s_sweedler_Q_n1.json" % bad)
+    with open(golden) as fh:
+        assert code == 1 and capsys.readouterr().out == fh.read()

@@ -137,15 +137,57 @@ def test_comodule_cohomology():
 
 
 def test_cobar_of_a_non_coassociative_comult_is_not_square_zero():
-    """The cobar complex is computed as the transposed bar complex over the
-    dual; its error still names the cobar degree."""
+    """A non-coassociative comultiplication is refused by H's Hopf axioms,
+    checked on H itself before the cobar complex is computed as the
+    transposed bar complex over the dual."""
     h = kc2()
     comult = SparseMatrix(QQ, 4, 2, {(0, 0): 1, (3, 1): 1, (1, 1): 1})
     bad = HopfAlgebra(QQ, 2, h.mult, h.unit, comult, h.counit, h.antipode,
                       h.antipode_inv)
-    with pytest.raises(CoboundaryNotSquareZero,
-                       match="delta delta != 0 at degree 2$"):
+    with pytest.raises(AxiomFailure,
+                       match="^H fails the Hopf axioms: coassociativity, "):
         hopf_comodule_cohomology(bad, trivial_comodule_coaction(bad), 3)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_spoiled_normalized_boundary_is_named_at_its_degree(p,
+                                                              monkeypatch):
+    """The normalized composites are checked as each boundary is built: a
+    bar boundary spoiled at degree p, on an H and a (co)action that pass
+    their suites, is BoundaryNotSquareZero(p) on the bar side and
+    CoboundaryNotSquareZero(p - 1) on the cobar side, whose bar degree p
+    is cobar degree p - 1."""
+    honest = homology._bar_boundary
+
+    def spoiled(pieces, q):
+        d = honest(pieces, q)
+        return _spoil(honest(pieces, q - 1), d) if q == p else d
+
+    monkeypatch.setattr(homology, "_bar_boundary", spoiled)
+    h = kc2()  # the regular (co)module, whose boundaries are nonzero
+    with pytest.raises(BoundaryNotSquareZero) as bar:
+        hopf_module_homology(h, h.mult, 3)
+    assert bar.value.degree == p
+    with pytest.raises(CoboundaryNotSquareZero) as cobar:
+        hopf_comodule_cohomology(h, h.comult, 3)
+    assert cobar.value.degree == p - 1
+
+
+@pytest.mark.parametrize("bad, library, trivial", [
+    ("counit", hopf_module_homology, trivial_module_action),
+    ("unit", hopf_comodule_cohomology, trivial_comodule_coaction),
+], ids=["bar", "cobar"])
+def test_the_library_refuses_an_h_that_is_no_hopf_algebra(bad, library,
+                                                          trivial):
+    """The (co)bar homology of the library, not only the CLI, checks H's
+    Hopf axioms, with the CLI's text: Sweedler with eps(g) = -1, or with
+    H's unit set to g, is refused naming the failed axioms."""
+    h = load_document(os.path.join(
+        DATA, "..", "tests", "sweedler_Q_bad_%s.json" % bad)).hopf
+    with pytest.raises(AxiomFailure) as e:
+        library(h, trivial(h), 3)
+    assert str(e.value) == ("H fails the Hopf axioms: left %s, right %s, "
+                            "antipode left, antipode right" % (bad, bad))
 
 
 def test_right_integral():
@@ -205,8 +247,7 @@ def test_homotopy_matches_vanishing():
 def test_each_bar_boundary_and_composite_is_built_once(monkeypatch):
     """The bar homology builds each normalized boundary once and multiplies
     each composite delta_(p-1) delta_p once (with the zero map out of
-    degree 0: qmax + 1 products); the full boundary is built only at the
-    degrees 1..3 whose composites carry the face identities, and the
+    degree 0: qmax + 1 products) and builds no full boundary, and the
     homotopy check builds each full bar boundary once (qmax + 1 of
     them).  Both kinds go through the one builder, told apart by the
     dimension of their H legs: 2 on the full chains, 1 on the normalized."""
@@ -233,8 +274,7 @@ def test_each_bar_boundary_and_composite_is_built_once(monkeypatch):
         or matmul(a, b))
     assert hopf_module_homology(h2, trivial_module_action(h2), 4) == [1] * 5
     assert normal == [1, 2, 3, 4, 5] and len(composites) == 5
-    assert built == [1, 2, 3]
-    built.clear()
+    assert built == []
     semisimple_homotopy_check(h, t, trivial_module_action(h), 3)
     assert built == [1, 2, 3, 4]
 
@@ -347,17 +387,20 @@ def test_bar_and_cobar_with_the_unit_and_counit_off_e0(name, top, data):
 
 def test_a_unit_that_is_no_unit_is_refused_before_normalizing():
     """The normalized bar complex has the bar homology only when the unit
-    laws hold; a product with e_0 e_1 = 0 is refused, on both sides, at a
-    degree whose full composites the trivial (co)action keeps zero."""
+    laws hold; a product with e_0 e_1 = 0 is refused, on both sides, by
+    the unit (counit) laws of H's Hopf axioms, at a degree whose full
+    composites the trivial (co)action keeps zero."""
     h = kc2()
     bad_mult = SparseMatrix(QQ, 2, 4, {(0, 0): 1, (1, 2): 1, (0, 3): 1})
     bad = HopfAlgebra(QQ, 2, bad_mult, h.unit, h.comult, h.counit,
                       h.antipode, h.antipode_inv)
-    with pytest.raises(AxiomFailure, match="not a unit of its product"):
+    with pytest.raises(AxiomFailure, match="^H fails the Hopf axioms: "
+                                           "associativity, left unit, "):
         hopf_module_homology(bad, trivial_module_action(bad), 1)
     bad = HopfAlgebra(QQ, 2, h.mult, h.unit, bad_mult.transpose(), h.counit,
                       h.antipode, h.antipode_inv)
-    with pytest.raises(AxiomFailure, match="not a counit of its coproduct"):
+    with pytest.raises(AxiomFailure, match="^H fails the Hopf axioms: "
+                                           "coassociativity, left counit, "):
         hopf_comodule_cohomology(bad, trivial_comodule_coaction(bad), 1)
 
 
@@ -380,7 +423,11 @@ def _spoil(d_out, d_in):
 def test_dims_still_check_composites_when_construction_did_not():
     """Ranking each differential once must not drop the d.d = 0 check: a
     differential spoiled after construction is still caught (the total
-    complex checks nothing when built, the mixed complex checks itself)."""
+    complex checks nothing when built, the mixed complex checks itself).
+    The bar complex's are spoiled in
+    `test_a_spoiled_normalized_boundary_is_named_at_its_degree`; a map
+    that is no action is refused by its module laws before any boundary
+    is built."""
     mc = mixed_complex(cyclic_module_of_algebra(kc2().as_algebra(), N=4))
     mc.b[3] = _spoil(mc.b[2], mc.b[3])  # b[1] = 0: the algebra commutes
     with pytest.raises(CompositionNotZero):
@@ -393,7 +440,8 @@ def test_dims_still_check_composites_when_construction_did_not():
     with pytest.raises(CompositionNotZero):
         total_homology_dims(fc, 2)
     not_an_action = SparseMatrix.from_rows(QQ, [[1, 2]])
-    with pytest.raises(BoundaryNotSquareZero):
+    with pytest.raises(AxiomFailure, match="^the action fails the module "
+                                           "axioms: action associative$"):
         hopf_module_homology(kc2(), not_an_action, 2)
 
 

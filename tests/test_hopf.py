@@ -2,11 +2,11 @@
 
 import pytest
 
-from hopfcyclic.errors import CharTwo, NotAGroup, Singular
+from hopfcyclic.errors import AxiomFailure, CharTwo, NotAGroup, Singular
 from hopfcyclic.fields import Field
 from hopfcyclic.hopf import (
     CheckReport, HopfAlgebra, antipode_inverse, check_comodule_algebra, check_hopf,
-    check_module_coalgebra, cyclic_group_table, group_algebra,
+    check_module, check_module_coalgebra, cyclic_group_table, group_algebra,
     regular_comodule_algebra, regular_module_coalgebra,
     sweedler_hopf, symmetric_group_table, trivial_comodule_algebra,
     trivial_hopf, trivial_module_coalgebra,
@@ -129,6 +129,25 @@ def test_corrupted_action_fails():
                                                     (1, 3): QQ.of(-1)})
     bad = ModuleCoalgebra(h, h.as_coalgebra(), bad_action)
     assert not check_module_coalgebra(bad).ok
+
+
+def test_the_module_suites_take_the_action_laws_from_one_place():
+    """The comodule algebra and module coalgebra suites take their
+    (co)action laws from `check_comodule` and `check_module`, in the order
+    each suite wrote them, and `require` names each failed entry."""
+    h = group_algebra(cyclic_group_table(2), QQ)
+    a, c = regular_comodule_algebra(h), regular_module_coalgebra(h)
+    assert [name for name, _, _ in check_comodule_algebra(a).entries] == [
+        "associativity", "left unit", "right unit", "coaction coassociative",
+        "coaction counital", "coaction multiplicative", "coaction of unit"]
+    assert [name for name, _, _ in check_module_coalgebra(c).entries] == [
+        "coassociativity", "left counit", "right counit", "action associative",
+        "action unital", "action comultiplicative", "action counital"]
+    check_module(h, c.action).require("the regular action")
+    not_an_action = SparseMatrix.from_rows(QQ, [[1, 2]])
+    with pytest.raises(AxiomFailure) as e:
+        check_module(h, not_an_action).require("M fails")
+    assert str(e.value) == "M fails: action associative"
 
 
 def _iterated_comult(h, k):

@@ -588,9 +588,16 @@ def test_pages_report_over_f2(monkeypatch, capsys):
 
 
 # H's unit or counit spoiled in Sweedler's algebra: the unit set to g (as in
-# tests/sweedler_Q_bad_unit.json), or either one set to zero
-_BAD_UNITS = {"unit g": ("unit", [[1, "1"]]), "zero unit": ("unit", []),
-              "zero counit": ("counit", [])}
+# tests/sweedler_Q_bad_unit.json), or either one set to zero, with the Hopf
+# axioms each fails
+_BAD_UNITS = {
+    "unit g": ("unit", [[1, "1"]],
+               "left unit, right unit, antipode left, antipode right"),
+    "zero unit": ("unit", [], "left unit, right unit, counit of unit, "
+                              "antipode left, antipode right"),
+    "zero counit": ("counit", [], "left counit, right counit, counit of "
+                                  "unit, antipode left, antipode right"),
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -603,13 +610,14 @@ def test_total_complexes_refuse_a_unit_that_is_not_one(case, argv, tmp_path,
     """The total complexes quotient by the chains with H's unit (on the
     cochain side, counit) in a leg past the first, which is a subcomplex
     only when it is a unit: an H whose unit is g or zero, or whose counit
-    is zero, exits 1 with AxiomFailure, on either command.  The unit g is
-    the file of the CI negative control, whose reports are recorded."""
+    is zero, exits 1 with AxiomFailure naming the Hopf axioms it fails, on
+    either command.  The unit g is the file of the CI negative control,
+    whose reports are recorded."""
     from hopfcyclic import cli
     monkeypatch.chdir(ROOT)
     with open(os.path.join("data", "sweedler_Q.json")) as fh:
         doc = json.load(fh)
-    key, value = _BAD_UNITS[case]
+    key, value, failed = _BAD_UNITS[case]
     doc["hopf"][key] = value
     path = os.path.join("tests", "sweedler_Q_bad_unit.json")
     with open(path) as fh:
@@ -621,7 +629,8 @@ def test_total_complexes_refuse_a_unit_that_is_not_one(case, argv, tmp_path,
     code = cli.main(argv[:2] + ["-i", path] + argv[2:])
     out = capsys.readouterr().out
     assert code == 1
-    assert json.loads(out)["error"].startswith("AxiomFailure: ")
+    assert json.loads(out)["error"] == \
+        "AxiomFailure: H fails the Hopf axioms: " + failed
     if case == "unit g":
         golden = {"ss-pages": "ss_pages_bad_unit_sweedler_Q_p1_q1",
                   "ez-hochschild": "ez_hochschild_bad_unit_sweedler_Q_n1"}
@@ -633,14 +642,15 @@ def test_total_complexes_refuse_a_unit_that_is_not_one(case, argv, tmp_path,
 # The block's unit or counit spoiled in Sweedler's comodule algebra and
 # module coalgebra: A's unit set to g (as in
 # tests/sweedler_Q_bad_block_unit.json) or zero, or C's counit zero, with
-# the law each first fails
+# the refusal naming the (co)algebra axioms each fails
 _BAD_BLOCK_UNITS = {
     "A unit g": ("algebra", "unit", [[1, "1"]],
-                 "A's unit law m (1 (x) id) = id fails"),
+                 "A fails the algebra axioms: left unit, right unit"),
     "zero A unit": ("algebra", "unit", [],
-                    "A's unit law m (1 (x) id) = id fails"),
+                    "A fails the algebra axioms: left unit, right unit"),
     "zero C counit": ("coalgebra", "counit", [],
-                      "C's counit law (eps (x) id) Delta = id fails"),
+                      "C fails the coalgebra axioms: left counit, "
+                      "right counit"),
 }
 
 
@@ -654,9 +664,10 @@ def test_total_complexes_refuse_a_block_unit_that_is_not_one(
     """The total complexes also quotient by the chains with the block's
     unit (on the cochain side, C's counit) in a leg past the first, a
     subcomplex only when it is a unit: an A whose unit is g or zero, or a
-    C whose counit is zero, exits 1 with AxiomFailure naming the law, on
-    either command, where each used to exit 0.  The unit g is the file of
-    the CI negative control, whose reports are recorded."""
+    C whose counit is zero, exits 1 with AxiomFailure naming the failed
+    (co)algebra axioms, on either command, where each used to exit 0.  The
+    unit g is the file of the CI negative control, whose reports are
+    recorded."""
     from hopfcyclic import cli
     monkeypatch.chdir(ROOT)
     with open(os.path.join("data", "sweedler_Q.json")) as fh:
